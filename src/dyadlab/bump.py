@@ -4,17 +4,22 @@ The theta-bump of a box Q under a weight with density u is
 
     vol(Q)^(1 - 1/theta) * (integral of u^theta over Q)^(1/theta)
 
-with theta = 1 reducing to the plain mass.  Characteristics are suprema of
-kernel-weighted bump products over finite rectangle families; scans run
-coarsest-first and keep the first maximizer, and every per-rectangle value
-is computed in extended precision and rounded to float64 once, so a
-reported witness re-evaluates to the reported value bit for bit.
+with theta = 1 reducing to the plain mass.  Every bump here takes its
+masses from lattice.box_masses, and every characteristic value comes from
+one batch evaluator, _products: kernel factor times the two bump powers
+for the outer product of a batch of factor cubes.  The scan feeds it whole
+grid levels, coarsest first, and keeps the first maximizer;
+characteristic_at feeds it the witness alone.  Per-rectangle values are
+computed in extended precision and rounded to float64 once, and a box's
+mass does not depend on the batch it is gathered in, so a reported
+witness re-evaluates to the reported value bit for bit.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from itertools import product as _iproduct
+from typing import Mapping
 
 import numpy as np
 
@@ -23,8 +28,7 @@ from .grids import Cube, DyadicGrid, DyadicRect, onethird_grids, standard_grid
 from .lattice import (
     Rect,
     Weight,
-    gather_boxes,
-    gather_boxes_frac,
+    box_masses,
     make_lattice,
     rect_volume,
     substream,
@@ -82,35 +86,81 @@ class Exponents:
 
 
 @dataclass(frozen=True)
-class PowerKernel:
-    """Rectangle kernel vol(I)^i_exp * vol(J)^j_exp."""
+class KernelHandle:
+    """Nonnegative kernel on dyadic rectangles, a function of levels only.
 
-    i_exp: float
-    j_exp: float
+    product_frac carries K(I x J) = |I|^(alpha/m - 1) * |J|^(beta/n - 1);
+    a custom handle carries an explicit level-pair table.
+    """
+
+    kind: str
+    alpha: float
+    beta: float
+    m: int
+    n: int
+    table: Mapping[tuple[int, int], float] | None = None
 
     @classmethod
-    def from_exponents(cls, exps: Exponents) -> "PowerKernel":
-        return cls(exps.alpha / exps.m - 1.0, exps.beta / exps.n - 1.0)
+    def product_frac(cls, alpha: float, beta: float, m: int, n: int) -> "KernelHandle":
+        if not 0.0 < alpha < m:
+            raise DomainError(f"alpha must lie in (0, m)=(0, {m}), got {alpha}")
+        if not 0.0 < beta < n:
+            raise DomainError(f"beta must lie in (0, n)=(0, {n}), got {beta}")
+        return cls("product_frac", float(alpha), float(beta), int(m), int(n))
+
+    @classmethod
+    def from_exponents(cls, exps: Exponents) -> "KernelHandle":
+        return cls.product_frac(exps.alpha, exps.beta, exps.m, exps.n)
+
+    @classmethod
+    def from_table(cls, table: Mapping[tuple[int, int], float], m: int, n: int) -> "KernelHandle":
+        for key, val in table.items():
+            if not (math.isfinite(val) and val >= 0.0):
+                raise DomainError(f"kernel table value at {key} must be finite and >= 0")
+        return cls("table", math.nan, math.nan, int(m), int(n), dict(table))
+
+    @property
+    def i_exp(self) -> float:
+        """Exponent of |I| in the product_frac kernel."""
+        return self.alpha / self.m - 1.0
+
+    @property
+    def j_exp(self) -> float:
+        """Exponent of |J| in the product_frac kernel."""
+        return self.beta / self.n - 1.0
+
+    def level_value(self, li: int, lj: int) -> float:
+        if self.kind == "product_frac":
+            return 2.0 ** (li * (self.m - self.alpha)) * 2.0 ** (lj * (self.n - self.beta))
+        try:
+            return self.table[(li, lj)]
+        except KeyError:
+            raise DomainError(f"kernel table has no entry for levels ({li}, {lj})") from None
+
+    def level_values(self, levels: np.ndarray) -> np.ndarray:
+        """Vectorized level_value over an (N, 2) level array, extended precision."""
+        if self.kind == "product_frac":
+            return np.power(_LD(2.0), levels[:, 0] * _LD(self.m - self.alpha)) * np.power(
+                _LD(2.0), levels[:, 1] * _LD(self.n - self.beta)
+            )
+        return np.array(
+            [self.level_value(int(a), int(b)) for a, b in levels], dtype=_LD
+        )
 
 
-def _box_of_rect(rect: Rect) -> np.ndarray:
-    out = np.empty((1, rect.dim, 2), dtype=np.int64)
-    for k in range(rect.dim):
-        out[0, k, 0] = rect.lo[k]
-        out[0, k, 1] = rect.hi[k]
-    return out
+# The power kernel of the characteristics is the product_frac handle.
+PowerKernel = KernelHandle
 
 
-def _bump_of_masses(vols: np.ndarray, masses: np.ndarray, theta: float) -> np.ndarray:
-    """Elementwise bump from extended-precision volumes and masses.
+def _bumps(w: Weight, theta: float, lo, hi, vol) -> np.ndarray:
+    """Theta-bumps of the boxes spanned by lo/hi, all of volume vol.
 
-    Returns float64 after a single rounding; all suprema and witness
-    re-evaluations go through here so the values agree exactly.
+    Masses come from box_masses in extended precision and the result is
+    rounded to float64 once; every bump in the package goes through here.
     """
-    vols = np.asarray(vols, dtype=_LD)
-    masses = np.maximum(np.asarray(masses, dtype=_LD), _LD(0.0))
+    masses = np.maximum(box_masses(w.prefix(theta), lo, hi), _LD(0.0))
     inv_tp = _LD(1.0) - _LD(1.0) / _LD(theta)
-    vals = np.power(vols, inv_tp) * np.power(masses, _LD(1.0) / _LD(theta))
+    vals = np.power(_LD(vol), inv_tp) * np.power(masses, _LD(1.0) / _LD(theta))
     return np.asarray(vals, dtype=np.float64)
 
 
@@ -120,9 +170,7 @@ def bump_cube(rect: Rect, w: Weight, theta: float) -> float:
         raise DomainError(f"theta must be >= 1, got {theta}")
     if rect.dim != w.lattice.dim:
         raise ShapeError(f"box has {rect.dim} axes, lattice has {w.lattice.dim}")
-    vol = rect_volume(w.lattice, rect)
-    mass = gather_boxes(w.prefix(theta), _box_of_rect(rect))
-    return float(_bump_of_masses(np.array([vol]), mass, theta)[0])
+    return float(_bumps(w, theta, rect.lo, rect.hi, rect_volume(w.lattice, rect)))
 
 
 def bump_rect(i_rect: Rect, j_rect: Rect, w: Weight, theta: float) -> float:
@@ -185,8 +233,6 @@ def random_partition(lattice, seed: int, split_prob: float = 0.7) -> list[Rect]:
 # ---------------------------------------------------------------------------
 # characteristics
 
-_KINDS = ("one_param", "product_bump", "half_bump_omega", "no_bump")
-
 
 @dataclass(frozen=True)
 class CharacteristicResult:
@@ -213,64 +259,104 @@ class CharacteristicResult:
         )
 
 
-def _level_cubes(grid: DyadicGrid, level: int, dim: int) -> list[tuple[int, ...]]:
-    """Indices of level cubes meeting the open unit box."""
-    per_axis = []
+_BUMPED = {  # kind -> (sigma, omega) carry the theta bump
+    "one_param": (True, True),
+    "product_bump": (True, True),
+    "half_bump_omega": (False, True),
+    "no_bump": (False, False),
+}
+
+
+def _level_cubes(grid: DyadicGrid, level: int) -> list[np.ndarray]:
+    """Per-axis indices of the level's cubes meeting the open unit box."""
     side = 1.0 / (1 << level)
-    for k in range(dim):
+    out = []
+    for k in range(grid.dim):
         off = float(grid.offset(k, level))
-        ks = []
-        k_idx = math.floor(-off / side)
-        if (k_idx + 1) * side + off <= 0:
-            k_idx += 1
-        while k_idx * side + off < 1:
-            ks.append(k_idx)
-            k_idx += 1
-        per_axis.append(ks)
-    return [tuple(c) for c in _iproduct(*per_axis)]
+        first = math.floor(-off / side)
+        if (first + 1) * side + off <= 0:
+            first += 1
+        ks = np.arange(first, first + (1 << level) + 2, dtype=np.int64)
+        out.append(ks[ks * side + off < 1])
+    return out
 
 
-def _cube_masses(grid: DyadicGrid, level: int, idxs, w: Weight, theta: float):
-    """Masses and volumes for a batch of same-level cubes of one grid.
+@dataclass(frozen=True)
+class _Factor:
+    """A batch of same-level cubes of one grid: the outer product of
+    per-axis index vectors, with their clipped edges in cell units."""
 
-    Aligned grids gather integer boxes; third grids go through the exact
-    fractional path.  Volumes are the full cube volume even when the cube
-    pokes out of the unit box, where the density is zero.
-    """
-    dim = grid.dim
-    depth = w.lattice.depth
+    grid: DyadicGrid
+    level: int
+    index: list
+    lo: list
+    hi: list
+
+
+def _factor(grid: DyadicGrid, level: int, index, depth: int) -> _Factor:
     ncells = 1 << depth
     side_cells = float(2.0 ** (depth - level))
-    n = len(idxs)
-    boxes = np.empty((n, dim, 2), dtype=np.float64)
-    for row, idx in enumerate(idxs):
-        for k in range(dim):
-            off = float(grid.offset(k, level)) * ncells
-            a = idx[k] * side_cells + off
-            boxes[row, k, 0] = min(max(a, 0.0), ncells)
-            boxes[row, k, 1] = min(max(a + side_cells, 0.0), ncells)
-    tab = w.prefix(theta)
-    if grid.kind == "third":
-        masses = gather_boxes_frac(tab, boxes)
-    else:
-        masses = gather_boxes(tab, np.rint(boxes).astype(np.int64))
-    vols = np.full(n, _LD(2.0) ** (-level * dim))
-    return vols, masses
+    lo, hi = [], []
+    for k, idx in enumerate(index):
+        a = np.asarray(idx, dtype=np.int64) * side_cells + float(grid.offset(k, level)) * ncells
+        lo.append(np.clip(a, 0.0, ncells))
+        hi.append(np.clip(a + side_cells, 0.0, ncells))
+    return _Factor(grid, level, list(index), lo, hi)
 
 
-def _factor_bumps(grid, w_list, thetas, level, dim):
-    """Bump arrays for every cube of one grid level, one per weight."""
-    idxs = _level_cubes(grid, level, dim)
-    outs = []
-    for w, theta in zip(w_list, thetas):
-        vols, masses = _cube_masses(grid, level, idxs, w, theta)
-        outs.append(_bump_of_masses(vols, masses, theta))
-    return idxs, outs
+def _products(kind, kernel, sigma, omega, exps, factors) -> np.ndarray:
+    """Kernel x bump products for the outer product of the factor batches.
+
+    One result axis per lattice axis.  Volumes are the full cube volumes
+    even where a cube pokes out of the unit box, where the density is zero.
+    """
+    lo, hi = [], []
+    vol = _LD(1.0)
+    kval = 1.0
+    for fac, k_exp in zip(factors, (kernel.i_exp, kernel.j_exp)):
+        dim = fac.grid.dim
+        lo += fac.lo
+        hi += fac.hi
+        vol = vol * _LD(2.0) ** (-fac.level * dim)
+        kval = kval * float(2.0 ** (-fac.level * dim)) ** k_exp
+    lo, hi = np.ix_(*lo), np.ix_(*hi)
+    bump_s, bump_w = _BUMPED[kind]
+    bs = _bumps(sigma, exps.theta if bump_s else 1.0, lo, hi, vol)
+    bw = _bumps(omega, exps.theta if bump_w else 1.0, lo, hi, vol)
+    return kval * np.power(bs, 1.0 / exps.p_prime) * np.power(bw, 1.0 / exps.q)
+
+
+def _check_scan(kind, kernel, sigma, omega, exps) -> tuple[KernelHandle, tuple[int, ...]]:
+    """Validated kernel and the factor dimensions of a characteristic."""
+    if kind not in _BUMPED:
+        raise DomainError(f"unknown characteristic kind {kind!r}")
+    if kernel is None:
+        kernel = KernelHandle.from_exponents(exps)
+    if kernel.kind != "product_frac":
+        raise DomainError(f"characteristics need a product_frac kernel, got {kernel.kind!r}")
+    if sigma.lattice != omega.lattice:
+        raise ShapeError("sigma and omega must share a lattice")
+    dim = sigma.lattice.dim
+    if kind == "one_param":
+        if dim != exps.m:
+            raise ShapeError(f"one_param wants an m={exps.m} lattice, got dim {dim}")
+        return kernel, (exps.m,)
+    if exps.m + exps.n != dim:
+        raise ShapeError(
+            f"rectangle kinds want an (m+n)={exps.m + exps.n} lattice, got dim {dim}"
+        )
+    return kernel, (exps.m, exps.n)
+
+
+def _grids_for(family: str, dim: int, depth: int) -> list[DyadicGrid]:
+    if family == "dyadic":
+        return [standard_grid(dim, 0, depth)]
+    return onethird_grids(dim, 0, depth)
 
 
 def characteristic(
     kind: str,
-    kernel: PowerKernel | None,
+    kernel: KernelHandle | None,
     sigma: Weight,
     omega: Weight,
     exps: Exponents,
@@ -281,179 +367,55 @@ def characteristic(
     family "dyadic" scans the standard grid pair; "onethird" scans all
     3^m * 3^n shifted pairs (the no-bump default, standing in for the
     supremum over arbitrary rectangles).  one_param scans cubes only.
+    Grid tuples run outermost, then level tuples, each in product order.
     """
-    if kind not in _KINDS:
-        raise DomainError(f"unknown characteristic kind {kind!r}")
-    if kernel is None:
-        kernel = PowerKernel.from_exponents(exps)
     if family is None:
         family = "onethird" if kind == "no_bump" else "dyadic"
     if family not in ("dyadic", "onethird"):
         raise DomainError(f"unknown family {family!r}")
-    if kind == "one_param":
-        return _one_param_scan(kernel, sigma, omega, exps, family)
-    return _rect_scan(kind, kernel, sigma, omega, exps, family)
-
-
-def _grids_for(family: str, dim: int, depth: int) -> list[DyadicGrid]:
-    if family == "dyadic":
-        return [standard_grid(dim, 0, depth)]
-    return onethird_grids(dim, 0, depth)
-
-
-def _one_param_scan(kernel, sigma, omega, exps, family):
-    if sigma.lattice != omega.lattice:
-        raise ShapeError("sigma and omega must share a lattice")
-    dim = sigma.lattice.dim
-    if dim != exps.m:
-        raise ShapeError(f"one_param wants an m={exps.m} lattice, got dim {dim}")
+    kernel, dims = _check_scan(kind, kernel, sigma, omega, exps)
     depth = sigma.lattice.depth
+    per_grid = [  # factor -> grid -> level -> batch of that level's cubes
+        [
+            [_factor(grid, lv, _level_cubes(grid, lv), depth) for lv in range(depth + 1)]
+            for grid in _grids_for(family, dim, depth)
+        ]
+        for dim in dims
+    ]
     best = -1.0
-    best_at: Cube | None = None
-    for grid in _grids_for(family, dim, depth):
-        for level in range(0, depth + 1):
-            idxs, (bs, bw) = _factor_bumps(
-                grid, (sigma, omega), (exps.theta, exps.theta), level, dim
-            )
-            vols = np.full(len(idxs), 2.0 ** (-level * dim))
-            vals = (
-                np.power(vols, kernel.i_exp)
-                * np.power(bs, 1.0 / exps.p_prime)
-                * np.power(bw, 1.0 / exps.q)
-            )
+    best_at: DyadicRect | Cube | None = None
+    for grids in _iproduct(*per_grid):
+        for factors in _iproduct(*grids):
+            vals = _products(kind, kernel, sigma, omega, exps, factors)
             k = int(np.argmax(vals))
-            if vals[k] > best:
-                best = float(vals[k])
-                best_at = Cube(grid, level, idxs[k])
-    if best_at is None:
-        raise DomainError("empty cube family")
-    return CharacteristicResult("one_param", best, best_at, exps)
-
-
-def _rect_scan(kind, kernel, sigma, omega, exps, family):
-    if sigma.lattice != omega.lattice:
-        raise ShapeError("sigma and omega must share a lattice")
-    m, n = exps.m, exps.n
-    if m + n != sigma.lattice.dim:
-        raise ShapeError(
-            f"rectangle kinds want an (m+n)={m + n} lattice, got dim {sigma.lattice.dim}"
-        )
-    depth = sigma.lattice.depth
-    theta_sigma = exps.theta if kind == "product_bump" else 1.0
-    theta_omega = exps.theta if kind in ("product_bump", "half_bump_omega") else 1.0
-    i_grids = _grids_for(family, m, depth)
-    j_grids = _grids_for(family, n, depth)
-    s_prefix = sigma.prefix(theta_sigma)
-    w_prefix = omega.prefix(theta_omega)
-    best = -1.0
-    best_at: DyadicRect | None = None
-    for grid_i in i_grids:
-        for grid_j in j_grids:
-            for li in range(0, depth + 1):
-                i_idx = _level_cubes(grid_i, li, m)
-                i_boxes = _axis_boxes(grid_i, li, i_idx, m, depth)
-                for lj in range(0, depth + 1):
-                    j_idx = _level_cubes(grid_j, lj, n)
-                    j_boxes = _axis_boxes(grid_j, lj, j_idx, n, depth)
-                    boxes = _product_boxes(i_boxes, j_boxes)
-                    frac = grid_i.kind == "third" or grid_j.kind == "third"
-                    if frac:
-                        ms = gather_boxes_frac(s_prefix, boxes)
-                        mw = gather_boxes_frac(w_prefix, boxes)
-                    else:
-                        ib = np.rint(boxes).astype(np.int64)
-                        ms = gather_boxes(s_prefix, ib)
-                        mw = gather_boxes(w_prefix, ib)
-                    vol_i = _LD(2.0) ** (-li * m)
-                    vol_j = _LD(2.0) ** (-lj * n)
-                    vols = np.full(len(ms), vol_i * vol_j)
-                    bs = _bump_of_masses(vols, ms, theta_sigma)
-                    bw = _bump_of_masses(vols, mw, theta_omega)
-                    kval = float(2.0 ** (-li * m)) ** kernel.i_exp * float(
-                        2.0 ** (-lj * n)
-                    ) ** kernel.j_exp
-                    vals = kval * np.power(bs, 1.0 / exps.p_prime) * np.power(bw, 1.0 / exps.q)
-                    k = int(np.argmax(vals))
-                    if vals[k] > best:
-                        best = float(vals[k])
-                        ii = k // len(j_idx)
-                        jj = k % len(j_idx)
-                        best_at = DyadicRect(
-                            Cube(grid_i, li, i_idx[ii]), Cube(grid_j, lj, j_idx[jj])
-                        )
+            if vals.flat[k] > best:
+                best = float(vals.flat[k])
+                best_at = _witness(factors, np.unravel_index(k, vals.shape))
     if best_at is None:
         raise DomainError("empty rectangle family")
     return CharacteristicResult(kind, best, best_at, exps)
 
 
-def _axis_boxes(grid, level, idxs, dim, depth):
-    ncells = 1 << depth
-    side_cells = float(2.0 ** (depth - level))
-    out = np.empty((len(idxs), dim, 2), dtype=np.float64)
-    for row, idx in enumerate(idxs):
-        for k in range(dim):
-            off = float(grid.offset(k, level)) * ncells
-            a = idx[k] * side_cells + off
-            out[row, k, 0] = min(max(a, 0.0), ncells)
-            out[row, k, 1] = min(max(a + side_cells, 0.0), ncells)
-    return out
-
-
-def _product_boxes(i_boxes, j_boxes):
-    ni, m = i_boxes.shape[0], i_boxes.shape[1]
-    nj, n = j_boxes.shape[0], j_boxes.shape[1]
-    out = np.empty((ni * nj, m + n, 2), dtype=np.float64)
-    out[:, :m, :] = np.repeat(i_boxes, nj, axis=0)
-    out[:, m:, :] = np.tile(j_boxes, (ni, 1, 1))
-    return out
+def _witness(factors, pos) -> DyadicRect | Cube:
+    cubes = []
+    for fac in factors:
+        here, pos = pos[: fac.grid.dim], pos[fac.grid.dim :]
+        index = tuple(int(ks[p]) for ks, p in zip(fac.index, here))
+        cubes.append(Cube(fac.grid, fac.level, index))
+    return cubes[0] if len(cubes) == 1 else DyadicRect(*cubes)
 
 
 def characteristic_at(
     kind: str,
-    kernel: PowerKernel | None,
+    kernel: KernelHandle | None,
     witness,
     sigma: Weight,
     omega: Weight,
     exps: Exponents,
 ) -> float:
-    """Re-evaluate one witness exactly as the scan computed it."""
-    if kernel is None:
-        kernel = PowerKernel.from_exponents(exps)
+    """Re-evaluate one witness: the scan's batch evaluator on a batch of one."""
+    kernel, _ = _check_scan(kind, kernel, sigma, omega, exps)
+    cubes = (witness,) if kind == "one_param" else (witness.i_cube, witness.j_cube)
     depth = sigma.lattice.depth
-    if kind == "one_param":
-        cube = witness
-        dim = cube.grid.dim
-        vols, masses = _cube_masses(cube.grid, cube.level, [cube.index], sigma, exps.theta)
-        bs = _bump_of_masses(vols, masses, exps.theta)
-        vols, masses = _cube_masses(cube.grid, cube.level, [cube.index], omega, exps.theta)
-        bw = _bump_of_masses(vols, masses, exps.theta)
-        vol = 2.0 ** (-cube.level * dim)
-        return float(
-            np.power(vol, kernel.i_exp)
-            * np.power(bs[0], 1.0 / exps.p_prime)
-            * np.power(bw[0], 1.0 / exps.q)
-        )
-    theta_sigma = exps.theta if kind == "product_bump" else 1.0
-    theta_omega = exps.theta if kind in ("product_bump", "half_bump_omega") else 1.0
-    r: DyadicRect = witness
-    m, n = r.m, r.n
-    i_boxes = _axis_boxes(r.i_cube.grid, r.i_cube.level, [r.i_cube.index], m, depth)
-    j_boxes = _axis_boxes(r.j_cube.grid, r.j_cube.level, [r.j_cube.index], n, depth)
-    boxes = _product_boxes(i_boxes, j_boxes)
-    frac = r.i_cube.grid.kind == "third" or r.j_cube.grid.kind == "third"
-    if frac:
-        ms = gather_boxes_frac(sigma.prefix(theta_sigma), boxes)
-        mw = gather_boxes_frac(omega.prefix(theta_omega), boxes)
-    else:
-        ib = np.rint(boxes).astype(np.int64)
-        ms = gather_boxes(sigma.prefix(theta_sigma), ib)
-        mw = gather_boxes(omega.prefix(theta_omega), ib)
-    li, lj = r.i_cube.level, r.j_cube.level
-    vol_i = _LD(2.0) ** (-li * m)
-    vol_j = _LD(2.0) ** (-lj * n)
-    vols = np.full(1, vol_i * vol_j)
-    bs = _bump_of_masses(vols, ms, theta_sigma)
-    bw = _bump_of_masses(vols, mw, theta_omega)
-    kval = float(2.0 ** (-li * m)) ** kernel.i_exp * float(2.0 ** (-lj * n)) ** kernel.j_exp
-    vals = kval * np.power(bs, 1.0 / exps.p_prime) * np.power(bw, 1.0 / exps.q)
-    return float(vals[0])
+    factors = [_factor(c.grid, c.level, [[i] for i in c.index], depth) for c in cubes]
+    return float(_products(kind, kernel, sigma, omega, exps, factors).flat[0])

@@ -1,21 +1,24 @@
 """Command-line front end: weight generation, single computations, the
 verification suite, norm estimation, and grid sampling.
 
-Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 I/O error.  Every report is a deterministic function of the inputs and
+Exit codes: 0 success, 1 verification failure or a broken internal
+contract, 2 configuration error (any other package error), 3 I/O or file
+format error.  Every report is a deterministic function of the inputs and
 the seed; suite rows are canonically sorted so scheduling never shows.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import sys
 from dataclasses import dataclass
 from pathlib import Path
 
 from .bump import Exponents, bump_cube, characteristic
-from .errors import DomainError, FormatError, ScopeError, ShapeError
+from .errors import ContractViolationError, DyadlabError, FormatError
 from .forms import KernelHandle, norm_estimate
 from .grids import sample_grid, verify_grid
 from .lattice import doubling_report, full_rect, gen_weight, make_lattice
@@ -233,10 +236,11 @@ def cmd_compute(ns) -> int:
         if ns.fmt == "json":
             text = json.dumps(payload, indent=2) + "\n"
         else:
-            lines = ["field,value"]
-            for key, val in payload.items():
-                lines.append(f"{key},{val}")
-            text = "\n".join(lines) + "\n"
+            buf = io.StringIO()
+            writer = csv.writer(buf, lineterminator="\n")
+            writer.writerow(["field", "value"])
+            writer.writerows((key, str(val)) for key, val in payload.items())
+            text = buf.getvalue()
     _write_out(text, cfg.out)
     return _EXIT_OK
 
@@ -248,11 +252,24 @@ def cmd_norm_estimate(ns) -> int:
     exps = _exps_from(ns)
     kernel = KernelHandle.from_exponents(exps)
     est = norm_estimate(kernel, sigma, omega, exps, iterations=ns.iterations, seed=cfg.seed)
-    lines = ["iteration,objective,seed"]
-    for i, (_, _, obj) in enumerate(est.trace):
-        lines.append(f"{i},{obj:.17g},{cfg.seed}")
-    lines.append(f"lower_bound,{est.lower_bound:.17g}")
-    _write_out("\n".join(lines) + "\n", cfg.out)
+    if cfg.fmt == "json":
+        payload = {
+            "quantity": "norm_estimate",
+            "seed": cfg.seed,
+            "trace": [
+                {"start": t, "halfstep": h, "objective": obj} for t, h, obj in est.trace
+            ],
+            "lower_bound": est.lower_bound,
+            "indicator_floor": est.indicator_floor,
+        }
+        text = json.dumps(payload, indent=2) + "\n"
+    else:
+        lines = ["iteration,objective,seed"]
+        for i, (_, _, obj) in enumerate(est.trace):
+            lines.append(f"{i},{obj:.17g},{cfg.seed}")
+        lines.append(f"lower_bound,{est.lower_bound:.17g}")
+        text = "\n".join(lines) + "\n"
+    _write_out(text, cfg.out)
     if cfg.out is not None:
         print(f"certified lower bound {est.lower_bound:.17g}")
     return _EXIT_OK
@@ -307,12 +324,15 @@ def main(argv=None) -> int:
     except _Exit as e:
         print(f"error: {e}", file=sys.stderr)
         return e.code
-    except (DomainError, ShapeError, ScopeError) as e:
+    except DyadlabError as e:
+        if isinstance(e, FormatError):
+            print(f"file format error: {e}", file=sys.stderr)
+            return _EXIT_IO
+        if isinstance(e, ContractViolationError):
+            print(f"contract violation: {e}", file=sys.stderr)
+            return _EXIT_FAIL
         print(f"configuration error: {e}", file=sys.stderr)
         return _EXIT_CONFIG
-    except FormatError as e:
-        print(f"file format error: {e}", file=sys.stderr)
-        return _EXIT_IO
     except OSError as e:
         print(f"i/o error: {e}", file=sys.stderr)
         return _EXIT_IO

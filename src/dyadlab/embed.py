@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bump import _bump_of_masses, bump_cube, slice_profile
+from .bump import _bumps, bump_cube, slice_profile
 from .errors import ContractViolationError, DomainError, ShapeError
 from .grids import DyadicGrid, GoodnessParams
 from .lattice import (
@@ -22,12 +22,14 @@ from .lattice import (
     Lattice,
     Rect,
     Weight,
+    box_masses,
     doubling_report,
     full_rect,
-    gather_boxes,
     integrate,
     lp_norm,
     make_lattice,
+    rect_at,
+    tile_edges,
     weighted_mass_prefix,
 )
 
@@ -74,20 +76,10 @@ def _dyadic_level(lat: Lattice, P: Rect) -> int:
     return lat.depth - (side.bit_length() - 1)
 
 
-def _sub_boxes(lat: Lattice, P: Rect, level: int) -> tuple[np.ndarray, np.ndarray]:
-    """Integer boxes of all level subcubes of P, with indices relative to P."""
-    side = lat.cells_per_axis >> level
-    axes = [np.arange(a, b, side, dtype=np.int64) for a, b in zip(P.lo, P.hi)]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    lo = np.stack([g.ravel() for g in mesh], axis=1)
-    boxes = np.stack([lo, lo + side], axis=2)
-    rel = (lo - np.asarray(P.lo, dtype=np.int64)) // side
-    return boxes, rel
-
-
-def _bumps_at(w: Weight, theta: float, boxes: np.ndarray, level: int) -> np.ndarray:
-    vols = np.full(boxes.shape[0], _LD(2.0) ** (-level * w.lattice.dim))
-    return _bump_of_masses(vols, gather_boxes(w.prefix(theta), boxes), theta)
+def _subcubes(lat: Lattice, P: Rect, level: int) -> tuple[list, list, np.longdouble]:
+    """Edges of the level subcubes of P for box_masses, and their volume."""
+    lo, hi = tile_edges(P.lo, P.hi, (lat.cells_per_axis >> level,) * lat.dim)
+    return lo, hi, _LD(2.0) ** (-level * lat.dim)
 
 
 def _ratio(lhs: float, rhs: float) -> float:
@@ -148,20 +140,18 @@ def stopping_cubes(
     averages: list[float] = []
     refined: list[bool] = []
     for level in range(lat.depth + 1):
-        boxes, _ = _sub_boxes(lat, top, level)
-        b = _bumps_at(w, theta, boxes, level)
-        mf = gather_boxes(num, boxes).astype(np.float64)
+        lo, hi, vol = _subcubes(lat, top, level)
+        b = _bumps(w, theta, lo, hi, vol)
+        mf = box_masses(num, lo, hi).astype(np.float64)
         avg = np.where(b > 0.0, mf / np.where(b > 0.0, b, 1.0), 0.0)
-        flat_blocked = blocked.reshape(-1)
-        chosen = (avg > threshold) & ~flat_blocked
-        for i in np.nonzero(chosen)[0]:
-            lo = tuple(int(v) for v in boxes[i, :, 0])
-            hi = tuple(int(v) for v in boxes[i, :, 1])
-            cubes.append(Rect(lo, hi))
-            averages.append(float(avg[i]))
-            mass_cut = float(gather_boxes(num_cut, boxes[i : i + 1])[0])
-            refined.append(mass_cut > cut * float(b[i]))
-        blocked = (flat_blocked | chosen).reshape(blocked.shape)
+        chosen = (avg > threshold) & ~blocked
+        if chosen.any():
+            mass_cut = box_masses(num_cut, lo, hi)
+        for i in np.flatnonzero(chosen):
+            cubes.append(rect_at(lo, hi, i))
+            averages.append(float(avg.flat[i]))
+            refined.append(float(mass_cut.flat[i]) > cut * float(b.flat[i]))
+        blocked = blocked | chosen
         if level < lat.depth:
             for ax in range(lat.dim):
                 blocked = np.repeat(blocked, 2, axis=ax)
@@ -211,8 +201,7 @@ def automatic_carleson(
     level_p = _dyadic_level(lat, P)
     total = _LD(0.0)
     for level in range(level_p, lat.depth + 1):
-        boxes, _ = _sub_boxes(lat, P, level)
-        b = _bumps_at(w, theta, boxes, level).astype(_LD)
+        b = _bumps(w, theta, *_subcubes(lat, P, level)).astype(_LD).ravel()
         total += np.power(b, _LD(rho)).sum(dtype=_LD)
     inv_theta_prime = 1.0 - 1.0 / theta
     constant = 1.0 / (1.0 - 2.0 ** (-lat.dim * (rho - 1.0) * inv_theta_prime))
@@ -243,6 +232,19 @@ def _good_rel_mask(rel: np.ndarray, gap_to_p: int, goodness: GoodnessParams) -> 
         if not ok.any():
             break
     return ok
+
+
+def _good_cubes(count: int, gap_to_p: int, goodness: GoodnessParams, dims: int) -> np.ndarray:
+    """_good_rel_mask over the count^dims grid of same-level subcubes.
+
+    Goodness asks every axis to clear the skeleton, so it is the outer
+    AND of one per-axis mask.
+    """
+    axis = _good_rel_mask(np.arange(count, dtype=np.int64)[:, None], gap_to_p, goodness)
+    out = axis
+    for _ in range(dims - 1):
+        out = np.logical_and.outer(out, axis)
+    return out
 
 
 def good_carleson(
@@ -292,11 +294,11 @@ def good_carleson(
     mass_tab = w.prefix(1.0)
     total = _LD(0.0)
     for level in range(level_p, lat.depth + 1):
-        boxes, rel = _sub_boxes(lat, P, level)
-        good = _good_rel_mask(rel, level - level_p, goodness)
+        lo, hi, _ = _subcubes(lat, P, level)
+        good = _good_cubes(lo[0].size, level - level_p, goodness, lat.dim)
         if not good.any():
             continue
-        masses = gather_boxes(mass_tab, boxes[good]).astype(np.float64)
+        masses = box_masses(mass_tab, lo, hi)[good].astype(np.float64)
         total += np.power(masses.astype(_LD), _LD(rho)).sum(dtype=_LD)
     top = integrate(w, P)
     rhs = constant * float(_LD(top) ** _LD(rho))
@@ -339,9 +341,9 @@ def embed_check_cubes(
     top = full_rect(lat)
     total = _LD(0.0)
     for level in range(lat.depth + 1):
-        boxes, _ = _sub_boxes(lat, top, level)
-        b = _bumps_at(w, theta, boxes, level).astype(_LD)
-        mf = gather_boxes(num, boxes)
+        lo, hi, vol = _subcubes(lat, top, level)
+        b = _bumps(w, theta, lo, hi, vol).astype(_LD)
+        mf = box_masses(num, lo, hi)
         pos = b > 0.0
         if pos.any():
             total += (
@@ -361,23 +363,6 @@ class EmbedRectReport:
     minkowski_mid: float
     max_slice_ratio: float
     max_point_ratio: float
-
-
-def _factor_boxes(cells: int, dims: int, level: int) -> np.ndarray:
-    side = cells >> level
-    pos = np.arange(1 << level, dtype=np.int64) * side
-    mesh = np.meshgrid(*([pos] * dims), indexing="ij")
-    lo = np.stack([g.ravel() for g in mesh], axis=1)
-    return np.stack([lo, lo + side], axis=2)
-
-
-def _cross_boxes(i_boxes: np.ndarray, j_boxes: np.ndarray) -> np.ndarray:
-    ni, m = i_boxes.shape[0], i_boxes.shape[1]
-    nj, n = j_boxes.shape[0], j_boxes.shape[1]
-    out = np.empty((ni * nj, m + n, 2), dtype=np.int64)
-    out[:, :m, :] = np.repeat(i_boxes, nj, axis=0)
-    out[:, m:, :] = np.tile(j_boxes, (ni, 1, 1))
-    return out
 
 
 def embed_check_rects(
@@ -421,15 +406,14 @@ def embed_check_rects(
     depth = lat.depth
 
     num = weighted_mass_prefix(f, w)
-    wtab = w.prefix(theta)
     total = _LD(0.0)
     for li in range(depth + 1):
-        i_boxes = _factor_boxes(cells, m, li)
         for lj in range(depth + 1):
-            boxes = _cross_boxes(i_boxes, _factor_boxes(cells, n_ax, lj))
-            vols = np.full(boxes.shape[0], _LD(2.0) ** (-(li * m + lj * n_ax)))
-            b = _bump_of_masses(vols, gather_boxes(wtab, boxes), theta).astype(_LD)
-            mf = gather_boxes(num, boxes)
+            sides = (cells >> li,) * m + (cells >> lj,) * n_ax
+            lo, hi = tile_edges((0,) * lat.dim, (cells,) * lat.dim, sides)
+            vol = _LD(2.0) ** (-(li * m + lj * n_ax))
+            b = _bumps(w, theta, lo, hi, vol).astype(_LD)
+            mf = box_masses(num, lo, hi)
             pos = b > 0.0
             if pos.any():
                 total += (
@@ -450,8 +434,9 @@ def embed_check_rects(
     lhs_r_check = _LD(0.0)
     max_slice_ratio = 0.0
     for lj in range(depth + 1):
-        for j_row in _factor_boxes(cells, n_ax, lj):
-            j_rect = Rect(tuple(int(v) for v in j_row[:, 0]), tuple(int(v) for v in j_row[:, 1]))
+        side = cells >> lj
+        for j_idx in np.ndindex(*((1 << lj,) * n_ax)):
+            j_rect = Rect(tuple(i * side for i in j_idx), tuple((i + 1) * side for i in j_idx))
             nu = slice_profile(j_rect, w, theta)
             sel = lead + tuple(slice(a, b) for a, b in zip(j_rect.lo, j_rect.hi))
             h = (f_shaped[sel] * u_shaped[sel]).sum(axis=trailing_axes) * cellvol_n

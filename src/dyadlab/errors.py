@@ -1,7 +1,8 @@
 """Shared exception taxonomy.
 
-The CLI maps these onto exit codes: configuration and domain problems
-exit 2, file format problems exit 3, failed verification checks exit 1.
+The CLI maps these onto exit codes: file format problems exit 3, a
+broken contract exits 1 like a failed verification check, and every
+other package error is a configuration problem and exits 2.
 """
 
 

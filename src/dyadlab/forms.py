@@ -1,9 +1,10 @@
 """Kernels, bilinear forms over rectangle families, and norm estimation.
 
-The level-indexed kernel lives here together with everything that pairs it
-with two weights: the surrogate kernel sum over shifted grid families, the
-positive bilinear form, its good/bad split, the discrete product fractional
-integral, and an alternating-maximization lower bound for the form's norm.
+The level-indexed kernel (KernelHandle, defined in bump and re-exported
+here) meets two weights in everything below: the surrogate kernel sum over
+shifted grid families, the positive bilinear form, its good/bad split, the
+discrete product fractional integral, and an alternating-maximization
+lower bound for the form's norm.
 """
 
 from __future__ import annotations
@@ -11,12 +12,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import product as _iproduct
-from typing import Mapping, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .bump import characteristic
-from .embed import _cross_boxes, _factor_boxes, _good_rel_mask
+from .bump import KernelHandle, characteristic
+from .embed import _good_cubes
 from .errors import (
     AlignmentError,
     ContractViolationError,
@@ -30,9 +31,12 @@ from .lattice import (
     Lattice,
     Rect,
     Weight,
+    box_list,
+    box_masses,
     gather_boxes,
     lp_norm,
     substream,
+    tile_edges,
     weighted_mass_prefix,
 )
 
@@ -56,59 +60,6 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # kernel
-
-
-@dataclass(frozen=True)
-class KernelHandle:
-    """Nonnegative kernel on dyadic rectangles, a function of levels only.
-
-    product_frac carries K(I x J) = |I|^(alpha/m - 1) * |J|^(beta/n - 1);
-    a custom handle carries an explicit level-pair table.
-    """
-
-    kind: str
-    alpha: float
-    beta: float
-    m: int
-    n: int
-    table: Mapping[tuple[int, int], float] | None = None
-
-    @classmethod
-    def product_frac(cls, alpha: float, beta: float, m: int, n: int) -> "KernelHandle":
-        if not 0.0 < alpha < m:
-            raise DomainError(f"alpha must lie in (0, m)=(0, {m}), got {alpha}")
-        if not 0.0 < beta < n:
-            raise DomainError(f"beta must lie in (0, n)=(0, {n}), got {beta}")
-        return cls("product_frac", float(alpha), float(beta), int(m), int(n))
-
-    @classmethod
-    def from_exponents(cls, exps) -> "KernelHandle":
-        return cls.product_frac(exps.alpha, exps.beta, exps.m, exps.n)
-
-    @classmethod
-    def from_table(cls, table: Mapping[tuple[int, int], float], m: int, n: int) -> "KernelHandle":
-        for key, val in table.items():
-            if not (math.isfinite(val) and val >= 0.0):
-                raise DomainError(f"kernel table value at {key} must be finite and >= 0")
-        return cls("table", math.nan, math.nan, int(m), int(n), dict(table))
-
-    def level_value(self, li: int, lj: int) -> float:
-        if self.kind == "product_frac":
-            return 2.0 ** (li * (self.m - self.alpha)) * 2.0 ** (lj * (self.n - self.beta))
-        try:
-            return self.table[(li, lj)]
-        except KeyError:
-            raise DomainError(f"kernel table has no entry for levels ({li}, {lj})") from None
-
-    def level_values(self, levels: np.ndarray) -> np.ndarray:
-        """Vectorized level_value over an (N, 2) level array, extended precision."""
-        if self.kind == "product_frac":
-            return np.power(_LD(2.0), levels[:, 0] * _LD(self.m - self.alpha)) * np.power(
-                _LD(2.0), levels[:, 1] * _LD(self.n - self.beta)
-            )
-        return np.array(
-            [self.level_value(int(a), int(b)) for a, b in levels], dtype=_LD
-        )
 
 
 def kernel_eval(kernel: KernelHandle, rect: DyadicRect) -> float:
@@ -238,9 +189,9 @@ def dyadic_family(lat: Lattice, m: int) -> RectFamily:
     chunks = []
     lvls = []
     for li in range(lat.depth + 1):
-        ib = _factor_boxes(cells, m, li)
         for lj in range(lat.depth + 1):
-            block = _cross_boxes(ib, _factor_boxes(cells, n, lj))
+            sides = (cells >> li,) * m + (cells >> lj,) * n
+            block = box_list(*tile_edges((0,) * lat.dim, (cells,) * lat.dim, sides))
             chunks.append(block)
             lvls.append(np.full((block.shape[0], 2), (li, lj), dtype=np.int64))
     return RectFamily(m, n, np.concatenate(chunks), np.concatenate(lvls), "dyadic")
@@ -350,20 +301,15 @@ def goodbad_split(
     sums = np.zeros(4, dtype=_LD)  # total, goodgood, anybad, badany
     badbad = _LD(0.0)
     for li in range(lat.depth + 1):
-        ib = _factor_boxes(cells, m, li)
-        i_good = _good_rel_mask(ib[:, :, 0] >> (lat.depth - li), li, goodness)
+        i_good = _good_cubes(1 << li, li, goodness, m).ravel()
         for lj in range(lat.depth + 1):
-            jb = _factor_boxes(cells, n, lj)
-            j_good = _good_rel_mask(jb[:, :, 0] >> (lat.depth - lj), lj, goodness)
-            boxes = _cross_boxes(ib, jb)
+            j_good = _good_cubes(1 << lj, lj, goodness, n).ravel()
+            sides = (cells >> li,) * m + (cells >> lj,) * n
+            lo, hi = tile_edges((0,) * lat.dim, (cells,) * lat.dim, sides)
             kv = kernel.level_value(li, lj)
-            terms = (
-                _LD(kv)
-                * gather_boxes(f_tab, boxes)
-                * gather_boxes(g_tab, boxes)
-            )
-            ig = np.repeat(i_good, jb.shape[0])
-            jg = np.tile(j_good, ib.shape[0])
+            terms = (_LD(kv) * box_masses(f_tab, lo, hi) * box_masses(g_tab, lo, hi)).ravel()
+            ig = np.repeat(i_good, j_good.size)
+            jg = np.tile(j_good, i_good.size)
             sums[0] += terms.sum(dtype=_LD)
             sums[1] += terms[ig & jg].sum(dtype=_LD)
             sums[2] += terms[~jg].sum(dtype=_LD)

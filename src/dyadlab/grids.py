@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import (
     ContractViolationError,
-    DegenerateSampleError,
     DomainError,
     FormatError,
     ScopeError,
@@ -191,21 +190,6 @@ class Cube:
             for k in range(self.grid.dim)
         )
 
-    def cell_box(self, depth: int) -> np.ndarray:
-        """Bounds in cell units of 2^-depth, clipped to [0, 2^depth]^dim.
-
-        Integer-valued for std/shift grids whose finest level is at most
-        depth; fractional for third grids (masses stay exact through the
-        multilinear prefix interpolation).
-        """
-        n = 1 << depth
-        lo, hi = self.bounds()
-        box = np.empty((1, self.grid.dim, 2), dtype=np.float64)
-        for k in range(self.grid.dim):
-            box[0, k, 0] = min(max(float(lo[k] * n), 0.0), n)
-            box[0, k, 1] = min(max(float(hi[k] * n), 0.0), n)
-        return box
-
 
 @dataclass(frozen=True)
 class DyadicRect:
@@ -233,6 +217,8 @@ def standard_grid(dim: int, lo: int, hi: int) -> DyadicGrid:
 
 def sample_shift(seed: int, lo: int, hi: int, axis: int = 0) -> ShiftParam:
     """Uniform shift bits, one stream per (seed, axis)."""
+    if lo > hi:
+        raise DomainError(f"level range {lo}..{hi} is inverted")
     rng = substream(seed, 303, axis)
     bits = tuple(int(b) for b in rng.integers(0, 2, size=hi - lo))
     return ShiftParam(lo, hi, bits)
@@ -553,8 +539,6 @@ def bad_probability_mc(
         dist = np.minimum(d_lo, np.minimum(d_hi, d_mid))
         threshold = 2.0 ** (1.0 + gap * (1.0 - eps))
         bad |= dist.astype(np.float64) <= threshold
-    if samples == 0:
-        raise DegenerateSampleError("no usable samples")
     p_hat = float(bad.mean())
     half_width = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / samples)
     return BadProbEstimate(p_hat, half_width, samples)

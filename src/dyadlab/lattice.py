@@ -3,8 +3,14 @@
 Everything in the package lives on the half-open unit box [0,1)^d sliced
 into 2^(d*L) congruent cells.  Weights and grid functions are piecewise
 constant on cells, so every integral that appears anywhere downstream is
-a finite sum, and prefix tables evaluate it in O(2^d) per rectangle.
-Prefix tables are accumulated and queried in extended precision so that
+a finite sum read off a prefix (summed-area) table.  One engine,
+box_masses, reads them all: given per-axis lower and upper edge arrays
+that broadcast together (a level's outer-product grid of cubes, or a
+zipped list of boxes) it returns every box's mass as a mixed corner
+difference, looking the table up directly on whole-cell edges and
+interpolating it multilinearly on fractional ones (one-third grids).
+gather_boxes only adapts explicit (N, d, 2) box lists to it.  Prefix
+tables are accumulated and queried in extended precision so that
 rectangle masses remain trustworthy deep into the cell budget; results
 are rounded to float64 at the API boundary.
 
@@ -236,79 +242,125 @@ def weighted_mass_prefix(f: GridFunction, w: Weight) -> np.ndarray:
     return _accumulate(lat, cellwise * _LD(2.0) ** (-(lat.dim * lat.depth)))
 
 
-def _corner_terms(d: int):
-    for corners in _iproduct((0, 1), repeat=d):
-        sign = -1.0 if (d - sum(corners)) % 2 else 1.0
-        yield corners, sign
+# (corner, sign) terms of the mixed difference, per dimension, in one fixed order
+_CORNERS = {
+    d: [(c, -1.0 if (d - sum(c)) % 2 else 1.0) for c in _iproduct((0, 1), repeat=d)]
+    for d in range(1, MAX_DIM + 1)
+}
+
+
+def _edge(e, n: int):
+    """One edge array clipped to [0, n]: whole cells become an int64 index
+    array, anything else (floor index, 1 - frac, frac) for interpolation."""
+    e = np.asarray(e)
+    if e.dtype.kind in "iu":
+        return np.minimum(np.maximum(e, 0), n)
+    e = np.minimum(np.maximum(e.astype(np.float64, copy=False), 0.0), float(n))
+    floor = np.floor(e)
+    if np.array_equal(floor, e):
+        return floor.astype(np.int64)
+    i = np.minimum(floor.astype(np.int64), n - 1)
+    f = e.astype(_LD) - i
+    return i, 1 - f, f
+
+
+def _corner_values(tab: np.ndarray, pts: list):
+    """Prefix table at one corner point per box, multilinear over the axes
+    given as (floor index, 1 - frac, frac); exact for the piecewise
+    constant densities the tables store."""
+    frac = [k for k, p in enumerate(pts) if isinstance(p, tuple)]
+    idx = list(pts)
+    out = None
+    for corners in _iproduct((0, 1), repeat=len(frac)):
+        wgt = None
+        for k, c in zip(frac, corners):
+            i, lo_w, hi_w = pts[k]
+            idx[k] = i + c
+            wgt = (hi_w if c else lo_w) if wgt is None else wgt * (hi_w if c else lo_w)
+        term = wgt * tab[tuple(idx)]
+        out = term if out is None else out + term
+    return out
+
+
+def box_masses(tab: np.ndarray, lo, hi) -> np.ndarray:
+    """Masses of every box spanned by per-axis edges, in cell units.
+
+    lo[k] and hi[k] hold axis k's lower and upper edges.  All 2d arrays
+    broadcast together: vectors laid out by np.ix_ give the outer-product
+    grid of a level pair, equal-length vectors give a list of boxes.
+    Edges are clipped to [0, n].  An edge array of whole cells indexes the
+    table directly, any other is interpolated, and for whole-cell values
+    the two paths round identically.  Corners are summed in one fixed
+    order, so a box's mass depends only on its own edges and never on the
+    batch it was gathered in.  Returns extended precision.
+    """
+    n = tab.shape[0] - 1
+    ends = [(_edge(a, n), _edge(b, n)) for a, b in zip(lo, hi)]
+    out = None
+    for corners, sign in _CORNERS[tab.ndim]:
+        pts = [end[c] for end, c in zip(ends, corners)]
+        if any(isinstance(p, tuple) for p in pts):
+            term = _corner_values(tab, pts)
+        else:
+            term = tab[tuple(pts)]
+        if out is None:
+            out = term if sign > 0 else -term
+        elif sign > 0:
+            out = out + term
+        else:
+            out = out - term
+    return out
 
 
 def gather_boxes(tab: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-    """Masses of integer cell boxes, shape (N, d, 2), from a prefix table."""
-    d = boxes.shape[1]
-    out = np.zeros(boxes.shape[0], dtype=_LD)
-    for corners, sign in _corner_terms(d):
-        idx = tuple(boxes[:, k, corners[k]] for k in range(d))
-        out += sign * tab[idx]
-    return out
+    """Masses of an explicit (N, d, 2) box list, through box_masses."""
+    return box_masses(tab, boxes[:, :, 0].T, boxes[:, :, 1].T)
 
 
-def prefix_at(tab: np.ndarray, pts: np.ndarray) -> np.ndarray:
-    """Multilinear prefix values at fractional cell coordinates (N, d).
-
-    Exact for piecewise-constant densities, which is the only thing the
-    tables ever store.
-    """
-    n = tab.shape[0] - 1
-    d = pts.shape[1]
-    pts = np.clip(np.asarray(pts, dtype=np.float64), 0.0, float(n))
-    i = np.minimum(np.floor(pts).astype(np.int64), n - 1)
-    f = pts.astype(_LD) - i
-    out = np.zeros(pts.shape[0], dtype=_LD)
-    for corners in _iproduct((0, 1), repeat=d):
-        wgt = np.ones(pts.shape[0], dtype=_LD)
-        for k in range(d):
-            wgt = wgt * (f[:, k] if corners[k] else (1 - f[:, k]))
-        idx = tuple(i[:, k] + corners[k] for k in range(d))
-        out += wgt * tab[idx]
-    return out
+def tile_edges(lo, hi, sides) -> tuple[list, list]:
+    """Edges of the cubes of per-axis sides tiling the cell box [lo, hi),
+    each axis on its own dimension, ready for box_masses."""
+    lower = np.ix_(*(np.arange(a, b, s, dtype=np.int64) for a, b, s in zip(lo, hi, sides)))
+    return list(lower), [e + s for e, s in zip(lower, sides)]
 
 
-def gather_boxes_frac(tab: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-    """Masses of fractional boxes (N, d, 2) in cell units, clipped to the box."""
-    d = boxes.shape[1]
-    out = np.zeros(boxes.shape[0], dtype=_LD)
-    for corners, sign in _corner_terms(d):
-        pts = np.stack([boxes[:, k, corners[k]] for k in range(d)], axis=1)
-        out += sign * prefix_at(tab, pts)
-    return out
+def box_list(lo, hi) -> np.ndarray:
+    """The boxes spanned by broadcast edges as an (N, d, 2) list, C order."""
+    lo, hi = np.broadcast_arrays(*lo), np.broadcast_arrays(*hi)
+    d = len(lo)
+    return np.stack(
+        [np.stack(lo, axis=-1).reshape(-1, d), np.stack(hi, axis=-1).reshape(-1, d)], axis=2
+    )
 
 
-def _as_box(rect: Rect) -> np.ndarray:
-    return np.array([[[a, b] for a, b in zip(rect.lo, rect.hi)]], dtype=np.int64)
+def rect_at(lo, hi, flat: int) -> Rect:
+    """The cell box at a flat (C order) position of an edge grid."""
+    shape = np.broadcast_shapes(*(np.shape(e) for e in (*lo, *hi)))
+    pos = np.unravel_index(flat, shape)
+    return Rect(
+        tuple(int(np.broadcast_to(e, shape)[pos]) for e in lo),
+        tuple(int(np.broadcast_to(e, shape)[pos]) for e in hi),
+    )
 
 
 def integrate(w: Weight, rect: Rect) -> float:
     """Mass of the rectangle: sum of density * cell_volume over its cells."""
     _check_rect(w.lattice, rect)
-    return float(gather_boxes(w.prefix(1.0), _as_box(rect))[0])
+    return float(box_masses(w.prefix(1.0), rect.lo, rect.hi))
 
 
 def power_integrate(w: Weight, rect: Rect, theta: float) -> float:
     """Integral of density**theta over the rectangle."""
     _check_rect(w.lattice, rect)
-    return float(gather_boxes(w.prefix(theta), _as_box(rect))[0])
+    return float(box_masses(w.prefix(theta), rect.lo, rect.hi))
 
 
 def box_mass(w: Weight, lo, hi, theta: float = 1.0) -> float:
     """Exact mass of an arbitrary (not necessarily aligned) box in [0,1]^d."""
     n = w.lattice.cells_per_axis
-    box = np.empty((1, w.lattice.dim, 2), dtype=np.float64)
-    for k, (a, b) in enumerate(zip(lo, hi)):
-        box[0, k, 0] = a * n
-        box[0, k, 1] = b * n
-    box = np.clip(box, 0.0, float(n))
-    box[:, :, 1] = np.maximum(box[:, :, 1], box[:, :, 0])
-    return float(gather_boxes_frac(w.prefix(theta), box)[0])
+    lo = np.clip(np.array([a * n for a in lo], dtype=np.float64), 0.0, float(n))
+    hi = np.maximum(np.clip(np.array([b * n for b in hi], dtype=np.float64), 0.0, float(n)), lo)
+    return float(box_masses(w.prefix(theta), lo, hi))
 
 
 def lp_norm(f: GridFunction, w: Weight, p: float) -> float:
@@ -385,6 +437,18 @@ def _axis_cascade(depth: int, beta: float, rng: np.random.Generator) -> np.ndarr
     return masses
 
 
+def _field(spec: dict, key: str, cast, default=None):
+    """A descriptor field cast to a number, DomainError when it is missing
+    or the cast fails."""
+    raw = spec.get(key, default)
+    if raw is None:
+        raise DomainError(f"weight kind {spec['kind']!r} needs field {key!r}")
+    try:
+        return cast(raw)
+    except (TypeError, ValueError):
+        raise DomainError(f"weight field {key!r} has an unusable value {raw!r}") from None
+
+
 def gen_weight(lat: Lattice, spec: dict) -> Weight:
     """Deterministic weight from a descriptor dict (same spec -> same array).
 
@@ -396,17 +460,17 @@ def gen_weight(lat: Lattice, spec: dict) -> Weight:
         raise DomainError("weight spec must be a dict with a 'kind' key")
     kind = spec["kind"]
     if kind == "constant":
-        c = float(spec.get("value", 1.0))
+        c = _field(spec, "value", float, 1.0)
         if c < 0 or not math.isfinite(c):
             raise DomainError(f"constant value must be finite and >= 0, got {c}")
         return Weight(lat, np.full(lat.shape, c))
     if kind == "power":
-        a = float(spec["exponent"])
+        a = _field(spec, "exponent", float)
         if a <= -1.0:
             raise DomainError(f"power exponent {a} <= -1 gives a non-integrable density")
-        center = spec.get("center", 0.5)
-        if np.isscalar(center):
-            center = (float(center),) * lat.dim
+        center = _field(
+            spec, "center", lambda c: np.broadcast_to(np.asarray(c, np.float64), (lat.dim,)), 0.5
+        )
         grids = _centers_grid(lat)
         dist2 = np.zeros(lat.shape)
         for k in range(lat.dim):
@@ -423,7 +487,7 @@ def gen_weight(lat: Lattice, spec: dict) -> Weight:
             mask &= grids[k] >= 0.5
         return Weight(lat, base.density * mask)
     if kind == "checkerboard":
-        levels = int(spec.get("levels", 1))
+        levels = _field(spec, "levels", int, 1)
         if not 0 <= levels <= lat.depth:
             raise DomainError(f"checkerboard levels must be in [0, {lat.depth}], got {levels}")
         grids = _centers_grid(lat)
@@ -432,17 +496,17 @@ def gen_weight(lat: Lattice, spec: dict) -> Weight:
             parity += np.floor(grids[k] * (1 << levels)).astype(np.int64)
         return Weight(lat, np.where(parity % 2 == 0, 2.0, 1.0))
     if kind == "random_lognormal":
-        seed = int(spec.get("seed", 0))
-        rough = float(spec.get("roughness", 0.5))
+        seed = _field(spec, "seed", int, 0)
+        rough = _field(spec, "roughness", float, 0.5)
         if rough < 0:
             raise DomainError(f"roughness must be >= 0, got {rough}")
         rng = substream(seed, 101)
         return Weight(lat, np.exp(rough * rng.standard_normal(lat.shape)))
     if kind == "cascade":
-        beta = float(spec["beta"])
+        beta = _field(spec, "beta", float)
         if not 0.5 <= beta < 1.0:
             raise DomainError(f"cascade beta must be in [0.5, 1), got {beta}")
-        seed = int(spec.get("seed", 0))
+        seed = _field(spec, "seed", int, 0)
         dens = np.ones(())
         for k in range(lat.dim):
             axis = _axis_cascade(lat.depth, beta, substream(seed, 202, k))
@@ -497,22 +561,10 @@ class DoublingReport:
         return all(e > 0 for e in self.rev_eps)
 
 
-def _position_boxes(n: int, sizes: tuple[int, ...]) -> np.ndarray:
-    """All placements of a sizes-shaped rectangle, as (N, d, 2) int boxes."""
-    axes = [np.arange(n - m + 1, dtype=np.int64) for m in sizes]
-    mesh = np.meshgrid(*axes, indexing="ij")
-    lo = np.stack([g.ravel() for g in mesh], axis=1)
-    hi = lo + np.array(sizes, dtype=np.int64)
-    return np.stack([lo, hi], axis=2)
-
-
-def _rect_of(box_row: np.ndarray) -> Rect:
-    return Rect(tuple(int(v) for v in box_row[:, 0]), tuple(int(v) for v in box_row[:, 1]))
-
-
-def _masses64(tab: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-    # Round once to float64 so scan ratios match Witness.reevaluate bit for bit.
-    return gather_boxes(tab, boxes).astype(np.float64)
+def _placements(n: int, sizes) -> tuple[list, list]:
+    """Edges of every placement of a sizes-shaped box, one axis per dimension."""
+    lo = list(np.ix_(*(np.arange(n - m + 1, dtype=np.int64) for m in sizes)))
+    return lo, [a + m for a, m in zip(lo, sizes)]
 
 
 def _scan_doubling(w: Weight, per_axis_sizes: bool) -> tuple[float, bool, Witness | None]:
@@ -527,51 +579,41 @@ def _scan_doubling(w: Weight, per_axis_sizes: bool) -> tuple[float, bool, Witnes
         _iproduct(even, repeat=lat.dim) if per_axis_sizes else ((m,) * lat.dim for m in even)
     )
     for sizes in size_tuples:
-        boxes = _position_boxes(n, sizes)
-        base = _masses64(tab, boxes)
-        dbl = boxes.copy()
-        for k in range(lat.dim):
-            half = sizes[k] // 2
-            dbl[:, k, 0] = np.maximum(boxes[:, k, 0] - half, 0)
-            dbl[:, k, 1] = np.minimum(boxes[:, k, 1] + half, n)
-        big = _masses64(tab, dbl)
+        lo, hi = _placements(n, sizes)
+        dlo = [np.maximum(a - m // 2, 0) for a, m in zip(lo, sizes)]
+        dhi = [np.minimum(b + m // 2, n) for b, m in zip(hi, sizes)]
+        # round once to float64 so scan ratios match Witness.reevaluate bit for bit
+        base = box_masses(tab, lo, hi).astype(np.float64)
+        big = box_masses(tab, dlo, dhi).astype(np.float64)
         zero = base == 0.0
         inf_here = zero & (big > 0.0)
         if inf_here.any():
             i = int(np.argmax(inf_here))
-            wit = Witness("double", _rect_of(boxes[i]), _rect_of(dbl[i]), None, None, INFINITE)
+            wit = Witness("double", rect_at(lo, hi, i), rect_at(dlo, dhi, i), None, None, INFINITE)
             return INFINITE, True, wit
         if (~zero).any():
             ratios = np.where(zero, -1.0, big / np.where(zero, 1.0, base))
             i = int(np.argmax(ratios))
-            if float(ratios[i]) > best:
-                best = float(ratios[i])
-                witness = Witness("double", _rect_of(boxes[i]), _rect_of(dbl[i]), None, None, best)
+            if float(ratios.flat[i]) > best:
+                best = float(ratios.flat[i])
+                witness = Witness(
+                    "double", rect_at(lo, hi, i), rect_at(dlo, dhi, i), None, None, best
+                )
     return (best if best >= 0 else 0.0), False, witness
 
 
-def _shrink_axis(boxes: np.ndarray, axis: int, s: int) -> np.ndarray:
-    out = boxes.copy()
-    width = boxes[:, axis, 1] - boxes[:, axis, 0]
-    inner = width >> s
-    margin = (width - inner) // 2
-    out[:, axis, 0] = boxes[:, axis, 0] + margin
-    out[:, axis, 1] = out[:, axis, 0] + inner
-    return out
-
-
 def _eps_from_per_scale(per_s: dict[int, tuple]) -> tuple[float | None, Witness | None]:
-    """per_s: s -> (max ratio, base box, inner box).  The exponent is the
+    """per_s: s -> (max ratio, base rect, inner rect).  The exponent is the
     worst decay rate over tested scales; the witness attains it."""
     best_eps = INFINITE
     wit = None
-    for s, (ratio, bbox, ibox) in sorted(per_s.items()):
+    for s, (ratio, base, inner) in sorted(per_s.items()):
         if ratio <= 0.0:
             continue
         e = -math.log2(ratio) / s
         if e < best_eps:
             best_eps = e
-            wit = Witness("shrink", _rect_of(bbox), _rect_of(ibox), None, s, ratio)
+            wit = Witness("shrink", base, inner, None, s, ratio)
     if wit is None:
         return None, None
     return max(best_eps, 0.0), wit
@@ -594,38 +636,33 @@ def _scan_product_reverse(w: Weight) -> DoublingReport:
     per_scale: dict = {}
 
     for levels in _iproduct(*([range(lat.depth + 1)] * lat.dim)):
-        axes_pos = [np.arange(1 << lv, dtype=np.int64) * (n >> lv) for lv in levels]
-        mesh = np.meshgrid(*axes_pos, indexing="ij")
-        lo = np.stack([g.ravel() for g in mesh], axis=1)
-        hi = lo + np.array([n >> lv for lv in levels], dtype=np.int64)
-        boxes = np.stack([lo, hi], axis=2)
-        base = _masses64(tab, boxes)
+        sides = [n >> lv for lv in levels]
+        lo, hi = tile_edges((0,) * lat.dim, (n,) * lat.dim, sides)
+        base = box_masses(tab, lo, hi).astype(np.float64)
         ok = base > 0.0
         if not ok.any():
             continue
         safe = np.where(ok, base, 1.0)
-        for axis in range(lat.dim):
-            for s in range(1, lat.depth - levels[axis]):
-                inner = _shrink_axis(boxes, axis, s)
-                small = _masses64(tab, inner)
-                ratios = np.where(ok, small / safe, -1.0)
-                i = int(np.argmax(ratios))
-                r = float(ratios[i])
-                cur = axis_per_s[axis].get(s)
-                if cur is None or r > cur[0]:
-                    axis_per_s[axis][s] = (r, boxes[i], inner[i])
+        shrinks = [
+            (axis_per_s[axis], s, (axis,))
+            for axis in range(lat.dim)
+            for s in range(1, lat.depth - levels[axis])
+        ]
         if len(set(levels)) == 1:
-            for s in range(1, lat.depth - levels[0]):
-                inner = boxes
-                for axis in range(lat.dim):
-                    inner = _shrink_axis(inner, axis, s)
-                small = _masses64(tab, inner)
-                ratios = np.where(ok, small / safe, -1.0)
-                i = int(np.argmax(ratios))
-                r = float(ratios[i])
-                cur = cube_per_s.get(s)
-                if cur is None or r > cur[0]:
-                    cube_per_s[s] = (r, boxes[i], inner[i])
+            shrinks += [(cube_per_s, s, range(lat.dim)) for s in range(1, lat.depth - levels[0])]
+        for per_s, s, axes in shrinks:
+            ilo, ihi = list(lo), list(hi)
+            for axis in axes:
+                inner = sides[axis] >> s
+                ilo[axis] = lo[axis] + (sides[axis] - inner) // 2
+                ihi[axis] = ilo[axis] + inner
+            small = box_masses(tab, ilo, ihi).astype(np.float64)
+            ratios = np.where(ok, small / safe, -1.0)
+            i = int(np.argmax(ratios))
+            r = float(ratios.flat[i])
+            cur = per_s.get(s)
+            if cur is None or r > cur[0]:
+                per_s[s] = (r, rect_at(lo, hi, i), rect_at(ilo, ihi, i))
 
     eps_list = []
     for axis in range(lat.dim):
@@ -664,24 +701,25 @@ def _scan_strong(w: Weight) -> DoublingReport:
             range(2, n + 1, 2) if k == axis else range(1, n + 1) for k in range(lat.dim)
         ]
         for sizes in _iproduct(*size_ranges):
-            boxes = _position_boxes(n, sizes)
-            base = _masses64(tab, boxes)
+            lo, hi = _placements(n, sizes)
+            base = box_masses(tab, lo, hi).astype(np.float64)
             ok = base > 0.0
             if not ok.any():
                 continue
-            half = sizes[axis] // 2
-            left = boxes.copy()
-            left[:, axis, 1] = left[:, axis, 0] + half
-            right = boxes.copy()
-            right[:, axis, 0] = right[:, axis, 0] + half
-            lm = _masses64(tab, left)
-            rm = _masses64(tab, right)
+            mid = lo[axis] + sizes[axis] // 2
+            left_hi = hi[:axis] + [mid] + hi[axis + 1 :]
+            right_lo = lo[:axis] + [mid] + lo[axis + 1 :]
+            lm = box_masses(tab, lo, left_hi).astype(np.float64)
+            rm = box_masses(tab, right_lo, hi).astype(np.float64)
             frac = np.where(ok, np.maximum(lm, rm) / np.where(ok, base, 1.0), -1.0)
             i = int(np.argmax(frac))
-            if float(frac[i]) > best:
-                best = float(frac[i])
-                side = left[i] if lm[i] >= rm[i] else right[i]
-                wit = Witness("half", _rect_of(boxes[i]), _rect_of(side), axis, None, best)
+            if float(frac.flat[i]) > best:
+                best = float(frac.flat[i])
+                if lm.flat[i] >= rm.flat[i]:
+                    side = rect_at(lo, left_hi, i)
+                else:
+                    side = rect_at(right_lo, hi, i)
+                wit = Witness("half", rect_at(lo, hi, i), side, axis, None, best)
     if best < 0.0:
         rep.strong_absent = True
         return rep

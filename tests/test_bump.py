@@ -13,6 +13,7 @@ from dyadlab import (
     DomainError,
     DyadicRect,
     Exponents,
+    KernelHandle,
     PowerKernel,
     Rect,
     ShapeError,
@@ -252,6 +253,7 @@ def test_witness_reevaluates_exactly():
         ("product_bump", "dyadic"),
         ("half_bump_omega", "dyadic"),
         ("no_bump", "onethird"),
+        ("product_bump", "onethird"),
     ):
         exps = _exps(0.6, 0.4, theta=1.5)
         res = characteristic(kind, None, sigma, omega, exps, family=family)
@@ -282,6 +284,8 @@ def test_one_param_lebesgue_and_reeval():
     omega = rand_w(lat, 3)
     res = characteristic("one_param", None, sigma, omega, exps)
     assert characteristic_at("one_param", None, res.witness, sigma, omega, exps) == res.value
+    res = characteristic("one_param", None, sigma, omega, exps, family="onethird")
+    assert characteristic_at("one_param", None, res.witness, sigma, omega, exps) == res.value
 
 
 def test_characteristic_csv_row():
@@ -307,6 +311,12 @@ def test_characteristic_validation():
     w1 = lebesgue(make_lattice(1, 3))
     with pytest.raises(ShapeError):
         characteristic("product_bump", None, w1, w1, _exps(0.5, 0.5))
+    table = KernelHandle.from_table({(0, 0): 1.0}, 1, 1)
+    with pytest.raises(DomainError):
+        characteristic("product_bump", table, w, w, _exps(0.5, 0.5))
+    wit = characteristic("product_bump", None, w, w, _exps(0.5, 0.5)).witness
+    with pytest.raises(DomainError):
+        characteristic_at("product_bump", table, wit, w, w, _exps(0.5, 0.5))
 
 
 def test_exponents_validation():

@@ -5,6 +5,10 @@ themselves are covered per module, so here the oracle is the interface:
 0 success, 1 failed verification, 2 bad configuration, 3 bad files.
 """
 
+import csv
+import io
+import json
+
 import numpy as np
 import pytest
 
@@ -108,6 +112,23 @@ def test_unknown_flag_is_config_error(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-weight", "--dim", "4", "--depth", "7", "--kind", "constant", "--out", "{tmp}"],
+        ["gen-weight", "--depth", "3", "--kind", "power", "--param", "exponent=abc", "--out", "{tmp}"],
+        ["grid-sample", "--lo", "5", "--hi", "2"],
+    ],
+    ids=["cell-budget", "non-numeric-field", "inverted-levels"],
+)
+def test_package_errors_exit_2_without_traceback(argv, tmp_path, capsys):
+    argv = [a.format(tmp=tmp_path / "w.wgt") for a in argv]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("configuration error:")
+
+
 # ---------------------------------------------------------------------------
 # compute
 
@@ -186,6 +207,17 @@ def test_compute_doubling_json(tmp_path, capsys):
     assert '"mode": "product_reverse"' in out
 
 
+def test_compute_doubling_csv_parses(tmp_path, capsys):
+    path, _ = _gen(tmp_path, "w.wgt", dim=2, depth=4)
+    code = main(["compute", "doubling", "--weight", str(path), "--mode", "product_reverse"])
+    out = capsys.readouterr().out
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(out)))
+    assert all(len(row) == 2 for row in rows)
+    fields = dict(rows[1:])
+    assert fields["rev_eps"].startswith("[") and fields["mode"] == "product_reverse"
+
+
 # ---------------------------------------------------------------------------
 # norm-estimate
 
@@ -220,6 +252,20 @@ def test_norm_estimate_trace_file(tmp_path, capsys):
     assert lower >= floor
     objectives = [float(l.split(",")[1]) for l in lines[1:-1]]
     assert max(objectives) <= lower
+
+
+def test_norm_estimate_json(tmp_path, capsys):
+    sig_path, _ = _gen(tmp_path, "sig.wgt", depth=3, seed=6)
+    om_path, _ = _gen(tmp_path, "om.wgt", depth=3, seed=7)
+    args = ["norm-estimate", "--sigma", str(sig_path), "--omega", str(om_path)]
+    assert main(args + ["--iterations", "3", "--seed", "2", "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert main(args + ["--iterations", "3", "--seed", "2"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert report["lower_bound"] == float(lines[-1].split(",")[1])
+    assert [row["objective"] for row in report["trace"]] == [
+        float(l.split(",")[1]) for l in lines[1:-1]
+    ]
 
 
 # ---------------------------------------------------------------------------

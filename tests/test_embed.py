@@ -35,8 +35,28 @@ from dyadlab import (
     substream,
 )
 from dyadlab.grids import Cube
-from dyadlab.embed import _good_rel_mask, _sub_boxes
-from dyadlab.lattice import gather_boxes, weighted_mass_prefix
+from dyadlab.embed import _good_rel_mask
+from dyadlab.lattice import box_list, gather_boxes, tile_edges, weighted_mass_prefix
+
+
+def _sub_boxes(lat, P, level):
+    """Level subcubes of P as a box list, with indices relative to P."""
+    side = lat.cells_per_axis >> level
+    boxes = box_list(*tile_edges(P.lo, P.hi, (side,) * lat.dim))
+    return boxes, (boxes[:, :, 0] - np.asarray(P.lo)) // side
+
+
+def _factor_boxes(cells, dims, level):
+    """All level cubes of a dims-axis factor as a box list."""
+    return box_list(*tile_edges((0,) * dims, (cells,) * dims, (cells >> level,) * dims))
+
+
+def _cross_boxes(i_boxes, j_boxes):
+    """Every product of a row of i_boxes with a row of j_boxes, i-major."""
+    ni, nj = i_boxes.shape[0], j_boxes.shape[0]
+    return np.concatenate(
+        [np.repeat(i_boxes, nj, axis=0), np.tile(j_boxes, (ni, 1, 1))], axis=1
+    )
 
 
 def lebesgue(lat):
@@ -460,7 +480,6 @@ def test_good_rectangle_carleson_with_product_constants():
     # mass Carleson over rectangles whose factors are both good, bounded by
     # the product of the per-axis good-cube constants
     from dyadlab import doubling_report
-    from dyadlab.embed import _factor_boxes, _cross_boxes
 
     depth = 5
     lat = make_lattice(2, depth)

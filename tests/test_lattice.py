@@ -5,9 +5,12 @@ summation, closed forms, exact big-integer arithmetic) before the
 implementation existed.
 """
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadlab.errors import (
     AlignmentError,
@@ -25,6 +28,7 @@ from dyadlab.lattice import (
     gen_weight,
     integrate,
     box_mass,
+    box_masses,
     lp_norm,
     make_lattice,
     power_integrate,
@@ -200,6 +204,61 @@ def test_box_mass_fractional():
     assert math.isclose(box_mass(w, (0.125,), (0.625,)), 1.125, rel_tol=1e-14)
     # clipping outside the unit box
     assert math.isclose(box_mass(w, (-1.0,), (0.25,)), 1.0, rel_tol=1e-14)
+
+
+@st.composite
+def _boxes_on_thirds(draw):
+    """A lattice, a density seed and a list of boxes whose edges sit on
+    multiples of 1/(3 * 2^L), reaching half a box outside [0, 1] on every
+    side.  Each axis is either whole cells (int edges) or thirds of a cell
+    (float edges, some of which land on whole cells anyway)."""
+    dim = draw(st.integers(1, 3))
+    depth = draw(st.integers(0, 3))
+    count = draw(st.integers(1, 6))
+    n = 1 << depth
+    axes = []
+    for _ in range(dim):
+        unit = draw(st.sampled_from((1, 3)))
+        tick = st.integers(-(unit * n) // 2, (3 * unit * n) // 2)
+        pairs = draw(st.lists(st.tuples(tick, tick), min_size=count, max_size=count))
+        axes.append((unit, [min(p) for p in pairs], [max(p) for p in pairs]))
+    return dim, depth, draw(st.integers(0, 2**32 - 1)), axes
+
+
+@settings(max_examples=150, deadline=None)
+@given(_boxes_on_thirds())
+def test_box_masses_match_exact_fraction_integral(case):
+    dim, depth, seed, axes = case
+    lat = make_lattice(dim, depth)
+    rng = np.random.default_rng(seed)
+    dens = np.where(rng.uniform(size=lat.shape) < 0.1, 0.0, rng.uniform(0.25, 4.0, lat.shape))
+    w = Weight(lat, dens)
+    lo = [np.array(a) if unit == 1 else np.array(a) / 3.0 for unit, a, _ in axes]
+    hi = [np.array(b) if unit == 1 else np.array(b) / 3.0 for unit, _, b in axes]
+    got = box_masses(w.prefix(1.0), lo, hi).astype(np.float64)
+
+    n = lat.cells_per_axis
+    cell_vol = Fraction(1, n**dim)
+    total = float(sum(Fraction(float(u)) for u in dens.ravel()) * cell_vol)
+    for row in range(len(got)):
+        # overlap of the box with each cell, axis by axis, in cell units
+        overlaps = []
+        for unit, a, b in axes:
+            lo_k, hi_k = Fraction(a[row], unit), Fraction(b[row], unit)
+            overlaps.append(
+                [max(Fraction(0), min(hi_k, c + 1) - max(lo_k, Fraction(c))) for c in range(n)]
+            )
+        exact = Fraction(0)
+        for cell in np.ndindex(*lat.shape):
+            part = Fraction(float(dens[cell]))
+            for k, c in enumerate(cell):
+                part *= overlaps[k][c]
+            exact += part
+        exact = float(exact * cell_vol)
+        # a box of exact mass 0 (clipped empty, or on zero-density cells) can
+        # read a corner-sum residual of a few ulps of the total mass, hence
+        # the floor under the relative scale
+        assert abs(got[row] - exact) <= 1e-12 * max(exact, 1e-6 * total), (row, exact)
 
 
 def test_doubling_lebesgue_is_two_to_the_d():
