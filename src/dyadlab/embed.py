@@ -1,10 +1,11 @@
 """Stopping cubes, Carleson sums, and the two embedding verifiers.
 
 Everything here runs on the standard dyadic tree of the weight's own
-lattice, truncated at its depth.  Shifted and one-third grids enter the
-package only through the characteristic scans in `bump`; the checks below
-are statements about one fixed grid, so the optional grid argument exists
-for call-site symmetry and must be a standard grid when present.
+lattice, truncated at its depth.  The checks below are statements about
+one fixed grid, so the optional grid argument exists for call-site
+symmetry and must be a standard grid when present.  The good-cube
+Carleson sum takes cube goodness from the skeleton-goodness kernel in
+`grids`.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .bump import _bumps, bump_cube, slice_profile
 from .errors import ContractViolationError, DomainError, ShapeError
-from .grids import DyadicGrid, GoodnessParams
+from .grids import DyadicGrid, GoodnessParams, _good_cubes
 from .lattice import (
     GridFunction,
     Lattice,
@@ -209,42 +210,6 @@ def automatic_carleson(
     rhs = constant * float(_LD(top) ** _LD(rho))
     lhs = float(total)
     return CarlesonReport(lhs, rhs, constant, _ratio(lhs, rhs), P)
-
-
-def _good_rel_mask(rel: np.ndarray, gap_to_p: int, goodness: GoodnessParams) -> np.ndarray:
-    """Goodness of same-level subcubes, relative to ancestors inside P.
-
-    rel holds per-axis cube indices relative to P, so position within the
-    gap-g ancestor is rel mod 2^g and all skeleton distances are exact
-    integers in units of the cube side.  Cubes closer to P than the
-    goodness range (gap_to_p < r) have nothing to clear and count as good;
-    the trivial term of the explicit constant is what pays for them.
-    """
-    ok = np.ones(rel.shape[0], dtype=bool)
-    for gap in range(goodness.r, gap_to_p + 1):
-        width = 1 << gap
-        half = width >> 1
-        rg = rel & (width - 1)
-        dmid = np.where(rg >= half, rg - half, half - rg - 1)
-        dist = np.minimum(np.minimum(rg, width - 1 - rg), dmid)
-        thr = 2.0 ** (1.0 + gap * (1.0 - goodness.eps))
-        ok &= (dist > thr).all(axis=1)
-        if not ok.any():
-            break
-    return ok
-
-
-def _good_cubes(count: int, gap_to_p: int, goodness: GoodnessParams, dims: int) -> np.ndarray:
-    """_good_rel_mask over the count^dims grid of same-level subcubes.
-
-    Goodness asks every axis to clear the skeleton, so it is the outer
-    AND of one per-axis mask.
-    """
-    axis = _good_rel_mask(np.arange(count, dtype=np.int64)[:, None], gap_to_p, goodness)
-    out = axis
-    for _ in range(dims - 1):
-        out = np.logical_and.outer(out, axis)
-    return out
 
 
 def good_carleson(

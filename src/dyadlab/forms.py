@@ -4,12 +4,13 @@ The level-indexed kernel (KernelHandle, defined in bump and re-exported
 here) meets two weights in everything below: the surrogate kernel sum over
 shifted grid families, the positive bilinear form, its good/bad split, the
 discrete product fractional integral, and an alternating-maximization
-lower bound for the form's norm.
+lower bound for the form's norm.  Grid geometry comes from `grids`: the
+surrogate kernel telescopes at the deepest common grid level, and the
+good/bad split classifies cubes with the skeleton-goodness kernel.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from itertools import product as _iproduct
 from typing import Sequence
@@ -17,7 +18,6 @@ from typing import Sequence
 import numpy as np
 
 from .bump import KernelHandle, characteristic
-from .embed import _good_cubes
 from .errors import (
     AlignmentError,
     ContractViolationError,
@@ -25,7 +25,7 @@ from .errors import (
     ScopeError,
     ShapeError,
 )
-from .grids import DyadicGrid, DyadicRect, GoodnessParams
+from .grids import DyadicGrid, DyadicRect, GoodnessParams, _good_cubes, deepest_common_level
 from .lattice import (
     GridFunction,
     Lattice,
@@ -80,22 +80,6 @@ def _as_point(p, dims: int, label: str) -> tuple[float, ...]:
     return pt
 
 
-def _deepest_common(grid: DyadicGrid, a: tuple, b: tuple) -> int | None:
-    """Deepest grid level whose cube holds both points, None if even the
-    coarsest level splits them (possible for shifted grids)."""
-    for level in range(grid.hi, grid.lo - 1, -1):
-        side = 2.0 ** -level
-        same = True
-        for k in range(grid.dim):
-            off = grid.offset_float(k, level)
-            if math.floor((a[k] - off) / side) != math.floor((b[k] - off) / side):
-                same = False
-                break
-        if same:
-            return level
-    return None
-
-
 def surrogate_kernel(
     kernel: KernelHandle,
     x,
@@ -124,8 +108,8 @@ def surrogate_kernel(
         if grid.dim != kernel.n:
             raise ShapeError(f"second-factor grid has dim {grid.dim}, kernel has n={kernel.n}")
 
-    i_tops = [_deepest_common(g, xm, um) for g in i_grids]
-    j_tops = [_deepest_common(g, yn, vn) for g in j_grids]
+    i_tops = [deepest_common_level(g, xm, um) for g in i_grids]
+    j_tops = [deepest_common_level(g, yn, vn) for g in j_grids]
     for grid, top in zip(i_grids, i_tops):
         if top == grid.hi:
             raise ScopeError("x and u share a finest cell; the truncated sum saturates")

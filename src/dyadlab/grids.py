@@ -4,16 +4,23 @@ A grid is parameterized per axis.  The binary-shifted family moves level l
 by the tail sum of finer shift bits, so every offset is a multiple of the
 finest side and grids stay nested.  The third-offset family alternates a
 +-u/3 fraction of the side between consecutive levels, which also nests but
-is never cell-aligned; geometry for those is done in exact rationals where
-it matters and floats elsewhere.
+is never cell-aligned.
 
-Also here: goodness classification against ancestor skeletons, dyadic
-point distance, the triple-cube sandwich search, and the Monte Carlo
-estimate of the bad-cube probability over random shifts.
+Geometry is integer arithmetic: every offset is an integer in units of
+1/(3*2^k), k the grid's finest level or the query's level when finer, and
+every coordinate enters as its exact integer ratio, so cube location,
+ancestors, containment and the deepest common level are floor divisions
+and cross-multiplied comparisons of Python ints.  Fractions appear only
+in what offset() and Cube.bounds() return.
+
+Also here: the skeleton-goodness kernel, dyadic point distance, the
+triple-cube sandwich search, and the Monte Carlo estimate of the bad-cube
+probability over random shifts.
 """
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product as _iproduct
@@ -26,13 +33,23 @@ from .errors import (
     FormatError,
     ScopeError,
 )
-from .lattice import substream
+from .lattice import MAX_DIM, substream
 
 GRID_MAGIC = "GRID1"
 
 
-def _pow2(k: int) -> Fraction:
-    return Fraction(1, 1 << k) if k >= 0 else Fraction(1 << (-k))
+def _common(coords) -> tuple[list[int], int]:
+    """Float, int or Fraction coordinates as exact numerators over one
+    common denominator."""
+    pairs = [(int(x), 1) if isinstance(x, numbers.Integral) else x.as_integer_ratio() for x in coords]
+    den = math.lcm(*(d for _, d in pairs))
+    return [n * (den // d) for n, d in pairs], den
+
+
+def _scale(grid: "DyadicGrid", level: int) -> int:
+    """The k whose units 1/(3*2^k) make every offset of the grid at this
+    level, and at every coarser one, an integer."""
+    return max(grid.hi, level, 0)
 
 
 @dataclass(frozen=True)
@@ -103,41 +120,41 @@ class DyadicGrid:
         elif self.kind != "std":
             raise DomainError(f"unknown grid kind {self.kind!r}")
 
+    def _offset_units(self, axis: int, level: int, k: int) -> int:
+        """Offset of level's left endpoints in units of 1/(3*2^k), for any
+        k >= _scale(self, level)."""
+        if self.kind == "std":
+            return 0
+        if self.kind == "shift":
+            return (3 * self.shifts[axis].offset_cells(level)) << (k - self.hi)
+        u = self.third[axis]
+        return ((u if level % 2 == 0 else -u) % 3) << (k - level)
+
     def offset(self, axis: int, level: int) -> Fraction:
         """Exact absolute offset of level's left endpoints on one axis."""
-        if self.kind == "std":
-            return Fraction(0)
-        if self.kind == "shift":
-            return self.shifts[axis].offset_cells(level) * _pow2(self.hi)
-        u = self.third[axis]
-        c = (u if level % 2 == 0 else -u) % 3
-        return Fraction(c, 3) * _pow2(level)
+        k = _scale(self, level)
+        return Fraction(self._offset_units(axis, level, k), 3 << k)
 
-    def offset_float(self, axis: int, level: int) -> float:
-        return float(self.offset(axis, level))
+    def _locate(self, nums, den: int, level: int) -> tuple[int, ...]:
+        """Index of the level cube holding the point nums / den."""
+        k = _scale(self, level)
+        step = (3 << (k - level)) * den
+        return tuple(
+            (((3 * x) << k) - self._offset_units(a, level, k) * den) // step
+            for a, x in enumerate(nums)
+        )
 
     def cube_at(self, point, level: int) -> "Cube":
         """The level cube containing the point (exact index arithmetic)."""
-        side = _pow2(level)
-        idx = []
-        for k in range(self.dim):
-            x = Fraction(point[k]) - self.offset(k, level)
-            idx.append(math.floor(x / side))
-        return Cube(self, level, tuple(idx))
+        nums, den = _common(point[a] for a in range(self.dim))
+        return Cube(self, level, self._locate(nums, den, level))
 
     def descriptor(self) -> str:
+        kind, beta = self.kind, ""
         if self.kind == "third":
-            flat = 0
-            for u in self.third:
-                flat = flat * 3 + u
-            kind = f"third:{flat}"
-            beta = ""
+            kind = f"third:{int(''.join(map(str, self.third)), 3)}"
         elif self.kind == "shift":
-            kind = "shift"
             beta = "".join(sp.bitstring for sp in self.shifts)
-        else:
-            kind = "std"
-            beta = ""
         return f"{GRID_MAGIC} dim={self.dim} kind={kind} levels={self.lo}..{self.hi} beta={beta}"
 
 
@@ -151,17 +168,19 @@ class Cube:
 
     @property
     def side(self) -> float:
-        return float(_pow2(self.level))
+        return 2.0**-self.level
+
+    def _edges(self, k: int) -> tuple[list[int], int]:
+        """Left edges and side in units of 1/(3*2^k), k >= the cube's scale."""
+        side = 3 << (k - self.level)
+        lo = [i * side + self.grid._offset_units(a, self.level, k) for a, i in enumerate(self.index)]
+        return lo, side
 
     def bounds(self) -> tuple[tuple[Fraction, ...], tuple[Fraction, ...]]:
-        side = _pow2(self.level)
-        lo = tuple(self.index[k] * side + self.grid.offset(k, self.level) for k in range(self.grid.dim))
-        hi = tuple(a + side for a in lo)
-        return lo, hi
-
-    def bounds_float(self) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        lo, hi = self.bounds()
-        return tuple(map(float, lo)), tuple(map(float, hi))
+        k = _scale(self.grid, self.level)
+        lo, side = self._edges(k)
+        unit = 3 << k
+        return tuple(Fraction(a, unit) for a in lo), tuple(Fraction(a + side, unit) for a in lo)
 
     def parent(self) -> "Cube":
         return self.ancestor(1)
@@ -172,23 +191,32 @@ class Cube:
         if j == 0:
             return self
         lvl = self.level - j
-        side = _pow2(lvl)
-        lo, _ = self.bounds()
-        idx = tuple(
-            math.floor((lo[k] - self.grid.offset(k, lvl)) / side) for k in range(self.grid.dim)
-        )
+        k = _scale(self.grid, self.level)
+        lo, _ = self._edges(k)
+        step = 3 << (k - lvl)
+        idx = tuple((a - self.grid._offset_units(ax, lvl, k)) // step for ax, a in enumerate(lo))
         return Cube(self.grid, lvl, idx)
 
+    def _holds(self, lo_nums, hi_nums, den: int, open_hi: bool) -> bool:
+        """Whether the box [lo_nums, hi_nums] / den lies in the cube; with
+        open_hi its upper ends must stay strictly below the cube's."""
+        k = _scale(self.grid, self.level)
+        lo, side = self._edges(k)
+        for a, x, y in zip(lo, lo_nums, hi_nums):
+            x, y = (3 * x) << k, (3 * y) << k
+            top = (a + side) * den
+            if x < a * den or y > top or (open_hi and y == top):
+                return False
+        return True
+
     def contains_point(self, point) -> bool:
-        lo, hi = self.bounds()
-        return all(lo[k] <= Fraction(point[k]) < hi[k] for k in range(self.grid.dim))
+        nums, den = _common(point[a] for a in range(self.grid.dim))
+        return self._holds(nums, nums, den, open_hi=True)
 
     def contains_box(self, box_lo, box_hi) -> bool:
-        lo, hi = self.bounds()
-        return all(
-            lo[k] <= Fraction(box_lo[k]) and Fraction(box_hi[k]) <= hi[k]
-            for k in range(self.grid.dim)
-        )
+        d = self.grid.dim
+        nums, den = _common([*(box_lo[a] for a in range(d)), *(box_hi[a] for a in range(d))])
+        return self._holds(nums[:d], nums[d:], den, open_hi=False)
 
 
 @dataclass(frozen=True)
@@ -232,6 +260,8 @@ def random_grid(shifts) -> DyadicGrid:
 
 
 def sample_grid(seed: int, dim: int, lo: int, hi: int) -> DyadicGrid:
+    if not 1 <= dim <= MAX_DIM:
+        raise DomainError(f"dim must be in 1..{MAX_DIM}, got {dim}")
     return random_grid(sample_shift(seed, lo, hi, axis=k) for k in range(dim))
 
 
@@ -239,10 +269,7 @@ def onethird_grids(dim: int, lo: int, hi: int) -> list[DyadicGrid]:
     """The fixed 3^dim family; index u runs lexicographically per axis."""
     if not 1 <= dim <= 4:
         raise DomainError(f"dim must be in 1..4, got {dim}")
-    out = []
-    for combo in _iproduct((0, 1, 2), repeat=dim):
-        out.append(DyadicGrid(dim, lo, hi, "third", third=combo))
-    return out
+    return [DyadicGrid(dim, lo, hi, "third", third=combo) for combo in _iproduct((0, 1, 2), repeat=dim)]
 
 
 def parse_grid(line: str) -> DyadicGrid:
@@ -263,6 +290,10 @@ def parse_grid(line: str) -> DyadicGrid:
         beta = fields.get("beta", "")
     except (KeyError, ValueError):
         raise FormatError(f"grid descriptor missing fields: {line!r}") from None
+    if not 1 <= dim <= MAX_DIM:
+        raise FormatError(f"dim must be in 1..{MAX_DIM}, got {dim}")
+    if hi < lo:
+        raise FormatError(f"level range {lo}..{hi} is inverted")
     if kind == "std":
         return standard_grid(dim, lo, hi)
     if kind.startswith("third:"):
@@ -272,20 +303,14 @@ def parse_grid(line: str) -> DyadicGrid:
             raise FormatError(f"bad third index in {kind!r}") from None
         if not 0 <= flat < 3**dim:
             raise FormatError(f"third index {flat} out of range for dim={dim}")
-        combo = []
-        for _ in range(dim):
-            combo.append(flat % 3)
-            flat //= 3
-        return DyadicGrid(dim, lo, hi, "third", third=tuple(reversed(combo)))
+        combo = tuple(int(c) for c in np.base_repr(flat, 3).zfill(dim))
+        return DyadicGrid(dim, lo, hi, "third", third=combo)
     if kind == "shift":
         per = hi - lo
         if len(beta) != per * dim or any(c not in "01" for c in beta):
             raise FormatError(f"beta needs {per * dim} bits, got {beta!r}")
-        shifts = tuple(
-            ShiftParam(lo, hi, tuple(int(c) for c in beta[k * per : (k + 1) * per]))
-            for k in range(dim)
-        )
-        return random_grid(shifts)
+        bits = [tuple(int(c) for c in beta[k * per : (k + 1) * per]) for k in range(dim)]
+        return random_grid(ShiftParam(lo, hi, b) for b in bits)
     raise FormatError(f"unknown grid kind {kind!r}")
 
 
@@ -293,27 +318,44 @@ def verify_grid(grid: DyadicGrid, probes: int = 64) -> None:
     """Exhaustively check tiling and nesting over the level range.
 
     Tiling: probe points across the box land in cubes whose bounds contain
-    them, and consecutive indices abut exactly.  Nesting: every probed
-    cube's parent contains it (exact rational comparison).
+    them (consecutive indices abut by construction, as every left edge is
+    index * side + offset).  Nesting: every probed cube's parent contains
+    it.  The probes are the rationals ((2t + 1) / (2 probes) + axis / 7)
+    mod 1, compared in integer units.
     """
+    den = 14 * probes
     for level in range(grid.lo, grid.hi + 1):
+        k = _scale(grid, level)
         for t in range(probes):
-            base = Fraction(2 * t + 1, 2 * probes)
-            point = tuple((base + Fraction(k, 7)) % 1 for k in range(grid.dim))
-            cube = grid.cube_at(point, level)
-            if not cube.contains_point(point):
-                raise ContractViolationError(f"tiling broken at level {level}: {point}")
-            lo, hi = cube.bounds()
-            for k in range(grid.dim):
-                nxt = Cube(grid, level, tuple(cube.index[j] + (1 if j == k else 0) for j in range(grid.dim)))
-                nlo, _ = nxt.bounds()
-                if nlo[k] != hi[k]:
-                    raise ContractViolationError(f"abutment broken at level {level}")
+            nums = [(7 * (2 * t + 1) + 2 * probes * a) % den for a in range(grid.dim)]
+            cube = Cube(grid, level, grid._locate(nums, den, level))
+            if not cube._holds(nums, nums, den, open_hi=True):
+                raise ContractViolationError(f"tiling broken at level {level}: {nums} / {den}")
             if level > grid.lo:
-                par = cube.parent()
-                plo, phi = par.bounds()
-                if not all(plo[k] <= lo[k] and hi[k] <= phi[k] for k in range(grid.dim)):
+                lo, side = cube._edges(k)
+                plo, pside = cube.parent()._edges(k)
+                if not all(p <= x and x + side <= p + pside for p, x in zip(plo, lo)):
                     raise ContractViolationError(f"nesting broken at level {level}")
+
+
+def deepest_common_level(grid: DyadicGrid, x, u) -> int | None:
+    """Deepest level in lo..hi whose grid cube holds both points, None if
+    even the coarsest level splits them (possible for shifted grids).
+
+    Grids nest, so two points sharing a cube share every coarser one too,
+    and a bisection over the levels finds the deepest shared one.
+    """
+    d = grid.dim
+    nums, den = _common([*(x[a] for a in range(d)), *(u[a] for a in range(d))])
+    a, b = nums[:d], nums[d:]
+    shared, split = grid.lo - 1, grid.hi + 1
+    while split - shared > 1:
+        level = (shared + split) // 2
+        if grid._locate(a, den, level) == grid._locate(b, den, level):
+            shared = level
+        else:
+            split = level
+    return shared if shared >= grid.lo else None
 
 
 def dyadic_distance(x, u, grid: DyadicGrid) -> float:
@@ -324,10 +366,12 @@ def dyadic_distance(x, u, grid: DyadicGrid) -> float:
     """
     x = tuple(x) if hasattr(x, "__len__") else (x,)
     u = tuple(u) if hasattr(u, "__len__") else (u,)
-    for level in range(grid.hi, grid.lo - 1, -1):
-        if grid.cube_at(x, level).index == grid.cube_at(u, level).index:
-            return float(_pow2(level))
-    return 1.0
+    level = deepest_common_level(grid, x, u)
+    return 1.0 if level is None else 2.0**-level
+
+
+# ---------------------------------------------------------------------------
+# skeleton goodness
 
 
 @dataclass(frozen=True)
@@ -342,31 +386,61 @@ class GoodnessParams:
             raise DomainError(f"r must be >= 1, got {self.r}")
 
 
-def _axis_skeleton_distance(j_lo: float, j_hi: float, k_lo: float, k_hi: float) -> float:
-    """Distance from the interval [j_lo, j_hi] to {k_lo, mid, k_hi}."""
-    best = math.inf
-    for t in (k_lo, 0.5 * (k_lo + k_hi), k_hi):
-        if t < j_lo:
-            d = j_lo - t
-        elif t > j_hi:
-            d = t - j_hi
-        else:
-            d = 0.0
-        best = min(best, d)
-    return best
+def _good_rel_mask(rel: np.ndarray, gap_to_p: int, goodness: GoodnessParams) -> np.ndarray:
+    """The skeleton-goodness kernel: which same-level cubes clear, on every
+    axis, 2 side(J)^eps side(K)^(1-eps) from the ends and midpoint of each
+    ancestor K at gaps goodness.r..gap_to_p.
+
+    rel holds (N, dim) per-axis cube indices relative to an ancestor P
+    gap_to_p levels up.  Grids nest, so a cube's position within its gap-g
+    ancestor is rel mod 2^g and every skeleton distance is an exact integer
+    in units of the cube side.  Cubes closer to P than the goodness range
+    (gap_to_p < r) have nothing to clear and count as good.
+    """
+    ok = np.ones(rel.shape[0], dtype=bool)
+    for gap in range(goodness.r, gap_to_p + 1):
+        width = 1 << gap
+        half = width >> 1
+        rg = rel & (width - 1)
+        dmid = np.where(rg >= half, rg - half, half - rg - 1)
+        dist = np.minimum(np.minimum(rg, width - 1 - rg), dmid)
+        thr = 2.0 ** (1.0 + gap * (1.0 - goodness.eps))
+        ok &= (dist > thr).all(axis=1)
+        if not ok.any():
+            break
+    return ok
+
+
+def _good_cubes(count: int, gap_to_p: int, goodness: GoodnessParams, dims: int) -> np.ndarray:
+    """_good_rel_mask over the count^dims grid of same-level subcubes of P.
+
+    Goodness asks every axis to clear the skeleton, so it is the outer
+    AND of one per-axis mask.
+    """
+    axis = _good_rel_mask(np.arange(count, dtype=np.int64)[:, None], gap_to_p, goodness)
+    out = axis
+    for _ in range(dims - 1):
+        out = np.logical_and.outer(out, axis)
+    return out
+
+
+def _position(cube: Cube, anc: Cube) -> np.ndarray:
+    """Per-axis index of cube inside its ancestor anc, as a (1, dim) row."""
+    k = _scale(cube.grid, cube.level)
+    lo, side = cube._edges(k)
+    alo, _ = anc._edges(k)
+    return np.array([[(a - b) // side for a, b in zip(lo, alo)]], dtype=np.int64)
 
 
 def good_in(cube: Cube, anc: Cube, eps: float) -> bool:
-    """Per-axis skeleton separation of cube inside its ancestor."""
-    j_side = cube.side
-    k_side = anc.side
-    threshold = 2.0 * j_side**eps * k_side ** (1.0 - eps)
-    j_lo, j_hi = cube.bounds_float()
-    k_lo, k_hi = anc.bounds_float()
-    for k in range(cube.grid.dim):
-        if _axis_skeleton_distance(j_lo[k], j_hi[k], k_lo[k], k_hi[k]) <= threshold:
-            return False
-    return True
+    """Per-axis skeleton separation of cube inside its strict ancestor anc."""
+    gap = cube.level - anc.level
+    if anc.grid != cube.grid or gap < 1 or cube.ancestor(gap) != anc:
+        raise DomainError(
+            f"cube at level {cube.level} index {cube.index} does not lie in the cube at "
+            f"level {anc.level} index {anc.index} of the same grid"
+        )
+    return bool(_good_rel_mask(_position(cube, anc), gap, GoodnessParams(eps, gap))[0])
 
 
 def is_good(cube: Cube, params: GoodnessParams) -> bool:
@@ -379,10 +453,8 @@ def is_good(cube: Cube, params: GoodnessParams) -> bool:
         raise ScopeError(
             f"cube at level {cube.level} lacks ancestors {params.r} levels up (range starts at {grid.lo})"
         )
-    for gap in range(params.r, cube.level - grid.lo + 1):
-        if not good_in(cube, cube.ancestor(gap), params.eps):
-            return False
-    return True
+    top = cube.level - grid.lo
+    return bool(_good_rel_mask(_position(cube, cube.ancestor(top)), top, params)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -404,25 +476,14 @@ class BoxCube:
     def dim(self) -> int:
         return len(self.lo)
 
-    def center(self) -> tuple[float, ...]:
-        return tuple(a + 0.5 * self.side for a in self.lo)
-
-    def dilated(self, factor: float) -> tuple[tuple[float, ...], tuple[float, ...]]:
-        half = 0.5 * factor * self.side
-        c = self.center()
-        return tuple(x - half for x in c), tuple(x + half for x in c)
-
-
-def _contains_float(glo, ghi, blo, bhi) -> bool:
-    return all(a <= x and y <= b for a, x, y, b in zip(glo, blo, bhi, ghi))
-
 
 def sandwich(p: BoxCube, j: int, grids: list[DyadicGrid]) -> tuple[int, Cube]:
     """Find a grid index u and cube I with side(I) <= 18 side(P), 3P inside
     I, and 2^j P inside the j-th ancestor of I.
 
-    Search: the at most three dyadic sides in [3 side, 18 side], each grid
-    in index order; candidates at the side in [9 side, 18 side] always
+    Search: the dyadic sides in [3 side, 18 side], finest first, each grid
+    in index order, in exact integer arithmetic; the first pair that works
+    is returned.  Candidates at the side in [9 side, 18 side] always
     succeed by the spacing of the union of the three offset families, so a
     full-search miss is a genuine contract violation.
     """
@@ -435,55 +496,29 @@ def sandwich(p: BoxCube, j: int, grids: list[DyadicGrid]) -> tuple[int, Cube]:
         raise ScopeError(
             f"coarsest grid side {2.0 ** -grids[0].lo} is below 18 side(P) = {18 * s}"
         )
-    lev_hi = math.floor(-math.log2(3 * s))
-    lev_lo = math.ceil(-math.log2(18 * s))
-    c = p.center()
-    t_lo, t_hi = p.dilated(3.0)
-    e_lo, e_hi = p.dilated(float(2**j))
+    nums, den = _common([*p.lo, s])
+    s_num = nums[-1]
+    # over the denominator 2 den the center and both dilations are integers
+    c = [2 * a + s_num for a in nums[:-1]]
+    t_lo, t_hi = [x - 3 * s_num for x in c], [x + 3 * s_num for x in c]
+    e_lo, e_hi = [x - (s_num << j) for x in c], [x + (s_num << j) for x in c]
+    # the float logarithms only bracket the levels; the exact test decides
+    lev_hi = math.floor(-math.log2(3 * s)) + 1
+    lev_lo = math.ceil(-math.log2(18 * s)) - 1
     for level in range(lev_hi, lev_lo - 1, -1):
-        side = 2.0**-level
-        if side < 3 * s or side > 18 * s:
+        # 3 s <= 2^-level <= 18 s, as side / s = big / small
+        big, small = den << max(-level, 0), s_num << max(level, 0)
+        if not 3 * small <= big <= 18 * small:
             continue
         for u, grid in enumerate(grids):
-            cand = grid.cube_at(c, level)
-            ilo, ihi = cand.bounds_float()
-            if not _contains_float(ilo, ihi, t_lo, t_hi):
-                continue
-            anc = cand.ancestor(j)
-            alo, ahi = anc.bounds_float()
-            if _contains_float(alo, ahi, e_lo, e_hi):
+            cand = Cube(grid, level, grid._locate(c, 2 * den, level))
+            if cand._holds(t_lo, t_hi, 2 * den, open_hi=False) and cand.ancestor(j)._holds(
+                e_lo, e_hi, 2 * den, open_hi=False
+            ):
                 return u, cand
-    # float borderline: re-run the search in exact rationals before giving up
-    got = _sandwich_exact(p, j, grids, lev_lo, lev_hi)
-    if got is not None:
-        return got
     raise ContractViolationError(
         f"sandwich search failed for cube at {p.lo} side {p.side}, j={j}"
     )
-
-
-def _sandwich_exact(p: BoxCube, j: int, grids, lev_lo: int, lev_hi: int):
-    s = Fraction(p.side)
-    c = tuple(Fraction(a) + s / 2 for a in p.lo)
-    t_lo = tuple(x - 3 * s / 2 for x in c)
-    t_hi = tuple(x + 3 * s / 2 for x in c)
-    scale = Fraction(2**j)
-    e_lo = tuple(x - scale * s / 2 for x in c)
-    e_hi = tuple(x + scale * s / 2 for x in c)
-    for level in range(lev_hi + 1, lev_lo - 2, -1):
-        side = _pow2(level)
-        if side < 3 * s or side > 18 * s:
-            continue
-        for u, grid in enumerate(grids):
-            cand = grid.cube_at(c, level)
-            ilo, ihi = cand.bounds()
-            if not all(a <= x and y <= b for a, x, y, b in zip(ilo, t_lo, t_hi, ihi)):
-                continue
-            anc = cand.ancestor(j)
-            alo, ahi = anc.bounds()
-            if all(a <= x and y <= b for a, x, y, b in zip(alo, e_lo, e_hi, ahi)):
-                return u, cand
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -510,9 +545,9 @@ def bad_probability_mc(
     which belongs to every sampled grid because finest-level offsets vanish;
     conditioning on membership is therefore vacuous here.  A cube is bad
     when some ancestor at least level_gap_r levels coarser sees it within
-    2 side(J)^eps side(K)^(1-eps) of the ancestor skeleton.  All geometry
-    is integer cell arithmetic; the 95% half-width is the normal
-    approximation.
+    2 side(J)^eps side(K)^(1-eps) of the ancestor skeleton, which the
+    goodness kernel decides from the cube's position inside its level-0
+    ancestor.  The 95% half-width is the normal approximation.
     """
     if samples < 100:
         raise DomainError(f"need at least 100 samples, got {samples}")
@@ -525,20 +560,9 @@ def bad_probability_mc(
     rng = substream(seed, 7001)
     bits = rng.integers(0, 2, size=(samples, depth), dtype=np.int64)
     weights = 1 << (depth - 1 - np.arange(depth, dtype=np.int64))  # bit i+1 -> 2^(depth-i-1)
-    j0 = (1 << depth) // 3
-    bad = np.zeros(samples, dtype=bool)
-    for gap in range(level_gap_r, depth + 1):
-        lvl = depth - gap
-        width = 1 << gap
-        off = bits[:, lvl:] @ weights[lvl:]
-        rel = (j0 - off) % width
-        d_lo = rel
-        d_hi = width - rel - 1
-        half = width >> 1
-        d_mid = np.where(rel + 1 <= half, half - rel - 1, np.where(rel >= half, rel - half, 0))
-        dist = np.minimum(d_lo, np.minimum(d_hi, d_mid))
-        threshold = 2.0 ** (1.0 + gap * (1.0 - eps))
-        bad |= dist.astype(np.float64) <= threshold
+    # level-0 offset in finest cells is the full tail sum of the bits
+    rel = (1 << depth) // 3 - bits @ weights
+    bad = ~_good_rel_mask(rel[:, None], depth, GoodnessParams(eps, level_gap_r))
     p_hat = float(bad.mean())
     half_width = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / samples)
     return BadProbEstimate(p_hat, half_width, samples)

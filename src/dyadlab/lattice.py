@@ -151,11 +151,14 @@ class Weight:
     """Nonnegative piecewise-constant density with cached mass prefix tables.
 
     prefix(theta) holds cumulative sums of density**theta * cell_volume in
-    extended precision, one table per requested theta.  Tables are built on
-    demand; the object is otherwise immutable.
+    extended precision, one table per requested theta.  A weight with a
+    zero-density cell also keeps an integer prefix count of its positive
+    cells, so that integrals and doubling scans give a box holding none of
+    them mass exactly 0.  Tables are built on demand; the object is
+    otherwise immutable.
     """
 
-    __slots__ = ("lattice", "density", "_prefix")
+    __slots__ = ("lattice", "density", "_prefix", "_count")
 
     def __init__(self, lattice: Lattice, density) -> None:
         arr = np.asarray(density, dtype=np.float64)
@@ -178,6 +181,7 @@ class Weight:
         self.lattice = lattice
         self.density = arr
         self._prefix: dict[float, np.ndarray] = {}
+        self._count: np.ndarray | bool | None = None
 
     def prefix(self, theta: float = 1.0) -> np.ndarray:
         theta = float(theta)
@@ -188,6 +192,15 @@ class Weight:
             tab = _build_table(self.lattice, self.density, theta)
             self._prefix[theta] = tab
         return tab
+
+    def _positive_count(self) -> np.ndarray | None:
+        """Prefix count of positive-density cells, built on first use, or
+        None when every cell is positive and no box can be empty."""
+        count = self._count
+        if count is None:
+            pos = self.density > 0.0
+            count = self._count = False if pos.all() else _accumulate(self.lattice, pos, np.int32)
+        return None if count is False else count
 
     def total_mass(self) -> float:
         return float(self.prefix(1.0).flat[-1])
@@ -215,9 +228,9 @@ class GridFunction:
         self.values = arr
 
 
-def _accumulate(lat: Lattice, cellwise: np.ndarray) -> np.ndarray:
+def _accumulate(lat: Lattice, cellwise: np.ndarray, dtype=_LD) -> np.ndarray:
     n = lat.cells_per_axis
-    tab = np.zeros((n + 1,) * lat.dim, dtype=_LD)
+    tab = np.zeros((n + 1,) * lat.dim, dtype=dtype)
     inner = tab[(slice(1, None),) * lat.dim]
     inner[...] = cellwise
     for ax in range(lat.dim):
@@ -343,16 +356,27 @@ def rect_at(lo, hi, flat: int) -> Rect:
     )
 
 
+def _weight_masses(w: Weight, lo, hi, theta: float = 1.0) -> np.ndarray:
+    """box_masses of w's theta table on whole-cell edges, exactly 0 on boxes
+    that hold no positive cell, where the corner sum of nonzero prefix
+    values need not cancel."""
+    masses = box_masses(w.prefix(theta), lo, hi)
+    count = w._positive_count()
+    if count is not None:
+        masses = np.where(box_masses(count, lo, hi) == 0, _LD(0.0), masses)
+    return masses
+
+
 def integrate(w: Weight, rect: Rect) -> float:
     """Mass of the rectangle: sum of density * cell_volume over its cells."""
     _check_rect(w.lattice, rect)
-    return float(box_masses(w.prefix(1.0), rect.lo, rect.hi))
+    return float(_weight_masses(w, rect.lo, rect.hi))
 
 
 def power_integrate(w: Weight, rect: Rect, theta: float) -> float:
     """Integral of density**theta over the rectangle."""
     _check_rect(w.lattice, rect)
-    return float(box_masses(w.prefix(theta), rect.lo, rect.hi))
+    return float(_weight_masses(w, rect.lo, rect.hi, theta))
 
 
 def box_mass(w: Weight, lo, hi, theta: float = 1.0) -> float:
@@ -571,7 +595,6 @@ def _scan_doubling(w: Weight, per_axis_sizes: bool) -> tuple[float, bool, Witnes
     """Max ratio mass(2R clipped to box)/mass(R) over even-sided cell boxes."""
     lat = w.lattice
     n = lat.cells_per_axis
-    tab = w.prefix(1.0)
     best = -1.0
     witness = None
     even = range(2, n + 1, 2)
@@ -583,8 +606,8 @@ def _scan_doubling(w: Weight, per_axis_sizes: bool) -> tuple[float, bool, Witnes
         dlo = [np.maximum(a - m // 2, 0) for a, m in zip(lo, sizes)]
         dhi = [np.minimum(b + m // 2, n) for b, m in zip(hi, sizes)]
         # round once to float64 so scan ratios match Witness.reevaluate bit for bit
-        base = box_masses(tab, lo, hi).astype(np.float64)
-        big = box_masses(tab, dlo, dhi).astype(np.float64)
+        base = _weight_masses(w, lo, hi).astype(np.float64)
+        big = _weight_masses(w, dlo, dhi).astype(np.float64)
         zero = base == 0.0
         inf_here = zero & (big > 0.0)
         if inf_here.any():
@@ -629,7 +652,6 @@ def _scan_product_reverse(w: Weight) -> DoublingReport:
     """
     lat = w.lattice
     n = lat.cells_per_axis
-    tab = w.prefix(1.0)
     rep = DoublingReport(mode="product_reverse", rev_C=1.0)
     axis_per_s: list[dict[int, tuple]] = [dict() for _ in range(lat.dim)]
     cube_per_s: dict[int, tuple] = {}
@@ -638,7 +660,7 @@ def _scan_product_reverse(w: Weight) -> DoublingReport:
     for levels in _iproduct(*([range(lat.depth + 1)] * lat.dim)):
         sides = [n >> lv for lv in levels]
         lo, hi = tile_edges((0,) * lat.dim, (n,) * lat.dim, sides)
-        base = box_masses(tab, lo, hi).astype(np.float64)
+        base = _weight_masses(w, lo, hi).astype(np.float64)
         ok = base > 0.0
         if not ok.any():
             continue
@@ -656,7 +678,7 @@ def _scan_product_reverse(w: Weight) -> DoublingReport:
                 inner = sides[axis] >> s
                 ilo[axis] = lo[axis] + (sides[axis] - inner) // 2
                 ihi[axis] = ilo[axis] + inner
-            small = box_masses(tab, ilo, ihi).astype(np.float64)
+            small = _weight_masses(w, ilo, ihi).astype(np.float64)
             ratios = np.where(ok, small / safe, -1.0)
             i = int(np.argmax(ratios))
             r = float(ratios.flat[i])
@@ -692,7 +714,6 @@ def _scan_strong(w: Weight) -> DoublingReport:
     """Max half-to-whole mass fraction over axis-halved even-edged boxes."""
     lat = w.lattice
     n = lat.cells_per_axis
-    tab = w.prefix(1.0)
     rep = DoublingReport(mode="strong")
     best = -1.0
     wit = None
@@ -702,15 +723,15 @@ def _scan_strong(w: Weight) -> DoublingReport:
         ]
         for sizes in _iproduct(*size_ranges):
             lo, hi = _placements(n, sizes)
-            base = box_masses(tab, lo, hi).astype(np.float64)
+            base = _weight_masses(w, lo, hi).astype(np.float64)
             ok = base > 0.0
             if not ok.any():
                 continue
             mid = lo[axis] + sizes[axis] // 2
             left_hi = hi[:axis] + [mid] + hi[axis + 1 :]
             right_lo = lo[:axis] + [mid] + lo[axis + 1 :]
-            lm = box_masses(tab, lo, left_hi).astype(np.float64)
-            rm = box_masses(tab, right_lo, hi).astype(np.float64)
+            lm = _weight_masses(w, lo, left_hi).astype(np.float64)
+            rm = _weight_masses(w, right_lo, hi).astype(np.float64)
             frac = np.where(ok, np.maximum(lm, rm) / np.where(ok, base, 1.0), -1.0)
             i = int(np.argmax(frac))
             if float(frac.flat[i]) > best:

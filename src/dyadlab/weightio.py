@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import DomainError, FormatError
 from .lattice import Lattice, Weight, make_lattice
 
 MAGIC = "WGT1"
@@ -39,7 +39,10 @@ def _parse_header(line: str) -> Lattice:
         depth = int(fields["L"])
     except (KeyError, ValueError):
         raise FormatError(f"line 1: header needs integer d= and L=, got {line!r}") from None
-    return make_lattice(dim, depth)
+    try:
+        return make_lattice(dim, depth)
+    except DomainError as e:
+        raise FormatError(f"line 1: {e}") from None
 
 
 def read_weight(path) -> Weight:

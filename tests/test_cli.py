@@ -309,3 +309,18 @@ def test_grid_sample_roundtrip(capsys):
     for line in lines:
         grid = parse_grid(line)
         assert grid.descriptor() == line
+
+
+@pytest.mark.parametrize(
+    "header, compute_code",
+    [("WGT1 d=9 L=1", 3), ("WGT1 d=1 L=-2", 3), ("WGT1 d=0 L=3", 3), ("WGT1 d=4 L=7", 2)],
+)
+def test_bad_weight_headers_exit_codes(tmp_path, capsys, header, compute_code):
+    # a malformed file is an I/O error for compute and a configuration
+    # error for verify; an over-budget header is a budget error for both
+    bad = tmp_path / "bad.wgt"
+    bad.write_text(header + "\n1 1\n")
+    assert main(["compute", "bump", "--weight", str(bad), "--theta", "2"]) == compute_code
+    assert main(["verify", "--weight", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err

@@ -34,8 +34,7 @@ from dyadlab import (
     stopping_cubes,
     substream,
 )
-from dyadlab.grids import Cube
-from dyadlab.embed import _good_rel_mask
+from dyadlab.grids import Cube, _good_rel_mask
 from dyadlab.lattice import box_list, gather_boxes, tile_edges, weighted_mass_prefix
 
 

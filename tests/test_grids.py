@@ -9,6 +9,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadlab import (
     BoxCube,
@@ -34,6 +36,7 @@ from dyadlab import (
     substream,
     verify_grid,
 )
+from dyadlab.grids import deepest_common_level
 
 
 # ---------------------------------------------------------------------------
@@ -166,6 +169,41 @@ def test_descriptor_errors():
         parse_grid("GRID1 dim=1 kind=third:9 levels=0..3 beta=")
     with pytest.raises(FormatError):
         parse_grid("GRID1 dim=1 levels=0..3")
+    # out-of-range dims and inverted level ranges are format errors too
+    for line in (
+        "GRID1 dim=0 kind=std levels=0..3",
+        "GRID1 dim=1 kind=std levels=3..1",
+        "GRID1 dim=0 kind=shift levels=0..2 beta=",
+        "GRID1 dim=1000000000 kind=third:0 levels=0..3 beta=",
+    ):
+        with pytest.raises(FormatError):
+            parse_grid(line)
+
+
+_GRID_TOKENS = st.one_of(
+    st.builds("dim={}".format, st.one_of(st.integers(-2, 10**9), st.text(max_size=3))),
+    st.builds(
+        "kind={}".format,
+        st.one_of(
+            st.sampled_from(("std", "shift", "third:")),
+            st.builds("third:{}".format, st.integers(-3, 10**12)),
+            st.text(max_size=6),
+        ),
+    ),
+    st.builds("levels={}..{}".format, st.integers(-6, 12), st.integers(-6, 12)),
+    st.builds("beta={}".format, st.text(alphabet="01x", max_size=40)),
+    st.text(max_size=8),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_GRID_TOKENS, max_size=6))
+def test_any_grid_line_parses_back_or_is_format_error(tokens):
+    try:
+        grid = parse_grid(" ".join(["GRID1", *tokens]))
+    except FormatError:
+        return
+    assert parse_grid(grid.descriptor()) == grid
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +263,13 @@ def test_goodness_scope_error():
     j = Cube(g, 8, (63,))
     with pytest.raises(ScopeError):
         is_good(j, GoodnessParams(eps=0.5, r=9))
+    # good_in needs a strict ancestor of the cube in the same grid
+    with pytest.raises(DomainError):
+        good_in(j, Cube(g, 0, (1,)), 0.5)
+    with pytest.raises(DomainError):
+        good_in(j, j, 0.5)
+    with pytest.raises(DomainError):
+        good_in(j, Cube(standard_grid(1, 0, 9), 0, (0,)), 0.5)
     with pytest.raises(DomainError):
         GoodnessParams(eps=1.5, r=2)
     with pytest.raises(DomainError):
@@ -363,3 +408,191 @@ def test_bad_probability_geometric_agreement():
         if not is_good(cube, GoodnessParams(eps=eps, r=r)):
             bad += 1
     assert est.p_hat == bad / samples
+
+
+# ---------------------------------------------------------------------------
+# Fraction oracle for the integer geometry
+#
+# The formulas below are the package's former rational-arithmetic geometry:
+# offsets, cube location, bounds, ancestors and the exact sandwich search,
+# all in Fraction.  The integer path must agree with them everywhere.
+
+
+def _pow2(k):
+    return Fraction(1, 1 << k) if k >= 0 else Fraction(1 << (-k))
+
+
+def _ref_offset(grid, axis, level):
+    if grid.kind == "std":
+        return Fraction(0)
+    if grid.kind == "shift":
+        return grid.shifts[axis].offset_cells(level) * _pow2(grid.hi)
+    u = grid.third[axis]
+    return Fraction((u if level % 2 == 0 else -u) % 3, 3) * _pow2(level)
+
+
+def _ref_cube_at(grid, point, level):
+    side = _pow2(level)
+    return tuple(
+        math.floor((Fraction(point[k]) - _ref_offset(grid, k, level)) / side)
+        for k in range(grid.dim)
+    )
+
+
+def _ref_bounds(grid, level, index):
+    side = _pow2(level)
+    lo = tuple(index[k] * side + _ref_offset(grid, k, level) for k in range(grid.dim))
+    return lo, tuple(a + side for a in lo)
+
+
+def _ref_ancestor(grid, level, index, j):
+    lvl = level - j
+    lo, _ = _ref_bounds(grid, level, index)
+    return lvl, tuple(
+        math.floor((lo[k] - _ref_offset(grid, k, lvl)) / _pow2(lvl)) for k in range(grid.dim)
+    )
+
+
+def _ref_contains(grid, level, index, box_lo, box_hi, open_hi):
+    lo, hi = _ref_bounds(grid, level, index)
+    for k in range(grid.dim):
+        a, b = Fraction(box_lo[k]), Fraction(box_hi[k])
+        if a < lo[k] or b > hi[k] or (open_hi and b == hi[k]):
+            return False
+    return True
+
+
+def _ref_deepest_common(grid, x, u):
+    for level in range(grid.hi, grid.lo - 1, -1):
+        if _ref_cube_at(grid, x, level) == _ref_cube_at(grid, u, level):
+            return level
+    return None
+
+
+def _ref_sandwich(p, j, grids):
+    """First (u, level, index) of the exact search over the bracketing levels."""
+    s = Fraction(p.side)
+    c = tuple(Fraction(a) + s / 2 for a in p.lo)
+    t_lo, t_hi = tuple(x - 3 * s / 2 for x in c), tuple(x + 3 * s / 2 for x in c)
+    half = Fraction(2**j) * s / 2
+    e_lo, e_hi = tuple(x - half for x in c), tuple(x + half for x in c)
+    lev_hi = math.floor(-math.log2(3 * p.side))
+    lev_lo = math.ceil(-math.log2(18 * p.side))
+    for level in range(lev_hi + 1, lev_lo - 2, -1):
+        side = _pow2(level)
+        if side < 3 * s or side > 18 * s:
+            continue
+        for u, grid in enumerate(grids):
+            idx = _ref_cube_at(grid, c, level)
+            if not _ref_contains(grid, level, idx, t_lo, t_hi, False):
+                continue
+            lvl, aidx = _ref_ancestor(grid, level, idx, j)
+            if _ref_contains(grid, lvl, aidx, e_lo, e_hi, False):
+                return u, level, idx
+    return None
+
+
+@st.composite
+def _grids(draw, max_dim=2, lo_min=-4, hi_max=10):
+    dim = draw(st.integers(1, max_dim))
+    lo = draw(st.integers(lo_min, hi_max))
+    hi = draw(st.integers(lo, hi_max))
+    kind = draw(st.sampled_from(("std", "shift", "third")))
+    if kind == "std":
+        return standard_grid(dim, lo, hi)
+    if kind == "third":
+        return DyadicGrid(dim, lo, hi, "third", third=tuple(draw(st.integers(0, 2)) for _ in range(dim)))
+    bits = st.lists(st.integers(0, 1), min_size=hi - lo, max_size=hi - lo)
+    return random_grid([ShiftParam(lo, hi, tuple(draw(bits))) for _ in range(dim)])
+
+
+@st.composite
+def _points(draw, grid):
+    """A random float point, or one sitting exactly on a cube bound of the
+    grid (a Fraction, or its float when that is exact)."""
+    if draw(st.booleans()):
+        return tuple(draw(st.floats(-1.5, 2.5)) for _ in range(grid.dim))
+    level = draw(st.integers(grid.lo - 3, grid.hi + 3))
+    index = tuple(draw(st.integers(-3, (1 << max(level, 0)) + 3)) for _ in range(grid.dim))
+    lo, _ = _ref_bounds(grid, level, index)
+    if all(float(a) == a for a in lo) and draw(st.booleans()):
+        return tuple(float(a) for a in lo)
+    return lo
+
+
+@settings(max_examples=150, deadline=None)
+@given(_grids(max_dim=4, lo_min=-6, hi_max=8))
+def test_random_grids_roundtrip_descriptors(grid):
+    assert parse_grid(grid.descriptor()) == grid
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_integer_geometry_matches_fraction_oracle(data):
+    grid = data.draw(_grids())
+    point = data.draw(_points(grid))
+    level = data.draw(st.integers(grid.lo - 3, grid.hi + 3))
+    for axis in range(grid.dim):
+        assert grid.offset(axis, level) == _ref_offset(grid, axis, level)
+    cube = grid.cube_at(point, level)
+    assert cube.index == _ref_cube_at(grid, point, level)
+    assert cube.bounds() == _ref_bounds(grid, level, cube.index)
+    assert cube.contains_point(point)
+    # the upper bound of a cube belongs to its neighbour
+    _, hi = cube.bounds()
+    assert not cube.contains_point(hi)
+    other = data.draw(_points(grid))
+    assert cube.contains_point(other) == _ref_contains(grid, level, cube.index, other, other, True)
+    box_hi = tuple(max(Fraction(a), Fraction(b)) for a, b in zip(point, other))
+    box_lo = tuple(min(Fraction(a), Fraction(b)) for a, b in zip(point, other))
+    assert cube.contains_box(box_lo, box_hi) == _ref_contains(
+        grid, level, cube.index, box_lo, box_hi, False
+    )
+    j = data.draw(st.integers(0, 6))
+    anc = cube.ancestor(j)
+    assert (anc.level, anc.index) == _ref_ancestor(grid, level, cube.index, j)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_deepest_common_level_matches_fraction_oracle(data):
+    grid = data.draw(_grids())
+    x = data.draw(_points(grid))
+    u = data.draw(st.one_of(_points(grid), st.just(x)))
+    want = _ref_deepest_common(grid, x, u)
+    assert deepest_common_level(grid, x, u) == want
+    assert dyadic_distance(x, u, grid) == (1.0 if want is None else float(_pow2(want)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sandwich_matches_fraction_oracle(data):
+    dim = data.draw(st.integers(1, 2))
+    lo = data.draw(st.integers(-4, 0))
+    grids = onethird_grids(dim, lo, data.draw(st.integers(lo, 16)))
+    j = data.draw(st.integers(0, 3))
+    side = 2.0 ** -data.draw(st.floats(4.5 - lo, 20.0))
+    if data.draw(st.booleans()):
+        p_lo = tuple(data.draw(st.floats(0.0, 1.0)) for _ in range(dim))
+    else:
+        # put the lower edge of 3P exactly on a cube bound of some grid
+        u = data.draw(st.integers(0, len(grids) - 1))
+        level = data.draw(st.integers(max(lo, math.ceil(-math.log2(18 * side)) - 1), 30))
+        index = tuple(data.draw(st.integers(0, (1 << level) - 1)) for _ in range(dim))
+        bound, _ = _ref_bounds(grids[u], level, index)
+        p_lo = tuple(a + Fraction(side) for a in bound)
+    p = BoxCube(p_lo, side)
+    want = _ref_sandwich(p, j, grids)
+    assert want is not None
+    u, cube = sandwich(p, j, grids)
+    assert (u, cube.level, cube.index) == want
+
+
+def test_sandwich_below_the_finest_level():
+    # a side-1e-9 interval needs cubes far finer than the family's level 16
+    grids = onethird_grids(1, 0, 16)
+    for lo, level in ((0.0, 28), (0.5, 28), (0.3, 27)):
+        p = BoxCube((lo,), 1e-9)
+        u, cube = sandwich(p, 0, grids)
+        assert cube.level == level
+        assert (u, cube.level, cube.index) == _ref_sandwich(p, 0, grids)

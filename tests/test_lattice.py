@@ -5,7 +5,9 @@ summation, closed forms, exact big-integer arithmetic) before the
 implementation existed.
 """
 import math
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,7 @@ from dyadlab.errors import (
     ShapeError,
 )
 from dyadlab.lattice import (
+    INFINITE,
     GridFunction,
     Rect,
     Weight,
@@ -333,6 +336,28 @@ def test_doubling_witness_reevaluates_exactly():
         assert wit.reevaluate(w) == wit.value
 
 
+@pytest.mark.parametrize("seed, block", [(38, (20, 21)), (4, (17, 22))])
+def test_zero_block_has_exactly_zero_mass(seed, block):
+    # the corner sum of nonzero prefix values left a residual of +-5.42e-20
+    # on this 2x2 block of zero cells, so the cube scan read a finite ratio
+    rng = np.random.default_rng(seed)
+    dens = np.exp(0.6 * rng.standard_normal((32, 32)))
+    i, j = (int(v) for v in rng.integers(1, 30, size=2))
+    assert (i, j) == block
+    dens[i : i + 2, j : j + 2] = 0.0
+    w = Weight(make_lattice(2, 5), dens)
+    empty = Rect((i, j), (i + 2, j + 2))
+    assert integrate(w, empty) == 0.0
+    assert power_integrate(w, empty, 1.5) == 0.0
+    # boxes holding a positive cell keep the engine's value bit for bit
+    full = Rect((i - 1, j), (i + 2, j + 2))
+    assert integrate(w, full) == float(box_masses(w.prefix(1.0), full.lo, full.hi))
+    for mode in ("cube", "rectangle"):
+        rep = doubling_report(w, mode)
+        assert rep.infinite and rep.constant == INFINITE
+        assert rep.witnesses["doubling"].reevaluate(w) == math.inf
+
+
 def test_strong_rd_doubling_bound_frozen_table():
     # exact values, big-integer oracle
     assert strong_rd_doubling_bound(0.5).as_tuple() == (3, 4 / 3, 3, 8)
@@ -436,3 +461,28 @@ def test_wgt1_errors(tmp_path):
     huge.write_text("WGT1 d=2 L=14\n")
     with pytest.raises(ResourceError):
         read_weight(huge)
+
+    for header in ("WGT1 d=9 L=1", "WGT1 d=1 L=-2", "WGT1 d=0 L=3"):
+        ranged = tmp_path / "f.wgt"
+        ranged.write_text(header + "\n1 1\n")
+        with pytest.raises(FormatError, match="line 1"):
+            read_weight(ranged)
+
+
+_DENSITY = st.floats(0.0, 1e300, allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_wgt1_roundtrip_random_weights(data):
+    dim = data.draw(st.integers(1, 2))
+    depth = data.draw(st.integers(0, 4 if dim == 1 else 3))
+    lat = make_lattice(dim, depth)
+    dens = data.draw(st.lists(_DENSITY, min_size=lat.cell_count, max_size=lat.cell_count))
+    w = Weight(lat, np.array(dens))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "w.wgt"
+        write_weight(path, w)
+        back = read_weight(path)
+    assert back.lattice == lat
+    np.testing.assert_array_equal(back.density, w.density)
