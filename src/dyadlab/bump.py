@@ -9,10 +9,12 @@ masses from lattice.box_masses, and every characteristic value comes from
 one batch evaluator, _products: kernel factor times the two bump powers
 for the outer product of a batch of factor cubes.  The scan feeds it whole
 grid levels, coarsest first, and keeps the first maximizer;
-characteristic_at feeds it the witness alone.  Per-rectangle values are
-computed in extended precision and rounded to float64 once, and a box's
-mass does not depend on the batch it is gathered in, so a reported
-witness re-evaluates to the reported value bit for bit.
+characteristic_at feeds it the witness alone.  Masses are differenced in
+long double and rounded to float64 once; the bump and kernel powers then
+run in float64 (the package's precision policy, see lattice), so they do
+not depend on the platform's longdouble kind.  A box's mass does not
+depend on the batch it is gathered in, so a reported witness re-evaluates
+to the reported value bit for bit.
 """
 from __future__ import annotations
 
@@ -28,7 +30,7 @@ from .grids import Cube, DyadicGrid, DyadicRect, onethird_grids, standard_grid
 from .lattice import (
     Rect,
     Weight,
-    box_masses,
+    _weight_masses,
     make_lattice,
     rect_volume,
     substream,
@@ -138,30 +140,29 @@ class KernelHandle:
             raise DomainError(f"kernel table has no entry for levels ({li}, {lj})") from None
 
     def level_values(self, levels: np.ndarray) -> np.ndarray:
-        """Vectorized level_value over an (N, 2) level array, extended precision."""
-        if self.kind == "product_frac":
-            return np.power(_LD(2.0), levels[:, 0] * _LD(self.m - self.alpha)) * np.power(
-                _LD(2.0), levels[:, 1] * _LD(self.n - self.beta)
-            )
-        return np.array(
-            [self.level_value(int(a), int(b)) for a, b in levels], dtype=_LD
-        )
+        """level_value over an (N, 2) level array, evaluated once per
+        distinct level pair, in float64."""
+        pairs, where = np.unique(np.asarray(levels).reshape(-1, 2), axis=0, return_inverse=True)
+        vals = np.array([self.level_value(int(a), int(b)) for a, b in pairs], dtype=np.float64)
+        return vals[where.reshape(-1)]
 
 
 # The power kernel of the characteristics is the product_frac handle.
 PowerKernel = KernelHandle
 
 
-def _bumps(w: Weight, theta: float, lo, hi, vol) -> np.ndarray:
+def _bumps(w: Weight, theta: float, lo, hi, vol: float) -> np.ndarray:
     """Theta-bumps of the boxes spanned by lo/hi, all of volume vol.
 
-    Masses come from box_masses in extended precision and the result is
-    rounded to float64 once; every bump in the package goes through here.
+    Masses come from the weight's long-double table, exactly 0 on boxes
+    holding no positive cell, and are rounded to float64 once; the volume
+    factor is one float64 power per batch and the mass power is float64,
+    so theta = 1 returns the rounded masses themselves.  Every bump in the
+    package goes through here.
     """
-    masses = np.maximum(box_masses(w.prefix(theta), lo, hi), _LD(0.0))
-    inv_tp = _LD(1.0) - _LD(1.0) / _LD(theta)
-    vals = np.power(_LD(vol), inv_tp) * np.power(masses, _LD(1.0) / _LD(theta))
-    return np.asarray(vals, dtype=np.float64)
+    masses = np.maximum(_weight_masses(w, lo, hi, theta), _LD(0.0)).astype(np.float64)
+    inv_theta = 1.0 / theta
+    return float(vol) ** (1.0 - inv_theta) * np.power(masses, inv_theta)
 
 
 def bump_cube(rect: Rect, w: Weight, theta: float) -> float:
@@ -199,15 +200,13 @@ def slice_profile(j_rect: Rect, w: Weight, theta: float) -> Weight:
     for k in range(n):
         if not 0 <= j_rect.lo[k] < j_rect.hi[k] <= cells:
             raise DomainError(f"slice box {j_rect} leaves the lattice")
-    dens = np.asarray(w.density, dtype=_LD).reshape((cells,) * d)
     sel = (slice(None),) * m + tuple(slice(j_rect.lo[k], j_rect.hi[k]) for k in range(n))
-    cell_vol = _LD(w.lattice.cell_side) ** n
-    mass = np.power(dens[sel], _LD(theta)).sum(axis=tuple(range(m, d))) * cell_vol
-    vol = _LD(w.lattice.cell_side) ** n * _LD(j_rect.cells)
-    inv_tp = _LD(1.0) - _LD(1.0) / _LD(theta)
-    prof = np.power(vol, inv_tp) * np.power(mass, _LD(1.0) / _LD(theta))
-    out = make_lattice(m, w.lattice.depth)
-    return Weight(out, np.asarray(prof, dtype=np.float64).reshape(-1))
+    cell_vol = w.lattice.cell_side**n
+    cellwise = np.power(w.density[sel], float(theta)).astype(_LD)
+    mass = (cellwise.sum(axis=tuple(range(m, d))) * _LD(cell_vol)).astype(np.float64)
+    inv_theta = 1.0 / theta
+    prof = (cell_vol * j_rect.cells) ** (1.0 - inv_theta) * np.power(mass, inv_theta)
+    return Weight(make_lattice(m, w.lattice.depth), prof.reshape(-1))
 
 
 def random_partition(lattice, seed: int, split_prob: float = 0.7) -> list[Rect]:
@@ -311,14 +310,14 @@ def _products(kind, kernel, sigma, omega, exps, factors) -> np.ndarray:
     even where a cube pokes out of the unit box, where the density is zero.
     """
     lo, hi = [], []
-    vol = _LD(1.0)
+    vol = 1.0
     kval = 1.0
     for fac, k_exp in zip(factors, (kernel.i_exp, kernel.j_exp)):
-        dim = fac.grid.dim
+        side_vol = 2.0 ** (-fac.level * fac.grid.dim)
         lo += fac.lo
         hi += fac.hi
-        vol = vol * _LD(2.0) ** (-fac.level * dim)
-        kval = kval * float(2.0 ** (-fac.level * dim)) ** k_exp
+        vol *= side_vol
+        kval *= side_vol**k_exp
     lo, hi = np.ix_(*lo), np.ix_(*hi)
     bump_s, bump_w = _BUMPED[kind]
     bs = _bumps(sigma, exps.theta if bump_s else 1.0, lo, hi, vol)

@@ -23,6 +23,7 @@ from .lattice import (
     Lattice,
     Rect,
     Weight,
+    _weight_masses,
     box_masses,
     doubling_report,
     full_rect,
@@ -77,10 +78,25 @@ def _dyadic_level(lat: Lattice, P: Rect) -> int:
     return lat.depth - (side.bit_length() - 1)
 
 
-def _subcubes(lat: Lattice, P: Rect, level: int) -> tuple[list, list, np.longdouble]:
+def _subcubes(lat: Lattice, P: Rect, level: int) -> tuple[list, list, float]:
     """Edges of the level subcubes of P for box_masses, and their volume."""
     lo, hi = tile_edges(P.lo, P.hi, (lat.cells_per_axis >> level,) * lat.dim)
-    return lo, hi, _LD(2.0) ** (-level * lat.dim)
+    return lo, hi, 2.0 ** (-level * lat.dim)
+
+
+def _embed_terms(b: np.ndarray, mf: np.ndarray, r: float, s: float) -> np.longdouble:
+    """Sum of bump^(r/s) * (mf / bump)^r over the boxes of positive bump.
+
+    Each term is one float64 power of a moderate quantity,
+    (mf * bump^(1/s - 1))^r, and the terms accumulate in long double; the
+    split form mf^r * bump^(r/s - r) underflows in float64 for small
+    masses.  An f-mass is clamped at 0 like the bump masses: a negative
+    cancellation residual would make its term NaN."""
+    pos = b > 0.0
+    if not pos.any():
+        return _LD(0.0)
+    mf = np.maximum(mf[pos].astype(np.float64), 0.0)
+    return np.power(mf * np.power(b[pos], 1.0 / s - 1.0), r).sum(dtype=_LD)
 
 
 def _ratio(lhs: float, rhs: float) -> float:
@@ -202,8 +218,8 @@ def automatic_carleson(
     level_p = _dyadic_level(lat, P)
     total = _LD(0.0)
     for level in range(level_p, lat.depth + 1):
-        b = _bumps(w, theta, *_subcubes(lat, P, level)).astype(_LD).ravel()
-        total += np.power(b, _LD(rho)).sum(dtype=_LD)
+        b = _bumps(w, theta, *_subcubes(lat, P, level))
+        total += np.power(b, rho).sum(dtype=_LD)
     inv_theta_prime = 1.0 - 1.0 / theta
     constant = 1.0 / (1.0 - 2.0 ** (-lat.dim * (rho - 1.0) * inv_theta_prime))
     top = bump_cube(P, w, theta)
@@ -256,15 +272,14 @@ def good_carleson(
     trivial = (goodness.r + 1) * 2.0 ** (lat.dim * goodness.r)
     constant = trivial + float(scan.rev_C) / (1.0 - 2.0 ** (-decay))
 
-    mass_tab = w.prefix(1.0)
     total = _LD(0.0)
     for level in range(level_p, lat.depth + 1):
         lo, hi, _ = _subcubes(lat, P, level)
         good = _good_cubes(lo[0].size, level - level_p, goodness, lat.dim)
         if not good.any():
             continue
-        masses = box_masses(mass_tab, lo, hi)[good].astype(np.float64)
-        total += np.power(masses.astype(_LD), _LD(rho)).sum(dtype=_LD)
+        masses = _weight_masses(w, lo, hi)[good].astype(np.float64)
+        total += np.power(masses, rho).sum(dtype=_LD)
     top = integrate(w, P)
     rhs = constant * float(_LD(top) ** _LD(rho))
     lhs = float(total)
@@ -292,9 +307,9 @@ def embed_check_cubes(
 ) -> EmbedReport:
     """lhs = {sum over cubes of bump^(r/s) * average^r}^(1/r) vs the L^s norm.
 
-    Cubes of zero bump carry no f-mass and are skipped.  The quotient is
-    rearranged to mass^r * bump^(r/s - r) so each term is a product of two
-    monotone factors, evaluated in extended precision.
+    Cubes of zero bump carry no f-mass and are skipped.  Each term is one
+    float64 power, (mass * bump^(1/s - 1))^r, of the f-mass rounded once,
+    and the terms accumulate in long double.
     """
     if theta <= 1.0:
         raise DomainError(f"the cube embedding needs theta > 1, got {theta}")
@@ -307,13 +322,7 @@ def embed_check_cubes(
     total = _LD(0.0)
     for level in range(lat.depth + 1):
         lo, hi, vol = _subcubes(lat, top, level)
-        b = _bumps(w, theta, lo, hi, vol).astype(_LD)
-        mf = box_masses(num, lo, hi)
-        pos = b > 0.0
-        if pos.any():
-            total += (
-                np.power(mf[pos], _LD(r)) * np.power(b[pos], _LD(r / s - r))
-            ).sum(dtype=_LD)
+        total += _embed_terms(_bumps(w, theta, lo, hi, vol), box_masses(num, lo, hi), r, s)
     lhs = float(np.power(total, _LD(1.0) / _LD(r)))
     rhs = lp_norm(f, w, s)
     return EmbedReport(lhs, rhs, _ratio(lhs, rhs))
@@ -376,14 +385,8 @@ def embed_check_rects(
         for lj in range(depth + 1):
             sides = (cells >> li,) * m + (cells >> lj,) * n_ax
             lo, hi = tile_edges((0,) * lat.dim, (cells,) * lat.dim, sides)
-            vol = _LD(2.0) ** (-(li * m + lj * n_ax))
-            b = _bumps(w, theta, lo, hi, vol).astype(_LD)
-            mf = box_masses(num, lo, hi)
-            pos = b > 0.0
-            if pos.any():
-                total += (
-                    np.power(mf[pos], _LD(r)) * np.power(b[pos], _LD(r / s - r))
-                ).sum(dtype=_LD)
+            vol = 2.0 ** (-(li * m + lj * n_ax))
+            total += _embed_terms(_bumps(w, theta, lo, hi, vol), box_masses(num, lo, hi), r, s)
     lhs = float(np.power(total, _LD(1.0) / _LD(r)))
     rhs = lp_norm(f, w, s)
 

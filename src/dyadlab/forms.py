@@ -31,6 +31,7 @@ from .lattice import (
     Lattice,
     Rect,
     Weight,
+    _weight_masses,
     box_list,
     box_masses,
     gather_boxes,
@@ -517,10 +518,11 @@ def _indicator_floor(kernel, sigma, omega, exps, family: RectFamily):
     if family.tag == "dyadic" and kernel.kind == "product_frac":
         res = characteristic("no_bump", None, sigma, omega, exps, family="dyadic")
         return res.value, res.witness
-    msig = gather_boxes(sigma.prefix(1.0), family.boxes).astype(np.float64)
-    momg = gather_boxes(omega.prefix(1.0), family.boxes).astype(np.float64)
+    lo, hi = family.boxes[:, :, 0].T, family.boxes[:, :, 1].T
+    msig = _weight_masses(sigma, lo, hi).astype(np.float64)
+    momg = _weight_masses(omega, lo, hi).astype(np.float64)
     vals = (
-        np.asarray(kernel.level_values(family.levels), dtype=np.float64)
+        kernel.level_values(family.levels)
         * np.power(msig, 1.0 / exps.p_prime)
         * np.power(momg, 1.0 / exps.q)
     )

@@ -9,10 +9,17 @@ that broadcast together (a level's outer-product grid of cubes, or a
 zipped list of boxes) it returns every box's mass as a mixed corner
 difference, looking the table up directly on whole-cell edges and
 interpolating it multilinearly on fractional ones (one-third grids).
-gather_boxes only adapts explicit (N, d, 2) box lists to it.  Prefix
-tables are accumulated and queried in extended precision so that
-rectangle masses remain trustworthy deep into the cell budget; results
-are rounded to float64 at the API boundary.
+gather_boxes only adapts explicit (N, d, 2) box lists to it.
+
+Precision policy: long double only where cancellation happens.  Prefix
+tables are accumulated and their corners differenced in np.longdouble,
+because a box mass is a small difference of large sums; sums of many
+terms accumulate in np.longdouble too.  Each mass is rounded to float64
+once, and every elementwise power over an array (density**theta, f**p,
+the bump, Carleson and embedding terms) runs in float64 on those rounded
+values, so the maps no longer depend on the platform's longdouble kind;
+the masses they read still do, through the accumulation.  At theta = 1
+and p = 1 the powers are the identity and keep the masses' bits.
 
 Besides the integration core this module owns the weight generators, the
 doubling / reverse-doubling / strong-reverse-doubling scans with their
@@ -150,12 +157,12 @@ def _check_rect(lat: Lattice, rect: Rect) -> None:
 class Weight:
     """Nonnegative piecewise-constant density with cached mass prefix tables.
 
-    prefix(theta) holds cumulative sums of density**theta * cell_volume in
-    extended precision, one table per requested theta.  A weight with a
-    zero-density cell also keeps an integer prefix count of its positive
-    cells, so that integrals and doubling scans give a box holding none of
-    them mass exactly 0.  Tables are built on demand; the object is
-    otherwise immutable.
+    prefix(theta) holds cumulative sums of density**theta * cell_volume,
+    the power in float64 and the sums in long double, one table per
+    requested theta.  A weight with a zero-density cell also keeps an
+    integer prefix count of its positive cells, so that every box mass
+    read through the weight gives a box holding none of them mass exactly
+    0.  Tables are built on demand; the object is otherwise immutable.
     """
 
     __slots__ = ("lattice", "density", "_prefix", "_count")
@@ -229,10 +236,15 @@ class GridFunction:
 
 
 def _accumulate(lat: Lattice, cellwise: np.ndarray, dtype=_LD) -> np.ndarray:
+    """Prefix table of cellwise values, scaled by the cell volume unless the
+    table counts cells (an integer dtype); the scaling is exact."""
     n = lat.cells_per_axis
     tab = np.zeros((n + 1,) * lat.dim, dtype=dtype)
     inner = tab[(slice(1, None),) * lat.dim]
-    inner[...] = cellwise
+    if np.dtype(dtype).kind == "f":
+        np.multiply(cellwise, _LD(lat.cell_volume), out=inner)
+    else:
+        inner[...] = cellwise
     for ax in range(lat.dim):
         np.cumsum(inner, axis=ax, out=inner)
     tab.flags.writeable = False
@@ -240,19 +252,14 @@ def _accumulate(lat: Lattice, cellwise: np.ndarray, dtype=_LD) -> np.ndarray:
 
 
 def _build_table(lat: Lattice, density: np.ndarray, theta: float) -> np.ndarray:
-    base = density.astype(_LD)
-    if theta != 1.0:
-        base = base ** _LD(theta)
-    return _accumulate(lat, base * _LD(2.0) ** (-(lat.dim * lat.depth)))
+    return _accumulate(lat, np.power(density, float(theta)))
 
 
 def weighted_mass_prefix(f: GridFunction, w: Weight) -> np.ndarray:
     """Prefix table of the measure f * density * cell_volume."""
     if f.lattice != w.lattice:
         raise ShapeError("function and weight live on different lattices")
-    lat = w.lattice
-    cellwise = f.values.astype(_LD) * w.density.astype(_LD)
-    return _accumulate(lat, cellwise * _LD(2.0) ** (-(lat.dim * lat.depth)))
+    return _accumulate(w.lattice, f.values.astype(_LD) * w.density)
 
 
 # (corner, sign) terms of the mixed difference, per dimension, in one fixed order
@@ -305,7 +312,7 @@ def box_masses(tab: np.ndarray, lo, hi) -> np.ndarray:
     table directly, any other is interpolated, and for whole-cell values
     the two paths round identically.  Corners are summed in one fixed
     order, so a box's mass depends only on its own edges and never on the
-    batch it was gathered in.  Returns extended precision.
+    batch it was gathered in.  Returns np.longdouble masses.
     """
     n = tab.shape[0] - 1
     ends = [(_edge(a, n), _edge(b, n)) for a, b in zip(lo, hi)]
@@ -356,14 +363,28 @@ def rect_at(lo, hi, flat: int) -> Rect:
     )
 
 
+def _cover(lo, hi) -> tuple[list, list]:
+    """Edges of the smallest whole-cell box holding each box (empty where
+    the box is): it holds a positive cell exactly when the box has mass."""
+    clo, chi = [], []
+    for a, b in zip(lo, hi):
+        a, b = np.asarray(a), np.asarray(b)
+        if a.dtype.kind == "f" or b.dtype.kind == "f":
+            a, b = np.floor(a), np.where(b > a, np.ceil(b), np.floor(a))
+        clo.append(a)
+        chi.append(b)
+    return clo, chi
+
+
 def _weight_masses(w: Weight, lo, hi, theta: float = 1.0) -> np.ndarray:
-    """box_masses of w's theta table on whole-cell edges, exactly 0 on boxes
-    that hold no positive cell, where the corner sum of nonzero prefix
-    values need not cancel."""
+    """box_masses of w's theta table, exactly 0 on boxes that hold no
+    positive cell, where the corner sum of nonzero prefix values need not
+    cancel; the count is read on the whole-cell cover of fractional boxes.
+    Every other box keeps the engine's bits."""
     masses = box_masses(w.prefix(theta), lo, hi)
     count = w._positive_count()
     if count is not None:
-        masses = np.where(box_masses(count, lo, hi) == 0, _LD(0.0), masses)
+        masses = np.where(box_masses(count, *_cover(lo, hi)) == 0, _LD(0.0), masses)
     return masses
 
 
@@ -384,7 +405,7 @@ def box_mass(w: Weight, lo, hi, theta: float = 1.0) -> float:
     n = w.lattice.cells_per_axis
     lo = np.clip(np.array([a * n for a in lo], dtype=np.float64), 0.0, float(n))
     hi = np.maximum(np.clip(np.array([b * n for b in hi], dtype=np.float64), 0.0, float(n)), lo)
-    return float(box_masses(w.prefix(theta), lo, hi))
+    return float(_weight_masses(w, lo, hi, theta))
 
 
 def lp_norm(f: GridFunction, w: Weight, p: float) -> float:
@@ -393,8 +414,8 @@ def lp_norm(f: GridFunction, w: Weight, p: float) -> float:
         raise DomainError(f"p must be >= 1, got {p}")
     if f.lattice != w.lattice:
         raise ShapeError("function and weight live on different lattices")
-    acc = (f.values.astype(_LD) ** _LD(p)) * w.density.astype(_LD)
-    total = acc.sum(dtype=_LD) * _LD(2.0) ** (-(w.lattice.dim * w.lattice.depth))
+    acc = np.multiply(np.power(f.values, float(p)), w.density, dtype=_LD)
+    total = acc.sum(dtype=_LD) * _LD(w.lattice.cell_volume)
     return float(total ** (_LD(1.0) / _LD(p)))
 
 

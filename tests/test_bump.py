@@ -27,6 +27,8 @@ from dyadlab import (
     random_partition,
     slice_profile,
 )
+from dyadlab.bump import _bumps
+from dyadlab.lattice import box_mass, box_masses
 
 
 def lebesgue(lat):
@@ -103,6 +105,33 @@ def test_bump_subadditive_over_partitions():
             whole = bump_cube(Rect((0,) * dim, (lat.cells_per_axis,) * dim), w, 1.75)
             total = sum(bump_cube(q, w, 1.75) for q in parts)
             assert total <= whole * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("seed, block", [(38, (20, 21)), (4, (17, 22))])
+def test_zero_block_bumps_and_box_masses_are_exactly_zero(seed, block):
+    # the weights of test_zero_block_has_exactly_zero_mass: box_mass and
+    # bump_cube read a residual of +-5.42e-20 on the zero block
+    rng = np.random.default_rng(seed)
+    dens = np.exp(0.6 * rng.standard_normal((32, 32)))
+    i, j = (int(v) for v in rng.integers(1, 30, size=2))
+    assert (i, j) == block
+    dens[i : i + 2, j : j + 2] = 0.0
+    w = Weight(make_lattice(2, 5), dens)
+    assert box_mass(w, (i / 32, j / 32), ((i + 2) / 32, (j + 2) / 32)) == 0.0
+    for theta in (1.0, 1.5):
+        assert bump_cube(Rect((i, j), (i + 2, j + 2)), w, theta) == 0.0
+    # a box on the one-third grid inside the block, read through the
+    # interpolating path of the one-third scans
+    lo, hi = (i + 1 / 3, j + 2 / 3), (i + 5 / 3, j + 4 / 3)
+    for theta in (1.0, 1.5):
+        assert box_mass(w, [a / 32 for a in lo], [b / 32 for b in hi], theta) == 0.0
+        edges = [np.array([a]) for a in lo], [np.array([b]) for b in hi]
+        assert _bumps(w, theta, *edges, 2.0**-10).tolist() == [0.0]
+    # a box reaching a third of a cell into positive cells keeps the engine's value
+    lo, hi = (i - 1 / 3, j), (i + 1, j + 1)
+    got = box_mass(w, [a / 32 for a in lo], [b / 32 for b in hi])
+    assert got > 0.0
+    assert got == float(box_masses(w.prefix(1.0), np.array(lo), np.array(hi)))
 
 
 def test_random_partition_tiles():

@@ -1,0 +1,179 @@
+"""The precision policy against the long-double formulas it replaced.
+
+Prefix tables and corner differences stay in long double; every power
+over an array now runs in float64 on masses rounded once.  The oracles
+below are the former formulas, with every power in long double.  The
+float64 maps may differ from them by the error of rounding an exponent
+such as 1/theta to float64, which grows with the logarithm of the base,
+so agreement is required within 2^-50 * (1 + |ln mass| + |ln vol|).
+
+bump_cube and lp_norm are checked end to end against the former long
+double table and sum, on boxes anchored at the origin: such a box reads a
+single prefix value, so no cancellation in the table can blur the
+comparison.  The embedding and Carleson sums run over every dyadic
+subcube, many of which are small differences of large prefix values; the
+oracle reads those masses from the same long-double tables as the code,
+since accumulation is not what the policy changes, and applies the former
+long-double maps.  Densities span 1e-75..1e75 and exponents stay at most
+4, which keeps every term in float64's normal range, the policy's domain.
+"""
+import math
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from dyadlab import GridFunction, Rect, Weight, bump_cube, make_lattice
+from dyadlab.embed import automatic_carleson, embed_check_cubes
+from dyadlab.lattice import box_masses, full_rect, lp_norm, tile_edges, weighted_mass_prefix
+
+_LD = np.longdouble
+
+
+def _ld_table(w: Weight, theta: float) -> np.ndarray:
+    """The former prefix table: density**theta in long double."""
+    lat = w.lattice
+    base = w.density.astype(_LD) ** _LD(theta) * _LD(2.0) ** (-(lat.dim * lat.depth))
+    tab = np.zeros((lat.cells_per_axis + 1,) * lat.dim, dtype=_LD)
+    inner = tab[(slice(1, None),) * lat.dim]
+    inner[...] = base
+    for ax in range(lat.dim):
+        np.cumsum(inner, axis=ax, out=inner)
+    return tab
+
+
+def _ld_bumps(tab, theta, lo, hi, vol) -> np.ndarray:
+    """The former bump map: both powers in long double, rounded once."""
+    masses = np.maximum(box_masses(tab, lo, hi), _LD(0.0))
+    inv_tp = _LD(1.0) - _LD(1.0) / _LD(theta)
+    vals = np.power(_LD(vol), inv_tp) * np.power(masses, _LD(1.0) / _LD(theta))
+    return np.asarray(vals, dtype=np.float64)
+
+
+def _ld_lp_norm(f: GridFunction, w: Weight, p: float) -> float:
+    acc = (f.values.astype(_LD) ** _LD(p)) * w.density.astype(_LD)
+    total = acc.sum(dtype=_LD) * _LD(2.0) ** (-(w.lattice.dim * w.lattice.depth))
+    return float(total ** (_LD(1.0) / _LD(p)))
+
+
+def _levels(lat):
+    """Edges and volume of every level's dyadic cubes."""
+    n = lat.cells_per_axis
+    for level in range(lat.depth + 1):
+        lo, hi = tile_edges((0,) * lat.dim, (n,) * lat.dim, (n >> level,) * lat.dim)
+        yield lo, hi, 2.0 ** (-level * lat.dim)
+
+
+def _log_span(masses, vol) -> float:
+    """Largest |ln mass| + |ln vol| over the positive masses."""
+    pos = np.asarray(masses, dtype=np.float64)
+    pos = pos[pos > 0.0]
+    return float(np.abs(np.log(pos)).max()) + abs(math.log(vol)) if pos.size else 0.0
+
+
+def _ld_embed_lhs(f, w, theta, r, s) -> tuple[float, float]:
+    """The former embed_check_cubes lhs, mf^r * b^(r/s - r) in long double,
+    and the log span of the masses it read.  The f-masses are clamped at 0
+    as the code now does; a negative cancellation residual made the former
+    lhs NaN."""
+    tab, num = w.prefix(theta), weighted_mass_prefix(f, w)
+    total, span = _LD(0.0), 0.0
+    for lo, hi, vol in _levels(w.lattice):
+        b = _ld_bumps(tab, theta, lo, hi, vol).astype(_LD)
+        mf = np.maximum(box_masses(num, lo, hi), _LD(0.0))
+        pos = b > 0.0
+        total += (np.power(mf[pos], _LD(r)) * np.power(b[pos], _LD(r / s - r))).sum(dtype=_LD)
+        span = max(span, _log_span(box_masses(tab, lo, hi), vol), _log_span(mf[pos], vol))
+    return float(np.power(total, _LD(1.0) / _LD(r))), span
+
+
+def _ld_carleson_lhs(w, theta, rho) -> tuple[float, float]:
+    """The former automatic_carleson lhs over the whole box, b^rho in long double."""
+    tab = w.prefix(theta)
+    total, span = _LD(0.0), 0.0
+    for lo, hi, vol in _levels(w.lattice):
+        b = _ld_bumps(tab, theta, lo, hi, vol).astype(_LD).ravel()
+        total += np.power(b, _LD(rho)).sum(dtype=_LD)
+        span = max(span, _log_span(box_masses(tab, lo, hi), vol))
+    return float(total), span
+
+
+def _close(got: float, want: float, log_span: float) -> bool:
+    return abs(got - want) <= 2.0**-50 * (1.0 + log_span) * abs(want)
+
+
+def _lattice_logs(draw, lat, lo, hi) -> np.ndarray:
+    """Cell values log-uniform in [10^lo, 10^hi]."""
+    n = lat.cell_count
+    return 10.0 ** np.array(draw(st.lists(st.floats(lo, hi), min_size=n, max_size=n)))
+
+
+@st.composite
+def _weights(draw):
+    lat = make_lattice(draw(st.integers(1, 2)), draw(st.integers(0, 4)))
+    return Weight(lat, _lattice_logs(draw, lat, -75.0, 75.0))
+
+
+@st.composite
+def _embed_cases(draw):
+    w = draw(_weights())
+    r = draw(st.floats(1.25, 4.0))
+    s = draw(st.floats(1.1, r - 0.1))
+    f = GridFunction(w.lattice, _lattice_logs(draw, w.lattice, -2.0, 2.0))
+    return w, f, draw(st.floats(1.0, 3.0, exclude_min=True)), r, s
+
+
+# every mass near 1e-77: the split form mf^r * b^(r/s - r) underflows here
+_TINY = Weight(make_lattice(2, 2), np.full(16, 1e-75))
+_TINY_CASE = (_TINY, GridFunction(_TINY.lattice, np.ones(16)), 3.0, 4.0, 1.1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weights(), st.floats(1.0, 3.0), st.data())
+def test_bump_cube_matches_long_double_oracle(w, theta, data):
+    lat = w.lattice
+    hi = tuple(data.draw(st.integers(1, lat.cells_per_axis)) for _ in range(lat.dim))
+    box = Rect((0,) * lat.dim, hi)
+    vol = box.cells * lat.cell_volume
+    tab = _ld_table(w, theta)
+    want = float(_ld_bumps(tab, theta, box.lo, box.hi, vol))
+    mass = float(box_masses(tab, box.lo, box.hi))
+    assert _close(bump_cube(box, w, theta), want, abs(math.log(mass)) + abs(math.log(vol)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(_weights(), st.data())
+def test_theta_one_bumps_keep_the_former_bits(w, data):
+    lat = w.lattice
+    cut = st.lists(st.integers(0, lat.cells_per_axis), min_size=2, max_size=2)
+    edges = [sorted(data.draw(cut)) for _ in range(lat.dim)]
+    box = Rect(tuple(e[0] for e in edges), tuple(e[1] for e in edges))
+    vol = box.cells * lat.cell_volume
+    want = float(_ld_bumps(_ld_table(w, 1.0), 1.0, box.lo, box.hi, vol))
+    assert bump_cube(box, w, 1.0) == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(_weights(), st.floats(1.0, 4.0), st.data())
+def test_lp_norm_matches_long_double_oracle(w, p, data):
+    f = GridFunction(w.lattice, _lattice_logs(data.draw, w.lattice, -75.0, 75.0))
+    want = _ld_lp_norm(f, w, p)
+    assert _close(lp_norm(f, w, p), want, abs(math.log(want)) * p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_embed_cases())
+@example(_TINY_CASE)
+def test_embed_cubes_lhs_matches_long_double_oracle(case):
+    w, f, theta, r, s = case
+    want, span = _ld_embed_lhs(f, w, theta, r, s)
+    assert _close(embed_check_cubes(f, w, theta, r, s).lhs, want, span)
+
+
+# theta or rho within ~1e-16 of 1 makes the explicit constant divide by zero
+@settings(max_examples=200, deadline=None)
+@given(_weights(), st.floats(1.01, 3.0), st.floats(1.01, 4.0))
+def test_automatic_carleson_lhs_matches_long_double_oracle(w, theta, rho):
+    want, span = _ld_carleson_lhs(w, theta, rho)
+    got = automatic_carleson(full_rect(w.lattice), w, theta, rho).lhs_sum
+    assert _close(got, want, span)

@@ -1,0 +1,189 @@
+"""Dump every reported number of a checkout, or compare two dumps.
+
+    python tools/drift_dump.py --seed 0 --out new.json
+    python tools/drift_dump.py --src OTHER/src --seed 0 --out old.json
+    python tools/drift_dump.py --compare old.json new.json
+
+A dump holds, with all their digits, every row of `dyadlab verify` at the
+given seed (default depths) and the values and witnesses of the benchmark's
+scan2d and norm2d task calls on the first --units weight pairs of that seed
+(inputs from bench/workloads.py).  dyadlab is imported from --src, the
+src/ directory next to this script unless given, so one script dumps any
+checkout.  --compare prints every quantity (a name with its unit and
+list index wildcarded) that moved, with its worst relative and absolute
+drift and where it happened, then every witness, pass flag or other text
+field that differs.
+"""
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import re
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def _verify_rows(seed: int, out: dict) -> None:
+    from dyadlab.suite import run_suite
+
+    for row in run_suite(depth=8, depth_2d=5, seed=seed):
+        key = f"verify/{row.name}"
+        out[f"{key}/lhs"] = float(row.lhs)
+        out[f"{key}/bound"] = float(row.bound)
+        out[f"{key}/pass"] = str(bool(row.passed))
+        out[f"{key}/witness"] = row.witness
+
+
+def _scan2d(seed: int, unit: int, out: dict) -> None:
+    import workloads as wl
+    from dyadlab import characteristic, doubling_report, gen_weight, make_lattice
+
+    spec_s, spec_o = wl.pair_specs("scan2d", seed, unit)
+    lat = make_lattice(2, wl.SCAN_DEPTH)
+    sigma, omega = gen_weight(lat, spec_s), gen_weight(lat, spec_o)
+    key = f"scan2d/u{unit}"
+    for kind in ("product_bump", "half_bump_omega", "no_bump"):
+        res = characteristic(kind, None, sigma, omega, wl.EXPS, family="dyadic")
+        out[f"{key}/{kind}/value"] = res.value
+        out[f"{key}/{kind}/witness"] = wl.describe(res.witness)
+    lat6 = make_lattice(2, wl.ONETHIRD_DEPTH)
+    res = characteristic(
+        "no_bump", None, gen_weight(lat6, spec_s), gen_weight(lat6, spec_o), wl.EXPS,
+        family="onethird",
+    )
+    out[f"{key}/no_bump_onethird/value"] = res.value
+    out[f"{key}/no_bump_onethird/witness"] = wl.describe(res.witness)
+    rep = doubling_report(omega, "cube")
+    out[f"{key}/doubling_cube/value"] = rep.constant
+    out[f"{key}/doubling_cube/witness"] = wl.describe(rep.witnesses["doubling"])
+    rep = doubling_report(omega, "product_reverse")
+    out[f"{key}/doubling_product_reverse/rev_eps"] = list(rep.rev_eps)
+    out[f"{key}/doubling_product_reverse/rev_eps_cube"] = rep.rev_eps_cube
+    for name, wit in sorted(rep.witnesses.items()):
+        out[f"{key}/doubling_product_reverse/{name}/witness"] = wl.describe(wit)
+
+
+def _norm2d(seed: int, unit: int, out: dict) -> None:
+    import workloads as wl
+    from dyadlab import (
+        KernelHandle,
+        characteristic,
+        embed_check_rects,
+        gen_weight,
+        make_lattice,
+        norm_estimate,
+    )
+
+    spec_s, spec_o = wl.pair_specs("norm2d", seed, unit)
+    lat = make_lattice(2, wl.NORM_DEPTH)
+    sigma, omega = gen_weight(lat, spec_s), gen_weight(lat, spec_o)
+    key = f"norm2d/u{unit}"
+    est = norm_estimate(KernelHandle.from_exponents(wl.EXPS), sigma, omega, wl.EXPS)
+    out[f"{key}/norm_estimate/lower_bound"] = est.lower_bound
+    out[f"{key}/norm_estimate/indicator_floor"] = est.indicator_floor
+    out[f"{key}/norm_estimate/trace"] = [obj for _, _, obj in est.trace]
+    for kind in ("no_bump", "product_bump"):
+        res = characteristic(kind, None, sigma, omega, wl.EXPS, family="dyadic")
+        out[f"{key}/{kind}/value"] = res.value
+        out[f"{key}/{kind}/witness"] = wl.describe(res.witness)
+    runs = {
+        "embed_sigma": (est.best_f, sigma, wl.R_MID, wl.EXPS.p),
+        "embed_omega": (est.best_g, omega, wl.R_CONJ, wl.EXPS.q_prime),
+    }
+    for name, (f, w, r, s) in runs.items():
+        rep = embed_check_rects(f, w, wl.EXPS.theta, r, s, m=1)
+        for field in ("lhs", "rhs_norm", "ratio", "intermediate", "minkowski_mid",
+                      "max_slice_ratio", "max_point_ratio"):
+            out[f"{key}/{name}/{field}"] = getattr(rep, field)
+
+
+def dump(seed: int, units: int) -> dict:
+    out: dict = {}
+    _verify_rows(seed, out)
+    for unit in range(units):
+        _scan2d(seed, unit, out)
+        _norm2d(seed, unit, out)
+    return out
+
+
+def _flat(values: dict):
+    """(name, value) pairs with list entries as name[i]."""
+    for name, val in values.items():
+        if isinstance(val, list):
+            for i, v in enumerate(val):
+                yield f"{name}[{i}]", v
+        else:
+            yield name, val
+
+
+def _quantity(name: str) -> str:
+    """The name with its unit and list index wildcarded."""
+    return re.sub(r"\[\d+\]", "[*]", re.sub(r"/u\d+/", "/*/", name))
+
+
+def _rel(a: float, b: float) -> float:
+    if a == b or (math.isnan(a) and math.isnan(b)):
+        return 0.0
+    scale = max(abs(a), abs(b))
+    return math.inf if scale == 0.0 or not math.isfinite(scale) else abs(a - b) / scale
+
+
+def compare(old: dict, new: dict) -> str:
+    a, b = dict(_flat(old)), dict(_flat(new))
+    lines = []
+    worst: dict[str, list] = {}  # quantity -> [rel, abs, where, moved, seen]
+    texts = []
+    for name in sorted(a.keys() | b.keys()):
+        if name not in a or name not in b:
+            texts.append(f"  {name}: only in {'new' if name in b else 'old'}")
+            continue
+        x, y = a[name], b[name]
+        if isinstance(x, float) and isinstance(y, float):
+            entry = worst.setdefault(_quantity(name), [0.0, 0.0, "", 0, 0])
+            entry[4] += 1
+            if x != y:
+                entry[3] += 1
+                entry[1] = max(entry[1], abs(x - y))
+                if _rel(x, y) >= entry[0]:
+                    entry[0], entry[2] = _rel(x, y), f"{name}: {x!r} -> {y!r}"
+        elif x != y:
+            texts.append(f"  {name}: {x!r} -> {y!r}")
+    moved = {q: e for q, e in worst.items() if e[3]}
+    lines.append(
+        f"numbers that moved, worst relative and absolute drift per quantity "
+        f"({len(worst) - len(moved)} of {len(worst)} quantities kept every bit):"
+    )
+    for q, (rel, absd, where, n_moved, seen) in sorted(moved.items()):
+        lines.append(f"  {q}: rel {rel:.3g}, abs {absd:.3g} ({n_moved}/{seen} moved) at {where}")
+    overall = max((e[0] for e in worst.values()), default=0.0)
+    lines.append(f"overall worst relative drift: {overall:.3g}")
+    lines.append(f"changed witnesses and text fields: {len(texts)}")
+    lines.extend(texts)
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--units", type=int, default=2, help="weight pairs per bench workload")
+    ap.add_argument("--out", type=Path)
+    ap.add_argument("--src", type=Path, default=ROOT / "src", help="dyadlab source to dump")
+    ap.add_argument("--compare", nargs=2, type=Path, metavar=("OLD", "NEW"))
+    ns = ap.parse_args(argv)
+    if ns.compare:
+        old, new = (json.loads(p.read_text())["values"] for p in ns.compare)
+        print(compare(old, new))
+        return 0
+    if ns.out is None:
+        ap.error("--out is needed unless --compare is given")
+    sys.path[:0] = [str(ns.src.resolve()), str(ROOT / "bench")]
+    values = dump(ns.seed, ns.units)
+    ns.out.write_text(json.dumps({"seed": ns.seed, "units": ns.units, "values": values}, indent=1))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
