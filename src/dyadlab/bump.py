@@ -5,7 +5,8 @@ The theta-bump of a box Q under a weight with density u is
     vol(Q)^(1 - 1/theta) * (integral of u^theta over Q)^(1/theta)
 
 with theta = 1 reducing to the plain mass.  Every bump here takes its
-masses from lattice.box_masses, and every characteristic value comes from
+masses from lattice.box_masses through one map, _bump_map (boxes, slice
+profiles and whole levels of them), and every characteristic value comes from
 one batch evaluator, _products: kernel factor times the two bump powers
 for the outer product of a batch of factor cubes.  The scan feeds it whole
 grid levels, coarsest first, and keeps the first maximizer;
@@ -30,6 +31,7 @@ from .grids import Cube, DyadicGrid, DyadicRect, onethird_grids, standard_grid
 from .lattice import (
     Rect,
     Weight,
+    _block_sums,
     _weight_masses,
     make_lattice,
     rect_volume,
@@ -151,18 +153,20 @@ class KernelHandle:
 PowerKernel = KernelHandle
 
 
-def _bumps(w: Weight, theta: float, lo, hi, vol: float) -> np.ndarray:
-    """Theta-bumps of the boxes spanned by lo/hi, all of volume vol.
+def _bump_map(masses, vol: float, theta: float) -> np.ndarray:
+    """vol^(1 - 1/theta) * mass^(1/theta), every bump in the package.
 
-    Masses come from the weight's long-double table, exactly 0 on boxes
-    holding no positive cell, and are rounded to float64 once; the volume
-    factor is one float64 power per batch and the mass power is float64,
-    so theta = 1 returns the rounded masses themselves.  Every bump in the
-    package goes through here.
-    """
-    masses = np.maximum(_weight_masses(w, lo, hi, theta), _LD(0.0)).astype(np.float64)
+    Long-double masses are clamped at 0 and rounded to float64 once; the
+    volume factor is one float64 power per call, so theta = 1 returns the
+    rounded masses themselves."""
+    masses = np.maximum(masses, _LD(0.0)).astype(np.float64)
     inv_theta = 1.0 / theta
     return float(vol) ** (1.0 - inv_theta) * np.power(masses, inv_theta)
+
+
+def _bumps(w: Weight, theta: float, lo, hi, vol: float) -> np.ndarray:
+    """Theta-bumps of w's boxes spanned by lo/hi, all of volume vol."""
+    return _bump_map(_weight_masses(w, lo, hi, theta), vol, theta)
 
 
 def bump_cube(rect: Rect, w: Weight, theta: float) -> float:
@@ -203,10 +207,18 @@ def slice_profile(j_rect: Rect, w: Weight, theta: float) -> Weight:
     sel = (slice(None),) * m + tuple(slice(j_rect.lo[k], j_rect.hi[k]) for k in range(n))
     cell_vol = w.lattice.cell_side**n
     cellwise = np.power(w.density[sel], float(theta)).astype(_LD)
-    mass = (cellwise.sum(axis=tuple(range(m, d))) * _LD(cell_vol)).astype(np.float64)
-    inv_theta = 1.0 / theta
-    prof = (cell_vol * j_rect.cells) ** (1.0 - inv_theta) * np.power(mass, inv_theta)
+    mass = cellwise.sum(axis=tuple(range(m, d))) * _LD(cell_vol)
+    prof = _bump_map(mass, cell_vol * j_rect.cells, theta)
     return Weight(make_lattice(m, w.lattice.depth), prof.reshape(-1))
+
+
+def _level_profiles(w: Weight, theta: float, n: int, level: int) -> np.ndarray:
+    """slice_profile(J).density, bit for bit, of every dyadic J of the last
+    n axes at one level, from one block sum; J's index axes lead."""
+    side = w.lattice.cells_per_axis >> level
+    cell_vol = w.lattice.cell_side**n
+    mass = _block_sums(np.power(w.density, float(theta)).astype(_LD), n, side) * _LD(cell_vol)
+    return _bump_map(mass, cell_vol * side**n, theta)
 
 
 def random_partition(lattice, seed: int, split_prob: float = 0.7) -> list[Rect]:

@@ -5,17 +5,21 @@ lattice, truncated at its depth.  The checks below are statements about
 one fixed grid, so the optional grid argument exists for call-site
 symmetry and must be a standard grid when present.  The good-cube
 Carleson sum takes cube goodness from the skeleton-goodness kernel in
-`grids`.
+`grids`.  One batched evaluator, _embeddings, makes every embedding sum:
+the cube check and the rectangle lhs are its batch of one, and the
+rectangle proof chain is one call per level of slices and one over the
+points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import product as _iproduct
 
 import numpy as np
 
-from .bump import _bumps, bump_cube, slice_profile
+from .bump import _bump_map, _bumps, _level_profiles, bump_cube
 from .errors import ContractViolationError, DomainError, ShapeError
 from .grids import DyadicGrid, GoodnessParams, _good_cubes
 from .lattice import (
@@ -23,12 +27,18 @@ from .lattice import (
     Lattice,
     Rect,
     Weight,
+    _accumulate,
+    _block_sums,
+    _build_table,
+    _lp_norms,
+    _masses,
+    _positive_counts,
+    _refine_array,
     _weight_masses,
     box_masses,
     doubling_report,
     full_rect,
     integrate,
-    lp_norm,
     make_lattice,
     rect_at,
     tile_edges,
@@ -84,19 +94,12 @@ def _subcubes(lat: Lattice, P: Rect, level: int) -> tuple[list, list, float]:
     return lo, hi, 2.0 ** (-level * lat.dim)
 
 
-def _embed_terms(b: np.ndarray, mf: np.ndarray, r: float, s: float) -> np.longdouble:
-    """Sum of bump^(r/s) * (mf / bump)^r over the boxes of positive bump.
-
-    Each term is one float64 power of a moderate quantity,
-    (mf * bump^(1/s - 1))^r, and the terms accumulate in long double; the
-    split form mf^r * bump^(r/s - r) underflows in float64 for small
-    masses.  An f-mass is clamped at 0 like the bump masses: a negative
-    cancellation residual would make its term NaN."""
-    pos = b > 0.0
-    if not pos.any():
-        return _LD(0.0)
-    mf = np.maximum(mf[pos].astype(np.float64), 0.0)
-    return np.power(mf * np.power(b[pos], 1.0 / s - 1.0), r).sum(dtype=_LD)
+def _series_gap(decay: float, exponents: str) -> float:
+    """1 - 2^-decay, a geometric series constant's denominator."""
+    gap = 1.0 - 2.0 ** (-decay)
+    if gap == 0.0:
+        raise DomainError(f"1 - 2^-{decay!r} rounds to 0: {exponents} lie too close to 1")
+    return gap
 
 
 def _ratio(lhs: float, rhs: float) -> float:
@@ -150,14 +153,12 @@ def stopping_cubes(
     cut = 2.0 ** (k - 1)
     restricted = GridFunction(lat, np.where(f.values > cut, f.values, 0.0))
     num_cut = weighted_mass_prefix(restricted, w)
-
-    top = full_rect(lat)
     blocked = np.zeros((1,) * lat.dim, dtype=bool)
     cubes: list[Rect] = []
     averages: list[float] = []
     refined: list[bool] = []
     for level in range(lat.depth + 1):
-        lo, hi, vol = _subcubes(lat, top, level)
+        lo, hi, vol = _subcubes(lat, full_rect(lat), level)
         b = _bumps(w, theta, lo, hi, vol)
         mf = box_masses(num, lo, hi).astype(np.float64)
         avg = np.where(b > 0.0, mf / np.where(b > 0.0, b, 1.0), 0.0)
@@ -168,10 +169,8 @@ def stopping_cubes(
             cubes.append(rect_at(lo, hi, i))
             averages.append(float(avg.flat[i]))
             refined.append(float(mass_cut.flat[i]) > cut * float(b.flat[i]))
-        blocked = blocked | chosen
         if level < lat.depth:
-            for ax in range(lat.dim):
-                blocked = np.repeat(blocked, 2, axis=ax)
+            blocked = _refine_array(blocked | chosen, 1)
     return StoppingFamily(
         k=int(k), cubes=tuple(cubes), averages=tuple(averages), refined_ok=tuple(refined)
     )
@@ -216,12 +215,12 @@ def automatic_carleson(
     lat = w.lattice
     _require_standard(grid, lat.dim)
     level_p = _dyadic_level(lat, P)
+    decay = lat.dim * (rho - 1.0) * (1.0 - 1.0 / theta)
+    constant = 1.0 / _series_gap(decay, f"rho={rho!r}, theta={theta!r}")
     total = _LD(0.0)
     for level in range(level_p, lat.depth + 1):
         b = _bumps(w, theta, *_subcubes(lat, P, level))
         total += np.power(b, rho).sum(dtype=_LD)
-    inv_theta_prime = 1.0 - 1.0 / theta
-    constant = 1.0 / (1.0 - 2.0 ** (-lat.dim * (rho - 1.0) * inv_theta_prime))
     top = bump_cube(P, w, theta)
     rhs = constant * float(_LD(top) ** _LD(rho))
     lhs = float(total)
@@ -270,7 +269,8 @@ def good_carleson(
 
     decay = eta_val * (1.0 - goodness.eps) * (rho - 1.0)
     trivial = (goodness.r + 1) * 2.0 ** (lat.dim * goodness.r)
-    constant = trivial + float(scan.rev_C) / (1.0 - 2.0 ** (-decay))
+    gap = _series_gap(decay, f"eta={eta_val!r}, eps={goodness.eps!r}, rho={rho!r}")
+    constant = trivial + float(scan.rev_C) / gap
 
     total = _LD(0.0)
     for level in range(level_p, lat.depth + 1):
@@ -297,6 +297,31 @@ class EmbedReport:
     ratio: float
 
 
+def _embeddings(f, u, lat: Lattice, theta: float, r: float, s: float, levels=None):
+    """Float64 lhs and L^s norm and long-double lhs^r of the embedding of
+    cellwise f under density u (trailing axes the lattice lat, leading ones
+    a batch), over the boxes of each per-axis level tuple in levels (the
+    dyadic cubes when None).  A batch index sums its terms in one run, so
+    it keeps the bits of a batch of one.  Each term is one float64 power,
+    (mf * bump^(1/s - 1))^r, as mf^r * bump^(r/s - r) underflows; f-masses
+    are clamped at 0, as a negative residual would make a term NaN."""
+    if f.shape != u.shape:
+        raise ShapeError("function and weight live on different lattices")
+    num = _accumulate(lat, f.astype(_LD) * u)
+    tab = _build_table(lat, u, theta)
+    count = _positive_counts(lat, u)
+    total = _LD(0.0)
+    for lv in levels or [(level,) * lat.dim for level in range(lat.depth + 1)]:
+        lo, hi = tile_edges((0,) * lat.dim, lat.shape, [lat.cells_per_axis >> k for k in lv])
+        b = _bump_map(_masses(tab, count, lo, hi), 2.0 ** -sum(lv), theta)
+        pos = b > 0.0
+        mf = np.maximum(box_masses(num, lo, hi).astype(np.float64), 0.0)
+        terms = np.where(pos, np.power(mf * np.power(np.where(pos, b, 1.0), 1 / s - 1), r), 0.0)
+        total = total + terms.reshape(terms.shape[: -lat.dim] + (-1,)).sum(axis=-1, dtype=_LD)
+    lhs = np.power(total, _LD(1.0) / _LD(r)).astype(np.float64)
+    return lhs, _lp_norms(lat, f, u, s).astype(np.float64), total
+
+
 def embed_check_cubes(
     f: GridFunction,
     w: Weight,
@@ -307,24 +332,17 @@ def embed_check_cubes(
 ) -> EmbedReport:
     """lhs = {sum over cubes of bump^(r/s) * average^r}^(1/r) vs the L^s norm.
 
-    Cubes of zero bump carry no f-mass and are skipped.  Each term is one
+    Cubes of zero bump carry no f-mass and add nothing.  Each term is one
     float64 power, (mass * bump^(1/s - 1))^r, of the f-mass rounded once,
-    and the terms accumulate in long double.
+    and the terms accumulate in long double.  This is the batched
+    evaluator on a batch of one.
     """
     if theta <= 1.0:
         raise DomainError(f"the cube embedding needs theta > 1, got {theta}")
     if not 1.0 < s < r:
         raise DomainError(f"exponents must satisfy 1 < s < r, got s={s}, r={r}")
-    lat = w.lattice
-    _require_standard(grid, lat.dim)
-    num = weighted_mass_prefix(f, w)
-    top = full_rect(lat)
-    total = _LD(0.0)
-    for level in range(lat.depth + 1):
-        lo, hi, vol = _subcubes(lat, top, level)
-        total += _embed_terms(_bumps(w, theta, lo, hi, vol), box_masses(num, lo, hi), r, s)
-    lhs = float(np.power(total, _LD(1.0) / _LD(r)))
-    rhs = lp_norm(f, w, s)
+    _require_standard(grid, w.lattice.dim)
+    lhs, rhs = (float(v) for v in _embeddings(f.values, w.density, w.lattice, theta, r, s)[:2])
     return EmbedReport(lhs, rhs, _ratio(lhs, rhs))
 
 
@@ -362,7 +380,8 @@ def embed_check_rects(
     The chain lhs^r <= max_slice_ratio^r * intermediate, then
     intermediate^(s/r) <= minkowski_mid <= max_point_ratio^s * rhs_norm^s,
     is verified numerically and a violation raises, since each link is an
-    identity or a theorem once the per-slice ratios are measured.
+    identity or a theorem once the per-slice ratios are measured.  The
+    per-slice and per-point embeddings are batched level reductions.
     """
     if theta <= 1.0:
         raise DomainError(f"the rectangle embedding needs theta > 1, got {theta}")
@@ -375,98 +394,45 @@ def embed_check_rects(
         gi, gj = grids
         _require_standard(gi, m)
         _require_standard(gj, lat.dim - m)
-    n_ax = lat.dim - m
-    cells = lat.cells_per_axis
-    depth = lat.depth
+    pairs = _iproduct(range(lat.depth + 1), repeat=2)
+    levels = [(li,) * m + (lj,) * (lat.dim - m) for li, lj in pairs]
+    lhs, rhs, total = _embeddings(f.values, w.density, lat, theta, r, s, levels)
+    lhs, rhs = float(lhs), float(rhs)
+    chain = _chain(total, rhs, _proof_chain(f, w, theta, r, s, m), r, s)
+    return EmbedRectReport(lhs, rhs, _ratio(lhs, rhs), *chain)
 
-    num = weighted_mass_prefix(f, w)
-    total = _LD(0.0)
-    for li in range(depth + 1):
-        for lj in range(depth + 1):
-            sides = (cells >> li,) * m + (cells >> lj,) * n_ax
-            lo, hi = tile_edges((0,) * lat.dim, (cells,) * lat.dim, sides)
-            vol = 2.0 ** (-(li * m + lj * n_ax))
-            total += _embed_terms(_bumps(w, theta, lo, hi, vol), box_masses(num, lo, hi), r, s)
-    lhs = float(np.power(total, _LD(1.0) / _LD(r)))
-    rhs = lp_norm(f, w, s)
 
-    # Proof chain, part one: slice against every dyadic J.
+def _proof_chain(f: GridFunction, w: Weight, theta: float, r: float, s: float, m: int):
+    """slice_lhs, slice_rhs: cube embeddings of g_J under the slice profile
+    of each dyadic J (by level, then C order), one call per level;
+    point_lhs, point_rhs: of f(x, .) under w(x, .), x in C order."""
+    lat = w.lattice
+    n_ax, depth = lat.dim - m, lat.depth
     m_lat = make_lattice(m, depth)
-    n_lat = make_lattice(n_ax, depth)
-    cellvol_n = _LD(2.0) ** (-n_ax * depth)
-    f_shaped = f.values.astype(_LD)
-    u_shaped = w.density.astype(_LD)
-    lead = (slice(None),) * m
-    trailing_axes = tuple(range(m, lat.dim))
-    intermediate = _LD(0.0)
-    lhs_r_check = _LD(0.0)
-    max_slice_ratio = 0.0
+    fu = f.values.astype(_LD) * w.density.astype(_LD)
+    slices = []
     for lj in range(depth + 1):
-        side = cells >> lj
-        for j_idx in np.ndindex(*((1 << lj,) * n_ax)):
-            j_rect = Rect(tuple(i * side for i in j_idx), tuple((i + 1) * side for i in j_idx))
-            nu = slice_profile(j_rect, w, theta)
-            sel = lead + tuple(slice(a, b) for a, b in zip(j_rect.lo, j_rect.hi))
-            h = (f_shaped[sel] * u_shaped[sel]).sum(axis=trailing_axes) * cellvol_n
-            dens = nu.density
-            g = np.where(dens > 0.0, h.astype(np.float64) / np.where(dens > 0.0, dens, 1.0), 0.0)
-            rep = embed_check_cubes(GridFunction(m_lat, g), nu, theta, r, s)
-            intermediate += _LD(rep.rhs_norm) ** _LD(r)
-            lhs_r_check += _LD(rep.lhs) ** _LD(r)
-            if rep.rhs_norm > 0.0:
-                max_slice_ratio = max(max_slice_ratio, rep.ratio)
+        dens = _level_profiles(w, theta, n_ax, lj)
+        h = _block_sums(fu, n_ax, lat.cells_per_axis >> lj) * _LD(2.0) ** (-n_ax * depth)
+        g = np.where(dens > 0.0, h.astype(np.float64) / np.where(dens > 0.0, dens, 1.0), 0.0)
+        slices.append([v.ravel() for v in _embeddings(g, dens, m_lat, theta, r, s)[:2]])
+    slice_lhs, slice_rhs = (np.concatenate(v) for v in zip(*slices))
+    points = _embeddings(f.values, w.density, make_lattice(n_ax, depth), theta, r, s)[:2]
+    return slice_lhs, slice_rhs, *(v.ravel() for v in points)
 
-    # Part two: the per-point slice lemma on the other factor.
-    cellvol_m = _LD(2.0) ** (-m * depth)
-    minkowski_mid = _LD(0.0)
-    norm_check = _LD(0.0)
-    max_point_ratio = 0.0
-    for x_idx in np.ndindex(*((cells,) * m)):
-        sel = tuple(x_idx) + (slice(None),) * n_ax
-        wx = Weight(n_lat, w.density[sel])
-        fx = GridFunction(n_lat, f.values[sel])
-        rep = embed_check_cubes(fx, wx, theta, r, s)
-        minkowski_mid += (_LD(rep.lhs) ** _LD(s)) * cellvol_m
-        norm_check += (_LD(rep.rhs_norm) ** _LD(s)) * cellvol_m
-        if rep.rhs_norm > 0.0:
-            max_point_ratio = max(max_point_ratio, rep.ratio)
 
-    _assert_chain(
-        total,
-        lhs_r_check,
-        intermediate,
-        minkowski_mid,
-        norm_check,
-        rhs,
-        max_slice_ratio,
-        max_point_ratio,
-        r,
-        s,
+def _chain(total: np.longdouble, rhs: float, parts, r: float, s: float) -> tuple:
+    """intermediate, minkowski_mid and the largest slice and point ratios
+    of the _proof_chain parts, each link (exact mathematics, slack only for
+    rounding) checked.  Sums add one term at a time, whatever the batches."""
+    lhs_r_check, intermediate = (np.cumsum(np.power(v.astype(_LD), _LD(r)))[-1] for v in parts[:2])
+    cellvol_m = _LD(1.0) / parts[2].size
+    minkowski_mid, norm_check = (
+        np.cumsum(np.power(v.astype(_LD), _LD(s)) * cellvol_m)[-1] for v in parts[2:]
     )
-    return EmbedRectReport(
-        lhs,
-        rhs,
-        _ratio(lhs, rhs),
-        float(intermediate),
-        float(minkowski_mid),
-        max_slice_ratio,
-        max_point_ratio,
+    max_slice_ratio, max_point_ratio = (
+        float(np.max(a[b > 0.0] / b[b > 0.0], initial=0.0)) for a, b in (parts[:2], parts[2:])
     )
-
-
-def _assert_chain(
-    total: np.longdouble,
-    lhs_r_check: np.longdouble,
-    intermediate: np.longdouble,
-    minkowski_mid: np.longdouble,
-    norm_check: np.longdouble,
-    rhs: float,
-    max_slice_ratio: float,
-    max_point_ratio: float,
-    r: float,
-    s: float,
-) -> None:
-    """Every link is exact mathematics; slack only absorbs rounding."""
     loose = _LD(1.0 + 1e-6)
     tight = _LD(1.0 + 1e-9)
     scale = max(float(total), float(lhs_r_check), 1e-300)
@@ -496,3 +462,4 @@ def _assert_chain(
             f"norm bookkeeping broke: sliced norm^s {float(norm_check)} vs "
             f"direct {float(rhs_s)}"
         )
+    return float(intermediate), float(minkowski_mid), max_slice_ratio, max_point_ratio

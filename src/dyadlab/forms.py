@@ -29,7 +29,6 @@ from .grids import DyadicGrid, DyadicRect, GoodnessParams, _good_cubes, deepest_
 from .lattice import (
     GridFunction,
     Lattice,
-    Rect,
     Weight,
     _weight_masses,
     box_list,

@@ -9,7 +9,8 @@ that broadcast together (a level's outer-product grid of cubes, or a
 zipped list of boxes) it returns every box's mass as a mixed corner
 difference, looking the table up directly on whole-cell edges and
 interpolating it multilinearly on fractional ones (one-third grids).
-gather_boxes only adapts explicit (N, d, 2) box lists to it.
+Leading table axes are a batch: one call reads a level from a stack of
+tables.  gather_boxes only adapts explicit (N, d, 2) box lists to it.
 
 Precision policy: long double only where cancellation happens.  Prefix
 tables are accumulated and their corners differenced in np.longdouble,
@@ -188,7 +189,7 @@ class Weight:
         self.lattice = lattice
         self.density = arr
         self._prefix: dict[float, np.ndarray] = {}
-        self._count: np.ndarray | bool | None = None
+        self._count: np.ndarray | bool | None = False
 
     def prefix(self, theta: float = 1.0) -> np.ndarray:
         theta = float(theta)
@@ -199,15 +200,6 @@ class Weight:
             tab = _build_table(self.lattice, self.density, theta)
             self._prefix[theta] = tab
         return tab
-
-    def _positive_count(self) -> np.ndarray | None:
-        """Prefix count of positive-density cells, built on first use, or
-        None when every cell is positive and no box can be empty."""
-        count = self._count
-        if count is None:
-            pos = self.density > 0.0
-            count = self._count = False if pos.all() else _accumulate(self.lattice, pos, np.int32)
-        return None if count is False else count
 
     def total_mass(self) -> float:
         return float(self.prefix(1.0).flat[-1])
@@ -236,19 +228,25 @@ class GridFunction:
 
 
 def _accumulate(lat: Lattice, cellwise: np.ndarray, dtype=_LD) -> np.ndarray:
-    """Prefix table of cellwise values, scaled by the cell volume unless the
-    table counts cells (an integer dtype); the scaling is exact."""
+    """Prefix table of cellwise values over the trailing lat axes, scaled
+    (exactly) by the cell volume unless it counts cells (integer dtype)."""
     n = lat.cells_per_axis
-    tab = np.zeros((n + 1,) * lat.dim, dtype=dtype)
-    inner = tab[(slice(1, None),) * lat.dim]
+    tab = np.zeros(cellwise.shape[: cellwise.ndim - lat.dim] + (n + 1,) * lat.dim, dtype=dtype)
+    inner = tab[(..., *(slice(1, None),) * lat.dim)]
     if np.dtype(dtype).kind == "f":
         np.multiply(cellwise, _LD(lat.cell_volume), out=inner)
     else:
         inner[...] = cellwise
-    for ax in range(lat.dim):
+    for ax in range(-lat.dim, 0):
         np.cumsum(inner, axis=ax, out=inner)
     tab.flags.writeable = False
     return tab
+
+
+def _positive_counts(lat: Lattice, density: np.ndarray) -> np.ndarray | None:
+    """Prefix count of density's positive cells, None if every cell is."""
+    pos = density > 0.0
+    return None if pos.all() else _accumulate(lat, pos, np.int32)
 
 
 def _build_table(lat: Lattice, density: np.ndarray, theta: float) -> np.ndarray:
@@ -297,7 +295,7 @@ def _corner_values(tab: np.ndarray, pts: list):
             i, lo_w, hi_w = pts[k]
             idx[k] = i + c
             wgt = (hi_w if c else lo_w) if wgt is None else wgt * (hi_w if c else lo_w)
-        term = wgt * tab[tuple(idx)]
+        term = wgt * tab[(..., *idx)]
         out = term if out is None else out + term
     return out
 
@@ -305,24 +303,25 @@ def _corner_values(tab: np.ndarray, pts: list):
 def box_masses(tab: np.ndarray, lo, hi) -> np.ndarray:
     """Masses of every box spanned by per-axis edges, in cell units.
 
-    lo[k] and hi[k] hold axis k's lower and upper edges.  All 2d arrays
-    broadcast together: vectors laid out by np.ix_ give the outer-product
-    grid of a level pair, equal-length vectors give a list of boxes.
-    Edges are clipped to [0, n].  An edge array of whole cells indexes the
-    table directly, any other is interpolated, and for whole-cell values
-    the two paths round identically.  Corners are summed in one fixed
-    order, so a box's mass depends only on its own edges and never on the
-    batch it was gathered in.  Returns np.longdouble masses.
+    lo[k] and hi[k] hold the edges of the k-th of the table's len(lo)
+    trailing axes; leading axes are a batch, which leads the result.  All
+    2d arrays broadcast together: vectors laid out by np.ix_ give the
+    outer-product grid of a level pair, equal-length vectors give a list
+    of boxes.  Edges are clipped to [0, n].  An edge array of whole cells
+    indexes the table directly, any other is interpolated, and for
+    whole-cell values the two paths round identically.  Corners are summed
+    in one fixed order, so a box's mass depends only on its own edges and
+    table, never on the batch it was gathered in.  Returns long doubles.
     """
-    n = tab.shape[0] - 1
+    n = tab.shape[-1] - 1
     ends = [(_edge(a, n), _edge(b, n)) for a, b in zip(lo, hi)]
     out = None
-    for corners, sign in _CORNERS[tab.ndim]:
+    for corners, sign in _CORNERS[len(lo)]:
         pts = [end[c] for end, c in zip(ends, corners)]
         if any(isinstance(p, tuple) for p in pts):
             term = _corner_values(tab, pts)
         else:
-            term = tab[tuple(pts)]
+            term = tab[(..., *pts)]
         if out is None:
             out = term if sign > 0 else -term
         elif sign > 0:
@@ -376,16 +375,33 @@ def _cover(lo, hi) -> tuple[list, list]:
     return clo, chi
 
 
-def _weight_masses(w: Weight, lo, hi, theta: float = 1.0) -> np.ndarray:
-    """box_masses of w's theta table, exactly 0 on boxes that hold no
-    positive cell, where the corner sum of nonzero prefix values need not
-    cancel; the count is read on the whole-cell cover of fractional boxes.
-    Every other box keeps the engine's bits."""
-    masses = box_masses(w.prefix(theta), lo, hi)
-    count = w._positive_count()
+def _masses(tab: np.ndarray, count: np.ndarray | None, lo, hi) -> np.ndarray:
+    """box_masses of tab, exactly 0 on boxes that hold no positive cell by
+    their _positive_counts table, where the corner sum of nonzero prefix
+    values need not cancel; the count is read on the whole-cell cover of
+    fractional boxes.  Every other box keeps the engine's bits."""
+    masses = box_masses(tab, lo, hi)
     if count is not None:
         masses = np.where(box_masses(count, *_cover(lo, hi)) == 0, _LD(0.0), masses)
     return masses
+
+
+def _weight_masses(w: Weight, lo, hi, theta: float = 1.0) -> np.ndarray:
+    """_masses through w's theta table and its positive-cell count, which
+    is built on first use."""
+    if w._count is False:
+        w._count = _positive_counts(w.lattice, w.density)
+    return _masses(w.prefix(theta), w._count, lo, hi)
+
+
+def _block_sums(cells: np.ndarray, n: int, side: int) -> np.ndarray:
+    """out[j + x] = sum of cells[x] over the j-th cube of side cells in the
+    last n axes, summed as one contiguous run like cells[x][cube j].sum()."""
+    m = cells.ndim - n
+    split = cells.reshape(cells.shape[:m] + (cells.shape[-1] // side, side) * n)
+    order = [m + 2 * k for k in range(n)] + list(range(m)) + [m + 2 * k + 1 for k in range(n)]
+    blocks = np.ascontiguousarray(split.transpose(order))
+    return blocks.reshape(blocks.shape[: m + n] + (-1,)).sum(axis=-1)
 
 
 def integrate(w: Weight, rect: Rect) -> float:
@@ -414,9 +430,14 @@ def lp_norm(f: GridFunction, w: Weight, p: float) -> float:
         raise DomainError(f"p must be >= 1, got {p}")
     if f.lattice != w.lattice:
         raise ShapeError("function and weight live on different lattices")
-    acc = np.multiply(np.power(f.values, float(p)), w.density, dtype=_LD)
-    total = acc.sum(dtype=_LD) * _LD(w.lattice.cell_volume)
-    return float(total ** (_LD(1.0) / _LD(p)))
+    return float(_lp_norms(w.lattice, f.values, w.density, p))
+
+
+def _lp_norms(lat: Lattice, f: np.ndarray, u: np.ndarray, p: float) -> np.ndarray:
+    """Long-double lp_norm over the trailing lat axes of f and u."""
+    acc = np.multiply(np.power(f, float(p)), u, dtype=_LD)
+    total = acc.reshape(acc.shape[: acc.ndim - lat.dim] + (-1,)).sum(axis=-1)
+    return (total * _LD(lat.cell_volume)) ** (_LD(1.0) / _LD(p))
 
 
 def _refine_array(a: np.ndarray, extra: int) -> np.ndarray:

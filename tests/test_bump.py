@@ -27,7 +27,7 @@ from dyadlab import (
     random_partition,
     slice_profile,
 )
-from dyadlab.bump import _bumps
+from dyadlab.bump import _bumps, _level_profiles
 from dyadlab.lattice import box_mass, box_masses
 
 
@@ -193,6 +193,26 @@ def test_slice_profile_validation():
         slice_profile(Rect((0, 0), (8, 8)), w, 2.0)
     with pytest.raises(DomainError):
         slice_profile(Rect((0,), (9,)), w, 2.0)
+
+
+@pytest.mark.parametrize("dim,m,depth", [(2, 1, 5), (3, 1, 3), (3, 2, 3)])
+def test_level_profiles_match_slice_profile(dim, m, depth):
+    # one block sum per level gives the slice profile of every dyadic J of
+    # the level, bit for bit; the zero block makes some profiles vanish
+    lat = make_lattice(dim, depth)
+    n = dim - m
+    dens = rand_w(lat, 40 + dim + m, rough=0.9).density.copy()
+    dens[(slice(0, 2),) * dim] = 0.0
+    for w in (rand_w(lat, 30 + dim + m, rough=0.9), Weight(lat, dens)):
+        for theta in (1.0, 1.5, 2.0):
+            for level in range(depth + 1):
+                side = lat.cells_per_axis >> level
+                prof = _level_profiles(w, theta, n, level)
+                assert prof.shape == (1 << level,) * n + lat.shape[:m]
+                for j in np.ndindex(*prof.shape[:n]):
+                    j_rect = Rect(tuple(i * side for i in j), tuple((i + 1) * side for i in j))
+                    want = slice_profile(j_rect, w, theta).density
+                    assert prof[j].tobytes() == want.tobytes(), (theta, level, j)
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ its square root for the rectangle embedding, and the stopping example
 whose only maximal cube is [0, 1/4).
 """
 import math
+from dataclasses import astuple
+from itertools import product
 
 import numpy as np
 import pytest
@@ -34,8 +36,13 @@ from dyadlab import (
     stopping_cubes,
     substream,
 )
+from dyadlab import EmbedRectReport, lp_norm, slice_profile
+from dyadlab.bump import _bumps
+from dyadlab.embed import _proof_chain
 from dyadlab.grids import Cube, _good_rel_mask
-from dyadlab.lattice import box_list, gather_boxes, tile_edges, weighted_mass_prefix
+from dyadlab.lattice import box_list, box_masses, gather_boxes, tile_edges, weighted_mass_prefix
+
+LD = np.longdouble
 
 
 def _sub_boxes(lat, P, level):
@@ -232,6 +239,9 @@ def test_automatic_validation():
         automatic_carleson(Rect((0,), (3,)), w, 2.0, 2.0)
     with pytest.raises(DomainError):
         automatic_carleson(Rect((4,), (12,)), w, 2.0, 2.0)
+    # 1 - 2^-(d (rho - 1)(1 - 1/theta)) rounds to 0
+    with pytest.raises(DomainError, match="rho=1.0000000000000002"):
+        automatic_carleson(full_rect(lat), w, 1.5, 1.0000000000000002)
 
 
 # ---------------------------------------------------------------------------
@@ -330,6 +340,9 @@ def test_good_carleson_validation():
     lat = make_lattice(1, 4)
     with pytest.raises(DomainError):
         good_carleson(full_rect(lat), lebesgue(lat), 1.0, GoodnessParams(eps=0.25, r=2))
+    # 1 - 2^-(eta (1 - eps)(rho - 1)) rounds to 0
+    with pytest.raises(DomainError, match="eta=1e-300"):
+        good_carleson(full_rect(lat), lebesgue(lat), 2.0, GoodnessParams(eps=0.25, r=2), eta=1e-300)
 
 
 # ---------------------------------------------------------------------------
@@ -507,3 +520,121 @@ def test_good_rectangle_carleson_with_product_constants():
             consts.append((params.r + 1) * 2.0**params.r + 1.0 / (1.0 - 2.0**-decay))
         bound = consts[0] * consts[1] * integrate(w, full_rect(lat)) ** rho
         assert total <= bound * (1 + 1e-9), f"seed {seed}: {total} vs {bound}"
+
+
+# ---------------------------------------------------------------------------
+# proof chain of the rectangle embedding against the former loops
+
+
+def _former_terms(b, mf, r, s):
+    """Sum of the embedding terms over the boxes of positive bump only."""
+    pos = b > 0.0
+    if not pos.any():
+        return LD(0.0)
+    mf = np.maximum(mf[pos].astype(np.float64), 0.0)
+    return np.power(mf * np.power(b[pos], 1.0 / s - 1.0), r).sum(dtype=LD)
+
+
+def _former_cubes(f, w, theta, r, s):
+    """(lhs, rhs) of the cube embedding, one level at a time."""
+    lat = w.lattice
+    num = weighted_mass_prefix(f, w)
+    total = LD(0.0)
+    for level in range(lat.depth + 1):
+        lo, hi = tile_edges((0,) * lat.dim, lat.shape, (lat.cells_per_axis >> level,) * lat.dim)
+        b = _bumps(w, theta, lo, hi, 2.0 ** (-level * lat.dim))
+        total += _former_terms(b, box_masses(num, lo, hi), r, s)
+    return float(np.power(total, LD(1.0) / LD(r))), lp_norm(f, w, s)
+
+
+def _former_rects(f, w, theta, r, s, m):
+    """The rectangle check as loops: the direct sum over level pairs, one
+    cube embedding per dyadic J against its slice profile, one per point
+    x.  Returns the per-slice and per-point (lhs, rhs) and the report."""
+    lat = w.lattice
+    n_ax, depth, cells = lat.dim - m, lat.depth, lat.cells_per_axis
+    num = weighted_mass_prefix(f, w)
+    total = LD(0.0)
+    for li, lj in product(range(depth + 1), repeat=2):
+        sides = (cells >> li,) * m + (cells >> lj,) * n_ax
+        lo, hi = tile_edges((0,) * lat.dim, lat.shape, sides)
+        b = _bumps(w, theta, lo, hi, 2.0 ** (-(li * m + lj * n_ax)))
+        total += _former_terms(b, box_masses(num, lo, hi), r, s)
+    lhs = float(np.power(total, LD(1.0) / LD(r)))
+    rhs = lp_norm(f, w, s)
+
+    m_lat, n_lat = make_lattice(m, depth), make_lattice(n_ax, depth)
+    fl, ul = f.values.astype(LD), w.density.astype(LD)
+    slices, intermediate, max_slice = [], LD(0.0), 0.0
+    for lj in range(depth + 1):
+        side = cells >> lj
+        for j_idx in np.ndindex(*((1 << lj,) * n_ax)):
+            j_rect = Rect(tuple(i * side for i in j_idx), tuple((i + 1) * side for i in j_idx))
+            nu = slice_profile(j_rect, w, theta)
+            sel = (slice(None),) * m + tuple(slice(a, b) for a, b in zip(j_rect.lo, j_rect.hi))
+            h = (fl[sel] * ul[sel]).sum(axis=tuple(range(m, lat.dim))) * LD(2.0) ** (-n_ax * depth)
+            dens = nu.density
+            g = np.where(dens > 0.0, h.astype(np.float64) / np.where(dens > 0.0, dens, 1.0), 0.0)
+            a, b = _former_cubes(GridFunction(m_lat, g), nu, theta, r, s)
+            slices.append((a, b))
+            intermediate += LD(b) ** LD(r)
+            if b > 0.0:
+                max_slice = max(max_slice, a / b)
+    points, minkowski, max_point = [], LD(0.0), 0.0
+    for x_idx in np.ndindex(*((cells,) * m)):
+        sel = tuple(x_idx) + (slice(None),) * n_ax
+        fx, wx = GridFunction(n_lat, f.values[sel]), Weight(n_lat, w.density[sel])
+        a, b = _former_cubes(fx, wx, theta, r, s)
+        points.append((a, b))
+        minkowski += (LD(a) ** LD(s)) * LD(2.0) ** (-m * depth)
+        if b > 0.0:
+            max_point = max(max_point, a / b)
+    rep = EmbedRectReport(
+        lhs, rhs, lhs / rhs, float(intermediate), float(minkowski), max_slice, max_point
+    )
+    return np.array(slices), np.array(points), rep
+
+
+def _zero_block(lat, seed):
+    """A lognormal weight with a block of zero density, a quarter of the
+    first axis by half of every other, off the lattice corners."""
+    dens = rand_w(lat, seed, rough=0.8).density.copy()
+    q = lat.cells_per_axis // 4
+    dens[(slice(q, 2 * q),) + (slice(q, 3 * q),) * (lat.dim - 1)] = 0.0
+    return Weight(lat, dens)
+
+
+def _ulps(a, b):
+    """Largest distance in float64 ulps between matching entries."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return int(np.max(np.abs(a.view(np.int64) - b.view(np.int64)), initial=0))
+
+
+@pytest.mark.parametrize(
+    "dim,m,depth,theta", [(2, 1, 6, 1.5), (2, 1, 5, 2.0), (3, 1, 4, 1.5), (3, 2, 4, 2.0)]
+)
+def test_proof_chain_matches_former_loops(dim, m, depth, theta):
+    # Batching every slice of a level, and every point, into one evaluator
+    # call keeps every per-slice, per-point and reported bit on positive
+    # weights.  On a weight with a zero-density block, boxes of zero bump
+    # add 0 inside the sum instead of being left out of it, which may move
+    # a long-double sum by its last bits; the drift is bounded at 4 ulps.
+    lat = make_lattice(dim, depth)
+    f = rand_f(lat, 90 + depth)
+    weights = {
+        "lognormal": rand_w(lat, 91 + depth, rough=0.8),
+        "cascade": gen_weight(lat, {"kind": "cascade", "beta": 0.7, "seed": 92 + depth}),
+        "zero_block": _zero_block(lat, 93 + depth),
+    }
+    r, s = 4.0, 2.0
+    for name, w in weights.items():
+        slices, points, former = _former_rects(f, w, theta, r, s, m)
+        parts = _proof_chain(f, w, theta, r, s, m)
+        rep = embed_check_rects(f, w, theta, r, s, m=m)
+        got = (np.stack(parts[:2], axis=1), np.stack(parts[2:], axis=1), astuple(rep))
+        want = (slices, points, astuple(former))
+        drift = max(_ulps(a, b) for a, b in zip(got, want))
+        if name == "zero_block":
+            assert drift <= 4, f"{name}: {drift} ulps"
+        else:
+            assert drift == 0, f"{name}: {drift} ulps"

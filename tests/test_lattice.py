@@ -38,7 +38,9 @@ from dyadlab.lattice import (
     rect_from_bounds,
     strong_rd_doubling_bound,
     substream,
+    tile_edges,
 )
+from dyadlab.lattice import _masses, _positive_counts, _weight_masses
 from dyadlab.weightio import read_weight, write_weight
 
 
@@ -207,6 +209,31 @@ def test_box_mass_fractional():
     assert math.isclose(box_mass(w, (0.125,), (0.625,)), 1.125, rel_tol=1e-14)
     # clipping outside the unit box
     assert math.isclose(box_mass(w, (-1.0,), (0.25,)), 1.0, rel_tol=1e-14)
+
+
+def test_box_masses_reads_leading_axes_as_a_batch():
+    # a stack of tables gives every table its own masses bit for bit, on
+    # whole-cell and fractional edges, and so does the exact-zero rule
+    lat = make_lattice(2, 3)
+    dens = np.stack([
+        gen_weight(lat, {"kind": "random_lognormal", "seed": s, "roughness": 0.9}).density
+        for s in range(3)
+    ])
+    dens[1, 2:5, 1:4] = 0.0
+    weights = [Weight(lat, d) for d in dens]
+    tabs = np.stack([w.prefix(1.5) for w in weights])
+    counts = _positive_counts(lat, dens)
+    whole = tile_edges((0, 0), (8, 8), (2, 4))
+    frac = (
+        [np.array([0.0, 1 / 3, 2.5, 2.0]), np.array([1 / 3, 0.0, 1.5, 2.5])],
+        [np.array([2.0, 4 / 3, 5.0, 4.0]), np.array([8.0, 3.5, 3.0, 3.5])],
+    )
+    for lo, hi in (whole, frac, ((2, 1), (5, 4))):
+        got, got_zero = box_masses(tabs, lo, hi), _masses(tabs, counts, lo, hi)
+        for k, w in enumerate(weights):
+            assert np.all(got[k] == box_masses(w.prefix(1.5), lo, hi))
+            assert np.all(got_zero[k] == _weight_masses(w, lo, hi, 1.5))
+    assert got_zero[1] == 0.0 and got_zero[0] > 0.0
 
 
 @st.composite

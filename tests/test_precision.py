@@ -177,3 +177,30 @@ def test_automatic_carleson_lhs_matches_long_double_oracle(w, theta, rho):
     want, span = _ld_carleson_lhs(w, theta, rho)
     got = automatic_carleson(full_rect(w.lattice), w, theta, rho).lhs_sum
     assert _close(got, want, span)
+
+
+def test_drift_dump_compare_exit_status(tmp_path):
+    # same bits exit 0; a moved number (even 0.0 -> -0.0) or text field exits 1
+    import importlib.util
+    import json
+    from pathlib import Path
+
+    path = Path(__file__).resolve().parent.parent / "tools" / "drift_dump.py"
+    spec = importlib.util.spec_from_file_location("drift_dump", path)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    base = {"a/lhs": 0.1, "a/zero": 0.0, "a/trace": [1.0, 2.0], "a/witness": "Q"}
+    cases = {
+        "same": ({}, 0),
+        "number": ({"a/lhs": 0.1 * (1 + 2**-52)}, 1),
+        "zero_sign": ({"a/zero": -0.0}, 1),
+        "list_entry": ({"a/trace": [1.0, 2.0000000000000004]}, 1),
+        "text": ({"a/witness": "R"}, 1),
+        "missing": ({"a/extra": 1.0}, 1),
+    }
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"values": base}))
+    for name, (change, code) in cases.items():
+        new = tmp_path / f"{name}.json"
+        new.write_text(json.dumps({"values": {**base, **change}}))
+        assert tool.main(["--compare", str(old), str(new)]) == code, name

@@ -12,7 +12,8 @@ src/ directory next to this script unless given, so one script dumps any
 checkout.  --compare prints every quantity (a name with its unit and
 list index wildcarded) that moved, with its worst relative and absolute
 drift and where it happened, then every witness, pass flag or other text
-field that differs.
+field that differs; it exits 1 when any number (compared bit for bit) or
+text field differs and 0 when every bit is kept.
 """
 from __future__ import annotations
 
@@ -20,6 +21,7 @@ import argparse
 import json
 import math
 import re
+import struct
 import sys
 from pathlib import Path
 
@@ -131,7 +133,8 @@ def _rel(a: float, b: float) -> float:
     return math.inf if scale == 0.0 or not math.isfinite(scale) else abs(a - b) / scale
 
 
-def compare(old: dict, new: dict) -> str:
+def compare(old: dict, new: dict) -> tuple[str, bool]:
+    """The drift report, and whether anything differs."""
     a, b = dict(_flat(old)), dict(_flat(new))
     lines = []
     worst: dict[str, list] = {}  # quantity -> [rel, abs, where, moved, seen]
@@ -144,7 +147,7 @@ def compare(old: dict, new: dict) -> str:
         if isinstance(x, float) and isinstance(y, float):
             entry = worst.setdefault(_quantity(name), [0.0, 0.0, "", 0, 0])
             entry[4] += 1
-            if x != y:
+            if struct.pack("<d", x) != struct.pack("<d", y):
                 entry[3] += 1
                 entry[1] = max(entry[1], abs(x - y))
                 if _rel(x, y) >= entry[0]:
@@ -162,7 +165,7 @@ def compare(old: dict, new: dict) -> str:
     lines.append(f"overall worst relative drift: {overall:.3g}")
     lines.append(f"changed witnesses and text fields: {len(texts)}")
     lines.extend(texts)
-    return "\n".join(lines)
+    return "\n".join(lines), bool(moved or texts)
 
 
 def main(argv=None) -> int:
@@ -175,8 +178,9 @@ def main(argv=None) -> int:
     ns = ap.parse_args(argv)
     if ns.compare:
         old, new = (json.loads(p.read_text())["values"] for p in ns.compare)
-        print(compare(old, new))
-        return 0
+        report, differs = compare(old, new)
+        print(report)
+        return 1 if differs else 0
     if ns.out is None:
         ap.error("--out is needed unless --compare is given")
     sys.path[:0] = [str(ns.src.resolve()), str(ROOT / "bench")]
