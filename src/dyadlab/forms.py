@@ -7,12 +7,23 @@ discrete product fractional integral, and an alternating-maximization
 lower bound for the form's norm.  Grid geometry comes from `grids`: the
 surrogate kernel telescopes at the deepest common grid level, and the
 good/bad split classifies cubes with the skeleton-goodness kernel.
+
+The form, its split and every norm half-step read one dyadic pyramid of
+the cellwise measure f * density * cell_volume: pairwise block sums from
+fine to coarse give the mass of every rectangle of a level pair (li, lj)
+at once, and a half-step's image, the sum over rectangles R of
+K(R) * mass(R) * 1_R, prolongs those masses back from coarse to fine by
+repetition.  The kernel enters as one coefficient per level pair, or as
+an array of them over the pair's rectangles for an explicit family, so
+no rectangle list is built on the default paths.  Every pyramid sum adds
+nonnegative terms, so it runs in float64.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product as _iproduct
+from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -30,14 +41,12 @@ from .lattice import (
     GridFunction,
     Lattice,
     Weight,
+    _lp_norms,
     _weight_masses,
     box_list,
-    box_masses,
-    gather_boxes,
     lp_norm,
     substream,
     tile_edges,
-    weighted_mass_prefix,
 )
 
 _LD = np.longdouble
@@ -218,6 +227,88 @@ def family_of(lat: Lattice, rects: Sequence[DyadicRect]) -> RectFamily:
 
 
 # ---------------------------------------------------------------------------
+# level-pair pyramids
+
+
+def _level_coefs(kernel: KernelHandle, lat: Lattice, family: RectFamily | None) -> list:
+    """coef[li][lj] per level pair: the scalar K of the pair for the full
+    dyadic family (family None), else K times the count of each of the
+    pair's rectangles in the family, as an array over the pair's grid of
+    rectangles, so duplicates add; 0.0 for a pair the family lacks."""
+    levels = range(lat.depth + 1)
+    if family is None:
+        return [[kernel.level_value(li, lj) for lj in levels] for li in levels]
+    m, n = family.m, family.n
+    if (m, n) != (kernel.m, kernel.n) or family.boxes.shape[1:] != (lat.dim, 2):
+        raise ShapeError(f"family spans {m}+{n} axes, kernel {kernel.m}+{kernel.n}")
+    cells = lat.cells_per_axis
+    lo, hi = family.boxes[:, :, 0], family.boxes[:, :, 1]
+    lv = family.levels
+    if np.any((lv < 0) | (lv > lat.depth)):
+        raise AlignmentError(f"family levels leave the lattice depth {lat.depth}")
+    sides = cells >> lv[:, [0] * m + [1] * n]
+    if np.any((lo % sides != 0) | (hi - lo != sides) | (lo < 0) | (hi > cells)):
+        raise AlignmentError("family boxes must be the dyadic cubes of their stated levels")
+    coef: list = [[0.0 for _ in levels] for _ in levels]
+    pair = lv[:, 0] * (lat.depth + 1) + lv[:, 1]
+    for key in np.unique(pair):
+        li, lj = divmod(int(key), lat.depth + 1)
+        sel = pair == key
+        counts = np.zeros((1 << li,) * m + (1 << lj,) * n)
+        np.add.at(counts, tuple((lo[sel] // sides[sel]).T), 1.0)
+        kv = kernel.level_value(li, lj)
+        coef[li][lj] = kv if np.all(counts == 1.0) else kv * counts
+    return coef
+
+
+def _pyramid(a: np.ndarray, axes: range, depth: int) -> list[np.ndarray]:
+    """Block sums of a over the given axes at levels 0..depth, a itself
+    being level depth, each level the pairwise sums of the next finer."""
+    out = [a]
+    for _ in range(depth):
+        for ax in axes:
+            a = a.reshape(a.shape[:ax] + (-1, 2) + a.shape[ax + 1 :])
+            a = a[(slice(None),) * (ax + 1) + (0,)] + a[(slice(None),) * (ax + 1) + (1,)]
+        out.append(a)
+    return out[::-1]
+
+
+def _level_masses(h: np.ndarray, depth: int, m: int):
+    """(li, lj, masses) per level pair, li-major: the masses of the cellwise
+    h over every product of a level-li cube (first m axes) and a level-lj
+    cube (the rest), as an array of shape (2^li,)*m + (2^lj,)*n."""
+    for li, rows in enumerate(_pyramid(h, range(m), depth)):
+        for lj, masses in enumerate(_pyramid(rows, range(m, h.ndim), depth)):
+            yield li, lj, masses
+
+
+def _refine(a: np.ndarray, axes: range) -> np.ndarray:
+    for ax in axes:
+        a = np.repeat(a, 2, axis=ax)
+    return a
+
+
+def _dyadic_image(h: np.ndarray, depth: int, m: int, coef: list) -> np.ndarray:
+    """Sum over level pairs of coef[li][lj] * P R h, as a cell array.
+
+    R restricts the cellwise h to its level-pair rectangle masses and P
+    prolongs them back over each rectangle's cells, so the image at x is
+    the sum of coef * mass over the rectangles holding x.  Prolongation
+    telescopes from coarse to fine, one level at a time on the J axes
+    within each li and then on the I axes, so the whole image costs
+    O(cells) for any level kernel.  Every term is a nonnegative sum, so it
+    runs in float64.
+    """
+    i_axes, j_axes = range(m), range(m, h.ndim)
+    for li, lj, masses in _level_masses(h, depth, m):
+        term = coef[li][lj] * masses
+        part = term if lj == 0 else _refine(part, j_axes) + term
+        if lj == depth:
+            image = part if li == 0 else _refine(image, i_axes) + part
+    return image
+
+
+# ---------------------------------------------------------------------------
 # bilinear form and the good/bad split
 
 
@@ -228,8 +319,32 @@ class FormValue:
     size: int
 
 
-def _family_masses(family: RectFamily, f: GridFunction, w: Weight) -> np.ndarray:
-    return gather_boxes(weighted_mass_prefix(f, w), family.boxes)
+def _check_form(kernel: KernelHandle, sigma: Weight, omega: Weight, *funcs: GridFunction):
+    lat = sigma.lattice
+    if omega.lattice != lat:
+        raise ShapeError("sigma and omega live on different lattices")
+    if any(f.lattice != lat for f in funcs):
+        raise ShapeError("function and weight live on different lattices")
+    if kernel.m + kernel.n != lat.dim:
+        raise ShapeError(f"kernel spans {kernel.m}+{kernel.n} axes, lattice has {lat.dim}")
+
+
+def _level_terms(
+    kernel: KernelHandle,
+    sigma: Weight,
+    omega: Weight,
+    f: GridFunction,
+    g: GridFunction,
+    family: RectFamily | None,
+):
+    """(li, lj, terms) per level pair, li-major: coef * (f sigma mass) *
+    (g omega mass) of every rectangle of the pair, from the same pyramids."""
+    lat = sigma.lattice
+    coef = _level_coefs(kernel, lat, family)
+    f_masses = _level_masses(f.values * sigma.density * lat.cell_volume, lat.depth, kernel.m)
+    g_masses = _level_masses(g.values * omega.density * lat.cell_volume, lat.depth, kernel.m)
+    for (li, lj, fs), (_, _, gs) in zip(f_masses, g_masses):
+        yield li, lj, coef[li][lj] * fs * gs
 
 
 def bilinear_form(
@@ -241,15 +356,11 @@ def bilinear_form(
     family: RectFamily | None = None,
 ) -> FormValue:
     """Exact sum of K(R) * (integral of f dsigma over R) * (same for g, omega)."""
-    if sigma.lattice != omega.lattice:
-        raise ShapeError("sigma and omega live on different lattices")
-    if family is None:
-        family = dyadic_family(sigma.lattice, kernel.m)
-    kv = kernel.level_values(family.levels)
-    fs = _family_masses(family, f, sigma)
-    gs = _family_masses(family, g, omega)
-    total = float((kv * fs * gs).sum(dtype=_LD))
-    return FormValue(total, None, family.size)
+    _check_form(kernel, sigma, omega, f, g)
+    terms = _level_terms(kernel, sigma, omega, f, g, family)
+    total = math.fsum(float(t.sum()) for _, _, t in terms)
+    size = _family_size(sigma.lattice, kernel.m, kernel.n) if family is None else family.size
+    return FormValue(total, None, size)
 
 
 def goodbad_split(
@@ -268,45 +379,32 @@ def goodbad_split(
     ancestors count as good.  The three parts over-count the bad x bad
     rectangles once, so total = parts.sum - badbad, and total <= parts.sum.
     """
-    if sigma.lattice != omega.lattice:
-        raise ShapeError("sigma and omega live on different lattices")
+    _check_form(kernel, sigma, omega, f, g)
     lat = sigma.lattice
     if grids is not None:
         for grid, dims in zip(grids, (kernel.m, kernel.n)):
             if grid.kind != "std" or grid.dim != dims:
                 raise DomainError("the split runs on the standard grid pair")
     m, n = kernel.m, kernel.n
-    if m + n != lat.dim:
-        raise ShapeError(f"kernel spans {m}+{n} axes, lattice has {lat.dim}")
-    cells = lat.cells_per_axis
-    f_tab = weighted_mass_prefix(f, sigma)
-    g_tab = weighted_mass_prefix(g, omega)
+    levels = range(lat.depth + 1)
+    i_good = [_good_cubes(1 << li, li, goodness, m).reshape(-1, 1) for li in levels]
+    j_good = [_good_cubes(1 << lj, lj, goodness, n).reshape(1, -1) for lj in levels]
 
-    sums = np.zeros(4, dtype=_LD)  # total, goodgood, anybad, badany
-    badbad = _LD(0.0)
-    for li in range(lat.depth + 1):
-        i_good = _good_cubes(1 << li, li, goodness, m).ravel()
-        for lj in range(lat.depth + 1):
-            j_good = _good_cubes(1 << lj, lj, goodness, n).ravel()
-            sides = (cells >> li,) * m + (cells >> lj,) * n
-            lo, hi = tile_edges((0,) * lat.dim, (cells,) * lat.dim, sides)
-            kv = kernel.level_value(li, lj)
-            terms = (_LD(kv) * box_masses(f_tab, lo, hi) * box_masses(g_tab, lo, hi)).ravel()
-            ig = np.repeat(i_good, j_good.size)
-            jg = np.tile(j_good, i_good.size)
-            sums[0] += terms.sum(dtype=_LD)
-            sums[1] += terms[ig & jg].sum(dtype=_LD)
-            sums[2] += terms[~jg].sum(dtype=_LD)
-            sums[3] += terms[~ig].sum(dtype=_LD)
-            badbad += terms[~ig & ~jg].sum(dtype=_LD)
+    sums: list[list[float]] = [[] for _ in range(5)]  # total, goodgood, anybad, badany, badbad
+    for li, lj, terms in _level_terms(kernel, sigma, omega, f, g, None):
+        ig, jg = i_good[li], j_good[lj]
+        terms = terms.reshape(ig.size, jg.size)
+        sums[0].append(float(terms.sum()))
+        for acc, mask in zip(sums[1:], (ig & jg, ~jg, ~ig, ~ig & ~jg)):
+            acc.append(float(terms[np.broadcast_to(mask, terms.shape)].sum()))
 
-    total, gg, ab, ba = (float(v) for v in sums)
-    recombined = float(sums[1] + sums[2] + sums[3] - badbad)
+    total, gg, ab, ba, badbad = (math.fsum(acc) for acc in sums)
+    recombined = math.fsum(sums[1] + sums[2] + sums[3]) - badbad
     scale = max(abs(total), abs(recombined), 1e-300)
     if abs(total - recombined) > 1e-9 * scale or total > (gg + ab + ba) * (1 + 1e-9):
         raise ContractViolationError(
             f"good/bad split identity broke: total {total}, parts ({gg}, {ab}, {ba}), "
-            f"badbad {float(badbad)}"
+            f"badbad {badbad}"
         )
     return FormValue(total, (gg, ab, ba), _family_size(lat, m, n))
 
@@ -394,25 +492,12 @@ class NormEstimate:
     best_g: GridFunction
 
 
-def _scatter_boxes(shape: tuple[int, ...], boxes: np.ndarray, coef: np.ndarray) -> np.ndarray:
-    """Sum of coef_R * indicator(R) as a cell array, via corner differences."""
-    d = len(shape)
-    diff = np.zeros(tuple(s + 1 for s in shape), dtype=_LD)
-    for corner in _iproduct((0, 1), repeat=d):
-        sign = -1.0 if sum(corner) % 2 else 1.0
-        idx = tuple(boxes[:, k, corner[k]] for k in range(d))
-        np.add.at(diff, idx, sign * coef)
-    for axis in range(d):
-        diff = np.cumsum(diff, axis=axis)
-    return diff[tuple(slice(0, s) for s in shape)]
-
-
 def _half_step(
     vals: np.ndarray,
     src_w: Weight,
     dst_w: Weight,
-    family: RectFamily,
-    kv: np.ndarray,
+    coef: list,
+    m: int,
     dual_exp: float,
 ) -> tuple[float, np.ndarray]:
     """Apply the form against one argument, normalize the optimal partner.
@@ -421,13 +506,11 @@ def _half_step(
     the form at the optimal feasible partner) and that partner's values.
     """
     lat = src_w.lattice
-    masses = gather_boxes(weighted_mass_prefix(GridFunction(lat, vals), src_w), family.boxes)
-    image = _scatter_boxes(lat.shape, family.boxes, kv * masses)
-    image64 = np.asarray(image, dtype=np.float64)
-    norm = lp_norm(GridFunction(lat, image64), dst_w, dual_exp)
+    image = _dyadic_image(vals * src_w.density * lat.cell_volume, lat.depth, m, coef)
+    norm = float(_lp_norms(lat, image, dst_w.density, dual_exp))
     if norm == 0.0:
         return 0.0, np.zeros(lat.shape)
-    partner = np.power(image64 / norm, dual_exp - 1.0)
+    partner = np.power(image / norm, dual_exp - 1.0)
     return norm, partner
 
 
@@ -448,11 +531,10 @@ def norm_estimate(
     the witness of the no-bump characteristic seeds a fourth.  The floor
     guarantees the bound dominates the family's no-bump characteristic.
     """
-    if sigma.lattice != omega.lattice:
-        raise ShapeError("sigma and omega live on different lattices")
+    if isinstance(iterations, bool) or not isinstance(iterations, Integral) or iterations < 0:
+        raise DomainError(f"iterations must be an integer >= 0, got {iterations!r}")
+    _check_form(kernel, sigma, omega)
     lat = sigma.lattice
-    if family is None:
-        family = dyadic_family(lat, kernel.m)
     if kernel.kind == "product_frac" and (
         kernel.alpha != exps.alpha
         or kernel.beta != exps.beta
@@ -460,7 +542,7 @@ def norm_estimate(
         or kernel.n != exps.n
     ):
         raise DomainError("kernel and exponent pack disagree on (alpha, beta, m, n)")
-    kv = kernel.level_values(family.levels)
+    coef = _level_coefs(kernel, lat, family)
     p, q = exps.p, exps.q
     p_prime, q_prime = exps.p_prime, exps.q_prime
 
@@ -483,13 +565,13 @@ def norm_estimate(
         f_vals = f0 / norm0
         g_vals = np.zeros(lat.shape)
         for it in range(iterations):
-            obj, g_vals = _half_step(f_vals, sigma, omega, family, kv, q)
+            obj, g_vals = _half_step(f_vals, sigma, omega, coef, kernel.m, q)
             trace.append((t, 2 * it, obj))
             if obj > best:
                 best, best_pair = obj, (f_vals.copy(), g_vals.copy())
             if obj == 0.0:
                 break
-            obj, f_vals = _half_step(g_vals, omega, sigma, family, kv, p_prime)
+            obj, f_vals = _half_step(g_vals, omega, sigma, coef, kernel.m, p_prime)
             trace.append((t, 2 * it + 1, obj))
             if obj > best:
                 best, best_pair = obj, (f_vals.copy(), g_vals.copy())
@@ -509,21 +591,34 @@ def norm_estimate(
     )
 
 
-def _indicator_floor(kernel, sigma, omega, exps, family: RectFamily):
+def _indicator_floor(kernel, sigma, omega, exps, family: RectFamily | None):
     """Max over the family of K(R)|R|_sigma^(1/p')|R|_omega^(1/q).
 
-    For the full dyadic family this is exactly the no-bump characteristic,
-    computed through the same code path so comparisons are reproducible."""
-    if family.tag == "dyadic" and kernel.kind == "product_frac":
+    For the full dyadic family and the product kernel this is exactly the
+    no-bump characteristic, computed through the same code path so
+    comparisons are reproducible; a level table kernel takes the max level
+    pair by level pair, an explicit family box by box."""
+    if kernel.kind == "product_frac" and (family is None or family.tag == "dyadic"):
         res = characteristic("no_bump", None, sigma, omega, exps, family="dyadic")
         return res.value, res.witness
-    lo, hi = family.boxes[:, :, 0].T, family.boxes[:, :, 1].T
-    msig = _weight_masses(sigma, lo, hi).astype(np.float64)
-    momg = _weight_masses(omega, lo, hi).astype(np.float64)
-    vals = (
-        kernel.level_values(family.levels)
-        * np.power(msig, 1.0 / exps.p_prime)
-        * np.power(momg, 1.0 / exps.q)
+
+    def values(kv, lo, hi):
+        msig = _weight_masses(sigma, lo, hi).astype(np.float64)
+        momg = _weight_masses(omega, lo, hi).astype(np.float64)
+        return kv * np.power(msig, 1.0 / exps.p_prime) * np.power(momg, 1.0 / exps.q)
+
+    if family is None:
+        lat = sigma.lattice
+        cells, levels = lat.cells_per_axis, range(lat.depth + 1)
+        best = 0.0
+        for li in levels:
+            for lj in levels:
+                sides = (cells >> li,) * kernel.m + (cells >> lj,) * kernel.n
+                lo, hi = tile_edges((0,) * lat.dim, (cells,) * lat.dim, sides)
+                best = max(best, float(values(kernel.level_value(li, lj), lo, hi).max()))
+        return best, None
+    vals = values(
+        kernel.level_values(family.levels), family.boxes[:, :, 0].T, family.boxes[:, :, 1].T
     )
     i = int(np.argmax(vals))
     witness = family.rects[i] if family.rects is not None else None

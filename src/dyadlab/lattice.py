@@ -10,7 +10,7 @@ zipped list of boxes) it returns every box's mass as a mixed corner
 difference, looking the table up directly on whole-cell edges and
 interpolating it multilinearly on fractional ones (one-third grids).
 Leading table axes are a batch: one call reads a level from a stack of
-tables.  gather_boxes only adapts explicit (N, d, 2) box lists to it.
+tables.
 
 Precision policy: long double only where cancellation happens.  Prefix
 tables are accumulated and their corners differenced in np.longdouble,
@@ -329,11 +329,6 @@ def box_masses(tab: np.ndarray, lo, hi) -> np.ndarray:
         else:
             out = out - term
     return out
-
-
-def gather_boxes(tab: np.ndarray, boxes: np.ndarray) -> np.ndarray:
-    """Masses of an explicit (N, d, 2) box list, through box_masses."""
-    return box_masses(tab, boxes[:, :, 0].T, boxes[:, :, 1].T)
 
 
 def tile_edges(lo, hi, sides) -> tuple[list, list]:

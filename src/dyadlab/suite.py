@@ -50,9 +50,9 @@ from .grids import (
 from .lattice import (
     GridFunction,
     Weight,
+    box_masses,
     doubling_report,
     full_rect,
-    gather_boxes,
     gen_weight,
     integrate,
     make_lattice,
@@ -139,7 +139,7 @@ def _check_prefix_agreement(depth, seed):
     for _ in range(200):
         a = int(rng.integers(0, cells))
         b = int(rng.integers(a + 1, cells + 1))
-        fast = float(gather_boxes(w.prefix(1.0), np.array([[[a, b]]], dtype=np.int64))[0])
+        fast = float(box_masses(w.prefix(1.0), (a,), (b,)))
         naive = float(w.density[a:b].sum() * 2.0**-depth)
         if naive > 0:
             worst = max(worst, abs(fast - naive) / naive)

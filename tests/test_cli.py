@@ -8,6 +8,10 @@ themselves are covered per module, so here the oracle is the interface:
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -268,6 +272,16 @@ def test_norm_estimate_json(tmp_path, capsys):
     ]
 
 
+def test_norm_estimate_rejects_negative_iterations(tmp_path, capsys):
+    sig_path, _ = _gen(tmp_path, "sig.wgt", depth=3, seed=6)
+    om_path, _ = _gen(tmp_path, "om.wgt", depth=3, seed=7)
+    args = ["norm-estimate", "--sigma", str(sig_path), "--omega", str(om_path)]
+    assert main(args + ["--iterations", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert "iterations" in captured.err
+    assert "Traceback" not in captured.out + captured.err
+
+
 # ---------------------------------------------------------------------------
 # verify
 
@@ -324,3 +338,32 @@ def test_bad_weight_headers_exit_codes(tmp_path, capsys, header, compute_code):
     assert main(["verify", "--weight", str(bad)]) == 2
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
+
+
+# ---------------------------------------------------------------------------
+# python -m dyadlab
+
+
+def test_module_entry_point_runs_the_cli(tmp_path):
+    # a checkout without an install runs the same CLI from its src/ directory
+    import dyadlab
+
+    src = str(Path(dyadlab.__file__).resolve().parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    out = tmp_path / "r.json"
+    args = ["verify", "--depth", "5", "--depth2d", "3", "--format", "json", "--out", str(out)]
+    proc = subprocess.run(
+        [sys.executable, "-m", "dyadlab", *args], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert main(args[:-1] + [str(tmp_path / "direct.json")]) == 0
+    assert out.read_bytes() == (tmp_path / "direct.json").read_bytes()
+    bad = subprocess.run(
+        [sys.executable, "-m", "dyadlab", "verify", "--depth", "-3"],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert bad.returncode == 2
+    assert "Traceback" not in bad.stderr

@@ -40,7 +40,7 @@ from dyadlab import EmbedRectReport, lp_norm, slice_profile
 from dyadlab.bump import _bumps
 from dyadlab.embed import _proof_chain
 from dyadlab.grids import Cube, _good_rel_mask
-from dyadlab.lattice import box_list, box_masses, gather_boxes, tile_edges, weighted_mass_prefix
+from dyadlab.lattice import box_list, box_masses, tile_edges, weighted_mass_prefix
 
 LD = np.longdouble
 
@@ -119,7 +119,7 @@ def _averages_of(f, w, theta, rects):
         from dyadlab import bump_cube
 
         b = bump_cube(rect, w, theta)
-        mass = float(gather_boxes(num, box)[0])
+        mass = float(box_masses(num, box[:, :, 0].T, box[:, :, 1].T)[0])
         out.append(mass / b if b > 0 else 0.0)
     return out
 
@@ -511,9 +511,8 @@ def test_good_rectangle_carleson_with_product_constants():
                 jmask = _good_rel_mask(jb[:, :, 0] >> (depth - lj), lj, params)
                 boxes = _cross_boxes(ib[imask], jb[jmask])
                 if boxes.shape[0]:
-                    total += float(
-                        np.power(gather_boxes(tab, boxes).astype(np.float64), rho).sum()
-                    )
+                    masses = box_masses(tab, boxes[:, :, 0].T, boxes[:, :, 1].T)
+                    total += float(np.power(masses.astype(np.float64), rho).sum())
         consts = []
         for eps_axis in scan.rev_eps:
             decay = eps_axis * (1.0 - params.eps) * (rho - 1.0)

@@ -10,15 +10,19 @@ and the continuum fractional integral value 8.0 at the center of the square
 
 import math
 from fractions import Fraction
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadlab import (
     Cube,
     DomainError,
     DyadicRect,
     Exponents,
+    RectFamily,
     GoodnessParams,
     GridFunction,
     KernelHandle,
@@ -43,7 +47,11 @@ from dyadlab import (
     substream,
     surrogate_kernel,
 )
+from dyadlab import forms
 from dyadlab.errors import AlignmentError
+from dyadlab.lattice import box_masses, weighted_mass_prefix
+
+LD = np.longdouble
 
 
 HALF = KernelHandle.product_frac(0.5, 0.5, 1, 1)
@@ -423,3 +431,207 @@ def test_norm_estimate_below_bump_characteristic_times_embed_ratios():
         ratio_om = embed_check_rects(est.best_g, om, theta, r_conj, exps.q_prime, m=1).ratio
         char = characteristic("product_bump", None, sig, om, exps, family="dyadic")
         assert est.lower_bound <= ratio_sig * ratio_om * char.value * (1 + 1e-9)
+
+
+def test_norm_estimate_iterations_must_be_a_nonnegative_int():
+    lat = make_lattice(2, 3)
+    w = rand_w(lat, 9)
+    for bad in (-2, -1, 2.5, "3", True, None):
+        with pytest.raises(DomainError):
+            norm_estimate(HALF, w, w, _exps(), iterations=bad)
+    est = norm_estimate(HALF, w, w, _exps(), iterations=0)
+    assert est.trace == ()
+    assert est.lower_bound == est.indicator_floor
+
+
+# ---------------------------------------------------------------------------
+# the pyramid operator against the former box-list formulas
+#
+# The former half-step gathered every family box's f-sigma mass through the
+# four (2^d) corners of a long-double prefix table, scattered K * mass back
+# by corner differences and cumulated; the former bilinear form summed
+# K * f-mass * g-mass over the gathered boxes in long double.  Both are kept
+# here as the reference.  Their corner differences cancel: on a cell whose
+# exact image is 0 (it lies only in rectangles of zero mass) they leave a
+# residual of the size of the long-double rounding of the table, which the
+# pyramid, a sum of nonnegative terms, does not have.
+
+
+def _former_scatter(shape, boxes, coef):
+    d = len(shape)
+    diff = np.zeros(tuple(s + 1 for s in shape), dtype=LD)
+    for corner in iproduct((0, 1), repeat=d):
+        sign = -1.0 if sum(corner) % 2 else 1.0
+        idx = tuple(boxes[:, k, corner[k]] for k in range(d))
+        np.add.at(diff, idx, sign * coef)
+    for axis in range(d):
+        diff = np.cumsum(diff, axis=axis)
+    return diff[tuple(slice(0, s) for s in shape)]
+
+
+def _former_masses(family, f, w):
+    tab = weighted_mass_prefix(f, w)
+    return box_masses(tab, family.boxes[:, :, 0].T, family.boxes[:, :, 1].T)
+
+
+def _former_image(kernel, family, f, w):
+    coef = kernel.level_values(family.levels) * _former_masses(family, f, w)
+    return np.asarray(_former_scatter(w.lattice.shape, family.boxes, coef), dtype=np.float64)
+
+
+def _former_bilinear(kernel, sigma, omega, f, g, family):
+    kv = kernel.level_values(family.levels)
+    terms = kv * _former_masses(family, f, sigma) * _former_masses(family, g, omega)
+    return float(terms.sum(dtype=LD))
+
+
+def _ulps(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return int(np.max(np.abs(a.view(np.int64) - b.view(np.int64)), initial=0))
+
+
+def _case_weight(lat, kind, seed):
+    if kind == "cascade":
+        return gen_weight(lat, {"kind": "cascade", "beta": 0.7, "seed": seed})
+    w = rand_w(lat, seed, rough=0.8)
+    if kind == "lognormal":
+        return w
+    # a zero block, a quarter of the first axis by half of every other
+    # (the whole box at depth 0)
+    cells = lat.cells_per_axis
+    dens = w.density.copy()
+    block = (slice(cells // 4, max(cells // 2, 1)),)
+    dens[block + (slice(cells // 4, max(3 * cells // 4, 1)),) * (lat.dim - 1)] = 0.0
+    return Weight(lat, dens)
+
+
+def _case_family(lat, m, rng, count):
+    """count random standard-grid rectangles plus a duplicate of the first."""
+    n = lat.dim - m
+    gi, gj = standard_grid(m, 0, lat.depth), standard_grid(n, 0, lat.depth)
+    rects = []
+    for _ in range(count):
+        li, lj = (int(v) for v in rng.integers(0, lat.depth + 1, size=2))
+        ii = tuple(int(v) for v in rng.integers(0, 1 << li, size=m))
+        jj = tuple(int(v) for v in rng.integers(0, 1 << lj, size=n))
+        rects.append(DyadicRect(Cube(gi, li, ii), Cube(gj, lj, jj)))
+    return family_of(lat, rects + rects[:1])
+
+
+@st.composite
+def _form_cases(draw):
+    dim = draw(st.integers(2, 4))
+    m = draw(st.integers(1, dim - 1))
+    depth = draw(st.integers(0, min(5, 12 // dim)))
+    return (
+        dim,
+        m,
+        depth,
+        draw(st.integers(0, 2**20)),
+        draw(st.sampled_from(["cascade", "lognormal", "zero_block"])),
+        draw(st.booleans()),
+        draw(st.sampled_from([0, 1, 5, 40])),
+    )
+
+
+@settings(max_examples=80, deadline=None)
+@given(_form_cases())
+def test_pyramid_image_and_bilinear_match_former_formulas(case):
+    dim, m, depth, seed, weight, table, count = case
+    n = dim - m
+    lat = make_lattice(dim, depth)
+    rng = substream(seed, 9200)
+    if table:
+        vals = rng.uniform(0.0, 10.0, size=(depth + 1, depth + 1))
+        vals[rng.random(vals.shape) < 0.2] = 0.0
+        kernel = KernelHandle.from_table(
+            {(li, lj): float(vals[li, lj]) for li in range(depth + 1) for lj in range(depth + 1)},
+            m,
+            n,
+        )
+    else:
+        alpha, beta = m * rng.uniform(0.1, 0.9), n * rng.uniform(0.1, 0.9)
+        kernel = KernelHandle.product_frac(alpha, beta, m, n)
+    sigma = _case_weight(lat, weight, seed)
+    omega = _case_weight(lat, "lognormal", seed + 1)
+    vals = np.exp(0.7 * rng.standard_normal((2,) + lat.shape))
+    vals[rng.random(vals.shape) < 0.2] = 0.0
+    f, g = GridFunction(lat, vals[0]), GridFunction(lat, vals[1])
+    family = _case_family(lat, m, rng, count) if count else None
+    full = dyadic_family(lat, m) if family is None else family
+    tol = 8 * (depth + 1)
+    # the reference's cancellation residual: 2^d corners of a table of
+    # total mass M, in long-double rounding, times the largest K
+    kmax = float(kernel.level_values(full.levels).max())
+    noise = 4 * 2**dim * np.finfo(LD).eps * kmax
+
+    coef = forms._level_coefs(kernel, lat, family)
+    got = forms._dyadic_image(f.values * sigma.density * lat.cell_volume, depth, m, coef)
+    want = _former_image(kernel, full, f, sigma)
+    pos = got > 0.0
+    assert _ulps(got[pos], want[pos]) <= tol
+    mass_f = float(weighted_mass_prefix(f, sigma)[(-1,) * dim])
+    assert np.all(np.abs(want[~pos]) <= noise * mass_f)
+
+    total = bilinear_form(kernel, sigma, omega, f, g, family).total
+    want_total = _former_bilinear(kernel, sigma, omega, f, g, full)
+    if total > 0.0:
+        assert _ulps(total, want_total) <= tol
+    else:
+        mass_g = float(weighted_mass_prefix(g, omega)[(-1,) * dim])
+        assert abs(want_total) <= 2 * noise * full.size * mass_f * mass_g
+
+
+def test_default_paths_never_materialize_the_family(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("dyadic_family called on a default path")
+
+    monkeypatch.setattr(forms, "dyadic_family", refuse)
+    lat = make_lattice(2, 4)
+    sig, om = rand_w(lat, 31), rand_w(lat, 32)
+    f, g = rand_f(lat, 33), rand_f(lat, 34)
+    table = KernelHandle.from_table(
+        {(li, lj): 1.0 + li + 0.5 * lj for li in range(5) for lj in range(5)}, 1, 1
+    )
+    for kernel in (HALF, table):
+        assert bilinear_form(kernel, sig, om, f, g).total > 0.0
+        assert goodbad_split(kernel, sig, om, f, g, GoodnessParams(0.25, 2)).total > 0.0
+        assert norm_estimate(kernel, sig, om, _exps(), iterations=2).lower_bound > 0.0
+
+
+def test_misaligned_family_box_raises_alignment_error():
+    lat = make_lattice(2, 3)
+    w = rand_w(lat, 41)
+    one = GridFunction(lat, np.ones(lat.shape))
+    # a level-(1, 2) pair whose first side starts half a cube off its grid
+    boxes = np.array([[[2, 6], [2, 4]]], dtype=np.int64)
+    family = RectFamily(1, 1, boxes, np.array([[1, 2]], dtype=np.int64), "custom")
+    with pytest.raises(AlignmentError):
+        norm_estimate(HALF, w, w, _exps(), family=family, iterations=1)
+    with pytest.raises(AlignmentError):
+        bilinear_form(HALF, w, w, one, one, family)
+
+
+def test_norm_estimate_table_kernel_on_default_family():
+    # A table holding the product kernel's level values runs the same
+    # half-steps bit for bit.  Its indicator floor is the max, level pair by
+    # level pair, of the no-bump characteristic's terms and has no witness
+    # rectangle, so the indicator-pair start (start 3) is the product
+    # kernel's alone.
+    lat = make_lattice(2, 4)
+    table = KernelHandle.from_table(
+        {(li, lj): HALF.level_value(li, lj) for li in range(5) for lj in range(5)}, 1, 1
+    )
+    for seed in range(3):
+        sig, om = rand_w(lat, 601 + seed), rand_w(lat, 701 + seed)
+        want = norm_estimate(HALF, sig, om, _exps(), iterations=3, seed=seed)
+        got = norm_estimate(table, sig, om, _exps(), iterations=3, seed=seed)
+        explicit = norm_estimate(
+            table, sig, om, _exps(), family=dyadic_family(lat, 1), iterations=3, seed=seed
+        )
+        assert got.trace == explicit.trace
+        assert got.trace == tuple(row for row in want.trace if row[0] < 3)
+        assert got.indicator_floor == explicit.indicator_floor
+        assert got.indicator_floor == pytest.approx(want.indicator_floor, rel=1e-12)
+        best = max(obj for _, _, obj in got.trace)
+        assert got.lower_bound == max(best, got.indicator_floor)
