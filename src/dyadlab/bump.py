@@ -9,7 +9,8 @@ masses from lattice.box_masses through one map, _bump_map (boxes, slice
 profiles and whole levels of them), and every characteristic value comes from
 one batch evaluator, _products: kernel factor times the two bump powers
 for the outer product of a batch of factor cubes.  The scan feeds it whole
-grid levels, coarsest first, and keeps the first maximizer;
+grid levels, coarsest first, the cubes of several one-third offsets side
+by side, and keeps the first maximizer of each grid tuple's block;
 characteristic_at feeds it the witness alone.  Masses are differenced in
 long double and rounded to float64 once; the bump and kernel powers then
 run in float64 (the package's precision policy, see lattice), so they do
@@ -29,10 +30,13 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .grids import Cube, DyadicGrid, DyadicRect, onethird_grids, standard_grid
 from .lattice import (
+    Axis,
+    BoxGrid,
     Rect,
     Weight,
     _block_sums,
     _weight_masses,
+    join_axes,
     make_lattice,
     rect_volume,
     substream,
@@ -165,7 +169,8 @@ def _bump_map(masses, vol: float, theta: float) -> np.ndarray:
 
 
 def _bumps(w: Weight, theta: float, lo, hi, vol: float) -> np.ndarray:
-    """Theta-bumps of w's boxes spanned by lo/hi, all of volume vol."""
+    """Theta-bumps of w's boxes spanned by lo/hi (or of the BoxGrid lo,
+    hi None), all of volume vol."""
     return _bump_map(_weight_masses(w, lo, hi, theta), vol, theta)
 
 
@@ -278,62 +283,51 @@ _BUMPED = {  # kind -> (sigma, omega) carry the theta bump
 }
 
 
-def _level_cubes(grid: DyadicGrid, level: int) -> list[np.ndarray]:
-    """Per-axis indices of the level's cubes meeting the open unit box."""
+def _axis_cubes(grid: DyadicGrid, level: int, depth: int) -> tuple[range, Axis]:
+    """Indices of a one-axis grid's level cubes meeting the open unit
+    interval, and their edges in cells."""
     side = 1.0 / (1 << level)
-    out = []
-    for k in range(grid.dim):
-        off = float(grid.offset(k, level))
-        first = math.floor(-off / side)
-        if (first + 1) * side + off <= 0:
-            first += 1
-        ks = np.arange(first, first + (1 << level) + 2, dtype=np.int64)
-        out.append(ks[ks * side + off < 1])
-    return out
+    off = float(grid.offset(0, level))
+    first = math.floor(-off / side)
+    if (first + 1) * side + off <= 0:
+        first += 1
+    ks = np.arange(first, first + (1 << level) + 2, dtype=np.int64)
+    index = range(first, first + int(np.count_nonzero(ks * side + off < 1)))
+    return index, _cube_axis(off, level, index, depth)
 
 
-@dataclass(frozen=True)
-class _Factor:
-    """A batch of same-level cubes of one grid: the outer product of
-    per-axis index vectors, with their clipped edges in cell units."""
-
-    grid: DyadicGrid
-    level: int
-    index: list
-    lo: list
-    hi: list
-
-
-def _factor(grid: DyadicGrid, level: int, index, depth: int) -> _Factor:
+def _cube_axis(off: float, level: int, index: range, depth: int) -> Axis:
+    """Edges in cells of the level cubes index on an axis offset by off,
+    clipped to the unit box: a strided progression when they are whole
+    cells inside it, else a vertex list."""
     ncells = 1 << depth
     side_cells = float(2.0 ** (depth - level))
-    lo, hi = [], []
-    for k, idx in enumerate(index):
-        a = np.asarray(idx, dtype=np.int64) * side_cells + float(grid.offset(k, level)) * ncells
-        lo.append(np.clip(a, 0.0, ncells))
-        hi.append(np.clip(a + side_cells, 0.0, ncells))
-    return _Factor(grid, level, list(index), lo, hi)
+    shift = off * ncells
+    a = np.arange(index.start, index.stop, dtype=np.int64) * side_cells + shift
+    inside = a[0] >= 0 and a[-1] + side_cells <= ncells
+    if shift.is_integer() and side_cells.is_integer() and inside:
+        return Axis.progression(int(a[0]), len(index), int(side_cells), int(side_cells))
+    return Axis.vertices(np.clip(a, 0.0, ncells), np.clip(a + side_cells, 0.0, ncells), ncells)
 
 
-def _products(kind, kernel, sigma, omega, exps, factors) -> np.ndarray:
-    """Kernel x bump products for the outer product of the factor batches.
+def _products(kind, kernel, sigma, omega, exps, levels, axes) -> np.ndarray:
+    """Kernel x bump products for the outer product of per-axis cube edges.
 
-    One result axis per lattice axis.  Volumes are the full cube volumes
-    even where a cube pokes out of the unit box, where the density is zero.
+    levels holds each factor's (level, dim), axes one Axis per lattice
+    axis, the factors' axes in order; one result axis per lattice axis.
+    Volumes are the full cube volumes even where a cube pokes out of the
+    unit box, where the density is zero.
     """
-    lo, hi = [], []
     vol = 1.0
     kval = 1.0
-    for fac, k_exp in zip(factors, (kernel.i_exp, kernel.j_exp)):
-        side_vol = 2.0 ** (-fac.level * fac.grid.dim)
-        lo += fac.lo
-        hi += fac.hi
+    for (level, dim), k_exp in zip(levels, (kernel.i_exp, kernel.j_exp)):
+        side_vol = 2.0 ** (-level * dim)
         vol *= side_vol
         kval *= side_vol**k_exp
-    lo, hi = np.ix_(*lo), np.ix_(*hi)
+    boxes = BoxGrid(axes)
     bump_s, bump_w = _BUMPED[kind]
-    bs = _bumps(sigma, exps.theta if bump_s else 1.0, lo, hi, vol)
-    bw = _bumps(omega, exps.theta if bump_w else 1.0, lo, hi, vol)
+    bs = _bumps(sigma, exps.theta if bump_s else 1.0, boxes, None, vol)
+    bw = _bumps(omega, exps.theta if bump_w else 1.0, boxes, None, vol)
     return kval * np.power(bs, 1.0 / exps.p_prime) * np.power(bw, 1.0 / exps.q)
 
 
@@ -378,7 +372,16 @@ def characteristic(
     family "dyadic" scans the standard grid pair; "onethird" scans all
     3^m * 3^n shifted pairs (the no-bump default, standing in for the
     supremum over arbitrary rectangles).  one_param scans cubes only.
-    Grid tuples run outermost, then level tuples, each in product order.
+
+    The result is the first maximum in scan order: grid tuples outermost,
+    then level tuples, each in product order, then cubes in C order.  A
+    grid tuple picks one of the family's offsets on every lattice axis, so
+    one _products call covers several grid tuples by reading the cubes of
+    the three one-third offsets side by side on an axis; each grid tuple's
+    block of the result is then searched on its own, so the grouping moves
+    no value and no witness.  An axis is grouped only while the call's box
+    count stays at or below the scan's largest single-grid batch, which
+    bounds its temporaries.
     """
     if family is None:
         family = "onethird" if kind == "no_bump" else "dyadic"
@@ -386,34 +389,58 @@ def characteristic(
         raise DomainError(f"unknown family {family!r}")
     kernel, dims = _check_scan(kind, kernel, sigma, omega, exps)
     depth = sigma.lattice.depth
-    per_grid = [  # factor -> grid -> level -> batch of that level's cubes
-        [
-            [_factor(grid, lv, _level_cubes(grid, lv), depth) for lv in range(depth + 1)]
-            for grid in _grids_for(family, dim, depth)
-        ]
-        for dim in dims
-    ]
+    levels = range(depth + 1)
+    # level -> offset -> (indices, edges) of that level's cubes on one axis
+    cubes = [[_axis_cubes(g, lv, depth) for g in _grids_for(family, 1, depth)] for lv in levels]
+    joined = None  # per level, the cubes of every offset side by side
+    if len(cubes[0]) > 1:
+        joined = [join_axes([ax for _, ax in row], 1 << depth) for row in cubes]
+    limit = max(len(index) for row in cubes for index, _ in row) ** sum(dims)
+    found = {}  # (offset per axis, level tuple) -> (max, flat index) of that block
+    for lv in _iproduct(levels, repeat=len(dims)):
+        axis_levels = [level for level, dim in zip(lv, dims) for _ in range(dim)]
+        counts = [[len(index) for index, _ in cubes[level]] for level in axis_levels]
+        batch = math.prod(max(c) for c in counts)
+        options = []  # per axis: (edges, [(offset, block slice)]) per call
+        for level, c in zip(axis_levels, counts):
+            if len(c) > 1 and batch // max(c) * sum(c) <= limit:
+                batch = batch // max(c) * sum(c)
+                at = np.cumsum([0] + c).tolist()
+                blocks = [(u, slice(at[u], at[u + 1])) for u in range(len(c))]
+                options.append([(joined[level], blocks)])
+            else:
+                options.append([(ax, [(u, slice(None))]) for u, (_, ax) in enumerate(cubes[level])])
+        for call in _iproduct(*options):
+            vals = _products(kind, kernel, sigma, omega, exps, list(zip(lv, dims)),
+                             [ax for ax, _ in call])
+            for block in _iproduct(*(blocks for _, blocks in call)):
+                sub = vals[tuple(at for _, at in block)]
+                k = int(np.argmax(sub))
+                found[tuple(u for u, _ in block), lv] = (sub.flat[k], k)
     best = -1.0
-    best_at: DyadicRect | Cube | None = None
-    for grids in _iproduct(*per_grid):
-        for factors in _iproduct(*grids):
-            vals = _products(kind, kernel, sigma, omega, exps, factors)
-            k = int(np.argmax(vals))
-            if vals.flat[k] > best:
-                best = float(vals.flat[k])
-                best_at = _witness(factors, np.unravel_index(k, vals.shape))
+    best_at = None
+    for offsets in _iproduct(range(len(cubes[0])), repeat=sum(dims)):
+        for lv in _iproduct(levels, repeat=len(dims)):
+            val, k = found[offsets, lv]
+            if val > best:
+                best, best_at = float(val), (offsets, lv, k)
     if best_at is None:
         raise DomainError("empty rectangle family")
-    return CharacteristicResult(kind, best, best_at, exps)
+    return CharacteristicResult(kind, best, _witness(family, dims, depth, cubes, *best_at), exps)
 
 
-def _witness(factors, pos) -> DyadicRect | Cube:
-    cubes = []
-    for fac in factors:
-        here, pos = pos[: fac.grid.dim], pos[fac.grid.dim :]
-        index = tuple(int(ks[p]) for ks, p in zip(fac.index, here))
-        cubes.append(Cube(fac.grid, fac.level, index))
-    return cubes[0] if len(cubes) == 1 else DyadicRect(*cubes)
+def _witness(family, dims, depth, cubes, offsets, lv, k) -> DyadicRect | Cube:
+    """The cube or rectangle at flat index k of a grid tuple's block."""
+    axis_levels = [level for level, dim in zip(lv, dims) for _ in range(dim)]
+    pos = np.unravel_index(k, [len(cubes[lvl][u][0]) for lvl, u in zip(axis_levels, offsets)])
+    out, at = [], 0
+    for level, dim in zip(lv, dims):
+        here = offsets[at : at + dim]
+        grid = _grids_for(family, dim, depth)[np.ravel_multi_index(here, (len(cubes[0]),) * dim)]
+        index = tuple(cubes[level][u][0][int(p)] for u, p in zip(here, pos[at : at + dim]))
+        out.append(Cube(grid, level, index))
+        at += dim
+    return out[0] if len(out) == 1 else DyadicRect(*out)
 
 
 def characteristic_at(
@@ -428,5 +455,10 @@ def characteristic_at(
     kernel, _ = _check_scan(kind, kernel, sigma, omega, exps)
     cubes = (witness,) if kind == "one_param" else (witness.i_cube, witness.j_cube)
     depth = sigma.lattice.depth
-    factors = [_factor(c.grid, c.level, [[i] for i in c.index], depth) for c in cubes]
-    return float(_products(kind, kernel, sigma, omega, exps, factors).flat[0])
+    axes = [
+        _cube_axis(float(c.grid.offset(k, c.level)), c.level, range(i, i + 1), depth)
+        for c in cubes
+        for k, i in enumerate(c.index)
+    ]
+    levels = [(c.level, c.grid.dim) for c in cubes]
+    return float(_products(kind, kernel, sigma, omega, exps, levels, axes).flat[0])

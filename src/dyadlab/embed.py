@@ -23,6 +23,7 @@ from .bump import _bump_map, _bumps, _level_profiles, bump_cube
 from .errors import ContractViolationError, DomainError, ShapeError
 from .grids import DyadicGrid, GoodnessParams, _good_cubes
 from .lattice import (
+    BoxGrid,
     GridFunction,
     Lattice,
     Rect,
@@ -40,7 +41,6 @@ from .lattice import (
     full_rect,
     integrate,
     make_lattice,
-    rect_at,
     tile_edges,
     weighted_mass_prefix,
 )
@@ -88,10 +88,10 @@ def _dyadic_level(lat: Lattice, P: Rect) -> int:
     return lat.depth - (side.bit_length() - 1)
 
 
-def _subcubes(lat: Lattice, P: Rect, level: int) -> tuple[list, list, float]:
-    """Edges of the level subcubes of P for box_masses, and their volume."""
-    lo, hi = tile_edges(P.lo, P.hi, (lat.cells_per_axis >> level,) * lat.dim)
-    return lo, hi, 2.0 ** (-level * lat.dim)
+def _subcubes(lat: Lattice, P: Rect, level: int) -> tuple[BoxGrid, float]:
+    """The level subcubes of P for box_masses, and their volume."""
+    sides = (lat.cells_per_axis >> level,) * lat.dim
+    return tile_edges(P.lo, P.hi, sides), 2.0 ** (-level * lat.dim)
 
 
 def _series_gap(decay: float, exponents: str) -> float:
@@ -143,6 +143,10 @@ def stopping_cubes(
     so cubes of zero bump never qualify.  Selection walks levels from the
     root; a selected cube blocks its entire subtree, which is exactly the
     maximality in the family's contract and makes the cubes disjoint.
+
+    grid is only validated: when given it must be a standard grid with
+    one axis per lattice axis; the check always runs on the weight's own
+    dyadic tree, so the argument changes nothing else.
     """
     if theta < 1.0:
         raise DomainError(f"theta must be >= 1, got {theta}")
@@ -158,15 +162,15 @@ def stopping_cubes(
     averages: list[float] = []
     refined: list[bool] = []
     for level in range(lat.depth + 1):
-        lo, hi, vol = _subcubes(lat, full_rect(lat), level)
-        b = _bumps(w, theta, lo, hi, vol)
-        mf = box_masses(num, lo, hi).astype(np.float64)
+        subs, vol = _subcubes(lat, full_rect(lat), level)
+        b = _bumps(w, theta, subs, None, vol)
+        mf = box_masses(num, subs).astype(np.float64)
         avg = np.where(b > 0.0, mf / np.where(b > 0.0, b, 1.0), 0.0)
         chosen = (avg > threshold) & ~blocked
         if chosen.any():
-            mass_cut = box_masses(num_cut, lo, hi)
+            mass_cut = box_masses(num_cut, subs)
         for i in np.flatnonzero(chosen):
-            cubes.append(rect_at(lo, hi, i))
+            cubes.append(subs.rect(i))
             averages.append(float(avg.flat[i]))
             refined.append(float(mass_cut.flat[i]) > cut * float(b.flat[i]))
         if level < lat.depth:
@@ -207,6 +211,10 @@ def automatic_carleson(
     of the top term because the bump is superadditive in the volume
     factor; summing the geometric series gives the explicit constant
     1 / (1 - 2^(-d(rho-1)/theta')).  The top cube P itself is included.
+
+    grid is only validated: when given it must be a standard grid with
+    one axis per lattice axis; the check always runs on the weight's own
+    dyadic tree, so the argument changes nothing else.
     """
     if rho <= 1.0:
         raise DomainError(f"rho must exceed 1, got {rho}")
@@ -219,7 +227,8 @@ def automatic_carleson(
     constant = 1.0 / _series_gap(decay, f"rho={rho!r}, theta={theta!r}")
     total = _LD(0.0)
     for level in range(level_p, lat.depth + 1):
-        b = _bumps(w, theta, *_subcubes(lat, P, level))
+        sub, vol = _subcubes(lat, P, level)
+        b = _bumps(w, theta, sub, None, vol)
         total += np.power(b, rho).sum(dtype=_LD)
     top = bump_cube(P, w, theta)
     rhs = constant * float(_LD(top) ** _LD(rho))
@@ -242,6 +251,10 @@ def good_carleson(
     trivial term (r+1) * 2^(d*r) covering the shallow gaps and a geometric
     series driven by the measured reverse-doubling exponent of the weight;
     eta defaults to the cube exponent of the product_reverse scan.
+
+    grid is only validated: when given it must be a standard grid with
+    one axis per lattice axis; the check always runs on the weight's own
+    dyadic tree, so the argument changes nothing else.
     """
     if rho <= 1.0:
         raise DomainError(f"rho must exceed 1, got {rho}")
@@ -274,11 +287,11 @@ def good_carleson(
 
     total = _LD(0.0)
     for level in range(level_p, lat.depth + 1):
-        lo, hi, _ = _subcubes(lat, P, level)
-        good = _good_cubes(lo[0].size, level - level_p, goodness, lat.dim)
+        sub, _ = _subcubes(lat, P, level)
+        good = _good_cubes(sub.shape[0], level - level_p, goodness, lat.dim)
         if not good.any():
             continue
-        masses = _weight_masses(w, lo, hi)[good].astype(np.float64)
+        masses = _weight_masses(w, sub)[good].astype(np.float64)
         total += np.power(masses, rho).sum(dtype=_LD)
     top = integrate(w, P)
     rhs = constant * float(_LD(top) ** _LD(rho))
@@ -312,10 +325,10 @@ def _embeddings(f, u, lat: Lattice, theta: float, r: float, s: float, levels=Non
     count = _positive_counts(lat, u)
     total = _LD(0.0)
     for lv in levels or [(level,) * lat.dim for level in range(lat.depth + 1)]:
-        lo, hi = tile_edges((0,) * lat.dim, lat.shape, [lat.cells_per_axis >> k for k in lv])
-        b = _bump_map(_masses(tab, count, lo, hi), 2.0 ** -sum(lv), theta)
+        boxes = tile_edges((0,) * lat.dim, lat.shape, [lat.cells_per_axis >> k for k in lv])
+        b = _bump_map(_masses(tab, count, boxes), 2.0 ** -sum(lv), theta)
         pos = b > 0.0
-        mf = np.maximum(box_masses(num, lo, hi).astype(np.float64), 0.0)
+        mf = np.maximum(box_masses(num, boxes).astype(np.float64), 0.0)
         terms = np.where(pos, np.power(mf * np.power(np.where(pos, b, 1.0), 1 / s - 1), r), 0.0)
         total = total + terms.reshape(terms.shape[: -lat.dim] + (-1,)).sum(axis=-1, dtype=_LD)
     lhs = np.power(total, _LD(1.0) / _LD(r)).astype(np.float64)
@@ -336,6 +349,10 @@ def embed_check_cubes(
     float64 power, (mass * bump^(1/s - 1))^r, of the f-mass rounded once,
     and the terms accumulate in long double.  This is the batched
     evaluator on a batch of one.
+
+    grid is only validated: when given it must be a standard grid with
+    one axis per lattice axis; the check always runs on the weight's own
+    dyadic tree, so the argument changes nothing else.
     """
     if theta <= 1.0:
         raise DomainError(f"the cube embedding needs theta > 1, got {theta}")
@@ -382,6 +399,10 @@ def embed_check_rects(
     is verified numerically and a violation raises, since each link is an
     identity or a theorem once the per-slice ratios are measured.  The
     per-slice and per-point embeddings are batched level reductions.
+
+    grids is only validated: when given it must be a pair of standard
+    grids with m and dim - m axes; the check always runs on the weight's
+    own dyadic tree, so the argument changes nothing else.
     """
     if theta <= 1.0:
         raise DomainError(f"the rectangle embedding needs theta > 1, got {theta}")

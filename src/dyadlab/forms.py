@@ -36,7 +36,15 @@ from .errors import (
     ScopeError,
     ShapeError,
 )
-from .grids import DyadicGrid, DyadicRect, GoodnessParams, _good_cubes, deepest_common_level
+from .grids import (
+    Cube,
+    DyadicGrid,
+    DyadicRect,
+    GoodnessParams,
+    _good_cubes,
+    deepest_common_level,
+    standard_grid,
+)
 from .lattice import (
     GridFunction,
     Lattice,
@@ -529,7 +537,9 @@ def norm_estimate(
     of f, and symmetrically, so each half-step is exact and the objective
     never decreases.  Three random starts run for `iterations` rounds;
     the witness of the no-bump characteristic seeds a fourth.  The floor
-    guarantees the bound dominates the family's no-bump characteristic.
+    guarantees the bound dominates the family's no-bump characteristic;
+    when it wins, the returned pair is the normalized indicator pair of
+    its rectangle, which attains it.
     """
     if isinstance(iterations, bool) or not isinstance(iterations, Integral) or iterations < 0:
         raise DomainError(f"iterations must be an integer >= 0, got {iterations!r}")
@@ -546,13 +556,13 @@ def norm_estimate(
     p, q = exps.p, exps.q
     p_prime, q_prime = exps.p_prime, exps.q_prime
 
-    floor_value, floor_witness = _indicator_floor(kernel, sigma, omega, exps, family)
+    floor_value, floor_witness, seeds = _indicator_floor(kernel, sigma, omega, exps, family)
     starts: list[np.ndarray] = []
     for t in range(3):
         rng = substream(seed, 606, t)
         starts.append(np.exp(0.5 * rng.standard_normal(lat.shape)))
     indicator_pair = _indicator_pair(lat, sigma, omega, floor_witness, p, q_prime)
-    if indicator_pair is not None:
+    if indicator_pair is not None and seeds:
         starts.append(indicator_pair[0])
 
     trace: list[tuple[int, int, float]] = []
@@ -592,37 +602,62 @@ def norm_estimate(
 
 
 def _indicator_floor(kernel, sigma, omega, exps, family: RectFamily | None):
-    """Max over the family of K(R)|R|_sigma^(1/p')|R|_omega^(1/q).
+    """Max over the family of K(R)|R|_sigma^(1/p')|R|_omega^(1/q), its
+    first maximizing rectangle, and whether that rectangle seeds a start.
 
     For the full dyadic family and the product kernel this is exactly the
     no-bump characteristic, computed through the same code path so
     comparisons are reproducible; a level table kernel takes the max level
-    pair by level pair, an explicit family box by box."""
+    pair by level pair, an explicit family box by box.  On the dyadic
+    family, default or explicit, the rectangle is a DyadicRect of standard
+    cubes.  The no-bump characteristic's witness and a family's own
+    rectangles seed a start; a table kernel's maximizer on the dyadic
+    family only certifies the floor, so its starts stay the three random
+    ones."""
     if kernel.kind == "product_frac" and (family is None or family.tag == "dyadic"):
         res = characteristic("no_bump", None, sigma, omega, exps, family="dyadic")
-        return res.value, res.witness
+        return res.value, res.witness, True
 
-    def values(kv, lo, hi):
+    def values(kv, lo, hi=None):
         msig = _weight_masses(sigma, lo, hi).astype(np.float64)
         momg = _weight_masses(omega, lo, hi).astype(np.float64)
         return kv * np.power(msig, 1.0 / exps.p_prime) * np.power(momg, 1.0 / exps.q)
 
+    lat = sigma.lattice
     if family is None:
-        lat = sigma.lattice
         cells, levels = lat.cells_per_axis, range(lat.depth + 1)
-        best = 0.0
+        best, best_at = 0.0, None
         for li in levels:
             for lj in levels:
                 sides = (cells >> li,) * kernel.m + (cells >> lj,) * kernel.n
-                lo, hi = tile_edges((0,) * lat.dim, (cells,) * lat.dim, sides)
-                best = max(best, float(values(kernel.level_value(li, lj), lo, hi).max()))
-        return best, None
+                tiles = tile_edges((0,) * lat.dim, (cells,) * lat.dim, sides)
+                vals = values(kernel.level_value(li, lj), tiles)
+                i = int(np.argmax(vals))
+                if vals.flat[i] > best:
+                    best, best_at = float(vals.flat[i]), (li, lj, tiles.rect(i).lo)
+        witness = None if best_at is None else _dyadic_rect(lat, kernel.m, *best_at)
+        return best, witness, False
     vals = values(
         kernel.level_values(family.levels), family.boxes[:, :, 0].T, family.boxes[:, :, 1].T
     )
     i = int(np.argmax(vals))
-    witness = family.rects[i] if family.rects is not None else None
-    return float(vals[i]), witness
+    if family.rects is not None:
+        return float(vals[i]), family.rects[i], True
+    witness = None
+    if family.tag == "dyadic":
+        witness = _dyadic_rect(lat, kernel.m, *family.levels[i], family.boxes[i, :, 0])
+    return float(vals[i]), witness, False
+
+
+def _dyadic_rect(lat: Lattice, m: int, li: int, lj: int, lo) -> DyadicRect:
+    """The product of standard level-li and level-lj cubes whose cell box
+    starts at lo."""
+    cells = lat.cells_per_axis
+    cubes = []
+    for level, corner in ((li, lo[:m]), (lj, lo[m:])):
+        grid = standard_grid(len(corner), 0, lat.depth)
+        cubes.append(Cube(grid, int(level), tuple(int(a) // (cells >> level) for a in corner)))
+    return DyadicRect(*cubes)
 
 
 def _indicator_pair(lat, sigma, omega, witness, p, q_prime):

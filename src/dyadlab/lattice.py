@@ -4,13 +4,19 @@ Everything in the package lives on the half-open unit box [0,1)^d sliced
 into 2^(d*L) congruent cells.  Weights and grid functions are piecewise
 constant on cells, so every integral that appears anywhere downstream is
 a finite sum read off a prefix (summed-area) table.  One engine,
-box_masses, reads them all: given per-axis lower and upper edge arrays
-that broadcast together (a level's outer-product grid of cubes, or a
-zipped list of boxes) it returns every box's mass as a mixed corner
-difference, looking the table up directly on whole-cell edges and
-interpolating it multilinearly on fractional ones (one-third grids).
-Leading table axes are a batch: one call reads a level from a stack of
-tables.
+box_masses, reads them all, as the mixed corner difference of every box,
+looking the table up directly on whole-cell edges and interpolating it
+multilinearly on fractional ones (one-third grids).  It takes two
+layouts.  A BoxGrid, the outer product of per-axis boxes (a level's
+cubes, the placements of a box and their clipped doubles), is read at
+its vertices: each axis knows, from where its edges were built, whether
+they form whole-cell progressions, read as strided views of the table,
+or a list of distinct vertex positions, at which the table is evaluated
+once; boxes then difference their own vertices.  Per-axis edge arrays
+that broadcast together (scalar boxes, zipped box lists) gather every
+corner of every box.  Both layouts do the same per-point arithmetic, so
+a box gets the same bits either way.  Leading table axes are a batch:
+one call reads a level from a stack of tables.
 
 Precision policy: long double only where cancellation happens.  Prefix
 tables are accumulated and their corners differenced in np.longdouble,
@@ -285,8 +291,10 @@ def _edge(e, n: int):
 def _corner_values(tab: np.ndarray, pts: list):
     """Prefix table at one corner point per box, multilinear over the axes
     given as (floor index, 1 - frac, frac); exact for the piecewise
-    constant densities the tables store."""
+    constant densities the tables store.  The other axes index directly."""
     frac = [k for k, p in enumerate(pts) if isinstance(p, tuple)]
+    if not frac:
+        return tab[(..., *pts)]
     idx = list(pts)
     out = None
     for corners in _iproduct((0, 1), repeat=len(frac)):
@@ -300,42 +308,248 @@ def _corner_values(tab: np.ndarray, pts: list):
     return out
 
 
-def box_masses(tab: np.ndarray, lo, hi) -> np.ndarray:
+def _corner_sum(tab: np.ndarray, ends: list, read=_corner_values) -> np.ndarray:
+    """Mixed corner difference of tab over per-axis (lower, upper) reads,
+    the corners summed in _CORNERS order."""
+    out = None
+    own = False  # whether out is an array of this call's, updated in place
+    for corners, sign in _CORNERS[len(ends)]:
+        term = read(tab, [end[c] for end, c in zip(ends, corners)])
+        if out is None:
+            out = term if sign > 0 else -term
+        elif own and out.shape == term.shape:
+            (np.add if sign > 0 else np.subtract)(out, term, out=out)
+        else:
+            out = out + term if sign > 0 else out - term
+            own = isinstance(out, np.ndarray)
+    return out
+
+
+def box_masses(tab: np.ndarray, lo, hi=None) -> np.ndarray:
     """Masses of every box spanned by per-axis edges, in cell units.
 
     lo[k] and hi[k] hold the edges of the k-th of the table's len(lo)
     trailing axes; leading axes are a batch, which leads the result.  All
     2d arrays broadcast together: vectors laid out by np.ix_ give the
     outer-product grid of a level pair, equal-length vectors give a list
-    of boxes.  Edges are clipped to [0, n].  An edge array of whole cells
-    indexes the table directly, any other is interpolated, and for
-    whole-cell values the two paths round identically.  Corners are summed
-    in one fixed order, so a box's mass depends only on its own edges and
-    table, never on the batch it was gathered in.  Returns long doubles.
+    of boxes.  Edges are clipped to [0, n].  Every corner of every box is
+    gathered: an edge array of whole cells indexes the table directly, any
+    other is interpolated.
+
+    A BoxGrid given as lo, with hi omitted, is read at its vertices: the
+    table is evaluated once per vertex (a strided view on whole-cell
+    progressions, the same interpolation on the vertex list of any other
+    axis) and each box takes the mixed difference of its own vertices.
+    Both ways a corner's value is the same per-point arithmetic, and a
+    whole cell reads the same through interpolation, with weights (1, 0),
+    as through an index.  Corners are summed in one fixed order, so a
+    box's mass depends only on its own edges and table, never on the
+    batch or the layout it was read in.  Returns long doubles, or the
+    table's dtype for an integer table on whole cells.
     """
+    if hi is None:
+        return lo.masses(tab)
     n = tab.shape[-1] - 1
-    ends = [(_edge(a, n), _edge(b, n)) for a, b in zip(lo, hi)]
-    out = None
-    for corners, sign in _CORNERS[len(lo)]:
-        pts = [end[c] for end, c in zip(ends, corners)]
-        if any(isinstance(p, tuple) for p in pts):
-            term = _corner_values(tab, pts)
-        else:
-            term = tab[(..., *pts)]
-        if out is None:
-            out = term if sign > 0 else -term
-        elif sign > 0:
-            out = out + term
-        else:
-            out = out - term
+    return _corner_sum(tab, [(_edge(a, n), _edge(b, n)) for a, b in zip(lo, hi)])
+
+
+def _span(start: int, step: int, count: int) -> slice:
+    """The vertices start, start + step, ... of count boxes as a slice; a
+    step of 0 is one vertex, which broadcasts over the boxes."""
+    if step == 0 or count == 1:
+        return slice(start, start + 1, 1)
+    return slice(start, start + (count - 1) * step + 1 if count else start, step)
+
+
+def _take(tab: np.ndarray, pts: list) -> np.ndarray:
+    """tab at per-axis reads of its trailing axes: a slice as a view, an
+    index array by np.take along its axis."""
+    out = tab[(..., *(p if isinstance(p, slice) else slice(None) for p in pts))]
+    for k, p in enumerate(pts):
+        if not isinstance(p, slice):
+            out = np.take(out, p, axis=k - len(pts))
     return out
 
 
-def tile_edges(lo, hi, sides) -> tuple[list, list]:
-    """Edges of the cubes of per-axis sides tiling the cell box [lo, hi),
-    each axis on its own dimension, ready for box_masses."""
-    lower = np.ix_(*(np.arange(a, b, s, dtype=np.int64) for a, b, s in zip(lo, hi, sides)))
-    return list(lower), [e + s for e, s in zip(lower, sides)]
+class Axis:
+    """One axis of a BoxGrid: its boxes, as runs over the vertices they
+    sit on.
+
+    runs holds per run of consecutive boxes (count, lo, hi): the reads of
+    the vertex list holding the run's lower and upper edges, each a slice
+    or an index array; a one-vertex slice is an edge constant over the
+    run.  With verts None the vertex list is the table's own axis, vertex
+    i at cell i, so a run of slices is a strided view of the table.
+    Otherwise verts holds the distinct vertex positions in cells, clipped
+    to [0, n], and read how the table is read there (_edge).
+    """
+
+    __slots__ = ("runs", "verts", "read")
+
+    def __init__(self, runs, verts: np.ndarray | None = None, n: int = 0):
+        self.runs = tuple(runs)
+        self.verts = verts
+        self.read = None if verts is None else _edge(verts, n)
+
+    @classmethod
+    def progression(cls, start: int, count: int, step: int, width: int) -> "Axis":
+        """count whole-cell boxes [start + j*step, start + j*step + width)."""
+        return cls([(count, _span(start, step, count), _span(start + width, step, count))])
+
+    @classmethod
+    def vertices(cls, lo: np.ndarray, hi: np.ndarray, n: int) -> "Axis":
+        """The boxes [lo[j], hi[j]) at increasing positions clipped to
+        [0, n].  A box's upper edge shares the next box's lower vertex
+        where the two positions are equal bit for bit, and gets a vertex
+        of its own where rounding parted them."""
+        count = lo.size
+        parted = hi[:-1] != lo[1:]
+        if not parted.any():
+            runs = [(count, _span(0, 1, count), _span(1, 1, count))]
+            return cls(runs, np.concatenate([lo, hi[-1:]]), n)
+        at = np.arange(count) + np.concatenate([[0], np.cumsum(parted)])
+        verts = np.empty(count + int(parted.sum()) + 1)
+        verts[at], verts[at + 1] = lo, hi
+        return cls([(count, at, at + 1)], verts, n)
+
+    @property
+    def count(self) -> int:
+        return sum(run[0] for run in self.runs)
+
+    def _at(self, read) -> np.ndarray:
+        if self.verts is None:
+            return np.arange(read.start, read.stop, read.step)
+        return self.verts[read]
+
+    def vertex_form(self, n: int) -> "Axis":
+        """The same boxes on an explicit vertex list."""
+        if self.verts is not None:
+            return self
+        parts, runs, at = [], [], 0
+        for count, lo, hi in self.runs:
+            a, b = self._at(lo), self._at(hi)
+            parts += [a, b]
+            runs.append((count, _span(at, 1, a.size), _span(at + a.size, 1, b.size)))
+            at += a.size + b.size
+        return Axis(runs, np.concatenate(parts), n)
+
+    def edges(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every box's lower and upper edge, in box order."""
+        return tuple(
+            np.concatenate([np.broadcast_to(self._at(run[k]), run[0]) for run in self.runs])
+            for k in (1, 2)
+        )
+
+    def edge_at(self, pos: int) -> tuple:
+        """Lower and upper edge of the box at one position."""
+        for count, lo, hi in self.runs:
+            if pos < count:
+                return tuple((v := self._at(read))[min(pos, v.size - 1)] for read in (lo, hi))
+            pos -= count
+        raise IndexError(f"box position beyond the axis's {self.count} boxes")
+
+
+def _indices(read, count: int) -> np.ndarray:
+    """A read of count boxes' edges as an index array."""
+    if isinstance(read, slice):
+        read = np.arange(read.start, read.stop, read.step)
+    return np.broadcast_to(read, count)
+
+
+def join_axes(axes, n: int) -> Axis:
+    """The boxes of several axes side by side, on one vertex list, in one
+    run of index arrays."""
+    parts, lo, hi, at = [], [], [], 0
+    for ax in axes:
+        ax = ax.vertex_form(n)
+        parts.append(ax.verts)
+        for count, a, b in ax.runs:
+            lo.append(_indices(a, count) + at)
+            hi.append(_indices(b, count) + at)
+        at += ax.verts.size
+    lo, hi = np.concatenate(lo), np.concatenate(hi)
+    return Axis([(lo.size, lo, hi)], np.concatenate(parts), n)
+
+
+def _ix_shapes(d: int) -> list[tuple[int, ...]]:
+    """Per axis, the shape np.ix_ gives its vector among d axes."""
+    return [(1,) * k + (-1,) + (1,) * (d - 1 - k) for k in range(d)]
+
+
+class BoxGrid:
+    """The outer product of per-axis boxes, one Axis per trailing table
+    axis: a level's cubes, the placements of a box, their clipped doubles.
+
+    box_masses(tab, grid) reads it at its vertices.  It also unpacks, as
+    lo, hi = grid, to its per-axis edge arrays laid out by np.ix_, which
+    every reader of edge arrays takes.
+    """
+
+    __slots__ = ("axes",)
+
+    def __init__(self, axes):
+        self.axes = tuple(axes)
+
+    @property
+    def shape(self) -> tuple[int, ...]:
+        return tuple(ax.count for ax in self.axes)
+
+    @property
+    def whole(self) -> bool:
+        """Whether every edge is a whole cell."""
+        return not any(isinstance(ax.read, tuple) for ax in self.axes)
+
+    def __iter__(self):
+        ends = [ax.edges() for ax in self.axes]
+        layout = _ix_shapes(len(ends))
+        return iter([[e[side].reshape(s) for e, s in zip(ends, layout)] for side in (0, 1)])
+
+    def replace(self, k: int, axis: Axis) -> "BoxGrid":
+        return BoxGrid(self.axes[:k] + (axis,) + self.axes[k + 1 :])
+
+    def rect(self, flat: int) -> Rect:
+        """The cell box at a flat (C order) position of a whole-cell grid."""
+        pos = np.unravel_index(flat, self.shape)
+        ends = [ax.edge_at(int(p)) for ax, p in zip(self.axes, pos)]
+        return Rect(tuple(int(a) for a, _ in ends), tuple(int(b) for _, b in ends))
+
+    def masses(self, tab: np.ndarray) -> np.ndarray:
+        """box_masses of the grid, read at its vertices."""
+        axes = self.axes
+        d = len(axes)
+        if any(ax.verts is not None for ax in axes):
+            n = tab.shape[-1] - 1
+            axes = [ax.vertex_form(n) for ax in axes]
+            layout = _ix_shapes(d)
+            tab = _corner_values(tab, [
+                tuple(a.reshape(s) for a in ax.read) if isinstance(ax.read, tuple)
+                else ax.read.reshape(s)
+                for ax, s in zip(axes, layout)
+            ])
+        if all(len(ax.runs) == 1 for ax in axes):
+            out = _corner_sum(tab, [ax.runs[0][1:] for ax in axes], _take)
+            shape = out.shape[: out.ndim - d] + self.shape
+            return out if out.shape == shape else np.broadcast_to(out, shape).copy()
+        blocks = []
+        for ax in axes:
+            starts = np.cumsum([0] + [run[0] for run in ax.runs])
+            runs = zip(starts, starts[1:], ax.runs)
+            blocks.append([(slice(a, b), run[1:]) for a, b, run in runs])
+        out = None
+        for combo in _iproduct(*blocks):
+            block = _corner_sum(tab, [ends for _, ends in combo], _take)
+            if out is None:
+                out = np.empty(block.shape[: block.ndim - d] + self.shape, dtype=block.dtype)
+            out[(..., *(at for at, _ in combo))] = block
+        return out
+
+
+def tile_edges(lo, hi, sides) -> BoxGrid:
+    """The cubes of per-axis sides tiling the cell box [lo, hi), each axis
+    a progression read as a strided view."""
+    return BoxGrid(
+        Axis.progression(a, len(range(a, b, s)), s, s) for a, b, s in zip(lo, hi, sides)
+    )
 
 
 def box_list(lo, hi) -> np.ndarray:
@@ -344,16 +558,6 @@ def box_list(lo, hi) -> np.ndarray:
     d = len(lo)
     return np.stack(
         [np.stack(lo, axis=-1).reshape(-1, d), np.stack(hi, axis=-1).reshape(-1, d)], axis=2
-    )
-
-
-def rect_at(lo, hi, flat: int) -> Rect:
-    """The cell box at a flat (C order) position of an edge grid."""
-    shape = np.broadcast_shapes(*(np.shape(e) for e in (*lo, *hi)))
-    pos = np.unravel_index(flat, shape)
-    return Rect(
-        tuple(int(np.broadcast_to(e, shape)[pos]) for e in lo),
-        tuple(int(np.broadcast_to(e, shape)[pos]) for e in hi),
     )
 
 
@@ -370,18 +574,23 @@ def _cover(lo, hi) -> tuple[list, list]:
     return clo, chi
 
 
-def _masses(tab: np.ndarray, count: np.ndarray | None, lo, hi) -> np.ndarray:
+def _masses(tab: np.ndarray, count: np.ndarray | None, lo, hi=None) -> np.ndarray:
     """box_masses of tab, exactly 0 on boxes that hold no positive cell by
     their _positive_counts table, where the corner sum of nonzero prefix
     values need not cancel; the count is read on the whole-cell cover of
-    fractional boxes.  Every other box keeps the engine's bits."""
+    fractional boxes, which a whole-cell grid is of itself.  Every other
+    box keeps the engine's bits."""
     masses = box_masses(tab, lo, hi)
     if count is not None:
-        masses = np.where(box_masses(count, *_cover(lo, hi)) == 0, _LD(0.0), masses)
+        if hi is None and lo.whole:
+            held = box_masses(count, lo)
+        else:
+            held = box_masses(count, *_cover(*(lo if hi is None else (lo, hi))))
+        masses = np.where(held == 0, _LD(0.0), masses)
     return masses
 
 
-def _weight_masses(w: Weight, lo, hi, theta: float = 1.0) -> np.ndarray:
+def _weight_masses(w: Weight, lo, hi=None, theta: float = 1.0) -> np.ndarray:
     """_masses through w's theta table and its positive-cell count, which
     is built on first use."""
     if w._count is False:
@@ -622,10 +831,29 @@ class DoublingReport:
         return all(e > 0 for e in self.rev_eps)
 
 
-def _placements(n: int, sizes) -> tuple[list, list]:
-    """Edges of every placement of a sizes-shaped box, one axis per dimension."""
-    lo = list(np.ix_(*(np.arange(n - m + 1, dtype=np.int64) for m in sizes)))
-    return lo, [a + m for a, m in zip(lo, sizes)]
+def _placements(n: int, sizes) -> BoxGrid:
+    """Every placement of a sizes-shaped cell box, one axis per dimension."""
+    return BoxGrid(Axis.progression(0, n - m + 1, 1, m) for m in sizes)
+
+
+def _doubles(n: int, sizes) -> BoxGrid:
+    """The doubles of _placements(n, sizes), clipped to [0, n].  A
+    placement a of side m doubles to [max(a - m/2, 0), min(a + 3m/2, n)),
+    so each axis splits into at most three runs on which both edges are a
+    slice or the constant 0 or n."""
+    axes = []
+    for m in sizes:
+        h, count = m // 2, n - m + 1
+        top = n - m - h + 1  # first placement whose double is clipped at n
+        cuts = sorted({0, min(h, count), min(max(top, 0), count), count})
+        runs = []
+        for a, b in zip(cuts, cuts[1:]):
+            if a < b:
+                lo = _span(0, 0, 1) if a < h else _span(a - h, 1, b - a)
+                hi = _span(n, 0, 1) if a >= top else _span(a + m + h, 1, b - a)
+                runs.append((b - a, lo, hi))
+        axes.append(Axis(runs))
+    return BoxGrid(axes)
 
 
 def _scan_doubling(w: Weight, per_axis_sizes: bool) -> tuple[float, bool, Witness | None]:
@@ -639,26 +867,22 @@ def _scan_doubling(w: Weight, per_axis_sizes: bool) -> tuple[float, bool, Witnes
         _iproduct(even, repeat=lat.dim) if per_axis_sizes else ((m,) * lat.dim for m in even)
     )
     for sizes in size_tuples:
-        lo, hi = _placements(n, sizes)
-        dlo = [np.maximum(a - m // 2, 0) for a, m in zip(lo, sizes)]
-        dhi = [np.minimum(b + m // 2, n) for b, m in zip(hi, sizes)]
+        boxes, doubles = _placements(n, sizes), _doubles(n, sizes)
         # round once to float64 so scan ratios match Witness.reevaluate bit for bit
-        base = _weight_masses(w, lo, hi).astype(np.float64)
-        big = _weight_masses(w, dlo, dhi).astype(np.float64)
+        base = _weight_masses(w, boxes).astype(np.float64)
+        big = _weight_masses(w, doubles).astype(np.float64)
         zero = base == 0.0
         inf_here = zero & (big > 0.0)
         if inf_here.any():
             i = int(np.argmax(inf_here))
-            wit = Witness("double", rect_at(lo, hi, i), rect_at(dlo, dhi, i), None, None, INFINITE)
+            wit = Witness("double", boxes.rect(i), doubles.rect(i), None, None, INFINITE)
             return INFINITE, True, wit
         if (~zero).any():
             ratios = np.where(zero, -1.0, big / np.where(zero, 1.0, base))
             i = int(np.argmax(ratios))
             if float(ratios.flat[i]) > best:
                 best = float(ratios.flat[i])
-                witness = Witness(
-                    "double", rect_at(lo, hi, i), rect_at(dlo, dhi, i), None, None, best
-                )
+                witness = Witness("double", boxes.rect(i), doubles.rect(i), None, None, best)
     return (best if best >= 0 else 0.0), False, witness
 
 
@@ -679,25 +903,35 @@ def _eps_from_per_scale(per_s: dict[int, tuple]) -> tuple[float | None, Witness 
     return max(best_eps, 0.0), wit
 
 
+def _shrunk(tiles: BoxGrid, sides, axes, s: int) -> BoxGrid:
+    """tiles, each cube shrunk concentrically by 2^-s along the given axes."""
+    for axis in axes:
+        inner = sides[axis] >> s
+        start = (sides[axis] - inner) // 2
+        tiles = tiles.replace(axis, Axis.progression(start, tiles.shape[axis], sides[axis], inner))
+    return tiles
+
+
 def _scan_product_reverse(w: Weight) -> DoublingReport:
     """Dyadic rectangles, exactly cell-aligned concentric shrinks.
 
     A concentric shrink by 2^-s of a level-l dyadic edge stays cell-aligned
     exactly for s <= L - l - 1; those are the tested scales.  Per-axis
     shrinks give the product exponents, shrinking all axes of a dyadic cube
-    at once gives the cube exponent.
+    at once gives the cube exponent.  A scale keeps its best (levels, axes,
+    flat index); the witness boxes are built once, at the end.
     """
     lat = w.lattice
     n = lat.cells_per_axis
+    origin, top = (0,) * lat.dim, (n,) * lat.dim
     rep = DoublingReport(mode="product_reverse", rev_C=1.0)
     axis_per_s: list[dict[int, tuple]] = [dict() for _ in range(lat.dim)]
     cube_per_s: dict[int, tuple] = {}
-    per_scale: dict = {}
 
     for levels in _iproduct(*([range(lat.depth + 1)] * lat.dim)):
         sides = [n >> lv for lv in levels]
-        lo, hi = tile_edges((0,) * lat.dim, (n,) * lat.dim, sides)
-        base = _weight_masses(w, lo, hi).astype(np.float64)
+        tiles = tile_edges(origin, top, sides)
+        base = _weight_masses(w, tiles).astype(np.float64)
         ok = base > 0.0
         if not ok.any():
             continue
@@ -710,24 +944,27 @@ def _scan_product_reverse(w: Weight) -> DoublingReport:
         if len(set(levels)) == 1:
             shrinks += [(cube_per_s, s, range(lat.dim)) for s in range(1, lat.depth - levels[0])]
         for per_s, s, axes in shrinks:
-            ilo, ihi = list(lo), list(hi)
-            for axis in axes:
-                inner = sides[axis] >> s
-                ilo[axis] = lo[axis] + (sides[axis] - inner) // 2
-                ihi[axis] = ilo[axis] + inner
-            small = _weight_masses(w, ilo, ihi).astype(np.float64)
+            small = _weight_masses(w, _shrunk(tiles, sides, axes, s)).astype(np.float64)
             ratios = np.where(ok, small / safe, -1.0)
             i = int(np.argmax(ratios))
             r = float(ratios.flat[i])
             cur = per_s.get(s)
             if cur is None or r > cur[0]:
-                per_s[s] = (r, rect_at(lo, hi, i), rect_at(ilo, ihi, i))
+                per_s[s] = (r, sides, axes, i)
 
+    def boxes(per_s: dict[int, tuple]) -> dict[int, tuple]:
+        out = {}
+        for s, (r, sides, axes, i) in per_s.items():
+            tiles = tile_edges(origin, top, sides)
+            out[s] = (r, tiles.rect(i), _shrunk(tiles, sides, axes, s).rect(i))
+        return out
+
+    per_scale: dict = {}
     eps_list = []
     for axis in range(lat.dim):
-        for s, (r, _, _) in axis_per_s[axis].items():
+        for s, (r, *_) in axis_per_s[axis].items():
             per_scale[("axis", axis, s)] = r
-        eps, wit = _eps_from_per_scale(axis_per_s[axis])
+        eps, wit = _eps_from_per_scale(boxes(axis_per_s[axis]))
         if eps is None:
             eps = 0.0
         else:
@@ -735,9 +972,9 @@ def _scan_product_reverse(w: Weight) -> DoublingReport:
         eps_list.append(eps)
     rep.rev_eps = tuple(eps_list)
 
-    for s, (r, _, _) in cube_per_s.items():
+    for s, (r, *_) in cube_per_s.items():
         per_scale[("cube", s)] = r
-    eps_cube, wit_cube = _eps_from_per_scale(cube_per_s)
+    eps_cube, wit_cube = _eps_from_per_scale(boxes(cube_per_s))
     if eps_cube is None:
         rep.rev_eps_cube = 0.0
     else:
@@ -759,25 +996,22 @@ def _scan_strong(w: Weight) -> DoublingReport:
             range(2, n + 1, 2) if k == axis else range(1, n + 1) for k in range(lat.dim)
         ]
         for sizes in _iproduct(*size_ranges):
-            lo, hi = _placements(n, sizes)
-            base = _weight_masses(w, lo, hi).astype(np.float64)
+            boxes = _placements(n, sizes)
+            base = _weight_masses(w, boxes).astype(np.float64)
             ok = base > 0.0
             if not ok.any():
                 continue
-            mid = lo[axis] + sizes[axis] // 2
-            left_hi = hi[:axis] + [mid] + hi[axis + 1 :]
-            right_lo = lo[:axis] + [mid] + lo[axis + 1 :]
-            lm = _weight_masses(w, lo, left_hi).astype(np.float64)
-            rm = _weight_masses(w, right_lo, hi).astype(np.float64)
+            m, count = sizes[axis], n - sizes[axis] + 1
+            left = boxes.replace(axis, Axis.progression(0, count, 1, m // 2))
+            right = boxes.replace(axis, Axis.progression(m // 2, count, 1, m - m // 2))
+            lm = _weight_masses(w, left).astype(np.float64)
+            rm = _weight_masses(w, right).astype(np.float64)
             frac = np.where(ok, np.maximum(lm, rm) / np.where(ok, base, 1.0), -1.0)
             i = int(np.argmax(frac))
             if float(frac.flat[i]) > best:
                 best = float(frac.flat[i])
-                if lm.flat[i] >= rm.flat[i]:
-                    side = rect_at(lo, left_hi, i)
-                else:
-                    side = rect_at(right_lo, hi, i)
-                wit = Witness("half", rect_at(lo, hi, i), side, axis, None, best)
+                side = left.rect(i) if lm.flat[i] >= rm.flat[i] else right.rect(i)
+                wit = Witness("half", boxes.rect(i), side, axis, None, best)
     if best < 0.0:
         rep.strong_absent = True
         return rep

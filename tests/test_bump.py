@@ -4,9 +4,12 @@ Closed-form oracles (sqrt(2) for the two-step density, exponent arithmetic
 for the Lebesgue characteristics) were fixed before implementation.
 """
 import math
+from itertools import product as iproduct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dyadlab import (
     Cube,
@@ -27,6 +30,7 @@ from dyadlab import (
     random_partition,
     slice_profile,
 )
+from dyadlab import bump
 from dyadlab.bump import _bumps, _level_profiles
 from dyadlab.lattice import box_mass, box_masses
 
@@ -384,3 +388,128 @@ def test_exponents_validation():
     assert e.p_prime == 2.0 and e.q_prime == pytest.approx(4.0 / 3.0)
     k = PowerKernel.from_exponents(e)
     assert (k.i_exp, k.j_exp) == (-0.5, -0.5)
+
+# ---------------------------------------------------------------------------
+# the grouped scan against the former per-grid loop
+#
+# The former characteristic, kept as the reference: one _products call per
+# grid tuple and level tuple, each factor's cube edges gathered as float
+# arrays, the first maximum kept with a strict >.
+
+
+def _former_level_cubes(grid, level):
+    side = 1.0 / (1 << level)
+    out = []
+    for k in range(grid.dim):
+        off = float(grid.offset(k, level))
+        first = math.floor(-off / side)
+        if (first + 1) * side + off <= 0:
+            first += 1
+        ks = np.arange(first, first + (1 << level) + 2, dtype=np.int64)
+        out.append(ks[ks * side + off < 1])
+    return out
+
+
+def _former_factor(grid, level, index, depth):
+    ncells = 1 << depth
+    side_cells = float(2.0 ** (depth - level))
+    lo, hi = [], []
+    for k, idx in enumerate(index):
+        a = np.asarray(idx, dtype=np.int64) * side_cells + float(grid.offset(k, level)) * ncells
+        lo.append(np.clip(a, 0.0, ncells))
+        hi.append(np.clip(a + side_cells, 0.0, ncells))
+    return grid, level, list(index), lo, hi
+
+
+def _former_products(kind, kernel, sigma, omega, exps, factors):
+    lo, hi = [], []
+    vol = 1.0
+    kval = 1.0
+    for (grid, level, _, flo, fhi), k_exp in zip(factors, (kernel.i_exp, kernel.j_exp)):
+        side_vol = 2.0 ** (-level * grid.dim)
+        lo += flo
+        hi += fhi
+        vol *= side_vol
+        kval *= side_vol**k_exp
+    lo, hi = np.ix_(*lo), np.ix_(*hi)
+    bump_s, bump_w = bump._BUMPED[kind]
+    bs = _bumps(sigma, exps.theta if bump_s else 1.0, lo, hi, vol)
+    bw = _bumps(omega, exps.theta if bump_w else 1.0, lo, hi, vol)
+    return kval * np.power(bs, 1.0 / exps.p_prime) * np.power(bw, 1.0 / exps.q)
+
+
+def _former_characteristic(kind, sigma, omega, exps, family):
+    kernel = KernelHandle.from_exponents(exps)
+    dims = (exps.m,) if kind == "one_param" else (exps.m, exps.n)
+    depth = sigma.lattice.depth
+    per_grid = [
+        [
+            [
+                _former_factor(grid, lv, _former_level_cubes(grid, lv), depth)
+                for lv in range(depth + 1)
+            ]
+            for grid in bump._grids_for(family, dim, depth)
+        ]
+        for dim in dims
+    ]
+    best = -1.0
+    best_at = None
+    for grids in iproduct(*per_grid):
+        for factors in iproduct(*grids):
+            vals = _former_products(kind, kernel, sigma, omega, exps, factors)
+            k = int(np.argmax(vals))
+            if vals.flat[k] > best:
+                best = float(vals.flat[k])
+                best_at = factors, np.unravel_index(k, vals.shape)
+    factors, pos = best_at
+    cubes = []
+    for grid, level, index, _, _ in factors:
+        here, pos = pos[: grid.dim], pos[grid.dim :]
+        cubes.append(Cube(grid, level, tuple(int(ks[p]) for ks, p in zip(index, here))))
+    return best, cubes[0] if len(cubes) == 1 else DyadicRect(*cubes)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(1, 1, 3), (1, 1, 4), (1, 2, 2), (2, 1, 2), (1, 0, 5), (2, 0, 3)]),
+    st.sampled_from(["no_bump", "product_bump", "half_bump_omega"]),
+    st.sampled_from(["onethird", "dyadic"]),
+    st.sampled_from(["lognormal", "cascade", "zero_block", "constant"]),
+    st.integers(0, 2**20),
+)
+def test_grouped_scan_matches_former_per_grid_loop(mn, kind, family, weight, seed):
+    # n = 0 stands for one_param on an m-dim lattice
+    m, n, depth = mn
+    kind = "one_param" if n == 0 else kind
+    lat = make_lattice(m + n, depth)
+    specs = {
+        "lognormal": {"kind": "random_lognormal", "seed": seed, "roughness": 0.8},
+        "cascade": {"kind": "cascade", "beta": 0.75, "seed": seed},
+        "constant": {"kind": "constant", "value": 1.0},
+    }
+    if weight == "zero_block":
+        dens = np.random.default_rng(seed).uniform(0.5, 2.0, lat.shape)
+        dens[np.random.default_rng(seed + 1).uniform(size=lat.shape) < 0.3] = 0.0
+        sigma = Weight(lat, dens)
+    else:
+        sigma = gen_weight(lat, specs[weight])
+    omega = gen_weight(lat, specs["constant" if weight == "constant" else "lognormal"])
+    _assert_former_scan(kind, sigma, omega, family, m, max(n, 1))
+
+
+@pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 1)])
+@pytest.mark.parametrize("kind", ["no_bump", "product_bump"])
+@pytest.mark.parametrize("value", [1.0, 0.0])
+def test_grouped_scan_keeps_the_first_of_all_ties(m, n, kind, value):
+    # constant weights tie within grids and levels, and the zero weight
+    # ties everywhere, so the scan order alone picks the witness
+    lat = make_lattice(m + n, 3 if m + n == 2 else 2)
+    w = gen_weight(lat, {"kind": "constant", "value": value})
+    _assert_former_scan(kind, w, w, "onethird", m, n)
+
+
+def _assert_former_scan(kind, sigma, omega, family, m, n):
+    exps = Exponents(p=2.0, q=4.0, alpha=0.5 * m, beta=0.5 * n, m=m, n=n, theta=1.5)
+    res = characteristic(kind, None, sigma, omega, exps, family=family)
+    assert (res.value, res.witness) == _former_characteristic(kind, sigma, omega, exps, family)
+    assert characteristic_at(kind, None, res.witness, sigma, omega, exps) == res.value

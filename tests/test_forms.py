@@ -40,6 +40,7 @@ from dyadlab import (
     goodbad_split,
     integrate,
     kernel_eval,
+    lp_norm,
     make_lattice,
     norm_estimate,
     onethird_grids,
@@ -615,9 +616,9 @@ def test_misaligned_family_box_raises_alignment_error():
 def test_norm_estimate_table_kernel_on_default_family():
     # A table holding the product kernel's level values runs the same
     # half-steps bit for bit.  Its indicator floor is the max, level pair by
-    # level pair, of the no-bump characteristic's terms and has no witness
-    # rectangle, so the indicator-pair start (start 3) is the product
-    # kernel's alone.
+    # level pair, of the no-bump characteristic's terms; its rectangle
+    # certifies the floor but seeds no start, so the indicator-pair start
+    # (start 3) is the product kernel's alone.
     lat = make_lattice(2, 4)
     table = KernelHandle.from_table(
         {(li, lj): HALF.level_value(li, lj) for li in range(5) for lj in range(5)}, 1, 1
@@ -635,3 +636,39 @@ def test_norm_estimate_table_kernel_on_default_family():
         assert got.indicator_floor == pytest.approx(want.indicator_floor, rel=1e-12)
         best = max(obj for _, _, obj in got.trace)
         assert got.lower_bound == max(best, got.indicator_floor)
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_table_kernel_floor_returns_its_normalized_indicator_pair(explicit):
+    # with no iterations the floor wins, and the returned pair is the
+    # normalized indicator pair of the floor's first maximizing rectangle,
+    # which attains the floor
+    lat = make_lattice(2, 5)
+    table = KernelHandle.from_table(
+        {(li, lj): HALF.level_value(li, lj) for li in range(6) for lj in range(6)}, 1, 1
+    )
+    sig, om = rand_w(lat, 811), rand_w(lat, 812)
+    family = dyadic_family(lat, 1)
+    est = norm_estimate(
+        table, sig, om, _exps(), family=family if explicit else None, iterations=0
+    )
+    exps = _exps()
+    masses = [
+        np.array([integrate(w, Rect(tuple(b[:, 0]), tuple(b[:, 1]))) for b in family.boxes])
+        for w in (sig, om)
+    ]
+    vals = (
+        table.level_values(family.levels)
+        * masses[0] ** (1 / exps.p_prime)
+        * masses[1] ** (1 / exps.q)
+    )
+    box = family.boxes[int(np.argmax(vals))]
+    ind = np.zeros(lat.shape)
+    ind[tuple(slice(int(a), int(b)) for a, b in box)] = 1.0
+    f_norm = lp_norm(GridFunction(lat, ind), sig, exps.p)
+    g_norm = lp_norm(GridFunction(lat, ind), om, exps.q_prime)
+    assert est.lower_bound == est.indicator_floor > 0.0
+    assert np.array_equal(est.best_f.values, ind / f_norm)
+    assert np.array_equal(est.best_g.values, ind / g_norm)
+    form = bilinear_form(table, sig, om, est.best_f, est.best_g).total
+    assert form >= est.lower_bound * (1 - 1e-12)

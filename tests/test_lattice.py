@@ -7,6 +7,7 @@ implementation existed.
 import math
 import tempfile
 from fractions import Fraction
+from itertools import product as iproduct
 from pathlib import Path
 
 import numpy as np
@@ -40,8 +41,21 @@ from dyadlab.lattice import (
     substream,
     tile_edges,
 )
-from dyadlab.lattice import _masses, _positive_counts, _weight_masses
+from dyadlab import lattice
+from dyadlab.bump import _axis_cubes
+from dyadlab.grids import onethird_grids
+from dyadlab.lattice import (
+    Axis,
+    BoxGrid,
+    _masses,
+    _positive_counts,
+    _weight_masses,
+    box_list,
+    join_axes,
+)
 from dyadlab.weightio import read_weight, write_weight
+
+LD = np.longdouble
 
 
 def lebesgue(lat):
@@ -513,3 +527,276 @@ def test_wgt1_roundtrip_random_weights(data):
         back = read_weight(path)
     assert back.lattice == lat
     np.testing.assert_array_equal(back.density, w.density)
+
+
+# ---------------------------------------------------------------------------
+# vertex reads against the former per-corner gather
+#
+# The former box_masses, kept verbatim as the reference: every corner of
+# every box gathered from the table, fractional edges interpolated per
+# corner.  The vertex reads must give the same long doubles, bit for bit.
+
+_FORMER_CORNERS = {
+    d: [(c, -1.0 if (d - sum(c)) % 2 else 1.0) for c in iproduct((0, 1), repeat=d)]
+    for d in range(1, 5)
+}
+
+
+def _former_edge(e, n: int):
+    """One edge array clipped to [0, n]: whole cells become an int64 index
+    array, anything else (floor index, 1 - frac, frac) for interpolation."""
+    e = np.asarray(e)
+    if e.dtype.kind in "iu":
+        return np.minimum(np.maximum(e, 0), n)
+    e = np.minimum(np.maximum(e.astype(np.float64, copy=False), 0.0), float(n))
+    floor = np.floor(e)
+    if np.array_equal(floor, e):
+        return floor.astype(np.int64)
+    i = np.minimum(floor.astype(np.int64), n - 1)
+    f = e.astype(LD) - i
+    return i, 1 - f, f
+
+
+def _former_corner_values(tab: np.ndarray, pts: list):
+    """Prefix table at one corner point per box, multilinear over the axes
+    given as (floor index, 1 - frac, frac); exact for the piecewise
+    constant densities the tables store."""
+    frac = [k for k, p in enumerate(pts) if isinstance(p, tuple)]
+    idx = list(pts)
+    out = None
+    for corners in iproduct((0, 1), repeat=len(frac)):
+        wgt = None
+        for k, c in zip(frac, corners):
+            i, lo_w, hi_w = pts[k]
+            idx[k] = i + c
+            wgt = (hi_w if c else lo_w) if wgt is None else wgt * (hi_w if c else lo_w)
+        term = wgt * tab[(..., *idx)]
+        out = term if out is None else out + term
+    return out
+
+
+def _former_box_masses(tab: np.ndarray, lo, hi) -> np.ndarray:
+    n = tab.shape[-1] - 1
+    ends = [(_former_edge(a, n), _former_edge(b, n)) for a, b in zip(lo, hi)]
+    out = None
+    for corners, sign in _FORMER_CORNERS[len(lo)]:
+        pts = [end[c] for end, c in zip(ends, corners)]
+        if any(isinstance(p, tuple) for p in pts):
+            term = _former_corner_values(tab, pts)
+        else:
+            term = tab[(..., *pts)]
+        if out is None:
+            out = term if sign > 0 else -term
+        elif sign > 0:
+            out = out + term
+        else:
+            out = out - term
+    return out
+
+
+def _former_masses(tab, count, lo, hi):
+    """The former exact-zero rule: the count read on the whole-cell cover."""
+    masses = _former_box_masses(tab, lo, hi)
+    if count is not None:
+        clo, chi = [], []
+        for a, b in zip(lo, hi):
+            a, b = np.asarray(a), np.asarray(b)
+            if a.dtype.kind == "f" or b.dtype.kind == "f":
+                a, b = np.floor(a), np.where(b > a, np.ceil(b), np.floor(a))
+            clo.append(a)
+            chi.append(b)
+        masses = np.where(_former_box_masses(count, clo, chi) == 0, LD(0.0), masses)
+    return masses
+
+
+@st.composite
+def _axis_layouts(draw, n: int, depth: int, joinable: bool = True):
+    """One axis of boxes as an Axis and as its edge arrays, built apart."""
+    kind = draw(st.sampled_from(
+        ["tiles", "progression", "placements", "doubles", "third", "fractional"]
+        + (["joined"] if joinable else [])
+    ))
+    if kind == "tiles":
+        side = 1 << draw(st.integers(0, depth))
+        count = draw(st.integers(1, n // side))
+        start = side * draw(st.integers(0, n // side - count))
+        ax = tile_edges((start,), (start + count * side,), (side,)).axes[0]
+        lo = np.arange(start, start + count * side, side)
+        return ax, lo, lo + side
+    if kind == "progression":
+        count = draw(st.integers(1, n + 1))
+        step = draw(st.integers(1, n // (count - 1))) if count > 1 else 1
+        width = draw(st.integers(0, n - (count - 1) * step))
+        start = draw(st.integers(0, n - (count - 1) * step - width))
+        lo = start + step * np.arange(count)
+        return Axis.progression(start, count, step, width), lo, lo + width
+    if kind in ("placements", "doubles"):
+        m = 2 * draw(st.integers(1, max(1, n // 2)))
+        a = np.arange(n - m + 1)
+        if kind == "placements":
+            return lattice._placements(n, (m,)).axes[0], a, a + m
+        lo, hi = np.maximum(a - m // 2, 0), np.minimum(a + m + m // 2, n)
+        return lattice._doubles(n, (m,)).axes[0], lo, hi
+    if kind == "third":
+        grid = onethird_grids(1, 0, depth)[draw(st.integers(0, 2))]
+        level = draw(st.integers(0, depth))
+        index, ax = _axis_cubes(grid, level, depth)
+        side_cells = float(2.0 ** (depth - level))
+        a = np.arange(index.start, index.stop) * side_cells + float(grid.offset(0, level)) * n
+        return ax, np.clip(a, 0.0, n), np.clip(a + side_cells, 0.0, n)
+    if kind == "fractional":
+        # edges on thirds of a cell, some shared by neighbours, some parted
+        # from the next lower edge by one ulp, clipped to the box
+        count = draw(st.integers(1, 5))
+        ticks = sorted(draw(st.lists(st.integers(-n, 4 * n), min_size=count + 1,
+                                     max_size=count + 1)))
+        lo = np.clip(np.array(ticks[:-1]) / 3.0, 0.0, n)
+        hi = np.clip(np.array(ticks[1:]) / 3.0, 0.0, n)
+        parted = np.array(draw(st.lists(st.booleans(), min_size=count, max_size=count)))
+        hi = np.where(parted & (hi < n), np.nextafter(hi, np.inf), hi)
+        return Axis.vertices(lo, hi, n), lo, hi
+    parts = draw(st.lists(_axis_layouts(n, depth, joinable=False), min_size=1, max_size=3))
+    return (
+        join_axes([p[0] for p in parts], n),
+        np.concatenate([np.asarray(p[1], dtype=np.float64) for p in parts]),
+        np.concatenate([np.asarray(p[2], dtype=np.float64) for p in parts]),
+    )
+
+
+@st.composite
+def _grid_cases(draw):
+    dim = draw(st.integers(1, 4))
+    depth = draw(st.integers(1, {1: 5, 2: 4, 3: 3, 4: 2}[dim]))
+    n = 1 << depth
+    axes = [draw(_axis_layouts(n, depth)) for _ in range(dim)]
+    return dim, depth, axes, draw(st.integers(0, 2)), draw(st.integers(0, 2**32 - 1))
+
+
+def _tables(dim, depth, batch, seed):
+    """Prefix tables of random weights with zero blocks, batch stacked or
+    single, with their positive-cell counts."""
+    lat = make_lattice(dim, depth)
+    rng = np.random.default_rng(seed)
+    dens = rng.uniform(0.25, 4.0, (max(batch, 1),) + lat.shape)
+    dens[rng.uniform(size=dens.shape) < 0.3] = 0.0
+    if batch == 0:
+        dens = dens[0]
+    return (
+        lattice._accumulate(lat, dens ** 1.5),
+        lattice._accumulate(lat, dens > 0.0, np.int32),
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(_grid_cases())
+def test_vertex_reads_match_former_gather(case):
+    dim, depth, axes, batch, seed = case
+    tab, count = _tables(dim, depth, batch, seed)
+    grid = BoxGrid([ax for ax, _, _ in axes])
+    lo = list(np.ix_(*(np.asarray(a) for _, a, _ in axes)))
+    hi = list(np.ix_(*(np.asarray(b) for _, _, b in axes)))
+    want = _former_box_masses(tab, lo, hi)
+    got = box_masses(tab, grid)
+    assert got.dtype == want.dtype and np.array_equal(got, want)
+    assert np.array_equal(_masses(tab, count, grid), _former_masses(tab, count, lo, hi))
+    if grid.whole:
+        assert np.array_equal(box_masses(count, grid), _former_box_masses(count, lo, hi))
+    # the grid unpacks to the same boxes, read the former way
+    glo, ghi = grid
+    assert np.array_equal(box_list(glo, ghi), box_list(lo, hi))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_gathered_boxes_match_former_gather(data):
+    # scalar boxes and zipped box lists keep the gather path
+    dim = data.draw(st.integers(1, 4))
+    depth = data.draw(st.integers(1, {1: 5, 2: 4, 3: 3, 4: 2}[dim]))
+    n = 1 << depth
+    tab, count = _tables(dim, depth, data.draw(st.integers(0, 2)), data.draw(st.integers(0, 2**32)))
+    size = data.draw(st.sampled_from([0, 1, 4]))  # 0: one box of scalar edges
+    ticks = max(size, 1)
+    lo, hi = [], []
+    for _ in range(dim):
+        unit = data.draw(st.sampled_from([1, 3]))  # whole cells or thirds of a cell
+        a = np.array(data.draw(st.lists(st.integers(-unit * n, 2 * unit * n), min_size=ticks,
+                                        max_size=ticks)))
+        b = a + np.array(data.draw(st.lists(st.integers(0, 2 * unit * n), min_size=ticks,
+                                            max_size=ticks)))
+        if unit == 3:
+            a, b = a / 3.0, b / 3.0
+        lo.append(a if size else a[0].item())
+        hi.append(b if size else b[0].item())
+    want = _former_box_masses(tab, lo, hi)
+    assert np.array_equal(box_masses(tab, lo, hi), want)
+    assert np.array_equal(_masses(tab, count, lo, hi), _former_masses(tab, count, lo, hi))
+
+
+# The former cube and rectangle doubling scan, kept as the reference: every
+# placement and its clipped double gathered corner by corner.
+
+
+def _former_rect_at(lo, hi, flat: int) -> Rect:
+    shape = np.broadcast_shapes(*(np.shape(e) for e in (*lo, *hi)))
+    pos = np.unravel_index(flat, shape)
+    return Rect(
+        tuple(int(np.broadcast_to(e, shape)[pos]) for e in lo),
+        tuple(int(np.broadcast_to(e, shape)[pos]) for e in hi),
+    )
+
+
+def _former_scan_doubling(w: Weight, per_axis_sizes: bool):
+    lat = w.lattice
+    n = lat.cells_per_axis
+    count = lattice._positive_counts(lat, w.density)
+    best = -1.0
+    witness = None
+    even = range(2, n + 1, 2)
+    size_tuples = (
+        iproduct(even, repeat=lat.dim) if per_axis_sizes else ((m,) * lat.dim for m in even)
+    )
+    for sizes in size_tuples:
+        lo = list(np.ix_(*(np.arange(n - m + 1, dtype=np.int64) for m in sizes)))
+        hi = [a + m for a, m in zip(lo, sizes)]
+        dlo = [np.maximum(a - m // 2, 0) for a, m in zip(lo, sizes)]
+        dhi = [np.minimum(b + m // 2, n) for b, m in zip(hi, sizes)]
+        base = _former_masses(w.prefix(1.0), count, lo, hi).astype(np.float64)
+        big = _former_masses(w.prefix(1.0), count, dlo, dhi).astype(np.float64)
+        zero = base == 0.0
+        inf_here = zero & (big > 0.0)
+        if inf_here.any():
+            i = int(np.argmax(inf_here))
+            return INFINITE, True, (_former_rect_at(lo, hi, i), _former_rect_at(dlo, dhi, i))
+        if (~zero).any():
+            ratios = np.where(zero, -1.0, big / np.where(zero, 1.0, base))
+            i = int(np.argmax(ratios))
+            if float(ratios.flat[i]) > best:
+                best = float(ratios.flat[i])
+                witness = (_former_rect_at(lo, hi, i), _former_rect_at(dlo, dhi, i))
+    return (best if best >= 0 else 0.0), False, witness
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([(1, 2), (1, 5), (2, 2), (2, 4), (3, 2)]),
+    st.sampled_from(["lognormal", "cascade", "zero_block", "constant"]),
+    st.integers(0, 2**20),
+)
+def test_doubling_scans_match_former_scan(shape, weight, seed):
+    lat = make_lattice(*shape)
+    if weight == "lognormal":
+        w = gen_weight(lat, {"kind": "random_lognormal", "seed": seed, "roughness": 1.0})
+    elif weight == "cascade":
+        w = gen_weight(lat, {"kind": "cascade", "beta": 0.8, "seed": seed})
+    elif weight == "constant":
+        w = gen_weight(lat, {"kind": "constant", "value": 1.0})
+    else:
+        dens = np.random.default_rng(seed).uniform(0.5, 2.0, lat.shape)
+        dens[np.random.default_rng(seed + 1).uniform(size=lat.shape) < 0.2] = 0.0
+        w = Weight(lat, dens)
+    for mode, per_axis in (("cube", False), ("rectangle", True)):
+        value, infinite, wit = _former_scan_doubling(w, per_axis)
+        rep = doubling_report(w, mode)
+        assert (rep.constant, rep.infinite) == (value, infinite)
+        got = rep.witnesses.get("doubling")
+        assert (None if got is None else (got.rect, got.other)) == wit

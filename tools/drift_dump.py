@@ -7,7 +7,8 @@
 A dump holds, with all their digits, every row of `dyadlab verify` at the
 given seed (default depths) and the values and witnesses of the benchmark's
 scan2d and norm2d task calls on the first --units weight pairs of that seed
-(inputs from bench/workloads.py).  dyadlab is imported from --src, the
+(inputs from bench/workloads.py), plus the rectangle and strong doubling
+scans of each scan2d weight at 2D depth 4.  dyadlab is imported from --src, the
 src/ directory next to this script unless given, so one script dumps any
 checkout.  --compare prints every quantity (a name with its unit and
 list index wildcarded) that moved, with its worst relative and absolute
@@ -26,6 +27,9 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+# the rectangle and strong doubling scans loop over size tuples in Python,
+# so they are dumped on a small lattice
+DOUBLING_DEPTH = 4
 
 
 def _verify_rows(seed: int, out: dict) -> None:
@@ -66,6 +70,19 @@ def _scan2d(seed: int, unit: int, out: dict) -> None:
     out[f"{key}/doubling_product_reverse/rev_eps_cube"] = rep.rev_eps_cube
     for name, wit in sorted(rep.witnesses.items()):
         out[f"{key}/doubling_product_reverse/{name}/witness"] = wl.describe(wit)
+    lat4 = make_lattice(2, DOUBLING_DEPTH)
+    for which, spec in (("sigma", spec_s), ("omega", spec_o)):
+        w = gen_weight(lat4, spec)
+        for mode in ("rectangle", "strong"):
+            rep = doubling_report(w, mode)
+            name = f"{key}/doubling_{mode}_{which}"
+            out[f"{name}/constant"] = repr(rep.constant) if rep.constant is None else rep.constant
+            out[f"{name}/strong_beta"] = (
+                repr(rep.strong_beta) if rep.strong_beta is None else rep.strong_beta
+            )
+            out[f"{name}/flags"] = f"infinite={rep.infinite} absent={rep.strong_absent}"
+            for wname, wit in sorted(rep.witnesses.items()):
+                out[f"{name}/{wname}/witness"] = wl.describe(wit)
 
 
 def _norm2d(seed: int, unit: int, out: dict) -> None:
