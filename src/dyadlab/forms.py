@@ -21,6 +21,7 @@ nonnegative terms, so it runs in float64.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -43,6 +44,7 @@ from .grids import (
     GoodnessParams,
     _good_cubes,
     deepest_common_level,
+    deepest_common_levels,
     standard_grid,
 )
 from .lattice import (
@@ -72,6 +74,7 @@ __all__ = [
     "kernel_eval",
     "norm_estimate",
     "surrogate_kernel",
+    "surrogate_kernels",
 ]
 
 
@@ -97,6 +100,68 @@ def _as_point(p, dims: int, label: str) -> tuple[float, ...]:
     return pt
 
 
+def _check_grid_dims(kernel: KernelHandle, i_grids, j_grids) -> None:
+    for grid in i_grids:
+        if grid.dim != kernel.m:
+            raise ShapeError(f"first-factor grid has dim {grid.dim}, kernel has m={kernel.m}")
+    for grid in j_grids:
+        if grid.dim != kernel.n:
+            raise ShapeError(f"second-factor grid has dim {grid.dim}, kernel has n={kernel.n}")
+
+
+def _fold(terms: np.ndarray) -> np.ndarray:
+    """Per row, the long-double sum of the (N, k) terms from left to right,
+    one term at a time (in place); a masked-off term is 0 and adds nothing."""
+    if terms.shape[1] == 0:
+        return np.zeros(len(terms), _LD)
+    return np.add.accumulate(terms, axis=1, out=terms)[:, -1].copy()
+
+
+@functools.lru_cache(maxsize=64)
+def _series_terms(ranges: tuple[tuple[int, int], ...], exp: float):
+    """Every grid's levels lo..hi in grid then level order, the grid each
+    belongs to, and the long-double terms 2^(level * exp)."""
+    levels = np.concatenate([np.arange(lo, hi + 1) for lo, hi in ranges])
+    grid = np.repeat(np.arange(len(ranges)), [hi - lo + 1 for lo, hi in ranges])
+    terms = np.array([_LD(2.0) ** (lv * exp) for lv in levels.tolist()], dtype=_LD)
+    for a in (levels, grid, terms):
+        a.flags.writeable = False
+    return levels, grid, terms
+
+
+def _surrogate_series(kernel: KernelHandle, i_grids, i_tops, j_grids, j_tops) -> np.ndarray:
+    """Surrogate sums of N point pairs from their deepest common levels.
+
+    i_tops (N, len(i_grids)) and j_tops (N, len(j_grids)) hold each pair's
+    level per grid, one below the grid's lo where the pair shares no cube.
+    Each grid contributes its levels lo..top, summed in long double in grid
+    then level order; the terms are the kernel's scalar formula, evaluated
+    once per level (pair).
+    """
+    if kernel.kind == "product_frac":
+        sums = []
+        for grids, tops, exp in (
+            (i_grids, i_tops, kernel.m - kernel.alpha),
+            (j_grids, j_tops, kernel.n - kernel.beta),
+        ):
+            levels, grid, terms = _series_terms(tuple((g.lo, g.hi) for g in grids), exp)
+            sums.append(_fold(np.where(levels <= tops[:, grid], terms, _LD(0.0))))
+        return (sums[0] * sums[1]).astype(np.float64)
+    # a table may lack levels no pair reaches, so only those below the
+    # deepest top are looked up
+    cols = []
+    for gi, ti in zip(i_grids, i_tops.T):
+        for gj, tj in zip(j_grids, j_tops.T):
+            li = np.arange(gi.lo, min(gi.hi, int(ti.max(initial=gi.lo - 1))) + 1)
+            lj = np.arange(gj.lo, min(gj.hi, int(tj.max(initial=gj.lo - 1))) + 1)
+            terms = np.array(
+                [[_LD(kernel.level_value(a, b)) for b in lj.tolist()] for a in li.tolist()], dtype=_LD
+            )
+            keep = (li <= ti[:, None])[:, :, None] & (lj <= tj[:, None])[:, None, :]
+            cols.append(np.where(keep, terms.reshape(li.size, lj.size), _LD(0.0)).reshape(len(ti), -1))
+    return _fold(np.concatenate([np.zeros((len(i_tops), 0), _LD), *cols], axis=1)).astype(np.float64)
+
+
 def surrogate_kernel(
     kernel: KernelHandle,
     x,
@@ -118,12 +183,7 @@ def surrogate_kernel(
     um = _as_point(u, kernel.m, "u")
     yn = _as_point(y, kernel.n, "y")
     vn = _as_point(v, kernel.n, "v")
-    for grid in i_grids:
-        if grid.dim != kernel.m:
-            raise ShapeError(f"first-factor grid has dim {grid.dim}, kernel has m={kernel.m}")
-    for grid in j_grids:
-        if grid.dim != kernel.n:
-            raise ShapeError(f"second-factor grid has dim {grid.dim}, kernel has n={kernel.n}")
+    _check_grid_dims(kernel, i_grids, j_grids)
 
     i_tops = [deepest_common_level(g, xm, um) for g in i_grids]
     j_tops = [deepest_common_level(g, yn, vn) for g in j_grids]
@@ -134,31 +194,47 @@ def surrogate_kernel(
         if top == grid.hi:
             raise ScopeError("y and v share a finest cell; the truncated sum saturates")
 
-    if kernel.kind == "product_frac":
-        sx = _LD(0.0)
-        for grid, top in zip(i_grids, i_tops):
-            if top is None:
-                continue
-            for li in range(grid.lo, top + 1):
-                sx += _LD(2.0) ** (li * (kernel.m - kernel.alpha))
-        sy = _LD(0.0)
-        for grid, top in zip(j_grids, j_tops):
-            if top is None:
-                continue
-            for lj in range(grid.lo, top + 1):
-                sy += _LD(2.0) ** (lj * (kernel.n - kernel.beta))
-        return float(sx * sy)
-    total = _LD(0.0)
-    for gi, ti in zip(i_grids, i_tops):
-        if ti is None:
-            continue
-        for gj, tj in zip(j_grids, j_tops):
-            if tj is None:
-                continue
-            for li in range(gi.lo, ti + 1):
-                for lj in range(gj.lo, tj + 1):
-                    total += _LD(kernel.level_value(li, lj))
-    return float(total)
+    def row(grids, tops):
+        return np.array([[g.lo - 1 if t is None else t for g, t in zip(grids, tops)]], dtype=np.int64)
+
+    return float(_surrogate_series(kernel, i_grids, row(i_grids, i_tops), j_grids, row(j_grids, j_tops))[0])
+
+
+def surrogate_kernels(
+    kernel: KernelHandle,
+    x,
+    y,
+    u,
+    v,
+    i_grids: Sequence[DyadicGrid],
+    j_grids: Sequence[DyadicGrid],
+) -> np.ndarray:
+    """surrogate_kernel for N point pairs at once, as a float64 array.
+
+    x and u hold (N, m) coordinates, y and v (N, n).  A row whose points
+    share a finest cell, where surrogate_kernel raises ScopeError, is NaN;
+    every other row has surrogate_kernel's bits.  The deepest common levels
+    come from grids.deepest_common_levels.
+    """
+    pts = []
+    for label, p, dims in (("x", x, kernel.m), ("y", y, kernel.n), ("u", u, kernel.m), ("v", v, kernel.n)):
+        arr = np.asarray(p, dtype=np.float64)
+        if arr.ndim != 2 or arr.shape[1] != dims:
+            raise ShapeError(f"{label} must have shape (N, {dims}), got {arr.shape}")
+        if not ((arr >= 0.0) & (arr < 1.0)).all():
+            raise DomainError(f"{label} has a coordinate outside the unit box")
+        pts.append(arr)
+    xm, yn, um, vn = pts
+    if not len(xm) == len(yn) == len(um) == len(vn):
+        raise ShapeError("x, y, u and v must hold the same number of points")
+    _check_grid_dims(kernel, i_grids, j_grids)
+    i_tops = np.stack([deepest_common_levels(g, xm, um) for g in i_grids], axis=1)
+    j_tops = np.stack([deepest_common_levels(g, yn, vn) for g in j_grids], axis=1)
+    saturated = (i_tops == [g.hi for g in i_grids]).any(axis=1)
+    saturated |= (j_tops == [g.hi for g in j_grids]).any(axis=1)
+    out = _surrogate_series(kernel, i_grids, i_tops, j_grids, j_tops)
+    out[saturated] = np.nan
+    return out
 
 
 # ---------------------------------------------------------------------------

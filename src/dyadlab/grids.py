@@ -11,7 +11,17 @@ Geometry is integer arithmetic: every offset is an integer in units of
 every coordinate enters as its exact integer ratio, so cube location,
 ancestors, containment and the deepest common level are floor divisions
 and cross-multiplied comparisons of Python ints.  Fractions appear only
-in what offset() and Cube.bounds() return.
+in what offset() and Cube.bounds() return.  A NaN or infinite coordinate
+or side is a DomainError.
+
+The batches `sandwiches` and `deepest_common_levels` run the same searches
+over float64 arrays as a filtered exact predicate: each cube index and
+containment is decided in float64 only when its margin clears a bound
+derived from the float64 error of each operation, and a row with an
+undecided step ahead of its answer goes whole to the integer search,
+which stays the only exact authority.  Every row equals the scalar call.
+3000 sandwiches take about 5 ms in a batch against 70 to 130 ms one at
+a time (2-vCPU x86_64 host, numpy 2.4).
 
 Also here: the skeleton-goodness kernel, dyadic point distance, the
 triple-cube sandwich search, and the Monte Carlo estimate of the bad-cube
@@ -32,6 +42,7 @@ from .errors import (
     DomainError,
     FormatError,
     ScopeError,
+    ShapeError,
 )
 from .lattice import MAX_DIM, substream
 
@@ -40,8 +51,11 @@ GRID_MAGIC = "GRID1"
 
 def _common(coords) -> tuple[list[int], int]:
     """Float, int or Fraction coordinates as exact numerators over one
-    common denominator."""
-    pairs = [(int(x), 1) if isinstance(x, numbers.Integral) else x.as_integer_ratio() for x in coords]
+    common denominator; a NaN or infinite coordinate is a DomainError."""
+    try:
+        pairs = [(int(x), 1) if isinstance(x, numbers.Integral) else x.as_integer_ratio() for x in coords]
+    except (ValueError, OverflowError):
+        raise DomainError("coordinates must be finite") from None
     den = math.lcm(*(d for _, d in pairs))
     return [n * (den // d) for n, d in pairs], den
 
@@ -371,6 +385,113 @@ def dyadic_distance(x, u, grid: DyadicGrid) -> float:
 
 
 # ---------------------------------------------------------------------------
+# float64 filter for the batches
+#
+# A batch decides each cube index and each containment in float64 when the
+# decision's margin clears a bound on the float64 error, and hands the row
+# to the exact integer search otherwise (a filtered exact predicate, as in
+# Shewchuk, "Adaptive Precision Floating-Point Arithmetic and Fast Robust
+# Geometric Predicates", 1997).
+#
+# The bound, with u = 2^-53, in units of the level's side.  Scaling a
+# coordinate by 2^L (ldexp) is exact, and so is every side S = s 2^L the
+# sandwich search tests, which lies in [1/32, 1/2).  (An underflow, here
+# or below, errs by at most 2^-1075, which the constant term of the bound
+# absorbs many times over.)  A point X enters exact; a cube center
+# C = X + S/2 is rounded once, |c - C| <= u|C|.  The level's offset phi in
+# [0, 1) is rounded once, |phi^ - phi| <= u/2.  Then t = fl(c - phi^)
+# errs by at most u|c - phi^| <= u(|c| + 1), so |t - (C - phi)| <=
+# 2u|C| + 1.5u + u^2|C|.  The cube index is floor(C - phi).  The fraction
+# f = t - floor(t) is exact (t, floor(t) and so f are multiples of
+# ulp(t), and f < 1), as is the distance min(f, 1 - f) of t to the nearest
+# integer (Sterbenz), and that distance moves by at most |t - (C - phi)|.
+# A cube holds the box of center C and half-width h < 1/2 (1.5 S for 3P,
+# S/2 for 2^j P one level j up) exactly when the distance of C - phi to the
+# nearest integer is at least h.  The margin, distance - h, adds at most
+# u/4 for rounding 1.5 S and u/2 for the difference: in all 2u|C| + 2.25u
+# + u^2|C|.  tol = 2u(|c| + 2), evaluated in float64, is at least 2u|C| +
+# 4u - 4u^2|C| - 4u^2, which exceeds that while |C| < 2^50.  An index is
+# decided when the distance exceeds tol, a containment when its margin
+# exceeds tol in absolute value, and a decision taken is the exact one.
+
+_U = 2.0**-53
+# coordinates of magnitude below 2^50 level sides keep exact integer indices
+_EXACT = 2.0**50
+# rows per float64 pass of a batch, which bounds its temporaries
+_BLOCK = 1024
+
+
+def _float_at(q: Fraction, up: bool) -> float:
+    """The float64 nearest q from above (up) or from below."""
+    x = float(q)
+    if (Fraction(x) < q) if up else (Fraction(x) > q):
+        x = math.nextafter(x, math.inf if up else -math.inf)
+    return x
+
+
+# S <= 1/3 and S >= 1/18 read exactly on float64 S
+_THIRD = _float_at(Fraction(1, 3), up=False)
+_EIGHTEENTH = _float_at(Fraction(1, 18), up=True)
+
+
+def _unit_offsets(grid: DyadicGrid, levels) -> np.ndarray:
+    """(len(levels), dim): each level's left-endpoint offset in units of its
+    side, a value in [0, 1), correctly rounded to float64."""
+    offs = [
+        [float(grid.offset(a, int(lv)) * Fraction(2) ** int(lv)) for a in range(grid.dim)] for lv in levels
+    ]
+    return np.array(offs, dtype=np.float64).reshape(len(offs), grid.dim)
+
+
+def _filter(pos: np.ndarray, off: np.ndarray):
+    """Float64 cube index floor(pos - off), the distance of pos - off to
+    the nearest integer, and the bound tol on that distance's error."""
+    t = pos - off
+    idx = np.floor(t)
+    f = t - idx
+    return idx, np.minimum(f, 1.0 - f), 2.0 * _U * (np.abs(pos) + 2.0)
+
+
+def _coords(name: str, a, dim: int) -> np.ndarray:
+    """An (N, dim) float64 coordinate array, validated."""
+    arr = np.asarray(a, dtype=np.float64)
+    if arr.ndim != 2 or arr.shape[1] != dim:
+        raise ShapeError(f"{name} must have shape (N, {dim}), got {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise DomainError(f"{name} holds a NaN or infinite coordinate")
+    return arr
+
+
+def deepest_common_levels(grid: DyadicGrid, x, u) -> np.ndarray:
+    """deepest_common_level for N point pairs at once.
+
+    x and u hold (N, dim) float64 coordinates.  Returns an int64 array of
+    N levels, with grid.lo - 1 where deepest_common_level returns None, so
+    range(grid.lo, level + 1) is always the shared levels.  Each level's
+    cube indices are decided by the float64 filter (_filter); a row with an
+    undecided index at any level, or a coordinate too large for exact
+    float64 cube indices, goes whole to deepest_common_level.
+    """
+    x, u = _coords("x", x, grid.dim), _coords("u", u, grid.dim)
+    if len(x) != len(u):
+        raise ShapeError(f"x has {len(x)} points, u has {len(u)}")
+    levels = range(grid.lo, grid.hi + 1)
+    top = np.full(len(x), grid.lo - 1, dtype=np.int64)
+    exact = ~(
+        (np.ldexp(np.abs(x), grid.hi) < _EXACT) & (np.ldexp(np.abs(u), grid.hi) < _EXACT)
+    ).all(axis=1)
+    for level, off in zip(levels, _unit_offsets(grid, levels)):
+        ix, dx, tx = _filter(np.ldexp(x, level), off)
+        iu, du, tu = _filter(np.ldexp(u, level), off)
+        exact |= ((dx <= tx) | (du <= tu)).any(axis=1)
+        top = np.where((ix == iu).all(axis=1), level, top)
+    for r in np.flatnonzero(exact):
+        level = deepest_common_level(grid, x[r].tolist(), u[r].tolist())
+        top[r] = grid.lo - 1 if level is None else level
+    return top
+
+
+# ---------------------------------------------------------------------------
 # skeleton goodness
 
 
@@ -469,8 +590,11 @@ class BoxCube:
     side: float
 
     def __post_init__(self):
-        if self.side <= 0:
-            raise DomainError(f"cube side must be positive, got {self.side}")
+        # comparisons with NaN are false
+        if not 0 < self.side < math.inf:
+            raise DomainError(f"cube side must be positive and finite, got {self.side}")
+        if not all(-math.inf < a < math.inf for a in self.lo):
+            raise DomainError(f"cube corner {self.lo} is not finite")
 
     @property
     def dim(self) -> int:
@@ -491,6 +615,9 @@ def sandwich(p: BoxCube, j: int, grids: list[DyadicGrid]) -> tuple[int, Cube]:
         raise DomainError("j must be nonnegative")
     if not grids:
         raise DomainError("need a non-empty grid family")
+    dim = p.dim
+    if any(g.dim != dim for g in grids):
+        raise ShapeError(f"cube has {dim} axes, the grids have {sorted({g.dim for g in grids})}")
     s = p.side
     if 2.0 ** -grids[0].lo < 18 * s:
         raise ScopeError(
@@ -519,6 +646,90 @@ def sandwich(p: BoxCube, j: int, grids: list[DyadicGrid]) -> tuple[int, Cube]:
     raise ContractViolationError(
         f"sandwich search failed for cube at {p.lo} side {p.side}, j={j}"
     )
+
+
+def _sandwich_block(lo, side, j, known, offs, exact, out_u, out_level, out_index) -> None:
+    """The float64 sandwich search over one block of rows, written into the
+    output views; a row it cannot decide is flagged in exact instead.
+    offs[u] holds grid u's unit offsets at the levels in known."""
+    todo = ~exact
+    for level in (-np.frexp(side)[1][:, None] - np.arange(1, 5)).T:
+        # the cube holding the center at `level`, and the one j levels up,
+        # must keep 3P and 2^j P, of half-widths 1.5 S and S/2 in the
+        # respective side units, inside
+        big, coarse = np.ldexp(side, level), level - j
+        bracket = (big <= _THIRD) & (big >= _EIGHTEENTH)
+        center = np.ldexp(lo, level[:, None]) + 0.5 * big[:, None]
+        up = np.ldexp(lo, coarse[:, None]) + 0.5 * np.ldexp(side, coarse)[:, None]
+        at, at_up = np.searchsorted(known, level), np.searchsorted(known, coarse)
+        h3, h1 = 1.5 * big[:, None], 0.5 * big[:, None]
+        for u, off in enumerate(offs):
+            idx, dist, tol = _filter(center, off[at])
+            _, dist_up, tol_up = _filter(up, off[at_up])
+            m3, m1 = dist - h3, dist_up - h1
+            hit = bracket & ((m3 > tol) & (m1 > tol_up)).all(axis=1)
+            miss = ~bracket | ((m3 < -tol) | (m1 < -tol_up)).any(axis=1)
+            take = todo & hit
+            out_u[take], out_level[take], out_index[take] = u, level[take], idx[take]
+            exact |= todo & ~(hit | miss)
+            todo &= miss
+    exact |= todo
+
+
+def sandwiches(lo, side, j: int, grids: list[DyadicGrid]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """sandwich for N cubes at once.
+
+    lo holds the (N, d) lower corners and side the N sides, as float64.
+    Returns int64 arrays: the grid index u (N,), the level (N,) and the
+    per-axis cube index (N, d).  Row r is sandwich(BoxCube(lo[r], side[r]),
+    j, grids), errors included, and the search order is the same: finest
+    level first, grids in index order, first hit wins.  With side = m 2^e,
+    m in [1/2, 1), the side bracket 3 side <= 2^-L <= 18 side can only hold
+    at L = -e-1 .. -e-4, where it is read exactly.  Cube indices and both
+    containments are decided by the float64 filter; a row with an undecided
+    candidate ahead of its first hit, or no hit at all, goes whole to
+    sandwich, as does a corner of magnitude 2^50 sides or more.
+    """
+    if j < 0:
+        raise DomainError("j must be nonnegative")
+    if not grids:
+        raise DomainError("need a non-empty grid family")
+    dim = grids[0].dim
+    if any(g.dim != dim for g in grids):
+        raise ShapeError(f"the grids have {sorted({g.dim for g in grids})} axes")
+    lo = _coords("lo", lo, dim)
+    side = np.asarray(side, dtype=np.float64)
+    if side.shape != (len(lo),):
+        raise ShapeError(f"side must have shape ({len(lo)},), got {side.shape}")
+    if not (np.isfinite(side) & (side > 0)).all():
+        raise DomainError("cube sides must be positive and finite")
+    coarsest = 2.0 ** -grids[0].lo
+    wide = np.flatnonzero(coarsest < 18 * side)
+    if wide.size:
+        s = float(side[wide[0]])
+        raise ScopeError(f"coarsest grid side {coarsest} is below 18 side(P) = {18 * s}")
+    n = len(side)
+    # side = m 2^e: the candidate levels are -e-1 .. -e-4, and j levels up
+    exps = set(np.frexp(side)[1].tolist())
+    known = np.array(sorted({-e - k - up for e in exps for k in range(1, 5) for up in (0, j)}), dtype=np.int64)
+    offs = [_unit_offsets(g, known) for g in grids]
+    out_u = np.zeros(n, dtype=np.int64)
+    out_level = np.zeros(n, dtype=np.int64)
+    out_index = np.zeros((n, dim), dtype=np.int64)
+    exact = ~(np.abs(lo) < _EXACT * side[:, None]).all(axis=1)
+    for a in range(0, n, _BLOCK):
+        rows = slice(a, a + _BLOCK)
+        _sandwich_block(
+            lo[rows], side[rows], j, known, offs, exact[rows], out_u[rows], out_level[rows], out_index[rows]
+        )
+    for r in np.flatnonzero(exact):
+        u, cube = sandwich(BoxCube(tuple(lo[r].tolist()), float(side[r])), j, grids)
+        try:
+            out_index[r] = cube.index
+        except OverflowError:
+            raise ScopeError(f"cube index {cube.index} does not fit int64; use sandwich") from None
+        out_u[r], out_level[r] = u, cube.level
+    return out_u, out_level, out_index
 
 
 # ---------------------------------------------------------------------------

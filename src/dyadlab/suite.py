@@ -21,6 +21,7 @@ import numpy as np
 
 from .bump import (
     Exponents,
+    _bumps,
     bump_cube,
     bump_rect,
     characteristic,
@@ -29,33 +30,33 @@ from .bump import (
     slice_profile,
 )
 from .embed import automatic_carleson, embed_check_cubes, embed_check_rects, good_carleson
-from .errors import ScopeError
 from .forms import (
     KernelHandle,
     apply_frac_integral,
     bilinear_form,
     goodbad_split,
     norm_estimate,
-    surrogate_kernel,
+    surrogate_kernels,
 )
 from .grids import (
-    BoxCube,
     GoodnessParams,
     bad_probability_mc,
     onethird_grids,
     sample_grid,
-    sandwich,
+    sandwiches,
     verify_grid,
 )
 from .lattice import (
     GridFunction,
     Weight,
+    _weight_masses,
     box_masses,
     doubling_report,
     full_rect,
     gen_weight,
     integrate,
     make_lattice,
+    rect_volume,
     refine_function,
     refine_weight,
     strong_rd_doubling_bound,
@@ -245,21 +246,22 @@ def _check_grid_nesting(depth, seed):
     return CheckRow("grids/nesting", f"depth={depth} n=2", 1.0 if ok else 0.0, 1.0, ok)
 
 
-def _check_sandwich(seed):
-    grids = onethird_grids(1, 0, 16)
+def _sandwich_cubes(seed):
+    """The sandwich check's 3000 intervals, drawn as the former per-interval
+    uniform(4.5, 12.0) and uniform(0.0, 1.0 - 3 side) calls drew them (a
+    uniform draw is low + (high - low) * random()), and their grid index,
+    level and cube index."""
     rng = substream(seed, 222)
-    worst = 0.0
-    found = 0
-    n = 3000
-    for _ in range(n):
-        side = float(2.0 ** -rng.uniform(4.5, 12.0))
-        lo = float(rng.uniform(0.0, 1.0 - 3.0 * side))
-        _, cube = sandwich(BoxCube((lo,), side), 0, grids)
-        worst = max(worst, cube.side / side)
-        found += 1
-    return CheckRow(
-        "grids/sandwich-expansion", f"n={n}", worst, 18.0, found == n and worst <= 18.0
-    )
+    r = rng.random((3000, 2))
+    side = np.array([2.0 ** -e for e in (4.5 + 7.5 * r[:, 0]).tolist()])
+    lo = (1.0 - 3.0 * side) * r[:, 1]
+    return side, *sandwiches(lo[:, None], side, 0, onethird_grids(1, 0, 16))
+
+
+def _check_sandwich(seed):
+    side, _, level, _ = _sandwich_cubes(seed)
+    worst = float(np.max(np.ldexp(1.0, -level) / side))
+    return CheckRow("grids/sandwich-expansion", f"n={len(side)}", worst, 18.0, worst <= 18.0)
 
 
 def _check_bad_prob(seed, eps, name, need_informative):
@@ -276,6 +278,23 @@ def _check_bad_prob(seed, eps, name, need_informative):
 # bump layer
 
 
+def _part_edges(parts):
+    """Per-axis lower and upper edges of a partition's cubes, (d, N) each."""
+    return np.array([r.lo for r in parts]).T, np.array([r.hi for r in parts]).T
+
+
+def _part_bumps(w, parts, theta):
+    """bump_cube of every cube of a partition, in order, through one _bumps
+    call per cube size."""
+    lo, hi = _part_edges(parts)
+    size = hi[0] - lo[0]
+    out = np.empty(len(parts))
+    for cells in sorted(set(size.tolist())):
+        at = size == cells
+        out[at] = _bumps(w, theta, lo[:, at], hi[:, at], rect_volume(w.lattice, parts[np.argmax(at)]))
+    return out
+
+
 def _check_subadditivity(depth, depth2, seed):
     worst = 0.0
     cases = [(make_lattice(1, depth), 30), (make_lattice(2, depth2), 10)]
@@ -284,7 +303,7 @@ def _check_subadditivity(depth, depth2, seed):
             w = _lognormal(lat, seed + 10 + k, rough=0.7)
             parts = random_partition(lat, seed + 50 + k)
             whole = bump_cube(full_rect(lat), w, 2.0)
-            summed = math.fsum(bump_cube(r, w, 2.0) for r in parts)
+            summed = math.fsum(_part_bumps(w, parts, 2.0))
             if whole > 0:
                 worst = max(worst, summed / whole)
     return CheckRow(
@@ -298,11 +317,11 @@ def _check_holder_direction(depth, seed):
     for k in range(20):
         w = _lognormal(lat, seed + 100 + k, rough=0.7)
         parts = random_partition(lat, seed + 130 + k)
-        for r in parts:
-            mass = integrate(w, r)
-            bump = bump_cube(r, w, 1.5)
-            if bump > 0:
-                worst = max(worst, mass / bump)
+        mass = _weight_masses(w, *_part_edges(parts)).astype(np.float64)
+        bump = _part_bumps(w, parts, 1.5)
+        pos = bump > 0
+        if pos.any():
+            worst = max(worst, float(np.max(mass[pos] / bump[pos])))
     return CheckRow(
         "bump/mass-below-bump", f"theta=1.5 n=20 depth={depth}", worst, 1.0 + 1e-9, worst <= 1.0 + 1e-9
     )
@@ -524,22 +543,31 @@ def _check_norm_sandwich(depth2, seed):
     )
 
 
-def _check_surrogate_window(seed):
+def _surrogate_window(seed):
+    """The surrogate-window check's 400 quadruples (x, y, u, v) and their
+    kernel values.  Quadruples are drawn in chunks of the stream that the
+    former draws of four read, and the first 400 that share no finest cell
+    are kept, in draw order."""
     # Coarse levels down to -4 approximate the all-scales shifted-grid sum;
     # cutting at level 0 leaves the window's low end to rare far-separation
     # events and the spread then swings across seeds.
     kern = KernelHandle.product_frac(0.5, 0.5, 1, 1)
     grids = onethird_grids(1, -4, 8)
     rng = substream(seed, 555)
-    ratios = []
-    while len(ratios) < 400:
-        x, y, u, v = rng.uniform(0.0, 1.0, size=4)
-        try:
-            got = surrogate_kernel(kern, (x,), (y,), (u,), (v,), grids, grids)
-        except ScopeError:
-            continue
-        continuum = (abs(x - u) * abs(y - v)) ** -0.5
-        ratios.append(got / continuum)
+    quads, vals = [], []
+    while sum(map(len, vals)) < 400:
+        q = rng.uniform(0.0, 1.0, size=(512, 4))
+        got = surrogate_kernels(kern, q[:, :1], q[:, 1:2], q[:, 2:3], q[:, 3:], grids, grids)
+        kept = ~np.isnan(got)
+        quads.append(q[kept])
+        vals.append(got[kept])
+    return np.concatenate(quads)[:400], np.concatenate(vals)[:400]
+
+
+def _check_surrogate_window(seed):
+    quads, vals = _surrogate_window(seed)
+    # the continuum kernel is the former scalar expression, row by row
+    ratios = [got / (abs(x - u) * abs(y - v)) ** -0.5 for got, (x, y, u, v) in zip(vals, quads)]
     spread = max(ratios) / min(ratios)
     return CheckRow(
         "forms/surrogate-window", "n=400 levels=-4..8", spread, 100.0, spread <= 100.0
@@ -561,7 +589,7 @@ def _user_weight_rows(label, w, seed):
     rows = []
     parts = random_partition(w.lattice, seed + 900)
     whole = bump_cube(full_rect(w.lattice), w, 2.0)
-    summed = math.fsum(bump_cube(r, w, 2.0) for r in parts)
+    summed = math.fsum(_part_bumps(w, parts, 2.0))
     ratio = summed / whole if whole > 0 else 0.0
     rows.append(
         CheckRow(

@@ -47,9 +47,11 @@ from dyadlab import (
     standard_grid,
     substream,
     surrogate_kernel,
+    surrogate_kernels,
 )
 from dyadlab import forms
 from dyadlab.errors import AlignmentError
+from dyadlab.grids import DyadicGrid, ShiftParam, deepest_common_level, random_grid
 from dyadlab.lattice import box_masses, weighted_mass_prefix
 
 LD = np.longdouble
@@ -250,6 +252,119 @@ def test_surrogate_table_kernel_agrees_with_brute_force():
     got = surrogate_kernel(tab, (0.1,), (0.55,), (0.6,), (0.8,), grids, grids)
     want = _brute_surrogate(tab, (0.1,), (0.55,), (0.6,), (0.8,), grids, grids)
     assert got == pytest.approx(want, rel=1e-12)
+
+
+def _former_surrogate(kernel, x, y, u, v, i_grids, j_grids):
+    """surrogate_kernel's former series, one long-double term at a time."""
+    i_tops = [deepest_common_level(g, x, u) for g in i_grids]
+    j_tops = [deepest_common_level(g, y, v) for g in j_grids]
+    for grid, top in (*zip(i_grids, i_tops), *zip(j_grids, j_tops)):
+        if top == grid.hi:
+            raise ScopeError("share a finest cell")
+    if kernel.kind == "product_frac":
+        sx = LD(0.0)
+        for grid, top in zip(i_grids, i_tops):
+            if top is None:
+                continue
+            for li in range(grid.lo, top + 1):
+                sx += LD(2.0) ** (li * (kernel.m - kernel.alpha))
+        sy = LD(0.0)
+        for grid, top in zip(j_grids, j_tops):
+            if top is None:
+                continue
+            for lj in range(grid.lo, top + 1):
+                sy += LD(2.0) ** (lj * (kernel.n - kernel.beta))
+        return float(sx * sy)
+    total = LD(0.0)
+    for gi, ti in zip(i_grids, i_tops):
+        if ti is None:
+            continue
+        for gj, tj in zip(j_grids, j_tops):
+            if tj is None:
+                continue
+            for li in range(gi.lo, ti + 1):
+                for lj in range(gj.lo, tj + 1):
+                    total += LD(kernel.level_value(li, lj))
+    return float(total)
+
+
+def _surrogate_families(draw, dim):
+    lo = draw(st.integers(-4, 1))
+    hi = draw(st.integers(lo + 1, 9))
+    kind = draw(st.sampled_from(("third", "std", "shift")))
+    if kind == "third":
+        return onethird_grids(dim, lo, hi)
+    if kind == "std":
+        return [standard_grid(dim, lo, hi)]
+    bits = st.lists(st.integers(0, 1), min_size=hi - lo, max_size=hi - lo)
+    return [
+        random_grid([ShiftParam(lo, hi, tuple(draw(bits))) for _ in range(dim)])
+        for _ in range(draw(st.integers(1, 2)))
+    ]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_surrogate_batch_matches_scalar_and_former_series(data):
+    m, n = data.draw(st.integers(1, 2)), data.draw(st.integers(1, 2))
+    i_grids, j_grids = _surrogate_families(data.draw, m), _surrogate_families(data.draw, n)
+    if data.draw(st.booleans()):
+        alpha, beta = data.draw(st.floats(0.1, 0.9)), data.draw(st.floats(0.1, 0.9))
+        kernel = KernelHandle.product_frac(alpha, beta, m, n)
+    else:
+        levels = range(-4, 10)
+        kernel = KernelHandle.from_table(
+            {(a, b): 1.0 / (20 + a + 0.7 * b) ** 2 for a in levels for b in levels}, m, n
+        )
+    rows = data.draw(st.integers(1, 12))
+
+    def points(dims):
+        coord = st.floats(0.0, 1.0, exclude_max=True)
+        point = st.lists(coord, min_size=dims, max_size=dims)
+        return np.array(data.draw(st.lists(point, min_size=rows, max_size=rows)))
+
+    x, y, u, v = points(m), points(n), points(m), points(n)
+    if data.draw(st.booleans()):
+        u[0] = x[0]  # one saturated row
+    got = surrogate_kernels(kernel, x, y, u, v, i_grids, j_grids)
+    for r in range(rows):
+        args = (tuple(x[r]), tuple(y[r]), tuple(u[r]), tuple(v[r]), i_grids, j_grids)
+        try:
+            want = surrogate_kernel(kernel, *args)
+        except ScopeError:
+            with pytest.raises(ScopeError):
+                _former_surrogate(kernel, *args)
+            assert math.isnan(got[r])
+            continue
+        assert want.hex() == _former_surrogate(kernel, *args).hex()
+        assert got[r].hex() == want.hex()
+
+
+def test_surrogate_table_kernel_reads_only_reached_levels():
+    # the table stops at level 2; pairs split above it never read level 3
+    tab = KernelHandle.from_table({(a, b): 1.0 for a in range(3) for b in range(3)}, 1, 1)
+    grid = standard_grid(1, 0, 6)
+    x, y, u, v = (0.1,), (0.1,), (0.2,), (0.2,)
+    assert surrogate_kernel(tab, x, y, u, v, [grid], [grid]) == 9.0
+    got = surrogate_kernels(tab, [x], [y], [u], [v], [grid], [grid])
+    assert got.tolist() == [9.0]
+    with pytest.raises(DomainError):
+        surrogate_kernels(tab, [x, (0.1,)], [y, y], [u, (0.11,)], [v, v], [grid], [grid])
+
+
+def test_surrogate_batch_validates():
+    grid = standard_grid(1, 0, 4)
+    pt = [[0.5]]
+    with pytest.raises(DomainError):
+        surrogate_kernels(HALF, [[1.2]], pt, pt, pt, [grid], [grid])
+    with pytest.raises(DomainError):
+        surrogate_kernels(HALF, [[math.nan]], pt, pt, pt, [grid], [grid])
+    with pytest.raises(ShapeError):
+        surrogate_kernels(HALF, [[0.1, 0.2]], pt, pt, pt, [grid], [grid])
+    with pytest.raises(ShapeError):
+        surrogate_kernels(HALF, [[0.1], [0.2]], pt, pt, pt, [grid], [grid])
+    with pytest.raises(ShapeError):
+        surrogate_kernels(HALF, pt, pt, pt, pt, [standard_grid(2, 0, 4)], [grid])
 
 
 def test_surrogate_validates_points():

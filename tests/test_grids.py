@@ -36,7 +36,9 @@ from dyadlab import (
     substream,
     verify_grid,
 )
-from dyadlab.grids import deepest_common_level
+from dyadlab import grids as grids_mod
+from dyadlab.errors import ShapeError
+from dyadlab.grids import deepest_common_level, deepest_common_levels, sandwiches
 
 
 # ---------------------------------------------------------------------------
@@ -596,3 +598,233 @@ def test_sandwich_below_the_finest_level():
         u, cube = sandwich(p, 0, grids)
         assert cube.level == level
         assert (u, cube.level, cube.index) == _ref_sandwich(p, 0, grids)
+
+
+# ---------------------------------------------------------------------------
+# non-finite input
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_non_finite_coordinates_are_domain_errors(bad):
+    grid = onethird_grids(1, 0, 8)[1]
+    with pytest.raises(DomainError):
+        BoxCube((0.1,), bad)
+    with pytest.raises(DomainError):
+        BoxCube((bad,), 0.1)
+    with pytest.raises(DomainError):
+        grid.cube_at((bad,), 3)
+    with pytest.raises(DomainError):
+        deepest_common_level(grid, (0.2,), (bad,))
+    with pytest.raises(DomainError):
+        Cube(grid, 2, (1,)).contains_point((bad,))
+    with pytest.raises(DomainError):
+        sandwiches([[bad]], [0.01], 0, [grid])
+    with pytest.raises(DomainError):
+        sandwiches([[0.1]], [bad], 0, [grid])
+    with pytest.raises(DomainError):
+        deepest_common_levels(grid, [[0.1]], [[bad]])
+
+
+def test_sandwich_checks_the_cube_dimension():
+    with pytest.raises(ShapeError):
+        sandwich(BoxCube((0.1,), 0.01), 0, onethird_grids(2, 0, 8))
+    with pytest.raises(ShapeError):
+        sandwich(BoxCube((0.1, 0.5), 0.01), 0, [standard_grid(1, 0, 8)])
+
+
+def test_batch_shapes_are_validated():
+    grids = onethird_grids(2, 0, 8)
+    with pytest.raises(ShapeError):
+        sandwiches([0.1, 0.2], [0.01], 0, grids)
+    with pytest.raises(ShapeError):
+        sandwiches([[0.1, 0.2]], [0.01, 0.02], 0, grids)
+    with pytest.raises(ShapeError):
+        sandwiches([[0.1]], [0.01], 0, grids)
+    with pytest.raises(ShapeError):
+        sandwiches([[0.1]], [0.01], 0, [standard_grid(1, 0, 8), standard_grid(2, 0, 8)])
+    with pytest.raises(DomainError):
+        sandwiches([[0.1, 0.2]], [0.0], 0, grids)
+    with pytest.raises(DomainError):
+        sandwiches([[0.1, 0.2]], [0.01], -1, grids)
+    with pytest.raises(DomainError):
+        sandwiches([[0.1, 0.2]], [0.01], 0, [])
+    with pytest.raises(ShapeError):
+        deepest_common_levels(grids[0], [[0.1, 0.2]], [[0.1, 0.2], [0.3, 0.4]])
+    with pytest.raises(ShapeError):
+        deepest_common_levels(grids[0], [[0.1]], [[0.3]])
+    u, level, index = sandwiches(np.zeros((0, 2)), np.zeros(0), 0, grids)
+    assert u.shape == level.shape == (0,) and index.shape == (0, 2)
+    assert deepest_common_levels(grids[0], np.zeros((0, 2)), np.zeros((0, 2))).shape == (0,)
+
+
+# ---------------------------------------------------------------------------
+# batched geometry against the scalar search and the Fraction oracle
+#
+# Rows are drawn where the float64 filter is weakest: corners, centers and
+# the edges of 3P and 2^j P on cube bounds and one-third vertices, their
+# float64 neighbours, and sides at and next to 2^-L/3 and 2^-L/18, the ends
+# of the side bracket.
+
+
+def _family(draw, dim):
+    kind = draw(st.sampled_from(("std", "shift", "third", "mixed")))
+    lo = draw(st.integers(-4, 2))
+    hi = draw(st.integers(max(lo, 0), 12))
+    if kind == "third":
+        return onethird_grids(dim, lo, hi)
+    if kind == "std":
+        return [standard_grid(dim, lo, hi)]
+    bits = st.lists(st.integers(0, 1), min_size=hi - lo, max_size=hi - lo)
+    shifted = [
+        random_grid([ShiftParam(lo, hi, tuple(draw(bits))) for _ in range(dim)])
+        for _ in range(draw(st.integers(1, 3)))
+    ]
+    if kind == "shift":
+        return shifted
+    return [standard_grid(dim, lo, hi), *shifted, *onethird_grids(dim, lo, hi)[1:3]]
+
+
+def _near(draw, x: float) -> float:
+    """x or one of its nearest float64 neighbours."""
+    for _ in range(draw(st.integers(0, 2))):
+        x = math.nextafter(x, draw(st.sampled_from((math.inf, -math.inf))))
+    return x
+
+
+@st.composite
+def _sandwich_row(draw, grids, j):
+    dim = grids[0].dim
+    level = draw(st.integers(1, 14))
+    if draw(st.booleans()):
+        side = _near(draw, float(_pow2(level) / draw(st.sampled_from((3, 18)))))
+    else:
+        side = 2.0 ** -draw(st.floats(1.0, 20.0))
+    side = max(side, 2.0**-40)
+    if draw(st.booleans()):
+        return tuple(draw(st.floats(-1.5, 2.5)) for _ in range(dim)), side
+    # put a corner, the center, or an edge of 3P or of 2^j P on a cube bound
+    grid = draw(st.sampled_from(grids))
+    blevel = draw(st.integers(max(level - 6, -2), level + 6))
+    index = tuple(draw(st.integers(-2, (1 << max(blevel, 0)) + 2)) for _ in range(dim))
+    bound, _ = _ref_bounds(grid, blevel, index)
+    s = Fraction(side)
+    shift = draw(st.sampled_from((Fraction(0), s, -s / 2, s / 2 - Fraction(2**j) * s / 2, -2 * s)))
+    return tuple(_near(draw, float(b + shift)) for b in bound), side
+
+
+def _scalar_rows(rows, j, grids):
+    """Per row, (u, level, index) or the error type of the scalar search."""
+    out = []
+    for lo, side in rows:
+        try:
+            u, cube = sandwich(BoxCube(lo, side), j, grids)
+            out.append((u, cube.level, cube.index))
+        except (ScopeError, ContractViolationError) as exc:
+            out.append(type(exc))
+    return out
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_sandwiches_match_scalar_and_fraction_oracle(data):
+    dim = data.draw(st.integers(1, 3))
+    grids = _family(data.draw, dim)
+    j = data.draw(st.integers(0, 3))
+    rows = data.draw(st.lists(_sandwich_row(grids, j), min_size=1, max_size=10))
+    want = _scalar_rows(rows, j, grids)
+    for (lo, side), w in zip(rows, want):
+        if w is ScopeError:
+            continue
+        ref = _ref_sandwich(BoxCube(lo, side), j, grids)
+        assert (ref is None) if w is ContractViolationError else (ref == w)
+    lo = np.array([r[0] for r in rows])
+    side = np.array([r[1] for r in rows])
+    errors = [w for w in (ScopeError, ContractViolationError) if w in want]
+    if errors:
+        with pytest.raises(errors[0]):
+            sandwiches(lo, side, j, grids)
+        return
+    u, level, index = sandwiches(lo, side, j, grids)
+    got = [(int(a), int(b), tuple(c)) for a, b, c in zip(u, level, index.tolist())]
+    assert got == want
+
+
+def test_sandwiches_hand_exact_rows_back_in_place(monkeypatch):
+    """An aligned row whose 3P edge sits on a cube bound goes to the exact
+    search; the decided rows around it keep their own answers."""
+    grids = onethird_grids(1, -4, 16)
+    calls = []
+    scalar = grids_mod.sandwich
+
+    def spy(p, j, family):
+        calls.append(p.lo)
+        return scalar(p, j, family)
+
+    monkeypatch.setattr(grids_mod, "sandwich", spy)
+    # P = [1/16, 2/16]: 3P = [0, 3/16] touches the lower bound of the
+    # standard grid's level-2 cube [0, 1/4), the first candidate searched,
+    # so the float64 margin is exactly 0 and the row cannot be decided
+    rows = [((0.0625,), 1 / 16), ((0.3,), 0.01), ((0.61,), 0.003), ((0.0625,), 1 / 16)]
+    u, level, index = sandwiches([r[0] for r in rows], [r[1] for r in rows], 0, grids)
+    assert calls == [(0.0625,), (0.0625,)]
+    assert (u[0], level[0], index[0, 0]) == (0, 2, 0)
+    got = [(int(a), int(b), tuple(c)) for a, b, c in zip(u, level, index.tolist())]
+    assert got == _scalar_rows(rows, 0, grids)
+
+
+@pytest.mark.parametrize(
+    "center_units, side_units, offset_bits",
+    [
+        (1024.0754003585903, 0.24784308461970225, 658417938926080721),
+        (268435456.34375495, 0.1145842653959189, 660535788357262206),
+        (134217728.72793737, 0.10078349979767959, 1071645578717116395),
+    ],
+)
+def test_sandwiches_keep_the_full_error_bound(center_units, side_units, offset_bits):
+    """Rows where the float64 error of the cube position exceeds half the
+    filter's bound.  The scaled corner lies just above a power of two, so
+    t = fl(c - phi) drops a binade, and the shift grid's level-10 offset
+    carries 60 bits, so both roundings can approach half an ulp; 3P's
+    edge sits within that error of the cube bound."""
+    level = 10
+    lo, side = math.ldexp(center_units, -level), math.ldexp(side_units, -level)
+    bits = (0,) * (level + 4) + tuple(int(c) for c in format(offset_bits, "060b"))
+    shifted = random_grid([ShiftParam(-4, level + 60, bits)])
+    assert shifted.offset(0, level) * _pow2(-level) == Fraction(offset_bits, 1 << 60)
+    grids = [shifted, *onethird_grids(1, -4, level + 60)]
+    p = BoxCube((lo,), side)
+    want = _scalar_rows([((lo,), side)], 0, grids)
+    assert want == [_ref_sandwich(p, 0, grids)]
+    u, lv, index = sandwiches([[lo]], [side], 0, grids)
+    assert [(int(u[0]), int(lv[0]), tuple(index[0].tolist()))] == want
+
+
+def test_sandwiches_on_a_cell_aligned_lattice():
+    grids = onethird_grids(1, -4, 16)
+    lo = np.arange(1999)[:, None] / 2048
+    side = np.full(1999, 2.0**-7)
+    rows = [((float(a),), float(s)) for a, s in zip(lo[:, 0], side)]
+    for j in (0, 2):
+        u, level, index = sandwiches(lo, side, j, grids)
+        got = [(int(a), int(b), tuple(c)) for a, b, c in zip(u, level, index.tolist())]
+        assert got == _scalar_rows(rows, j, grids)
+
+
+@st.composite
+def _point_row(draw, grid):
+    if draw(st.booleans()):
+        return tuple(draw(st.floats(-1.5, 2.5)) for _ in range(grid.dim))
+    return tuple(_near(draw, float(a)) for a in draw(_points(grid)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_deepest_common_levels_match_scalar_and_fraction_oracle(data):
+    grid = data.draw(_grids(max_dim=3))
+    xs = data.draw(st.lists(_point_row(grid), min_size=1, max_size=8))
+    us = [data.draw(st.one_of(_point_row(grid), st.just(x))) for x in xs]
+    got = deepest_common_levels(grid, xs, us)
+    for x, u, level in zip(xs, us, got.tolist()):
+        want = deepest_common_level(grid, x, u)
+        assert want == _ref_deepest_common(grid, x, u)
+        assert level == (grid.lo - 1 if want is None else want)

@@ -5,7 +5,11 @@
     python tools/drift_dump.py --compare old.json new.json
 
 A dump holds, with all their digits, every row of `dyadlab verify` at the
-given seed (default depths) and the values and witnesses of the benchmark's
+given seed (default depths), the (u, level, index) of each of the 3000
+intervals behind the grids/sandwich-expansion row and each of the 400
+kernel values behind the forms/surrogate-window row (so a changed cube or
+value shows even where the row's worst ratio does not move), and the values
+and witnesses of the benchmark's
 scan2d and norm2d task calls on the first --units weight pairs of that seed
 (inputs from bench/workloads.py), plus the rectangle and strong doubling
 scans of each scan2d weight at 2D depth 4.  dyadlab is imported from --src, the
@@ -41,6 +45,49 @@ def _verify_rows(seed: int, out: dict) -> None:
         out[f"{key}/bound"] = float(row.bound)
         out[f"{key}/pass"] = str(bool(row.passed))
         out[f"{key}/witness"] = row.witness
+
+
+def _former_points(seed: int):
+    """The sandwich cubes and surrogate values by the scalar loops that the
+    suite ran before its batched geometry, for a checkout without it."""
+    from dyadlab import (
+        BoxCube,
+        KernelHandle,
+        ScopeError,
+        onethird_grids,
+        sandwich,
+        substream,
+        surrogate_kernel,
+    )
+
+    grids, rng, cubes = onethird_grids(1, 0, 16), substream(seed, 222), []
+    for _ in range(3000):
+        side = float(2.0 ** -rng.uniform(4.5, 12.0))
+        lo = float(rng.uniform(0.0, 1.0 - 3.0 * side))
+        u, cube = sandwich(BoxCube((lo,), side), 0, grids)
+        cubes.append((u, cube.level, cube.index))
+    kern = KernelHandle.product_frac(0.5, 0.5, 1, 1)
+    grids, rng, values = onethird_grids(1, -4, 8), substream(seed, 555), []
+    while len(values) < 400:
+        x, y, u, v = rng.uniform(0.0, 1.0, size=4)
+        try:
+            values.append(surrogate_kernel(kern, (x,), (y,), (u,), (v,), grids, grids))
+        except ScopeError:
+            continue
+    return cubes, values
+
+
+def _verify_points(seed: int, out: dict) -> None:
+    from dyadlab import suite
+
+    if hasattr(suite, "_sandwich_cubes"):
+        _, u, level, index = suite._sandwich_cubes(seed)
+        cubes = zip(u.tolist(), level.tolist(), map(tuple, index.tolist()))
+        values = suite._surrogate_window(seed)[1].tolist()
+    else:
+        cubes, values = _former_points(seed)
+    out["verify-points/sandwich-cubes"] = [f"u={a} level={b} index={c}" for a, b, c in cubes]
+    out["verify-points/surrogate-values"] = [float(v) for v in values]
 
 
 def _scan2d(seed: int, unit: int, out: dict) -> None:
@@ -122,6 +169,7 @@ def _norm2d(seed: int, unit: int, out: dict) -> None:
 def dump(seed: int, units: int) -> dict:
     out: dict = {}
     _verify_rows(seed, out)
+    _verify_points(seed, out)
     for unit in range(units):
         _scan2d(seed, unit, out)
         _norm2d(seed, unit, out)
