@@ -226,18 +226,25 @@ def _level_profiles(w: Weight, theta: float, n: int, level: int) -> np.ndarray:
     return _bump_map(mass, cell_vol * side**n, theta)
 
 
+def _uniforms(rng: np.random.Generator, chunk: int = 1024):
+    """rng's uniform doubles in [0, 1), drawn chunk at a time: the same
+    values, in the same order, as one rng.uniform() call each."""
+    while True:
+        yield from rng.random(chunk).tolist()
+
+
 def random_partition(lattice, seed: int, split_prob: float = 0.7) -> list[Rect]:
     """Random dyadic partition of the unit box into cell-aligned cubes.
 
     Walks the dyadic tree from the root; each cube splits into its 2^dim
     children with the given probability until the finest level.
     """
-    rng = substream(seed, 404)
+    draws = _uniforms(substream(seed, 404))
     out: list[Rect] = []
     stack = [(0, (0,) * lattice.dim)]
     while stack:
         level, idx = stack.pop()
-        if level < lattice.depth and rng.uniform() < split_prob:
+        if level < lattice.depth and next(draws) < split_prob:
             for corner in _iproduct((0, 1), repeat=lattice.dim):
                 stack.append((level + 1, tuple(2 * idx[k] + corner[k] for k in range(lattice.dim))))
         else:

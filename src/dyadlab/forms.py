@@ -335,7 +335,7 @@ def _level_coefs(kernel: KernelHandle, lat: Lattice, family: RectFamily | None) 
         raise AlignmentError("family boxes must be the dyadic cubes of their stated levels")
     coef: list = [[0.0 for _ in levels] for _ in levels]
     pair = lv[:, 0] * (lat.depth + 1) + lv[:, 1]
-    for key in np.unique(pair):
+    for key in np.flatnonzero(np.bincount(pair)):
         li, lj = divmod(int(key), lat.depth + 1)
         sel = pair == key
         counts = np.zeros((1 << li,) * m + (1 << lj,) * n)

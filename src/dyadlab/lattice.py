@@ -31,7 +31,8 @@ and p = 1 the powers are the identity and keep the masses' bits.
 Besides the integration core this module owns the weight generators, the
 doubling / reverse-doubling / strong-reverse-doubling scans with their
 witnesses, and the explicit doubling bound implied by a strong
-reverse-doubling constant.
+reverse-doubling constant.  The doubling and strong scans bound every
+ratio in float64 and read only the boxes that can win in long double.
 """
 from __future__ import annotations
 
@@ -434,11 +435,12 @@ class Axis:
         return Axis(runs, np.concatenate(parts), n)
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every box's lower and upper edge, in box order."""
-        return tuple(
-            np.concatenate([np.broadcast_to(self._at(run[k]), run[0]) for run in self.runs])
-            for k in (1, 2)
-        )
+        """Every box's lower and upper edge, in box order (read-only)."""
+        out = []
+        for k in (1, 2):
+            parts = [np.broadcast_to(self._at(run[k]), run[0]) for run in self.runs]
+            out.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
+        return tuple(out)
 
     def edge_at(self, pos: int) -> tuple:
         """Lower and upper edge of the box at one position."""
@@ -506,6 +508,13 @@ class BoxGrid:
 
     def replace(self, k: int, axis: Axis) -> "BoxGrid":
         return BoxGrid(self.axes[:k] + (axis,) + self.axes[k + 1 :])
+
+    def edges_at(self, flat: np.ndarray) -> tuple[list, list]:
+        """Per-axis lower and upper edges of the boxes at flat (C order)
+        positions, a box list."""
+        pos = np.unravel_index(flat, self.shape)
+        ends = [ax.edges() for ax in self.axes]
+        return [lo[p] for (lo, _), p in zip(ends, pos)], [hi[p] for (_, hi), p in zip(ends, pos)]
 
     def rect(self, flat: int) -> Rect:
         """The cell box at a flat (C order) position of a whole-cell grid."""
@@ -856,34 +865,297 @@ def _doubles(n: int, sizes) -> BoxGrid:
     return BoxGrid(axes)
 
 
+# The doubling and strong scans want the first box, in scan order (size
+# tuple, then C order), of greatest ratio num / base, where num and base
+# are float64 masses read by _weight_masses (num the larger of one or two
+# boxes tied to the base box).  Nearly every box loses by a wide margin,
+# so each ratio is first bounded from a float64 copy of the prefix table,
+# and only the boxes that may win go to the engine, which decides every
+# box it is given: a filtered exact predicate, as in grids.
+#
+# The bound B on |m - e| for every box, where m is its screen mass (the
+# float64 table differenced one axis at a time, _differences) and e its
+# float64 mass from the engine.  T is the long double table, N = 2^d the
+# corner count, n the cells per axis, u = 2^-53 and v the unit roundoff
+# of np.longdouble (v = u where it is float64); g(k, x) = kx / (1 - kx).
+# T holds cumulative sums of nonnegative cell values, so its entries are
+# nonnegative and at most its last one, Tmax (rounding is monotone), and
+# each is its exact sum P times at most dn factors 1 + delta, |delta| <=
+# v: |T - P| <= g(dn, v) P.  M is the box's exact corner sum of T.
+# - The screen rounds each corner to float64, off by at most u Tmax, and
+#   sums the N signed corners in float64 in some order, off by at most
+#   g(N - 1, u) N (1 + u) Tmax (Higham, "Accuracy and Stability of
+#   Numerical Algorithms", 2002, section 4.2).
+# - The engine sums the same corners in long double, off by at most
+#   g(N - 1, v) N Tmax, or returns 0 for a box holding no positive cell,
+#   whose P sum is exactly 0, so |M| <= N g(dn, v) Tmax / (1 - g(dn, v)).
+#   As dn >= N - 1 (d <= 4, n >= 4) and g(dn, v) <= 1/2, both are at
+#   most 2 N g(dn, v) Tmax.
+# - e rounds the engine's value to float64 once, off by at most 3u Tmax,
+#   as that value is at most 3 Tmax in magnitude.
+# B is the sum of these times 1 + 2^-20, which covers evaluating it in
+# float64, plus _TINY, which covers every float64 underflow (2^-1075 per
+# rounding).  A Tmax near the float64 overflow makes B infinite, and
+# every box undecided (so is a NaN from a table entry past the range).
+#
+# A box whose m is at most B is undecided: its engine base may be 0 or
+# negative (massless, or a massless base under a massive double).  Every
+# other box has e > 0, and its engine num lies within B of the screen's
+# (the larger of values each within B), so its ratio fl(num / e) is at
+# most hi = max(num + B, 0) / (m - B) (1 + u) and, where num > B, at least
+# lo = (num - B) / (m + B) (1 - u), up to _TINY for underflow; each is
+# evaluated with four float64 roundings, which the factors 1 -+ 2^-48
+# cover.  A box whose hi is below the best lo seen, L, cannot win.
+#
+# A scan first tests the screen ratio r = fl(num / m) against one
+# threshold.  With c >= B / m for every decided box of the scan, the
+# computed hi is at most (max(r, 0)(1 + 2u) + c) / (1 - c) (1 + 2^-47)
+# plus a few _TINY, so every box with r below
+#   t = (L - 4 _TINY)(1 - c)(1 - 2^-44) - c (1 + 2^-44) - 4 _TINY
+# has hi < L (the slack 2^-44 covers the factors above and the rounding
+# of t, which errs by a few u of its larger term).  Only boxes with
+# r >= t have their hi computed, and every box where t <= 0.
+
+_U = 2.0**-53
+_TINY = 2.0**-1060
+
+
+def _screen_bound(tab: np.ndarray) -> float:
+    """B: every box's screen mass over tab.astype(float64) lies within B
+    of its float64 mass from the engine."""
+    d, n = tab.ndim, tab.shape[-1] - 1
+    v, corners = float(np.finfo(tab.dtype).eps) / 2, 1 << d
+    top = float(tab[(-1,) * d]) * (1 + 2 * _U)
+    if not math.isfinite(top * corners * 4):
+        return math.inf
+
+    def g(k: int, x: float) -> float:
+        return k * x / (1 - k * x)
+
+    rel = (
+        corners * _U
+        + g(corners - 1, _U) * corners * (1 + _U)
+        + 2 * corners * g(d * n, v)
+        + 3 * _U
+    )
+    return top * rel * (1 + 2.0**-20) + _TINY
+
+
+def _differences(tab: np.ndarray, grid: BoxGrid) -> np.ndarray:
+    """Box sums of a whole-cell grid over a float table, differenced one
+    axis at a time, run by run: other roundings than box_masses', for the
+    screen only."""
+    out = tab
+    for k, ax in enumerate(grid.axes):
+        pre = (slice(None),) * k
+        nxt = np.empty(out.shape[:k] + (ax.count,) + out.shape[k + 1 :])
+        at = 0
+        for count, lo, hi in ax.runs:
+            dst = nxt[pre + (slice(at, at + count),)]
+            np.subtract(out[pre + (hi,)], out[pre + (lo,)], out=dst)
+            at += count
+        out = nxt
+    return out.reshape(-1)
+
+
+def _engine(w: Weight, picks) -> list[np.ndarray]:
+    """Float64 masses from _weight_masses of the boxes picked, one array
+    per grid role: picks holds (grids, flat) pairs, flat the boxes' C
+    order positions.  A pick of at least an eighth of its grid reads the
+    whole grid at its vertices, and the other picks are gathered as box
+    lists, in one batch per role; both give the same bits."""
+    whole = [flat.size * 8 >= math.prod(grids[0].shape) for grids, flat in picks]
+    out = []
+    for k in range(len(picks[0][0])):
+        small = [(grids[k], flat) for (grids, flat), big in zip(picks, whole) if not big]
+        gathered = iter(())
+        if small:
+            ends = [grid.edges_at(flat) for grid, flat in small]
+            lo, hi = ([np.concatenate(e) for e in zip(*side)] for side in zip(*ends))
+            read = _weight_masses(w, lo, hi).astype(np.float64)
+            gathered = iter(np.split(read, np.cumsum([flat.size for _, flat in small])[:-1]))
+        parts = [
+            _weight_masses(w, grids[k]).astype(np.float64).reshape(-1)[flat] if big
+            else next(gathered)
+            for (grids, flat), big in zip(picks, whole)
+        ]
+        out.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
+    return out
+
+
+def _per_pick(arrays: list, picks) -> list:
+    """Split arrays laid out pick by pick into their per-pick parts:
+    per pick, one part of each array."""
+    if len(picks) == 1:
+        return [arrays]
+    cuts = np.cumsum([flat.size for _, flat in picks])[:-1]
+    return list(zip(*(np.split(a, cuts) for a in arrays)))
+
+
+def _read(w: Weight, picks, infinite: bool) -> list[np.ndarray]:
+    """_engine of the boxes picked, reading a numerator only where the
+    ratio or the INFINITE test looks at it (0 elsewhere), as the former
+    scans skipped the numerators of a size whose bases all had no mass."""
+    base = _engine(w, [(grids[:1], flat) for grids, flat in picks])[0]
+    nums = [np.zeros(base.size) for _ in picks[0][0][1:]]
+    need = np.ones(base.size, dtype=bool) if infinite else base > 0.0
+    if need.any():
+        sub = [(g[1:], f[k]) for (g, f), (k,) in zip(picks, _per_pick([need], picks)) if k.any()]
+        for out, got in zip(nums, _engine(w, sub)):
+            out[need] = got
+    return [base, *nums]
+
+
+def _numerator(masses: list) -> np.ndarray:
+    return masses[1] if len(masses) == 2 else np.maximum(masses[1], masses[2])
+
+
+def _ratios(masses: list, infinite: bool) -> tuple[np.ndarray, np.ndarray | None]:
+    """The scans' ratios of engine masses: -1 where the base does not
+    count (0, or with infinite False not positive), and with infinite set
+    the boxes whose massless base carries a massive numerator."""
+    base, num = masses[0], _numerator(masses)
+    ok = base != 0.0 if infinite else base > 0.0
+    ratio = np.where(ok, num / np.where(ok, base, 1.0), -1.0)
+    return ratio, (~ok & (num > 0.0)) if infinite else None
+
+
+# boxes the engine is given per batch, which bounds its temporaries
+_BATCH = 1 << 16
+
+
+class _Candidates:
+    """The boxes of a screened scan that go to the engine, read in batches
+    of whole scans in scan order, and the first maximizer read so far.
+
+    floor is L, the best lower bound on a ratio seen so far; best is None
+    or, once a ratio above -1 has been read, _first_max's result tuple for
+    the first maximizer read.
+    """
+
+    def __init__(self, w: Weight, infinite: bool):
+        self.w, self.infinite = w, infinite
+        self.floor = -math.inf
+        self.best = None
+        self.batch, self.size = [], 0
+
+    def add(self, order: int, tag, grids, flat: np.ndarray, hi: np.ndarray) -> None:
+        """Boxes of one scan at flat positions, increasing, with the upper
+        bounds on their ratios (inf for the undecided)."""
+        self.batch.append((order, tag, grids, flat, hi))
+        self.size += flat.size
+
+    def settle(self):
+        """Read the boxes whose bound still reaches L; returns the first
+        INFINITE result in scan order if they hold one, else None."""
+        batch, self.batch, self.size = self.batch, [], 0
+        rows = [(*row[:3], row[3][row[4] >= self.floor]) for row in batch]
+        rows = [row for row in rows if row[3].size]
+        if not rows:
+            return None
+        picks = [(grids, flat) for _, _, grids, flat in rows]
+        read = _per_pick(_read(self.w, picks, self.infinite), picks)
+        # per row (one scan's boxes, in C order) its first INFINITE and its
+        # first maximizer; across rows the first in scan order
+        infs, tops = [], []
+        for k, ((order, _, _, flat), masses) in enumerate(zip(rows, read)):
+            ratio, inf = _ratios(masses, self.infinite)
+            if self.infinite and inf.any():
+                i = int(np.argmax(inf))
+                infs.append((order, flat[i], k, i))
+            i = int(np.argmax(ratio))
+            tops.append((-ratio[i], order, flat[i], k, i))
+        if infs:
+            *_, k, i = min(infs)
+            value = INFINITE
+        else:
+            top, *_, k, i = min(tops)
+            value = -float(top)
+            self.floor = max(self.floor, value)
+        _, tag, grids, flat = rows[k]
+        won = value, bool(infs), tag, grids, int(flat[i]), [m[i] for m in read[k]]
+        if infs:
+            return won
+        if value > (-1.0 if self.best is None else self.best[0]):
+            self.best = won
+        return None
+
+
+def _first_max(w: Weight, scans, infinite: bool):
+    """The first box of greatest ratio over every box of scans, an
+    iterable of (tag, grids) in scan order, grids the base grid and one or
+    two numerator grids of its shape, each read in C order.
+
+    Returns None when no ratio exceeds -1, else (value, infinite, tag,
+    grids, flat, masses) for the winning box, masses its engine masses
+    per grid: with infinite set, the first box whose massless base
+    carries a massive numerator wins, at value INFINITE, and otherwise
+    the first maximizer.  The engine reads every undecided box and every
+    decided box whose hi reaches L, in batches of whole scans; a scan
+    holding undecided boxes is read at once, so the first INFINITE ends
+    the scan and their ratios raise L early.
+    """
+    tab = w.prefix(1.0)
+    flt, bound = tab.astype(np.float64), _screen_bound(tab)
+    cands = _Candidates(w, infinite)
+    for order, (tag, grids) in enumerate(scans):
+        base = _differences(flt, grids[0])
+        und = np.empty(0, np.intp)
+        if not base.min() > bound:  # or NaN, from a table past the float64 range
+            und = np.flatnonzero(~(base > bound))
+            base[und] = np.inf
+        keep, hi = und, np.full(und.size, np.inf)
+        low = base.min()
+        if low < np.inf:
+            num = _numerator([base] + [_differences(flt, g) for g in grids[1:]])
+            ratio = num / base
+            i = int(np.argmax(ratio))
+            if num[i] > bound:
+                lo = (num[i] - bound) / (base[i] + bound) * (1 - 2.0**-48) - _TINY
+                cands.floor = max(cands.floor, lo)
+            floor, c = cands.floor, bound / low * (1 + 2.0**-44)
+            t = 0.0
+            if floor > 0 and c < 1:
+                t = (floor - 4 * _TINY) * (1 - c) * (1 - 2.0**-44)
+                t -= c * (1 + 2.0**-44) + 4 * _TINY
+            if t <= 0:
+                dec = np.flatnonzero(base < np.inf)
+            else:
+                dec = np.flatnonzero(ratio >= t) if ratio[i] >= t else np.empty(0, np.intp)
+            bounds = np.maximum(num[dec] + bound, 0.0) / (base[dec] - bound)
+            bounds = bounds * (1 + 2.0**-48) + _TINY
+            dec, bounds = dec[bounds >= floor], bounds[bounds >= floor]
+            if und.size and dec.size:
+                keep = np.concatenate([und, dec])
+                at = np.argsort(keep)
+                keep, hi = keep[at], np.concatenate([hi, bounds])[at]
+            elif dec.size:
+                keep, hi = dec, bounds
+        if keep.size:
+            cands.add(order, tag, grids, keep, hi)
+        if und.size or cands.size >= _BATCH:
+            won = cands.settle()
+            if won is not None:
+                return won
+    return cands.settle() or cands.best
+
+
 def _scan_doubling(w: Weight, per_axis_sizes: bool) -> tuple[float, bool, Witness | None]:
     """Max ratio mass(2R clipped to box)/mass(R) over even-sided cell boxes."""
     lat = w.lattice
     n = lat.cells_per_axis
-    best = -1.0
-    witness = None
     even = range(2, n + 1, 2)
     size_tuples = (
         _iproduct(even, repeat=lat.dim) if per_axis_sizes else ((m,) * lat.dim for m in even)
     )
-    for sizes in size_tuples:
-        boxes, doubles = _placements(n, sizes), _doubles(n, sizes)
-        # round once to float64 so scan ratios match Witness.reevaluate bit for bit
-        base = _weight_masses(w, boxes).astype(np.float64)
-        big = _weight_masses(w, doubles).astype(np.float64)
-        zero = base == 0.0
-        inf_here = zero & (big > 0.0)
-        if inf_here.any():
-            i = int(np.argmax(inf_here))
-            wit = Witness("double", boxes.rect(i), doubles.rect(i), None, None, INFINITE)
-            return INFINITE, True, wit
-        if (~zero).any():
-            ratios = np.where(zero, -1.0, big / np.where(zero, 1.0, base))
-            i = int(np.argmax(ratios))
-            if float(ratios.flat[i]) > best:
-                best = float(ratios.flat[i])
-                witness = Witness("double", boxes.rect(i), doubles.rect(i), None, None, best)
-    return (best if best >= 0 else 0.0), False, witness
+    # masses are rounded once to float64, so the ratios match
+    # Witness.reevaluate bit for bit
+    won = _first_max(w, ((s, (_placements(n, s), _doubles(n, s))) for s in size_tuples), True)
+    if won is None:
+        return 0.0, False, None
+    value, infinite, _, (boxes, doubles), i, _ = won
+    wit = Witness("double", boxes.rect(i), doubles.rect(i), None, None, value)
+    return (value if value >= 0 else 0.0), infinite, wit
 
 
 def _eps_from_per_scale(per_s: dict[int, tuple]) -> tuple[float | None, Witness | None]:
@@ -989,33 +1261,26 @@ def _scan_strong(w: Weight) -> DoublingReport:
     lat = w.lattice
     n = lat.cells_per_axis
     rep = DoublingReport(mode="strong")
-    best = -1.0
-    wit = None
-    for axis in range(lat.dim):
-        size_ranges = [
-            range(2, n + 1, 2) if k == axis else range(1, n + 1) for k in range(lat.dim)
-        ]
-        for sizes in _iproduct(*size_ranges):
-            boxes = _placements(n, sizes)
-            base = _weight_masses(w, boxes).astype(np.float64)
-            ok = base > 0.0
-            if not ok.any():
-                continue
-            m, count = sizes[axis], n - sizes[axis] + 1
-            left = boxes.replace(axis, Axis.progression(0, count, 1, m // 2))
-            right = boxes.replace(axis, Axis.progression(m // 2, count, 1, m - m // 2))
-            lm = _weight_masses(w, left).astype(np.float64)
-            rm = _weight_masses(w, right).astype(np.float64)
-            frac = np.where(ok, np.maximum(lm, rm) / np.where(ok, base, 1.0), -1.0)
-            i = int(np.argmax(frac))
-            if float(frac.flat[i]) > best:
-                best = float(frac.flat[i])
-                side = left.rect(i) if lm.flat[i] >= rm.flat[i] else right.rect(i)
-                wit = Witness("half", boxes.rect(i), side, axis, None, best)
-    if best < 0.0:
+
+    def scans():
+        for axis in range(lat.dim):
+            size_ranges = [
+                range(2, n + 1, 2) if k == axis else range(1, n + 1) for k in range(lat.dim)
+            ]
+            for sizes in _iproduct(*size_ranges):
+                boxes = _placements(n, sizes)
+                m, count = sizes[axis], n - sizes[axis] + 1
+                left = boxes.replace(axis, Axis.progression(0, count, 1, m // 2))
+                right = boxes.replace(axis, Axis.progression(m // 2, count, 1, m - m // 2))
+                yield axis, (boxes, left, right)
+
+    won = _first_max(w, scans(), False)
+    if won is None or won[0] < 0.0:
         rep.strong_absent = True
         return rep
-    rep.witnesses["strong"] = wit
+    best, _, axis, (boxes, left, right), i, (_, lm, rm) = won
+    side = left.rect(i) if lm >= rm else right.rect(i)
+    rep.witnesses["strong"] = Witness("half", boxes.rect(i), side, axis, None, best)
     if best >= 1.0:
         rep.strong_absent = True
     else:
@@ -1032,6 +1297,9 @@ def doubling_report(w: Weight, mode: str) -> DoublingReport:
     product_reverse: per-axis concentric-shrink decay exponents (C fixed
     at 1) plus the simultaneous cube exponent, dyadic rectangles only.
     strong: worst half-to-whole fraction, ABSENT when it reaches 1.
+    cube, rectangle and strong keep the bits of a full long-double scan:
+    a float64 screen bounds every ratio, and long double decides every
+    candidate, each box that can win or may be massless.
     """
     if w.lattice.depth < 2:
         raise DomainError("doubling scans need depth >= 2")

@@ -29,6 +29,7 @@ from dyadlab import (
     make_lattice,
     random_partition,
     slice_profile,
+    substream,
 )
 from dyadlab import bump
 from dyadlab.bump import _bumps, _level_profiles
@@ -147,6 +148,32 @@ def test_random_partition_tiles():
     assert covered.min() == covered.max() == 1
 
 
+def _former_random_partition(lattice, seed: int, split_prob: float = 0.7) -> list[Rect]:
+    """The former partition walk, one scalar uniform draw per split test."""
+    rng = substream(seed, 404)
+    out = []
+    stack = [(0, (0,) * lattice.dim)]
+    while stack:
+        level, idx = stack.pop()
+        if level < lattice.depth and rng.uniform() < split_prob:
+            for corner in iproduct((0, 1), repeat=lattice.dim):
+                stack.append((level + 1, tuple(2 * idx[k] + corner[k] for k in range(lattice.dim))))
+        else:
+            scale = lattice.cells_per_axis >> level
+            out.append(Rect(tuple(i * scale for i in idx), tuple((i + 1) * scale for i in idx)))
+    return out
+
+
+@pytest.mark.parametrize("shape", [(1, 8), (2, 5), (3, 3), (2, 6)])
+@pytest.mark.parametrize("split_prob", [0.3, 0.7, 0.95])
+def test_random_partition_matches_scalar_draws(shape, split_prob):
+    # chunked draws read the same doubles in the same order, so every
+    # partition is the former one; at 2D depth 6 and split_prob 0.95,
+    # seeds 57, 4300 and 4800 take over 1024 draws, more than one chunk
+    lat = make_lattice(*shape)
+    for seed in (0, 1, 57, 4300, 4800):
+        want = _former_random_partition(lat, seed, split_prob)
+        assert random_partition(lat, seed, split_prob) == want
 # ---------------------------------------------------------------------------
 # slices and the iterated identity
 

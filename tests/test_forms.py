@@ -9,8 +9,12 @@ and the continuum fractional integral value 8.0 at the center of the square
 """
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction
 from itertools import product as iproduct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -49,6 +53,7 @@ from dyadlab import (
     surrogate_kernel,
     surrogate_kernels,
 )
+import dyadlab
 from dyadlab import forms
 from dyadlab.errors import AlignmentError
 from dyadlab.grids import DyadicGrid, ShiftParam, deepest_common_level, random_grid
@@ -787,3 +792,36 @@ def test_table_kernel_floor_returns_its_normalized_indicator_pair(explicit):
     assert np.array_equal(est.best_g.values, ind / g_norm)
     form = bilinear_form(table, sig, om, est.best_f, est.best_g).total
     assert form >= est.lower_bound * (1 - 1e-12)
+
+
+_NO_MA = """
+import sys
+import numpy as np
+from dyadlab import (Cube, DyadicRect, Exponents, KernelHandle, Weight, dyadic_family,
+                     family_of, make_lattice, norm_estimate, standard_grid)
+lat = make_lattice(2, 3)
+w = Weight(lat, np.linspace(0.5, 2.0, lat.cell_count))
+grid = standard_grid(1, 0, 3)
+if sys.argv[1] == "dyadic":
+    family = dyadic_family(lat, 1)
+else:
+    family = family_of(lat, [DyadicRect(Cube(grid, 1, (0,)), Cube(grid, 2, (1,))),
+                             DyadicRect(Cube(grid, 0, (0,)), Cube(grid, 3, (5,)))])
+exps = Exponents(p=2.0, q=4.0, alpha=0.5, beta=0.5, m=1, n=1, theta=1.0)
+norm_estimate(KernelHandle.product_frac(0.5, 0.5, 1, 1), w, w, exps, family=family, iterations=2)
+print("numpy.ma" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("family", ["dyadic", "explicit"])
+def test_norm_on_explicit_families_does_not_import_numpy_ma(family):
+    # the first np.unique call in a process imports numpy.ma (about 34 ms
+    # and 1.7 MB), so explicit families key their level pairs by bincount
+    src = str(Path(dyadlab.__file__).resolve().parent.parent)
+    path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    proc = subprocess.run(
+        [sys.executable, "-c", _NO_MA, family], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]

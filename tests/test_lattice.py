@@ -776,6 +776,29 @@ def _former_scan_doubling(w: Weight, per_axis_sizes: bool):
     return (best if best >= 0 else 0.0), False, witness
 
 
+def _oracle_weight(lat, weight: str, seed: int) -> Weight:
+    if weight == "lognormal":
+        return gen_weight(lat, {"kind": "random_lognormal", "seed": seed, "roughness": 1.0})
+    if weight == "cascade":
+        return gen_weight(lat, {"kind": "cascade", "beta": 0.8, "seed": seed})
+    if weight == "constant":
+        return gen_weight(lat, {"kind": "constant", "value": 1.0})
+    dens = np.random.default_rng(seed).uniform(0.5, 2.0, lat.shape)
+    dens[np.random.default_rng(seed + 1).uniform(size=lat.shape) < 0.2] = 0.0
+    return Weight(lat, dens)
+
+
+def _assert_doubling_matches_former(w: Weight, modes=("cube", "rectangle")):
+    for mode in modes:
+        value, infinite, wit = _former_scan_doubling(w, mode == "rectangle")
+        rep = doubling_report(w, mode)
+        assert (rep.constant, rep.infinite) == (value, infinite)
+        got = rep.witnesses.get("doubling")
+        assert (None if got is None else (got.rect, got.other)) == wit
+        if got is not None:
+            assert got.value == value
+
+
 @settings(max_examples=60, deadline=None)
 @given(
     st.sampled_from([(1, 2), (1, 5), (2, 2), (2, 4), (3, 2)]),
@@ -783,20 +806,239 @@ def _former_scan_doubling(w: Weight, per_axis_sizes: bool):
     st.integers(0, 2**20),
 )
 def test_doubling_scans_match_former_scan(shape, weight, seed):
+    _assert_doubling_matches_former(_oracle_weight(make_lattice(*shape), weight, seed))
+
+
+# The former strong scan, kept as the reference: every placement of every
+# axis-halved box and both of its halves gathered corner by corner.
+
+
+def _former_scan_strong(w: Weight):
+    lat = w.lattice
+    n = lat.cells_per_axis
+    count = lattice._positive_counts(lat, w.density)
+    best = -1.0
+    witness = None
+    for axis in range(lat.dim):
+        size_ranges = [
+            range(2, n + 1, 2) if k == axis else range(1, n + 1) for k in range(lat.dim)
+        ]
+        for sizes in iproduct(*size_ranges):
+            lo = list(np.ix_(*(np.arange(n - m + 1, dtype=np.int64) for m in sizes)))
+            hi = [a + m for a, m in zip(lo, sizes)]
+            base = _former_masses(w.prefix(1.0), count, lo, hi).astype(np.float64)
+            ok = base > 0.0
+            if not ok.any():
+                continue
+            half = sizes[axis] // 2
+            mid = lo[axis] + half
+            left_hi = hi[:axis] + [mid] + hi[axis + 1 :]
+            right_lo = lo[:axis] + [mid] + lo[axis + 1 :]
+            lm = _former_masses(w.prefix(1.0), count, lo, left_hi).astype(np.float64)
+            rm = _former_masses(w.prefix(1.0), count, right_lo, hi).astype(np.float64)
+            frac = np.where(ok, np.maximum(lm, rm) / np.where(ok, base, 1.0), -1.0)
+            i = int(np.argmax(frac))
+            if float(frac.flat[i]) > best:
+                best = float(frac.flat[i])
+                side = (
+                    _former_rect_at(lo, left_hi, i)
+                    if lm.flat[i] >= rm.flat[i]
+                    else _former_rect_at(right_lo, hi, i)
+                )
+                witness = (_former_rect_at(lo, hi, i), side, axis)
+    return best, witness
+
+
+def _assert_strong_matches_former(w: Weight):
+    best, wit = _former_scan_strong(w)
+    rep = doubling_report(w, "strong")
+    if best < 0.0:
+        assert rep.strong_absent and rep.strong_beta is None and not rep.witnesses
+        return
+    got = rep.witnesses["strong"]
+    assert (got.rect, got.other, got.axis, got.value) == (*wit, best)
+    assert rep.strong_absent == (best >= 1.0)
+    assert rep.strong_beta == (None if best >= 1.0 else best)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(1, 2), (1, 5), (2, 2), (2, 3), (3, 2)]),
+    st.sampled_from(["lognormal", "cascade", "zero_block", "constant"]),
+    st.integers(0, 2**20),
+)
+def test_strong_scan_matches_former_scan(shape, weight, seed):
+    _assert_strong_matches_former(_oracle_weight(make_lattice(*shape), weight, seed))
+
+
+# The screened scans against the former loops on fixed inputs: deeper
+# lattices, exact ties, ratios one ulp apart and massless placements.
+
+
+@pytest.mark.parametrize("depth", [6, 7])
+@pytest.mark.parametrize(
+    "weight, seed", [("cascade", 3), ("cascade", 17), ("lognormal", 5), ("lognormal", 40)]
+)
+def test_cube_scan_matches_former_scan_at_depth(depth, weight, seed):
+    w = _oracle_weight(make_lattice(2, depth), weight, seed)
+    _assert_doubling_matches_former(w, ("cube",))
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (2, 4), (3, 2)])
+def test_constant_weight_ties_keep_the_first_placement(shape):
+    # every unclipped placement of every size has ratio exactly 2^d, so the
+    # witness is the first of them: the size-2 box at cell 1 on every axis
     lat = make_lattice(*shape)
-    if weight == "lognormal":
-        w = gen_weight(lat, {"kind": "random_lognormal", "seed": seed, "roughness": 1.0})
-    elif weight == "cascade":
-        w = gen_weight(lat, {"kind": "cascade", "beta": 0.8, "seed": seed})
-    elif weight == "constant":
-        w = gen_weight(lat, {"kind": "constant", "value": 1.0})
-    else:
-        dens = np.random.default_rng(seed).uniform(0.5, 2.0, lat.shape)
-        dens[np.random.default_rng(seed + 1).uniform(size=lat.shape) < 0.2] = 0.0
-        w = Weight(lat, dens)
-    for mode, per_axis in (("cube", False), ("rectangle", True)):
-        value, infinite, wit = _former_scan_doubling(w, per_axis)
+    w = gen_weight(lat, {"kind": "constant", "value": 1.0})
+    _assert_doubling_matches_former(w)
+    for mode in ("cube", "rectangle"):
         rep = doubling_report(w, mode)
-        assert (rep.constant, rep.infinite) == (value, infinite)
-        got = rep.witnesses.get("doubling")
-        assert (None if got is None else (got.rect, got.other)) == wit
+        assert rep.constant == 2.0**lat.dim
+        wit = rep.witnesses["doubling"]
+        assert wit.rect == Rect((1,) * lat.dim, (3,) * lat.dim)
+        assert wit.other == Rect((0,) * lat.dim, (4,) * lat.dim)
+    _assert_strong_matches_former(w)
+
+
+def _ulp_pair(later_wins: bool) -> Weight:
+    """1D depth 3: the placements [1, 3) and [5, 7) have ratios x and
+    x + ulp(x), x = 3 + 2^-51, the greater at [5, 7) when later_wins, and
+    every mass exact in float64; every other placement's ratio is at most
+    2."""
+    x = 3.0 + 2.0**-51
+    big, small = math.nextafter(x, math.inf) - 2.0, x - 2.0
+    first, second = (small, big) if later_wins else (big, small)
+    dens = [first, 0.5, 0.5, 1.0, second, 0.5, 0.5, 1.0]
+    return Weight(make_lattice(1, 3), dens)
+
+
+@pytest.mark.parametrize("later_wins", [True, False])
+def test_ratios_one_ulp_apart_keep_the_greater(later_wins):
+    w = _ulp_pair(later_wins)
+    _assert_doubling_matches_former(w)
+    rep = doubling_report(w, "cube")
+    assert rep.constant == math.nextafter(3.0 + 2.0**-51, math.inf)
+    assert rep.witnesses["doubling"].rect == (Rect((5,), (7,)) if later_wins else Rect((1,), (3,)))
+    assert rep.witnesses["doubling"].reevaluate(w) == rep.constant
+
+
+def _zero_block(lat, seed: int, side: int, at) -> Weight:
+    dens = np.exp(0.6 * np.random.default_rng(seed).standard_normal(lat.shape))
+    dens[tuple(slice(a, a + side) for a in at)] = 0.0
+    return Weight(lat, dens)
+
+
+@pytest.mark.parametrize("shape, side, at", [
+    ((1, 6), 9, (20,)), ((2, 5), 5, (11, 3)), ((2, 5), 2, (0, 30)), ((3, 3), 3, (2, 0, 5)),
+])
+def test_zero_block_scans_match_former_scan(shape, side, at):
+    # massless placements, some with massless doubles, take the exact path
+    w = _zero_block(make_lattice(*shape), 7, side, at)
+    _assert_doubling_matches_former(w)
+    assert doubling_report(w, "cube").infinite
+    _assert_strong_matches_former(w)
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (2, 4)])
+def test_small_engine_batches_keep_the_first_maximizer(monkeypatch, shape):
+    # with a few boxes per batch the candidates of tied, massless and
+    # near-tied placements are read over many batches, in scan order
+    monkeypatch.setattr(lattice, "_BATCH", 3)
+    lat = make_lattice(*shape)
+    weights = [
+        gen_weight(lat, {"kind": "checkerboard", "levels": 2}),
+        _oracle_weight(lat, "constant", 0),
+        _oracle_weight(lat, "zero_block", 8),
+        _oracle_weight(lat, "cascade", 9),
+        _zero_block(lat, 3, 2, (3,) * lat.dim),
+    ]
+    for w in weights:
+        _assert_doubling_matches_former(w)
+        _assert_strong_matches_former(w)
+
+
+@pytest.mark.parametrize("weight, seed", [("lognormal", 5), ("cascade", 3)])
+def test_only_screen_survivors_reach_the_engine(monkeypatch, weight, seed):
+    # on positive weights every placement is decided by the float64 screen,
+    # so the engine reads one batch per grid role, holding only boxes
+    # whose ratio is within rounding of the maximum (the cascade's strong
+    # scan has thousands of those, all within 1e-15 of it)
+    w = _oracle_weight(make_lattice(2, 6), weight, seed)
+    w.prefix(1.0)
+    engine = lattice._weight_masses
+    for mode, roles in (("cube", 2), ("strong", 3)):
+        calls = []
+
+        def spy(w, lo, hi=None, theta=1.0):
+            out = engine(w, lo, hi, theta)
+            calls.append((lo, hi, out))
+            return out
+
+        monkeypatch.setattr(lattice, "_weight_masses", spy)
+        rep = doubling_report(w, mode)
+        monkeypatch.setattr(lattice, "_weight_masses", engine)
+        assert len(calls) == roles
+        (lo, hi, base), *nums = calls
+        assert all(h is not None for _, h, _ in calls)  # box lists, not whole grids
+        n = w.lattice.cells_per_axis
+        counts = [n - m + 1 for m in range(2, n + 1, 2)]
+        if mode == "cube":
+            total = sum(c * c for c in counts)
+        else:
+            total = 2 * sum(counts) * sum(range(1, n + 1))
+        assert 1 <= base.size <= total // 100
+        num = np.maximum.reduce([m.astype(np.float64) for *_, m in nums])
+        ratios = num / base.astype(np.float64)
+        best = rep.constant if mode == "cube" else rep.strong_beta
+        wit = rep.witnesses["doubling" if mode == "cube" else "strong"]
+        assert ratios.max() == best
+        assert (ratios >= best * (1 - 1e-12)).all()
+        boxes = [Rect(tuple(int(a[k]) for a in lo), tuple(int(b[k]) for b in hi))
+                 for k in range(base.size)]
+        assert wit.rect in boxes
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (2, 3)])
+def test_weight_near_float64_overflow_takes_the_exact_path(shape):
+    # 2^d corners of a table this large overflow float64, so the screen's
+    # bound is infinite and every placement goes to the engine
+    lat = make_lattice(*shape)
+    dens = 4e307 * np.exp(0.3 * np.random.default_rng(11).standard_normal(lat.shape))
+    w = Weight(lat, dens)
+    assert lattice._screen_bound(w.prefix(1.0)) == math.inf
+    _assert_doubling_matches_former(w)
+    _assert_strong_matches_former(w)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(1, 6), (2, 4), (3, 2)]),
+    st.sampled_from(["rough", "cascade", "zero_block", "tiny"]),
+    st.integers(0, 2**20),
+)
+def test_screen_masses_lie_within_the_bound(shape, weight, seed):
+    # the float64 screen mass of every placement and double lies within B
+    # of the engine's float64 mass, on high-contrast and massless boxes too
+    lat = make_lattice(*shape)
+    rng = np.random.default_rng(seed)
+    if weight == "cascade":
+        w = gen_weight(lat, {"kind": "cascade", "beta": 0.95, "seed": seed})
+    else:
+        dens = np.exp(3.0 * rng.standard_normal(lat.shape))
+        if weight == "zero_block":
+            dens[rng.uniform(size=lat.shape) < 0.3] = 0.0
+        elif weight == "tiny":
+            dens[rng.uniform(size=lat.shape) < 0.5] *= 1e-280
+        w = Weight(lat, dens)
+    tab = w.prefix(1.0)
+    bound = lattice._screen_bound(tab)
+    # B is about 2^d (2^d + 1) units of roundoff of the total mass
+    corners = 2**lat.dim
+    assert bound <= corners * (corners + 2) * 2.0**-53 * float(tab[(-1,) * lat.dim]) * 1.01
+    flt = tab.astype(np.float64)
+    n = lat.cells_per_axis
+    for _ in range(8):
+        sizes = tuple(int(v) for v in rng.choice(np.arange(2, n + 1, 2), lat.dim))
+        for grid in (lattice._placements(n, sizes), lattice._doubles(n, sizes)):
+            engine = _weight_masses(w, grid).astype(np.float64).reshape(-1)
+            assert np.all(np.abs(lattice._differences(flt, grid) - engine) <= bound)

@@ -12,7 +12,9 @@ value shows even where the row's worst ratio does not move), and the values
 and witnesses of the benchmark's
 scan2d and norm2d task calls on the first --units weight pairs of that seed
 (inputs from bench/workloads.py), plus the rectangle and strong doubling
-scans of each scan2d weight at 2D depth 4.  dyadlab is imported from --src, the
+scans of each scan2d weight at 2D depth 4 and the cube, rectangle and
+strong scans of a seeded lognormal weight with a block of zero cells,
+also at 2D depth 4.  dyadlab is imported from --src, the
 src/ directory next to this script unless given, so one script dumps any
 checkout.  --compare prints every quantity (a name with its unit and
 list index wildcarded) that moved, with its worst relative and absolute
@@ -121,15 +123,36 @@ def _scan2d(seed: int, unit: int, out: dict) -> None:
     for which, spec in (("sigma", spec_s), ("omega", spec_o)):
         w = gen_weight(lat4, spec)
         for mode in ("rectangle", "strong"):
-            rep = doubling_report(w, mode)
-            name = f"{key}/doubling_{mode}_{which}"
-            out[f"{name}/constant"] = repr(rep.constant) if rep.constant is None else rep.constant
-            out[f"{name}/strong_beta"] = (
-                repr(rep.strong_beta) if rep.strong_beta is None else rep.strong_beta
-            )
-            out[f"{name}/flags"] = f"infinite={rep.infinite} absent={rep.strong_absent}"
-            for wname, wit in sorted(rep.witnesses.items()):
-                out[f"{name}/{wname}/witness"] = wl.describe(wit)
+            _doubling_fields(f"{key}/doubling_{mode}_{which}", doubling_report(w, mode), out)
+
+
+def _doubling_fields(name: str, rep, out: dict) -> None:
+    import workloads as wl
+
+    out[f"{name}/constant"] = repr(rep.constant) if rep.constant is None else rep.constant
+    out[f"{name}/strong_beta"] = (
+        repr(rep.strong_beta) if rep.strong_beta is None else rep.strong_beta
+    )
+    out[f"{name}/flags"] = f"infinite={rep.infinite} absent={rep.strong_absent}"
+    for wname, wit in sorted(rep.witnesses.items()):
+        out[f"{name}/{wname}/witness"] = wl.describe(wit)
+
+
+def _zero_block(seed: int, out: dict) -> None:
+    """Cube, rectangle and strong reports on a lognormal weight with a
+    square block of zero cells, whose massless placements the scans
+    decide in long double, not by their float64 screen."""
+    from dyadlab import Weight, doubling_report, make_lattice, substream
+
+    lat = make_lattice(2, DOUBLING_DEPTH)
+    rng = substream(seed, 909)
+    dens = rng.lognormal(0.0, 0.6, lat.shape)
+    side = int(rng.integers(2, 6))
+    a, b = (int(v) for v in rng.integers(0, lat.cells_per_axis - side + 1, size=2))
+    dens[a : a + side, b : b + side] = 0.0
+    w = Weight(lat, dens)
+    for mode in ("cube", "rectangle", "strong"):
+        _doubling_fields(f"zero-block/doubling_{mode}", doubling_report(w, mode), out)
 
 
 def _norm2d(seed: int, unit: int, out: dict) -> None:
@@ -173,6 +196,7 @@ def dump(seed: int, units: int) -> dict:
     for unit in range(units):
         _scan2d(seed, unit, out)
         _norm2d(seed, unit, out)
+    _zero_block(seed, out)
     return out
 
 
