@@ -11,7 +11,8 @@ class DyadlabError(Exception):
 
 
 class ResourceError(DyadlabError):
-    """A hard resource budget (cell count) would be exceeded."""
+    """A hard resource budget (the cell count, or the bytes of one
+    temporary array) would be exceeded; raised before allocating."""
 
 
 class AlignmentError(DyadlabError):

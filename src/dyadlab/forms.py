@@ -34,6 +34,7 @@ from .errors import (
     AlignmentError,
     ContractViolationError,
     DomainError,
+    ResourceError,
     ScopeError,
     ShapeError,
 )
@@ -48,6 +49,7 @@ from .grids import (
     standard_grid,
 )
 from .lattice import (
+    ARRAY_BUDGET_BYTES,
     GridFunction,
     Lattice,
     Weight,
@@ -357,12 +359,21 @@ def _pyramid(a: np.ndarray, axes: range, depth: int) -> list[np.ndarray]:
     return out[::-1]
 
 
-def _level_masses(h: np.ndarray, depth: int, m: int):
+def _factor_axes(h: np.ndarray, lat: Lattice, m: int) -> tuple[range, range]:
+    """The I axes (the first m lattice axes) and J axes (the rest) of h,
+    whose trailing lat.dim axes are the lattice and leading axes a batch."""
+    lead = h.ndim - lat.dim
+    return range(lead, lead + m), range(lead + m, h.ndim)
+
+
+def _level_masses(h: np.ndarray, lat: Lattice, m: int):
     """(li, lj, masses) per level pair, li-major: the masses of the cellwise
-    h over every product of a level-li cube (first m axes) and a level-lj
-    cube (the rest), as an array of shape (2^li,)*m + (2^lj,)*n."""
-    for li, rows in enumerate(_pyramid(h, range(m), depth)):
-        for lj, masses in enumerate(_pyramid(rows, range(m, h.ndim), depth)):
+    h over every product of a level-li cube (first m lattice axes) and a
+    level-lj cube (the rest), as an array of shape
+    batch + (2^li,)*m + (2^lj,)*n, where batch is h's leading axes."""
+    i_axes, j_axes = _factor_axes(h, lat, m)
+    for li, rows in enumerate(_pyramid(h, i_axes, lat.depth)):
+        for lj, masses in enumerate(_pyramid(rows, j_axes, lat.depth)):
             yield li, lj, masses
 
 
@@ -372,7 +383,7 @@ def _refine(a: np.ndarray, axes: range) -> np.ndarray:
     return a
 
 
-def _dyadic_image(h: np.ndarray, depth: int, m: int, coef: list) -> np.ndarray:
+def _dyadic_image(h: np.ndarray, lat: Lattice, m: int, coef: list) -> np.ndarray:
     """Sum over level pairs of coef[li][lj] * P R h, as a cell array.
 
     R restricts the cellwise h to its level-pair rectangle masses and P
@@ -382,13 +393,22 @@ def _dyadic_image(h: np.ndarray, depth: int, m: int, coef: list) -> np.ndarray:
     within each li and then on the I axes, so the whole image costs
     O(cells) for any level kernel.  Every term is a nonnegative sum, so it
     runs in float64.
+
+    The trailing lat.dim axes of h are the lattice; leading axes are a
+    batch, so norm_estimate runs all its starts through one call.  Every
+    operation is elementwise (the sums in place, into the fresh term), so
+    each batch row has the bits of its own unbatched image.
     """
-    i_axes, j_axes = range(m), range(m, h.ndim)
-    for li, lj, masses in _level_masses(h, depth, m):
+    i_axes, j_axes = _factor_axes(h, lat, m)
+    for li, lj, masses in _level_masses(h, lat, m):
         term = coef[li][lj] * masses
-        part = term if lj == 0 else _refine(part, j_axes) + term
-        if lj == depth:
-            image = part if li == 0 else _refine(image, i_axes) + part
+        if lj:
+            term += _refine(part, j_axes)
+        part = term
+        if lj == lat.depth:
+            if li:
+                part += _refine(image, i_axes)
+            image = part
     return image
 
 
@@ -425,8 +445,8 @@ def _level_terms(
     (g omega mass) of every rectangle of the pair, from the same pyramids."""
     lat = sigma.lattice
     coef = _level_coefs(kernel, lat, family)
-    f_masses = _level_masses(f.values * sigma.density * lat.cell_volume, lat.depth, kernel.m)
-    g_masses = _level_masses(g.values * omega.density * lat.cell_volume, lat.depth, kernel.m)
+    f_masses = _level_masses(f.values * sigma.density * lat.cell_volume, lat, kernel.m)
+    g_masses = _level_masses(g.values * omega.density * lat.cell_volume, lat, kernel.m)
     for (li, lj, fs), (_, _, gs) in zip(f_masses, g_masses):
         yield li, lj, coef[li][lj] * fs * gs
 
@@ -539,6 +559,11 @@ def apply_frac_integral(
     distance power; the same-cell factor is the exact per-cell average of
     the power, which keeps the operator finite (closed form when the
     factor is one-dimensional, midpoint quadrature otherwise).
+
+    Each factor is a dense cells^k x cells^k matrix built from a pairwise
+    array of center differences, cells^(2k) * k float64 values; when the
+    larger factor's would pass ARRAY_BUDGET_BYTES, ResourceError is raised
+    before anything is allocated.
     """
     lat = f.lattice
     if m + n != lat.dim:
@@ -548,6 +573,12 @@ def apply_frac_integral(
     if not 0.0 < beta < n:
         raise DomainError(f"beta must lie in (0, {n}), got {beta}")
     cells = lat.cells_per_axis
+    largest = max(cells ** (2 * k) * k for k in (m, n)) * 8
+    if largest > ARRAY_BUDGET_BYTES:
+        raise ResourceError(
+            f"apply_frac_integral needs a {largest}-byte array of center differences, "
+            f"limit {ARRAY_BUDGET_BYTES} bytes"
+        )
     a_mat = _group_matrix(cells, lat.depth, m, alpha)
     b_mat = _group_matrix(cells, lat.depth, n, beta)
     flat = f.values.reshape(cells**m, cells**n)
@@ -576,26 +607,32 @@ class NormEstimate:
     best_g: GridFunction
 
 
-def _half_step(
+def _half_steps(
     vals: np.ndarray,
     src_w: Weight,
     dst_w: Weight,
     coef: list,
     m: int,
     dual_exp: float,
-) -> tuple[float, np.ndarray]:
-    """Apply the form against one argument, normalize the optimal partner.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Apply the form against a batch of arguments (stacked on axis 0) and
+    normalize each optimal partner.
 
-    Returns the objective (the L^dual_exp norm of the image, which equals
-    the form at the optimal feasible partner) and that partner's values.
+    Returns the objectives (each the L^dual_exp norm of its image, which
+    equals the form at the optimal feasible partner) and the partners'
+    values; a row whose image has norm 0 gets objective 0 and a zero
+    partner.
     """
     lat = src_w.lattice
-    image = _dyadic_image(vals * src_w.density * lat.cell_volume, lat.depth, m, coef)
-    norm = float(_lp_norms(lat, image, dst_w.density, dual_exp))
-    if norm == 0.0:
-        return 0.0, np.zeros(lat.shape)
-    partner = np.power(image / norm, dual_exp - 1.0)
-    return norm, partner
+    image = _dyadic_image(vals * src_w.density * lat.cell_volume, lat, m, coef)
+    norms = _lp_norms(lat, image, dst_w.density, dual_exp).astype(np.float64)
+    scale = norms.reshape(norms.shape + (1,) * lat.dim)
+    live = norms != 0.0
+    if live.all():
+        return norms, np.power(image / scale, dual_exp - 1.0)
+    partner = np.zeros_like(image)
+    partner[live] = np.power(image[live] / scale[live], dual_exp - 1.0)
+    return norms, partner
 
 
 def norm_estimate(
@@ -616,6 +653,14 @@ def norm_estimate(
     guarantees the bound dominates the family's no-bump characteristic;
     when it wins, the returned pair is the normalized indicator pair of
     its rectangle, which attains it.
+
+    The starts run as one batch: each half-step is one pyramid pass over
+    every start still running.  A start with zero L^p(sigma) norm never
+    joins, and a start leaves once an f-to-g half-step returns 0.  The
+    trace stays start-major, (start, halfstep, objective) rows ordered by
+    start and then half-step, and the returned pair is the first strict
+    maximum in that order, so every number is the one a start-by-start
+    loop gives.
     """
     if isinstance(iterations, bool) or not isinstance(iterations, Integral) or iterations < 0:
         raise DomainError(f"iterations must be an integer >= 0, got {iterations!r}")
@@ -633,44 +678,51 @@ def norm_estimate(
     p_prime, q_prime = exps.p_prime, exps.q_prime
 
     floor_value, floor_witness, seeds = _indicator_floor(kernel, sigma, omega, exps, family)
-    starts: list[np.ndarray] = []
-    for t in range(3):
-        rng = substream(seed, 606, t)
-        starts.append(np.exp(0.5 * rng.standard_normal(lat.shape)))
     indicator_pair = _indicator_pair(lat, sigma, omega, floor_witness, p, q_prime)
-    if indicator_pair is not None and seeds:
-        starts.append(indicator_pair[0])
+    f_vals = np.stack(
+        [np.exp(0.5 * substream(seed, 606, t).standard_normal(lat.shape)) for t in range(3)]
+        + ([indicator_pair[0]] if indicator_pair is not None and seeds else [])
+    )
+    norms = _lp_norms(lat, f_vals, sigma.density, p).astype(np.float64)
+    ids = np.flatnonzero(norms != 0.0)
+    f_vals = f_vals[ids] / norms[ids].reshape((-1,) + (1,) * lat.dim)
+    rows: list[list[tuple[int, int, float]]] = [[] for _ in norms]
+    # per start, its first strict maximum and the pair that reached it
+    best = [-1.0] * len(norms)
+    pairs: list[tuple[np.ndarray, np.ndarray] | None] = [None] * len(norms)
 
-    trace: list[tuple[int, int, float]] = []
-    best = -1.0
-    best_pair: tuple[np.ndarray, np.ndarray] | None = None
-    for t, f0 in enumerate(starts):
-        norm0 = lp_norm(GridFunction(lat, f0), sigma, p)
-        if norm0 == 0.0:
-            continue
-        f_vals = f0 / norm0
-        g_vals = np.zeros(lat.shape)
-        for it in range(iterations):
-            obj, g_vals = _half_step(f_vals, sigma, omega, coef, kernel.m, q)
-            trace.append((t, 2 * it, obj))
-            if obj > best:
-                best, best_pair = obj, (f_vals.copy(), g_vals.copy())
-            if obj == 0.0:
+    def record(step, objs, ids, f_vals, g_vals) -> None:
+        for k, (t, obj) in enumerate(zip(ids.tolist(), objs.tolist())):
+            rows[t].append((t, step, obj))
+            if obj > best[t]:
+                best[t], pairs[t] = obj, (f_vals[k].copy(), g_vals[k].copy())
+
+    for it in range(iterations):
+        if not ids.size:
+            break
+        objs, g_vals = _half_steps(f_vals, sigma, omega, coef, kernel.m, q)
+        record(2 * it, objs, ids, f_vals, g_vals)
+        running = objs != 0.0
+        if not running.all():
+            ids, f_vals, g_vals = ids[running], f_vals[running], g_vals[running]
+            if not ids.size:
                 break
-            obj, f_vals = _half_step(g_vals, omega, sigma, coef, kernel.m, p_prime)
-            trace.append((t, 2 * it + 1, obj))
-            if obj > best:
-                best, best_pair = obj, (f_vals.copy(), g_vals.copy())
+        objs, f_vals = _half_steps(g_vals, omega, sigma, coef, kernel.m, p_prime)
+        record(2 * it + 1, objs, ids, f_vals, g_vals)
 
-    if indicator_pair is not None and floor_value >= best:
-        best_pair = (indicator_pair[0], indicator_pair[1])
-    lower = max(best, floor_value, 0.0)
+    top, best_pair = -1.0, None
+    for value, pair in zip(best, pairs):
+        if value > top:
+            top, best_pair = value, pair
+    if indicator_pair is not None and floor_value >= top:
+        best_pair = indicator_pair
+    lower = max(top, floor_value, 0.0)
     if best_pair is None:
         zero = np.zeros(lat.shape)
         best_pair = (zero, zero)
     return NormEstimate(
         lower,
-        tuple(trace),
+        tuple(row for start in rows for row in start),
         floor_value,
         GridFunction(lat, best_pair[0]),
         GridFunction(lat, best_pair[1]),

@@ -51,6 +51,8 @@ from .errors import (
 )
 
 CELL_BUDGET_LOG2 = 24
+# the bytes any one temporary array of a dense operator may take
+ARRAY_BUDGET_BYTES = 1 << 30
 MAX_DIM = 4
 INFINITE = math.inf
 MAX_BOUND_EXPONENT = 1 << 20
@@ -691,9 +693,16 @@ def substream(seed: int, *path: int) -> np.random.Generator:
     """Counter-based stream from one config seed and a fixed integer path.
 
     Philox keys do not depend on draw order, so shard scheduling can never
-    change results.
+    change results.  A seed that is not a nonnegative integer raises
+    DomainError.
     """
-    ss = np.random.SeedSequence([int(seed), *[int(p) for p in path]])
+    try:
+        key = int(seed)
+    except (TypeError, ValueError, OverflowError):
+        key = -1
+    if key < 0 or key != seed:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    ss = np.random.SeedSequence([key, *[int(p) for p in path]])
     return np.random.Generator(np.random.Philox(ss))
 
 

@@ -133,6 +133,29 @@ def test_package_errors_exit_2_without_traceback(argv, tmp_path, capsys):
     assert err.startswith("configuration error:")
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-weight", "--depth", "3", "--kind", "random_lognormal", "--seed", "-1",
+         "--out", "{tmp}/w.wgt"],
+        ["gen-weight", "--depth", "3", "--kind", "random_lognormal", "--param", "seed=-1",
+         "--out", "{tmp}/w.wgt"],
+        ["norm-estimate", "--sigma", "{tmp}/sig.wgt", "--omega", "{tmp}/om.wgt", "--seed", "-1"],
+        ["verify", "--seed", "-1"],
+        ["grid-sample", "--seed", "-1"],
+    ],
+    ids=["gen-weight", "gen-weight-param", "norm-estimate", "verify", "grid-sample"],
+)
+def test_negative_seed_is_config_error(argv, tmp_path, capsys):
+    _gen(tmp_path, "sig.wgt", depth=3, seed=6)
+    _gen(tmp_path, "om.wgt", depth=3, seed=7)
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.startswith("configuration error:")
+    assert "seed" in captured.err and "-1" in captured.err
+
+
 # ---------------------------------------------------------------------------
 # compute
 

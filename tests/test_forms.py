@@ -12,6 +12,7 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from itertools import product as iproduct
 from pathlib import Path
@@ -31,6 +32,7 @@ from dyadlab import (
     GridFunction,
     KernelHandle,
     Rect,
+    ResourceError,
     ScopeError,
     ShapeError,
     Weight,
@@ -466,6 +468,39 @@ def test_frac_integral_validates_exponents_and_shape():
         apply_frac_integral(one, 0.5, 0.5, 1, 2)
 
 
+def test_frac_integral_budget_counts_the_largest_factor(monkeypatch):
+    # 2D depth 4, m = n = 1: each factor's difference array holds 16^2
+    # float64 values, 2048 bytes
+    lat = make_lattice(2, 4)
+    one = GridFunction(lat, np.ones(lat.shape))
+    monkeypatch.setattr(forms, "ARRAY_BUDGET_BYTES", 2048)
+    apply_frac_integral(one, 0.5, 0.5, 1, 1)
+    monkeypatch.setattr(forms, "ARRAY_BUDGET_BYTES", 2047)
+    with pytest.raises(ResourceError, match="2048-byte .* limit 2047 bytes"):
+        apply_frac_integral(one, 0.5, 0.5, 1, 1)
+    # 3D depth 2, m = 2: 16 first-factor cells, 16^2 * 2 values
+    lat = make_lattice(3, 2)
+    one = GridFunction(lat, np.ones(lat.shape))
+    monkeypatch.setattr(forms, "ARRAY_BUDGET_BYTES", 4095)
+    with pytest.raises(ResourceError, match="4096-byte"):
+        apply_frac_integral(one, 1.0, 0.5, 2, 1)
+
+
+def test_frac_integral_refuses_a_huge_factor_before_allocating():
+    # 3D m = 2 at depth 7 lies inside the cell budget, but its first factor
+    # would need a 16384 x 16384 x 2 difference array (4.3 GB)
+    lat = make_lattice(3, 7)
+    f = GridFunction(lat, np.zeros(lat.shape))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError, match=f"{16384**2 * 2 * 8}-byte"):
+            apply_frac_integral(f, 1.0, 0.5, 2, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 # ---------------------------------------------------------------------------
 # norm estimate
 
@@ -517,11 +552,13 @@ def test_norm_estimate_dominates_no_bump_characteristic():
 
 
 def test_norm_estimate_zero_weight():
+    # no start has L^p(sigma) mass, so none joins the batch
     lat = make_lattice(2, 3)
     zero = Weight(lat, np.zeros(lat.shape))
     om = rand_w(lat, 7)
-    est = norm_estimate(HALF, zero, om, _exps(), iterations=2, seed=1)
+    est = _assert_batch_matches_former(HALF, zero, om, _exps(), iterations=2, seed=1)
     assert est.lower_bound == 0.0
+    assert est.trace == ()
 
 
 def test_norm_estimate_kernel_exponent_mismatch():
@@ -563,6 +600,145 @@ def test_norm_estimate_iterations_must_be_a_nonnegative_int():
     est = norm_estimate(HALF, w, w, _exps(), iterations=0)
     assert est.trace == ()
     assert est.lower_bound == est.indicator_floor
+
+
+# ---------------------------------------------------------------------------
+# the batched starts against the former start-by-start loop
+#
+# norm_estimate runs every start through one pyramid pass per half-step.
+# The former loop, kept here as the reference, ran each start on its own
+# through the scalar half-step and broke out of a start whose f-to-g
+# half-step returned 0; every operation is elementwise, so the batch keeps
+# each start's bits.
+
+
+def _former_half_step(vals, src_w, dst_w, coef, m, dual_exp):
+    lat = src_w.lattice
+    image = forms._dyadic_image(vals * src_w.density * lat.cell_volume, lat, m, coef)
+    norm = float(forms._lp_norms(lat, image, dst_w.density, dual_exp))
+    if norm == 0.0:
+        return 0.0, np.zeros(lat.shape)
+    return norm, np.power(image / norm, dual_exp - 1.0)
+
+
+def _former_norm_estimate(kernel, sigma, omega, exps, family=None, iterations=8, seed=0):
+    lat = sigma.lattice
+    coef = forms._level_coefs(kernel, lat, family)
+    floor_value, witness, seeds = forms._indicator_floor(kernel, sigma, omega, exps, family)
+    starts = [np.exp(0.5 * substream(seed, 606, t).standard_normal(lat.shape)) for t in range(3)]
+    indicator_pair = forms._indicator_pair(lat, sigma, omega, witness, exps.p, exps.q_prime)
+    if indicator_pair is not None and seeds:
+        starts.append(indicator_pair[0])
+    trace, best, best_pair = [], -1.0, None
+    for t, f0 in enumerate(starts):
+        norm0 = lp_norm(GridFunction(lat, f0), sigma, exps.p)
+        if norm0 == 0.0:
+            continue
+        f_vals, g_vals = f0 / norm0, np.zeros(lat.shape)
+        for it in range(iterations):
+            obj, g_vals = _former_half_step(f_vals, sigma, omega, coef, kernel.m, exps.q)
+            trace.append((t, 2 * it, obj))
+            if obj > best:
+                best, best_pair = obj, (f_vals.copy(), g_vals.copy())
+            if obj == 0.0:
+                break
+            obj, f_vals = _former_half_step(g_vals, omega, sigma, coef, kernel.m, exps.p_prime)
+            trace.append((t, 2 * it + 1, obj))
+            if obj > best:
+                best, best_pair = obj, (f_vals.copy(), g_vals.copy())
+    if indicator_pair is not None and floor_value >= best:
+        best_pair = indicator_pair
+    if best_pair is None:
+        best_pair = (np.zeros(lat.shape), np.zeros(lat.shape))
+    return max(best, floor_value, 0.0), tuple(trace), floor_value, best_pair
+
+
+def _assert_batch_matches_former(kernel, sigma, omega, exps, **kwargs):
+    est = norm_estimate(kernel, sigma, omega, exps, **kwargs)
+    lower, trace, floor, (f, g) = _former_norm_estimate(kernel, sigma, omega, exps, **kwargs)
+    assert est.trace == trace
+    assert np.float64(est.lower_bound).tobytes() == np.float64(lower).tobytes()
+    assert np.float64(est.indicator_floor).tobytes() == np.float64(floor).tobytes()
+    assert est.best_f.values.tobytes() == f.tobytes()
+    assert est.best_g.values.tobytes() == g.tobytes()
+    return est
+
+
+def _kernel_exps(dim, m):
+    n = dim - m
+    exps = Exponents(p=2.0, q=4.0, alpha=0.5 * m, beta=0.5 * n, m=m, n=n, theta=1.0)
+    return KernelHandle.from_exponents(exps), exps
+
+
+@pytest.mark.parametrize(
+    "dim, m, depth",
+    [(2, 1, depth) for depth in range(2, 7)] + [(3, 1, 3), (3, 2, 3)],
+)
+def test_batched_starts_match_former_loop(dim, m, depth):
+    lat = make_lattice(dim, depth)
+    kernel, exps = _kernel_exps(dim, m)
+    est = _assert_batch_matches_former(
+        kernel, rand_w(lat, 61 + depth), rand_w(lat, 71 + depth), exps, iterations=4, seed=depth
+    )
+    assert {t for t, _, _ in est.trace} == {0, 1, 2, 3}
+
+
+def test_batched_starts_match_former_loop_with_a_table_kernel():
+    lat = make_lattice(2, 4)
+    rng = substream(5, 9300)
+    vals = rng.uniform(0.0, 4.0, size=(5, 5))
+    vals[rng.random(vals.shape) < 0.2] = 0.0
+    table = KernelHandle.from_table(
+        {(a, b): float(vals[a, b]) for a in range(5) for b in range(5)}, 1, 1
+    )
+    for seed in range(3):
+        sig, om = rand_w(lat, 611 + seed), rand_w(lat, 711 + seed)
+        _assert_batch_matches_former(table, sig, om, _exps(), iterations=3, seed=seed)
+
+
+@pytest.mark.parametrize("duplicate", [False, True])
+def test_batched_starts_match_former_loop_on_explicit_families(duplicate):
+    # a family_of family passes per-rectangle coefficient arrays, a
+    # duplicated rectangle counting twice, and its floor rectangle seeds
+    # a fourth start
+    lat = make_lattice(2, 4)
+    family = _case_family(lat, 1, substream(3, 9400), 9)
+    if not duplicate:
+        family = family_of(lat, family.rects[:-1])
+    first = family.rects[0]
+    li, lj = first.i_cube.level, first.j_cube.level
+    coef = forms._level_coefs(HALF, lat, family)[li][lj]
+    want = (1 + duplicate) * HALF.level_value(li, lj)
+    assert coef[first.i_cube.index + first.j_cube.index] == want
+    sig, om = rand_w(lat, 621), rand_w(lat, 721)
+    est = _assert_batch_matches_former(HALF, sig, om, _exps(), family=family, iterations=3, seed=4)
+    assert {t for t, _, _ in est.trace} == {0, 1, 2, 3}
+
+
+@pytest.mark.parametrize("iterations", [0, 1])
+def test_batched_starts_match_former_loop_for_few_iterations(iterations):
+    lat = make_lattice(2, 4)
+    est = _assert_batch_matches_former(
+        HALF, rand_w(lat, 631), rand_w(lat, 731), _exps(), iterations=iterations, seed=2
+    )
+    assert len(est.trace) == 8 * iterations
+
+
+def test_zero_omega_ends_every_start_after_its_first_half_step():
+    lat = make_lattice(2, 3)
+    zero = Weight(lat, np.zeros(lat.shape))
+    est = _assert_batch_matches_former(HALF, rand_w(lat, 7), zero, _exps(), iterations=3, seed=1)
+    assert est.trace == tuple((t, 0, 0.0) for t in range(3))
+    assert not est.best_g.values.any()
+
+
+def test_batched_starts_match_former_loop_on_a_zero_block():
+    for dim, m in ((2, 1), (3, 2)):
+        lat = make_lattice(dim, 3)
+        kernel, exps = _kernel_exps(dim, m)
+        sig = _case_weight(lat, "zero_block", 17)
+        _assert_batch_matches_former(kernel, sig, rand_w(lat, 18), exps, iterations=3, seed=5)
+        _assert_batch_matches_former(kernel, rand_w(lat, 18), sig, exps, iterations=3, seed=5)
 
 
 # ---------------------------------------------------------------------------
@@ -687,7 +863,7 @@ def test_pyramid_image_and_bilinear_match_former_formulas(case):
     noise = 4 * 2**dim * np.finfo(LD).eps * kmax
 
     coef = forms._level_coefs(kernel, lat, family)
-    got = forms._dyadic_image(f.values * sigma.density * lat.cell_volume, depth, m, coef)
+    got = forms._dyadic_image(f.values * sigma.density * lat.cell_volume, lat, m, coef)
     want = _former_image(kernel, full, f, sigma)
     pos = got > 0.0
     assert _ulps(got[pos], want[pos]) <= tol

@@ -14,7 +14,11 @@ scan2d and norm2d task calls on the first --units weight pairs of that seed
 (inputs from bench/workloads.py), plus the rectangle and strong doubling
 scans of each scan2d weight at 2D depth 4 and the cube, rectangle and
 strong scans of a seeded lognormal weight with a block of zero cells,
-also at 2D depth 4.  dyadlab is imported from --src, the
+also at 2D depth 4, and the norm estimates of the first norm2d pair under
+a level-table kernel and over a family_of family holding a duplicated
+rectangle (per-rectangle coefficient arrays, and a fourth start seeded
+by the family's floor rectangle), with a digest of the bytes of each
+returned pair.  dyadlab is imported from --src, the
 src/ directory next to this script unless given, so one script dumps any
 checkout.  --compare prints every quantity (a name with its unit and
 list index wildcarded) that moved, with its worst relative and absolute
@@ -189,6 +193,52 @@ def _norm2d(seed: int, unit: int, out: dict) -> None:
             out[f"{key}/{name}/{field}"] = getattr(rep, field)
 
 
+def _norm_forms(seed: int, out: dict) -> None:
+    """norm_estimate on the first norm2d pair with a level-table kernel and
+    with an explicit family that holds a duplicated rectangle."""
+    import hashlib
+
+    import workloads as wl
+    from dyadlab import (
+        Cube,
+        DyadicRect,
+        KernelHandle,
+        family_of,
+        gen_weight,
+        make_lattice,
+        norm_estimate,
+        standard_grid,
+        substream,
+    )
+
+    spec_s, spec_o = wl.pair_specs("norm2d", seed, 0)
+    lat = make_lattice(2, wl.NORM_DEPTH)
+    sigma, omega = gen_weight(lat, spec_s), gen_weight(lat, spec_o)
+    kernel = KernelHandle.from_exponents(wl.EXPS)
+    levels = range(lat.depth + 1)
+    table = KernelHandle.from_table(
+        {(li, lj): kernel.level_value(li, lj) * (1.0 + 0.5 * ((li + 2 * lj) % 3))
+         for li in levels for lj in levels},
+        1,
+        1,
+    )
+    rng, grid, rects = substream(seed, 919), standard_grid(1, 0, lat.depth), []
+    for _ in range(12):
+        li, lj = (int(v) for v in rng.integers(0, lat.depth + 1, size=2))
+        i, j = int(rng.integers(0, 1 << li)), int(rng.integers(0, 1 << lj))
+        rects.append(DyadicRect(Cube(grid, li, (i,)), Cube(grid, lj, (j,))))
+    family = family_of(lat, rects + rects[:1])
+    for name, kern, fam in (("table-kernel", table, None), ("family", kernel, family)):
+        est = norm_estimate(kern, sigma, omega, wl.EXPS, family=fam, seed=seed)
+        key = f"norm-forms/{name}"
+        out[f"{key}/lower_bound"] = est.lower_bound
+        out[f"{key}/indicator_floor"] = est.indicator_floor
+        out[f"{key}/trace"] = [obj for _, _, obj in est.trace]
+        out[f"{key}/trace_steps"] = " ".join(f"{t}:{s}" for t, s, _ in est.trace)
+        for side, gf in (("best_f", est.best_f), ("best_g", est.best_g)):
+            out[f"{key}/{side}"] = hashlib.sha256(gf.values.tobytes()).hexdigest()
+
+
 def dump(seed: int, units: int) -> dict:
     out: dict = {}
     _verify_rows(seed, out)
@@ -197,6 +247,7 @@ def dump(seed: int, units: int) -> dict:
         _scan2d(seed, unit, out)
         _norm2d(seed, unit, out)
     _zero_block(seed, out)
+    _norm_forms(seed, out)
     return out
 
 
