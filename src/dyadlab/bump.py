@@ -4,19 +4,22 @@ The theta-bump of a box Q under a weight with density u is
 
     vol(Q)^(1 - 1/theta) * (integral of u^theta over Q)^(1/theta)
 
-with theta = 1 reducing to the plain mass.  Every bump here takes its
-masses from lattice.box_masses through one map, _bump_map (boxes, slice
-profiles and whole levels of them), and every characteristic value comes from
+with theta = 1 reducing to the plain mass.  Every bump here is one map,
+_bump_map, of float64 masses, and every characteristic value comes from
 one batch evaluator, _products: kernel factor times the two bump powers
-for the outer product of a batch of factor cubes.  The scan feeds it whole
-grid levels, coarsest first, the cubes of several one-third offsets side
-by side, and keeps the first maximizer of each grid tuple's block;
-characteristic_at feeds it the witness alone.  Masses are differenced in
-long double and rounded to float64 once; the bump and kernel powers then
-run in float64 (the package's precision policy, see lattice), so they do
-not depend on the platform's longdouble kind.  A box's mass does not
-depend on the batch it is gathered in, so a reported witness re-evaluates
-to the reported value bit for bit.
+for the outer product of a batch of factor cubes.  On the standard
+dyadic grid (a one-third family's offset-0 grid tuple included) the
+masses come from lattice's dyadic pyramid: the scan feeds _products one
+level tuple at a time, and characteristic_at rebuilds its witness's mass
+from the witness's own cells by the same tree.  On the other one-third
+grid tuples, and for arbitrary boxes, they come from the prefix engine,
+lattice.box_masses: the scan feeds whole grid levels, coarsest first, the
+cubes of several one-third offsets side by side, and keeps the first
+maximizer of each grid tuple's block; characteristic_at feeds it the
+witness alone.  The bump and kernel powers run in float64 (the
+package's precision policy, see lattice).  A box's mass does not depend
+on the batch it is read in, so a reported witness re-evaluates to the
+reported value bit for bit.
 """
 from __future__ import annotations
 
@@ -35,6 +38,9 @@ from .lattice import (
     Rect,
     Weight,
     _block_sums,
+    _cellwise,
+    _level_masses,
+    _tree_mass,
     _weight_masses,
     join_axes,
     make_lattice,
@@ -145,33 +151,29 @@ class KernelHandle:
         except KeyError:
             raise DomainError(f"kernel table has no entry for levels ({li}, {lj})") from None
 
-    def level_values(self, levels: np.ndarray) -> np.ndarray:
-        """level_value over an (N, 2) level array, evaluated once per
-        distinct level pair, in float64."""
-        pairs, where = np.unique(np.asarray(levels).reshape(-1, 2), axis=0, return_inverse=True)
-        vals = np.array([self.level_value(int(a), int(b)) for a, b in pairs], dtype=np.float64)
-        return vals[where.reshape(-1)]
-
 
 # The power kernel of the characteristics is the product_frac handle.
 PowerKernel = KernelHandle
 
 
-def _bump_map(masses, vol: float, theta: float) -> np.ndarray:
-    """vol^(1 - 1/theta) * mass^(1/theta), every bump in the package.
-
-    Long-double masses are clamped at 0 and rounded to float64 once; the
-    volume factor is one float64 power per call, so theta = 1 returns the
-    rounded masses themselves."""
-    masses = np.maximum(masses, _LD(0.0)).astype(np.float64)
+def _bump_map(masses: np.ndarray, vol: float, theta: float) -> np.ndarray:
+    """vol^(1 - 1/theta) * mass^(1/theta) of float64 masses, every bump in
+    the package; the volume factor is one float64 power per call, so
+    theta = 1 returns the masses themselves."""
     inv_theta = 1.0 / theta
     return float(vol) ** (1.0 - inv_theta) * np.power(masses, inv_theta)
+
+
+def _prefix_masses(w: Weight, theta: float, lo, hi=None) -> np.ndarray:
+    """Float64 masses of w**theta over boxes spanned by lo/hi (or the
+    BoxGrid lo, hi None) from the prefix engine, clamped at 0."""
+    return np.maximum(_weight_masses(w, lo, hi, theta), _LD(0.0)).astype(np.float64)
 
 
 def _bumps(w: Weight, theta: float, lo, hi, vol: float) -> np.ndarray:
     """Theta-bumps of w's boxes spanned by lo/hi (or of the BoxGrid lo,
     hi None), all of volume vol."""
-    return _bump_map(_weight_masses(w, lo, hi, theta), vol, theta)
+    return _bump_map(_prefix_masses(w, theta, lo, hi), vol, theta)
 
 
 def bump_cube(rect: Rect, w: Weight, theta: float) -> float:
@@ -213,7 +215,7 @@ def slice_profile(j_rect: Rect, w: Weight, theta: float) -> Weight:
     cell_vol = w.lattice.cell_side**n
     cellwise = np.power(w.density[sel], float(theta)).astype(_LD)
     mass = cellwise.sum(axis=tuple(range(m, d))) * _LD(cell_vol)
-    prof = _bump_map(mass, cell_vol * j_rect.cells, theta)
+    prof = _bump_map(mass.astype(np.float64), cell_vol * j_rect.cells, theta)
     return Weight(make_lattice(m, w.lattice.depth), prof.reshape(-1))
 
 
@@ -223,7 +225,7 @@ def _level_profiles(w: Weight, theta: float, n: int, level: int) -> np.ndarray:
     side = w.lattice.cells_per_axis >> level
     cell_vol = w.lattice.cell_side**n
     mass = _block_sums(np.power(w.density, float(theta)).astype(_LD), n, side) * _LD(cell_vol)
-    return _bump_map(mass, cell_vol * side**n, theta)
+    return _bump_map(mass.astype(np.float64), cell_vol * side**n, theta)
 
 
 def _uniforms(rng: np.random.Generator, chunk: int = 1024):
@@ -317,13 +319,18 @@ def _cube_axis(off: float, level: int, index: range, depth: int) -> Axis:
     return Axis.vertices(np.clip(a, 0.0, ncells), np.clip(a + side_cells, 0.0, ncells), ncells)
 
 
-def _products(kind, kernel, sigma, omega, exps, levels, axes) -> np.ndarray:
-    """Kernel x bump products for the outer product of per-axis cube edges.
+def _thetas(kind: str, exps: Exponents) -> tuple[float, float]:
+    """The exponents of the sigma and omega bumps of a characteristic."""
+    return tuple(exps.theta if bumped else 1.0 for bumped in _BUMPED[kind])
 
-    levels holds each factor's (level, dim), axes one Axis per lattice
-    axis, the factors' axes in order; one result axis per lattice axis.
-    Volumes are the full cube volumes even where a cube pokes out of the
-    unit box, where the density is zero.
+
+def _products(kind, kernel, exps, levels, masses) -> np.ndarray:
+    """Kernel x bump products for a batch of factor-cube products, from
+    the float64 sigma and omega masses of its boxes.
+
+    levels holds each factor's (level, dim).  Volumes are the full cube
+    volumes even where a cube pokes out of the unit box, where the density
+    is zero.
     """
     vol = 1.0
     kval = 1.0
@@ -331,10 +338,7 @@ def _products(kind, kernel, sigma, omega, exps, levels, axes) -> np.ndarray:
         side_vol = 2.0 ** (-level * dim)
         vol *= side_vol
         kval *= side_vol**k_exp
-    boxes = BoxGrid(axes)
-    bump_s, bump_w = _BUMPED[kind]
-    bs = _bumps(sigma, exps.theta if bump_s else 1.0, boxes, None, vol)
-    bw = _bumps(omega, exps.theta if bump_w else 1.0, boxes, None, vol)
+    bs, bw = (_bump_map(ms, vol, theta) for ms, theta in zip(masses, _thetas(kind, exps)))
     return kval * np.power(bs, 1.0 / exps.p_prime) * np.power(bw, 1.0 / exps.q)
 
 
@@ -360,12 +364,6 @@ def _check_scan(kind, kernel, sigma, omega, exps) -> tuple[KernelHandle, tuple[i
     return kernel, (exps.m, exps.n)
 
 
-def _grids_for(family: str, dim: int, depth: int) -> list[DyadicGrid]:
-    if family == "dyadic":
-        return [standard_grid(dim, 0, depth)]
-    return onethird_grids(dim, 0, depth)
-
-
 def characteristic(
     kind: str,
     kernel: KernelHandle | None,
@@ -382,13 +380,14 @@ def characteristic(
 
     The result is the first maximum in scan order: grid tuples outermost,
     then level tuples, each in product order, then cubes in C order.  A
-    grid tuple picks one of the family's offsets on every lattice axis, so
-    one _products call covers several grid tuples by reading the cubes of
-    the three one-third offsets side by side on an axis; each grid tuple's
-    block of the result is then searched on its own, so the grouping moves
-    no value and no witness.  An axis is grouped only while the call's box
-    count stays at or below the scan's largest single-grid batch, which
-    bounds its temporaries.
+    grid tuple picks one of the family's offsets on every lattice axis.
+    The tuple of offset 0 on every axis is the standard grid pair, read
+    one level tuple of the two dyadic pyramids at a time.  The other
+    one-third tuples read the prefix engine, one _products call covering
+    several of them: the cubes of the three offsets side by side on an
+    axis, while the call's box count stays at or below the scan's largest
+    single-grid batch.  Each grid tuple's block of the result is searched
+    on its own, so the grouping moves no value and no witness.
     """
     if family is None:
         family = "onethird" if kind == "no_bump" else "dyadic"
@@ -399,31 +398,35 @@ def characteristic(
     levels = range(depth + 1)
     # level -> offset -> (indices, edges) of that level's cubes on one axis
     cubes = [[_axis_cubes(g, lv, depth) for g in _grids_for(family, 1, depth)] for lv in levels]
-    joined = None  # per level, the cubes of every offset side by side
-    if len(cubes[0]) > 1:
-        joined = [join_axes([ax for _, ax in row], 1 << depth) for row in cubes]
-    limit = max(len(index) for row in cubes for index, _ in row) ** sum(dims)
     found = {}  # (offset per axis, level tuple) -> (max, flat index) of that block
-    for lv in _iproduct(levels, repeat=len(dims)):
-        axis_levels = [level for level, dim in zip(lv, dims) for _ in range(dim)]
-        counts = [[len(index) for index, _ in cubes[level]] for level in axis_levels]
-        batch = math.prod(max(c) for c in counts)
-        options = []  # per axis: (edges, [(offset, block slice)]) per call
-        for level, c in zip(axis_levels, counts):
-            if len(c) > 1 and batch // max(c) * sum(c) <= limit:
-                batch = batch // max(c) * sum(c)
-                at = np.cumsum([0] + c).tolist()
-                blocks = [(u, slice(at[u], at[u + 1])) for u in range(len(c))]
-                options.append([(joined[level], blocks)])
-            else:
-                options.append([(ax, [(u, slice(None))]) for u, (_, ax) in enumerate(cubes[level])])
-        for call in _iproduct(*options):
-            vals = _products(kind, kernel, sigma, omega, exps, list(zip(lv, dims)),
-                             [ax for ax, _ in call])
-            for block in _iproduct(*(blocks for _, blocks in call)):
-                sub = vals[tuple(at for _, at in block)]
-                k = int(np.argmax(sub))
-                found[tuple(u for u, _ in block), lv] = (sub.flat[k], k)
+    if family == "onethird":
+        joined = [join_axes([ax for _, ax in row], 1 << depth) for row in cubes]
+        limit = max(len(index) for row in cubes for index, _ in row) ** sum(dims)
+        for lv in _iproduct(levels, repeat=len(dims)):
+            axis_levels = [level for level, dim in zip(lv, dims) for _ in range(dim)]
+            counts = [[len(index) for index, _ in cubes[level]] for level in axis_levels]
+            batch = math.prod(max(c) for c in counts)
+            options = []  # per axis: (edges, [(offset, block slice)]) per call
+            for level, c in zip(axis_levels, counts):
+                if batch // max(c) * sum(c) <= limit:
+                    batch = batch // max(c) * sum(c)
+                    at = np.cumsum([0] + c).tolist()
+                    blocks = [(u, slice(at[u], at[u + 1])) for u in range(len(c))]
+                    options.append([(joined[level], blocks)])
+                else:
+                    options.append([(ax, [(u, slice(None))]) for u, (_, ax) in enumerate(cubes[level])])
+            for call in _iproduct(*options):
+                boxes = BoxGrid([ax for ax, _ in call])
+                masses = [_prefix_masses(w, t, boxes) for w, t in zip((sigma, omega), _thetas(kind, exps))]
+                vals = _products(kind, kernel, exps, list(zip(lv, dims)), masses)
+                for block in _iproduct(*(blocks for _, blocks in call)):
+                    sub = vals[tuple(at for _, at in block)]
+                    k = int(np.argmax(sub))
+                    found[tuple(u for u, _ in block), lv] = (sub.flat[k], k)
+    # the grid tuple of offset 0 on every axis is the standard grid pair
+    for lv, vals in _dyadic_levels(kind, kernel, sigma, omega, exps, dims):
+        k = int(np.argmax(vals))
+        found[(0,) * sum(dims), lv] = (vals.flat[k], k)
     best = -1.0
     best_at = None
     for offsets in _iproduct(range(len(cubes[0])), repeat=sum(dims)):
@@ -431,9 +434,22 @@ def characteristic(
             val, k = found[offsets, lv]
             if val > best:
                 best, best_at = float(val), (offsets, lv, k)
-    if best_at is None:
-        raise DomainError("empty rectangle family")
     return CharacteristicResult(kind, best, _witness(family, dims, depth, cubes, *best_at), exps)
+
+
+def _grids_for(family: str, dim: int, depth: int) -> list[DyadicGrid]:
+    if family == "dyadic":
+        return [standard_grid(dim, 0, depth)]
+    return onethird_grids(dim, 0, depth)
+
+
+def _dyadic_levels(kind, kernel, sigma, omega, exps, dims):
+    """(level tuple, products) per level tuple of the standard grid pair,
+    in product order, from the sigma and omega pyramids."""
+    lat, m = sigma.lattice, None if len(dims) == 1 else dims[0]
+    weights = zip((sigma, omega), _thetas(kind, exps))
+    for (lv, ms), (_, mw) in zip(*(_level_masses(_cellwise(lat, w.density, t), lat, m) for w, t in weights)):
+        yield lv, _products(kind, kernel, exps, list(zip(lv, dims)), (ms, mw))
 
 
 def _witness(family, dims, depth, cubes, offsets, lv, k) -> DyadicRect | Cube:
@@ -450,6 +466,15 @@ def _witness(family, dims, depth, cubes, offsets, lv, k) -> DyadicRect | Cube:
     return out[0] if len(out) == 1 else DyadicRect(*out)
 
 
+def _on_lattice(cubes, dims, depth: int) -> bool:
+    """Whether the dyadic pyramid holds every cube: offsets 0, on the lattice."""
+    return all(
+        c.grid.dim == dim and 0 <= c.level <= depth
+        and all(c.grid.offset(k, c.level) == 0 and 0 <= i < 1 << c.level for k, i in enumerate(c.index))
+        for c, dim in zip(cubes, dims)
+    )
+
+
 def characteristic_at(
     kind: str,
     kernel: KernelHandle | None,
@@ -458,14 +483,24 @@ def characteristic_at(
     omega: Weight,
     exps: Exponents,
 ) -> float:
-    """Re-evaluate one witness: the scan's batch evaluator on a batch of one."""
-    kernel, _ = _check_scan(kind, kernel, sigma, omega, exps)
+    """Re-evaluate one witness: the scan's batch evaluator on a batch of
+    one, its masses read as the scan reads them."""
+    kernel, dims = _check_scan(kind, kernel, sigma, omega, exps)
     cubes = (witness,) if kind == "one_param" else (witness.i_cube, witness.j_cube)
-    depth = sigma.lattice.depth
-    axes = [
-        _cube_axis(float(c.grid.offset(k, c.level)), c.level, range(i, i + 1), depth)
-        for c in cubes
-        for k, i in enumerate(c.index)
-    ]
+    lat = sigma.lattice
     levels = [(c.level, c.grid.dim) for c in cubes]
-    return float(_products(kind, kernel, sigma, omega, exps, levels, axes).flat[0])
+    pairs = list(zip((sigma, omega), _thetas(kind, exps)))
+    if _on_lattice(cubes, dims, lat.depth):
+        cells = [(i, lat.cells_per_axis >> c.level) for c in cubes for i in c.index]
+        rect = Rect(tuple(i * s for i, s in cells), tuple((i + 1) * s for i, s in cells))
+        m = None if len(dims) == 1 else dims[0]
+        at = [c.level for c in cubes]
+        masses = [_tree_mass(_cellwise(lat, w.density, t), lat, rect, at, m) for w, t in pairs]
+    else:
+        boxes = BoxGrid(
+            _cube_axis(float(c.grid.offset(k, c.level)), c.level, range(i, i + 1), lat.depth)
+            for c in cubes
+            for k, i in enumerate(c.index)
+        )
+        masses = [_prefix_masses(w, t, boxes) for w, t in pairs]
+    return float(_products(kind, kernel, exps, levels, masses).flat[0])

@@ -3,46 +3,38 @@
 Everything here runs on the standard dyadic tree of the weight's own
 lattice, truncated at its depth.  The checks below are statements about
 one fixed grid, so the optional grid argument exists for call-site
-symmetry and must be a standard grid when present.  The good-cube
-Carleson sum takes cube goodness from the skeleton-goodness kernel in
-`grids`.  One batched evaluator, _embeddings, makes every embedding sum:
-the cube check and the rectangle lhs are its batch of one, and the
-rectangle proof chain is one call per level of slices and one over the
-points.
+symmetry and must be a standard grid when present.  Every mass here, of
+a weight or of f against it, is read from lattice's dyadic pyramid: a
+compensated float64 pairwise sum of the box's own cells.  The good-cube Carleson sum
+takes cube goodness from the skeleton-goodness kernel in `grids`.  One
+batched evaluator, _embeddings, makes every embedding sum: the cube check
+and the rectangle lhs are its batch of one, and the rectangle proof chain
+is one call per level of slices and one over the points.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product as _iproduct
 
 import numpy as np
 
-from .bump import _bump_map, _bumps, _level_profiles, bump_cube
+from .bump import _bump_map, _level_profiles
 from .errors import ContractViolationError, DomainError, ShapeError
 from .grids import DyadicGrid, GoodnessParams, _good_cubes
 from .lattice import (
-    BoxGrid,
     GridFunction,
     Lattice,
     Rect,
     Weight,
-    _accumulate,
     _block_sums,
-    _build_table,
+    _cellwise,
+    _level_masses,
     _lp_norms,
-    _masses,
-    _positive_counts,
     _refine_array,
-    _weight_masses,
-    box_masses,
     doubling_report,
-    full_rect,
-    integrate,
     make_lattice,
     tile_edges,
-    weighted_mass_prefix,
 )
 
 _LD = np.longdouble
@@ -88,10 +80,12 @@ def _dyadic_level(lat: Lattice, P: Rect) -> int:
     return lat.depth - (side.bit_length() - 1)
 
 
-def _subcubes(lat: Lattice, P: Rect, level: int) -> tuple[BoxGrid, float]:
-    """The level subcubes of P for box_masses, and their volume."""
-    sides = (lat.cells_per_axis >> level,) * lat.dim
-    return tile_edges(P.lo, P.hi, sides), 2.0 ** (-level * lat.dim)
+def _subtree(lat: Lattice, P: Rect, level_p: int, cells: np.ndarray):
+    """(level, masses) per level of the dyadic subcubes of P, from the
+    pyramid of cellwise values cells over P's own cells."""
+    block = cells[tuple(slice(a, b) for a, b in zip(P.lo, P.hi))]
+    for (gap,), masses in _level_masses(block, Lattice(lat.dim, lat.depth - level_p)):
+        yield level_p + gap, masses
 
 
 def _series_gap(decay: float, exponents: str) -> float:
@@ -152,23 +146,25 @@ def stopping_cubes(
         raise DomainError(f"theta must be >= 1, got {theta}")
     lat = w.lattice
     _require_standard(grid, lat.dim)
-    num = weighted_mass_prefix(f, w)
+    if f.lattice != lat:
+        raise ShapeError("function and weight live on different lattices")
     threshold = 2.0 ** k
     cut = 2.0 ** (k - 1)
-    restricted = GridFunction(lat, np.where(f.values > cut, f.values, 0.0))
-    num_cut = weighted_mass_prefix(restricted, w)
+    restricted = np.where(f.values > cut, f.values, 0.0)
+    pyramids = zip(
+        _level_masses(_cellwise(lat, w.density, theta), lat),
+        _level_masses(f.values * w.density * lat.cell_volume, lat),
+        _level_masses(restricted * w.density * lat.cell_volume, lat),
+    )
     blocked = np.zeros((1,) * lat.dim, dtype=bool)
     cubes: list[Rect] = []
     averages: list[float] = []
     refined: list[bool] = []
-    for level in range(lat.depth + 1):
-        subs, vol = _subcubes(lat, full_rect(lat), level)
-        b = _bumps(w, theta, subs, None, vol)
-        mf = box_masses(num, subs).astype(np.float64)
+    for ((level,), mw), (_, mf), (_, mass_cut) in pyramids:
+        b = _bump_map(mw, 2.0 ** (-level * lat.dim), theta)
         avg = np.where(b > 0.0, mf / np.where(b > 0.0, b, 1.0), 0.0)
         chosen = (avg > threshold) & ~blocked
-        if chosen.any():
-            mass_cut = box_masses(num_cut, subs)
+        subs = tile_edges((0,) * lat.dim, lat.shape, (lat.cells_per_axis >> level,) * lat.dim)
         for i in np.flatnonzero(chosen):
             cubes.append(subs.rect(i))
             averages.append(float(avg.flat[i]))
@@ -226,11 +222,11 @@ def automatic_carleson(
     decay = lat.dim * (rho - 1.0) * (1.0 - 1.0 / theta)
     constant = 1.0 / _series_gap(decay, f"rho={rho!r}, theta={theta!r}")
     total = _LD(0.0)
-    for level in range(level_p, lat.depth + 1):
-        sub, vol = _subcubes(lat, P, level)
-        b = _bumps(w, theta, sub, None, vol)
+    for level, masses in _subtree(lat, P, level_p, _cellwise(lat, w.density, theta)):
+        b = _bump_map(masses, 2.0 ** (-level * lat.dim), theta)
         total += np.power(b, rho).sum(dtype=_LD)
-    top = bump_cube(P, w, theta)
+        if level == level_p:
+            top = float(b.flat[0])
     rhs = constant * float(_LD(top) ** _LD(rho))
     lhs = float(total)
     return CarlesonReport(lhs, rhs, constant, _ratio(lhs, rhs), P)
@@ -286,14 +282,12 @@ def good_carleson(
     constant = trivial + float(scan.rev_C) / gap
 
     total = _LD(0.0)
-    for level in range(level_p, lat.depth + 1):
-        sub, _ = _subcubes(lat, P, level)
-        good = _good_cubes(sub.shape[0], level - level_p, goodness, lat.dim)
-        if not good.any():
-            continue
-        masses = _weight_masses(w, sub)[good].astype(np.float64)
-        total += np.power(masses, rho).sum(dtype=_LD)
-    top = integrate(w, P)
+    for level, masses in _subtree(lat, P, level_p, _cellwise(lat, w.density)):
+        if level == level_p:
+            top = float(masses.flat[0])
+        good = _good_cubes(masses.shape[0], level - level_p, goodness, lat.dim)
+        if good.any():
+            total += np.power(masses[good], rho).sum(dtype=_LD)
     rhs = constant * float(_LD(top) ** _LD(rho))
     lhs = float(total)
     return CarlesonReport(lhs, rhs, constant, _ratio(lhs, rhs), P)
@@ -310,25 +304,25 @@ class EmbedReport:
     ratio: float
 
 
-def _embeddings(f, u, lat: Lattice, theta: float, r: float, s: float, levels=None):
+def _embeddings(f, u, lat: Lattice, theta: float, r: float, s: float, m: int | None = None):
     """Float64 lhs and L^s norm and long-double lhs^r of the embedding of
     cellwise f under density u (trailing axes the lattice lat, leading ones
-    a batch), over the boxes of each per-axis level tuple in levels (the
-    dyadic cubes when None).  A batch index sums its terms in one run, so
-    it keeps the bits of a batch of one.  Each term is one float64 power,
-    (mf * bump^(1/s - 1))^r, as mf^r * bump^(r/s - r) underflows; f-masses
-    are clamped at 0, as a negative residual would make a term NaN."""
+    a batch), over the dyadic cubes (m None) or the products of a dyadic
+    cube of the first m axes with one of the rest, level tuple by level
+    tuple of the two dyadic pyramids.  A batch index sums its terms in one
+    run, so it keeps the bits of a batch of one.  Each term is one float64
+    power, (mf * bump^(1/s - 1))^r, as mf^r * bump^(r/s - r) underflows."""
     if f.shape != u.shape:
         raise ShapeError("function and weight live on different lattices")
-    num = _accumulate(lat, f.astype(_LD) * u)
-    tab = _build_table(lat, u, theta)
-    count = _positive_counts(lat, u)
+    dims = (lat.dim,) if m is None else (m, lat.dim - m)
+    pyramids = zip(
+        _level_masses(_cellwise(lat, u, theta), lat, m),
+        _level_masses(f * u * lat.cell_volume, lat, m),
+    )
     total = _LD(0.0)
-    for lv in levels or [(level,) * lat.dim for level in range(lat.depth + 1)]:
-        boxes = tile_edges((0,) * lat.dim, lat.shape, [lat.cells_per_axis >> k for k in lv])
-        b = _bump_map(_masses(tab, count, boxes), 2.0 ** -sum(lv), theta)
+    for (lv, mu), (_, mf) in pyramids:
+        b = _bump_map(mu, 2.0 ** -sum(k * d for k, d in zip(lv, dims)), theta)
         pos = b > 0.0
-        mf = np.maximum(box_masses(num, boxes).astype(np.float64), 0.0)
         terms = np.where(pos, np.power(mf * np.power(np.where(pos, b, 1.0), 1 / s - 1), r), 0.0)
         total = total + terms.reshape(terms.shape[: -lat.dim] + (-1,)).sum(axis=-1, dtype=_LD)
     lhs = np.power(total, _LD(1.0) / _LD(r)).astype(np.float64)
@@ -346,8 +340,8 @@ def embed_check_cubes(
     """lhs = {sum over cubes of bump^(r/s) * average^r}^(1/r) vs the L^s norm.
 
     Cubes of zero bump carry no f-mass and add nothing.  Each term is one
-    float64 power, (mass * bump^(1/s - 1))^r, of the f-mass rounded once,
-    and the terms accumulate in long double.  This is the batched
+    float64 power, (mass * bump^(1/s - 1))^r, of the f-mass from the
+    pyramid, and the terms accumulate in long double.  This is the batched
     evaluator on a batch of one.
 
     grid is only validated: when given it must be a standard grid with
@@ -415,9 +409,7 @@ def embed_check_rects(
         gi, gj = grids
         _require_standard(gi, m)
         _require_standard(gj, lat.dim - m)
-    pairs = _iproduct(range(lat.depth + 1), repeat=2)
-    levels = [(li,) * m + (lj,) * (lat.dim - m) for li, lj in pairs]
-    lhs, rhs, total = _embeddings(f.values, w.density, lat, theta, r, s, levels)
+    lhs, rhs, total = _embeddings(f.values, w.density, lat, theta, r, s, m)
     lhs, rhs = float(lhs), float(rhs)
     chain = _chain(total, rhs, _proof_chain(f, w, theta, r, s, m), r, s)
     return EmbedRectReport(lhs, rhs, _ratio(lhs, rhs), *chain)

@@ -53,8 +53,10 @@ from .lattice import (
     GridFunction,
     Lattice,
     Weight,
+    _cellwise,
+    _factor_axes,
+    _level_masses,
     _lp_norms,
-    _weight_masses,
     box_list,
     lp_norm,
     substream,
@@ -347,36 +349,6 @@ def _level_coefs(kernel: KernelHandle, lat: Lattice, family: RectFamily | None) 
     return coef
 
 
-def _pyramid(a: np.ndarray, axes: range, depth: int) -> list[np.ndarray]:
-    """Block sums of a over the given axes at levels 0..depth, a itself
-    being level depth, each level the pairwise sums of the next finer."""
-    out = [a]
-    for _ in range(depth):
-        for ax in axes:
-            a = a.reshape(a.shape[:ax] + (-1, 2) + a.shape[ax + 1 :])
-            a = a[(slice(None),) * (ax + 1) + (0,)] + a[(slice(None),) * (ax + 1) + (1,)]
-        out.append(a)
-    return out[::-1]
-
-
-def _factor_axes(h: np.ndarray, lat: Lattice, m: int) -> tuple[range, range]:
-    """The I axes (the first m lattice axes) and J axes (the rest) of h,
-    whose trailing lat.dim axes are the lattice and leading axes a batch."""
-    lead = h.ndim - lat.dim
-    return range(lead, lead + m), range(lead + m, h.ndim)
-
-
-def _level_masses(h: np.ndarray, lat: Lattice, m: int):
-    """(li, lj, masses) per level pair, li-major: the masses of the cellwise
-    h over every product of a level-li cube (first m lattice axes) and a
-    level-lj cube (the rest), as an array of shape
-    batch + (2^li,)*m + (2^lj,)*n, where batch is h's leading axes."""
-    i_axes, j_axes = _factor_axes(h, lat, m)
-    for li, rows in enumerate(_pyramid(h, i_axes, lat.depth)):
-        for lj, masses in enumerate(_pyramid(rows, j_axes, lat.depth)):
-            yield li, lj, masses
-
-
 def _refine(a: np.ndarray, axes: range) -> np.ndarray:
     for ax in axes:
         a = np.repeat(a, 2, axis=ax)
@@ -400,7 +372,7 @@ def _dyadic_image(h: np.ndarray, lat: Lattice, m: int, coef: list) -> np.ndarray
     each batch row has the bits of its own unbatched image.
     """
     i_axes, j_axes = _factor_axes(h, lat, m)
-    for li, lj, masses in _level_masses(h, lat, m):
+    for (li, lj), masses in _level_masses(h, lat, m, compensated=False):
         term = coef[li][lj] * masses
         if lj:
             term += _refine(part, j_axes)
@@ -445,9 +417,9 @@ def _level_terms(
     (g omega mass) of every rectangle of the pair, from the same pyramids."""
     lat = sigma.lattice
     coef = _level_coefs(kernel, lat, family)
-    f_masses = _level_masses(f.values * sigma.density * lat.cell_volume, lat, kernel.m)
-    g_masses = _level_masses(g.values * omega.density * lat.cell_volume, lat, kernel.m)
-    for (li, lj, fs), (_, _, gs) in zip(f_masses, g_masses):
+    f_masses = _level_masses(f.values * sigma.density * lat.cell_volume, lat, kernel.m, False)
+    g_masses = _level_masses(g.values * omega.density * lat.cell_volume, lat, kernel.m, False)
+    for ((li, lj), fs), (_, gs) in zip(f_masses, g_masses):
         yield li, lj, coef[li][lj] * fs * gs
 
 
@@ -649,7 +621,7 @@ def norm_estimate(
     For fixed f the optimal g is the q-power normalization of the image
     of f, and symmetrically, so each half-step is exact and the objective
     never decreases.  Three random starts run for `iterations` rounds;
-    the witness of the no-bump characteristic seeds a fourth.  The floor
+    the indicator floor's rectangle, where it has mass, seeds a fourth.  The floor
     guarantees the bound dominates the family's no-bump characteristic;
     when it wins, the returned pair is the normalized indicator pair of
     its rectangle, which attains it.
@@ -677,11 +649,11 @@ def norm_estimate(
     p, q = exps.p, exps.q
     p_prime, q_prime = exps.p_prime, exps.q_prime
 
-    floor_value, floor_witness, seeds = _indicator_floor(kernel, sigma, omega, exps, family)
+    floor_value, floor_witness = _indicator_floor(kernel, sigma, omega, exps, family)
     indicator_pair = _indicator_pair(lat, sigma, omega, floor_witness, p, q_prime)
     f_vals = np.stack(
         [np.exp(0.5 * substream(seed, 606, t).standard_normal(lat.shape)) for t in range(3)]
-        + ([indicator_pair[0]] if indicator_pair is not None and seeds else [])
+        + ([indicator_pair[0]] if indicator_pair is not None else [])
     )
     norms = _lp_norms(lat, f_vals, sigma.density, p).astype(np.float64)
     ids = np.flatnonzero(norms != 0.0)
@@ -730,62 +702,57 @@ def norm_estimate(
 
 
 def _indicator_floor(kernel, sigma, omega, exps, family: RectFamily | None):
-    """Max over the family of K(R)|R|_sigma^(1/p')|R|_omega^(1/q), its
-    first maximizing rectangle, and whether that rectangle seeds a start.
+    """Max over the family of K(R)|R|_sigma^(1/p')|R|_omega^(1/q) and its
+    first maximizing rectangle (None for the full family when every value
+    is 0, or for an explicit family that is neither dyadic nor given as
+    rectangles).
 
     For the full dyadic family and the product kernel this is exactly the
     no-bump characteristic, computed through the same code path so
-    comparisons are reproducible; a level table kernel takes the max level
-    pair by level pair, an explicit family box by box.  On the dyadic
-    family, default or explicit, the rectangle is a DyadicRect of standard
-    cubes.  The no-bump characteristic's witness and a family's own
-    rectangles seed a start; a table kernel's maximizer on the dyadic
-    family only certifies the floor, so its starts stay the three random
-    ones."""
+    comparisons are reproducible.  Any other kernel or family reads the
+    level-pair masses of the two dyadic pyramids: the full family takes
+    the max level pair by level pair, an explicit one box by box, so the
+    first maximizer is in the family's order.  On the dyadic family,
+    default or explicit, the rectangle is a DyadicRect of standard cubes.
+    """
     if kernel.kind == "product_frac" and (family is None or family.tag == "dyadic"):
         res = characteristic("no_bump", None, sigma, omega, exps, family="dyadic")
-        return res.value, res.witness, True
-
-    def values(kv, lo, hi=None):
-        msig = _weight_masses(sigma, lo, hi).astype(np.float64)
-        momg = _weight_masses(omega, lo, hi).astype(np.float64)
-        return kv * np.power(msig, 1.0 / exps.p_prime) * np.power(momg, 1.0 / exps.q)
-
-    lat = sigma.lattice
+        return res.value, res.witness
+    lat, m, width = sigma.lattice, kernel.m, sigma.lattice.depth + 1
+    if family is not None:
+        pair, vals = family.levels[:, 0] * width + family.levels[:, 1], np.zeros(family.size)
+        lo = family.boxes[:, :, 0]
+        index = lo // (family.boxes[:, :, 1] - lo)
+    best, best_at = 0.0, None
+    pyramids = [_level_masses(_cellwise(lat, w.density), lat, m) for w in (sigma, omega)]
+    for ((li, lj), ms), (_, mw) in zip(*pyramids):
+        if family is not None:
+            rows = np.flatnonzero(pair == li * width + lj)
+            if not rows.size:
+                continue
+            ms, mw = ms[tuple(index[rows].T)], mw[tuple(index[rows].T)]
+        level = kernel.level_value(li, lj) * np.power(ms, 1.0 / exps.p_prime) * np.power(mw, 1.0 / exps.q)
+        if family is not None:
+            vals[rows] = level
+        elif level.max() > best:
+            i = int(np.argmax(level))
+            best, best_at = float(level.flat[i]), (li, lj, np.unravel_index(i, level.shape))
     if family is None:
-        cells, levels = lat.cells_per_axis, range(lat.depth + 1)
-        best, best_at = 0.0, None
-        for li in levels:
-            for lj in levels:
-                sides = (cells >> li,) * kernel.m + (cells >> lj,) * kernel.n
-                tiles = tile_edges((0,) * lat.dim, (cells,) * lat.dim, sides)
-                vals = values(kernel.level_value(li, lj), tiles)
-                i = int(np.argmax(vals))
-                if vals.flat[i] > best:
-                    best, best_at = float(vals.flat[i]), (li, lj, tiles.rect(i).lo)
-        witness = None if best_at is None else _dyadic_rect(lat, kernel.m, *best_at)
-        return best, witness, False
-    vals = values(
-        kernel.level_values(family.levels), family.boxes[:, :, 0].T, family.boxes[:, :, 1].T
-    )
+        return best, None if best_at is None else _dyadic_rect(lat, m, *best_at)
     i = int(np.argmax(vals))
     if family.rects is not None:
-        return float(vals[i]), family.rects[i], True
-    witness = None
-    if family.tag == "dyadic":
-        witness = _dyadic_rect(lat, kernel.m, *family.levels[i], family.boxes[i, :, 0])
-    return float(vals[i]), witness, False
+        return float(vals[i]), family.rects[i]
+    witness = _dyadic_rect(lat, m, *family.levels[i], index[i]) if family.tag == "dyadic" else None
+    return float(vals[i]), witness
 
 
-def _dyadic_rect(lat: Lattice, m: int, li: int, lj: int, lo) -> DyadicRect:
-    """The product of standard level-li and level-lj cubes whose cell box
-    starts at lo."""
-    cells = lat.cells_per_axis
-    cubes = []
-    for level, corner in ((li, lo[:m]), (lj, lo[m:])):
-        grid = standard_grid(len(corner), 0, lat.depth)
-        cubes.append(Cube(grid, int(level), tuple(int(a) // (cells >> level) for a in corner)))
-    return DyadicRect(*cubes)
+def _dyadic_rect(lat: Lattice, m: int, li: int, lj: int, index) -> DyadicRect:
+    """The product of the standard level-li cube at index[:m] and the
+    level-lj cube at index[m:]."""
+    return DyadicRect(*(
+        Cube(standard_grid(len(at), 0, lat.depth), int(level), tuple(int(a) for a in at))
+        for level, at in ((li, index[:m]), (lj, index[m:]))
+    ))
 
 
 def _indicator_pair(lat, sigma, omega, witness, p, q_prime):

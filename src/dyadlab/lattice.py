@@ -2,31 +2,28 @@
 
 Everything in the package lives on the half-open unit box [0,1)^d sliced
 into 2^(d*L) congruent cells.  Weights and grid functions are piecewise
-constant on cells, so every integral that appears anywhere downstream is
-a finite sum read off a prefix (summed-area) table.  One engine,
-box_masses, reads them all, as the mixed corner difference of every box,
-looking the table up directly on whole-cell edges and interpolating it
-multilinearly on fractional ones (one-third grids).  It takes two
-layouts.  A BoxGrid, the outer product of per-axis boxes (a level's
-cubes, the placements of a box and their clipped doubles), is read at
-its vertices: each axis knows, from where its edges were built, whether
-they form whole-cell progressions, read as strided views of the table,
-or a list of distinct vertex positions, at which the table is evaluated
-once; boxes then difference their own vertices.  Per-axis edge arrays
-that broadcast together (scalar boxes, zipped box lists) gather every
-corner of every box.  Both layouts do the same per-point arithmetic, so
-a box gets the same bits either way.  Leading table axes are a batch:
-one call reads a level from a stack of tables.
-
-Precision policy: long double only where cancellation happens.  Prefix
-tables are accumulated and their corners differenced in np.longdouble,
-because a box mass is a small difference of large sums; sums of many
-terms accumulate in np.longdouble too.  Each mass is rounded to float64
-once, and every elementwise power over an array (density**theta, f**p,
-the bump, Carleson and embedding terms) runs in float64 on those rounded
-values, so the maps no longer depend on the platform's longdouble kind;
-the masses they read still do, through the accumulation.  At theta = 1
-and p = 1 the powers are the identity and keep the masses' bits.
+constant on cells, so every integral downstream is a finite sum of cell
+values, read by one of two engines.  The dyadic pyramid, _level_masses,
+reads every box of the standard dyadic grid (the characteristic scans
+and their witnesses, the indicator floor, embeddings, stopping cubes and
+Carleson sums): compensated float64 pairwise sums of density**theta *
+cell_volume, fine to coarse, the first factor's axes before the rest's,
+each mass within an ulp of its exact sum.  A box's mass is the tree sum
+of its own cells, which _tree_mass repeats for one box, and a box
+holding no positive cell is exactly 0.  The prefix engine,
+box_masses, reads the rest (one-third and shifted grids, the doubling
+scans, arbitrary boxes) as the mixed corner difference of a long-double
+prefix table, looked up directly on whole-cell edges and interpolated
+multilinearly on fractional ones.  A BoxGrid, the outer product of
+per-axis boxes, is read at its vertices (whole-cell progressions as
+strided views of the table, any other axis at its distinct vertices);
+per-axis edge arrays that broadcast together gather every corner of
+every box, with the same per-point arithmetic.  Leading table axes are a
+batch.  Each prefix mass is rounded to float64 once, and every
+elementwise power (density**theta, f**p, the bump, Carleson and
+embedding terms) runs in float64, so the maps do not depend on the
+platform's longdouble kind; the prefix masses still do.  At theta = 1
+and p = 1 the powers keep the bits.
 
 Besides the integration core this module owns the weight generators, the
 doubling / reverse-doubling / strong-reverse-doubling scans with their
@@ -53,6 +50,9 @@ from .errors import (
 CELL_BUDGET_LOG2 = 24
 # the bytes any one temporary array of a dense operator may take
 ARRAY_BUDGET_BYTES = 1 << 30
+# the size tuples a rectangle or strong doubling scan may visit, each one
+# a Python-level step
+SCAN_BUDGET_TUPLES = 1 << 20
 MAX_DIM = 4
 INFINITE = math.inf
 MAX_BOUND_EXPONENT = 1 << 20
@@ -206,7 +206,7 @@ class Weight:
             raise DomainError(f"theta must be >= 1, got {theta}")
         tab = self._prefix.get(theta)
         if tab is None:
-            tab = _build_table(self.lattice, self.density, theta)
+            tab = _accumulate(self.lattice, np.power(self.density, theta))
             self._prefix[theta] = tab
         return tab
 
@@ -256,17 +256,6 @@ def _positive_counts(lat: Lattice, density: np.ndarray) -> np.ndarray | None:
     """Prefix count of density's positive cells, None if every cell is."""
     pos = density > 0.0
     return None if pos.all() else _accumulate(lat, pos, np.int32)
-
-
-def _build_table(lat: Lattice, density: np.ndarray, theta: float) -> np.ndarray:
-    return _accumulate(lat, np.power(density, float(theta)))
-
-
-def weighted_mass_prefix(f: GridFunction, w: Weight) -> np.ndarray:
-    """Prefix table of the measure f * density * cell_volume."""
-    if f.lattice != w.lattice:
-        raise ShapeError("function and weight live on different lattices")
-    return _accumulate(w.lattice, f.values.astype(_LD) * w.density)
 
 
 # (corner, sign) terms of the mixed difference, per dimension, in one fixed order
@@ -617,6 +606,83 @@ def _block_sums(cells: np.ndarray, n: int, side: int) -> np.ndarray:
     order = [m + 2 * k for k in range(n)] + list(range(m)) + [m + 2 * k + 1 for k in range(n)]
     blocks = np.ascontiguousarray(split.transpose(order))
     return blocks.reshape(blocks.shape[: m + n] + (-1,)).sum(axis=-1)
+
+
+def _cellwise(lat: Lattice, u: np.ndarray, theta: float = 1.0) -> np.ndarray:
+    """u**theta * cell_volume, a pyramid's finest level; every reader powers
+    the whole density, so a cell has the same bits in every box."""
+    return np.power(u, float(theta)) * lat.cell_volume
+
+
+def _halve(a: np.ndarray, axes, err=None) -> tuple:
+    """Pairwise sums of neighbouring cells along each of the axes in turn,
+    and unless err is None the sums' errors, err being a's own (the float
+    0.0 while there are none): each sum's rounding error is exact by
+    TwoSum (Knuth) and added to the summands' errors, so sums + errors is
+    the block sum to within about an ulp (Ogita, Rump and Oishi, SIAM J.
+    Sci. Comput. 2005)."""
+    for ax in axes:
+        shape = a.shape[:ax] + (-1, 2) + a.shape[ax + 1 :]
+        pick = [(slice(None),) * (ax + 1) + (k,) for k in (0, 1)]
+        x, y = (a.reshape(shape)[p] for p in pick)
+        a = x + y
+        if err is not None:
+            z = a - x
+            new = (x - (a - z)) + (y - z)
+            if isinstance(err, np.ndarray):
+                new += err.reshape(shape)[pick[0]] + err.reshape(shape)[pick[1]]
+            err = new
+    return a, err
+
+
+def _pyramid(a: np.ndarray, axes: range, depth: int, err=None) -> list[tuple]:
+    """(sums, errors) of a over the axes at levels 0..depth, a being level
+    depth; errors None throughout when err is None (plain pairwise sums)."""
+    out = [(a, err)]
+    for _ in range(depth):
+        out.append(_halve(out[-1][0], axes, out[-1][1]))
+    return out[::-1]
+
+
+def _factor_axes(h: np.ndarray, lat: Lattice, m: int | None) -> list[range]:
+    """The axes of h summed together per factor: every lattice axis (m
+    None), else the first m and the rest; leading axes are a batch."""
+    lead = h.ndim - lat.dim
+    cuts = [lead, h.ndim] if m is None else [lead, lead + m, h.ndim]
+    return [range(a, b) for a, b in zip(cuts, cuts[1:])]
+
+
+def _level_masses(h: np.ndarray, lat: Lattice, m: int | None = None, compensated: bool = True):
+    """(levels, masses) per level tuple, in product order: the masses of
+    the cellwise nonnegative h over the dyadic cubes of one level (m
+    None), or over the products of a level-li cube of the first m lattice
+    axes and a level-lj cube of the rest, shaped batch + the cubes per
+    axis.  Compensated, each mass is within an ulp of its exact sum; plain
+    sums (compensated False), rounded at every level, are the bilinear
+    forms' and the norm operator's, whose bits the norm estimates keep."""
+    factors = _factor_axes(h, lat, m)
+
+    def walk(a, err, levels):
+        pyramid = _pyramid(a, factors[len(levels)], lat.depth, err)
+        for level in range(len(pyramid)):
+            # each level is read once, so it is dropped as soon as it is
+            (part, perr), pyramid[level] = pyramid[level], None
+            if len(levels) + 1 < len(factors):
+                yield from walk(part, perr, levels + (level,))
+            else:
+                yield levels + (level,), part + perr if isinstance(perr, np.ndarray) else part
+
+    return walk(h, 0.0 if compensated else None, ())
+
+
+def _tree_mass(h: np.ndarray, lat: Lattice, rect: Rect, levels, m: int | None = None) -> np.ndarray:
+    """The box rect's entry of _level_masses(h, lat, m) at levels, summed
+    from its own cells by the same tree, one entry per batch index."""
+    a, err = h[(..., *(slice(lo, hi) for lo, hi in zip(rect.lo, rect.hi)))], 0.0
+    for axes, level in zip(_factor_axes(h, lat, m), levels):
+        for _ in range(lat.depth - level):
+            a, err = _halve(a, axes, err)
+    return a + err
 
 
 def integrate(w: Weight, rect: Rect) -> float:
@@ -1306,12 +1372,20 @@ def doubling_report(w: Weight, mode: str) -> DoublingReport:
     product_reverse: per-axis concentric-shrink decay exponents (C fixed
     at 1) plus the simultaneous cube exponent, dyadic rectangles only.
     strong: worst half-to-whole fraction, ABSENT when it reaches 1.
+    rectangle and strong loop over their size tuples in Python, so more
+    than SCAN_BUDGET_TUPLES of them raise ResourceError before any scan.
     cube, rectangle and strong keep the bits of a full long-double scan:
     a float64 screen bounds every ratio, and long double decides every
     candidate, each box that can win or may be massless.
     """
     if w.lattice.depth < 2:
         raise DomainError("doubling scans need depth >= 2")
+    n, d = w.lattice.cells_per_axis, w.lattice.dim
+    tuples = {"rectangle": (n // 2) ** d, "strong": d * (n // 2) * n ** (d - 1)}.get(mode, 0)
+    if tuples > SCAN_BUDGET_TUPLES:
+        raise ResourceError(
+            f"the {mode} scan visits {tuples} size tuples, limit {SCAN_BUDGET_TUPLES}"
+        )
     if mode == "cube":
         constant, infinite, wit = _scan_doubling(w, per_axis_sizes=False)
     elif mode == "rectangle":

@@ -31,8 +31,9 @@ from dyadlab import (
     slice_profile,
     substream,
 )
-from dyadlab import bump
+from dyadlab import bump, lattice
 from dyadlab.bump import _bumps, _level_profiles
+from dyadlab.grids import onethird_grids, standard_grid
 from dyadlab.lattice import box_mass, box_masses
 
 
@@ -421,7 +422,16 @@ def test_exponents_validation():
 #
 # The former characteristic, kept as the reference: one _products call per
 # grid tuple and level tuple, each factor's cube edges gathered as float
-# arrays, the first maximum kept with a strict >.
+# arrays, the first maximum kept with a strict >.  A one-third grid tuple
+# reads the prefix engine, as the former loop did.  The standard grid pair
+# (offset 0 on every axis) reads its masses through a given function: the
+# dyadic pyramid's level tuple, which the scan must reproduce bit for bit,
+# or a math.fsum oracle, which it must match to within VALUE_ULPS.
+
+# the values' relative distance to the fsum oracle, in units of 2^-53:
+# masses within an ulp, through the bump and kernel powers (exponents at
+# most 1 in total), plus a flipped rounding of a power or product
+VALUE_ULPS = 2
 
 
 def _former_level_cubes(grid, level):
@@ -448,24 +458,48 @@ def _former_factor(grid, level, index, depth):
     return grid, level, list(index), lo, hi
 
 
-def _former_products(kind, kernel, sigma, omega, exps, factors):
-    lo, hi = [], []
-    vol = 1.0
-    kval = 1.0
-    for (grid, level, _, flo, fhi), k_exp in zip(factors, (kernel.i_exp, kernel.j_exp)):
-        side_vol = 2.0 ** (-level * grid.dim)
-        lo += flo
-        hi += fhi
-        vol *= side_vol
-        kval *= side_vol**k_exp
-    lo, hi = np.ix_(*lo), np.ix_(*hi)
-    bump_s, bump_w = bump._BUMPED[kind]
-    bs = _bumps(sigma, exps.theta if bump_s else 1.0, lo, hi, vol)
-    bw = _bumps(omega, exps.theta if bump_w else 1.0, lo, hi, vol)
-    return kval * np.power(bs, 1.0 / exps.p_prime) * np.power(bw, 1.0 / exps.q)
+def _standard(factors) -> bool:
+    return all(not any(grid.offset(k, level) for k in range(grid.dim)) for grid, level, *_ in factors)
 
 
-def _former_characteristic(kind, sigma, omega, exps, family):
+def _pyramid_masses(w, theta, factors):
+    """The dyadic pyramid's masses of the factors' level tuple, at the
+    factors' cube indices."""
+    lat = w.lattice
+    m = None if len(factors) == 1 else factors[0][0].dim
+    levels = tuple(level for _, level, *_ in factors)
+    masses = dict(lattice._level_masses(lattice._cellwise(lat, w.density, theta), lat, m))[levels]
+    return masses[np.ix_(*[np.asarray(i) for _, _, index, _, _ in factors for i in index])]
+
+
+def _fsum_masses(w, theta, factors):
+    """math.fsum of the cells of every factor box (whole cells only)."""
+    cells = lattice._cellwise(w.lattice, w.density, theta)
+    lo = [a.astype(np.int64) for *_, flo, _ in factors for a in flo]
+    hi = [b.astype(np.int64) for *_, fhi in factors for b in fhi]
+    out = np.empty(tuple(a.size for a in lo))
+    for idx in np.ndindex(*out.shape):
+        box = cells[tuple(slice(a[i], b[i]) for a, b, i in zip(lo, hi, idx))]
+        out[idx] = math.fsum(box.ravel().tolist())
+    return out
+
+
+def _former_products(kind, kernel, sigma, omega, exps, factors, standard):
+    levels = [(level, grid.dim) for grid, level, *_ in factors]
+    weights = list(zip((sigma, omega), bump._thetas(kind, exps)))
+    if _standard(factors):
+        masses = [standard(w, t, factors) for w, t in weights]
+    else:
+        edges = [np.ix_(*[a for f in factors for a in f[k]]) for k in (3, 4)]
+        masses = [bump._prefix_masses(w, t, *edges) for w, t in weights]
+    return bump._products(kind, kernel, exps, levels, masses)
+
+
+def _family_grids(family, dim, depth):
+    return [standard_grid(dim, 0, depth)] if family == "dyadic" else onethird_grids(dim, 0, depth)
+
+
+def _former_characteristic(kind, sigma, omega, exps, family, standard):
     kernel = KernelHandle.from_exponents(exps)
     dims = (exps.m,) if kind == "one_param" else (exps.m, exps.n)
     depth = sigma.lattice.depth
@@ -475,7 +509,7 @@ def _former_characteristic(kind, sigma, omega, exps, family):
                 _former_factor(grid, lv, _former_level_cubes(grid, lv), depth)
                 for lv in range(depth + 1)
             ]
-            for grid in bump._grids_for(family, dim, depth)
+            for grid in _family_grids(family, dim, depth)
         ]
         for dim in dims
     ]
@@ -483,7 +517,7 @@ def _former_characteristic(kind, sigma, omega, exps, family):
     best_at = None
     for grids in iproduct(*per_grid):
         for factors in iproduct(*grids):
-            vals = _former_products(kind, kernel, sigma, omega, exps, factors)
+            vals = _former_products(kind, kernel, sigma, omega, exps, factors, standard)
             k = int(np.argmax(vals))
             if vals.flat[k] > best:
                 best = float(vals.flat[k])
@@ -494,6 +528,15 @@ def _former_characteristic(kind, sigma, omega, exps, family):
         here, pos = pos[: grid.dim], pos[grid.dim :]
         cubes.append(Cube(grid, level, tuple(int(ks[p]) for ks, p in zip(index, here))))
     return best, cubes[0] if len(cubes) == 1 else DyadicRect(*cubes)
+
+
+def _fsum_at(kind, witness, sigma, omega, exps):
+    """The fsum oracle's value of one standard witness."""
+    cubes = (witness,) if kind == "one_param" else (witness.i_cube, witness.j_cube)
+    depth = sigma.lattice.depth
+    factors = [_former_factor(c.grid, c.level, [[i] for i in c.index], depth) for c in cubes]
+    kernel = KernelHandle.from_exponents(exps)
+    return float(_former_products(kind, kernel, sigma, omega, exps, factors, _fsum_masses).flat[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -521,7 +564,15 @@ def test_grouped_scan_matches_former_per_grid_loop(mn, kind, family, weight, see
     else:
         sigma = gen_weight(lat, specs[weight])
     omega = gen_weight(lat, specs["constant" if weight == "constant" else "lognormal"])
-    _assert_former_scan(kind, sigma, omega, family, m, max(n, 1))
+    res = _assert_former_scan(kind, sigma, omega, family, m, max(n, 1))
+    if family == "dyadic":
+        # the exact oracle: the value to within VALUE_ULPS, and the witness
+        # a maximizer of the oracle's values to within the same
+        exps = res.exps
+        value, _ = _former_characteristic(kind, sigma, omega, exps, family, _fsum_masses)
+        tol = VALUE_ULPS * 2.0**-53 * value
+        assert abs(res.value - value) <= tol
+        assert _fsum_at(kind, res.witness, sigma, omega, exps) >= value - tol
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 1)])
@@ -538,5 +589,38 @@ def test_grouped_scan_keeps_the_first_of_all_ties(m, n, kind, value):
 def _assert_former_scan(kind, sigma, omega, family, m, n):
     exps = Exponents(p=2.0, q=4.0, alpha=0.5 * m, beta=0.5 * n, m=m, n=n, theta=1.5)
     res = characteristic(kind, None, sigma, omega, exps, family=family)
-    assert (res.value, res.witness) == _former_characteristic(kind, sigma, omega, exps, family)
+    want = _former_characteristic(kind, sigma, omega, exps, family, _pyramid_masses)
+    assert (res.value, res.witness) == want
     assert characteristic_at(kind, None, res.witness, sigma, omega, exps) == res.value
+    return res
+
+
+@pytest.mark.parametrize("m, n", [(1, 0), (2, 0), (3, 0), (1, 1), (1, 2), (2, 1)])
+def test_dyadic_witnesses_reevaluate_bit_for_bit(m, n):
+    # characteristic_at rebuilds a standard box's masses from its own
+    # cells by the pyramid's tree, so the scan's witness, and every box of
+    # every level tuple, re-evaluates to the scan's bits, for every kind
+    depth = {1: 9, 2: 5, 3: 3}[m + n]
+    lat = make_lattice(m + n, depth)
+    sigma = gen_weight(lat, {"kind": "cascade", "beta": 0.85, "seed": m + 3 * n})
+    dens = rand_w(lat, 7 * m + n, rough=0.9).density.copy()
+    dens[(slice(0, 2),) * (m + n)] = 0.0
+    omega = Weight(lat, dens)
+    exps = Exponents(p=2.0, q=4.0, alpha=0.5 * m, beta=0.5 * max(n, 1), m=m, n=max(n, 1), theta=1.5)
+    dims = (m,) if n == 0 else (m, n)
+    kinds = ["one_param"] if n == 0 else ["no_bump", "product_bump", "half_bump_omega"]
+    rng = np.random.default_rng(m + 10 * n)
+    for kind in kinds:
+        for family in ("dyadic", "onethird"):
+            res = characteristic(kind, None, sigma, omega, exps, family=family)
+            assert characteristic_at(kind, None, res.witness, sigma, omega, exps) == res.value
+        kernel = KernelHandle.from_exponents(exps)
+        for levels, vals in bump._dyadic_levels(kind, kernel, sigma, omega, exps, dims):
+            pos = [int(a) for a in np.unravel_index(int(rng.integers(vals.size)), vals.shape)]
+            cubes = []
+            for level, dim in zip(levels, dims):
+                cubes.append(Cube(standard_grid(dim, 0, depth), level, tuple(pos[:dim])))
+                pos = pos[dim:]
+            box = cubes[0] if n == 0 else DyadicRect(*cubes)
+            idx = tuple(i for c in cubes for i in c.index)
+            assert characteristic_at(kind, None, box, sigma, omega, exps) == vals[idx], levels

@@ -234,6 +234,20 @@ def test_compute_doubling_json(tmp_path, capsys):
     assert '"mode": "product_reverse"' in out
 
 
+@pytest.mark.parametrize("mode", ["strong", "rectangle"])
+def test_compute_doubling_over_the_size_tuple_budget_exits_2(mode, tmp_path, capsys, monkeypatch):
+    # a 2D depth-4 weight's scans visit 128 (strong) and 64 (rectangle)
+    # size tuples; with a smaller budget the CLI refuses before scanning
+    from dyadlab import lattice
+
+    path, _ = _gen(tmp_path, "w.wgt", dim=2, depth=4)
+    monkeypatch.setattr(lattice, "SCAN_BUDGET_TUPLES", 63)
+    assert main(["compute", "doubling", "--weight", str(path), "--mode", mode]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "size tuples, limit 63" in err
+
+
 def test_compute_doubling_csv_parses(tmp_path, capsys):
     path, _ = _gen(tmp_path, "w.wgt", dim=2, depth=4)
     code = main(["compute", "doubling", "--weight", str(path), "--mode", "product_reverse"])

@@ -36,11 +36,11 @@ from dyadlab import (
     stopping_cubes,
     substream,
 )
-from dyadlab import EmbedRectReport, lp_norm, slice_profile
-from dyadlab.bump import _bumps
+from dyadlab import EmbedRectReport, lattice, lp_norm, slice_profile
+from dyadlab.bump import _bump_map
 from dyadlab.embed import _proof_chain
 from dyadlab.grids import Cube, _good_rel_mask
-from dyadlab.lattice import box_list, box_masses, tile_edges, weighted_mass_prefix
+from dyadlab.lattice import _accumulate, box_list, box_masses, tile_edges
 
 LD = np.longdouble
 
@@ -112,7 +112,7 @@ def test_stopping_quarter_interval_example():
 
 
 def _averages_of(f, w, theta, rects):
-    num = weighted_mass_prefix(f, w)
+    num = _accumulate(w.lattice, f.values.astype(LD) * w.density)
     out = []
     for rect in rects:
         box = np.array([[[a, b] for a, b in zip(rect.lo, rect.hi)]], dtype=np.int64)
@@ -523,6 +523,24 @@ def test_good_rectangle_carleson_with_product_constants():
 
 # ---------------------------------------------------------------------------
 # proof chain of the rectangle embedding against the former loops
+#
+# The former loops read every mass through a given function: the dyadic
+# pyramid's level tuple, whose bits the batched evaluator must keep, or a
+# math.fsum oracle of the box's cells.
+
+
+def _pyramid_level(cells, lat, levels, m):
+    return dict(lattice._level_masses(cells, lat, m))[levels]
+
+
+def _fsum_level(cells, lat, levels, m):
+    dims = (lat.dim,) if m is None else (m, lat.dim - m)
+    sides = [lat.cells_per_axis >> lv for lv, d in zip(levels, dims) for _ in range(d)]
+    out = np.empty(tuple(lat.cells_per_axis // s for s in sides))
+    for idx in np.ndindex(*out.shape):
+        box = cells[tuple(slice(i * s, (i + 1) * s) for i, s in zip(idx, sides))]
+        out[idx] = math.fsum(box.ravel().tolist())
+    return out
 
 
 def _former_terms(b, mf, r, s):
@@ -530,35 +548,35 @@ def _former_terms(b, mf, r, s):
     pos = b > 0.0
     if not pos.any():
         return LD(0.0)
-    mf = np.maximum(mf[pos].astype(np.float64), 0.0)
-    return np.power(mf * np.power(b[pos], 1.0 / s - 1.0), r).sum(dtype=LD)
+    return np.power(mf[pos] * np.power(b[pos], 1.0 / s - 1.0), r).sum(dtype=LD)
 
 
-def _former_cubes(f, w, theta, r, s):
-    """(lhs, rhs) of the cube embedding, one level at a time."""
+def _former_level(f, w, theta, r, s, levels, m, read):
+    """The embedding terms of one level tuple, masses from read."""
     lat = w.lattice
-    num = weighted_mass_prefix(f, w)
+    b = read(lattice._cellwise(lat, w.density, theta), lat, levels, m)
+    vol = 2.0 ** -sum(lv * d for lv, d in zip(levels, (lat.dim,) if m is None else (m, lat.dim - m)))
+    b = _bump_map(b, vol, theta)
+    return _former_terms(b, read(f.values * w.density * lat.cell_volume, lat, levels, m), r, s)
+
+
+def _former_cubes(f, w, theta, r, s, read):
+    """(lhs, rhs) of the cube embedding, one level at a time."""
     total = LD(0.0)
-    for level in range(lat.depth + 1):
-        lo, hi = tile_edges((0,) * lat.dim, lat.shape, (lat.cells_per_axis >> level,) * lat.dim)
-        b = _bumps(w, theta, lo, hi, 2.0 ** (-level * lat.dim))
-        total += _former_terms(b, box_masses(num, lo, hi), r, s)
+    for level in range(w.lattice.depth + 1):
+        total += _former_level(f, w, theta, r, s, (level,), None, read)
     return float(np.power(total, LD(1.0) / LD(r))), lp_norm(f, w, s)
 
 
-def _former_rects(f, w, theta, r, s, m):
+def _former_rects(f, w, theta, r, s, m, read):
     """The rectangle check as loops: the direct sum over level pairs, one
     cube embedding per dyadic J against its slice profile, one per point
     x.  Returns the per-slice and per-point (lhs, rhs) and the report."""
     lat = w.lattice
     n_ax, depth, cells = lat.dim - m, lat.depth, lat.cells_per_axis
-    num = weighted_mass_prefix(f, w)
     total = LD(0.0)
-    for li, lj in product(range(depth + 1), repeat=2):
-        sides = (cells >> li,) * m + (cells >> lj,) * n_ax
-        lo, hi = tile_edges((0,) * lat.dim, lat.shape, sides)
-        b = _bumps(w, theta, lo, hi, 2.0 ** (-(li * m + lj * n_ax)))
-        total += _former_terms(b, box_masses(num, lo, hi), r, s)
+    for levels in product(range(depth + 1), repeat=2):
+        total += _former_level(f, w, theta, r, s, levels, m, read)
     lhs = float(np.power(total, LD(1.0) / LD(r)))
     rhs = lp_norm(f, w, s)
 
@@ -574,7 +592,7 @@ def _former_rects(f, w, theta, r, s, m):
             h = (fl[sel] * ul[sel]).sum(axis=tuple(range(m, lat.dim))) * LD(2.0) ** (-n_ax * depth)
             dens = nu.density
             g = np.where(dens > 0.0, h.astype(np.float64) / np.where(dens > 0.0, dens, 1.0), 0.0)
-            a, b = _former_cubes(GridFunction(m_lat, g), nu, theta, r, s)
+            a, b = _former_cubes(GridFunction(m_lat, g), nu, theta, r, s, read)
             slices.append((a, b))
             intermediate += LD(b) ** LD(r)
             if b > 0.0:
@@ -583,7 +601,7 @@ def _former_rects(f, w, theta, r, s, m):
     for x_idx in np.ndindex(*((cells,) * m)):
         sel = tuple(x_idx) + (slice(None),) * n_ax
         fx, wx = GridFunction(n_lat, f.values[sel]), Weight(n_lat, w.density[sel])
-        a, b = _former_cubes(fx, wx, theta, r, s)
+        a, b = _former_cubes(fx, wx, theta, r, s, read)
         points.append((a, b))
         minkowski += (LD(a) ** LD(s)) * LD(2.0) ** (-m * depth)
         if b > 0.0:
@@ -609,15 +627,23 @@ def _ulps(a, b):
     return int(np.max(np.abs(a.view(np.int64) - b.view(np.int64)), initial=0))
 
 
+# the fsum oracle's distance, in ulps, to every per-slice, per-point and
+# reported number: masses within an ulp, raised to r in each term and
+# taken back to the power 1/r, plus a flipped rounding of a power or sum
+ORACLE_ULPS = 2
+
+
 @pytest.mark.parametrize(
     "dim,m,depth,theta", [(2, 1, 6, 1.5), (2, 1, 5, 2.0), (3, 1, 4, 1.5), (3, 2, 4, 2.0)]
 )
 def test_proof_chain_matches_former_loops(dim, m, depth, theta):
     # Batching every slice of a level, and every point, into one evaluator
-    # call keeps every per-slice, per-point and reported bit on positive
-    # weights.  On a weight with a zero-density block, boxes of zero bump
-    # add 0 inside the sum instead of being left out of it, which may move
-    # a long-double sum by its last bits; the drift is bounded at 4 ulps.
+    # call keeps every per-slice, per-point and reported bit of loops that
+    # read the same pyramid, on positive weights.  On a weight with a
+    # zero-density block, boxes of zero bump add 0 inside the sum instead
+    # of being left out of it, which may move a long-double sum by its
+    # last bits; the drift is bounded at 4 ulps.  Loops that read a
+    # math.fsum oracle of every box stay within ORACLE_ULPS.
     lat = make_lattice(dim, depth)
     f = rand_f(lat, 90 + depth)
     weights = {
@@ -627,13 +653,15 @@ def test_proof_chain_matches_former_loops(dim, m, depth, theta):
     }
     r, s = 4.0, 2.0
     for name, w in weights.items():
-        slices, points, former = _former_rects(f, w, theta, r, s, m)
         parts = _proof_chain(f, w, theta, r, s, m)
         rep = embed_check_rects(f, w, theta, r, s, m=m)
         got = (np.stack(parts[:2], axis=1), np.stack(parts[2:], axis=1), astuple(rep))
-        want = (slices, points, astuple(former))
-        drift = max(_ulps(a, b) for a, b in zip(got, want))
+        slices, points, former = _former_rects(f, w, theta, r, s, m, _pyramid_level)
+        drift = max(_ulps(a, b) for a, b in zip(got, (slices, points, astuple(former))))
         if name == "zero_block":
             assert drift <= 4, f"{name}: {drift} ulps"
         else:
             assert drift == 0, f"{name}: {drift} ulps"
+        slices, points, oracle = _former_rects(f, w, theta, r, s, m, _fsum_level)
+        drift = max(_ulps(a, b) for a, b in zip(got, (slices, points, astuple(oracle))))
+        assert drift <= ORACLE_ULPS, f"{name}: {drift} ulps from the oracle"

@@ -59,9 +59,19 @@ import dyadlab
 from dyadlab import forms
 from dyadlab.errors import AlignmentError
 from dyadlab.grids import DyadicGrid, ShiftParam, deepest_common_level, random_grid
-from dyadlab.lattice import box_masses, weighted_mass_prefix
+from dyadlab.lattice import _accumulate, box_masses
 
 LD = np.longdouble
+
+
+def _mass_table(f, w):
+    """Long-double prefix table of the measure f * density * cell_volume."""
+    return _accumulate(w.lattice, f.values.astype(LD) * w.density)
+
+
+def _level_values(kernel, levels):
+    """The kernel's level value of each (li, lj) row, in float64."""
+    return np.array([kernel.level_value(int(a), int(b)) for a, b in levels], dtype=np.float64)
 
 
 HALF = KernelHandle.product_frac(0.5, 0.5, 1, 1)
@@ -624,10 +634,10 @@ def _former_half_step(vals, src_w, dst_w, coef, m, dual_exp):
 def _former_norm_estimate(kernel, sigma, omega, exps, family=None, iterations=8, seed=0):
     lat = sigma.lattice
     coef = forms._level_coefs(kernel, lat, family)
-    floor_value, witness, seeds = forms._indicator_floor(kernel, sigma, omega, exps, family)
+    floor_value, witness = forms._indicator_floor(kernel, sigma, omega, exps, family)
     starts = [np.exp(0.5 * substream(seed, 606, t).standard_normal(lat.shape)) for t in range(3)]
     indicator_pair = forms._indicator_pair(lat, sigma, omega, witness, exps.p, exps.q_prime)
-    if indicator_pair is not None and seeds:
+    if indicator_pair is not None:
         starts.append(indicator_pair[0])
     trace, best, best_pair = [], -1.0, None
     for t, f0 in enumerate(starts):
@@ -767,17 +777,17 @@ def _former_scatter(shape, boxes, coef):
 
 
 def _former_masses(family, f, w):
-    tab = weighted_mass_prefix(f, w)
+    tab = _mass_table(f, w)
     return box_masses(tab, family.boxes[:, :, 0].T, family.boxes[:, :, 1].T)
 
 
 def _former_image(kernel, family, f, w):
-    coef = kernel.level_values(family.levels) * _former_masses(family, f, w)
+    coef = _level_values(kernel, family.levels) * _former_masses(family, f, w)
     return np.asarray(_former_scatter(w.lattice.shape, family.boxes, coef), dtype=np.float64)
 
 
 def _former_bilinear(kernel, sigma, omega, f, g, family):
-    kv = kernel.level_values(family.levels)
+    kv = _level_values(kernel, family.levels)
     terms = kv * _former_masses(family, f, sigma) * _former_masses(family, g, omega)
     return float(terms.sum(dtype=LD))
 
@@ -859,7 +869,7 @@ def test_pyramid_image_and_bilinear_match_former_formulas(case):
     tol = 8 * (depth + 1)
     # the reference's cancellation residual: 2^d corners of a table of
     # total mass M, in long-double rounding, times the largest K
-    kmax = float(kernel.level_values(full.levels).max())
+    kmax = float(_level_values(kernel, full.levels).max())
     noise = 4 * 2**dim * np.finfo(LD).eps * kmax
 
     coef = forms._level_coefs(kernel, lat, family)
@@ -867,7 +877,7 @@ def test_pyramid_image_and_bilinear_match_former_formulas(case):
     want = _former_image(kernel, full, f, sigma)
     pos = got > 0.0
     assert _ulps(got[pos], want[pos]) <= tol
-    mass_f = float(weighted_mass_prefix(f, sigma)[(-1,) * dim])
+    mass_f = float(_mass_table(f, sigma)[(-1,) * dim])
     assert np.all(np.abs(want[~pos]) <= noise * mass_f)
 
     total = bilinear_form(kernel, sigma, omega, f, g, family).total
@@ -875,7 +885,7 @@ def test_pyramid_image_and_bilinear_match_former_formulas(case):
     if total > 0.0:
         assert _ulps(total, want_total) <= tol
     else:
-        mass_g = float(weighted_mass_prefix(g, omega)[(-1,) * dim])
+        mass_g = float(_mass_table(g, omega)[(-1,) * dim])
         assert abs(want_total) <= 2 * noise * full.size * mass_f * mass_g
 
 
@@ -912,9 +922,10 @@ def test_misaligned_family_box_raises_alignment_error():
 def test_norm_estimate_table_kernel_on_default_family():
     # A table holding the product kernel's level values runs the same
     # half-steps bit for bit.  Its indicator floor is the max, level pair by
-    # level pair, of the no-bump characteristic's terms; its rectangle
-    # certifies the floor but seeds no start, so the indicator-pair start
-    # (start 3) is the product kernel's alone.
+    # level pair, of the no-bump characteristic's terms, and its rectangle
+    # seeds the indicator-pair start (start 3) as the product kernel's
+    # does; here the two floors pick the same rectangle, so every start
+    # runs the same.
     lat = make_lattice(2, 4)
     table = KernelHandle.from_table(
         {(li, lj): HALF.level_value(li, lj) for li in range(5) for lj in range(5)}, 1, 1
@@ -927,7 +938,10 @@ def test_norm_estimate_table_kernel_on_default_family():
             table, sig, om, _exps(), family=dyadic_family(lat, 1), iterations=3, seed=seed
         )
         assert got.trace == explicit.trace
-        assert got.trace == tuple(row for row in want.trace if row[0] < 3)
+        assert {t for t, _, _ in got.trace} == {0, 1, 2, 3}
+        rect = forms._indicator_floor(table, sig, om, _exps(), None)[1]
+        assert rect == forms._indicator_floor(HALF, sig, om, _exps(), None)[1]
+        assert got.trace == want.trace
         assert got.indicator_floor == explicit.indicator_floor
         assert got.indicator_floor == pytest.approx(want.indicator_floor, rel=1e-12)
         best = max(obj for _, _, obj in got.trace)
@@ -954,7 +968,7 @@ def test_table_kernel_floor_returns_its_normalized_indicator_pair(explicit):
         for w in (sig, om)
     ]
     vals = (
-        table.level_values(family.levels)
+        _level_values(table, family.levels)
         * masses[0] ** (1 / exps.p_prime)
         * masses[1] ** (1 / exps.q)
     )

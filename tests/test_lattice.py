@@ -1042,3 +1042,77 @@ def test_screen_masses_lie_within_the_bound(shape, weight, seed):
         for grid in (lattice._placements(n, sizes), lattice._doubles(n, sizes)):
             engine = _weight_masses(w, grid).astype(np.float64).reshape(-1)
             assert np.all(np.abs(lattice._differences(flt, grid) - engine) <= bound)
+
+
+# ---------------------------------------------------------------------------
+# the dyadic pyramid against a math.fsum oracle
+
+
+def _fsum_level(h: np.ndarray, lat, levels, m=None) -> np.ndarray:
+    """math.fsum of the cellwise h over every box of a level tuple, laid
+    out as _level_masses lays them out."""
+    dims = (lat.dim,) if m is None else (m, lat.dim - m)
+    sides = [lat.cells_per_axis >> lv for lv, d in zip(levels, dims) for _ in range(d)]
+    out = np.empty(tuple(lat.cells_per_axis // s for s in sides))
+    for idx in np.ndindex(*out.shape):
+        box = h[tuple(slice(i * s, (i + 1) * s) for i, s in zip(idx, sides))]
+        out[idx] = math.fsum(box.ravel().tolist())
+    return out
+
+
+def _ulps(a, b) -> int:
+    """Largest distance in float64 ulps between matching nonnegative entries."""
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return int(np.max(np.abs(a.view(np.int64) - b.view(np.int64)), initial=0))
+
+
+@pytest.mark.parametrize(
+    "dim, m, depth",
+    [(1, None, 10), (2, None, 6), (2, 1, 6), (3, None, 4), (3, 1, 4), (3, 2, 4)],
+)
+@pytest.mark.parametrize("weight", ["cascade", "zero_block"])
+def test_dyadic_masses_match_fsum_oracle(dim, m, depth, weight):
+    # every dyadic cube (m None) or rectangle mass is within an ulp of the
+    # correctly rounded sum of its cells, and exactly 0 on boxes holding
+    # no positive cell; the prefix engine reads the finest boxes of a
+    # beta = 0.9 cascade up to 5e-4 relative off
+    lat = make_lattice(dim, depth)
+    if weight == "cascade":
+        w = gen_weight(lat, {"kind": "cascade", "beta": 0.9, "seed": dim + depth})
+    else:
+        dens = np.exp(0.8 * substream(dim, 9500).standard_normal(lat.shape))
+        q = lat.cells_per_axis // 4
+        dens[(slice(q, 2 * q),) + (slice(q, 3 * q),) * (dim - 1)] = 0.0
+        w = Weight(lat, dens)
+    for theta in (1.0, 1.5):
+        h = lattice._cellwise(lat, w.density, theta)
+        seen = 0
+        for levels, masses in lattice._level_masses(h, lat, m):
+            want = _fsum_level(h, lat, levels, m)
+            assert masses.shape == want.shape
+            assert _ulps(masses, want) <= 1, (theta, levels)
+            assert np.array_equal(masses == 0.0, want == 0.0), (theta, levels)
+            seen += 1
+        assert seen == (depth + 1) ** (1 if m is None else 2)
+
+
+@pytest.mark.parametrize("mode, dim, depth", [("rectangle", 2, 5), ("strong", 2, 4), ("strong", 3, 3)])
+def test_size_tuple_budget_refuses_before_scanning(monkeypatch, mode, dim, depth):
+    # rectangle visits (n/2)^d size tuples and strong d (n/2) n^(d-1); one
+    # over the limit raises before the first tuple is read
+    lat = make_lattice(dim, depth)
+    n = lat.cells_per_axis
+    tuples = (n // 2) ** dim if mode == "rectangle" else dim * (n // 2) * n ** (dim - 1)
+    w = lebesgue(lat)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a scan ran past the budget")
+
+    first_max = lattice._first_max
+    monkeypatch.setattr(lattice, "SCAN_BUDGET_TUPLES", tuples - 1)
+    monkeypatch.setattr(lattice, "_first_max", refuse)
+    with pytest.raises(ResourceError, match=str(tuples)):
+        doubling_report(w, mode)
+    monkeypatch.setattr(lattice, "SCAN_BUDGET_TUPLES", tuples)
+    monkeypatch.setattr(lattice, "_first_max", first_max)
+    assert doubling_report(w, mode).mode == mode

@@ -11,10 +11,9 @@ bump_cube and lp_norm are checked end to end against the former long
 double table and sum, on boxes anchored at the origin: such a box reads a
 single prefix value, so no cancellation in the table can blur the
 comparison.  The embedding and Carleson sums run over every dyadic
-subcube, many of which are small differences of large prefix values; the
-oracle reads those masses from the same long-double tables as the code,
-since accumulation is not what the policy changes, and applies the former
-long-double maps.  Densities span 1e-75..1e75 and exponents stay at most
+subcube, whose masses the code reads from the dyadic pyramid; the oracle
+reads them from the same pyramid, since accumulation is not what the
+policy changes, and applies the former long-double maps.  Densities span 1e-75..1e75 and exponents stay at most
 4, which keeps every term in float64's normal range, the policy's domain.
 """
 import math
@@ -25,7 +24,8 @@ from hypothesis import strategies as st
 
 from dyadlab import GridFunction, Rect, Weight, bump_cube, make_lattice
 from dyadlab.embed import automatic_carleson, embed_check_cubes
-from dyadlab.lattice import box_masses, full_rect, lp_norm, tile_edges, weighted_mass_prefix
+from dyadlab import lattice
+from dyadlab.lattice import box_masses, full_rect, lp_norm
 
 _LD = np.longdouble
 
@@ -44,7 +44,10 @@ def _ld_table(w: Weight, theta: float) -> np.ndarray:
 
 def _ld_bumps(tab, theta, lo, hi, vol) -> np.ndarray:
     """The former bump map: both powers in long double, rounded once."""
-    masses = np.maximum(box_masses(tab, lo, hi), _LD(0.0))
+    return _ld_bump_map(np.maximum(box_masses(tab, lo, hi), _LD(0.0)), theta, vol)
+
+
+def _ld_bump_map(masses, theta, vol) -> np.ndarray:
     inv_tp = _LD(1.0) - _LD(1.0) / _LD(theta)
     vals = np.power(_LD(vol), inv_tp) * np.power(masses, _LD(1.0) / _LD(theta))
     return np.asarray(vals, dtype=np.float64)
@@ -56,12 +59,11 @@ def _ld_lp_norm(f: GridFunction, w: Weight, p: float) -> float:
     return float(total ** (_LD(1.0) / _LD(p)))
 
 
-def _levels(lat):
-    """Edges and volume of every level's dyadic cubes."""
-    n = lat.cells_per_axis
-    for level in range(lat.depth + 1):
-        lo, hi = tile_edges((0,) * lat.dim, (n,) * lat.dim, (n >> level,) * lat.dim)
-        yield lo, hi, 2.0 ** (-level * lat.dim)
+def _pyramid(lat, cells):
+    """(volume, masses) of every level's dyadic cubes, from the pyramid
+    the code reads."""
+    for (level,), masses in lattice._level_masses(cells, lat):
+        yield 2.0 ** (-level * lat.dim), masses
 
 
 def _log_span(masses, vol) -> float:
@@ -73,28 +75,30 @@ def _log_span(masses, vol) -> float:
 
 def _ld_embed_lhs(f, w, theta, r, s) -> tuple[float, float]:
     """The former embed_check_cubes lhs, mf^r * b^(r/s - r) in long double,
-    and the log span of the masses it read.  The f-masses are clamped at 0
-    as the code now does; a negative cancellation residual made the former
-    lhs NaN."""
-    tab, num = w.prefix(theta), weighted_mass_prefix(f, w)
+    and the log span of the masses it read."""
+    lat = w.lattice
+    levels = zip(
+        _pyramid(lat, lattice._cellwise(lat, w.density, theta)),
+        _pyramid(lat, f.values * w.density * lat.cell_volume),
+    )
     total, span = _LD(0.0), 0.0
-    for lo, hi, vol in _levels(w.lattice):
-        b = _ld_bumps(tab, theta, lo, hi, vol).astype(_LD)
-        mf = np.maximum(box_masses(num, lo, hi), _LD(0.0))
+    for (vol, masses), (_, mf) in levels:
+        b = _ld_bump_map(masses.astype(_LD), theta, vol).astype(_LD)
         pos = b > 0.0
+        mf = mf.astype(_LD)
         total += (np.power(mf[pos], _LD(r)) * np.power(b[pos], _LD(r / s - r))).sum(dtype=_LD)
-        span = max(span, _log_span(box_masses(tab, lo, hi), vol), _log_span(mf[pos], vol))
+        span = max(span, _log_span(masses, vol), _log_span(mf[pos], vol))
     return float(np.power(total, _LD(1.0) / _LD(r))), span
 
 
 def _ld_carleson_lhs(w, theta, rho) -> tuple[float, float]:
     """The former automatic_carleson lhs over the whole box, b^rho in long double."""
-    tab = w.prefix(theta)
+    lat = w.lattice
     total, span = _LD(0.0), 0.0
-    for lo, hi, vol in _levels(w.lattice):
-        b = _ld_bumps(tab, theta, lo, hi, vol).astype(_LD).ravel()
+    for vol, masses in _pyramid(lat, lattice._cellwise(lat, w.density, theta)):
+        b = _ld_bump_map(masses.astype(_LD), theta, vol).astype(_LD).ravel()
         total += np.power(b, _LD(rho)).sum(dtype=_LD)
-        span = max(span, _log_span(box_masses(tab, lo, hi), vol))
+        span = max(span, _log_span(masses, vol))
     return float(total), span
 
 

@@ -18,13 +18,17 @@ also at 2D depth 4, and the norm estimates of the first norm2d pair under
 a level-table kernel and over a family_of family holding a duplicated
 rectangle (per-rectangle coefficient arrays, and a fourth start seeded
 by the family's floor rectangle), with a digest of the bytes of each
-returned pair.  dyadlab is imported from --src, the
+returned pair.  Each dyadic characteristic value and each embedding lhs
+also records, as NAME/oracle, its recomputation from math.fsum masses:
+the value at the reported witness, and the lhs over every box, with
+f * density summed exactly.  dyadlab is imported from --src, the
 src/ directory next to this script unless given, so one script dumps any
 checkout.  --compare prints every quantity (a name with its unit and
 list index wildcarded) that moved, with its worst relative and absolute
-drift and where it happened, then every witness, pass flag or other text
-field that differs; it exits 1 when any number (compared bit for bit) or
-text field differs and 0 when every bit is kept.
+drift and where it happened, then the distance to its oracle before and
+after of every moved value that has one, then every witness, pass flag or
+other text field that differs; it exits 1 when any number (compared bit
+for bit) or text field differs and 0 when every bit is kept.
 """
 from __future__ import annotations
 
@@ -40,6 +44,71 @@ ROOT = Path(__file__).resolve().parent.parent
 # the rectangle and strong doubling scans loop over size tuples in Python,
 # so they are dumped on a small lattice
 DOUBLING_DEPTH = 4
+
+
+def _fsum_mass(cells, box) -> float:
+    return math.fsum(cells[box].ravel().tolist())
+
+
+def _char_oracle(kind: str, witness, sigma, omega, exps) -> float:
+    """The characteristic's value at a standard witness, its masses the
+    math.fsum of the box's cells density**theta * cell_volume."""
+    import numpy as np
+
+    cubes = (witness,) if kind == "one_param" else (witness.i_cube, witness.j_cube)
+    lat = sigma.lattice
+    box, vol, kval = [], 1.0, 1.0
+    for c, k_exp in zip(cubes, (exps.alpha / exps.m - 1.0, exps.beta / exps.n - 1.0)):
+        side = lat.cells_per_axis >> c.level
+        box += [slice(i * side, (i + 1) * side) for i in c.index]
+        side_vol = 2.0 ** (-c.level * c.grid.dim)
+        vol, kval = vol * side_vol, kval * side_vol**k_exp
+    bumped = {"no_bump": (False, False), "half_bump_omega": (False, True)}.get(kind, (True, True))
+    bumps = []
+    for w, b in zip((sigma, omega), bumped):
+        t = exps.theta if b else 1.0
+        mass = _fsum_mass(np.power(w.density, t) * lat.cell_volume, tuple(box))
+        bumps.append(vol ** (1.0 - 1.0 / t) * np.power(np.array([mass]), 1.0 / t))
+    out = kval * np.power(bumps[0], 1.0 / exps.p_prime) * np.power(bumps[1], 1.0 / exps.q)
+    return float(out[0])
+
+
+def _two_product(a, b):
+    """p + e == a * b exactly, elementwise (Dekker's split)."""
+    p = a * b
+
+    def split(x):
+        c = 134217729.0 * x
+        hi = c - (c - x)
+        return hi, x - hi
+
+    (ah, al), (bh, bl) = split(a), split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
+def _embed_oracle(f, w, theta: float, r: float, s: float, m: int) -> float:
+    """embed_check_rects' lhs, every mass the math.fsum of its cells and
+    every term summed by math.fsum."""
+    import numpy as np
+
+    lat = w.lattice
+    cells = np.power(w.density, theta) * lat.cell_volume
+    prod, err = (a * lat.cell_volume for a in _two_product(f.values, w.density))
+    terms = []
+    for li in range(lat.depth + 1):
+        for lj in range(lat.depth + 1):
+            sides = [lat.cells_per_axis >> li] * m + [lat.cells_per_axis >> lj] * (lat.dim - m)
+            shape = tuple(lat.cells_per_axis // a for a in sides)
+            mu, mf = np.empty(shape), np.empty(shape)
+            for idx in np.ndindex(*shape):
+                box = tuple(slice(i * a, (i + 1) * a) for i, a in zip(idx, sides))
+                mu[idx] = _fsum_mass(cells, box)
+                mf[idx] = math.fsum(prod[box].ravel().tolist() + err[box].ravel().tolist())
+            vol = 2.0 ** -(li * m + lj * (lat.dim - m))
+            b = vol ** (1.0 - 1.0 / theta) * np.power(mu, 1.0 / theta)
+            pos = b > 0.0
+            terms += np.power(mf[pos] * np.power(b[pos], 1.0 / s - 1.0), r).tolist()
+    return math.fsum(terms) ** (1.0 / r)
 
 
 def _verify_rows(seed: int, out: dict) -> None:
@@ -107,6 +176,7 @@ def _scan2d(seed: int, unit: int, out: dict) -> None:
     for kind in ("product_bump", "half_bump_omega", "no_bump"):
         res = characteristic(kind, None, sigma, omega, wl.EXPS, family="dyadic")
         out[f"{key}/{kind}/value"] = res.value
+        out[f"{key}/{kind}/value/oracle"] = _char_oracle(kind, res.witness, sigma, omega, wl.EXPS)
         out[f"{key}/{kind}/witness"] = wl.describe(res.witness)
     lat6 = make_lattice(2, wl.ONETHIRD_DEPTH)
     res = characteristic(
@@ -181,6 +251,7 @@ def _norm2d(seed: int, unit: int, out: dict) -> None:
     for kind in ("no_bump", "product_bump"):
         res = characteristic(kind, None, sigma, omega, wl.EXPS, family="dyadic")
         out[f"{key}/{kind}/value"] = res.value
+        out[f"{key}/{kind}/value/oracle"] = _char_oracle(kind, res.witness, sigma, omega, wl.EXPS)
         out[f"{key}/{kind}/witness"] = wl.describe(res.witness)
     runs = {
         "embed_sigma": (est.best_f, sigma, wl.R_MID, wl.EXPS.p),
@@ -191,6 +262,7 @@ def _norm2d(seed: int, unit: int, out: dict) -> None:
         for field in ("lhs", "rhs_norm", "ratio", "intermediate", "minkowski_mid",
                       "max_slice_ratio", "max_point_ratio"):
             out[f"{key}/{name}/{field}"] = getattr(rep, field)
+        out[f"{key}/{name}/lhs/oracle"] = _embed_oracle(f, w, wl.EXPS.theta, r, s, 1)
 
 
 def _norm_forms(seed: int, out: dict) -> None:
@@ -303,9 +375,26 @@ def compare(old: dict, new: dict) -> tuple[str, bool]:
         lines.append(f"  {q}: rel {rel:.3g}, abs {absd:.3g} ({n_moved}/{seen} moved) at {where}")
     overall = max((e[0] for e in worst.values()), default=0.0)
     lines.append(f"overall worst relative drift: {overall:.3g}")
+    lines.extend(_oracle_lines(a, b))
     lines.append(f"changed witnesses and text fields: {len(texts)}")
     lines.extend(texts)
     return "\n".join(lines), bool(moved or texts)
+
+
+def _oracle_lines(a: dict, b: dict) -> list[str]:
+    """Per moved value with an oracle in both dumps, its relative distance
+    to the oracle before and after."""
+    rows, toward = [], 0
+    for name in sorted(a.keys() & b.keys()):
+        oracle = f"{name}/oracle"
+        if oracle not in a or oracle not in b or struct.pack("<d", a[name]) == struct.pack("<d", b[name]):
+            continue
+        before, after = _rel(a[name], a[oracle]), _rel(b[name], b[oracle])
+        toward += after <= before
+        way = "toward" if after < before else "level" if after == before else "AWAY"
+        rows.append(f"  {name}: {before:.3g} -> {after:.3g} ({way})")
+    head = f"moved values with an oracle, relative distance before -> after ({toward}/{len(rows)} not away):"
+    return [head] + rows
 
 
 def main(argv=None) -> int:
