@@ -11,12 +11,15 @@ for the outer product of a batch of factor cubes.  On the standard
 dyadic grid (a one-third family's offset-0 grid tuple included) the
 masses come from lattice's dyadic pyramid: the scan feeds _products one
 level tuple at a time, and characteristic_at rebuilds its witness's mass
-from the witness's own cells by the same tree.  On the other one-third
-grid tuples, and for arbitrary boxes, they come from the prefix engine,
-lattice.box_masses: the scan feeds whole grid levels, coarsest first, the
-cubes of several one-third offsets side by side, and keeps the first
-maximizer of each grid tuple's block; characteristic_at feeds it the
-witness alone.  The bump and kernel powers run in float64 (the
+from the witness's own cells by the same tree.  The other one-third grid
+tuples come from lattice's refined pyramid, which holds the cubes of all
+three offsets of an axis side by side: the scan feeds _products one
+level tuple at a time, split by offset where the block would be large,
+and keeps the first maximizer of each grid tuple's cubes;
+characteristic_at rebuilds a one-third witness from its own cells by the
+same steps.  Arbitrary boxes (bump_cube, and characteristic_at on a
+shifted or finer-than-the-lattice cube) come from the prefix engine,
+lattice.box_masses.  The bump and kernel powers run in float64 (the
 package's precision policy, see lattice).  A box's mass does not depend
 on the batch it is read in, so a reported witness re-evaluates to the
 reported value bit for bit.
@@ -33,16 +36,15 @@ import numpy as np
 from .errors import DomainError, ShapeError
 from .grids import Cube, DyadicGrid, DyadicRect, onethird_grids, standard_grid
 from .lattice import (
-    Axis,
-    BoxGrid,
     Rect,
     Weight,
     _block_sums,
     _cellwise,
     _level_masses,
+    _third_mass,
+    _ThirdPyramid,
     _tree_mass,
     _weight_masses,
-    join_axes,
     make_lattice,
     rect_volume,
     substream,
@@ -164,15 +166,14 @@ def _bump_map(masses: np.ndarray, vol: float, theta: float) -> np.ndarray:
     return float(vol) ** (1.0 - inv_theta) * np.power(masses, inv_theta)
 
 
-def _prefix_masses(w: Weight, theta: float, lo, hi=None) -> np.ndarray:
-    """Float64 masses of w**theta over boxes spanned by lo/hi (or the
-    BoxGrid lo, hi None) from the prefix engine, clamped at 0."""
+def _prefix_masses(w: Weight, theta: float, lo, hi) -> np.ndarray:
+    """Float64 masses of w**theta over boxes spanned by lo/hi from the
+    prefix engine, clamped at 0."""
     return np.maximum(_weight_masses(w, lo, hi, theta), _LD(0.0)).astype(np.float64)
 
 
 def _bumps(w: Weight, theta: float, lo, hi, vol: float) -> np.ndarray:
-    """Theta-bumps of w's boxes spanned by lo/hi (or of the BoxGrid lo,
-    hi None), all of volume vol."""
+    """Theta-bumps of w's boxes spanned by lo/hi, all of volume vol."""
     return _bump_map(_prefix_masses(w, theta, lo, hi), vol, theta)
 
 
@@ -292,31 +293,16 @@ _BUMPED = {  # kind -> (sigma, omega) carry the theta bump
 }
 
 
-def _axis_cubes(grid: DyadicGrid, level: int, depth: int) -> tuple[range, Axis]:
-    """Indices of a one-axis grid's level cubes meeting the open unit
-    interval, and their edges in cells."""
-    side = 1.0 / (1 << level)
-    off = float(grid.offset(0, level))
-    first = math.floor(-off / side)
-    if (first + 1) * side + off <= 0:
-        first += 1
-    ks = np.arange(first, first + (1 << level) + 2, dtype=np.int64)
-    index = range(first, first + int(np.count_nonzero(ks * side + off < 1)))
-    return index, _cube_axis(off, level, index, depth)
+def _thirds(grid: DyadicGrid, axis: int, level: int) -> int:
+    """A std or third grid's level offset on one axis, level >= 0, in
+    thirds of the level's side: 0, 1 or 2."""
+    return int(grid.offset(axis, level) * (3 << level))
 
 
-def _cube_axis(off: float, level: int, index: range, depth: int) -> Axis:
-    """Edges in cells of the level cubes index on an axis offset by off,
-    clipped to the unit box: a strided progression when they are whole
-    cells inside it, else a vertex list."""
-    ncells = 1 << depth
-    side_cells = float(2.0 ** (depth - level))
-    shift = off * ncells
-    a = np.arange(index.start, index.stop, dtype=np.int64) * side_cells + shift
-    inside = a[0] >= 0 and a[-1] + side_cells <= ncells
-    if shift.is_integer() and side_cells.is_integer() and inside:
-        return Axis.progression(int(a[0]), len(index), int(side_cells), int(side_cells))
-    return Axis.vertices(np.clip(a, 0.0, ncells), np.clip(a + side_cells, 0.0, ncells), ncells)
+def _axis_cubes(grid: DyadicGrid, level: int) -> range:
+    """Indices of a one-axis std or third grid's level cubes meeting the
+    open unit interval: an offset grid has one more, at -1."""
+    return range(-1 if _thirds(grid, 0, level) else 0, 1 << level)
 
 
 def _thetas(kind: str, exps: Exponents) -> tuple[float, float]:
@@ -383,58 +369,44 @@ def characteristic(
     grid tuple picks one of the family's offsets on every lattice axis.
     The tuple of offset 0 on every axis is the standard grid pair, read
     one level tuple of the two dyadic pyramids at a time.  The other
-    one-third tuples read the prefix engine, one _products call covering
-    several of them: the cubes of the three offsets side by side on an
-    axis, while the call's box count stays at or below the scan's largest
-    single-grid batch.  Each grid tuple's block of the result is searched
-    on its own, so the grouping moves no value and no witness.
+    one-third tuples read the refined pyramid (lattice._ThirdPyramid), one
+    level tuple holding the cubes of all three offsets of each axis at
+    once, split by offset, leading axes first, where that block could pass
+    twice the largest single-grid block.  Each grid tuple's cubes are
+    searched on their own, so the grouping moves no value and no witness.
+    Before the first block the scan estimates its largest array and raises
+    ResourceError past lattice.ARRAY_BUDGET_BYTES.
     """
     if family is None:
         family = "onethird" if kind == "no_bump" else "dyadic"
     if family not in ("dyadic", "onethird"):
         raise DomainError(f"unknown family {family!r}")
     kernel, dims = _check_scan(kind, kernel, sigma, omega, exps)
-    depth = sigma.lattice.depth
-    levels = range(depth + 1)
-    # level -> offset -> (indices, edges) of that level's cubes on one axis
-    cubes = [[_axis_cubes(g, lv, depth) for g in _grids_for(family, 1, depth)] for lv in levels]
-    found = {}  # (offset per axis, level tuple) -> (max, flat index) of that block
+    lat = sigma.lattice
+    levels = range(lat.depth + 1)
+    grids = _grids_for(family, 1, lat.depth)
+    found = {}  # (offset per axis, level tuple) -> (max, flat index) of that grid tuple
     if family == "onethird":
-        joined = [join_axes([ax for _, ax in row], 1 << depth) for row in cubes]
-        limit = max(len(index) for row in cubes for index, _ in row) ** sum(dims)
-        for lv in _iproduct(levels, repeat=len(dims)):
-            axis_levels = [level for level, dim in zip(lv, dims) for _ in range(dim)]
-            counts = [[len(index) for index, _ in cubes[level]] for level in axis_levels]
-            batch = math.prod(max(c) for c in counts)
-            options = []  # per axis: (edges, [(offset, block slice)]) per call
-            for level, c in zip(axis_levels, counts):
-                if batch // max(c) * sum(c) <= limit:
-                    batch = batch // max(c) * sum(c)
-                    at = np.cumsum([0] + c).tolist()
-                    blocks = [(u, slice(at[u], at[u + 1])) for u in range(len(c))]
-                    options.append([(joined[level], blocks)])
-                else:
-                    options.append([(ax, [(u, slice(None))]) for u, (_, ax) in enumerate(cubes[level])])
-            for call in _iproduct(*options):
-                boxes = BoxGrid([ax for ax, _ in call])
-                masses = [_prefix_masses(w, t, boxes) for w, t in zip((sigma, omega), _thetas(kind, exps))]
-                vals = _products(kind, kernel, exps, list(zip(lv, dims)), masses)
-                for block in _iproduct(*(blocks for _, blocks in call)):
-                    sub = vals[tuple(at for _, at in block)]
-                    k = int(np.argmax(sub))
-                    found[tuple(u for u, _ in block), lv] = (sub.flat[k], k)
+        for offsets, lv, vals in _third_levels(kind, kernel, sigma, omega, exps, dims):
+            k = int(np.argmax(vals))
+            found[offsets, lv] = (vals.flat[k], k)
     # the grid tuple of offset 0 on every axis is the standard grid pair
     for lv, vals in _dyadic_levels(kind, kernel, sigma, omega, exps, dims):
         k = int(np.argmax(vals))
-        found[(0,) * sum(dims), lv] = (vals.flat[k], k)
+        found[(0,) * lat.dim, lv] = (vals.flat[k], k)
     best = -1.0
     best_at = None
-    for offsets in _iproduct(range(len(cubes[0])), repeat=sum(dims)):
+    for offsets in _iproduct(range(len(grids)), repeat=lat.dim):
         for lv in _iproduct(levels, repeat=len(dims)):
             val, k = found[offsets, lv]
             if val > best:
                 best, best_at = float(val), (offsets, lv, k)
-    return CharacteristicResult(kind, best, _witness(family, dims, depth, cubes, *best_at), exps)
+    return CharacteristicResult(kind, best, _witness(family, dims, lat.depth, *best_at), exps)
+
+
+def _factor_m(dims) -> int | None:
+    """The m of the pyramids' factors: None for one_param's one factor."""
+    return None if len(dims) == 1 else dims[0]
 
 
 def _grids_for(family: str, dim: int, depth: int) -> list[DyadicGrid]:
@@ -446,22 +418,46 @@ def _grids_for(family: str, dim: int, depth: int) -> list[DyadicGrid]:
 def _dyadic_levels(kind, kernel, sigma, omega, exps, dims):
     """(level tuple, products) per level tuple of the standard grid pair,
     in product order, from the sigma and omega pyramids."""
-    lat, m = sigma.lattice, None if len(dims) == 1 else dims[0]
+    lat, m = sigma.lattice, _factor_m(dims)
     weights = zip((sigma, omega), _thetas(kind, exps))
     for (lv, ms), (_, mw) in zip(*(_level_masses(_cellwise(lat, w.density, t), lat, m) for w, t in weights)):
         yield lv, _products(kind, kernel, exps, list(zip(lv, dims)), (ms, mw))
 
 
-def _witness(family, dims, depth, cubes, offsets, lv, k) -> DyadicRect | Cube:
-    """The cube or rectangle at flat index k of a grid tuple's block."""
+def _third_levels(kind, kernel, sigma, omega, exps, dims):
+    """(grid tuple, level tuple, products) per one-third grid tuple but
+    the standard pair's and level tuple, the products shaped as the grid
+    tuple's cubes, from the sigma and omega refined pyramids, whose blocks
+    stay below twice the largest single-grid block."""
+    lat = sigma.lattice
+    pyramid = _ThirdPyramid(lat, _factor_m(dims), 2 * ((1 << lat.depth) + 1) ** lat.dim)
+    # per level and grid, the residue mod 3 of its cubes' positions
+    at = [[(_thirds(g, 0, level) + 2) % 3 for g in onethird_grids(1, 0, lat.depth)] for level in range(lat.depth + 1)]
+    weights = [_cellwise(lat, w.density, t) for w, t in zip((sigma, omega), _thetas(kind, exps))]
+    for (lv, groups, ms), (_, _, mw) in zip(*map(pyramid.masses, weights)):
+        vals = _products(kind, kernel, exps, list(zip(lv, dims)), (ms, mw))
+        axis_levels = [level for level, dim in zip(lv, dims) for _ in range(dim)]
+        # per axis, each grid the block holds and its positions there
+        reads = [
+            [(u, slice(r, None, 3) if g is None else slice(None)) for u, r in enumerate(at[level]) if g in (None, r)]
+            for level, g in zip(axis_levels, groups)
+        ]
+        for pick in _iproduct(*reads):
+            offsets = tuple(u for u, _ in pick)
+            if any(offsets):
+                yield offsets, lv, vals[tuple(view for _, view in pick)]
+
+
+def _witness(family, dims, depth, offsets, lv, k) -> DyadicRect | Cube:
+    """The cube or rectangle at flat index k of a grid tuple's cubes."""
+    axes = _grids_for(family, 1, depth)
     axis_levels = [level for level, dim in zip(lv, dims) for _ in range(dim)]
-    pos = np.unravel_index(k, [len(cubes[lvl][u][0]) for lvl, u in zip(axis_levels, offsets)])
+    index = [_axis_cubes(axes[u], level) for u, level in zip(offsets, axis_levels)]
+    pos = np.unravel_index(k, [len(ix) for ix in index])
     out, at = [], 0
     for level, dim in zip(lv, dims):
-        here = offsets[at : at + dim]
-        grid = _grids_for(family, dim, depth)[np.ravel_multi_index(here, (len(cubes[0]),) * dim)]
-        index = tuple(cubes[level][u][0][int(p)] for u, p in zip(here, pos[at : at + dim]))
-        out.append(Cube(grid, level, index))
+        grid = _grids_for(family, dim, depth)[np.ravel_multi_index(offsets[at : at + dim], (len(axes),) * dim)]
+        out.append(Cube(grid, level, tuple(index[a][int(pos[a])] for a in range(at, at + dim))))
         at += dim
     return out[0] if len(out) == 1 else DyadicRect(*out)
 
@@ -475,6 +471,22 @@ def _on_lattice(cubes, dims, depth: int) -> bool:
     )
 
 
+def _third_starts(cubes, dims, depth: int) -> list | None:
+    """Per lattice axis (level, first block) of the cubes in the refined
+    pyramid, or None unless each is a cube of a std or third grid of its
+    factor's dim, at a level 0..depth, meeting the unit box."""
+    out = []
+    for c, dim in zip(cubes, dims):
+        if c.grid.dim != dim or c.grid.kind == "shift" or not 0 <= c.level <= depth:
+            return None
+        for k, i in enumerate(c.index):
+            t = 3 * i + _thirds(c.grid, k, c.level)
+            if not -2 <= t < 3 << c.level:
+                return None
+            out.append((c.level, t))
+    return out
+
+
 def characteristic_at(
     kind: str,
     kernel: KernelHandle | None,
@@ -484,7 +496,16 @@ def characteristic_at(
     exps: Exponents,
 ) -> float:
     """Re-evaluate one witness: the scan's batch evaluator on a batch of
-    one, its masses read as the scan reads them."""
+    one, its masses read as the scan reads them.
+
+    A box of the standard grid pair on the lattice is summed from its own
+    cells by the dyadic pyramid's tree, any other box of std and third
+    grids at levels 0..depth by the refined pyramid's steps, so a scan's
+    witness re-evaluates to its value bit for bit.  The rest, a cube of a
+    shifted grid or one finer than the lattice, the scans never read: its
+    masses are one read of the prefix engine at the box's edges (the
+    mass box_mass gives, clamped at 0).
+    """
     kernel, dims = _check_scan(kind, kernel, sigma, omega, exps)
     cubes = (witness,) if kind == "one_param" else (witness.i_cube, witness.j_cube)
     lat = sigma.lattice
@@ -493,14 +514,12 @@ def characteristic_at(
     if _on_lattice(cubes, dims, lat.depth):
         cells = [(i, lat.cells_per_axis >> c.level) for c in cubes for i in c.index]
         rect = Rect(tuple(i * s for i, s in cells), tuple((i + 1) * s for i, s in cells))
-        m = None if len(dims) == 1 else dims[0]
         at = [c.level for c in cubes]
-        masses = [_tree_mass(_cellwise(lat, w.density, t), lat, rect, at, m) for w, t in pairs]
+        masses = [_tree_mass(_cellwise(lat, w.density, t), lat, rect, at, _factor_m(dims)) for w, t in pairs]
+    elif (starts := _third_starts(cubes, dims, lat.depth)) is not None:
+        masses = [_third_mass(_cellwise(lat, w.density, t), lat, starts) for w, t in pairs]
     else:
-        boxes = BoxGrid(
-            _cube_axis(float(c.grid.offset(k, c.level)), c.level, range(i, i + 1), lat.depth)
-            for c in cubes
-            for k, i in enumerate(c.index)
-        )
-        masses = [_prefix_masses(w, t, boxes) for w, t in pairs]
+        n = lat.cells_per_axis
+        lo, hi = ([np.array([float(x) * n]) for c in cubes for x in c.bounds()[side]] for side in (0, 1))
+        masses = [_prefix_masses(w, t, lo, hi) for w, t in pairs]
     return float(_products(kind, kernel, exps, levels, masses).flat[0])

@@ -3,22 +3,27 @@
 Everything in the package lives on the half-open unit box [0,1)^d sliced
 into 2^(d*L) congruent cells.  Weights and grid functions are piecewise
 constant on cells, so every integral downstream is a finite sum of cell
-values, read by one of two engines.  The dyadic pyramid, _level_masses,
+values, read by one of three engines.  The dyadic pyramid, _level_masses,
 reads every box of the standard dyadic grid (the characteristic scans
 and their witnesses, the indicator floor, embeddings, stopping cubes and
 Carleson sums): compensated float64 pairwise sums of density**theta *
 cell_volume, fine to coarse, the first factor's axes before the rest's,
 each mass within an ulp of its exact sum.  A box's mass is the tree sum
 of its own cells, which _tree_mass repeats for one box, and a box
-holding no positive cell is exactly 0.  The prefix engine,
-box_masses, reads the rest (one-third and shifted grids, the doubling
-scans, arbitrary boxes) as the mixed corner difference of a long-double
-prefix table, looked up directly on whole-cell edges and interpolated
-multilinearly on fractional ones.  A BoxGrid, the outer product of
-per-axis boxes, is read at its vertices (whole-cell progressions as
-strided views of the table, any other axis at its distinct vertices);
-per-axis edge arrays that broadcast together gather every corner of
-every box, with the same per-point arithmetic.  Leading table axes are a
+holding no positive cell is exactly 0.  The refined pyramid,
+_ThirdPyramid, reads every other cube product of the one-third grids
+(their scans and witnesses, _third_mass) the same way over a lattice
+whose axes are cut, one at a time, into thirds of a cell, on which every
+one-third cube is whole; each mass is within about half an ulp of its
+exact sum.  The prefix engine, box_masses, reads the rest (the doubling
+scans, cell boxes of bump_cube and integrate, arbitrary boxes of
+box_mass, and characteristic_at on a shifted or finer-than-the-lattice
+cube) as the mixed corner difference of a long-double prefix table,
+looked up directly on whole-cell edges and interpolated multilinearly on
+fractional ones.  A BoxGrid, the outer product of per-axis whole-cell
+boxes, is read at its vertices as strided views of the table; per-axis
+edge arrays that broadcast together gather every corner of every box,
+with the same per-point arithmetic.  Leading table axes are a
 batch.  Each prefix mass is rounded to float64 once, and every
 elementwise power (density**theta, f**p, the bump, Carleson and
 embedding terms) runs in float64, so the maps do not depend on the
@@ -300,13 +305,13 @@ def _corner_values(tab: np.ndarray, pts: list):
     return out
 
 
-def _corner_sum(tab: np.ndarray, ends: list, read=_corner_values) -> np.ndarray:
+def _corner_sum(tab: np.ndarray, ends: list) -> np.ndarray:
     """Mixed corner difference of tab over per-axis (lower, upper) reads,
     the corners summed in _CORNERS order."""
     out = None
     own = False  # whether out is an array of this call's, updated in place
     for corners, sign in _CORNERS[len(ends)]:
-        term = read(tab, [end[c] for end, c in zip(ends, corners)])
+        term = _corner_values(tab, [end[c] for end, c in zip(ends, corners)])
         if out is None:
             out = term if sign > 0 else -term
         elif own and out.shape == term.shape:
@@ -328,16 +333,13 @@ def box_masses(tab: np.ndarray, lo, hi=None) -> np.ndarray:
     gathered: an edge array of whole cells indexes the table directly, any
     other is interpolated.
 
-    A BoxGrid given as lo, with hi omitted, is read at its vertices: the
-    table is evaluated once per vertex (a strided view on whole-cell
-    progressions, the same interpolation on the vertex list of any other
-    axis) and each box takes the mixed difference of its own vertices.
-    Both ways a corner's value is the same per-point arithmetic, and a
-    whole cell reads the same through interpolation, with weights (1, 0),
-    as through an index.  Corners are summed in one fixed order, so a
-    box's mass depends only on its own edges and table, never on the
-    batch or the layout it was read in.  Returns long doubles, or the
-    table's dtype for an integer table on whole cells.
+    A BoxGrid given as lo, with hi omitted, is read at its vertices, each
+    run of whole-cell boxes as strided views of the table, and each box
+    takes the mixed difference of its own vertices.  Both ways a corner is
+    the same table entry (or interpolation), and corners are summed in one
+    fixed order, so a box's mass depends only on its own edges and table,
+    never on the batch or the layout it was read in.  Returns long
+    doubles, or the table's dtype for an integer table on whole cells.
     """
     if hi is None:
         return lo.masses(tab)
@@ -353,83 +355,38 @@ def _span(start: int, step: int, count: int) -> slice:
     return slice(start, start + (count - 1) * step + 1 if count else start, step)
 
 
-def _take(tab: np.ndarray, pts: list) -> np.ndarray:
-    """tab at per-axis reads of its trailing axes: a slice as a view, an
-    index array by np.take along its axis."""
-    out = tab[(..., *(p if isinstance(p, slice) else slice(None) for p in pts))]
-    for k, p in enumerate(pts):
-        if not isinstance(p, slice):
-            out = np.take(out, p, axis=k - len(pts))
-    return out
+def _vertices(read: slice) -> np.ndarray:
+    return np.arange(read.start, read.stop, read.step)
 
 
 class Axis:
-    """One axis of a BoxGrid: its boxes, as runs over the vertices they
-    sit on.
+    """One axis of a BoxGrid: its boxes, as runs of whole-cell progressions.
 
-    runs holds per run of consecutive boxes (count, lo, hi): the reads of
-    the vertex list holding the run's lower and upper edges, each a slice
-    or an index array; a one-vertex slice is an edge constant over the
-    run.  With verts None the vertex list is the table's own axis, vertex
-    i at cell i, so a run of slices is a strided view of the table.
-    Otherwise verts holds the distinct vertex positions in cells, clipped
-    to [0, n], and read how the table is read there (_edge).
+    runs holds per run of consecutive boxes (count, lo, hi): the slices of
+    the table's axis, vertex i at cell i, holding the run's lower and upper
+    edges, so a run is a strided view of the table; a one-vertex slice is
+    an edge constant over the run.
     """
 
-    __slots__ = ("runs", "verts", "read")
+    __slots__ = ("runs",)
 
-    def __init__(self, runs, verts: np.ndarray | None = None, n: int = 0):
+    def __init__(self, runs):
         self.runs = tuple(runs)
-        self.verts = verts
-        self.read = None if verts is None else _edge(verts, n)
 
     @classmethod
     def progression(cls, start: int, count: int, step: int, width: int) -> "Axis":
         """count whole-cell boxes [start + j*step, start + j*step + width)."""
         return cls([(count, _span(start, step, count), _span(start + width, step, count))])
 
-    @classmethod
-    def vertices(cls, lo: np.ndarray, hi: np.ndarray, n: int) -> "Axis":
-        """The boxes [lo[j], hi[j]) at increasing positions clipped to
-        [0, n].  A box's upper edge shares the next box's lower vertex
-        where the two positions are equal bit for bit, and gets a vertex
-        of its own where rounding parted them."""
-        count = lo.size
-        parted = hi[:-1] != lo[1:]
-        if not parted.any():
-            runs = [(count, _span(0, 1, count), _span(1, 1, count))]
-            return cls(runs, np.concatenate([lo, hi[-1:]]), n)
-        at = np.arange(count) + np.concatenate([[0], np.cumsum(parted)])
-        verts = np.empty(count + int(parted.sum()) + 1)
-        verts[at], verts[at + 1] = lo, hi
-        return cls([(count, at, at + 1)], verts, n)
-
     @property
     def count(self) -> int:
         return sum(run[0] for run in self.runs)
-
-    def _at(self, read) -> np.ndarray:
-        if self.verts is None:
-            return np.arange(read.start, read.stop, read.step)
-        return self.verts[read]
-
-    def vertex_form(self, n: int) -> "Axis":
-        """The same boxes on an explicit vertex list."""
-        if self.verts is not None:
-            return self
-        parts, runs, at = [], [], 0
-        for count, lo, hi in self.runs:
-            a, b = self._at(lo), self._at(hi)
-            parts += [a, b]
-            runs.append((count, _span(at, 1, a.size), _span(at + a.size, 1, b.size)))
-            at += a.size + b.size
-        return Axis(runs, np.concatenate(parts), n)
 
     def edges(self) -> tuple[np.ndarray, np.ndarray]:
         """Every box's lower and upper edge, in box order (read-only)."""
         out = []
         for k in (1, 2):
-            parts = [np.broadcast_to(self._at(run[k]), run[0]) for run in self.runs]
+            parts = [np.broadcast_to(_vertices(run[k]), run[0]) for run in self.runs]
             out.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
         return tuple(out)
 
@@ -437,31 +394,9 @@ class Axis:
         """Lower and upper edge of the box at one position."""
         for count, lo, hi in self.runs:
             if pos < count:
-                return tuple((v := self._at(read))[min(pos, v.size - 1)] for read in (lo, hi))
+                return tuple((v := _vertices(read))[min(pos, v.size - 1)] for read in (lo, hi))
             pos -= count
         raise IndexError(f"box position beyond the axis's {self.count} boxes")
-
-
-def _indices(read, count: int) -> np.ndarray:
-    """A read of count boxes' edges as an index array."""
-    if isinstance(read, slice):
-        read = np.arange(read.start, read.stop, read.step)
-    return np.broadcast_to(read, count)
-
-
-def join_axes(axes, n: int) -> Axis:
-    """The boxes of several axes side by side, on one vertex list, in one
-    run of index arrays."""
-    parts, lo, hi, at = [], [], [], 0
-    for ax in axes:
-        ax = ax.vertex_form(n)
-        parts.append(ax.verts)
-        for count, a, b in ax.runs:
-            lo.append(_indices(a, count) + at)
-            hi.append(_indices(b, count) + at)
-        at += ax.verts.size
-    lo, hi = np.concatenate(lo), np.concatenate(hi)
-    return Axis([(lo.size, lo, hi)], np.concatenate(parts), n)
 
 
 def _ix_shapes(d: int) -> list[tuple[int, ...]]:
@@ -487,11 +422,6 @@ class BoxGrid:
     def shape(self) -> tuple[int, ...]:
         return tuple(ax.count for ax in self.axes)
 
-    @property
-    def whole(self) -> bool:
-        """Whether every edge is a whole cell."""
-        return not any(isinstance(ax.read, tuple) for ax in self.axes)
-
     def __iter__(self):
         ends = [ax.edges() for ax in self.axes]
         layout = _ix_shapes(len(ends))
@@ -514,20 +444,11 @@ class BoxGrid:
         return Rect(tuple(int(a) for a, _ in ends), tuple(int(b) for _, b in ends))
 
     def masses(self, tab: np.ndarray) -> np.ndarray:
-        """box_masses of the grid, read at its vertices."""
+        """box_masses of the grid, read at its vertices as strided views."""
         axes = self.axes
         d = len(axes)
-        if any(ax.verts is not None for ax in axes):
-            n = tab.shape[-1] - 1
-            axes = [ax.vertex_form(n) for ax in axes]
-            layout = _ix_shapes(d)
-            tab = _corner_values(tab, [
-                tuple(a.reshape(s) for a in ax.read) if isinstance(ax.read, tuple)
-                else ax.read.reshape(s)
-                for ax, s in zip(axes, layout)
-            ])
         if all(len(ax.runs) == 1 for ax in axes):
-            out = _corner_sum(tab, [ax.runs[0][1:] for ax in axes], _take)
+            out = _corner_sum(tab, [ax.runs[0][1:] for ax in axes])
             shape = out.shape[: out.ndim - d] + self.shape
             return out if out.shape == shape else np.broadcast_to(out, shape).copy()
         blocks = []
@@ -537,7 +458,7 @@ class BoxGrid:
             blocks.append([(slice(a, b), run[1:]) for a, b, run in runs])
         out = None
         for combo in _iproduct(*blocks):
-            block = _corner_sum(tab, [ends for _, ends in combo], _take)
+            block = _corner_sum(tab, [ends for _, ends in combo])
             if out is None:
                 out = np.empty(block.shape[: block.ndim - d] + self.shape, dtype=block.dtype)
             out[(..., *(at for at, _ in combo))] = block
@@ -582,10 +503,10 @@ def _masses(tab: np.ndarray, count: np.ndarray | None, lo, hi=None) -> np.ndarra
     box keeps the engine's bits."""
     masses = box_masses(tab, lo, hi)
     if count is not None:
-        if hi is None and lo.whole:
+        if hi is None:
             held = box_masses(count, lo)
         else:
-            held = box_masses(count, *_cover(*(lo if hi is None else (lo, hi))))
+            held = box_masses(count, *_cover(lo, hi))
         masses = np.where(held == 0, _LD(0.0), masses)
     return masses
 
@@ -614,24 +535,38 @@ def _cellwise(lat: Lattice, u: np.ndarray, theta: float = 1.0) -> np.ndarray:
     return np.power(u, float(theta)) * lat.cell_volume
 
 
+def _add(x, y, ex, ey, out=(None, None)) -> tuple:
+    """x + y and its rounding error, exact by TwoSum (Knuth), plus the
+    summands' errors ex and ey (the float 0.0 while there are none),
+    written to the arrays out if given: (x - (a - z)) + (y - z) + (ex + ey)
+    for a = x + y, z = a - x, with few temporaries."""
+    a = np.add(x, y, out=out[0])
+    z = a - x
+    err = np.subtract(a, z, out=out[1])
+    np.subtract(x, err, out=err)
+    np.subtract(y, z, out=z)
+    err += z
+    if isinstance(ex, np.ndarray):
+        err += np.add(ex, ey, out=z)
+    return a, err
+
+
 def _halve(a: np.ndarray, axes, err=None) -> tuple:
     """Pairwise sums of neighbouring cells along each of the axes in turn,
     and unless err is None the sums' errors, err being a's own (the float
     0.0 while there are none): each sum's rounding error is exact by
-    TwoSum (Knuth) and added to the summands' errors, so sums + errors is
-    the block sum to within about an ulp (Ogita, Rump and Oishi, SIAM J.
-    Sci. Comput. 2005)."""
+    TwoSum and added to the summands' errors, so sums + errors is the
+    block sum to within about an ulp (Ogita, Rump and Oishi, SIAM J. Sci.
+    Comput. 2005)."""
     for ax in axes:
         shape = a.shape[:ax] + (-1, 2) + a.shape[ax + 1 :]
         pick = [(slice(None),) * (ax + 1) + (k,) for k in (0, 1)]
         x, y = (a.reshape(shape)[p] for p in pick)
-        a = x + y
-        if err is not None:
-            z = a - x
-            new = (x - (a - z)) + (y - z)
-            if isinstance(err, np.ndarray):
-                new += err.reshape(shape)[pick[0]] + err.reshape(shape)[pick[1]]
-            err = new
+        if err is None:
+            a = x + y
+            continue
+        ex, ey = (err.reshape(shape)[p] for p in pick) if isinstance(err, np.ndarray) else (err, err)
+        a, err = _add(x, y, ex, ey)
     return a, err
 
 
@@ -683,6 +618,194 @@ def _tree_mass(h: np.ndarray, lat: Lattice, rect: Rect, levels, m: int | None = 
         for _ in range(lat.depth - level):
             a, err = _halve(a, axes, err)
     return a + err
+
+
+# ---------------------------------------------------------------------------
+# the refined pyramid of the one-third grids
+#
+# In thirds of a cell, a one-third grid's level-l cubes on one axis have
+# side 3s, s = 2^(L - l), and offset o*s, o = ((-1)^l u) mod 3: the cube of
+# index i is the three level-l blocks of s thirds from t = 3i + o on.  So
+# each cell is split into three thirds along one axis, each carrying the
+# cell's whole value (the sums are then 3x the masses, exactly), halved
+# as the dyadic pyramid is, padded with two zero blocks at each end, and
+# every three neighbouring blocks summed: position t + 2 holds the cube
+# starting at block t, for all three offsets at once, clipped cubes
+# included.  Then the next axis.  Every sum carries its TwoSum error, and
+# every term is nonnegative, so a box holding no positive cell is 0.  The
+# axis being summed leads, so a block is whole rows.
+
+
+def _move(x, src: int, dst: int):
+    """np.moveaxis of an array; an error of 0.0 passes as it is."""
+    return np.moveaxis(x, src, dst) if isinstance(x, np.ndarray) else x
+
+
+def _pad(x: np.ndarray, before: int = 2, after: int = 2, repeat: int = 1) -> np.ndarray:
+    """x's rows, each repeated, with zero rows added before and after."""
+    out = np.zeros((before + repeat * x.shape[0] + after,) + x.shape[1:])
+    out[before : out.shape[0] - after].reshape((x.shape[0], repeat) + x.shape[1:])[...] = x[:, None]
+    return out
+
+
+def _refine(a: np.ndarray, err) -> tuple:
+    """a and err (an array or 0.0) with each row split into three thirds
+    carrying its value, padded."""
+    return tuple(_pad(x, repeat=3) if isinstance(x, np.ndarray) else x for x in (a, err))
+
+
+def _coarser(a: np.ndarray, err) -> tuple:
+    """The next coarser padded level: _halve of the rows between the pads."""
+    rows = a.shape[0] - 4
+    ex, ey = (err[2 + k : rows + 2 : 2] for k in (0, 1)) if isinstance(err, np.ndarray) else (err, err)
+    out = [np.zeros((rows // 2 + 4,) + a.shape[1:]) for _ in (a, err)]
+    _add(a[2 : rows + 2 : 2], a[3 : rows + 2 : 2], ex, ey, (out[0][2:-2], out[1][2:-2]))
+    return tuple(out)
+
+
+def _triple(a: np.ndarray, err, g: int | None = None) -> tuple:
+    """(a[p] + a[p+1]) + a[p+2] at every position p of a padded level (or
+    at p = g, g + 3, ...), with errors as _halve's; adding a pad's 0 is
+    exact, its error 0."""
+    n = a.shape[0] - 2
+
+    def at(x, j):
+        if not isinstance(x, np.ndarray):
+            return x
+        return x[j : n + j] if g is None else x[g + j : n + j : 3]
+
+    s, e = _add(at(a, 0), at(a, 1), at(err, 0), at(err, 1))
+    return _add(s, at(a, 2), e, at(err, 2))
+
+
+def _third_scaled(h: np.ndarray, lat: Lattice) -> tuple:
+    """h and the scale it is summed at: 2^-7 (exact, down to 2^-1015)
+    where a box's sum, 3^d < 2^7 times its mass, could pass the float64
+    range, a mass being at most the largest h / cell_volume; else 1."""
+    if h.max() >= 2.0 ** (1016 - lat.dim * lat.depth):
+        return h * 2.0**-7, 2.0**-7
+    return h, 1.0
+
+
+def _third_div(s: np.ndarray, e: np.ndarray, c: float, scale: float) -> np.ndarray:
+    """(s + e) / c / scale, rounded to nearest up to near-ties, for c =
+    3^k < 2^7: q = s / c corrected by the remainder s - cq, exact with q's
+    low 7 bits split off."""
+    q = s / c
+    hi = (q.view(np.int64) & -128).view(np.float64)
+    lo = q - hi
+    hi *= c
+    np.subtract(s, hi, out=hi)
+    lo *= c
+    hi -= lo
+    hi += e
+    hi /= c
+    hi += q
+    if scale != 1.0:
+        hi /= scale
+    return hi
+
+
+class _ThirdPyramid:
+    """The masses of every cube product of the one-third grids, one level
+    tuple at a time, over a lattice whose axes form one factor (m None)
+    or two (the first m and the rest), as _level_masses'.
+
+    masses(h) yields (levels, groups, masses) for cellwise nonnegative h.
+    Axis k of masses holds, at position 3i + (o + 2) mod 3, the level cube
+    of index i and offset o, or with groups[k] = g (not None) only the
+    positions g, g + 3, ...: an axis is split by offset, leading axes
+    first, where the block could pass limit elements otherwise.  Each
+    level is dropped once read.  A largest array past ARRAY_BUDGET_BYTES
+    raises ResourceError here, before any is built.
+    """
+
+    def __init__(self, lat: Lattice, m: int | None, limit: float):
+        self.lat, self.dim, self.depth, self.limit = lat, lat.dim, lat.depth, limit
+        self.n = lat.cells_per_axis
+        self.owner = [0] * lat.dim if m is None else [0] * m + [1] * (lat.dim - m)
+        need = 8 * self.peak()
+        if need > ARRAY_BUDGET_BYTES:
+            raise ResourceError(
+                f"the one-third scan's largest array takes {need} bytes, "
+                f"limit {ARRAY_BUDGET_BYTES} bytes"
+            )
+
+    def _levels(self, k: int, lv: tuple) -> dict:
+        """level -> level tuple, for each level axis k is read at."""
+        f = self.owner[k]
+        if f < len(lv):
+            return {lv[f]: lv}
+        return {level: lv + (level,) for level in range(self.depth, -1, -1)}
+
+    def _groups(self, lead: int, k: int, lv: tuple) -> tuple:
+        """(None,) or the residues (0, 1, 2) axis k is read in, lead its
+        positions times those of axes 0..k-1, the later axes taken at
+        their factor's level or, unread, the finest."""
+        for j in range(k + 1, self.dim):
+            f = self.owner[j]
+            lead *= (3 << (lv[f] if f < len(lv) else self.depth)) + 2
+        return (None,) if lead <= self.limit else (0, 1, 2)
+
+    def peak(self, k: int = 0, lead: int = 1, lv: tuple = ()) -> int:
+        """The elements of the largest array masses() builds."""
+        if k == self.dim:
+            return lead
+        rest = lead * self.n ** (self.dim - k - 1)
+        out = (3 * self.n + 4) * rest
+        for level, here in self._levels(k, lv).items():
+            ext = (3 << level) + 2
+            if self._groups(lead * ext, k, here) != (None,):
+                ext = (1 << level) + 1
+            out = max(out, self.peak(k + 1, lead * ext, here))
+        return out
+
+    def masses(self, h: np.ndarray):
+        h, scale = _third_scaled(h, self.lat)
+        c = 3.0**self.dim
+
+        def walk(a, err, k, lv, groups):
+            # axis k leads while it is summed
+            a, err = _refine(_move(a, k, 0), _move(err, k, 0))
+            wanted = self._levels(k, lv)
+            for level in range(self.depth, min(wanted) - 1, -1):
+                if level < self.depth:
+                    a, err = _coarser(a, err)
+                if level not in wanted:
+                    continue
+                here = wanted[level]
+                for g in self._groups((a.shape[0] - 2) * math.prod(a.shape[1 : k + 1]), k, here):
+                    sums = (_move(x, 0, k) for x in _triple(a, err, g))
+                    if k + 1 == self.dim:
+                        yield here, groups + (g,), _third_div(*sums, c, scale)
+                    else:
+                        yield from walk(*sums, k + 1, here, groups + (g,))
+
+        return walk(h, 0.0, 0, (), ())
+
+
+def _third_mass(h: np.ndarray, lat: Lattice, starts) -> np.ndarray:
+    """The mass _ThirdPyramid gives one cube product, summed from its own
+    cells by the same steps; starts holds per lattice axis (level, t), the
+    box's blocks t, t + 1, t + 2 of that level, -2 <= t < 3 * 2^level."""
+    h, scale = _third_scaled(h, lat)
+    wins = []
+    for level, t in starts:
+        s, top = 1 << (lat.depth - level), 3 << level
+        lo, hi = max(t, 0), min(t + 3, top)
+        wins.append((level, lo * s, hi * s, (lo - t, t + 3 - hi)))
+    a, err = h[tuple(slice(lo // 3, -(-hi // 3)) for _, lo, hi, _ in wins)], 0.0
+    for k, (level, lo, hi, pads) in enumerate(wins):
+        # the box's thirds on axis k, leading, then its level blocks
+        a, err = (
+            np.repeat(x, 3, axis=0)[lo % 3 : lo % 3 + hi - lo] if isinstance(x, np.ndarray) else x
+            for x in (_move(a, k, 0), _move(err, k, 0))
+        )
+        for _ in range(lat.depth - level):
+            a, err = _halve(a, (0,), err)
+        blocks = (_pad(x, *pads) if isinstance(x, np.ndarray) else x for x in (a, err))
+        a, err = (_move(x, 0, k) for x in _triple(*blocks))
+    return _third_div(a, err, 3.0**lat.dim, scale)
 
 
 def integrate(w: Weight, rect: Rect) -> float:

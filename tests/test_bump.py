@@ -19,6 +19,7 @@ from dyadlab import (
     KernelHandle,
     PowerKernel,
     Rect,
+    ResourceError,
     ShapeError,
     Weight,
     bump_cube,
@@ -421,14 +422,14 @@ def test_exponents_validation():
 # the grouped scan against the former per-grid loop
 #
 # The former characteristic, kept as the reference: one _products call per
-# grid tuple and level tuple, each factor's cube edges gathered as float
-# arrays, the first maximum kept with a strict >.  A one-third grid tuple
-# reads the prefix engine, as the former loop did.  The standard grid pair
-# (offset 0 on every axis) reads its masses through a given function: the
-# dyadic pyramid's level tuple, which the scan must reproduce bit for bit,
-# or a math.fsum oracle, which it must match to within VALUE_ULPS.
+# grid tuple and level tuple, the first maximum kept with a strict >.  It
+# reads its masses through a given pair of functions, one for the standard
+# grid pair (offset 0 on every axis), one for the other one-third grid
+# tuples: the dyadic pyramid's level tuple and a refined pyramid built
+# apart for each tuple, which the scan must reproduce bit for bit, or an
+# exact oracle, which it must match to within VALUE_ULPS.
 
-# the values' relative distance to the fsum oracle, in units of 2^-53:
+# the values' relative distance to the exact oracle, in units of 2^-53:
 # masses within an ulp, through the bump and kernel powers (exponents at
 # most 1 in total), plus a flipped rounding of a power or product
 VALUE_ULPS = 2
@@ -447,19 +448,8 @@ def _former_level_cubes(grid, level):
     return out
 
 
-def _former_factor(grid, level, index, depth):
-    ncells = 1 << depth
-    side_cells = float(2.0 ** (depth - level))
-    lo, hi = [], []
-    for k, idx in enumerate(index):
-        a = np.asarray(idx, dtype=np.int64) * side_cells + float(grid.offset(k, level)) * ncells
-        lo.append(np.clip(a, 0.0, ncells))
-        hi.append(np.clip(a + side_cells, 0.0, ncells))
-    return grid, level, list(index), lo, hi
-
-
 def _standard(factors) -> bool:
-    return all(not any(grid.offset(k, level) for k in range(grid.dim)) for grid, level, *_ in factors)
+    return all(not any(grid.offset(k, level) for k in range(grid.dim)) for grid, level, _ in factors)
 
 
 def _pyramid_masses(w, theta, factors):
@@ -467,31 +457,85 @@ def _pyramid_masses(w, theta, factors):
     factors' cube indices."""
     lat = w.lattice
     m = None if len(factors) == 1 else factors[0][0].dim
-    levels = tuple(level for _, level, *_ in factors)
+    levels = tuple(level for _, level, _ in factors)
     masses = dict(lattice._level_masses(lattice._cellwise(lat, w.density, theta), lat, m))[levels]
-    return masses[np.ix_(*[np.asarray(i) for _, _, index, _, _ in factors for i in index])]
+    return masses[np.ix_(*[np.asarray(i) for _, _, index in factors for i in index])]
 
 
-def _fsum_masses(w, theta, factors):
-    """math.fsum of the cells of every factor box (whole cells only)."""
-    cells = lattice._cellwise(w.lattice, w.density, theta)
-    lo = [a.astype(np.int64) for *_, flo, _ in factors for a in flo]
-    hi = [b.astype(np.int64) for *_, fhi in factors for b in fhi]
-    out = np.empty(tuple(a.size for a in lo))
-    for idx in np.ndindex(*out.shape):
-        box = cells[tuple(slice(a[i], b[i]) for a, b, i in zip(lo, hi, idx))]
-        out[idx] = math.fsum(box.ravel().tolist())
-    return out
+def _offset_thirds(grid, axis, level, depth):
+    """A grid's level offset on one axis, in thirds of a cell."""
+    return int(grid.offset(axis, level) * (3 << depth))
 
 
-def _former_products(kind, kernel, sigma, omega, exps, factors, standard):
-    levels = [(level, grid.dim) for grid, level, *_ in factors]
-    weights = list(zip((sigma, omega), bump._thetas(kind, exps)))
-    if _standard(factors):
-        masses = [standard(w, t, factors) for w, t in weights]
-    else:
-        edges = [np.ix_(*[a for f in factors for a in f[k]]) for k in (3, 4)]
-        masses = [bump._prefix_masses(w, t, *edges) for w, t in weights]
+def _refined_masses(w, theta, factors):
+    """The refined pyramid's masses of the factors' cubes, built for one
+    grid tuple and level tuple: along each lattice axis in turn every cell
+    split into three thirds carrying its value, halved to the level,
+    padded with two zero blocks at each end and three neighbours summed,
+    each cube at position 3i + o + 2 (offset o thirds of its side); the
+    sums divided by 3 per axis at the end (cells scaled by 2^-7 first
+    where the sums could pass the float64 range)."""
+    lat = w.lattice
+    a, scale = lattice._third_scaled(lattice._cellwise(lat, w.density, theta), lat)
+    err, picks = 0.0, []
+    axes = [(grid, level, axis, idx) for grid, level, index in factors for axis, idx in enumerate(index)]
+    for k, (grid, level, axis, idx) in enumerate(axes):
+        a, err = (np.repeat(np.moveaxis(x, k, 0), 3, axis=0) if isinstance(x, np.ndarray) else x for x in (a, err))
+        for _ in range(lat.depth - level):
+            a, err = lattice._halve(a, (0,), err)
+        padded = (lattice._pad(x, 2, 2) if isinstance(x, np.ndarray) else x for x in (a, err))
+        a, err = (np.moveaxis(x, 0, k) for x in lattice._triple(*padded))
+        picks.append(3 * np.asarray(idx) + _offset_thirds(grid, axis, level, level) + 2)
+    return lattice._third_div(a, err, 3.0**lat.dim, scale)[np.ix_(*picks)]
+
+
+_EXACT = {}  # (id(w), theta) -> (w, table)
+
+
+def _exact_thirds(w, theta, lo, hi):
+    """The masses of the boxes spanned by per-axis edge arrays lo/hi in
+    thirds of a cell (clipped to the lattice), correctly rounded: the cells
+    of lattice._cellwise as integers over 2^1100, each third of a cell
+    carrying its cell's value, summed exactly over the box's thirds (a
+    prefix table of Python ints) and divided by 3 per axis."""
+    lat = w.lattice
+    d, top = lat.dim, 3 << lat.depth
+    cached = _EXACT.get((id(w), theta))
+    if cached is None or cached[0] is not w:
+        cells = lattice._cellwise(lat, w.density, theta).ravel().tolist()
+        ints = np.array([n * ((1 << 1100) // q) for n, q in map(float.as_integer_ratio, cells)], dtype=object)
+        ints = ints.reshape(lat.shape)
+        for k in range(d):
+            ints = np.repeat(ints, 3, axis=k)
+        tab = np.zeros((top + 1,) * d, dtype=object)
+        tab[(slice(1, None),) * d] = ints
+        for k in range(d):
+            tab = np.cumsum(tab, axis=k)
+        cached = _EXACT[id(w), theta] = (w, tab)
+    lo, hi = (np.ix_(*(np.clip(a, 0, top) for a in ends)) for ends in (lo, hi))
+    total = 0
+    for corner in iproduct((0, 1), repeat=d):
+        term = cached[1][tuple(b if c else a for a, b, c in zip(lo, hi, corner))]
+        total = total + term if (d - sum(corner)) % 2 == 0 else total - term
+    return np.vectorize(lambda x: x / (3**d << 1100), otypes=[float])(total)
+
+
+def _exact_masses(w, theta, factors):
+    """The factor boxes' masses, correctly rounded (_exact_thirds)."""
+    depth = w.lattice.depth
+    lo, hi = [], []
+    for grid, level, index in factors:
+        side = 3 << (depth - level)
+        for axis, idx in enumerate(index):
+            lo.append(np.asarray(idx) * side + _offset_thirds(grid, axis, level, depth))
+            hi.append(lo[-1] + side)
+    return _exact_thirds(w, theta, lo, hi)
+
+
+def _former_products(kind, kernel, sigma, omega, exps, factors, reads):
+    levels = [(level, grid.dim) for grid, level, _ in factors]
+    read = reads[0] if _standard(factors) else reads[1]
+    masses = [read(w, t, factors) for w, t in zip((sigma, omega), bump._thetas(kind, exps))]
     return bump._products(kind, kernel, exps, levels, masses)
 
 
@@ -499,16 +543,13 @@ def _family_grids(family, dim, depth):
     return [standard_grid(dim, 0, depth)] if family == "dyadic" else onethird_grids(dim, 0, depth)
 
 
-def _former_characteristic(kind, sigma, omega, exps, family, standard):
+def _former_characteristic(kind, sigma, omega, exps, family, reads):
     kernel = KernelHandle.from_exponents(exps)
     dims = (exps.m,) if kind == "one_param" else (exps.m, exps.n)
     depth = sigma.lattice.depth
     per_grid = [
         [
-            [
-                _former_factor(grid, lv, _former_level_cubes(grid, lv), depth)
-                for lv in range(depth + 1)
-            ]
+            [(grid, lv, _former_level_cubes(grid, lv)) for lv in range(depth + 1)]
             for grid in _family_grids(family, dim, depth)
         ]
         for dim in dims
@@ -517,26 +558,29 @@ def _former_characteristic(kind, sigma, omega, exps, family, standard):
     best_at = None
     for grids in iproduct(*per_grid):
         for factors in iproduct(*grids):
-            vals = _former_products(kind, kernel, sigma, omega, exps, factors, standard)
+            vals = _former_products(kind, kernel, sigma, omega, exps, factors, reads)
             k = int(np.argmax(vals))
             if vals.flat[k] > best:
                 best = float(vals.flat[k])
                 best_at = factors, np.unravel_index(k, vals.shape)
     factors, pos = best_at
     cubes = []
-    for grid, level, index, _, _ in factors:
+    for grid, level, index in factors:
         here, pos = pos[: grid.dim], pos[grid.dim :]
         cubes.append(Cube(grid, level, tuple(int(ks[p]) for ks, p in zip(index, here))))
     return best, cubes[0] if len(cubes) == 1 else DyadicRect(*cubes)
 
 
-def _fsum_at(kind, witness, sigma, omega, exps):
-    """The fsum oracle's value of one standard witness."""
+_BITS = (_pyramid_masses, _refined_masses)
+_ORACLE = (_exact_masses, _exact_masses)
+
+
+def _oracle_at(kind, witness, sigma, omega, exps):
+    """The exact oracle's value of one witness."""
     cubes = (witness,) if kind == "one_param" else (witness.i_cube, witness.j_cube)
-    depth = sigma.lattice.depth
-    factors = [_former_factor(c.grid, c.level, [[i] for i in c.index], depth) for c in cubes]
+    factors = [(c.grid, c.level, [[i] for i in c.index]) for c in cubes]
     kernel = KernelHandle.from_exponents(exps)
-    return float(_former_products(kind, kernel, sigma, omega, exps, factors, _fsum_masses).flat[0])
+    return float(_former_products(kind, kernel, sigma, omega, exps, factors, _ORACLE).flat[0])
 
 
 @settings(max_examples=60, deadline=None)
@@ -565,14 +609,13 @@ def test_grouped_scan_matches_former_per_grid_loop(mn, kind, family, weight, see
         sigma = gen_weight(lat, specs[weight])
     omega = gen_weight(lat, specs["constant" if weight == "constant" else "lognormal"])
     res = _assert_former_scan(kind, sigma, omega, family, m, max(n, 1))
-    if family == "dyadic":
-        # the exact oracle: the value to within VALUE_ULPS, and the witness
-        # a maximizer of the oracle's values to within the same
-        exps = res.exps
-        value, _ = _former_characteristic(kind, sigma, omega, exps, family, _fsum_masses)
-        tol = VALUE_ULPS * 2.0**-53 * value
-        assert abs(res.value - value) <= tol
-        assert _fsum_at(kind, res.witness, sigma, omega, exps) >= value - tol
+    # the exact oracle: the value to within VALUE_ULPS, and the witness a
+    # maximizer of the oracle's values to within the same
+    exps = res.exps
+    value, _ = _former_characteristic(kind, sigma, omega, exps, family, _ORACLE)
+    tol = VALUE_ULPS * 2.0**-53 * value
+    assert abs(res.value - value) <= tol
+    assert _oracle_at(kind, res.witness, sigma, omega, exps) >= value - tol
 
 
 @pytest.mark.parametrize("m, n", [(1, 1), (1, 2), (2, 1)])
@@ -589,7 +632,7 @@ def test_grouped_scan_keeps_the_first_of_all_ties(m, n, kind, value):
 def _assert_former_scan(kind, sigma, omega, family, m, n):
     exps = Exponents(p=2.0, q=4.0, alpha=0.5 * m, beta=0.5 * n, m=m, n=n, theta=1.5)
     res = characteristic(kind, None, sigma, omega, exps, family=family)
-    want = _former_characteristic(kind, sigma, omega, exps, family, _pyramid_masses)
+    want = _former_characteristic(kind, sigma, omega, exps, family, _BITS)
     assert (res.value, res.witness) == want
     assert characteristic_at(kind, None, res.witness, sigma, omega, exps) == res.value
     return res
@@ -624,3 +667,163 @@ def test_dyadic_witnesses_reevaluate_bit_for_bit(m, n):
             box = cubes[0] if n == 0 else DyadicRect(*cubes)
             idx = tuple(i for c in cubes for i in c.index)
             assert characteristic_at(kind, None, box, sigma, omega, exps) == vals[idx], levels
+
+
+# ---------------------------------------------------------------------------
+# the refined pyramid of the one-third grids
+
+
+@pytest.mark.parametrize("m, n", [(1, 0), (2, 0), (3, 0), (1, 1), (1, 2), (2, 1)])
+def test_onethird_boxes_reevaluate_bit_for_bit(m, n):
+    # characteristic_at rebuilds a one-third box's masses from its own
+    # cells by the refined pyramid's steps, so a random box of every grid
+    # tuple and level tuple re-evaluates to the scan's bits, blocks split
+    # by offset included (every case splits its finest levels)
+    depth = {1: 7, 2: 4, 3: 2}[m + n]
+    lat = make_lattice(m + n, depth)
+    sigma = gen_weight(lat, {"kind": "cascade", "beta": 0.9, "seed": m + 3 * n})
+    dens = rand_w(lat, 5 * m + n, rough=0.9).density.copy()
+    dens[(slice(0, 2),) * (m + n)] = 0.0
+    omega = Weight(lat, dens)
+    exps = Exponents(p=2.0, q=4.0, alpha=0.5 * m, beta=0.5 * max(n, 1), m=m, n=max(n, 1), theta=1.5)
+    dims = (m,) if n == 0 else (m, n)
+    kinds = ["one_param"] if n == 0 else ["no_bump", "product_bump", "half_bump_omega"]
+    axis_grids = onethird_grids(1, 0, depth)
+    rng = np.random.default_rng(m + 10 * n)
+    for kind in kinds:
+        kernel = KernelHandle.from_exponents(exps)
+        seen = set()
+        for offsets, levels, vals in bump._third_levels(kind, kernel, sigma, omega, exps, dims):
+            pos = [int(a) for a in np.unravel_index(int(rng.integers(vals.size)), vals.shape)]
+            index = [_former_level_cubes(axis_grids[u], level)[0][p] for u, level, p in zip(
+                offsets, [level for level, dim in zip(levels, dims) for _ in range(dim)], pos)]
+            cubes, at = [], 0
+            for level, dim in zip(levels, dims):
+                grid = onethird_grids(dim, 0, depth)[np.ravel_multi_index(offsets[at : at + dim], (3,) * dim)]
+                cubes.append(Cube(grid, level, tuple(int(i) for i in index[at : at + dim])))
+                at += dim
+            box = cubes[0] if n == 0 else DyadicRect(*cubes)
+            assert characteristic_at(kind, None, box, sigma, omega, exps) == vals[tuple(pos)], (offsets, levels)
+            seen.add((offsets, levels))
+        assert len(seen) == (3 ** (m + n) - 1) * (depth + 1) ** len(dims)
+
+
+@pytest.mark.parametrize("dim, depth", [(1, 7), (2, 4), (3, 2)])
+def test_adjacent_onethird_cubes_add_up_to_their_union(dim, depth):
+    # a one-third grid's level cubes are the unions of their 2^d children,
+    # which share their edges exactly on the refined lattice: the
+    # children's masses add up to their union's to within 2 ulps
+    lat = make_lattice(dim, depth)
+    for w in (gen_weight(lat, {"kind": "cascade", "beta": 0.9, "seed": dim}), rand_w(lat, dim, rough=1.2)):
+        h = lattice._cellwise(lat, w.density)
+        axis_grids = onethird_grids(1, 0, depth)
+        for u in iproduct(range(3), repeat=dim):
+            for level in range(depth):
+                # per axis, the first block 3i + o of each level cube
+                firsts = [
+                    [3 * i + bump._thirds(axis_grids[k], 0, level) for i in bump._axis_cubes(axis_grids[k], level)]
+                    for k in u
+                ]
+                for ts in iproduct(*firsts):
+                    union = float(lattice._third_mass(h, lat, [(level, t) for t in ts]).flat[0])
+                    parts = []
+                    for half in iproduct((0, 3), repeat=dim):
+                        child = [(level + 1, 2 * t + c) for t, c in zip(ts, half)]
+                        if all(-2 <= t < 3 << (level + 1) for _, t in child):
+                            parts.append(float(lattice._third_mass(h, lat, child).flat[0]))
+                    assert abs(math.fsum(parts) - union) <= 2 * np.spacing(union), (u, level, ts)
+
+
+@pytest.mark.parametrize("kind", ["no_bump", "product_bump"])
+def test_cubes_off_the_refined_lattice_read_the_prefix_engine(kind):
+    # a shifted grid's cube, or a one-third cube finer than the lattice,
+    # is one scalar read of the prefix engine: the masses box_mass gives
+    # at the cube's edges, clamped at 0, through the scan's evaluator
+    from dyadlab.grids import sample_grid
+
+    lat = make_lattice(2, 4)
+    sigma = gen_weight(lat, {"kind": "cascade", "beta": 0.8, "seed": 2})
+    omega = rand_w(lat, 9)
+    exps = Exponents(p=2.0, q=4.0, alpha=0.5, beta=0.5, theta=1.5)
+    kernel = KernelHandle.from_exponents(exps)
+    boxes = [
+        DyadicRect(Cube(sample_grid(3, 1, 0, 6), 2, (1,)), Cube(onethird_grids(1, 0, 6)[1], 1, (0,))),
+        DyadicRect(Cube(onethird_grids(1, 0, 6)[2], 5, (20,)), Cube(standard_grid(1, 0, 6), 3, (2,))),
+        DyadicRect(Cube(onethird_grids(1, 0, 6)[1], 6, (-1,)), Cube(onethird_grids(1, 0, 6)[2], 6, (63,))),
+    ]
+    for box in boxes:
+        cubes = (box.i_cube, box.j_cube)
+        lo, hi = ([float(x) for c in cubes for x in c.bounds()[side]] for side in (0, 1))
+        masses = [np.array([max(box_mass(w, lo, hi, t), 0.0)]) for w, t in zip((sigma, omega), bump._thetas(kind, exps))]
+        want = bump._products(kind, kernel, exps, [(c.level, 1) for c in cubes], masses)[0]
+        assert characteristic_at(kind, None, box, sigma, omega, exps) == want
+
+
+def test_onethird_scan_refuses_past_the_array_budget(monkeypatch):
+    # the scan sizes its largest array before building any: one byte over
+    # the budget raises, and at the budget no array is larger
+    lat = make_lattice(2, 5)
+    w = rand_w(lat, 4)
+    exps = _exps(0.5, 0.5)
+    need = 8 * lattice._ThirdPyramid(lat, 1, 2 * 33**2).peak()
+    monkeypatch.setattr(lattice, "ARRAY_BUDGET_BYTES", need - 1)
+    refine = lattice._refine
+
+    def refuse(*args):
+        raise AssertionError("a refined array was built past the budget")
+
+    monkeypatch.setattr(lattice, "_refine", refuse)
+    with pytest.raises(ResourceError, match=f"{need} bytes, limit {need - 1}"):
+        characteristic("no_bump", None, w, w, exps, family="onethird")
+    largest = [0]
+
+    def measured(fn):
+        def run(*args):
+            out = fn(*args)
+            for x in out if isinstance(out, tuple) else (out,):
+                largest[0] = max(largest[0], np.size(x))
+            return out
+        return run
+
+    monkeypatch.setattr(lattice, "ARRAY_BUDGET_BYTES", need)
+    for name, fn in (("_refine", refine), ("_coarser", lattice._coarser),
+                     ("_triple", lattice._triple), ("_third_div", lattice._third_div)):
+        monkeypatch.setattr(lattice, name, measured(fn))
+    res = characteristic("no_bump", None, w, w, exps, family="onethird")
+    assert 8 * largest[0] == need
+    assert characteristic_at("no_bump", None, res.witness, w, w, exps) == res.value
+
+
+@pytest.mark.parametrize("dim, m, depth", [(1, None, 7), (2, None, 4), (2, 1, 5), (3, None, 2), (3, 1, 3), (3, 2, 2)])
+@pytest.mark.parametrize("weight", ["cascade", "zero_block", "huge"])
+def test_onethird_masses_match_exact_oracle(dim, m, depth, weight):
+    # every mass of every block, split or not, is the exact mass correctly
+    # rounded: the division by 3^d is corrected by its exact remainder (a
+    # plain division is 1 ulp off on about a quarter of the boxes), and 0 on
+    # the massless boxes; near-ties within about 2^-90 of a rounding
+    # boundary could round either way, which no case here meets.  A
+    # density near the float64 maximum, whose sums would overflow at 3^d
+    # times the masses, is summed at 2^-7 of its size
+    lat = make_lattice(dim, depth)
+    if weight == "cascade":
+        w = gen_weight(lat, {"kind": "cascade", "beta": 0.9, "seed": dim})
+    else:
+        dens = rand_w(lat, depth, rough=1.0).density.copy()
+        dens[(slice(1, 3),) * dim] = 0.0
+        w = Weight(lat, dens if weight == "zero_block" else dens / dens.max() * 1.7e308)
+    theta = 1.0 if weight == "huge" else 1.5
+    h = lattice._cellwise(lat, w.density, theta)
+    owner = [0] * dim if m is None else [0] * m + [1] * (dim - m)
+    pyramid = lattice._ThirdPyramid(lat, m, 2 * ((1 << depth) + 1) ** dim)
+    blocks = 0
+    for levels, groups, masses in pyramid.masses(h):
+        lo, hi = [], []
+        for k, g in enumerate(groups):
+            side = 1 << (depth - levels[owner[k]])
+            t = np.arange(masses.shape[k]) * (1 if g is None else 3) + (0 if g is None else g) - 2
+            lo.append(t * side)
+            hi.append((t + 3) * side)
+        exact = _exact_thirds(w, theta, lo, hi)
+        assert np.array_equal(masses, exact), (levels, groups)
+        blocks += 1
+    assert blocks >= (depth + 1) ** (1 if m is None else 2)

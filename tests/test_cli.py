@@ -248,6 +248,24 @@ def test_compute_doubling_over_the_size_tuple_budget_exits_2(mode, tmp_path, cap
     assert "size tuples, limit 63" in err
 
 
+def test_compute_onethird_over_the_array_budget_exits_2(tmp_path, capsys, monkeypatch):
+    # the one-third scan sizes its largest array before building any;
+    # past a smaller budget the CLI refuses with exit 2, no traceback
+    from dyadlab import lattice
+
+    sig_path, _ = _gen(tmp_path, "sig.wgt", seed=3)
+    om_path, _ = _gen(tmp_path, "om.wgt", seed=4)
+    monkeypatch.setattr(lattice, "ARRAY_BUDGET_BYTES", 4096)
+    args = ["compute", "characteristic", "--kind", "no_bump", "--family", "onethird",
+            "--sigma", str(sig_path), "--omega", str(om_path), "--p", "2", "--q", "4"]
+    assert main(args) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert "limit 4096 bytes" in err
+    monkeypatch.setattr(lattice, "ARRAY_BUDGET_BYTES", 1 << 30)
+    assert main(args) == 0
+
+
 def test_compute_doubling_csv_parses(tmp_path, capsys):
     path, _ = _gen(tmp_path, "w.wgt", dim=2, depth=4)
     code = main(["compute", "doubling", "--weight", str(path), "--mode", "product_reverse"])

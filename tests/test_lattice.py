@@ -42,8 +42,6 @@ from dyadlab.lattice import (
     tile_edges,
 )
 from dyadlab import lattice
-from dyadlab.bump import _axis_cubes
-from dyadlab.grids import onethird_grids
 from dyadlab.lattice import (
     Axis,
     BoxGrid,
@@ -51,7 +49,6 @@ from dyadlab.lattice import (
     _positive_counts,
     _weight_masses,
     box_list,
-    join_axes,
 )
 from dyadlab.weightio import read_weight, write_weight
 
@@ -610,12 +607,9 @@ def _former_masses(tab, count, lo, hi):
 
 
 @st.composite
-def _axis_layouts(draw, n: int, depth: int, joinable: bool = True):
+def _axis_layouts(draw, n: int, depth: int):
     """One axis of boxes as an Axis and as its edge arrays, built apart."""
-    kind = draw(st.sampled_from(
-        ["tiles", "progression", "placements", "doubles", "third", "fractional"]
-        + (["joined"] if joinable else [])
-    ))
+    kind = draw(st.sampled_from(["tiles", "progression", "placements", "doubles"]))
     if kind == "tiles":
         side = 1 << draw(st.integers(0, depth))
         count = draw(st.integers(1, n // side))
@@ -630,37 +624,12 @@ def _axis_layouts(draw, n: int, depth: int, joinable: bool = True):
         start = draw(st.integers(0, n - (count - 1) * step - width))
         lo = start + step * np.arange(count)
         return Axis.progression(start, count, step, width), lo, lo + width
-    if kind in ("placements", "doubles"):
-        m = 2 * draw(st.integers(1, max(1, n // 2)))
-        a = np.arange(n - m + 1)
-        if kind == "placements":
-            return lattice._placements(n, (m,)).axes[0], a, a + m
-        lo, hi = np.maximum(a - m // 2, 0), np.minimum(a + m + m // 2, n)
-        return lattice._doubles(n, (m,)).axes[0], lo, hi
-    if kind == "third":
-        grid = onethird_grids(1, 0, depth)[draw(st.integers(0, 2))]
-        level = draw(st.integers(0, depth))
-        index, ax = _axis_cubes(grid, level, depth)
-        side_cells = float(2.0 ** (depth - level))
-        a = np.arange(index.start, index.stop) * side_cells + float(grid.offset(0, level)) * n
-        return ax, np.clip(a, 0.0, n), np.clip(a + side_cells, 0.0, n)
-    if kind == "fractional":
-        # edges on thirds of a cell, some shared by neighbours, some parted
-        # from the next lower edge by one ulp, clipped to the box
-        count = draw(st.integers(1, 5))
-        ticks = sorted(draw(st.lists(st.integers(-n, 4 * n), min_size=count + 1,
-                                     max_size=count + 1)))
-        lo = np.clip(np.array(ticks[:-1]) / 3.0, 0.0, n)
-        hi = np.clip(np.array(ticks[1:]) / 3.0, 0.0, n)
-        parted = np.array(draw(st.lists(st.booleans(), min_size=count, max_size=count)))
-        hi = np.where(parted & (hi < n), np.nextafter(hi, np.inf), hi)
-        return Axis.vertices(lo, hi, n), lo, hi
-    parts = draw(st.lists(_axis_layouts(n, depth, joinable=False), min_size=1, max_size=3))
-    return (
-        join_axes([p[0] for p in parts], n),
-        np.concatenate([np.asarray(p[1], dtype=np.float64) for p in parts]),
-        np.concatenate([np.asarray(p[2], dtype=np.float64) for p in parts]),
-    )
+    m = 2 * draw(st.integers(1, max(1, n // 2)))
+    a = np.arange(n - m + 1)
+    if kind == "placements":
+        return lattice._placements(n, (m,)).axes[0], a, a + m
+    lo, hi = np.maximum(a - m // 2, 0), np.minimum(a + m + m // 2, n)
+    return lattice._doubles(n, (m,)).axes[0], lo, hi
 
 
 @st.composite
@@ -699,8 +668,7 @@ def test_vertex_reads_match_former_gather(case):
     got = box_masses(tab, grid)
     assert got.dtype == want.dtype and np.array_equal(got, want)
     assert np.array_equal(_masses(tab, count, grid), _former_masses(tab, count, lo, hi))
-    if grid.whole:
-        assert np.array_equal(box_masses(count, grid), _former_box_masses(count, lo, hi))
+    assert np.array_equal(box_masses(count, grid), _former_box_masses(count, lo, hi))
     # the grid unpacks to the same boxes, read the former way
     glo, ghi = grid
     assert np.array_equal(box_list(glo, ghi), box_list(lo, hi))

@@ -18,10 +18,11 @@ also at 2D depth 4, and the norm estimates of the first norm2d pair under
 a level-table kernel and over a family_of family holding a duplicated
 rectangle (per-rectangle coefficient arrays, and a fourth start seeded
 by the family's floor rectangle), with a digest of the bytes of each
-returned pair.  Each dyadic characteristic value and each embedding lhs
-also records, as NAME/oracle, its recomputation from math.fsum masses:
-the value at the reported witness, and the lhs over every box, with
-f * density summed exactly.  dyadlab is imported from --src, the
+returned pair.  Each characteristic value (the one-third scan's
+included) and each embedding lhs also records, as NAME/oracle, its
+recomputation from exact masses: the value at the reported witness,
+every cell counted by the share of it the box covers, and the lhs over
+every box, with f * density summed exactly.  dyadlab is imported from --src, the
 src/ directory next to this script unless given, so one script dumps any
 checkout.  --compare prints every quantity (a name with its unit and
 list index wildcarded) that moved, with its worst relative and absolute
@@ -38,6 +39,7 @@ import math
 import re
 import struct
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -50,24 +52,42 @@ def _fsum_mass(cells, box) -> float:
     return math.fsum(cells[box].ravel().tolist())
 
 
+def _exact_mass(cells, box) -> float:
+    """The mass of a box given per axis as (lo, hi) in thirds of a cell:
+    each cell's value times the thirds of it the box covers, summed
+    exactly and divided by 3 per axis (math.fsum on whole cells)."""
+    import numpy as np
+
+    if all(a % 3 == 0 and b % 3 == 0 for a, b in box):
+        return _fsum_mass(cells, tuple(slice(a // 3, b // 3) for a, b in box))
+    counts = np.ones(())
+    for a, b in box:
+        j = np.arange(a // 3, -(-b // 3))
+        counts = np.multiply.outer(counts, np.minimum(b, 3 * j + 3) - np.maximum(a, 3 * j))
+    sel = cells[tuple(slice(a // 3, -(-b // 3)) for a, b in box)]
+    total = sum(Fraction(v) * int(c) for v, c in zip(sel.ravel().tolist(), counts.ravel().tolist()))
+    return float(total / 3 ** len(box))
+
+
 def _char_oracle(kind: str, witness, sigma, omega, exps) -> float:
-    """The characteristic's value at a standard witness, its masses the
-    math.fsum of the box's cells density**theta * cell_volume."""
+    """The characteristic's value at a std or one-third witness, its
+    masses exact sums of the box's share of each cell of density**theta *
+    cell_volume."""
     import numpy as np
 
     cubes = (witness,) if kind == "one_param" else (witness.i_cube, witness.j_cube)
     lat = sigma.lattice
+    top = 3 << lat.depth  # thirds of a cell per axis
     box, vol, kval = [], 1.0, 1.0
     for c, k_exp in zip(cubes, (exps.alpha / exps.m - 1.0, exps.beta / exps.n - 1.0)):
-        side = lat.cells_per_axis >> c.level
-        box += [slice(i * side, (i + 1) * side) for i in c.index]
+        box += [(min(max(int(a * top), 0), top), min(max(int(b * top), 0), top)) for a, b in zip(*c.bounds())]
         side_vol = 2.0 ** (-c.level * c.grid.dim)
         vol, kval = vol * side_vol, kval * side_vol**k_exp
     bumped = {"no_bump": (False, False), "half_bump_omega": (False, True)}.get(kind, (True, True))
     bumps = []
     for w, b in zip((sigma, omega), bumped):
         t = exps.theta if b else 1.0
-        mass = _fsum_mass(np.power(w.density, t) * lat.cell_volume, tuple(box))
+        mass = _exact_mass(np.power(w.density, t) * lat.cell_volume, box)
         bumps.append(vol ** (1.0 - 1.0 / t) * np.power(np.array([mass]), 1.0 / t))
     out = kval * np.power(bumps[0], 1.0 / exps.p_prime) * np.power(bumps[1], 1.0 / exps.q)
     return float(out[0])
@@ -179,11 +199,10 @@ def _scan2d(seed: int, unit: int, out: dict) -> None:
         out[f"{key}/{kind}/value/oracle"] = _char_oracle(kind, res.witness, sigma, omega, wl.EXPS)
         out[f"{key}/{kind}/witness"] = wl.describe(res.witness)
     lat6 = make_lattice(2, wl.ONETHIRD_DEPTH)
-    res = characteristic(
-        "no_bump", None, gen_weight(lat6, spec_s), gen_weight(lat6, spec_o), wl.EXPS,
-        family="onethird",
-    )
+    pair6 = gen_weight(lat6, spec_s), gen_weight(lat6, spec_o)
+    res = characteristic("no_bump", None, *pair6, wl.EXPS, family="onethird")
     out[f"{key}/no_bump_onethird/value"] = res.value
+    out[f"{key}/no_bump_onethird/value/oracle"] = _char_oracle("no_bump", res.witness, *pair6, wl.EXPS)
     out[f"{key}/no_bump_onethird/witness"] = wl.describe(res.witness)
     rep = doubling_report(omega, "cube")
     out[f"{key}/doubling_cube/value"] = rep.constant
