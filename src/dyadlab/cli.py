@@ -202,6 +202,20 @@ def _exps_from(ns) -> Exponents:
     )
 
 
+def _witness_fields(wit) -> dict:
+    """A doubling witness as report fields: boxes in cell units."""
+    return {
+        "kind": wit.kind,
+        "rect_lo": list(wit.rect.lo),
+        "rect_hi": list(wit.rect.hi),
+        "other_lo": list(wit.other.lo),
+        "other_hi": list(wit.other.hi),
+        "axis": wit.axis,
+        "shrink": wit.shrink,
+        "value": wit.value,
+    }
+
+
 def cmd_compute(ns) -> int:
     cfg = RunConfig.from_ns(ns)
     if ns.quantity == "characteristic":
@@ -233,13 +247,19 @@ def cmd_compute(ns) -> int:
             "strong_beta": rep.strong_beta,
             "passes_reverse": rep.passes_reverse if rep.mode == "product_reverse" else None,
         }
+        witnesses = {name: _witness_fields(wit) for name, wit in sorted(rep.witnesses.items())}
         if ns.fmt == "json":
-            text = json.dumps(payload, indent=2) + "\n"
+            text = json.dumps({**payload, "witnesses": witnesses}, indent=2) + "\n"
         else:
             buf = io.StringIO()
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(["field", "value"])
             writer.writerows((key, str(val)) for key, val in payload.items())
+            writer.writerows(
+                (f"witness/{name}/{key}", str(val))
+                for name, fields in witnesses.items()
+                for key, val in fields.items()
+            )
             text = buf.getvalue()
     _write_out(text, cfg.out)
     return _EXIT_OK

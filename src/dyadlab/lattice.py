@@ -15,16 +15,19 @@ _ThirdPyramid, reads every other cube product of the one-third grids
 (their scans and witnesses, _third_mass) the same way over a lattice
 whose axes are cut, one at a time, into thirds of a cell, on which every
 one-third cube is whole; each mass is within about half an ulp of its
-exact sum.  The prefix engine, box_masses, reads the rest (the doubling
-scans, cell boxes of bump_cube and integrate, arbitrary boxes of
-box_mass, and characteristic_at on a shifted or finer-than-the-lattice
-cube) as the mixed corner difference of a long-double prefix table,
-looked up directly on whole-cell edges and interpolated multilinearly on
-fractional ones.  A BoxGrid, the outer product of per-axis whole-cell
-boxes, is read at its vertices as strided views of the table; per-axis
-edge arrays that broadcast together gather every corner of every box,
-with the same per-point arithmetic.  Leading table axes are a
-batch.  Each prefix mass is rounded to float64 once, and every
+exact sum.  The product-reverse doubling scan and its shrink witnesses
+read the dyadic pyramid summed one axis at a time, each level also giving
+the odd-offset pair sums that are the concentric shrinks of the coarser
+edges.  The prefix engine, box_masses, reads the rest (the cube,
+rectangle and strong doubling scans, cell boxes of bump_cube and
+integrate, arbitrary boxes of box_mass, and characteristic_at on a
+shifted or finer-than-the-lattice cube) as the mixed corner difference
+of a long-double prefix table, looked up directly on whole-cell edges
+and interpolated multilinearly on fractional ones.  A BoxGrid, the outer
+product of per-axis whole-cell boxes, is read at its vertices as strided
+views of the table; per-axis edge arrays that broadcast together gather
+every corner of every box, with the same per-point arithmetic.  Leading
+table axes are a batch.  Each prefix mass is rounded to float64 once, and every
 elementwise power (density**theta, f**p, the bump, Carleson and
 embedding terms) runs in float64, so the maps do not depend on the
 platform's longdouble kind; the prefix masses still do.  At theta = 1
@@ -33,8 +36,10 @@ and p = 1 the powers keep the bits.
 Besides the integration core this module owns the weight generators, the
 doubling / reverse-doubling / strong-reverse-doubling scans with their
 witnesses, and the explicit doubling bound implied by a strong
-reverse-doubling constant.  The doubling and strong scans bound every
-ratio in float64 and read only the boxes that can win in long double.
+reverse-doubling constant.  The cube, rectangle and strong scans bound
+every ratio in float64 and read only the boxes that can win in long
+double; the product-reverse scan reads every tile and shrink from its
+pyramid.
 """
 from __future__ import annotations
 
@@ -1009,8 +1014,12 @@ class Witness:
     value: float
 
     def reevaluate(self, w: Weight) -> float:
-        num = integrate(w, self.other)
-        den = integrate(w, self.rect)
+        """mass(other) / mass(rect) by the scan's own engine: a shrink's
+        masses are summed from each box's own cells by the product-reverse
+        pyramid's tree (_axis_tree_mass), every other kind's are read by
+        integrate from the long-double prefix table."""
+        mass = _axis_tree_mass if self.kind == "shrink" else integrate
+        num, den = mass(w, self.other), mass(w, self.rect)
         if den == 0.0:
             return INFINITE if num > 0 else 0.0
         return num / den
@@ -1373,13 +1382,38 @@ def _eps_from_per_scale(per_s: dict[int, tuple]) -> tuple[float | None, Witness 
     return max(best_eps, 0.0), wit
 
 
-def _shrunk(tiles: BoxGrid, sides, axes, s: int) -> BoxGrid:
-    """tiles, each cube shrunk concentrically by 2^-s along the given axes."""
-    for axis in axes:
-        inner = sides[axis] >> s
-        start = (sides[axis] - inner) // 2
-        tiles = tiles.replace(axis, Axis.progression(start, tiles.shape[axis], sides[axis], inner))
-    return tiles
+# The product-reverse scan reads every mass from one compensated pyramid,
+# summed along one axis at a time, axis 0 first, each axis down to its
+# level before the next.  A concentric shrink by 2^-s of the level-l edge
+# of index i, s <= L - l - 1, is exactly the two level-(l + s + 1) blocks
+# 2k + 1 and 2k + 2, k = i 2^s + 2^(s-1) - 1: an odd-offset pair, whose
+# sum with its TwoSum error is one more halving step of those two blocks.
+# Every odd-offset pair of a level is one shrink of one coarser edge, so
+# each level of an axis gives two arrays, its halving and its pairs, and
+# the 2^-s shrinks of the level-l edges are the pairs of level l + s + 1
+# from k = 2^(s-1) - 1 on in steps of 2^s: a strided view.  An axis is
+# walked fine to coarse, each level dropped once the next is summed and
+# its pairs kept for the coarser ones.  Each level of an axis stacks, on a
+# leading axis, the tiles, the cube shrinks while every level so far is
+# equal, the earlier axes' shrinks (halved as the tiles are) and the
+# tiles' shrinks along this axis; the last axis's levels hold every box a
+# level tuple tests.  A box's mass is the tree sum of its own cells,
+# which _axis_tree_mass repeats.
+
+
+def _axis_tree_mass(w: Weight, rect: Rect) -> float:
+    """rect's mass summed from its own cells by _halve, down to one block
+    along axis 0, then axis 1, and so on: the product-reverse scan's tree,
+    whose boxes are 2^k cells wide on every axis; any other raises
+    ShapeError."""
+    _check_rect(w.lattice, rect)
+    if any(b - a < 1 or (b - a) & (b - a - 1) for a, b in zip(rect.lo, rect.hi)):
+        raise ShapeError(f"box {rect.lo}..{rect.hi} is not 2^k cells wide on every axis")
+    a, err = _cellwise(w.lattice, w.density[tuple(map(slice, rect.lo, rect.hi))]), 0.0
+    for ax in range(a.ndim):
+        while a.shape[ax] > 1:
+            a, err = _halve(a, (ax,), err)
+    return float((a + err).flat[0])
 
 
 def _scan_product_reverse(w: Weight) -> DoublingReport:
@@ -1388,53 +1422,103 @@ def _scan_product_reverse(w: Weight) -> DoublingReport:
     A concentric shrink by 2^-s of a level-l dyadic edge stays cell-aligned
     exactly for s <= L - l - 1; those are the tested scales.  Per-axis
     shrinks give the product exponents, shrinking all axes of a dyadic cube
-    at once gives the cube exponent.  A scale keeps its best (levels, axes,
-    flat index); the witness boxes are built once, at the end.
+    at once gives the cube exponent.  A level tuple with no tested scale is
+    not read.  Each scale keeps its first maximizer in level-tuple product
+    order, then C order, as (ratio, levels, flat index); the witness boxes
+    are built once, at the end.
     """
     lat = w.lattice
-    n = lat.cells_per_axis
-    origin, top = (0,) * lat.dim, (n,) * lat.dim
-    rep = DoublingReport(mode="product_reverse", rev_C=1.0)
-    axis_per_s: list[dict[int, tuple]] = [dict() for _ in range(lat.dim)]
-    cube_per_s: dict[int, tuple] = {}
+    depth, dim, n = lat.depth, lat.dim, lat.cells_per_axis
+    best: dict[tuple, tuple] = {}  # ("axis", k, s) or ("cube", s) -> best
 
-    for levels in _iproduct(*([range(lat.depth + 1)] * lat.dim)):
-        sides = [n >> lv for lv in levels]
-        tiles = tile_edges(origin, top, sides)
-        base = _weight_masses(w, tiles).astype(np.float64)
+    def walk(a, err, labels, levels):
+        # axis j of the lattice, axis j + 1 of the stack, is summed here.
+        # Entry 0 of the stack holds the tiles; while every level so far is
+        # equal, entries 1..cubes hold the cube shrinks by 2^-1, 2^-2, ...
+        # of the earlier axes (at j = 1 the axis-0 shrinks), which from
+        # j = 2 on are dropped once this axis shrinks them too.
+        j, ax = len(levels), len(levels) + 1
+        cubes = max(depth - levels[0] - 1, 0) if j and len(set(levels)) == 1 else 0
+        partial = cubes if j > 1 else 0
+        rest = (slice(None),) * (ax - 1)
+        pairs = {}  # level -> (sums, errors) of the odd-offset pairs of entries 0..cubes
+
+        def shrunk(entry: int, level: int, s: int) -> tuple:
+            at = (slice(entry, entry + 1),) + rest + (slice((1 << (s - 1)) - 1, None, 1 << s),)
+            return tuple(x[at] for x in pairs[level + s + 1])
+
+        def odd(x, k: int):
+            if not isinstance(x, np.ndarray):
+                return x
+            return x[(slice(0, 1 + cubes),) + rest + (slice(1 + k, x.shape[ax] - 1 + k, 2),)]
+
+        for level in range(depth, -1, -1):
+            if level < depth:
+                a, err = _halve(a, (ax,), err)
+            scales = range(1, depth - level)
+            cube = [("cube", s) for s in scales] if cubes and level == levels[0] else []
+            mine = [("axis", j, s) for s in scales]
+            here, part, perr = labels, a, err
+            if cube or mine or partial:
+                old = slice(1 + partial, None)
+                here = labels[:1] + cube + labels[old] + mine
+                cube_rows = [shrunk(s, level, s) for _, s in cube]
+                mine_rows = [shrunk(0, level, s) for *_, s in mine]
+                part, perr = (
+                    np.concatenate([x[:1], *(r[k] for r in cube_rows), x[old], *(r[k] for r in mine_rows)])
+                    for k, x in enumerate((a, err))
+                )
+            if j + 1 < dim:
+                walk(part, perr, here, levels + (level,))
+            elif len(here) > 1:
+                read(part + perr, here, levels + (level,))
+            del part, perr  # the stack goes before the pairs are built
+            if level >= 2:
+                pairs[level] = _add(*(odd(x, k) for x in (a, err) for k in (0, 1)))
+
+    def read(masses, labels, levels):
+        base = masses[0]
         ok = base > 0.0
         if not ok.any():
-            continue
-        safe = np.where(ok, base, 1.0)
-        shrinks = [
-            (axis_per_s[axis], s, (axis,))
-            for axis in range(lat.dim)
-            for s in range(1, lat.depth - levels[axis])
-        ]
-        if len(set(levels)) == 1:
-            shrinks += [(cube_per_s, s, range(lat.dim)) for s in range(1, lat.depth - levels[0])]
-        for per_s, s, axes in shrinks:
-            small = _weight_masses(w, _shrunk(tiles, sides, axes, s)).astype(np.float64)
-            ratios = np.where(ok, small / safe, -1.0)
-            i = int(np.argmax(ratios))
-            r = float(ratios.flat[i])
-            cur = per_s.get(s)
-            if cur is None or r > cur[0]:
-                per_s[s] = (r, sides, axes, i)
+            return
+        ratios = np.where(ok, masses[1:] / np.where(ok, base, 1.0), -1.0).reshape(len(labels) - 1, -1)
+        flat = ratios.argmax(axis=1)
+        for lab, r, i in zip(labels[1:], ratios[np.arange(flat.size), flat].tolist(), flat.tolist()):
+            # in 1D the cube shrinks are the axis's
+            for key in (lab, ("cube", lab[-1])) if dim == 1 else (lab,):
+                cur = best.get(key)
+                # the walk runs fine to coarse; a tie goes to the first level tuple
+                if cur is None or r > cur[0] or (r == cur[0] and levels < cur[1]):
+                    best[key] = (r, levels, i)
 
-    def boxes(per_s: dict[int, tuple]) -> dict[int, tuple]:
+    walk(_cellwise(lat, w.density)[None], 0.0, [("base",)], ())
+
+    def boxes(key) -> dict[int, tuple]:
+        """s -> (ratio, tile, shrunk box) of the best of key + (s,)."""
         out = {}
-        for s, (r, sides, axes, i) in per_s.items():
-            tiles = tile_edges(origin, top, sides)
-            out[s] = (r, tiles.rect(i), _shrunk(tiles, sides, axes, s).rect(i))
+        for s in range(1, depth):
+            if key + (s,) not in best:
+                continue
+            r, levels, i = best[key + (s,)]
+            sides = [n >> lv for lv in levels]
+            pos = np.unravel_index(i, [1 << lv for lv in levels])
+            lo = [int(p) * side for p, side in zip(pos, sides)]
+            hi = [a + side for a, side in zip(lo, sides)]
+            ilo, ihi = list(lo), list(hi)
+            for k in range(dim) if key == ("cube",) else key[1:]:
+                ilo[k] += (sides[k] - (sides[k] >> s)) // 2
+                ihi[k] = ilo[k] + (sides[k] >> s)
+            out[s] = (r, Rect(tuple(lo), tuple(hi)), Rect(tuple(ilo), tuple(ihi)))
         return out
 
+    rep = DoublingReport(mode="product_reverse", rev_C=1.0)
     per_scale: dict = {}
     eps_list = []
-    for axis in range(lat.dim):
-        for s, (r, *_) in axis_per_s[axis].items():
+    for axis in range(dim):
+        found = boxes(("axis", axis))
+        for s, (r, *_) in found.items():
             per_scale[("axis", axis, s)] = r
-        eps, wit = _eps_from_per_scale(boxes(axis_per_s[axis]))
+        eps, wit = _eps_from_per_scale(found)
         if eps is None:
             eps = 0.0
         else:
@@ -1442,9 +1526,10 @@ def _scan_product_reverse(w: Weight) -> DoublingReport:
         eps_list.append(eps)
     rep.rev_eps = tuple(eps_list)
 
-    for s, (r, *_) in cube_per_s.items():
+    found = boxes(("cube",))
+    for s, (r, *_) in found.items():
         per_scale[("cube", s)] = r
-    eps_cube, wit_cube = _eps_from_per_scale(boxes(cube_per_s))
+    eps_cube, wit_cube = _eps_from_per_scale(found)
     if eps_cube is None:
         rep.rev_eps_cube = 0.0
     else:
@@ -1500,6 +1585,9 @@ def doubling_report(w: Weight, mode: str) -> DoublingReport:
     cube, rectangle and strong keep the bits of a full long-double scan:
     a float64 screen bounds every ratio, and long double decides every
     candidate, each box that can win or may be massless.
+    product_reverse reads no prefix table: every tile and shrunk box is a
+    compensated pyramid sum of its own cells, within an ulp of its exact
+    mass, and its witnesses re-evaluate through the same tree.
     """
     if w.lattice.depth < 2:
         raise DomainError("doubling scans need depth >= 2")

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dyadlab import characteristic, Exponents, gen_weight, make_lattice
+from dyadlab import characteristic, doubling_report, Exponents, gen_weight, make_lattice
 from dyadlab.cli import main
 from dyadlab.grids import parse_grid
 from dyadlab.suite import CheckRow, rows_to_csv, rows_to_json, run_suite
@@ -224,14 +224,36 @@ def test_compute_malformed_weight_is_io_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _witness_row(wit) -> dict:
+    return {
+        "kind": wit.kind,
+        "rect_lo": list(wit.rect.lo),
+        "rect_hi": list(wit.rect.hi),
+        "other_lo": list(wit.other.lo),
+        "other_hi": list(wit.other.hi),
+        "axis": wit.axis,
+        "shrink": wit.shrink,
+        "value": wit.value,
+    }
+
+
 def test_compute_doubling_json(tmp_path, capsys):
-    path, _ = _gen(tmp_path, "w.wgt", dim=1, depth=5)
+    path, w = _gen(tmp_path, "w.wgt", dim=1, depth=5)
     code = main(
         ["compute", "doubling", "--weight", str(path), "--mode", "product_reverse", "--format", "json"]
     )
     out = capsys.readouterr().out
     assert code == 0
     assert '"mode": "product_reverse"' in out
+    # every witness of the scan, its boxes in cell units
+    rep = doubling_report(read_weight(path), "product_reverse")
+    got = json.loads(out)["witnesses"]
+    assert sorted(got) == ["reverse_axis_0", "reverse_cube"]
+    assert got == {name: _witness_row(wit) for name, wit in rep.witnesses.items()}
+    assert got["reverse_axis_0"]["kind"] == "shrink" and got["reverse_axis_0"]["shrink"] >= 1
+    code = main(["compute", "doubling", "--weight", str(path), "--mode", "strong", "--format", "json"])
+    strong = json.loads(capsys.readouterr().out)["witnesses"]["strong"]
+    assert code == 0 and strong["kind"] == "half" and strong["axis"] == 0
 
 
 @pytest.mark.parametrize("mode", ["strong", "rectangle"])
@@ -275,6 +297,12 @@ def test_compute_doubling_csv_parses(tmp_path, capsys):
     assert all(len(row) == 2 for row in rows)
     fields = dict(rows[1:])
     assert fields["rev_eps"].startswith("[") and fields["mode"] == "product_reverse"
+    rep = doubling_report(read_weight(path), "product_reverse")
+    assert sorted(rep.witnesses) == ["reverse_axis_0", "reverse_axis_1", "reverse_cube"]
+    for name, wit in rep.witnesses.items():
+        for key, val in _witness_row(wit).items():
+            assert fields[f"witness/{name}/{key}"] == str(val)
+    assert fields["witness/reverse_cube/kind"] == "shrink"
 
 
 # ---------------------------------------------------------------------------

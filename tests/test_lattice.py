@@ -374,6 +374,111 @@ def test_doubling_witness_reevaluates_exactly():
         assert wit.reevaluate(w) == wit.value
 
 
+def _reverse_weight(lat, kind):
+    if kind == "zero_block":
+        # a lognormal weight with a block of zero cells, a quarter of the
+        # box per axis, off the origin
+        w = gen_weight(lat, {"kind": "random_lognormal", "seed": 8, "roughness": 0.7})
+        dens = np.array(w.density)
+        q = lat.cells_per_axis // 4
+        dens[(slice(q, 2 * q),) * lat.dim] = 0.0
+        return Weight(lat, dens)
+    specs = {
+        "cascade_07": {"kind": "cascade", "beta": 0.7, "seed": 5},
+        "cascade_09": {"kind": "cascade", "beta": 0.9, "seed": 6},
+        "lognormal": {"kind": "random_lognormal", "seed": 7, "roughness": 1.1},
+        "halfspace": {"kind": "halfspace_cutoff"},
+    }
+    return gen_weight(lat, specs[kind])
+
+
+def _reverse_oracle(w):
+    """The product-reverse scan by brute force: per tested key, the first
+    maximum of fl(fsum(inner) / fsum(tile)) over tiles of positive mass in
+    level-tuple product order, then C order, with its boxes."""
+    lat = w.lattice
+    depth, dim, n = lat.depth, lat.dim, lat.cells_per_axis
+    cells = w.density * lat.cell_volume
+
+    def mass(lo, hi):
+        return math.fsum(cells[tuple(map(slice, lo, hi))].ravel().tolist())
+
+    best = {}
+    for levels in iproduct(range(depth + 1), repeat=dim):
+        sides = [n >> lv for lv in levels]
+        keys = [(("axis", k, s), (k,)) for k in range(dim) for s in range(1, depth - levels[k])]
+        if len(set(levels)) == 1:
+            keys += [(("cube", s), range(dim)) for s in range(1, depth - levels[0])]
+        for idx in np.ndindex(*[1 << lv for lv in levels]):
+            lo = [i * side for i, side in zip(idx, sides)]
+            hi = [a + side for a, side in zip(lo, sides)]
+            tile = mass(lo, hi)
+            if tile <= 0.0:
+                continue
+            for key, axes in keys:
+                s, ilo, ihi = key[-1], list(lo), list(hi)
+                for k in axes:
+                    ilo[k] += (sides[k] - (sides[k] >> s)) // 2
+                    ihi[k] = ilo[k] + (sides[k] >> s)
+                r = mass(ilo, ihi) / tile
+                if key not in best or r > best[key][0]:
+                    best[key] = (r, Rect(tuple(lo), tuple(hi)), Rect(tuple(ilo), tuple(ihi)))
+    return best
+
+
+def _decay(ratios: dict):
+    """(exponent, s) of the worst decay over the scales' ratios, the
+    exponent clamped at 0; (0.0, None) when no ratio is positive."""
+    eps, at = math.inf, None
+    for s, r in sorted(ratios.items()):
+        if r > 0.0 and -math.log2(r) / s < eps:
+            eps, at = -math.log2(r) / s, s
+    return (0.0, None) if at is None else (max(eps, 0.0), at)
+
+
+@pytest.mark.parametrize("dim, depth", [(1, 6), (2, 4), (3, 2)])
+@pytest.mark.parametrize("kind", ["cascade_07", "cascade_09", "lognormal", "halfspace", "zero_block"])
+def test_product_reverse_matches_brute_force(dim, depth, kind):
+    w = _reverse_weight(make_lattice(dim, depth), kind)
+    rep = doubling_report(w, "product_reverse")
+    oracle = _reverse_oracle(w)
+    assert rep.per_scale == {key: r for key, (r, *_) in oracle.items()}
+    per_key = {}
+    for key, r in rep.per_scale.items():
+        per_key.setdefault(key[:-1], {})[key[-1]] = r
+    names = [("reverse_axis_%d" % k, ("axis", k)) for k in range(dim)] + [("reverse_cube", ("cube",))]
+    for k, (name, key) in enumerate(names):
+        eps, s = _decay(per_key.get(key, {}))
+        assert (rep.rev_eps_cube if key == ("cube",) else rep.rev_eps[k]) == eps
+        if s is None:
+            assert name not in rep.witnesses
+            continue
+        wit = rep.witnesses[name]
+        r, tile, inner = oracle[key + (s,)]
+        assert (wit.kind, wit.shrink, wit.value, wit.rect, wit.other) == ("shrink", s, r, tile, inner)
+        assert wit.reevaluate(w) == wit.value
+
+
+def test_product_reverse_reads_no_prefix_table(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the product-reverse scan read the prefix engine")
+
+    monkeypatch.setattr(lattice, "box_masses", refuse)
+    for dim, depth in [(1, 6), (2, 4), (3, 3)]:
+        w = _reverse_weight(make_lattice(dim, depth), "cascade_09")
+        rep = doubling_report(w, "product_reverse")
+        assert rep.witnesses
+        for wit in rep.witnesses.values():
+            assert wit.reevaluate(w) == wit.value
+        assert w._prefix == {}
+    # a shrink witness's boxes are 2^k cells wide on every axis
+    w = _reverse_weight(make_lattice(2, 4), "lognormal")
+    bad = [(Rect((0, 0), (3, 4)), ShapeError), (Rect((0, 4), (4, 4)), ShapeError), (Rect((0, 0), (4, 32)), DomainError)]
+    for other, error in bad:
+        with pytest.raises(error):
+            lattice.Witness("shrink", Rect((0, 0), (4, 4)), other, None, 1, 0.5).reevaluate(w)
+
+
 @pytest.mark.parametrize("seed, block", [(38, (20, 21)), (4, (17, 22))])
 def test_zero_block_has_exactly_zero_mass(seed, block):
     # the corner sum of nonzero prefix values left a residual of +-5.42e-20

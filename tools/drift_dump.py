@@ -19,9 +19,10 @@ a level-table kernel and over a family_of family holding a duplicated
 rectangle (per-rectangle coefficient arrays, and a fourth start seeded
 by the family's floor rectangle), with a digest of the bytes of each
 returned pair.  Each characteristic value (the one-third scan's
-included) and each embedding lhs also records, as NAME/oracle, its
-recomputation from exact masses: the value at the reported witness,
-every cell counted by the share of it the box covers, and the lhs over
+included), each product-reverse witness value and each embedding lhs
+also records, as NAME/oracle, its recomputation from exact masses: the
+value at the reported witness, every cell counted by the share of it the
+box covers, the witness's ratio of math.fsum masses, and the lhs over
 every box, with f * density summed exactly.  dyadlab is imported from --src, the
 src/ directory next to this script unless given, so one script dumps any
 checkout.  --compare prints every quantity (a name with its unit and
@@ -50,6 +51,18 @@ DOUBLING_DEPTH = 4
 
 def _fsum_mass(cells, box) -> float:
     return math.fsum(cells[box].ravel().tolist())
+
+
+def _ratio_oracle(cells, wit) -> float:
+    """A witness's ratio, mass(other) / mass(rect), each mass the
+    math.fsum of its cells."""
+    num, den = (
+        _fsum_mass(cells, tuple(slice(a, b) for a, b in zip(r.lo, r.hi)))
+        for r in (wit.other, wit.rect)
+    )
+    if den == 0.0:
+        return math.inf if num > 0.0 else 0.0
+    return num / den
 
 
 def _exact_mass(cells, box) -> float:
@@ -210,8 +223,11 @@ def _scan2d(seed: int, unit: int, out: dict) -> None:
     rep = doubling_report(omega, "product_reverse")
     out[f"{key}/doubling_product_reverse/rev_eps"] = list(rep.rev_eps)
     out[f"{key}/doubling_product_reverse/rev_eps_cube"] = rep.rev_eps_cube
+    cells = omega.density * lat.cell_volume
     for name, wit in sorted(rep.witnesses.items()):
         out[f"{key}/doubling_product_reverse/{name}/witness"] = wl.describe(wit)
+        out[f"{key}/doubling_product_reverse/{name}/value"] = wit.value
+        out[f"{key}/doubling_product_reverse/{name}/value/oracle"] = _ratio_oracle(cells, wit)
     lat4 = make_lattice(2, DOUBLING_DEPTH)
     for which, spec in (("sigma", spec_s), ("omega", spec_o)):
         w = gen_weight(lat4, spec)
