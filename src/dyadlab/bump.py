@@ -417,7 +417,8 @@ def _grids_for(family: str, dim: int, depth: int) -> list[DyadicGrid]:
 
 def _dyadic_levels(kind, kernel, sigma, omega, exps, dims):
     """(level tuple, products) per level tuple of the standard grid pair,
-    in product order, from the sigma and omega pyramids."""
+    in the pyramids' order (_level_masses), from the sigma and omega
+    pyramids."""
     lat, m = sigma.lattice, _factor_m(dims)
     weights = zip((sigma, omega), _thetas(kind, exps))
     for (lv, ms), (_, mw) in zip(*(_level_masses(_cellwise(lat, w.density, t), lat, m) for w, t in weights)):

@@ -9,7 +9,7 @@ compensated float64 pairwise sum of the box's own cells.  The good-cube Carleson
 takes cube goodness from the skeleton-goodness kernel in `grids`.  One
 batched evaluator, _embeddings, makes every embedding sum: the cube check
 and the rectangle lhs are its batch of one, and the rectangle proof chain
-is one call per level of slices and one over the points.
+is one call over the slices of every level and one over the points.
 """
 
 from __future__ import annotations
@@ -309,8 +309,9 @@ def _embeddings(f, u, lat: Lattice, theta: float, r: float, s: float, m: int | N
     cellwise f under density u (trailing axes the lattice lat, leading ones
     a batch), over the dyadic cubes (m None) or the products of a dyadic
     cube of the first m axes with one of the rest, level tuple by level
-    tuple of the two dyadic pyramids.  A batch index sums its terms in one
-    run, so it keeps the bits of a batch of one.  Each term is one float64
+    tuple of the two dyadic pyramids, the level tuples' sums added in
+    product order.  A batch index sums its terms in one run, so it keeps
+    the bits of a batch of one.  Each term is one float64
     power, (mf * bump^(1/s - 1))^r, as mf^r * bump^(r/s - r) underflows."""
     if f.shape != u.shape:
         raise ShapeError("function and weight live on different lattices")
@@ -319,12 +320,15 @@ def _embeddings(f, u, lat: Lattice, theta: float, r: float, s: float, m: int | N
         _level_masses(_cellwise(lat, u, theta), lat, m),
         _level_masses(f * u * lat.cell_volume, lat, m),
     )
-    total = _LD(0.0)
+    sums = {}  # level tuple -> long-double term sum per batch index
     for (lv, mu), (_, mf) in pyramids:
         b = _bump_map(mu, 2.0 ** -sum(k * d for k, d in zip(lv, dims)), theta)
         pos = b > 0.0
         terms = np.where(pos, np.power(mf * np.power(np.where(pos, b, 1.0), 1 / s - 1), r), 0.0)
-        total = total + terms.reshape(terms.shape[: -lat.dim] + (-1,)).sum(axis=-1, dtype=_LD)
+        sums[lv] = terms.reshape(terms.shape[: -lat.dim] + (-1,)).sum(axis=-1, dtype=_LD)
+    total = _LD(0.0)
+    for lv in sorted(sums):
+        total = total + sums[lv]
     lhs = np.power(total, _LD(1.0) / _LD(r)).astype(np.float64)
     return lhs, _lp_norms(lat, f, u, s).astype(np.float64), total
 
@@ -417,21 +421,23 @@ def embed_check_rects(
 
 def _proof_chain(f: GridFunction, w: Weight, theta: float, r: float, s: float, m: int):
     """slice_lhs, slice_rhs: cube embeddings of g_J under the slice profile
-    of each dyadic J (by level, then C order), one call per level;
-    point_lhs, point_rhs: of f(x, .) under w(x, .), x in C order."""
+    of each dyadic J (by level, then C order), every level's slices one
+    batch of one call; point_lhs, point_rhs: of f(x, .) under w(x, .), x
+    in C order."""
     lat = w.lattice
     n_ax, depth = lat.dim - m, lat.depth
     m_lat = make_lattice(m, depth)
     fu = f.values.astype(_LD) * w.density.astype(_LD)
-    slices = []
+    gs, profiles = [], []
     for lj in range(depth + 1):
         dens = _level_profiles(w, theta, n_ax, lj)
         h = _block_sums(fu, n_ax, lat.cells_per_axis >> lj) * _LD(2.0) ** (-n_ax * depth)
         g = np.where(dens > 0.0, h.astype(np.float64) / np.where(dens > 0.0, dens, 1.0), 0.0)
-        slices.append([v.ravel() for v in _embeddings(g, dens, m_lat, theta, r, s)[:2]])
-    slice_lhs, slice_rhs = (np.concatenate(v) for v in zip(*slices))
+        gs.append(g.reshape((-1,) + m_lat.shape))
+        profiles.append(dens.reshape((-1,) + m_lat.shape))
+    slices = _embeddings(np.concatenate(gs), np.concatenate(profiles), m_lat, theta, r, s)[:2]
     points = _embeddings(f.values, w.density, make_lattice(n_ax, depth), theta, r, s)[:2]
-    return slice_lhs, slice_rhs, *(v.ravel() for v in points)
+    return *(v.ravel() for v in slices), *(v.ravel() for v in points)
 
 
 def _chain(total: np.longdouble, rhs: float, parts, r: float, s: float) -> tuple:

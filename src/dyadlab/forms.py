@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import product as _iproduct
 from numbers import Integral
 from typing import Sequence
 
@@ -54,9 +55,11 @@ from .lattice import (
     Lattice,
     Weight,
     _cellwise,
-    _factor_axes,
+    _chunks,
     _level_masses,
+    _level_stacks,
     _lp_norms,
+    _segments,
     box_list,
     lp_norm,
     substream,
@@ -262,10 +265,18 @@ class RectFamily:
 
 
 def dyadic_family(lat: Lattice, m: int) -> RectFamily:
-    """Every product of standard dyadic cubes, all level pairs 0..depth."""
+    """Every product of standard dyadic cubes, all level pairs 0..depth.
+
+    A box array past ARRAY_BUDGET_BYTES raises ResourceError before any
+    box is built."""
     if not 1 <= m < lat.dim:
         raise ShapeError(f"first factor must span 1..{lat.dim - 1} axes, got {m}")
     n = lat.dim - m
+    need = _family_size(lat, m, n) * lat.dim * 2 * 8
+    if need > ARRAY_BUDGET_BYTES:
+        raise ResourceError(
+            f"the dyadic family's box array takes {need} bytes, limit {ARRAY_BUDGET_BYTES} bytes"
+        )
     cells = lat.cells_per_axis
     chunks = []
     lvls = []
@@ -349,38 +360,71 @@ def _level_coefs(kernel: KernelHandle, lat: Lattice, family: RectFamily | None) 
     return coef
 
 
-def _refine(a: np.ndarray, axes: range) -> np.ndarray:
-    for ax in axes:
-        a = np.repeat(a, 2, axis=ax)
-    return a
+def _coef_columns(coef: list, lat: Lattice, m: int) -> list:
+    """Per stack of _level_stacks and per lj, the coefficient of every
+    mass of the stack's level lj, coef[li][lj] on li's rows, shaped
+    (rows,) + (2^lj,)^(d-m)."""
+    out = []
+    for levels in _chunks(lat.depth):
+        cols = []
+        for lj in range(lat.depth + 1):
+            tail = (1 << lj,) * (lat.dim - m)
+            blocks = [np.broadcast_to(coef[li][lj], (1 << li,) * m + tail) for li in levels]
+            cols.append(np.concatenate([b.reshape((-1,) + tail) for b in blocks]))
+        out.append(cols)
+    return out
 
 
-def _dyadic_image(h: np.ndarray, lat: Lattice, m: int, coef: list) -> np.ndarray:
-    """Sum over level pairs of coef[li][lj] * P R h, as a cell array.
+def _add_refined(out: np.ndarray, part: np.ndarray, axes: range) -> None:
+    """out += part repeated twice along each of the axes, in place, without
+    building the repeat: each of the axes of out is split into its pairs
+    (a view, as splitting an axis always is), and part is added to the
+    first and the second of each pair in turn."""
+    split = []
+    for ax, size in enumerate(out.shape):
+        split += [size // 2, 2] if ax in axes else [size]
+    pairs = out.reshape(split)
+    for pick in _iproduct((0, 1), repeat=len(axes)):
+        at, index = iter(pick), []
+        for ax in range(out.ndim):
+            index += [slice(None), next(at)] if ax in axes else [slice(None)]
+        pairs[tuple(index)] += part
+
+
+def _dyadic_image(h: np.ndarray, lat: Lattice, m: int, columns: list) -> np.ndarray:
+    """Sum over level pairs of coef[li][lj] * P R h, as a cell array, the
+    coefficients given as their _coef_columns.
 
     R restricts the cellwise h to its level-pair rectangle masses and P
     prolongs them back over each rectangle's cells, so the image at x is
     the sum of coef * mass over the rectangles holding x.  Prolongation
-    telescopes from coarse to fine, one level at a time on the J axes
-    within each li and then on the I axes, so the whole image costs
+    telescopes from coarse to fine, one level at a time: on the J axes
+    over each stack of _level_stacks, all its li at once, and then on the
+    I axes, one li's rows after the other, so the whole image costs
     O(cells) for any level kernel.  Every term is a nonnegative sum, so it
     runs in float64.
 
     The trailing lat.dim axes of h are the lattice; leading axes are a
     batch, so norm_estimate runs all its starts through one call.  Every
-    operation is elementwise (the sums in place, into the fresh term), so
-    each batch row has the bits of its own unbatched image.
+    operation is elementwise (the sums in place, into the fresh term), and
+    a stack's rows are summed as each level's alone, so each batch row
+    has the bits of its own unbatched image, level pair by level pair.
     """
-    i_axes, j_axes = _factor_axes(h, lat, m)
-    for (li, lj), masses in _level_masses(h, lat, m, compensated=False):
-        term = coef[li][lj] * masses
-        if lj:
-            term += _refine(part, j_axes)
-        part = term
-        if lj == lat.depth:
-            if li:
-                part += _refine(image, i_axes)
-            image = part
+    lead = h.ndim - lat.dim
+    i_axes, j_axes = range(lead, lead + m), range(lead + 1, h.ndim - m + 1)
+    parts = {}
+    for (levels, stream), cols in zip(_level_stacks(h, lat, m, compensated=False), columns):
+        part = None
+        for lj, masses in reversed(list(stream)):
+            term = cols[lj] * masses
+            if part is not None:
+                _add_refined(term, part, j_axes)
+            part = term
+        parts.update(zip(levels, _segments(part, levels, m, lead)))
+    image = parts.pop(0)
+    for li in range(1, lat.depth + 1):
+        _add_refined(parts[li], image, i_axes)
+        image = parts.pop(li)
     return image
 
 
@@ -413,8 +457,9 @@ def _level_terms(
     g: GridFunction,
     family: RectFamily | None,
 ):
-    """(li, lj, terms) per level pair, li-major: coef * (f sigma mass) *
-    (g omega mass) of every rectangle of the pair, from the same pyramids."""
+    """(li, lj, terms) per level pair, in _level_masses' order: coef * (f
+    sigma mass) * (g omega mass) of every rectangle of the pair, from the
+    same pyramids."""
     lat = sigma.lattice
     coef = _level_coefs(kernel, lat, family)
     f_masses = _level_masses(f.values * sigma.density * lat.cell_volume, lat, kernel.m, False)
@@ -583,12 +628,12 @@ def _half_steps(
     vals: np.ndarray,
     src_w: Weight,
     dst_w: Weight,
-    coef: list,
+    columns: list,
     m: int,
     dual_exp: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Apply the form against a batch of arguments (stacked on axis 0) and
-    normalize each optimal partner.
+    """Apply the form, its coefficients as _coef_columns, against a batch
+    of arguments (stacked on axis 0) and normalize each optimal partner.
 
     Returns the objectives (each the L^dual_exp norm of its image, which
     equals the form at the optimal feasible partner) and the partners'
@@ -596,7 +641,7 @@ def _half_steps(
     partner.
     """
     lat = src_w.lattice
-    image = _dyadic_image(vals * src_w.density * lat.cell_volume, lat, m, coef)
+    image = _dyadic_image(vals * src_w.density * lat.cell_volume, lat, m, columns)
     norms = _lp_norms(lat, image, dst_w.density, dual_exp).astype(np.float64)
     scale = norms.reshape(norms.shape + (1,) * lat.dim)
     live = norms != 0.0
@@ -645,7 +690,7 @@ def norm_estimate(
         or kernel.n != exps.n
     ):
         raise DomainError("kernel and exponent pack disagree on (alpha, beta, m, n)")
-    coef = _level_coefs(kernel, lat, family)
+    columns = _coef_columns(_level_coefs(kernel, lat, family), lat, kernel.m)
     p, q = exps.p, exps.q
     p_prime, q_prime = exps.p_prime, exps.q_prime
 
@@ -672,14 +717,14 @@ def norm_estimate(
     for it in range(iterations):
         if not ids.size:
             break
-        objs, g_vals = _half_steps(f_vals, sigma, omega, coef, kernel.m, q)
+        objs, g_vals = _half_steps(f_vals, sigma, omega, columns, kernel.m, q)
         record(2 * it, objs, ids, f_vals, g_vals)
         running = objs != 0.0
         if not running.all():
             ids, f_vals, g_vals = ids[running], f_vals[running], g_vals[running]
             if not ids.size:
                 break
-        objs, f_vals = _half_steps(g_vals, omega, sigma, coef, kernel.m, p_prime)
+        objs, f_vals = _half_steps(g_vals, omega, sigma, columns, kernel.m, p_prime)
         record(2 * it + 1, objs, ids, f_vals, g_vals)
 
     top, best_pair = -1.0, None
@@ -711,9 +756,10 @@ def _indicator_floor(kernel, sigma, omega, exps, family: RectFamily | None):
     no-bump characteristic, computed through the same code path so
     comparisons are reproducible.  Any other kernel or family reads the
     level-pair masses of the two dyadic pyramids: the full family takes
-    the max level pair by level pair, an explicit one box by box, so the
-    first maximizer is in the family's order.  On the dyadic family,
-    default or explicit, the rectangle is a DyadicRect of standard cubes.
+    each level pair's first max and the first of those in product order,
+    an explicit one box by box, so the first maximizer is in the family's
+    order.  On the dyadic family, default or explicit, the rectangle is a
+    DyadicRect of standard cubes.
     """
     if kernel.kind == "product_frac" and (family is None or family.tag == "dyadic"):
         res = characteristic("no_bump", None, sigma, omega, exps, family="dyadic")
@@ -723,7 +769,7 @@ def _indicator_floor(kernel, sigma, omega, exps, family: RectFamily | None):
         pair, vals = family.levels[:, 0] * width + family.levels[:, 1], np.zeros(family.size)
         lo = family.boxes[:, :, 0]
         index = lo // (family.boxes[:, :, 1] - lo)
-    best, best_at = 0.0, None
+    found = {}  # (li, lj) -> (max, argmax) of the pair's rectangles
     pyramids = [_level_masses(_cellwise(lat, w.density), lat, m) for w in (sigma, omega)]
     for ((li, lj), ms), (_, mw) in zip(*pyramids):
         if family is not None:
@@ -734,10 +780,14 @@ def _indicator_floor(kernel, sigma, omega, exps, family: RectFamily | None):
         level = kernel.level_value(li, lj) * np.power(ms, 1.0 / exps.p_prime) * np.power(mw, 1.0 / exps.q)
         if family is not None:
             vals[rows] = level
-        elif level.max() > best:
+        else:
             i = int(np.argmax(level))
-            best, best_at = float(level.flat[i]), (li, lj, np.unravel_index(i, level.shape))
+            found[li, lj] = float(level.flat[i]), np.unravel_index(i, level.shape)
     if family is None:
+        best, best_at = 0.0, None
+        for (li, lj), (value, at) in sorted(found.items()):
+            if value > best:
+                best, best_at = value, (li, lj, at)
         return best, None if best_at is None else _dyadic_rect(lat, m, *best_at)
     i = int(np.argmax(vals))
     if family.rects is not None:

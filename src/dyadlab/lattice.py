@@ -8,7 +8,11 @@ reads every box of the standard dyadic grid (the characteristic scans
 and their witnesses, the indicator floor, embeddings, stopping cubes and
 Carleson sums): compensated float64 pairwise sums of density**theta *
 cell_volume, fine to coarse, the first factor's axes before the rest's,
-each mass within an ulp of its exact sum.  A box's mass is the tree sum
+each mass within an ulp of its exact sum.  A product pyramid lays the
+first factor's levels side by side on one row axis, in three stacks (the
+finest level, the next, every coarser one), and halves the second factor
+once per stack, finest level first, each level dropped once read; every
+sum is the one a level alone would take.  A box's mass is the tree sum
 of its own cells, which _tree_mass repeats for one box, and a box
 holding no positive cell is exactly 0.  The refined pyramid,
 _ThirdPyramid, reads every other cube product of the one-third grids
@@ -556,22 +560,28 @@ def _add(x, y, ex, ey, out=(None, None)) -> tuple:
     return a, err
 
 
-def _halve(a: np.ndarray, axes, err=None) -> tuple:
+def _halve(a: np.ndarray, axes, err=None, out=(None, None)) -> tuple:
     """Pairwise sums of neighbouring cells along each of the axes in turn,
     and unless err is None the sums' errors, err being a's own (the float
     0.0 while there are none): each sum's rounding error is exact by
     TwoSum and added to the summands' errors, so sums + errors is the
     block sum to within about an ulp (Ogita, Rump and Oishi, SIAM J. Sci.
-    Comput. 2005)."""
+    Comput. 2005).  The last axis's sums and errors go to the arrays out
+    if given."""
+    last = axes[-1] if len(axes) else None
     for ax in axes:
         shape = a.shape[:ax] + (-1, 2) + a.shape[ax + 1 :]
-        pick = [(slice(None),) * (ax + 1) + (k,) for k in (0, 1)]
-        x, y = (a.reshape(shape)[p] for p in pick)
+        first, second = (slice(None),) * (ax + 1) + (0,), (slice(None),) * (ax + 1) + (1,)
+        pairs = a.reshape(shape)
+        dst = out if ax == last else (None, None)
         if err is None:
-            a = x + y
+            a = np.add(pairs[first], pairs[second], out=dst[0])
             continue
-        ex, ey = (err.reshape(shape)[p] for p in pick) if isinstance(err, np.ndarray) else (err, err)
-        a, err = _add(x, y, ex, ey)
+        ex = ey = err
+        if isinstance(err, np.ndarray):
+            err = err.reshape(shape)
+            ex, ey = err[first], err[second]
+        a, err = _add(pairs[first], pairs[second], ex, ey, dst)
     return a, err
 
 
@@ -592,37 +602,131 @@ def _factor_axes(h: np.ndarray, lat: Lattice, m: int | None) -> list[range]:
     return [range(a, b) for a, b in zip(cuts, cuts[1:])]
 
 
+# A product pyramid's first-factor levels are summed one stack at a time.
+# Level li's sums, batch + (2^li,)^m + (2^L,)^(d-m), flatten their
+# first-factor axes into one row axis, and the levels of a stack lie on it
+# one after the other, li ascending; the second factor is then halved once
+# per stack for all its levels, row by row, with the same elementwise sums
+# as one level alone.  The stacks are the finest level, the next, and every
+# coarser one (_chunks), summed in that order, each second-factor level
+# finest first and dropped once read, so that the finest level's pyramid
+# never shares memory with the others'.
+
+
+def _chunks(depth: int) -> list[range]:
+    """The first-factor levels of each stack, in the order they are summed."""
+    return [lv for lv in (range(depth, depth + 1), range(max(depth - 1, 0), depth), range(depth - 1)) if len(lv)]
+
+
+def _segments(stack: np.ndarray, levels: range, m: int, lead: int) -> list[np.ndarray]:
+    """Each level's rows of a stack, as views shaped batch + (2^li,)^m +
+    the stack's trailing axes."""
+    out, at = [], 0
+    for li in levels:
+        rows = 1 << (li * m)
+        seg = stack[(slice(None),) * lead + (slice(at, at + rows),)]
+        out.append(seg.reshape(stack.shape[:lead] + (1 << li,) * m + stack.shape[lead + 1 :]))
+        at += rows
+    return out
+
+
+def _stream(a: np.ndarray, err, axes: range, depth: int):
+    """(level, masses) of a stack over the axes, level depth (a itself)
+    down to 0: each level's sums take its errors in place once the next
+    level is summed from them."""
+    for level in range(depth, -1, -1):
+        nxt = _halve(a, axes, err) if level else None
+        if isinstance(err, np.ndarray):
+            a += err
+        err = None
+        yield level, a
+        if nxt is not None:
+            a, err = nxt
+
+
+def _coarse_stack(below: tuple, axes: range, levels: range, m: int, lead: int) -> tuple:
+    """The stack of levels (sums, and errors unless below's are None) of
+    the first factor, each halved over the axes from the next finer one,
+    below being the level just finer than all of them, straight into its
+    rows."""
+    shape = below[0].shape[:lead] + (sum(1 << (li * m) for li in levels),) + below[0].shape[lead + m :]
+    stack = tuple(None if x is None else np.empty(shape) for x in (below[0], below[1]))
+    views = [[None] * len(levels) if x is None else _segments(x, levels, m, lead) for x in stack]
+    for out in reversed(list(zip(*views))):
+        below = _halve(below[0], axes, below[1], out)
+    return stack
+
+
+def _level_stacks(h: np.ndarray, lat: Lattice, m: int, compensated: bool = True):
+    """(levels, stream) per stack of first-factor levels (_chunks), stream
+    yielding (lj, masses) finest first, masses shaped batch + (rows,) +
+    (2^lj,)^(d-m): the masses of the cellwise nonnegative h over the
+    products of a level-li cube of the first m lattice axes and a level-lj
+    cube of the rest, li's rows laid out by _segments.  Each stream is to
+    be read in full before the next stack is asked for; nothing is held
+    here once it is handed on."""
+    lead, depth = h.ndim - lat.dim, lat.depth
+    i_axes, j_axes = range(lead, lead + m), range(lead + 1, h.ndim - m + 1)
+
+    def rows(a):
+        return a.reshape(a.shape[:lead] + (-1,) + a.shape[lead + m :]) if isinstance(a, np.ndarray) else a
+
+    err = 0.0 if compensated else None
+    yield range(depth, depth + 1), _stream(rows(h), err, j_axes, depth)
+    if not depth:
+        return
+    below = _halve(h, i_axes, err)
+    del h  # from here on only the caller holds the finest level
+    stacks = [(range(depth - 1, depth), *map(rows, below))]
+    if depth > 1:
+        stacks.append((range(depth - 1), *_coarse_stack(below, i_axes, range(depth - 1), m, lead)))
+    del below
+    while stacks:
+        yield stacks[0][0], _stream(*stacks.pop(0)[1:], j_axes, depth)
+
+
 def _level_masses(h: np.ndarray, lat: Lattice, m: int | None = None, compensated: bool = True):
-    """(levels, masses) per level tuple, in product order: the masses of
-    the cellwise nonnegative h over the dyadic cubes of one level (m
-    None), or over the products of a level-li cube of the first m lattice
-    axes and a level-lj cube of the rest, shaped batch + the cubes per
-    axis.  Compensated, each mass is within an ulp of its exact sum; plain
-    sums (compensated False), rounded at every level, are the bilinear
-    forms' and the norm operator's, whose bits the norm estimates keep."""
-    factors = _factor_axes(h, lat, m)
-
-    def walk(a, err, levels):
-        pyramid = _pyramid(a, factors[len(levels)], lat.depth, err)
-        for level in range(len(pyramid)):
-            # each level is read once, so it is dropped as soon as it is
-            (part, perr), pyramid[level] = pyramid[level], None
-            if len(levels) + 1 < len(factors):
-                yield from walk(part, perr, levels + (level,))
-            else:
-                yield levels + (level,), part + perr if isinstance(perr, np.ndarray) else part
-
-    return walk(h, 0.0 if compensated else None, ())
+    """(levels, masses) per level tuple: the masses of the cellwise
+    nonnegative h over the dyadic cubes of one level (m None), or over the
+    products of a level-li cube of the first m lattice axes and a level-lj
+    cube of the rest, shaped batch + the cubes per axis.  One factor runs
+    level 0 to depth; two run stack by stack (_level_stacks), so a reader
+    that needs product order keys on the level tuple.  Compensated, each
+    mass is within an ulp of its exact sum; plain sums (compensated
+    False), rounded at every level, are the bilinear forms' and the norm
+    operator's, whose bits the norm estimates keep."""
+    if m is None:
+        return _cube_levels(_pyramid(h, _factor_axes(h, lat, m)[0], lat.depth, 0.0 if compensated else None))
+    return _product_levels(_level_stacks(h, lat, m, compensated), m, h.ndim - lat.dim)
 
 
-def _tree_mass(h: np.ndarray, lat: Lattice, rect: Rect, levels, m: int | None = None) -> np.ndarray:
-    """The box rect's entry of _level_masses(h, lat, m) at levels, summed
-    from its own cells by the same tree, one entry per batch index."""
-    a, err = h[(..., *(slice(lo, hi) for lo, hi in zip(rect.lo, rect.hi)))], 0.0
+def _cube_levels(pyramid: list):
+    """((level,), masses) of a one-factor pyramid, coarse to fine."""
+    for level in range(len(pyramid)):
+        # each level is read once, so it is dropped as soon as it is
+        (part, perr), pyramid[level] = pyramid[level], None
+        yield (level,), part + perr if isinstance(perr, np.ndarray) else part
+
+
+def _product_levels(stacks, m: int, lead: int):
+    """((li, lj), masses) of each level of each _level_stacks stack."""
+    for levels, stream in stacks:
+        for lj, stack in stream:
+            for li, masses in zip(levels, _segments(stack, levels, m, lead)):
+                yield (li, lj), masses
+
+
+def _tree_mass(
+    h: np.ndarray, lat: Lattice, rect: Rect, levels, m: int | None = None, compensated: bool = True
+) -> np.ndarray:
+    """The box rect's entry of _level_masses(h, lat, m, compensated) at
+    levels, summed from its own cells by the same tree, one entry per
+    batch index."""
+    a, err = h[(..., *(slice(lo, hi) for lo, hi in zip(rect.lo, rect.hi)))], 0.0 if compensated else None
     for axes, level in zip(_factor_axes(h, lat, m), levels):
         for _ in range(lat.depth - level):
             a, err = _halve(a, axes, err)
-    return a + err
+    return a if err is None else a + err
 
 
 # ---------------------------------------------------------------------------

@@ -827,3 +827,30 @@ def test_onethird_masses_match_exact_oracle(dim, m, depth, weight):
         assert np.array_equal(masses, exact), (levels, groups)
         blocks += 1
     assert blocks >= (depth + 1) ** (1 if m is None else 2)
+
+
+# the traced peak of one dyadic scan at 2D depth 8, in lattice-size
+# float64 arrays (512 KiB each): the stacked pyramids hand on each level
+# and drop it, so a scan peaks at about 8.0 such arrays, while both
+# weights' finest level tuple is read (7.5 when each first-factor level
+# had a pyramid of its own); keeping a reference to the weight's cells and
+# the next first-factor level once they are stacked puts it at 9.0
+SCAN_PEAK_ARRAYS = 8.25
+
+
+def test_dyadic_scan_streams_its_pyramids():
+    import tracemalloc
+
+    lat = make_lattice(2, 8)
+    sigma = gen_weight(lat, {"kind": "cascade", "beta": 0.7, "seed": 5})
+    omega = gen_weight(lat, {"kind": "random_lognormal", "seed": 6, "roughness": 0.5})
+    exps = Exponents(p=2.0, q=4.0, alpha=0.5, beta=0.5, m=1, n=1, theta=1.5)
+    want = characteristic("product_bump", None, sigma, omega, exps, family="dyadic")
+    tracemalloc.start()
+    try:
+        got = characteristic("product_bump", None, sigma, omega, exps, family="dyadic")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (got.value, got.witness) == (want.value, want.witness)
+    assert peak <= SCAN_PEAK_ARRAYS * 8 * lat.cell_count, peak / (8 * lat.cell_count)

@@ -38,6 +38,7 @@ from dyadlab import (
 )
 from dyadlab import EmbedRectReport, lattice, lp_norm, slice_profile
 from dyadlab.bump import _bump_map
+from dyadlab import bump, embed
 from dyadlab.embed import _proof_chain
 from dyadlab.grids import Cube, _good_rel_mask
 from dyadlab.lattice import _accumulate, box_list, box_masses, tile_edges
@@ -665,3 +666,50 @@ def test_proof_chain_matches_former_loops(dim, m, depth, theta):
         slices, points, oracle = _former_rects(f, w, theta, r, s, m, _fsum_level)
         drift = max(_ulps(a, b) for a, b in zip(got, (slices, points, astuple(oracle))))
         assert drift <= ORACLE_ULPS, f"{name}: {drift} ulps from the oracle"
+
+
+def _per_level_chain(f, w, theta, r, s, m):
+    """_proof_chain with one evaluator call per level of slices, as it ran
+    before the levels were batched."""
+    lat = w.lattice
+    n_ax, depth = lat.dim - m, lat.depth
+    m_lat = make_lattice(m, depth)
+    fu = f.values.astype(LD) * w.density.astype(LD)
+    slices = []
+    for lj in range(depth + 1):
+        dens = bump._level_profiles(w, theta, n_ax, lj)
+        h = lattice._block_sums(fu, n_ax, lat.cells_per_axis >> lj) * LD(2.0) ** (-n_ax * depth)
+        g = np.where(dens > 0.0, h.astype(np.float64) / np.where(dens > 0.0, dens, 1.0), 0.0)
+        slices.append([v.ravel() for v in embed._embeddings(g, dens, m_lat, theta, r, s)[:2]])
+    slice_lhs, slice_rhs = (np.concatenate(v) for v in zip(*slices))
+    points = embed._embeddings(f.values, w.density, make_lattice(n_ax, depth), theta, r, s)[:2]
+    return slice_lhs, slice_rhs, *(v.ravel() for v in points)
+
+
+@pytest.mark.parametrize("dim,m,depth,theta", [(2, 1, 6, 1.5), (3, 1, 3, 2.0), (3, 2, 3, 1.5), (4, 2, 2, 1.5)])
+def test_batched_proof_chain_matches_per_level_calls(dim, m, depth, theta):
+    # every level's slices ride on the batch axis of one evaluator call;
+    # a batch row sums its own terms, so each slice keeps its bits
+    lat = make_lattice(dim, depth)
+    f = rand_f(lat, 95 + depth)
+    for w in (rand_w(lat, 96 + depth, rough=0.8), _zero_block(lat, 97 + depth)):
+        got = _proof_chain(f, w, theta, 4.0, 2.0, m)
+        want = _per_level_chain(f, w, theta, 4.0, 2.0, m)
+        for a, b in zip(got, want):
+            assert a.shape == b.shape
+            assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("dim,m,depth", [(2, 1, 5), (2, 1, 6), (3, 1, 3), (3, 2, 3)])
+def test_embedding_total_adds_level_tuples_in_product_order(dim, m, depth):
+    # the pyramids hand out level tuples stack by stack; the long-double
+    # total still adds each tuple's term sum in product order, as a loop
+    # over the level pairs does (a positive weight, so no term is left out)
+    lat = make_lattice(dim, depth)
+    f, w = rand_f(lat, 81 + depth), rand_w(lat, 82 + depth, rough=1.2)
+    for theta, r, s in ((1.5, 4.0, 2.0), (2.0, 3.0, 1.5)):
+        total = embed._embeddings(f.values, w.density, lat, theta, r, s, m)[2]
+        want = LD(0.0)
+        for levels in product(range(depth + 1), repeat=2):
+            want = want + _former_level(f, w, theta, r, s, levels, m, _pyramid_level)
+        assert total.tobytes() == want.tobytes()

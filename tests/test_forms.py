@@ -135,6 +135,25 @@ def test_dyadic_family_size():
     assert fam.tag == "dyadic"
 
 
+def test_dyadic_family_refuses_past_the_array_budget(monkeypatch):
+    # the box array, size x dim x 2 int64, is sized before any box is built
+    lat = make_lattice(3, 2)
+    need = forms._family_size(lat, 1, 2) * 3 * 2 * 8
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a box was built past the budget")
+
+    tiles = forms.tile_edges
+    monkeypatch.setattr(forms, "ARRAY_BUDGET_BYTES", need - 1)
+    monkeypatch.setattr(forms, "tile_edges", refuse)
+    with pytest.raises(ResourceError, match=f"{need} bytes, limit {need - 1} bytes"):
+        dyadic_family(lat, 1)
+    monkeypatch.setattr(forms, "ARRAY_BUDGET_BYTES", need)
+    monkeypatch.setattr(forms, "tile_edges", tiles)
+    fam = dyadic_family(lat, 1)
+    assert fam.boxes.nbytes == need
+
+
 def test_family_of_boxes_and_validation():
     lat = make_lattice(2, 3)
     grid = standard_grid(1, 0, 3)
@@ -624,7 +643,8 @@ def test_norm_estimate_iterations_must_be_a_nonnegative_int():
 
 def _former_half_step(vals, src_w, dst_w, coef, m, dual_exp):
     lat = src_w.lattice
-    image = forms._dyadic_image(vals * src_w.density * lat.cell_volume, lat, m, coef)
+    columns = forms._coef_columns(coef, lat, m)
+    image = forms._dyadic_image(vals * src_w.density * lat.cell_volume, lat, m, columns)
     norm = float(forms._lp_norms(lat, image, dst_w.density, dual_exp))
     if norm == 0.0:
         return 0.0, np.zeros(lat.shape)
@@ -872,7 +892,7 @@ def test_pyramid_image_and_bilinear_match_former_formulas(case):
     kmax = float(_level_values(kernel, full.levels).max())
     noise = 4 * 2**dim * np.finfo(LD).eps * kmax
 
-    coef = forms._level_coefs(kernel, lat, family)
+    coef = forms._coef_columns(forms._level_coefs(kernel, lat, family), lat, m)
     got = forms._dyadic_image(f.values * sigma.density * lat.cell_volume, lat, m, coef)
     want = _former_image(kernel, full, f, sigma)
     pos = got > 0.0
@@ -1015,3 +1035,24 @@ def test_norm_on_explicit_families_does_not_import_numpy_ma(family):
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def test_indicator_floor_takes_the_first_tie_in_product_order():
+    # On the constant weight 1 at 2D depth 4 every rectangle of a level
+    # pair has mass 2^-(li + lj), so a table kernel of 2^(3(li + lj)/4) on
+    # the pairs with li + lj = 4 (0 elsewhere) ties every rectangle of
+    # those five pairs at exactly 1.  The pyramids sum the finest
+    # first-factor level first, so the first tie they meet is in pair
+    # (4, 0); the floor's witness is the first in product order, pair
+    # (0, 4) at index (0, 0), with or without the explicit family.
+    lat = make_lattice(2, 4)
+    w = Weight(lat, np.ones(lat.shape))
+    table = KernelHandle.from_table(
+        {(a, b): 8.0 if a + b == 4 else 0.0 for a in range(5) for b in range(5)}, 1, 1
+    )
+    grid = standard_grid(1, 0, lat.depth)
+    want = DyadicRect(Cube(grid, 0, (0,)), Cube(grid, 4, (0,)))
+    for family in (None, dyadic_family(lat, 1)):
+        value, rect = forms._indicator_floor(table, w, w, _exps(), family)
+        assert value == 1.0
+        assert rect == want

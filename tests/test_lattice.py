@@ -1169,6 +1169,45 @@ def test_dyadic_masses_match_fsum_oracle(dim, m, depth, weight):
         assert seen == (depth + 1) ** (1 if m is None else 2)
 
 
+@pytest.mark.parametrize("depth", [0, 1, 2, 3, 4])
+@pytest.mark.parametrize("dim, m", [(2, 1), (3, 1), (3, 2), (4, 3)])
+def test_stacked_pyramid_yields_every_level_tuple_once(dim, m, depth):
+    # the first factor's levels are summed in stacks, the finest, the next
+    # and every coarser one; each level tuple still comes out once, shaped
+    # as its cubes
+    lat = make_lattice(dim, depth)
+    h = lattice._cellwise(lat, np.ones((3,) + lat.shape))
+    seen = []
+    for (li, lj), masses in lattice._level_masses(h, lat, m):
+        assert masses.shape == (3,) + (1 << li,) * m + (1 << lj,) * (dim - m)
+        seen.append((li, lj))
+    assert sorted(seen) == list(iproduct(range(depth + 1), repeat=2))
+    assert len(set(seen)) == len(seen)
+
+
+@pytest.mark.parametrize("compensated", [True, False])
+@pytest.mark.parametrize("m", [1, 2])
+def test_stacked_pyramid_matches_tree_mass_bit_for_bit(m, compensated):
+    # halving the second factor once for a stack of first-factor levels
+    # is the same elementwise arithmetic as halving each level alone, so
+    # every mass of every batch row has the bits of its own tree sum,
+    # with TwoSum errors or plain
+    lat = make_lattice(3, 3)
+    rng = substream(m, 9600)
+    dens = np.exp(2.5 * rng.standard_normal((2,) + lat.shape))
+    dens[rng.uniform(size=dens.shape) < 0.2] = 0.0
+    h = lattice._cellwise(lat, dens, 1.5)
+    dims = (m, lat.dim - m)
+    n = lat.cells_per_axis
+    for levels, masses in lattice._level_masses(h, lat, m, compensated):
+        sides = [n >> lv for lv, d in zip(levels, dims) for _ in range(d)]
+        for idx in np.ndindex(*masses.shape[1:]):
+            lo = tuple(i * a for i, a in zip(idx, sides))
+            rect = Rect(lo, tuple(a + b for a, b in zip(lo, sides)))
+            want = lattice._tree_mass(h, lat, rect, levels, m, compensated)
+            assert masses[(slice(None),) + idx].tobytes() == want.tobytes(), (levels, idx)
+
+
 @pytest.mark.parametrize("mode, dim, depth", [("rectangle", 2, 5), ("strong", 2, 4), ("strong", 3, 3)])
 def test_size_tuple_budget_refuses_before_scanning(monkeypatch, mode, dim, depth):
     # rectangle visits (n/2)^d size tuples and strong d (n/2) n^(d-1); one

@@ -11,7 +11,8 @@ kernel values behind the forms/surrogate-window row (so a changed cube or
 value shows even where the row's worst ratio does not move), and the values
 and witnesses of the benchmark's
 scan2d and norm2d task calls on the first --units weight pairs of that seed
-(inputs from bench/workloads.py), plus the rectangle and strong doubling
+(inputs from bench/workloads.py), plus the product-reverse per_scale
+ratios of each scan2d omega at 2D depth 5, the rectangle and strong doubling
 scans of each scan2d weight at 2D depth 4 and the cube, rectangle and
 strong scans of a seeded lognormal weight with a block of zero cells,
 also at 2D depth 4, and the norm estimates of the first norm2d pair under
@@ -19,10 +20,11 @@ a level-table kernel and over a family_of family holding a duplicated
 rectangle (per-rectangle coefficient arrays, and a fourth start seeded
 by the family's floor rectangle), with a digest of the bytes of each
 returned pair.  Each characteristic value (the one-third scan's
-included), each product-reverse witness value and each embedding lhs
-also records, as NAME/oracle, its recomputation from exact masses: the
-value at the reported witness, every cell counted by the share of it the
-box covers, the witness's ratio of math.fsum masses, and the lhs over
+included), each product-reverse witness value and per_scale ratio and
+each embedding lhs also records, as NAME/oracle, its recomputation from
+exact masses: the value at the reported witness, every cell counted by
+the share of it the box covers, the witness's ratio of math.fsum masses,
+the greatest such ratio over every tile of the scale, and the lhs over
 every box, with f * density summed exactly.  dyadlab is imported from --src, the
 src/ directory next to this script unless given, so one script dumps any
 checkout.  --compare prints every quantity (a name with its unit and
@@ -47,6 +49,9 @@ ROOT = Path(__file__).resolve().parent.parent
 # the rectangle and strong doubling scans loop over size tuples in Python,
 # so they are dumped on a small lattice
 DOUBLING_DEPTH = 4
+# the product-reverse per-scale oracle sums every tile and shrink with
+# math.fsum: about 4e4 box sums per weight at 2D depth 5
+PER_SCALE_DEPTH = 5
 
 
 def _fsum_mass(cells, box) -> float:
@@ -80,6 +85,41 @@ def _exact_mass(cells, box) -> float:
     sel = cells[tuple(slice(a // 3, -(-b // 3)) for a, b in box)]
     total = sum(Fraction(v) * int(c) for v, c in zip(sel.ravel().tolist(), counts.ravel().tolist()))
     return float(total / 3 ** len(box))
+
+
+def _per_scale_oracle(w) -> dict:
+    """The product-reverse scan's per_scale by brute force: per tested
+    key, ("axis", k, s) or ("cube", s), the greatest fl(fsum(shrink) /
+    fsum(tile)) over the tiles of positive mass of every level tuple, the
+    shrink concentric, 2^-s of the tile's side on axis k or on every axis
+    (cube keys on cubes only)."""
+    import itertools
+
+    import numpy as np
+
+    lat = w.lattice
+    depth, dim, n = lat.depth, lat.dim, lat.cells_per_axis
+    cells = w.density * lat.cell_volume
+    best: dict = {}
+    for levels in itertools.product(range(depth + 1), repeat=dim):
+        sides = [n >> lv for lv in levels]
+        keys = [(("axis", k, s), (k,)) for k in range(dim) for s in range(1, depth - levels[k])]
+        if len(set(levels)) == 1:
+            keys += [(("cube", s), range(dim)) for s in range(1, depth - levels[0])]
+        for idx in np.ndindex(*[1 << lv for lv in levels]):
+            lo = [i * side for i, side in zip(idx, sides)]
+            tile = _fsum_mass(cells, tuple(slice(a, a + side) for a, side in zip(lo, sides)))
+            if tile <= 0.0:
+                continue
+            for key, axes in keys:
+                box = [slice(a, a + side) for a, side in zip(lo, sides)]
+                for k in axes:
+                    inner = sides[k] >> key[-1]
+                    start = lo[k] + (sides[k] - inner) // 2
+                    box[k] = slice(start, start + inner)
+                r = _fsum_mass(cells, tuple(box)) / tile
+                best[key] = max(best.get(key, r), r)
+    return best
 
 
 def _char_oracle(kind: str, witness, sigma, omega, exps) -> float:
@@ -228,6 +268,12 @@ def _scan2d(seed: int, unit: int, out: dict) -> None:
         out[f"{key}/doubling_product_reverse/{name}/witness"] = wl.describe(wit)
         out[f"{key}/doubling_product_reverse/{name}/value"] = wit.value
         out[f"{key}/doubling_product_reverse/{name}/value/oracle"] = _ratio_oracle(cells, wit)
+    w5 = gen_weight(make_lattice(2, PER_SCALE_DEPTH), spec_o)
+    oracle = _per_scale_oracle(w5)
+    for scale, ratio in sorted(doubling_report(w5, "product_reverse").per_scale.items()):
+        name = f"{key}/doubling_product_reverse_depth{PER_SCALE_DEPTH}/per_scale/{'_'.join(map(str, scale))}"
+        out[name] = ratio
+        out[f"{name}/oracle"] = oracle.get(scale, 0.0)
     lat4 = make_lattice(2, DOUBLING_DEPTH)
     for which, spec in (("sigma", spec_s), ("omega", spec_o)):
         w = gen_weight(lat4, spec)
