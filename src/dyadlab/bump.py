@@ -11,18 +11,19 @@ for the outer product of a batch of factor cubes.  On the standard
 dyadic grid (a one-third family's offset-0 grid tuple included) the
 masses come from lattice's dyadic pyramid: the scan feeds _products one
 level tuple at a time, and characteristic_at rebuilds its witness's mass
-from the witness's own cells by the same tree.  The other one-third grid
-tuples come from lattice's refined pyramid, which holds the cubes of all
-three offsets of an axis side by side: the scan feeds _products one
-level tuple at a time, split by offset where the block would be large,
-and keeps the first maximizer of each grid tuple's cubes;
-characteristic_at rebuilds a one-third witness from its own cells by the
-same steps.  Arbitrary boxes (bump_cube, and characteristic_at on a
-shifted or finer-than-the-lattice cube) come from the prefix engine,
-lattice.box_masses.  The bump and kernel powers run in float64 (the
-package's precision policy, see lattice).  A box's mass does not depend
-on the batch it is read in, so a reported witness re-evaluates to the
-reported value bit for bit.
+from the witness's own cells by the same tree, lattice's _tree_mass; so
+does slice_profile each slice's mass over J, with the bits the rectangle
+proof chain reads.  The other one-third grid tuples come from lattice's
+refined pyramid, which holds the cubes of all three offsets of an axis
+side by side: the scan feeds _products one level tuple at a time, split
+by offset where the block would be large, and keeps the first maximizer
+of each grid tuple's cubes; characteristic_at rebuilds a one-third
+witness from its own cells by the same steps.  Arbitrary boxes
+(bump_cube, and characteristic_at on a shifted or finer-than-the-lattice
+cube) come from the prefix engine, lattice.box_masses.  The bump and
+kernel powers run in float64 (the package's precision policy, see
+lattice).  A box's mass does not depend on the batch it is read in, so a
+reported witness re-evaluates to the reported value bit for bit.
 """
 from __future__ import annotations
 
@@ -38,8 +39,8 @@ from .grids import Cube, DyadicGrid, DyadicRect, onethird_grids, standard_grid
 from .lattice import (
     Rect,
     Weight,
-    _block_sums,
     _cellwise,
+    _factor_axes,
     _level_masses,
     _third_mass,
     _ThirdPyramid,
@@ -49,8 +50,6 @@ from .lattice import (
     rect_volume,
     substream,
 )
-
-_LD = np.longdouble
 
 
 @dataclass(frozen=True)
@@ -74,8 +73,8 @@ class Exponents:
     def __post_init__(self):
         if not 1.0 < self.p < self.q < math.inf:
             raise DomainError(f"need 1 < p < q < inf, got p={self.p}, q={self.q}")
-        if self.theta < 1.0:
-            raise DomainError(f"theta must be >= 1, got {self.theta}")
+        if not 1.0 <= self.theta < math.inf:
+            raise DomainError(f"theta must be finite and >= 1, got {self.theta}")
         if self.m < 1 or self.n < 1:
             raise DomainError("dimensions must be positive integers")
         if not 0.0 < self.alpha < self.m:
@@ -169,7 +168,7 @@ def _bump_map(masses: np.ndarray, vol: float, theta: float) -> np.ndarray:
 def _prefix_masses(w: Weight, theta: float, lo, hi) -> np.ndarray:
     """Float64 masses of w**theta over boxes spanned by lo/hi from the
     prefix engine, clamped at 0."""
-    return np.maximum(_weight_masses(w, lo, hi, theta), _LD(0.0)).astype(np.float64)
+    return np.maximum(_weight_masses(w, lo, hi, theta), 0.0).astype(np.float64)
 
 
 def _bumps(w: Weight, theta: float, lo, hi, vol: float) -> np.ndarray:
@@ -179,8 +178,8 @@ def _bumps(w: Weight, theta: float, lo, hi, vol: float) -> np.ndarray:
 
 def bump_cube(rect: Rect, w: Weight, theta: float) -> float:
     """Theta-bump of a cell-aligned box; theta = 1 gives the plain mass."""
-    if theta < 1.0:
-        raise DomainError(f"theta must be >= 1, got {theta}")
+    if not 1.0 <= theta < math.inf:
+        raise DomainError(f"theta must be finite and >= 1, got {theta}")
     if rect.dim != w.lattice.dim:
         raise ShapeError(f"box has {rect.dim} axes, lattice has {w.lattice.dim}")
     return float(_bumps(w, theta, rect.lo, rect.hi, rect_volume(w.lattice, rect)))
@@ -199,10 +198,12 @@ def bump_rect(i_rect: Rect, j_rect: Rect, w: Weight, theta: float) -> float:
 def slice_profile(j_rect: Rect, w: Weight, theta: float) -> Weight:
     """Collapse the last axes: density x -> bump of j_rect under the slice
     at x.  Exact for piecewise-constant densities, which makes the iterated
-    identity hold to rounding error.
+    identity hold to rounding error.  Each slice's mass is J's cells
+    summed by the own-cells tree, J zero-padded to 2^k cells per axis, so
+    it is within an ulp of its exact sum and a massless slice is 0.
     """
-    if theta < 1.0:
-        raise DomainError(f"theta must be >= 1, got {theta}")
+    if not 1.0 <= theta < math.inf:
+        raise DomainError(f"theta must be finite and >= 1, got {theta}")
     d = w.lattice.dim
     n = j_rect.dim
     if not 1 <= n < d:
@@ -212,21 +213,13 @@ def slice_profile(j_rect: Rect, w: Weight, theta: float) -> Weight:
     for k in range(n):
         if not 0 <= j_rect.lo[k] < j_rect.hi[k] <= cells:
             raise DomainError(f"slice box {j_rect} leaves the lattice")
-    sel = (slice(None),) * m + tuple(slice(j_rect.lo[k], j_rect.hi[k]) for k in range(n))
-    cell_vol = w.lattice.cell_side**n
-    cellwise = np.power(w.density[sel], float(theta)).astype(_LD)
-    mass = cellwise.sum(axis=tuple(range(m, d))) * _LD(cell_vol)
-    prof = _bump_map(mass.astype(np.float64), cell_vol * j_rect.cells, theta)
+    n_lat = make_lattice(n, w.lattice.depth)
+    block = _cellwise(n_lat, w.density[(..., *map(slice, j_rect.lo, j_rect.hi))], theta)
+    widths = [b - a for a, b in zip(j_rect.lo, j_rect.hi)]
+    pad = [(0, 0)] * m + [(0, (1 << (k - 1).bit_length()) - k) for k in widths]
+    mass = _tree_mass(np.pad(block, pad), [range(m, d)])
+    prof = _bump_map(mass, n_lat.cell_volume * j_rect.cells, theta)
     return Weight(make_lattice(m, w.lattice.depth), prof.reshape(-1))
-
-
-def _level_profiles(w: Weight, theta: float, n: int, level: int) -> np.ndarray:
-    """slice_profile(J).density, bit for bit, of every dyadic J of the last
-    n axes at one level, from one block sum; J's index axes lead."""
-    side = w.lattice.cells_per_axis >> level
-    cell_vol = w.lattice.cell_side**n
-    mass = _block_sums(np.power(w.density, float(theta)).astype(_LD), n, side) * _LD(cell_vol)
-    return _bump_map(mass.astype(np.float64), cell_vol * side**n, theta)
 
 
 def _uniforms(rng: np.random.Generator, chunk: int = 1024):
@@ -401,6 +394,8 @@ def characteristic(
             val, k = found[offsets, lv]
             if val > best:
                 best, best_at = float(val), (offsets, lv, k)
+    if best_at is None:
+        raise DomainError(f"no {kind} value is comparable: every product is NaN (theta={exps.theta!r})")
     return CharacteristicResult(kind, best, _witness(family, dims, lat.depth, *best_at), exps)
 
 
@@ -514,9 +509,9 @@ def characteristic_at(
     pairs = list(zip((sigma, omega), _thetas(kind, exps)))
     if _on_lattice(cubes, dims, lat.depth):
         cells = [(i, lat.cells_per_axis >> c.level) for c in cubes for i in c.index]
-        rect = Rect(tuple(i * s for i, s in cells), tuple((i + 1) * s for i, s in cells))
-        at = [c.level for c in cubes]
-        masses = [_tree_mass(_cellwise(lat, w.density, t), lat, rect, at, _factor_m(dims)) for w, t in pairs]
+        box = tuple(slice(i * s, (i + 1) * s) for i, s in cells)
+        groups = _factor_axes(sigma.density, lat, _factor_m(dims))
+        masses = [_tree_mass(_cellwise(lat, w.density[box], t), groups) for w, t in pairs]
     elif (starts := _third_starts(cubes, dims, lat.depth)) is not None:
         masses = [_third_mass(_cellwise(lat, w.density, t), lat, starts) for w, t in pairs]
     else:

@@ -5,11 +5,14 @@ lattice, truncated at its depth.  The checks below are statements about
 one fixed grid, so the optional grid argument exists for call-site
 symmetry and must be a standard grid when present.  Every mass here, of
 a weight or of f against it, is read from lattice's dyadic pyramid: a
-compensated float64 pairwise sum of the box's own cells.  The good-cube Carleson sum
-takes cube goodness from the skeleton-goodness kernel in `grids`.  One
-batched evaluator, _embeddings, makes every embedding sum: the cube check
-and the rectangle lhs are its batch of one, and the rectangle proof chain
-is one call over the slices of every level and one over the points.
+compensated float64 pairwise sum of the box's own cells; the rectangle
+proof chain's slice profiles and averages from the pyramid of the
+trailing axes, bit for bit the masses slice_profile sums.  The good-cube
+Carleson sum takes cube goodness from the skeleton-goodness kernel in
+`grids`.  One batched evaluator, _embeddings, makes every embedding sum:
+the cube check and the rectangle lhs are its batch of one, and the
+rectangle proof chain is one call over the slices of every level and one
+over the points.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .bump import _bump_map, _level_profiles
+from .bump import _bump_map
 from .errors import ContractViolationError, DomainError, ShapeError
 from .grids import DyadicGrid, GoodnessParams, _good_cubes
 from .lattice import (
@@ -27,7 +30,6 @@ from .lattice import (
     Lattice,
     Rect,
     Weight,
-    _block_sums,
     _cellwise,
     _level_masses,
     _lp_norms,
@@ -142,8 +144,8 @@ def stopping_cubes(
     one axis per lattice axis; the check always runs on the weight's own
     dyadic tree, so the argument changes nothing else.
     """
-    if theta < 1.0:
-        raise DomainError(f"theta must be >= 1, got {theta}")
+    if not 1.0 <= theta < math.inf:
+        raise DomainError(f"theta must be finite and >= 1, got {theta}")
     lat = w.lattice
     _require_standard(grid, lat.dim)
     if f.lattice != lat:
@@ -212,10 +214,10 @@ def automatic_carleson(
     one axis per lattice axis; the check always runs on the weight's own
     dyadic tree, so the argument changes nothing else.
     """
-    if rho <= 1.0:
-        raise DomainError(f"rho must exceed 1, got {rho}")
-    if theta <= 1.0:
-        raise DomainError(f"the automatic bound needs theta > 1, got {theta}")
+    if not 1.0 < rho < math.inf:
+        raise DomainError(f"rho must be finite and exceed 1, got {rho}")
+    if not 1.0 < theta < math.inf:
+        raise DomainError(f"the automatic bound needs a finite theta > 1, got {theta}")
     lat = w.lattice
     _require_standard(grid, lat.dim)
     level_p = _dyadic_level(lat, P)
@@ -252,8 +254,8 @@ def good_carleson(
     one axis per lattice axis; the check always runs on the weight's own
     dyadic tree, so the argument changes nothing else.
     """
-    if rho <= 1.0:
-        raise DomainError(f"rho must exceed 1, got {rho}")
+    if not 1.0 < rho < math.inf:
+        raise DomainError(f"rho must be finite and exceed 1, got {rho}")
     lat = w.lattice
     _require_standard(grid, lat.dim)
     level_p = _dyadic_level(lat, P)
@@ -352,8 +354,8 @@ def embed_check_cubes(
     one axis per lattice axis; the check always runs on the weight's own
     dyadic tree, so the argument changes nothing else.
     """
-    if theta <= 1.0:
-        raise DomainError(f"the cube embedding needs theta > 1, got {theta}")
+    if not 1.0 < theta < math.inf:
+        raise DomainError(f"the cube embedding needs a finite theta > 1, got {theta}")
     if not 1.0 < s < r:
         raise DomainError(f"exponents must satisfy 1 < s < r, got s={s}, r={r}")
     _require_standard(grid, w.lattice.dim)
@@ -402,8 +404,8 @@ def embed_check_rects(
     grids with m and dim - m axes; the check always runs on the weight's
     own dyadic tree, so the argument changes nothing else.
     """
-    if theta <= 1.0:
-        raise DomainError(f"the rectangle embedding needs theta > 1, got {theta}")
+    if not 1.0 < theta < math.inf:
+        raise DomainError(f"the rectangle embedding needs a finite theta > 1, got {theta}")
     if not 1.0 < s < r:
         raise DomainError(f"exponents must satisfy 1 < s < r, got s={s}, r={r}")
     lat = w.lattice
@@ -419,6 +421,23 @@ def embed_check_rects(
     return EmbedRectReport(lhs, rhs, _ratio(lhs, rhs), *chain)
 
 
+def _slices(f: np.ndarray, u: np.ndarray, theta: float, n: int, depth: int):
+    """(g, profile) per level lj, 0 to depth, of the dyadic cubes J of the
+    last n axes: the J-average g_J of f against J's slice profile, and the
+    profile, slice_profile(J).density bit for bit, of every J of the
+    level, from the dyadic pyramids of those axes with the others a batch;
+    J's index axes lead."""
+    n_lat = make_lattice(n, depth)
+    pyramids = zip(
+        _level_masses(_cellwise(n_lat, u, theta), n_lat),
+        _level_masses(f * u * n_lat.cell_volume, n_lat),
+    )
+    j_axes = range(u.ndim - n, u.ndim)
+    for ((lj,), mu), (_, mf) in pyramids:
+        dens, h = (np.moveaxis(a, j_axes, range(n)) for a in (_bump_map(mu, 2.0 ** (-lj * n), theta), mf))
+        yield np.where(dens > 0.0, h / np.where(dens > 0.0, dens, 1.0), 0.0), dens
+
+
 def _proof_chain(f: GridFunction, w: Weight, theta: float, r: float, s: float, m: int):
     """slice_lhs, slice_rhs: cube embeddings of g_J under the slice profile
     of each dyadic J (by level, then C order), every level's slices one
@@ -427,12 +446,8 @@ def _proof_chain(f: GridFunction, w: Weight, theta: float, r: float, s: float, m
     lat = w.lattice
     n_ax, depth = lat.dim - m, lat.depth
     m_lat = make_lattice(m, depth)
-    fu = f.values.astype(_LD) * w.density.astype(_LD)
     gs, profiles = [], []
-    for lj in range(depth + 1):
-        dens = _level_profiles(w, theta, n_ax, lj)
-        h = _block_sums(fu, n_ax, lat.cells_per_axis >> lj) * _LD(2.0) ** (-n_ax * depth)
-        g = np.where(dens > 0.0, h.astype(np.float64) / np.where(dens > 0.0, dens, 1.0), 0.0)
+    for g, dens in _slices(f.values, w.density, theta, n_ax, depth):
         gs.append(g.reshape((-1,) + m_lat.shape))
         profiles.append(dens.reshape((-1,) + m_lat.shape))
     slices = _embeddings(np.concatenate(gs), np.concatenate(profiles), m_lat, theta, r, s)[:2]

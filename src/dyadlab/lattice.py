@@ -3,9 +3,10 @@
 Everything in the package lives on the half-open unit box [0,1)^d sliced
 into 2^(d*L) congruent cells.  Weights and grid functions are piecewise
 constant on cells, so every integral downstream is a finite sum of cell
-values, read by one of three engines.  The dyadic pyramid, _level_masses,
-reads every box of the standard dyadic grid (the characteristic scans
-and their witnesses, the indicator floor, embeddings, stopping cubes and
+values, read by one of three engines.  The dyadic pyramid,
+_level_masses, reads every box of the standard dyadic grid (the
+characteristic scans, the indicator floor, embeddings, the rectangle
+proof chain's slice profiles and slice averages, stopping cubes and
 Carleson sums): compensated float64 pairwise sums of density**theta *
 cell_volume, fine to coarse, the first factor's axes before the rest's,
 each mass within an ulp of its exact sum.  A product pyramid lays the
@@ -13,29 +14,31 @@ first factor's levels side by side on one row axis, in three stacks (the
 finest level, the next, every coarser one), and halves the second factor
 once per stack, finest level first, each level dropped once read; every
 sum is the one a level alone would take.  A box's mass is the tree sum
-of its own cells, which _tree_mass repeats for one box, and a box
-holding no positive cell is exactly 0.  The refined pyramid,
-_ThirdPyramid, reads every other cube product of the one-third grids
-(their scans and witnesses, _third_mass) the same way over a lattice
-whose axes are cut, one at a time, into thirds of a cell, on which every
-one-third cube is whole; each mass is within about half an ulp of its
-exact sum.  The product-reverse doubling scan and its shrink witnesses
-read the dyadic pyramid summed one axis at a time, each level also giving
-the odd-offset pair sums that are the concentric shrinks of the coarser
-edges.  The prefix engine, box_masses, reads the rest (the cube,
-rectangle and strong doubling scans, cell boxes of bump_cube and
-integrate, arbitrary boxes of box_mass, and characteristic_at on a
-shifted or finer-than-the-lattice cube) as the mixed corner difference
-of a long-double prefix table, looked up directly on whole-cell edges
-and interpolated multilinearly on fractional ones.  A BoxGrid, the outer
-product of per-axis whole-cell boxes, is read at its vertices as strided
-views of the table; per-axis edge arrays that broadcast together gather
-every corner of every box, with the same per-point arithmetic.  Leading
-table axes are a batch.  Each prefix mass is rounded to float64 once, and every
-elementwise power (density**theta, f**p, the bump, Carleson and
-embedding terms) runs in float64, so the maps do not depend on the
-platform's longdouble kind; the prefix masses still do.  At theta = 1
-and p = 1 the powers keep the bits.
+of its own cells, which one own-cells tree, _tree_mass, repeats for one
+box (characteristic_at's factor cubes, slice_profile's J padded to 2^k
+cells per axis, a shrink witness one axis at a time), and a box holding
+no positive cell is exactly 0.  The refined pyramid, _ThirdPyramid,
+reads every other cube product of the one-third grids (their scans and
+witnesses, _third_mass) the same way over a lattice whose axes are cut,
+one at a time, into thirds of a cell, on which every one-third cube is
+whole; each mass is within about half an ulp of its exact sum.  The
+product-reverse doubling scan reads the dyadic pyramid summed one axis
+at a time, each level also giving the odd-offset pair sums that are the
+concentric shrinks of the coarser edges.  The prefix engine, box_masses,
+reads the rest (the cube, rectangle and strong doubling scans, cell
+boxes of bump_cube and integrate, arbitrary boxes of box_mass, and
+characteristic_at on a shifted or finer-than-the-lattice cube) as the
+mixed corner difference of a long-double prefix table, looked up
+directly on whole-cell edges and interpolated multilinearly on
+fractional ones.  A BoxGrid, the outer product of per-axis whole-cell
+boxes, is read at its vertices as strided views of the table; per-axis
+edge arrays that broadcast together gather every corner of every box,
+with the same per-point arithmetic.  Leading table axes are a batch.
+Each prefix mass is rounded to float64 once, and every elementwise power
+(density**theta, f**p, the bump, Carleson and embedding terms) runs in
+float64, so the maps do not depend on the platform's longdouble kind;
+the prefix masses still do.  At theta = 1 and p = 1 the powers keep the
+bits.
 
 Besides the integration core this module owns the weight generators, the
 doubling / reverse-doubling / strong-reverse-doubling scans with their
@@ -216,8 +219,8 @@ class Weight:
 
     def prefix(self, theta: float = 1.0) -> np.ndarray:
         theta = float(theta)
-        if theta < 1.0:
-            raise DomainError(f"theta must be >= 1, got {theta}")
+        if not 1.0 <= theta < math.inf:
+            raise DomainError(f"theta must be finite and >= 1, got {theta}")
         tab = self._prefix.get(theta)
         if tab is None:
             tab = _accumulate(self.lattice, np.power(self.density, theta))
@@ -528,16 +531,6 @@ def _weight_masses(w: Weight, lo, hi=None, theta: float = 1.0) -> np.ndarray:
     return _masses(w.prefix(theta), w._count, lo, hi)
 
 
-def _block_sums(cells: np.ndarray, n: int, side: int) -> np.ndarray:
-    """out[j + x] = sum of cells[x] over the j-th cube of side cells in the
-    last n axes, summed as one contiguous run like cells[x][cube j].sum()."""
-    m = cells.ndim - n
-    split = cells.reshape(cells.shape[:m] + (cells.shape[-1] // side, side) * n)
-    order = [m + 2 * k for k in range(n)] + list(range(m)) + [m + 2 * k + 1 for k in range(n)]
-    blocks = np.ascontiguousarray(split.transpose(order))
-    return blocks.reshape(blocks.shape[: m + n] + (-1,)).sum(axis=-1)
-
-
 def _cellwise(lat: Lattice, u: np.ndarray, theta: float = 1.0) -> np.ndarray:
     """u**theta * cell_volume, a pyramid's finest level; every reader powers
     the whole density, so a cell has the same bits in every box."""
@@ -716,17 +709,21 @@ def _product_levels(stacks, m: int, lead: int):
                 yield (li, lj), masses
 
 
-def _tree_mass(
-    h: np.ndarray, lat: Lattice, rect: Rect, levels, m: int | None = None, compensated: bool = True
-) -> np.ndarray:
-    """The box rect's entry of _level_masses(h, lat, m, compensated) at
-    levels, summed from its own cells by the same tree, one entry per
-    batch index."""
-    a, err = h[(..., *(slice(lo, hi) for lo, hi in zip(rect.lo, rect.hi)))], 0.0 if compensated else None
-    for axes, level in zip(_factor_axes(h, lat, m), levels):
-        for _ in range(lat.depth - level):
-            a, err = _halve(a, axes, err)
-    return a if err is None else a + err
+def _tree_mass(block: np.ndarray, groups, compensated: bool = True) -> np.ndarray:
+    """The mass of a block of cellwise values summed from its own cells by
+    _halve, each group of axes halved together, group by group, until it
+    is one cell wide: the entry a pyramid summing the groups in that order
+    gives the block, bit for bit.  The other axes are a batch; the summed
+    ones stay, one cell wide.  A summed axis not 2^k cells wide raises
+    ShapeError."""
+    for ax in (ax for axes in groups for ax in axes):
+        if block.shape[ax] < 1 or block.shape[ax] & (block.shape[ax] - 1):
+            raise ShapeError(f"a tree sums 2^k cells per axis, axis {ax} has {block.shape[ax]}")
+    a, err = block, 0.0 if compensated else None
+    for axes in groups:
+        while live := [ax for ax in axes if a.shape[ax] > 1]:
+            a, err = _halve(a, live, err)
+    return a + err if isinstance(err, np.ndarray) else a
 
 
 # ---------------------------------------------------------------------------
@@ -1120,13 +1117,19 @@ class Witness:
     def reevaluate(self, w: Weight) -> float:
         """mass(other) / mass(rect) by the scan's own engine: a shrink's
         masses are summed from each box's own cells by the product-reverse
-        pyramid's tree (_axis_tree_mass), every other kind's are read by
-        integrate from the long-double prefix table."""
-        mass = _axis_tree_mass if self.kind == "shrink" else integrate
-        num, den = mass(w, self.other), mass(w, self.rect)
+        pyramid's tree, one axis at a time (_tree_mass), every other
+        kind's are read by integrate from the long-double prefix table."""
+        num, den = (self._mass(w, box) for box in (self.other, self.rect))
         if den == 0.0:
             return INFINITE if num > 0 else 0.0
         return num / den
+
+    def _mass(self, w: Weight, box: Rect) -> float:
+        if self.kind != "shrink":
+            return integrate(w, box)
+        _check_rect(w.lattice, box)
+        cells = _cellwise(w.lattice, w.density[tuple(map(slice, box.lo, box.hi))])
+        return float(_tree_mass(cells, [(ax,) for ax in range(box.dim)]).flat[0])
 
 
 @dataclass
@@ -1501,23 +1504,8 @@ def _eps_from_per_scale(per_s: dict[int, tuple]) -> tuple[float | None, Witness 
 # leading axis, the tiles, the cube shrinks while every level so far is
 # equal, the earlier axes' shrinks (halved as the tiles are) and the
 # tiles' shrinks along this axis; the last axis's levels hold every box a
-# level tuple tests.  A box's mass is the tree sum of its own cells,
-# which _axis_tree_mass repeats.
-
-
-def _axis_tree_mass(w: Weight, rect: Rect) -> float:
-    """rect's mass summed from its own cells by _halve, down to one block
-    along axis 0, then axis 1, and so on: the product-reverse scan's tree,
-    whose boxes are 2^k cells wide on every axis; any other raises
-    ShapeError."""
-    _check_rect(w.lattice, rect)
-    if any(b - a < 1 or (b - a) & (b - a - 1) for a, b in zip(rect.lo, rect.hi)):
-        raise ShapeError(f"box {rect.lo}..{rect.hi} is not 2^k cells wide on every axis")
-    a, err = _cellwise(w.lattice, w.density[tuple(map(slice, rect.lo, rect.hi))]), 0.0
-    for ax in range(a.ndim):
-        while a.shape[ax] > 1:
-            a, err = _halve(a, (ax,), err)
-    return float((a + err).flat[0])
+# level tuple tests.  A box's mass is the tree sum of its own cells, which
+# _tree_mass repeats with one group per axis.
 
 
 def _scan_product_reverse(w: Weight) -> DoublingReport:

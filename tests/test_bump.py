@@ -33,7 +33,8 @@ from dyadlab import (
     substream,
 )
 from dyadlab import bump, lattice
-from dyadlab.bump import _bumps, _level_profiles
+from dyadlab.bump import _bump_map, _bumps
+from dyadlab.embed import _slices
 from dyadlab.grids import onethird_grids, standard_grid
 from dyadlab.lattice import box_mass, box_masses
 
@@ -228,24 +229,67 @@ def test_slice_profile_validation():
         slice_profile(Rect((0,), (9,)), w, 2.0)
 
 
-@pytest.mark.parametrize("dim,m,depth", [(2, 1, 5), (3, 1, 3), (3, 2, 3)])
+def _with_zero_block(lat, seed):
+    """A lognormal weight whose first cells along the first axis are 0
+    everywhere, and with a 2-cell zero corner: massless slices."""
+    dens = rand_w(lat, seed, rough=0.9).density.copy()
+    dens[:2] = 0.0
+    dens[(slice(0, 2),) * lat.dim] = 0.0
+    return Weight(lat, dens)
+
+
+@pytest.mark.parametrize("dim,m,depth", [(2, 1, 5), (3, 1, 3), (3, 2, 3), (4, 2, 2)])
 def test_level_profiles_match_slice_profile(dim, m, depth):
-    # one block sum per level gives the slice profile of every dyadic J of
-    # the level, bit for bit; the zero block makes some profiles vanish
+    # the rectangle proof chain reads the profile of every dyadic J of a
+    # level from one pyramid; slice_profile sums J's own cells by the same
+    # tree, so each profile has its bits; the zero block makes some vanish
     lat = make_lattice(dim, depth)
     n = dim - m
-    dens = rand_w(lat, 40 + dim + m, rough=0.9).density.copy()
-    dens[(slice(0, 2),) * dim] = 0.0
-    for w in (rand_w(lat, 30 + dim + m, rough=0.9), Weight(lat, dens)):
+    f = np.ones(lat.shape)
+    for w in (rand_w(lat, 30 + dim + m, rough=0.9), _with_zero_block(lat, 40 + dim + m)):
         for theta in (1.0, 1.5, 2.0):
-            for level in range(depth + 1):
+            for level, (_, prof) in enumerate(_slices(f, w.density, theta, n, depth)):
                 side = lat.cells_per_axis >> level
-                prof = _level_profiles(w, theta, n, level)
                 assert prof.shape == (1 << level,) * n + lat.shape[:m]
                 for j in np.ndindex(*prof.shape[:n]):
                     j_rect = Rect(tuple(i * side for i in j), tuple((i + 1) * side for i in j))
                     want = slice_profile(j_rect, w, theta).density
                     assert prof[j].tobytes() == want.tobytes(), (theta, level, j)
+
+
+def _ulps(a, b):
+    a, b = np.asarray(a, dtype=np.float64), np.asarray(b, dtype=np.float64)
+    return int(np.max(np.abs(a.view(np.int64) - b.view(np.int64)), initial=0))
+
+
+@pytest.mark.parametrize(
+    "dim,depth,j_rect",
+    [
+        (2, 4, Rect((6,), (14,))),
+        (2, 4, Rect((3,), (8,))),
+        (2, 4, Rect((0,), (16,))),
+        (3, 3, Rect((1, 2), (6, 4))),
+        (3, 3, Rect((3,), (8,))),
+    ],
+)
+def test_slice_profile_matches_fsum_on_any_j(dim, depth, j_rect):
+    # J offset, not 2^k cells wide, or not a cube is zero-padded to 2^k
+    # cells per axis and summed by the tree: each slice's value is within
+    # 1 ulp of the bump of its math.fsum mass, and a massless slice is 0
+    lat = make_lattice(dim, depth)
+    n = j_rect.dim
+    m_cells = lat.cells_per_axis ** (dim - n)
+    vol = lat.cell_side**n * j_rect.cells
+    for seed in range(3):
+        w = _with_zero_block(lat, 60 + seed)
+        block = w.density[(..., *(slice(a, b) for a, b in zip(j_rect.lo, j_rect.hi)))]
+        for theta in (1.0, 1.5, 2.0):
+            cells = (np.power(block, theta) * lat.cell_side**n).reshape(m_cells, -1)
+            mass = np.array([math.fsum(row) for row in cells.tolist()])
+            got = slice_profile(j_rect, w, theta).density.ravel()
+            assert _ulps(got, _bump_map(mass, vol, theta)) <= 1, (seed, theta)
+            assert (mass == 0.0).any()
+            assert (got[mass == 0.0] == 0.0).all()
 
 
 # ---------------------------------------------------------------------------
@@ -399,6 +443,31 @@ def test_characteristic_validation():
     wit = characteristic("product_bump", None, w, w, _exps(0.5, 0.5)).witness
     with pytest.raises(DomainError):
         characteristic_at("product_bump", table, wit, w, w, _exps(0.5, 0.5))
+
+
+@pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry", ["exponents", "prefix", "bump_cube", "slice_profile"])
+def test_non_finite_theta_is_refused(entry, theta):
+    # NaN passes theta < 1.0, and theta = inf made every bump a plain mass
+    w = lebesgue(make_lattice(2, 2))
+    calls = {
+        "exponents": lambda: Exponents(p=2.0, q=4.0, alpha=0.5, beta=0.5, theta=theta),
+        "prefix": lambda: w.prefix(theta),
+        "bump_cube": lambda: bump_cube(Rect((0, 0), (4, 4)), w, theta),
+        "slice_profile": lambda: slice_profile(Rect((0,), (4,)), w, theta),
+    }
+    with pytest.raises(DomainError):
+        calls[entry]()
+
+
+def test_characteristic_with_no_comparable_value_is_refused():
+    # theta = 1e308 overflows density**theta to inf where the density
+    # exceeds 1 and to 0 below, so every product is inf * 0 = NaN and no
+    # value is the first maximum
+    lat = make_lattice(2, 3)
+    sigma, omega = (gen_weight(lat, {"kind": "constant", "value": v}) for v in (2.0, 0.5))
+    with pytest.raises(DomainError):
+        characteristic("product_bump", None, sigma, omega, _exps(0.5, 0.5, theta=1e308))
 
 
 def test_exponents_validation():

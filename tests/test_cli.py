@@ -209,6 +209,26 @@ def test_compute_rejects_bad_exponents(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["compute", "characteristic", "--sigma", "{tmp}/sig.wgt", "--omega", "{tmp}/om.wgt", "--theta", "nan"],
+        ["compute", "characteristic", "--sigma", "{tmp}/sig.wgt", "--omega", "{tmp}/om.wgt", "--theta", "inf"],
+        ["compute", "characteristic", "--sigma", "{tmp}/sig.wgt", "--omega", "{tmp}/om.wgt", "--theta", "1e308"],
+        ["compute", "bump", "--weight", "{tmp}/sig.wgt", "--theta", "nan"],
+        ["norm-estimate", "--sigma", "{tmp}/sig.wgt", "--omega", "{tmp}/om.wgt", "--theta", "nan"],
+    ],
+    ids=["characteristic-nan", "characteristic-inf", "characteristic-overflow", "bump-nan", "norm-estimate-nan"],
+)
+def test_non_finite_or_overflowing_theta_exits_2(argv, tmp_path, capsys):
+    _gen(tmp_path, "sig.wgt", depth=3, seed=6)
+    _gen(tmp_path, "om.wgt", depth=3, seed=7)
+    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.out + captured.err
+    assert captured.err.startswith("configuration error:")
+
+
 def test_compute_missing_file_is_io_error(tmp_path, capsys):
     assert main(["compute", "bump", "--weight", str(tmp_path / "no.wgt"), "--theta", "2"]) == 3
     capsys.readouterr()

@@ -38,7 +38,7 @@ from dyadlab import (
 )
 from dyadlab import EmbedRectReport, lattice, lp_norm, slice_profile
 from dyadlab.bump import _bump_map
-from dyadlab import bump, embed
+from dyadlab import embed
 from dyadlab.embed import _proof_chain
 from dyadlab.grids import Cube, _good_rel_mask
 from dyadlab.lattice import _accumulate, box_list, box_masses, tile_edges
@@ -522,12 +522,35 @@ def test_good_rectangle_carleson_with_product_constants():
         assert total <= bound * (1 + 1e-9), f"seed {seed}: {total} vs {bound}"
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize(
+    "entry",
+    ["stopping_cubes", "embed_check_cubes", "embed_check_rects", "automatic_carleson_theta",
+     "automatic_carleson_rho", "good_carleson_rho"],
+)
+def test_non_finite_theta_or_rho_is_refused(entry, bad):
+    lat = make_lattice(2, 3)
+    f, w = rand_f(lat, 7), rand_w(lat, 8)
+    P = full_rect(lat)
+    calls = {
+        "stopping_cubes": lambda: stopping_cubes(f, w, bad, 0),
+        "embed_check_cubes": lambda: embed_check_cubes(f, w, bad, 4.0, 2.0),
+        "embed_check_rects": lambda: embed_check_rects(f, w, bad, 4.0, 2.0),
+        "automatic_carleson_theta": lambda: automatic_carleson(P, w, bad, 2.0),
+        "automatic_carleson_rho": lambda: automatic_carleson(P, w, 2.0, bad),
+        "good_carleson_rho": lambda: good_carleson(P, w, bad, GoodnessParams(eps=0.25, r=2)),
+    }
+    with pytest.raises(DomainError):
+        calls[entry]()
+
+
 # ---------------------------------------------------------------------------
 # proof chain of the rectangle embedding against the former loops
 #
 # The former loops read every mass through a given function: the dyadic
 # pyramid's level tuple, whose bits the batched evaluator must keep, or a
-# math.fsum oracle of the box's cells.
+# math.fsum oracle of the box's cells.  Axes of cells before the lattice's
+# are a batch.
 
 
 def _pyramid_level(cells, lat, levels, m):
@@ -537,9 +560,10 @@ def _pyramid_level(cells, lat, levels, m):
 def _fsum_level(cells, lat, levels, m):
     dims = (lat.dim,) if m is None else (m, lat.dim - m)
     sides = [lat.cells_per_axis >> lv for lv, d in zip(levels, dims) for _ in range(d)]
-    out = np.empty(tuple(lat.cells_per_axis // s for s in sides))
+    lead = cells.ndim - lat.dim
+    out = np.empty(cells.shape[:lead] + tuple(lat.cells_per_axis // s for s in sides))
     for idx in np.ndindex(*out.shape):
-        box = cells[tuple(slice(i * s, (i + 1) * s) for i, s in zip(idx, sides))]
+        box = cells[idx[:lead] + tuple(slice(i * s, (i + 1) * s) for i, s in zip(idx[lead:], sides))]
         out[idx] = math.fsum(box.ravel().tolist())
     return out
 
@@ -572,7 +596,8 @@ def _former_cubes(f, w, theta, r, s, read):
 def _former_rects(f, w, theta, r, s, m, read):
     """The rectangle check as loops: the direct sum over level pairs, one
     cube embedding per dyadic J against its slice profile, one per point
-    x.  Returns the per-slice and per-point (lhs, rhs) and the report."""
+    x, the slices' masses over J read as the rest are.  Returns the
+    per-slice and per-point (lhs, rhs) and the report."""
     lat = w.lattice
     n_ax, depth, cells = lat.dim - m, lat.depth, lat.cells_per_axis
     total = LD(0.0)
@@ -582,17 +607,15 @@ def _former_rects(f, w, theta, r, s, m, read):
     rhs = lp_norm(f, w, s)
 
     m_lat, n_lat = make_lattice(m, depth), make_lattice(n_ax, depth)
-    fl, ul = f.values.astype(LD), w.density.astype(LD)
     slices, intermediate, max_slice = [], LD(0.0), 0.0
     for lj in range(depth + 1):
-        side = cells >> lj
+        mu = read(lattice._cellwise(n_lat, w.density, theta), n_lat, (lj,), None)
+        mf = read(f.values * w.density * n_lat.cell_volume, n_lat, (lj,), None)
         for j_idx in np.ndindex(*((1 << lj,) * n_ax)):
-            j_rect = Rect(tuple(i * side for i in j_idx), tuple((i + 1) * side for i in j_idx))
-            nu = slice_profile(j_rect, w, theta)
-            sel = (slice(None),) * m + tuple(slice(a, b) for a, b in zip(j_rect.lo, j_rect.hi))
-            h = (fl[sel] * ul[sel]).sum(axis=tuple(range(m, lat.dim))) * LD(2.0) ** (-n_ax * depth)
-            dens = nu.density
-            g = np.where(dens > 0.0, h.astype(np.float64) / np.where(dens > 0.0, dens, 1.0), 0.0)
+            dens = _bump_map(mu[(...,) + j_idx], 2.0 ** (-lj * n_ax), theta)
+            h = mf[(...,) + j_idx]
+            g = np.where(dens > 0.0, h / np.where(dens > 0.0, dens, 1.0), 0.0)
+            nu = Weight(m_lat, dens)
             a, b = _former_cubes(GridFunction(m_lat, g), nu, theta, r, s, read)
             slices.append((a, b))
             intermediate += LD(b) ** LD(r)
@@ -670,16 +693,21 @@ def test_proof_chain_matches_former_loops(dim, m, depth, theta):
 
 def _per_level_chain(f, w, theta, r, s, m):
     """_proof_chain with one evaluator call per level of slices, as it ran
-    before the levels were batched."""
+    before the levels were batched: each profile from slice_profile, each
+    slice's f-mass from the pyramid."""
     lat = w.lattice
     n_ax, depth = lat.dim - m, lat.depth
-    m_lat = make_lattice(m, depth)
-    fu = f.values.astype(LD) * w.density.astype(LD)
+    m_lat, n_lat = make_lattice(m, depth), make_lattice(n_ax, depth)
     slices = []
     for lj in range(depth + 1):
-        dens = bump._level_profiles(w, theta, n_ax, lj)
-        h = lattice._block_sums(fu, n_ax, lat.cells_per_axis >> lj) * LD(2.0) ** (-n_ax * depth)
-        g = np.where(dens > 0.0, h.astype(np.float64) / np.where(dens > 0.0, dens, 1.0), 0.0)
+        side = lat.cells_per_axis >> lj
+        mf = _pyramid_level(f.values * w.density * n_lat.cell_volume, n_lat, (lj,), None)
+        h = np.moveaxis(mf, range(m, lat.dim), range(n_ax))
+        dens = np.empty_like(h)
+        for j in np.ndindex(*h.shape[:n_ax]):
+            j_rect = Rect(tuple(i * side for i in j), tuple((i + 1) * side for i in j))
+            dens[j] = slice_profile(j_rect, w, theta).density
+        g = np.where(dens > 0.0, h / np.where(dens > 0.0, dens, 1.0), 0.0)
         slices.append([v.ravel() for v in embed._embeddings(g, dens, m_lat, theta, r, s)[:2]])
     slice_lhs, slice_rhs = (np.concatenate(v) for v in zip(*slices))
     points = embed._embeddings(f.values, w.density, make_lattice(n_ax, depth), theta, r, s)[:2]

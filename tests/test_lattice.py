@@ -1204,7 +1204,8 @@ def test_stacked_pyramid_matches_tree_mass_bit_for_bit(m, compensated):
         for idx in np.ndindex(*masses.shape[1:]):
             lo = tuple(i * a for i, a in zip(idx, sides))
             rect = Rect(lo, tuple(a + b for a, b in zip(lo, sides)))
-            want = lattice._tree_mass(h, lat, rect, levels, m, compensated)
+            block = h[(slice(None),) + tuple(map(slice, rect.lo, rect.hi))]
+            want = lattice._tree_mass(block, lattice._factor_axes(h, lat, m), compensated)
             assert masses[(slice(None),) + idx].tobytes() == want.tobytes(), (levels, idx)
 
 

@@ -20,18 +20,20 @@ a level-table kernel and over a family_of family holding a duplicated
 rectangle (per-rectangle coefficient arrays, and a fourth start seeded
 by the family's floor rectangle), with a digest of the bytes of each
 returned pair.  Each characteristic value (the one-third scan's
-included), each product-reverse witness value and per_scale ratio and
-each embedding lhs also records, as NAME/oracle, its recomputation from
-exact masses: the value at the reported witness, every cell counted by
-the share of it the box covers, the witness's ratio of math.fsum masses,
-the greatest such ratio over every tile of the scale, and the lhs over
-every box, with f * density summed exactly.  dyadlab is imported from --src, the
-src/ directory next to this script unless given, so one script dumps any
-checkout.  --compare prints every quantity (a name with its unit and
-list index wildcarded) that moved, with its worst relative and absolute
-drift and where it happened, then the distance to its oracle before and
-after of every moved value that has one, then every witness, pass flag or
-other text field that differs; it exits 1 when any number (compared bit
+included), each product-reverse witness value and per_scale ratio, and
+each embedding's lhs, intermediate and max_slice_ratio also records, as
+NAME/oracle, its recomputation from exact masses: the value at the
+reported witness, every cell counted by the share of it the box covers,
+the witness's ratio of math.fsum masses, the greatest such ratio over
+every tile of the scale, the lhs over every box, with f * density summed
+exactly, and the proof chain's two over every slice, its profile,
+average and masses summed the same way.  dyadlab is imported from --src,
+the src/ directory next to this script unless given, so one script
+dumps any checkout.  --compare prints every quantity (a name with its
+unit and list index wildcarded) that moved, with its worst relative and
+absolute drift and where it happened, then the distance to its oracle
+before and after of every moved value that has one, then every witness,
+pass flag or other text field that differs; it exits 1 when any number (compared bit
 for bit) or text field differs and 0 when every bit is kept.
 """
 from __future__ import annotations
@@ -182,6 +184,59 @@ def _embed_oracle(f, w, theta: float, r: float, s: float, m: int) -> float:
             pos = b > 0.0
             terms += np.power(mf[pos] * np.power(b[pos], 1.0 / s - 1.0), r).tolist()
     return math.fsum(terms) ** (1.0 / r)
+
+
+def _cube_oracle(g, dens, theta: float, r: float, s: float) -> tuple[float, float]:
+    """(lhs, L^s norm) of the cube embedding of cellwise g under the
+    density dens, every mass the math.fsum of its cells, g * dens summed
+    exactly, and the terms and the norm's cells summed by math.fsum."""
+    import numpy as np
+
+    dim, cells = g.ndim, g.shape[0]
+    vol = float(cells) ** -dim
+    powered = np.power(dens, theta) * vol
+    prod, err = (a * vol for a in _two_product(g, dens))
+    terms = []
+    for level in range(cells.bit_length()):
+        side = cells >> level
+        for idx in np.ndindex(*(1 << level,) * dim):
+            box = tuple(slice(i * side, (i + 1) * side) for i in idx)
+            b = (2.0 ** (-level * dim)) ** (1.0 - 1.0 / theta) * _fsum_mass(powered, box) ** (1.0 / theta)
+            if b > 0.0:
+                mf = math.fsum(prod[box].ravel().tolist() + err[box].ravel().tolist())
+                terms.append((mf * b ** (1.0 / s - 1.0)) ** r)
+    norm = math.fsum(np.concatenate([x.ravel() for x in _two_product(np.power(g, s), dens)]).tolist())
+    return math.fsum(terms) ** (1.0 / r), (norm * vol) ** (1.0 / s)
+
+
+def _slice_oracle(f, w, theta: float, r: float, s: float, m: int) -> tuple[float, float]:
+    """embed_check_rects' intermediate and max_slice_ratio: per dyadic J of
+    the last axes, its slice profile and the slice average of f, each
+    slice's mass the math.fsum of its cells, f * density summed exactly,
+    then _cube_oracle of the two, the sum over J by math.fsum."""
+    import numpy as np
+
+    lat = w.lattice
+    n, cells = lat.dim - m, lat.cells_per_axis
+    vol = float(cells) ** -n
+    powered = np.power(w.density, theta) * vol
+    prod, err = (a * vol for a in _two_product(f.values, w.density))
+    rhs_r, ratio = [], 0.0
+    for lj in range(lat.depth + 1):
+        side = cells >> lj
+        for j in np.ndindex(*(1 << lj,) * n):
+            mu, h = np.empty((cells,) * m), np.empty((cells,) * m)
+            for x in np.ndindex(*mu.shape):
+                box = x + tuple(slice(i * side, (i + 1) * side) for i in j)
+                mu[x] = _fsum_mass(powered, box)
+                h[x] = math.fsum(prod[box].ravel().tolist() + err[box].ravel().tolist())
+            dens = (2.0 ** (-lj * n)) ** (1.0 - 1.0 / theta) * np.power(mu, 1.0 / theta)
+            g = np.where(dens > 0.0, h / np.where(dens > 0.0, dens, 1.0), 0.0)
+            lhs, rhs = _cube_oracle(g, dens, theta, r, s)
+            rhs_r.append(rhs**r)
+            if rhs > 0.0:
+                ratio = max(ratio, lhs / rhs)
+    return math.fsum(rhs_r), ratio
 
 
 def _verify_rows(seed: int, out: dict) -> None:
@@ -344,6 +399,9 @@ def _norm2d(seed: int, unit: int, out: dict) -> None:
                       "max_slice_ratio", "max_point_ratio"):
             out[f"{key}/{name}/{field}"] = getattr(rep, field)
         out[f"{key}/{name}/lhs/oracle"] = _embed_oracle(f, w, wl.EXPS.theta, r, s, 1)
+        intermediate, max_slice = _slice_oracle(f, w, wl.EXPS.theta, r, s, 1)
+        out[f"{key}/{name}/intermediate/oracle"] = intermediate
+        out[f"{key}/{name}/max_slice_ratio/oracle"] = max_slice
 
 
 def _norm_forms(seed: int, out: dict) -> None:
