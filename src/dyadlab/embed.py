@@ -9,10 +9,11 @@ compensated float64 pairwise sum of the box's own cells; the rectangle
 proof chain's slice profiles and averages from the pyramid of the
 trailing axes, bit for bit the masses slice_profile sums.  The good-cube
 Carleson sum takes cube goodness from the skeleton-goodness kernel in
-`grids`.  One batched evaluator, _embeddings, makes every embedding sum:
-the cube check and the rectangle lhs are its batch of one, and the
-rectangle proof chain is one call over the slices of every level and one
-over the points.
+`grids`.  One batched evaluator, _embeddings (_pyramids, _term_sums and
+_embedding), makes every embedding sum: the cube check and the rectangle
+lhs are its batch of one, and the rectangle proof chain is one call over
+the slices of every level, its points' sums taken from the pyramids that
+give the slices.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .lattice import (
     _refine_array,
     doubling_report,
     make_lattice,
-    tile_edges,
 )
 
 _LD = np.longdouble
@@ -166,9 +166,10 @@ def stopping_cubes(
         b = _bump_map(mw, 2.0 ** (-level * lat.dim), theta)
         avg = np.where(b > 0.0, mf / np.where(b > 0.0, b, 1.0), 0.0)
         chosen = (avg > threshold) & ~blocked
-        subs = tile_edges((0,) * lat.dim, lat.shape, (lat.cells_per_axis >> level,) * lat.dim)
+        side = lat.cells_per_axis >> level
         for i in np.flatnonzero(chosen):
-            cubes.append(subs.rect(i))
+            lo = tuple(int(a) * side for a in np.unravel_index(i, chosen.shape))
+            cubes.append(Rect(lo, tuple(a + side for a in lo)))
             averages.append(float(avg.flat[i]))
             refined.append(float(mass_cut.flat[i]) > cut * float(b.flat[i]))
         if level < lat.depth:
@@ -306,33 +307,48 @@ class EmbedReport:
     ratio: float
 
 
-def _embeddings(f, u, lat: Lattice, theta: float, r: float, s: float, m: int | None = None):
-    """Float64 lhs and L^s norm and long-double lhs^r of the embedding of
-    cellwise f under density u (trailing axes the lattice lat, leading ones
-    a batch), over the dyadic cubes (m None) or the products of a dyadic
-    cube of the first m axes with one of the rest, level tuple by level
-    tuple of the two dyadic pyramids, the level tuples' sums added in
-    product order.  A batch index sums its terms in one run, so it keeps
-    the bits of a batch of one.  Each term is one float64
-    power, (mf * bump^(1/s - 1))^r, as mf^r * bump^(r/s - r) underflows."""
-    if f.shape != u.shape:
-        raise ShapeError("function and weight live on different lattices")
+def _pyramids(f, u, lat: Lattice, theta: float, m: int | None = None):
+    """(levels, bump, f-mass) per level tuple of cellwise f under density
+    u (trailing axes the lattice lat, leading ones a batch): the theta
+    bump and the f-mass of every dyadic cube (m None), or of every product
+    of a dyadic cube of the first m axes with one of the rest, from the
+    two dyadic pyramids."""
     dims = (lat.dim,) if m is None else (m, lat.dim - m)
     pyramids = zip(
         _level_masses(_cellwise(lat, u, theta), lat, m),
         _level_masses(f * u * lat.cell_volume, lat, m),
     )
-    sums = {}  # level tuple -> long-double term sum per batch index
     for (lv, mu), (_, mf) in pyramids:
-        b = _bump_map(mu, 2.0 ** -sum(k * d for k, d in zip(lv, dims)), theta)
-        pos = b > 0.0
-        terms = np.where(pos, np.power(mf * np.power(np.where(pos, b, 1.0), 1 / s - 1), r), 0.0)
-        sums[lv] = terms.reshape(terms.shape[: -lat.dim] + (-1,)).sum(axis=-1, dtype=_LD)
+        yield lv, _bump_map(mu, 2.0 ** -sum(k * d for k, d in zip(lv, dims)), theta), mf
+
+
+def _term_sums(b: np.ndarray, mf: np.ndarray, r: float, s: float, dim: int) -> np.ndarray:
+    """Long-double sum of one level tuple's embedding terms per batch
+    index, in one run, so a batch index keeps the bits of a batch of one.
+    Each term is one float64 power, (mf * bump^(1/s - 1))^r, as mf^r *
+    bump^(r/s - r) underflows."""
+    pos = b > 0.0
+    terms = np.where(pos, np.power(mf * np.power(np.where(pos, b, 1.0), 1 / s - 1), r), 0.0)
+    return terms.reshape(terms.shape[:-dim] + (-1,)).sum(axis=-1, dtype=_LD)
+
+
+def _embedding(sums: dict, f, u, lat: Lattice, r: float, s: float):
+    """Float64 lhs and L^s norm and long-double lhs^r of an embedding from
+    its term sums per level tuple, added in product order."""
     total = _LD(0.0)
     for lv in sorted(sums):
         total = total + sums[lv]
     lhs = np.power(total, _LD(1.0) / _LD(r)).astype(np.float64)
     return lhs, _lp_norms(lat, f, u, s).astype(np.float64), total
+
+
+def _embeddings(f, u, lat: Lattice, theta: float, r: float, s: float, m: int | None = None):
+    """_embedding of cellwise f under density u over the level tuples of
+    _pyramids, the batched evaluator of every embedding sum."""
+    if f.shape != u.shape:
+        raise ShapeError("function and weight live on different lattices")
+    sums = {lv: _term_sums(b, mf, r, s, lat.dim) for lv, b, mf in _pyramids(f, u, lat, theta, m)}
+    return _embedding(sums, f, u, lat, r, s)
 
 
 def embed_check_cubes(
@@ -356,8 +372,8 @@ def embed_check_cubes(
     """
     if not 1.0 < theta < math.inf:
         raise DomainError(f"the cube embedding needs a finite theta > 1, got {theta}")
-    if not 1.0 < s < r:
-        raise DomainError(f"exponents must satisfy 1 < s < r, got s={s}, r={r}")
+    if not 1.0 < s < r < math.inf:
+        raise DomainError(f"exponents must satisfy 1 < s < r < inf, got s={s}, r={r}")
     _require_standard(grid, w.lattice.dim)
     lhs, rhs = (float(v) for v in _embeddings(f.values, w.density, w.lattice, theta, r, s)[:2])
     return EmbedReport(lhs, rhs, _ratio(lhs, rhs))
@@ -406,8 +422,8 @@ def embed_check_rects(
     """
     if not 1.0 < theta < math.inf:
         raise DomainError(f"the rectangle embedding needs a finite theta > 1, got {theta}")
-    if not 1.0 < s < r:
-        raise DomainError(f"exponents must satisfy 1 < s < r, got s={s}, r={r}")
+    if not 1.0 < s < r < math.inf:
+        raise DomainError(f"exponents must satisfy 1 < s < r < inf, got s={s}, r={r}")
     lat = w.lattice
     if not 1 <= m < lat.dim:
         raise ShapeError(f"first factor must span 1..{lat.dim - 1} axes, got {m}")
@@ -421,37 +437,31 @@ def embed_check_rects(
     return EmbedRectReport(lhs, rhs, _ratio(lhs, rhs), *chain)
 
 
-def _slices(f: np.ndarray, u: np.ndarray, theta: float, n: int, depth: int):
-    """(g, profile) per level lj, 0 to depth, of the dyadic cubes J of the
-    last n axes: the J-average g_J of f against J's slice profile, and the
-    profile, slice_profile(J).density bit for bit, of every J of the
-    level, from the dyadic pyramids of those axes with the others a batch;
-    J's index axes lead."""
-    n_lat = make_lattice(n, depth)
-    pyramids = zip(
-        _level_masses(_cellwise(n_lat, u, theta), n_lat),
-        _level_masses(f * u * n_lat.cell_volume, n_lat),
-    )
-    j_axes = range(u.ndim - n, u.ndim)
-    for ((lj,), mu), (_, mf) in pyramids:
-        dens, h = (np.moveaxis(a, j_axes, range(n)) for a in (_bump_map(mu, 2.0 ** (-lj * n), theta), mf))
-        yield np.where(dens > 0.0, h / np.where(dens > 0.0, dens, 1.0), 0.0), dens
+def _slice(b: np.ndarray, mf: np.ndarray, n: int) -> tuple:
+    """(g, profile) of every dyadic cube J of one level of the last n axes,
+    from its _pyramids entry over those axes: the J-average g_J of f
+    against J's slice profile, and the profile, slice_profile(J).density
+    bit for bit; J's index axes lead."""
+    dens, h = (np.moveaxis(a, range(a.ndim - n, a.ndim), range(n)) for a in (b, mf))
+    return np.where(dens > 0.0, h / np.where(dens > 0.0, dens, 1.0), 0.0), dens
 
 
 def _proof_chain(f: GridFunction, w: Weight, theta: float, r: float, s: float, m: int):
     """slice_lhs, slice_rhs: cube embeddings of g_J under the slice profile
     of each dyadic J (by level, then C order), every level's slices one
     batch of one call; point_lhs, point_rhs: of f(x, .) under w(x, .), x
-    in C order."""
+    in C order, from the same pyramids of the last dim - m axes."""
     lat = w.lattice
     n_ax, depth = lat.dim - m, lat.depth
-    m_lat = make_lattice(m, depth)
-    gs, profiles = [], []
-    for g, dens in _slices(f.values, w.density, theta, n_ax, depth):
+    m_lat, n_lat = make_lattice(m, depth), make_lattice(n_ax, depth)
+    gs, profiles, sums = [], [], {}
+    for lv, b, mf in _pyramids(f.values, w.density, n_lat, theta):
+        sums[lv] = _term_sums(b, mf, r, s, n_ax)
+        g, dens = _slice(b, mf, n_ax)
         gs.append(g.reshape((-1,) + m_lat.shape))
         profiles.append(dens.reshape((-1,) + m_lat.shape))
     slices = _embeddings(np.concatenate(gs), np.concatenate(profiles), m_lat, theta, r, s)[:2]
-    points = _embeddings(f.values, w.density, make_lattice(n_ax, depth), theta, r, s)[:2]
+    points = _embedding(sums, f.values, w.density, n_lat, r, s)[:2]
     return *(v.ravel() for v in slices), *(v.ravel() for v in points)
 
 

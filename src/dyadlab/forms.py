@@ -60,10 +60,8 @@ from .lattice import (
     _level_stacks,
     _lp_norms,
     _segments,
-    box_list,
     lp_norm,
     substream,
-    tile_edges,
 )
 
 _LD = np.longdouble
@@ -264,6 +262,14 @@ class RectFamily:
         return int(self.boxes.shape[0])
 
 
+def _tiles(cells: int, sides) -> np.ndarray:
+    """The cubes of per-axis sides tiling [0, cells)^d as a (N, d, 2) box
+    list of lower and upper edges, C order."""
+    sides = np.array(sides, dtype=np.int64)
+    lo = np.indices(cells // sides, dtype=np.int64).reshape(sides.size, -1).T * sides
+    return np.stack([lo, lo + sides], axis=2)
+
+
 def dyadic_family(lat: Lattice, m: int) -> RectFamily:
     """Every product of standard dyadic cubes, all level pairs 0..depth.
 
@@ -282,8 +288,7 @@ def dyadic_family(lat: Lattice, m: int) -> RectFamily:
     lvls = []
     for li in range(lat.depth + 1):
         for lj in range(lat.depth + 1):
-            sides = (cells >> li,) * m + (cells >> lj,) * n
-            block = box_list(*tile_edges((0,) * lat.dim, (cells,) * lat.dim, sides))
+            block = _tiles(cells, (cells >> li,) * m + (cells >> lj,) * n)
             chunks.append(block)
             lvls.append(np.full((block.shape[0], 2), (li, lj), dtype=np.int64))
     return RectFamily(m, n, np.concatenate(chunks), np.concatenate(lvls), "dyadic")

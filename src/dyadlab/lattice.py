@@ -28,12 +28,10 @@ concentric shrinks of the coarser edges.  The prefix engine, box_masses,
 reads the rest (the cube, rectangle and strong doubling scans, cell
 boxes of bump_cube and integrate, arbitrary boxes of box_mass, and
 characteristic_at on a shifted or finer-than-the-lattice cube) as the
-mixed corner difference of a long-double prefix table, looked up
-directly on whole-cell edges and interpolated multilinearly on
-fractional ones.  A BoxGrid, the outer product of per-axis whole-cell
-boxes, is read at its vertices as strided views of the table; per-axis
-edge arrays that broadcast together gather every corner of every box,
-with the same per-point arithmetic.  Leading table axes are a batch.
+mixed corner difference of a long-double prefix table: per-axis edge
+arrays that broadcast together gather every corner of every box, looked
+up directly on whole-cell edges and interpolated multilinearly on
+fractional ones.  Leading table axes are a batch.
 Each prefix mass is rounded to float64 once, and every elementwise power
 (density**theta, f**p, the bump, Carleson and embedding terms) runs in
 float64, so the maps do not depend on the platform's longdouble kind;
@@ -223,7 +221,7 @@ class Weight:
             raise DomainError(f"theta must be finite and >= 1, got {theta}")
         tab = self._prefix.get(theta)
         if tab is None:
-            tab = _accumulate(self.lattice, np.power(self.density, theta))
+            tab = _accumulate(self.lattice, _powered(self.density, theta))
             self._prefix[theta] = tab
         return tab
 
@@ -334,7 +332,7 @@ def _corner_sum(tab: np.ndarray, ends: list) -> np.ndarray:
     return out
 
 
-def box_masses(tab: np.ndarray, lo, hi=None) -> np.ndarray:
+def box_masses(tab: np.ndarray, lo, hi) -> np.ndarray:
     """Masses of every box spanned by per-axis edges, in cell units.
 
     lo[k] and hi[k] hold the edges of the k-th of the table's len(lo)
@@ -343,155 +341,13 @@ def box_masses(tab: np.ndarray, lo, hi=None) -> np.ndarray:
     outer-product grid of a level pair, equal-length vectors give a list
     of boxes.  Edges are clipped to [0, n].  Every corner of every box is
     gathered: an edge array of whole cells indexes the table directly, any
-    other is interpolated.
-
-    A BoxGrid given as lo, with hi omitted, is read at its vertices, each
-    run of whole-cell boxes as strided views of the table, and each box
-    takes the mixed difference of its own vertices.  Both ways a corner is
-    the same table entry (or interpolation), and corners are summed in one
-    fixed order, so a box's mass depends only on its own edges and table,
-    never on the batch or the layout it was read in.  Returns long
-    doubles, or the table's dtype for an integer table on whole cells.
+    other is interpolated.  Corners are summed in one fixed order, so a
+    box's mass depends only on its own edges and table, never on the
+    batch or the layout it was read in.  Returns long doubles, or the
+    table's dtype for an integer table on whole cells.
     """
-    if hi is None:
-        return lo.masses(tab)
     n = tab.shape[-1] - 1
     return _corner_sum(tab, [(_edge(a, n), _edge(b, n)) for a, b in zip(lo, hi)])
-
-
-def _span(start: int, step: int, count: int) -> slice:
-    """The vertices start, start + step, ... of count boxes as a slice; a
-    step of 0 is one vertex, which broadcasts over the boxes."""
-    if step == 0 or count == 1:
-        return slice(start, start + 1, 1)
-    return slice(start, start + (count - 1) * step + 1 if count else start, step)
-
-
-def _vertices(read: slice) -> np.ndarray:
-    return np.arange(read.start, read.stop, read.step)
-
-
-class Axis:
-    """One axis of a BoxGrid: its boxes, as runs of whole-cell progressions.
-
-    runs holds per run of consecutive boxes (count, lo, hi): the slices of
-    the table's axis, vertex i at cell i, holding the run's lower and upper
-    edges, so a run is a strided view of the table; a one-vertex slice is
-    an edge constant over the run.
-    """
-
-    __slots__ = ("runs",)
-
-    def __init__(self, runs):
-        self.runs = tuple(runs)
-
-    @classmethod
-    def progression(cls, start: int, count: int, step: int, width: int) -> "Axis":
-        """count whole-cell boxes [start + j*step, start + j*step + width)."""
-        return cls([(count, _span(start, step, count), _span(start + width, step, count))])
-
-    @property
-    def count(self) -> int:
-        return sum(run[0] for run in self.runs)
-
-    def edges(self) -> tuple[np.ndarray, np.ndarray]:
-        """Every box's lower and upper edge, in box order (read-only)."""
-        out = []
-        for k in (1, 2):
-            parts = [np.broadcast_to(_vertices(run[k]), run[0]) for run in self.runs]
-            out.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
-        return tuple(out)
-
-    def edge_at(self, pos: int) -> tuple:
-        """Lower and upper edge of the box at one position."""
-        for count, lo, hi in self.runs:
-            if pos < count:
-                return tuple((v := _vertices(read))[min(pos, v.size - 1)] for read in (lo, hi))
-            pos -= count
-        raise IndexError(f"box position beyond the axis's {self.count} boxes")
-
-
-def _ix_shapes(d: int) -> list[tuple[int, ...]]:
-    """Per axis, the shape np.ix_ gives its vector among d axes."""
-    return [(1,) * k + (-1,) + (1,) * (d - 1 - k) for k in range(d)]
-
-
-class BoxGrid:
-    """The outer product of per-axis boxes, one Axis per trailing table
-    axis: a level's cubes, the placements of a box, their clipped doubles.
-
-    box_masses(tab, grid) reads it at its vertices.  It also unpacks, as
-    lo, hi = grid, to its per-axis edge arrays laid out by np.ix_, which
-    every reader of edge arrays takes.
-    """
-
-    __slots__ = ("axes",)
-
-    def __init__(self, axes):
-        self.axes = tuple(axes)
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return tuple(ax.count for ax in self.axes)
-
-    def __iter__(self):
-        ends = [ax.edges() for ax in self.axes]
-        layout = _ix_shapes(len(ends))
-        return iter([[e[side].reshape(s) for e, s in zip(ends, layout)] for side in (0, 1)])
-
-    def replace(self, k: int, axis: Axis) -> "BoxGrid":
-        return BoxGrid(self.axes[:k] + (axis,) + self.axes[k + 1 :])
-
-    def edges_at(self, flat: np.ndarray) -> tuple[list, list]:
-        """Per-axis lower and upper edges of the boxes at flat (C order)
-        positions, a box list."""
-        pos = np.unravel_index(flat, self.shape)
-        ends = [ax.edges() for ax in self.axes]
-        return [lo[p] for (lo, _), p in zip(ends, pos)], [hi[p] for (_, hi), p in zip(ends, pos)]
-
-    def rect(self, flat: int) -> Rect:
-        """The cell box at a flat (C order) position of a whole-cell grid."""
-        pos = np.unravel_index(flat, self.shape)
-        ends = [ax.edge_at(int(p)) for ax, p in zip(self.axes, pos)]
-        return Rect(tuple(int(a) for a, _ in ends), tuple(int(b) for _, b in ends))
-
-    def masses(self, tab: np.ndarray) -> np.ndarray:
-        """box_masses of the grid, read at its vertices as strided views."""
-        axes = self.axes
-        d = len(axes)
-        if all(len(ax.runs) == 1 for ax in axes):
-            out = _corner_sum(tab, [ax.runs[0][1:] for ax in axes])
-            shape = out.shape[: out.ndim - d] + self.shape
-            return out if out.shape == shape else np.broadcast_to(out, shape).copy()
-        blocks = []
-        for ax in axes:
-            starts = np.cumsum([0] + [run[0] for run in ax.runs])
-            runs = zip(starts, starts[1:], ax.runs)
-            blocks.append([(slice(a, b), run[1:]) for a, b, run in runs])
-        out = None
-        for combo in _iproduct(*blocks):
-            block = _corner_sum(tab, [ends for _, ends in combo])
-            if out is None:
-                out = np.empty(block.shape[: block.ndim - d] + self.shape, dtype=block.dtype)
-            out[(..., *(at for at, _ in combo))] = block
-        return out
-
-
-def tile_edges(lo, hi, sides) -> BoxGrid:
-    """The cubes of per-axis sides tiling the cell box [lo, hi), each axis
-    a progression read as a strided view."""
-    return BoxGrid(
-        Axis.progression(a, len(range(a, b, s)), s, s) for a, b, s in zip(lo, hi, sides)
-    )
-
-
-def box_list(lo, hi) -> np.ndarray:
-    """The boxes spanned by broadcast edges as an (N, d, 2) list, C order."""
-    lo, hi = np.broadcast_arrays(*lo), np.broadcast_arrays(*hi)
-    d = len(lo)
-    return np.stack(
-        [np.stack(lo, axis=-1).reshape(-1, d), np.stack(hi, axis=-1).reshape(-1, d)], axis=2
-    )
 
 
 def _cover(lo, hi) -> tuple[list, list]:
@@ -507,23 +363,18 @@ def _cover(lo, hi) -> tuple[list, list]:
     return clo, chi
 
 
-def _masses(tab: np.ndarray, count: np.ndarray | None, lo, hi=None) -> np.ndarray:
+def _masses(tab: np.ndarray, count: np.ndarray | None, lo, hi) -> np.ndarray:
     """box_masses of tab, exactly 0 on boxes that hold no positive cell by
     their _positive_counts table, where the corner sum of nonzero prefix
     values need not cancel; the count is read on the whole-cell cover of
-    fractional boxes, which a whole-cell grid is of itself.  Every other
-    box keeps the engine's bits."""
+    fractional boxes.  Every other box keeps the engine's bits."""
     masses = box_masses(tab, lo, hi)
     if count is not None:
-        if hi is None:
-            held = box_masses(count, lo)
-        else:
-            held = box_masses(count, *_cover(lo, hi))
-        masses = np.where(held == 0, _LD(0.0), masses)
+        masses = np.where(box_masses(count, *_cover(lo, hi)) == 0, _LD(0.0), masses)
     return masses
 
 
-def _weight_masses(w: Weight, lo, hi=None, theta: float = 1.0) -> np.ndarray:
+def _weight_masses(w: Weight, lo, hi, theta: float = 1.0) -> np.ndarray:
     """_masses through w's theta table and its positive-cell count, which
     is built on first use."""
     if w._count is False:
@@ -531,10 +382,19 @@ def _weight_masses(w: Weight, lo, hi=None, theta: float = 1.0) -> np.ndarray:
     return _masses(w.prefix(theta), w._count, lo, hi)
 
 
+def _powered(u: np.ndarray, theta: float) -> np.ndarray:
+    """u**theta in float64; a cell that overflows raises DomainError."""
+    with np.errstate(over="ignore"):
+        out = np.power(u, float(theta))
+    if not np.isfinite(out).all():
+        raise DomainError(f"density**theta overflows float64 at theta={theta!r}")
+    return out
+
+
 def _cellwise(lat: Lattice, u: np.ndarray, theta: float = 1.0) -> np.ndarray:
     """u**theta * cell_volume, a pyramid's finest level; every reader powers
     the whole density, so a cell has the same bits in every box."""
-    return np.power(u, float(theta)) * lat.cell_volume
+    return _powered(u, theta) * lat.cell_volume
 
 
 def _add(x, y, ex, ey, out=(None, None)) -> tuple:
@@ -1154,29 +1014,36 @@ class DoublingReport:
         return all(e > 0 for e in self.rev_eps)
 
 
-def _placements(n: int, sizes) -> BoxGrid:
-    """Every placement of a sizes-shaped cell box, one axis per dimension."""
-    return BoxGrid(Axis.progression(0, n - m + 1, 1, m) for m in sizes)
+# The cube, rectangle and strong scans read families of cell boxes: the
+# outer product of per-axis (count, lo, hi), box a of an axis, 0 <= a <
+# count, spanning the cells [a + lo, a + hi) clipped to [0, n], where a +
+# lo <= n and a + hi >= 0, so a lower edge is clipped only to 0 and an
+# upper one only to n.  A family's boxes are numbered in C order.
 
 
-def _doubles(n: int, sizes) -> BoxGrid:
-    """The doubles of _placements(n, sizes), clipped to [0, n].  A
-    placement a of side m doubles to [max(a - m/2, 0), min(a + 3m/2, n)),
-    so each axis splits into at most three runs on which both edges are a
-    slice or the constant 0 or n."""
-    axes = []
-    for m in sizes:
-        h, count = m // 2, n - m + 1
-        top = n - m - h + 1  # first placement whose double is clipped at n
-        cuts = sorted({0, min(h, count), min(max(top, 0), count), count})
-        runs = []
-        for a, b in zip(cuts, cuts[1:]):
-            if a < b:
-                lo = _span(0, 0, 1) if a < h else _span(a - h, 1, b - a)
-                hi = _span(n, 0, 1) if a >= top else _span(a + m + h, 1, b - a)
-                runs.append((b - a, lo, hi))
-        axes.append(Axis(runs))
-    return BoxGrid(axes)
+def _placements(n: int, sizes) -> tuple:
+    """Every placement of a sizes-shaped cell box."""
+    return tuple((n - m + 1, 0, m) for m in sizes)
+
+
+def _doubles(n: int, sizes) -> tuple:
+    """The doubles of _placements(n, sizes): [a - m/2, a + 3m/2), clipped."""
+    return tuple((n - m + 1, -(m // 2), m + m // 2) for m in sizes)
+
+
+def _edges(family, flat, n: int) -> tuple[list, list]:
+    """Per-axis lower and upper edges of a family's boxes at flat (C order)
+    positions, clipped to [0, n]."""
+    pos = np.unravel_index(flat, [count for count, _, _ in family])
+    lo = [np.clip(a + off, 0, n) for a, (_, off, _) in zip(pos, family)]
+    hi = [np.clip(a + off, 0, n) for a, (_, _, off) in zip(pos, family)]
+    return lo, hi
+
+
+def _rect(family, flat: int, n: int) -> Rect:
+    """The cell box at a flat position of a family."""
+    lo, hi = _edges(family, flat, n)
+    return Rect(tuple(int(a) for a in lo), tuple(int(b) for b in hi))
 
 
 # The doubling and strong scans want the first box, in scan order (size
@@ -1255,45 +1122,37 @@ def _screen_bound(tab: np.ndarray) -> float:
     return top * rel * (1 + 2.0**-20) + _TINY
 
 
-def _differences(tab: np.ndarray, grid: BoxGrid) -> np.ndarray:
-    """Box sums of a whole-cell grid over a float table, differenced one
-    axis at a time, run by run: other roundings than box_masses', for the
-    screen only."""
+def _differences(tab: np.ndarray, family) -> np.ndarray:
+    """Box sums of a family over a float table, differenced one axis at a
+    time: other roundings than box_masses', for the screen only.  An axis
+    is read in at most three runs of boxes, cut where the lower edges stop
+    being clipped to 0 and where the upper ones start being clipped to n,
+    so each edge is a slice of the table or one entry.  Leading table axes
+    are a batch; the family's are flattened."""
+    n, d = tab.shape[-1] - 1, len(family)
     out = tab
-    for k, ax in enumerate(grid.axes):
-        pre = (slice(None),) * k
-        nxt = np.empty(out.shape[:k] + (ax.count,) + out.shape[k + 1 :])
-        at = 0
-        for count, lo, hi in ax.runs:
-            dst = nxt[pre + (slice(at, at + count),)]
-            np.subtract(out[pre + (hi,)], out[pre + (lo,)], out=dst)
-            at += count
+    for k, (count, lo, hi) in enumerate(family):
+        pre = (slice(None),) * (tab.ndim - d + k)
+        nxt = np.empty(out.shape[: len(pre)] + (count,) + out.shape[len(pre) + 1 :])
+        cuts = sorted({0, min(max(-lo, 0), count), min(max(n + 1 - hi, 0), count), count})
+        for a, b in zip(cuts, cuts[1:]):
+            lower = slice(0, 1) if a + lo < 0 else slice(a + lo, b + lo)
+            upper = slice(n, n + 1) if a + hi > n else slice(a + hi, b + hi)
+            np.subtract(out[pre + (upper,)], out[pre + (lower,)], out=nxt[pre + (slice(a, b),)])
         out = nxt
-    return out.reshape(-1)
+    return out.reshape(out.shape[: tab.ndim - d] + (-1,))
 
 
 def _engine(w: Weight, picks) -> list[np.ndarray]:
     """Float64 masses from _weight_masses of the boxes picked, one array
-    per grid role: picks holds (grids, flat) pairs, flat the boxes' C
-    order positions.  A pick of at least an eighth of its grid reads the
-    whole grid at its vertices, and the other picks are gathered as box
-    lists, in one batch per role; both give the same bits."""
-    whole = [flat.size * 8 >= math.prod(grids[0].shape) for grids, flat in picks]
+    per family role: picks holds (families, flat) pairs, flat the boxes' C
+    order positions, and each role's boxes are gathered in one batch."""
+    n = w.lattice.cells_per_axis
     out = []
     for k in range(len(picks[0][0])):
-        small = [(grids[k], flat) for (grids, flat), big in zip(picks, whole) if not big]
-        gathered = iter(())
-        if small:
-            ends = [grid.edges_at(flat) for grid, flat in small]
-            lo, hi = ([np.concatenate(e) for e in zip(*side)] for side in zip(*ends))
-            read = _weight_masses(w, lo, hi).astype(np.float64)
-            gathered = iter(np.split(read, np.cumsum([flat.size for _, flat in small])[:-1]))
-        parts = [
-            _weight_masses(w, grids[k]).astype(np.float64).reshape(-1)[flat] if big
-            else next(gathered)
-            for (grids, flat), big in zip(picks, whole)
-        ]
-        out.append(parts[0] if len(parts) == 1 else np.concatenate(parts))
+        ends = [_edges(families[k], flat, n) for families, flat in picks]
+        lo, hi = ([np.concatenate(e) for e in zip(*side)] for side in zip(*ends))
+        out.append(_weight_masses(w, lo, hi).astype(np.float64))
     return out
 
 
@@ -1310,7 +1169,7 @@ def _read(w: Weight, picks, infinite: bool) -> list[np.ndarray]:
     """_engine of the boxes picked, reading a numerator only where the
     ratio or the INFINITE test looks at it (0 elsewhere), as the former
     scans skipped the numerators of a size whose bases all had no mass."""
-    base = _engine(w, [(grids[:1], flat) for grids, flat in picks])[0]
+    base = _engine(w, [(families[:1], flat) for families, flat in picks])[0]
     nums = [np.zeros(base.size) for _ in picks[0][0][1:]]
     need = np.ones(base.size, dtype=bool) if infinite else base > 0.0
     if need.any():
@@ -1353,10 +1212,10 @@ class _Candidates:
         self.best = None
         self.batch, self.size = [], 0
 
-    def add(self, order: int, tag, grids, flat: np.ndarray, hi: np.ndarray) -> None:
+    def add(self, order: int, tag, families, flat: np.ndarray, hi: np.ndarray) -> None:
         """Boxes of one scan at flat positions, increasing, with the upper
         bounds on their ratios (inf for the undecided)."""
-        self.batch.append((order, tag, grids, flat, hi))
+        self.batch.append((order, tag, families, flat, hi))
         self.size += flat.size
 
     def settle(self):
@@ -1367,7 +1226,7 @@ class _Candidates:
         rows = [row for row in rows if row[3].size]
         if not rows:
             return None
-        picks = [(grids, flat) for _, _, grids, flat in rows]
+        picks = [(families, flat) for _, _, families, flat in rows]
         read = _per_pick(_read(self.w, picks, self.infinite), picks)
         # per row (one scan's boxes, in C order) its first INFINITE and its
         # first maximizer; across rows the first in scan order
@@ -1386,8 +1245,8 @@ class _Candidates:
             top, *_, k, i = min(tops)
             value = -float(top)
             self.floor = max(self.floor, value)
-        _, tag, grids, flat = rows[k]
-        won = value, bool(infs), tag, grids, int(flat[i]), [m[i] for m in read[k]]
+        _, tag, families, flat = rows[k]
+        won = value, bool(infs), tag, families, int(flat[i]), [m[i] for m in read[k]]
         if infs:
             return won
         if value > (-1.0 if self.best is None else self.best[0]):
@@ -1397,12 +1256,12 @@ class _Candidates:
 
 def _first_max(w: Weight, scans, infinite: bool):
     """The first box of greatest ratio over every box of scans, an
-    iterable of (tag, grids) in scan order, grids the base grid and one or
-    two numerator grids of its shape, each read in C order.
+    iterable of (tag, families) in scan order, families the base family
+    and one or two numerator families of its shape, each read in C order.
 
     Returns None when no ratio exceeds -1, else (value, infinite, tag,
-    grids, flat, masses) for the winning box, masses its engine masses
-    per grid: with infinite set, the first box whose massless base
+    families, flat, masses) for the winning box, masses its engine masses
+    per family: with infinite set, the first box whose massless base
     carries a massive numerator wins, at value INFINITE, and otherwise
     the first maximizer.  The engine reads every undecided box and every
     decided box whose hi reaches L, in batches of whole scans; a scan
@@ -1412,8 +1271,8 @@ def _first_max(w: Weight, scans, infinite: bool):
     tab = w.prefix(1.0)
     flt, bound = tab.astype(np.float64), _screen_bound(tab)
     cands = _Candidates(w, infinite)
-    for order, (tag, grids) in enumerate(scans):
-        base = _differences(flt, grids[0])
+    for order, (tag, families) in enumerate(scans):
+        base = _differences(flt, families[0])
         und = np.empty(0, np.intp)
         if not base.min() > bound:  # or NaN, from a table past the float64 range
             und = np.flatnonzero(~(base > bound))
@@ -1421,7 +1280,7 @@ def _first_max(w: Weight, scans, infinite: bool):
         keep, hi = und, np.full(und.size, np.inf)
         low = base.min()
         if low < np.inf:
-            num = _numerator([base] + [_differences(flt, g) for g in grids[1:]])
+            num = _numerator([base] + [_differences(flt, g) for g in families[1:]])
             ratio = num / base
             i = int(np.argmax(ratio))
             if num[i] > bound:
@@ -1446,7 +1305,7 @@ def _first_max(w: Weight, scans, infinite: bool):
             elif dec.size:
                 keep, hi = dec, bounds
         if keep.size:
-            cands.add(order, tag, grids, keep, hi)
+            cands.add(order, tag, families, keep, hi)
         if und.size or cands.size >= _BATCH:
             won = cands.settle()
             if won is not None:
@@ -1468,7 +1327,7 @@ def _scan_doubling(w: Weight, per_axis_sizes: bool) -> tuple[float, bool, Witnes
     if won is None:
         return 0.0, False, None
     value, infinite, _, (boxes, doubles), i, _ = won
-    wit = Witness("double", boxes.rect(i), doubles.rect(i), None, None, value)
+    wit = Witness("double", _rect(boxes, i, n), _rect(doubles, i, n), None, None, value)
     return (value if value >= 0 else 0.0), infinite, wit
 
 
@@ -1644,9 +1503,9 @@ def _scan_strong(w: Weight) -> DoublingReport:
             ]
             for sizes in _iproduct(*size_ranges):
                 boxes = _placements(n, sizes)
-                m, count = sizes[axis], n - sizes[axis] + 1
-                left = boxes.replace(axis, Axis.progression(0, count, 1, m // 2))
-                right = boxes.replace(axis, Axis.progression(m // 2, count, 1, m - m // 2))
+                count, _, m = boxes[axis]
+                left = boxes[:axis] + ((count, 0, m // 2),) + boxes[axis + 1 :]
+                right = boxes[:axis] + ((count, m // 2, m),) + boxes[axis + 1 :]
                 yield axis, (boxes, left, right)
 
     won = _first_max(w, scans(), False)
@@ -1654,8 +1513,8 @@ def _scan_strong(w: Weight) -> DoublingReport:
         rep.strong_absent = True
         return rep
     best, _, axis, (boxes, left, right), i, (_, lm, rm) = won
-    side = left.rect(i) if lm >= rm else right.rect(i)
-    rep.witnesses["strong"] = Witness("half", boxes.rect(i), side, axis, None, best)
+    side = _rect(left if lm >= rm else right, i, n)
+    rep.witnesses["strong"] = Witness("half", _rect(boxes, i, n), side, axis, None, best)
     if best >= 1.0:
         rep.strong_absent = True
     else:

@@ -34,7 +34,7 @@ from dyadlab import (
 )
 from dyadlab import bump, lattice
 from dyadlab.bump import _bump_map, _bumps
-from dyadlab.embed import _slices
+from dyadlab.embed import _pyramids, _slice
 from dyadlab.grids import onethird_grids, standard_grid
 from dyadlab.lattice import box_mass, box_masses
 
@@ -248,7 +248,8 @@ def test_level_profiles_match_slice_profile(dim, m, depth):
     f = np.ones(lat.shape)
     for w in (rand_w(lat, 30 + dim + m, rough=0.9), _with_zero_block(lat, 40 + dim + m)):
         for theta in (1.0, 1.5, 2.0):
-            for level, (_, prof) in enumerate(_slices(f, w.density, theta, n, depth)):
+            for level, (_, b, mf) in enumerate(_pyramids(f, w.density, make_lattice(n, depth), theta)):
+                prof = _slice(b, mf, n)[1]
                 side = lat.cells_per_axis >> level
                 assert prof.shape == (1 << level,) * n + lat.shape[:m]
                 for j in np.ndindex(*prof.shape[:n]):

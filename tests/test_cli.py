@@ -11,6 +11,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -215,15 +216,23 @@ def test_compute_rejects_bad_exponents(tmp_path):
         ["compute", "characteristic", "--sigma", "{tmp}/sig.wgt", "--omega", "{tmp}/om.wgt", "--theta", "nan"],
         ["compute", "characteristic", "--sigma", "{tmp}/sig.wgt", "--omega", "{tmp}/om.wgt", "--theta", "inf"],
         ["compute", "characteristic", "--sigma", "{tmp}/sig.wgt", "--omega", "{tmp}/om.wgt", "--theta", "1e308"],
+        ["compute", "characteristic", "--sigma", "{tmp}/sig.wgt", "--omega", "{tmp}/sig.wgt", "--theta", "1e308"],
         ["compute", "bump", "--weight", "{tmp}/sig.wgt", "--theta", "nan"],
+        ["compute", "bump", "--weight", "{tmp}/sig.wgt", "--theta", "1e308"],
         ["norm-estimate", "--sigma", "{tmp}/sig.wgt", "--omega", "{tmp}/om.wgt", "--theta", "nan"],
     ],
-    ids=["characteristic-nan", "characteristic-inf", "characteristic-overflow", "bump-nan", "norm-estimate-nan"],
+    ids=["characteristic-nan", "characteristic-inf", "characteristic-overflow",
+         "characteristic-overflow-same-weight", "bump-nan", "bump-overflow", "norm-estimate-nan"],
 )
 def test_non_finite_or_overflowing_theta_exits_2(argv, tmp_path, capsys):
+    # a density**theta that overflows float64 is refused where it is
+    # powered, before any sum turns it into inf or NaN
     _gen(tmp_path, "sig.wgt", depth=3, seed=6)
     _gen(tmp_path, "om.wgt", depth=3, seed=7)
-    assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([a.format(tmp=tmp_path) for a in argv]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     captured = capsys.readouterr()
     assert "Traceback" not in captured.out + captured.err
     assert captured.err.startswith("configuration error:")

@@ -41,21 +41,29 @@ from dyadlab.bump import _bump_map
 from dyadlab import embed
 from dyadlab.embed import _proof_chain
 from dyadlab.grids import Cube, _good_rel_mask
-from dyadlab.lattice import _accumulate, box_list, box_masses, tile_edges
+from dyadlab.lattice import _accumulate, box_masses
 
 LD = np.longdouble
+
+
+def _tiles(lo, hi, side):
+    """The cubes of one side tiling the cell box [lo, hi) as an (N, d, 2)
+    box list of lower and upper edges, C order."""
+    starts = np.meshgrid(*(np.arange(a, b, side) for a, b in zip(lo, hi)), indexing="ij")
+    starts = np.stack(starts, axis=-1).reshape(-1, len(lo))
+    return np.stack([starts, starts + side], axis=2)
 
 
 def _sub_boxes(lat, P, level):
     """Level subcubes of P as a box list, with indices relative to P."""
     side = lat.cells_per_axis >> level
-    boxes = box_list(*tile_edges(P.lo, P.hi, (side,) * lat.dim))
+    boxes = _tiles(P.lo, P.hi, side)
     return boxes, (boxes[:, :, 0] - np.asarray(P.lo)) // side
 
 
 def _factor_boxes(cells, dims, level):
     """All level cubes of a dims-axis factor as a box list."""
-    return box_list(*tile_edges((0,) * dims, (cells,) * dims, (cells >> level,) * dims))
+    return _tiles((0,) * dims, (cells,) * dims, cells >> level)
 
 
 def _cross_boxes(i_boxes, j_boxes):
@@ -526,7 +534,7 @@ def test_good_rectangle_carleson_with_product_constants():
 @pytest.mark.parametrize(
     "entry",
     ["stopping_cubes", "embed_check_cubes", "embed_check_rects", "automatic_carleson_theta",
-     "automatic_carleson_rho", "good_carleson_rho"],
+     "automatic_carleson_rho", "good_carleson_rho", "embed_check_cubes_r", "embed_check_rects_r"],
 )
 def test_non_finite_theta_or_rho_is_refused(entry, bad):
     lat = make_lattice(2, 3)
@@ -539,6 +547,8 @@ def test_non_finite_theta_or_rho_is_refused(entry, bad):
         "automatic_carleson_theta": lambda: automatic_carleson(P, w, bad, 2.0),
         "automatic_carleson_rho": lambda: automatic_carleson(P, w, 2.0, bad),
         "good_carleson_rho": lambda: good_carleson(P, w, bad, GoodnessParams(eps=0.25, r=2)),
+        "embed_check_cubes_r": lambda: embed_check_cubes(f, w, 1.5, bad, 2.0),
+        "embed_check_rects_r": lambda: embed_check_rects(f, w, 1.5, bad, 2.0),
     }
     with pytest.raises(DomainError):
         calls[entry]()

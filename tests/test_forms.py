@@ -135,6 +135,23 @@ def test_dyadic_family_size():
     assert fam.tag == "dyadic"
 
 
+@pytest.mark.parametrize("dim,m,depth", [(2, 1, 3), (3, 1, 2), (3, 2, 2)])
+def test_dyadic_family_boxes_tile_every_level_pair(dim, m, depth):
+    # each level pair's boxes are its cube products in C order of their
+    # lower corners, the pairs in product order
+    lat = make_lattice(dim, depth)
+    fam = dyadic_family(lat, m)
+    want, levels = [], []
+    for li, lj in iproduct(range(depth + 1), repeat=2):
+        sides = [lat.cells_per_axis >> li] * m + [lat.cells_per_axis >> lj] * (dim - m)
+        for idx in iproduct(*(range(lat.cells_per_axis // side) for side in sides)):
+            want.append([[i * side, (i + 1) * side] for i, side in zip(idx, sides)])
+            levels.append((li, lj))
+    assert fam.boxes.dtype == np.int64 and fam.levels.dtype == np.int64
+    assert np.array_equal(fam.boxes, np.array(want))
+    assert np.array_equal(fam.levels, np.array(levels))
+
+
 def test_dyadic_family_refuses_past_the_array_budget(monkeypatch):
     # the box array, size x dim x 2 int64, is sized before any box is built
     lat = make_lattice(3, 2)
@@ -143,13 +160,13 @@ def test_dyadic_family_refuses_past_the_array_budget(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a box was built past the budget")
 
-    tiles = forms.tile_edges
+    tiles = forms._tiles
     monkeypatch.setattr(forms, "ARRAY_BUDGET_BYTES", need - 1)
-    monkeypatch.setattr(forms, "tile_edges", refuse)
+    monkeypatch.setattr(forms, "_tiles", refuse)
     with pytest.raises(ResourceError, match=f"{need} bytes, limit {need - 1} bytes"):
         dyadic_family(lat, 1)
     monkeypatch.setattr(forms, "ARRAY_BUDGET_BYTES", need)
-    monkeypatch.setattr(forms, "tile_edges", tiles)
+    monkeypatch.setattr(forms, "_tiles", tiles)
     fam = dyadic_family(lat, 1)
     assert fam.boxes.nbytes == need
 

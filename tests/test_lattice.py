@@ -39,16 +39,12 @@ from dyadlab.lattice import (
     rect_from_bounds,
     strong_rd_doubling_bound,
     substream,
-    tile_edges,
 )
 from dyadlab import lattice
 from dyadlab.lattice import (
-    Axis,
-    BoxGrid,
     _masses,
     _positive_counts,
     _weight_masses,
-    box_list,
 )
 from dyadlab.weightio import read_weight, write_weight
 
@@ -234,7 +230,8 @@ def test_box_masses_reads_leading_axes_as_a_batch():
     weights = [Weight(lat, d) for d in dens]
     tabs = np.stack([w.prefix(1.5) for w in weights])
     counts = _positive_counts(lat, dens)
-    whole = tile_edges((0, 0), (8, 8), (2, 4))
+    whole = (list(np.ix_(np.arange(0, 8, 2), np.arange(0, 8, 4))),
+             list(np.ix_(np.arange(2, 10, 2), np.arange(4, 12, 4))))
     frac = (
         [np.array([0.0, 1 / 3, 2.5, 2.0]), np.array([1 / 3, 0.0, 1.5, 2.5])],
         [np.array([2.0, 4 / 3, 5.0, 4.0]), np.array([8.0, 3.5, 3.0, 3.5])],
@@ -632,11 +629,11 @@ def test_wgt1_roundtrip_random_weights(data):
 
 
 # ---------------------------------------------------------------------------
-# vertex reads against the former per-corner gather
+# box reads against the former per-corner gather
 #
 # The former box_masses, kept verbatim as the reference: every corner of
 # every box gathered from the table, fractional edges interpolated per
-# corner.  The vertex reads must give the same long doubles, bit for bit.
+# corner.  The engine's reads must give the same long doubles, bit for bit.
 
 _FORMER_CORNERS = {
     d: [(c, -1.0 if (d - sum(c)) % 2 else 1.0) for c in iproduct((0, 1), repeat=d)]
@@ -712,37 +709,28 @@ def _former_masses(tab, count, lo, hi):
 
 
 @st.composite
-def _axis_layouts(draw, n: int, depth: int):
-    """One axis of boxes as an Axis and as its edge arrays, built apart."""
-    kind = draw(st.sampled_from(["tiles", "progression", "placements", "doubles"]))
-    if kind == "tiles":
-        side = 1 << draw(st.integers(0, depth))
-        count = draw(st.integers(1, n // side))
-        start = side * draw(st.integers(0, n // side - count))
-        ax = tile_edges((start,), (start + count * side,), (side,)).axes[0]
-        lo = np.arange(start, start + count * side, side)
-        return ax, lo, lo + side
-    if kind == "progression":
-        count = draw(st.integers(1, n + 1))
-        step = draw(st.integers(1, n // (count - 1))) if count > 1 else 1
-        width = draw(st.integers(0, n - (count - 1) * step))
-        start = draw(st.integers(0, n - (count - 1) * step - width))
-        lo = start + step * np.arange(count)
-        return Axis.progression(start, count, step, width), lo, lo + width
-    m = 2 * draw(st.integers(1, max(1, n // 2)))
+def _family_axes(draw, n: int):
+    """One axis of a scan family, (count, lo, hi), and the lower and upper
+    edges of its boxes, clipped, built apart: placements of any side, the
+    doubles of an even side, clipped at both ends, and a strong scan's
+    halves of an even side."""
+    kind = draw(st.sampled_from(["placements", "doubles", "left", "right"]))
+    m = draw(st.integers(1, n)) if kind == "placements" else 2 * draw(st.integers(1, n // 2))
     a = np.arange(n - m + 1)
     if kind == "placements":
-        return lattice._placements(n, (m,)).axes[0], a, a + m
-    lo, hi = np.maximum(a - m // 2, 0), np.minimum(a + m + m // 2, n)
-    return lattice._doubles(n, (m,)).axes[0], lo, hi
+        return lattice._placements(n, (m,))[0], a, a + m
+    if kind == "doubles":
+        return lattice._doubles(n, (m,))[0], np.maximum(a - m // 2, 0), np.minimum(a + m + m // 2, n)
+    if kind == "left":
+        return (a.size, 0, m // 2), a, a + m // 2
+    return (a.size, m // 2, m), a + m // 2, a + m
 
 
 @st.composite
-def _grid_cases(draw):
+def _family_cases(draw):
     dim = draw(st.integers(1, 4))
     depth = draw(st.integers(1, {1: 5, 2: 4, 3: 3, 4: 2}[dim]))
-    n = 1 << depth
-    axes = [draw(_axis_layouts(n, depth)) for _ in range(dim)]
+    axes = [draw(_family_axes(1 << depth)) for _ in range(dim)]
     return dim, depth, axes, draw(st.integers(0, 2)), draw(st.integers(0, 2**32 - 1))
 
 
@@ -762,21 +750,51 @@ def _tables(dim, depth, batch, seed):
 
 
 @settings(max_examples=300, deadline=None)
-@given(_grid_cases())
-def test_vertex_reads_match_former_gather(case):
+@given(_family_cases())
+def test_family_reads_match_references(case):
+    # the screen differences a family's boxes as a clipped np.take does, and
+    # the engine gathers the former per-corner masses of its clipped edges,
+    # on random weights with zero cells and a zero block
     dim, depth, axes, batch, seed = case
-    tab, count = _tables(dim, depth, batch, seed)
-    grid = BoxGrid([ax for ax, _, _ in axes])
-    lo = list(np.ix_(*(np.asarray(a) for _, a, _ in axes)))
-    hi = list(np.ix_(*(np.asarray(b) for _, _, b in axes)))
-    want = _former_box_masses(tab, lo, hi)
-    got = box_masses(tab, grid)
-    assert got.dtype == want.dtype and np.array_equal(got, want)
-    assert np.array_equal(_masses(tab, count, grid), _former_masses(tab, count, lo, hi))
-    assert np.array_equal(box_masses(count, grid), _former_box_masses(count, lo, hi))
-    # the grid unpacks to the same boxes, read the former way
-    glo, ghi = grid
-    assert np.array_equal(box_list(glo, ghi), box_list(lo, hi))
+    lat = make_lattice(dim, depth)
+    n = lat.cells_per_axis
+    rng = np.random.default_rng(seed)
+    dens = rng.uniform(0.25, 4.0, (max(batch, 1),) + lat.shape)
+    dens[rng.uniform(size=dens.shape) < 0.3] = 0.0
+    side = int(rng.integers(1, n + 1))
+    dens[(slice(None), *(slice(a, a + side) for a in rng.integers(0, n - side + 1, dim)))] = 0.0
+    if batch == 0:
+        dens = dens[0]
+    tab, count = lattice._accumulate(lat, dens), lattice._accumulate(lat, dens > 0.0, np.int32)
+    family = tuple(fam for fam, _, _ in axes)
+    lo, hi = ([e[k] for e in axes] for k in (1, 2))
+
+    flt = tab.astype(np.float64)
+    want = flt
+    for k in range(dim):
+        at = want.ndim - dim + k
+        want = np.take(want, hi[k], axis=at) - np.take(want, lo[k], axis=at)
+    got = lattice._differences(flt, family)
+    assert np.array_equal(got, want.reshape(want.shape[: want.ndim - dim] + (-1,)))
+
+    # every box, and a random pick of them, as the engine gathers them
+    size = math.prod(c for c, _, _ in family)
+    every = np.arange(size)
+    for flat in (every, np.sort(rng.choice(size, int(rng.integers(0, size + 1)), replace=False))):
+        pos = np.unravel_index(flat, [c for c, _, _ in family])
+        plo, phi = [e[p] for e, p in zip(lo, pos)], [e[p] for e, p in zip(hi, pos)]
+        edges = lattice._edges(family, flat, n)
+        assert all(np.array_equal(a, b) for a, b in zip(edges[0] + edges[1], plo + phi))
+        want = _former_masses(tab, count, plo, phi)
+        assert np.array_equal(_masses(tab, count, *edges), want)
+        for k, d in enumerate(dens.reshape((-1,) + lat.shape)):
+            read = lattice._engine(Weight(lat, d), [((family,), flat)])[0]
+            row = want if batch == 0 else want[k]
+            assert read.tobytes() == row.astype(np.float64).tobytes()
+    # in C order: the whole family is the outer product of its axes
+    want = _former_masses(tab, count, *(list(np.ix_(*e)) for e in (lo, hi)))
+    full = _masses(tab, count, *lattice._edges(family, every, n))
+    assert np.array_equal(full.reshape(want.shape), want)
 
 
 @settings(max_examples=150, deadline=None)
@@ -1042,7 +1060,7 @@ def test_only_screen_survivors_reach_the_engine(monkeypatch, weight, seed):
     for mode, roles in (("cube", 2), ("strong", 3)):
         calls = []
 
-        def spy(w, lo, hi=None, theta=1.0):
+        def spy(w, lo, hi, theta=1.0):
             out = engine(w, lo, hi, theta)
             calls.append((lo, hi, out))
             return out
@@ -1052,7 +1070,6 @@ def test_only_screen_survivors_reach_the_engine(monkeypatch, weight, seed):
         monkeypatch.setattr(lattice, "_weight_masses", engine)
         assert len(calls) == roles
         (lo, hi, base), *nums = calls
-        assert all(h is not None for _, h, _ in calls)  # box lists, not whole grids
         n = w.lattice.cells_per_axis
         counts = [n - m + 1 for m in range(2, n + 1, 2)]
         if mode == "cube":
@@ -1112,9 +1129,15 @@ def test_screen_masses_lie_within_the_bound(shape, weight, seed):
     n = lat.cells_per_axis
     for _ in range(8):
         sizes = tuple(int(v) for v in rng.choice(np.arange(2, n + 1, 2), lat.dim))
-        for grid in (lattice._placements(n, sizes), lattice._doubles(n, sizes)):
-            engine = _weight_masses(w, grid).astype(np.float64).reshape(-1)
-            assert np.all(np.abs(lattice._differences(flt, grid) - engine) <= bound)
+        boxes = lattice._placements(n, sizes)
+        axis = int(rng.integers(lat.dim))
+        count, _, m = boxes[axis]
+        halves = [boxes[:axis] + ((count,) + half,) + boxes[axis + 1 :]
+                  for half in ((0, m // 2), (m // 2, m))]
+        for family in (boxes, lattice._doubles(n, sizes), *halves):
+            every = np.arange(math.prod(c for c, _, _ in family))
+            engine = lattice._engine(w, [((family,), every)])[0]
+            assert np.all(np.abs(lattice._differences(flt, family) - engine) <= bound)
 
 
 # ---------------------------------------------------------------------------

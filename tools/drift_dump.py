@@ -14,8 +14,9 @@ scan2d and norm2d task calls on the first --units weight pairs of that seed
 (inputs from bench/workloads.py), plus the product-reverse per_scale
 ratios of each scan2d omega at 2D depth 5, the rectangle and strong doubling
 scans of each scan2d weight at 2D depth 4 and the cube, rectangle and
-strong scans of a seeded lognormal weight with a block of zero cells,
-also at 2D depth 4, and the norm estimates of the first norm2d pair under
+strong scans of a seeded lognormal weight with a block of zero cells
+and of the constant, halfspace_cutoff and checkerboard weights, whose
+placements tie, also at 2D depth 4, and the norm estimates of the first norm2d pair under
 a level-table kernel and over a family_of family holding a duplicated
 rectangle (per-rectangle coefficient arrays, and a fourth start seeded
 by the family's floor rectangle), with a digest of the bytes of each
@@ -365,6 +366,19 @@ def _zero_block(seed: int, out: dict) -> None:
         _doubling_fields(f"zero-block/doubling_{mode}", doubling_report(w, mode), out)
 
 
+def _ties(out: dict) -> None:
+    """Cube, rectangle and strong reports of three weights on which many
+    placements tie the best ratio exactly, so that the scans read many
+    boxes of a size past their float64 screen."""
+    from dyadlab import doubling_report, gen_weight, make_lattice
+
+    lat = make_lattice(2, DOUBLING_DEPTH)
+    for kind in ("constant", "halfspace_cutoff", "checkerboard"):
+        w = gen_weight(lat, {"kind": kind})
+        for mode in ("cube", "rectangle", "strong"):
+            _doubling_fields(f"ties/{kind}/doubling_{mode}", doubling_report(w, mode), out)
+
+
 def _norm2d(seed: int, unit: int, out: dict) -> None:
     import workloads as wl
     from dyadlab import (
@@ -458,6 +472,7 @@ def dump(seed: int, units: int) -> dict:
         _scan2d(seed, unit, out)
         _norm2d(seed, unit, out)
     _zero_block(seed, out)
+    _ties(out)
     _norm_forms(seed, out)
     return out
 
