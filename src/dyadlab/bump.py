@@ -10,20 +10,21 @@ one batch evaluator, _products: kernel factor times the two bump powers
 for the outer product of a batch of factor cubes.  On the standard
 dyadic grid (a one-third family's offset-0 grid tuple included) the
 masses come from lattice's dyadic pyramid: the scan feeds _products one
-level tuple at a time, and characteristic_at rebuilds its witness's mass
-from the witness's own cells by the same tree, lattice's _tree_mass; so
-does slice_profile each slice's mass over J, with the bits the rectangle
-proof chain reads.  The other one-third grid tuples come from lattice's
-refined pyramid, which holds the cubes of all three offsets of an axis
-side by side: the scan feeds _products one level tuple at a time, split
-by offset where the block would be large, and keeps the first maximizer
-of each grid tuple's cubes; characteristic_at rebuilds a one-third
-witness from its own cells by the same steps.  Arbitrary boxes
-(bump_cube, and characteristic_at on a shifted or finer-than-the-lattice
-cube) come from the prefix engine, lattice.box_masses.  The bump and
-kernel powers run in float64 (the package's precision policy, see
-lattice).  A box's mass does not depend on the batch it is read in, so a
-reported witness re-evaluates to the reported value bit for bit.
+level tuple at a time.  A single box is summed from its own cells by the
+same tree, lattice's _own_mass: bump_cube's box, bump_rect's and
+characteristic_at's factor cubes (shifted ones and ones finer than the
+lattice included, clipped to the unit box, each cell counted by the share
+of it the box covers), and slice_profile's J under every slice; on a
+dyadic cube or rectangle these are the pyramid's bits.  The other
+one-third grid tuples come from lattice's refined pyramid, which holds
+the cubes of all three offsets of an axis side by side: the scan feeds
+_products one level tuple at a time, split by offset where the block
+would be large, and keeps the first maximizer of each grid tuple's cubes;
+characteristic_at rebuilds a one-third witness from its own cells by the
+same steps.  No bump reads a prefix table.  The bump and kernel powers
+run in float64 (the package's precision policy, see lattice).  A box's
+mass does not depend on the batch it is read in, so a reported witness
+re-evaluates to the reported value bit for bit.
 """
 from __future__ import annotations
 
@@ -40,12 +41,13 @@ from .lattice import (
     Rect,
     Weight,
     _cellwise,
+    _check_rect,
+    _check_theta,
     _factor_axes,
     _level_masses,
+    _own_mass,
     _third_mass,
     _ThirdPyramid,
-    _tree_mass,
-    _weight_masses,
     make_lattice,
     rect_volume,
     substream,
@@ -73,8 +75,7 @@ class Exponents:
     def __post_init__(self):
         if not 1.0 < self.p < self.q < math.inf:
             raise DomainError(f"need 1 < p < q < inf, got p={self.p}, q={self.q}")
-        if not 1.0 <= self.theta < math.inf:
-            raise DomainError(f"theta must be finite and >= 1, got {self.theta}")
+        _check_theta(self.theta)
         if self.m < 1 or self.n < 1:
             raise DomainError("dimensions must be positive integers")
         if not 0.0 < self.alpha < self.m:
@@ -165,45 +166,42 @@ def _bump_map(masses: np.ndarray, vol: float, theta: float) -> np.ndarray:
     return float(vol) ** (1.0 - inv_theta) * np.power(masses, inv_theta)
 
 
-def _prefix_masses(w: Weight, theta: float, lo, hi) -> np.ndarray:
-    """Float64 masses of w**theta over boxes spanned by lo/hi from the
-    prefix engine, clamped at 0."""
-    return np.maximum(_weight_masses(w, lo, hi, theta), 0.0).astype(np.float64)
-
-
-def _bumps(w: Weight, theta: float, lo, hi, vol: float) -> np.ndarray:
-    """Theta-bumps of w's boxes spanned by lo/hi, all of volume vol."""
-    return _bump_map(_prefix_masses(w, theta, lo, hi), vol, theta)
+def _box_bump(rect: Rect, w: Weight, theta: float, groups=None) -> float:
+    """Theta-bump of a cell-aligned box, its mass summed from its own
+    cells, the groups of axes one after the other (all together by
+    default)."""
+    theta = _check_theta(theta)
+    _check_rect(w.lattice, rect)
+    mass = _own_mass(w.lattice, w.density, rect.lo, rect.hi, theta, groups)
+    return float(_bump_map(mass, rect_volume(w.lattice, rect), theta))
 
 
 def bump_cube(rect: Rect, w: Weight, theta: float) -> float:
-    """Theta-bump of a cell-aligned box; theta = 1 gives the plain mass."""
-    if not 1.0 <= theta < math.inf:
-        raise DomainError(f"theta must be finite and >= 1, got {theta}")
-    if rect.dim != w.lattice.dim:
-        raise ShapeError(f"box has {rect.dim} axes, lattice has {w.lattice.dim}")
-    return float(_bumps(w, theta, rect.lo, rect.hi, rect_volume(w.lattice, rect)))
+    """Theta-bump of a cell-aligned box; theta = 1 gives the plain mass.
+    On a dyadic cube it is the bump of the dyadic pyramid's mass."""
+    return _box_bump(rect, w, theta)
 
 
 def bump_rect(i_rect: Rect, j_rect: Rect, w: Weight, theta: float) -> float:
-    """Theta-bump of the product box I x J under a weight on m+n axes."""
+    """Theta-bump of the product box I x J under a weight on m+n axes,
+    I's axes summed before J's; on a dyadic rectangle it is the bump of
+    the product pyramid's mass."""
     if i_rect.dim + j_rect.dim != w.lattice.dim:
         raise ShapeError(
             f"factors span {i_rect.dim}+{j_rect.dim} axes, lattice has {w.lattice.dim}"
         )
     joint = Rect(i_rect.lo + j_rect.lo, i_rect.hi + j_rect.hi)
-    return bump_cube(joint, w, theta)
+    return _box_bump(joint, w, theta, (range(i_rect.dim), range(i_rect.dim, w.lattice.dim)))
 
 
 def slice_profile(j_rect: Rect, w: Weight, theta: float) -> Weight:
     """Collapse the last axes: density x -> bump of j_rect under the slice
     at x.  Exact for piecewise-constant densities, which makes the iterated
     identity hold to rounding error.  Each slice's mass is J's cells
-    summed by the own-cells tree, J zero-padded to 2^k cells per axis, so
-    it is within an ulp of its exact sum and a massless slice is 0.
+    summed by the own-cells tree (lattice._own_mass, the slices a batch),
+    so it is within an ulp of its exact sum and a massless slice is 0.
     """
-    if not 1.0 <= theta < math.inf:
-        raise DomainError(f"theta must be finite and >= 1, got {theta}")
+    theta = _check_theta(theta)
     d = w.lattice.dim
     n = j_rect.dim
     if not 1 <= n < d:
@@ -214,10 +212,7 @@ def slice_profile(j_rect: Rect, w: Weight, theta: float) -> Weight:
         if not 0 <= j_rect.lo[k] < j_rect.hi[k] <= cells:
             raise DomainError(f"slice box {j_rect} leaves the lattice")
     n_lat = make_lattice(n, w.lattice.depth)
-    block = _cellwise(n_lat, w.density[(..., *map(slice, j_rect.lo, j_rect.hi))], theta)
-    widths = [b - a for a, b in zip(j_rect.lo, j_rect.hi)]
-    pad = [(0, 0)] * m + [(0, (1 << (k - 1).bit_length()) - k) for k in widths]
-    mass = _tree_mass(np.pad(block, pad), [range(m, d)])
+    mass = _own_mass(n_lat, w.density, j_rect.lo, j_rect.hi, theta)
     prof = _bump_map(mass, n_lat.cell_volume * j_rect.cells, theta)
     return Weight(make_lattice(m, w.lattice.depth), prof.reshape(-1))
 
@@ -458,19 +453,11 @@ def _witness(family, dims, depth, offsets, lv, k) -> DyadicRect | Cube:
     return out[0] if len(out) == 1 else DyadicRect(*out)
 
 
-def _on_lattice(cubes, dims, depth: int) -> bool:
-    """Whether the dyadic pyramid holds every cube: offsets 0, on the lattice."""
-    return all(
-        c.grid.dim == dim and 0 <= c.level <= depth
-        and all(c.grid.offset(k, c.level) == 0 and 0 <= i < 1 << c.level for k, i in enumerate(c.index))
-        for c, dim in zip(cubes, dims)
-    )
-
-
 def _third_starts(cubes, dims, depth: int) -> list | None:
     """Per lattice axis (level, first block) of the cubes in the refined
     pyramid, or None unless each is a cube of a std or third grid of its
-    factor's dim, at a level 0..depth, meeting the unit box."""
+    factor's dim, at a level 0..depth, meeting the unit box, and one of
+    them is off the standard grid pair (a first block not 3i)."""
     out = []
     for c, dim in zip(cubes, dims):
         if c.grid.dim != dim or c.grid.kind == "shift" or not 0 <= c.level <= depth:
@@ -480,7 +467,7 @@ def _third_starts(cubes, dims, depth: int) -> list | None:
             if not -2 <= t < 3 << c.level:
                 return None
             out.append((c.level, t))
-    return out
+    return None if all(t % 3 == 0 for _, t in out) else out
 
 
 def characteristic_at(
@@ -494,28 +481,26 @@ def characteristic_at(
     """Re-evaluate one witness: the scan's batch evaluator on a batch of
     one, its masses read as the scan reads them.
 
-    A box of the standard grid pair on the lattice is summed from its own
-    cells by the dyadic pyramid's tree, any other box of std and third
-    grids at levels 0..depth by the refined pyramid's steps, so a scan's
-    witness re-evaluates to its value bit for bit.  The rest, a cube of a
-    shifted grid or one finer than the lattice, the scans never read: its
-    masses are one read of the prefix engine at the box's edges (the
-    mass box_mass gives, clamped at 0).
+    Masses are read in one of two ways.  A box of std and third grids at
+    levels 0..depth off the standard grid pair is summed from its own
+    cells by the refined pyramid's steps.  Every other box, a standard
+    pair's, a shifted grid's or one finer than the lattice, is summed from
+    its own cells by the dyadic pyramid's tree (lattice._own_mass, each
+    factor's axes in turn), clipped to the unit box, each cell counted by
+    the share of it the box covers.  So a scan's witness re-evaluates to
+    its value bit for bit, and a box no scan reads is within about an ulp
+    of its exact mass per factor.
     """
     kernel, dims = _check_scan(kind, kernel, sigma, omega, exps)
     cubes = (witness,) if kind == "one_param" else (witness.i_cube, witness.j_cube)
     lat = sigma.lattice
     levels = [(c.level, c.grid.dim) for c in cubes]
     pairs = list(zip((sigma, omega), _thetas(kind, exps)))
-    if _on_lattice(cubes, dims, lat.depth):
-        cells = [(i, lat.cells_per_axis >> c.level) for c in cubes for i in c.index]
-        box = tuple(slice(i * s, (i + 1) * s) for i, s in cells)
-        groups = _factor_axes(sigma.density, lat, _factor_m(dims))
-        masses = [_tree_mass(_cellwise(lat, w.density[box], t), groups) for w, t in pairs]
-    elif (starts := _third_starts(cubes, dims, lat.depth)) is not None:
+    if (starts := _third_starts(cubes, dims, lat.depth)) is not None:
         masses = [_third_mass(_cellwise(lat, w.density, t), lat, starts) for w, t in pairs]
     else:
         n = lat.cells_per_axis
-        lo, hi = ([np.array([float(x) * n]) for c in cubes for x in c.bounds()[side]] for side in (0, 1))
-        masses = [_prefix_masses(w, t, lo, hi) for w, t in pairs]
+        lo, hi = ([min(max(float(x * n), 0.0), n) for c in cubes for x in c.bounds()[side]] for side in (0, 1))
+        groups = _factor_axes(sigma.density, lat, _factor_m(dims))
+        masses = [_own_mass(lat, w.density, lo, list(map(max, lo, hi)), t, groups) for w, t in pairs]
     return float(_products(kind, kernel, exps, levels, masses).flat[0])

@@ -20,7 +20,7 @@ from pathlib import Path
 from .bump import Exponents, bump_cube, characteristic
 from .errors import ContractViolationError, DyadlabError, FormatError
 from .forms import KernelHandle, norm_estimate
-from .grids import sample_grid, verify_grid
+from .grids import sample_grid, verify_grid, verify_work
 from .lattice import doubling_report, full_rect, gen_weight, make_lattice
 from .suite import rows_to_csv, rows_to_json, run_suite
 from .weightio import read_weight, write_weight
@@ -315,6 +315,7 @@ def cmd_verify(ns) -> int:
 
 def cmd_grid_sample(ns) -> int:
     cfg = RunConfig.from_ns(ns)
+    verify_work(ns.count, ns.dim, ns.lo, ns.hi)
     lines = []
     for k in range(ns.count):
         grid = sample_grid(cfg.seed + k, ns.dim, ns.lo, ns.hi)

@@ -32,6 +32,7 @@ from .lattice import (
     Rect,
     Weight,
     _cellwise,
+    _check_theta,
     _level_masses,
     _lp_norms,
     _refine_array,
@@ -144,8 +145,7 @@ def stopping_cubes(
     one axis per lattice axis; the check always runs on the weight's own
     dyadic tree, so the argument changes nothing else.
     """
-    if not 1.0 <= theta < math.inf:
-        raise DomainError(f"theta must be finite and >= 1, got {theta}")
+    _check_theta(theta)
     lat = w.lattice
     _require_standard(grid, lat.dim)
     if f.lattice != lat:

@@ -41,6 +41,7 @@ from .errors import (
     ContractViolationError,
     DomainError,
     FormatError,
+    ResourceError,
     ScopeError,
     ShapeError,
 )
@@ -328,6 +329,23 @@ def parse_grid(line: str) -> DyadicGrid:
     raise FormatError(f"unknown grid kind {kind!r}")
 
 
+# verify_grid's work budget, in verify_work's units: about a second on a
+# 2-vCPU x86_64 host
+VERIFY_BUDGET = 1 << 16
+
+
+def verify_work(count: int, dim: int, lo: int, hi: int) -> int:
+    """The work of verifying count grids of dim axes over levels lo..hi,
+    levels * (levels + 32) * dim per grid, as each level's probes are
+    located with integers that grow with the level range; ResourceError
+    past VERIFY_BUDGET."""
+    levels = max(hi - lo + 1, 0)
+    work = max(count, 0) * dim * levels * (levels + 32)
+    if work > VERIFY_BUDGET:
+        raise ResourceError(f"verifying {count} grid(s) of dim {dim} over levels {lo}..{hi} takes {work} work units, limit {VERIFY_BUDGET}")
+    return work
+
+
 def verify_grid(grid: DyadicGrid, probes: int = 64) -> None:
     """Exhaustively check tiling and nesting over the level range.
 
@@ -335,8 +353,10 @@ def verify_grid(grid: DyadicGrid, probes: int = 64) -> None:
     them (consecutive indices abut by construction, as every left edge is
     index * side + offset).  Nesting: every probed cube's parent contains
     it.  The probes are the rationals ((2t + 1) / (2 probes) + axis / 7)
-    mod 1, compared in integer units.
+    mod 1, compared in integer units.  A grid past the work budget
+    (verify_work) raises ResourceError before any probe.
     """
+    verify_work(1, grid.dim, grid.lo, grid.hi)
     den = 14 * probes
     for level in range(grid.lo, grid.hi + 1):
         k = _scale(grid, level)

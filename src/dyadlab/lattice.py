@@ -14,10 +14,13 @@ first factor's levels side by side on one row axis, in three stacks (the
 finest level, the next, every coarser one), and halves the second factor
 once per stack, finest level first, each level dropped once read; every
 sum is the one a level alone would take.  A box's mass is the tree sum
-of its own cells, which one own-cells tree, _tree_mass, repeats for one
-box (characteristic_at's factor cubes, slice_profile's J padded to 2^k
-cells per axis, a shrink witness one axis at a time), and a box holding
-no positive cell is exactly 0.  The refined pyramid, _ThirdPyramid,
+of its own cells, which one own-cells reader, _own_mass, repeats for any
+single box (integrate, power_integrate, box_mass, total_mass, bump_cube
+and bump_rect, characteristic_at's factor cubes, slice_profile's J, a
+shrink witness one axis at a time): the box's whole-cell cover, each
+cell of an axis with fractional edges scaled by its overlap, zero-padded
+to 2^k cells per axis and summed by _tree_mass; a box holding no
+positive cell is exactly 0.  The refined pyramid, _ThirdPyramid,
 reads every other cube product of the one-third grids (their scans and
 witnesses, _third_mass) the same way over a lattice whose axes are cut,
 one at a time, into thirds of a cell, on which every one-third cube is
@@ -25,13 +28,10 @@ whole; each mass is within about half an ulp of its exact sum.  The
 product-reverse doubling scan reads the dyadic pyramid summed one axis
 at a time, each level also giving the odd-offset pair sums that are the
 concentric shrinks of the coarser edges.  The prefix engine, box_masses,
-reads the rest (the cube, rectangle and strong doubling scans, cell
-boxes of bump_cube and integrate, arbitrary boxes of box_mass, and
-characteristic_at on a shifted or finer-than-the-lattice cube) as the
-mixed corner difference of a long-double prefix table: per-axis edge
-arrays that broadcast together gather every corner of every box, looked
-up directly on whole-cell edges and interpolated multilinearly on
-fractional ones.  Leading table axes are a batch.
+feeds only the cube, rectangle and strong doubling scans and their
+witnesses: the mixed corner difference of a long-double prefix table
+over whole-cell edge arrays that broadcast together and gather every
+corner of every box.  Leading table axes are a batch.
 Each prefix mass is rounded to float64 once, and every elementwise power
 (density**theta, f**p, the bump, Carleson and embedding terms) runs in
 float64, so the maps do not depend on the platform's longdouble kind;
@@ -184,10 +184,13 @@ class Weight:
 
     prefix(theta) holds cumulative sums of density**theta * cell_volume,
     the power in float64 and the sums in long double, one table per
-    requested theta.  A weight with a zero-density cell also keeps an
-    integer prefix count of its positive cells, so that every box mass
-    read through the weight gives a box holding none of them mass exactly
-    0.  Tables are built on demand; the object is otherwise immutable.
+    requested theta; only the cube, rectangle and strong doubling scans
+    read them, at theta = 1.  A weight with a zero-density cell also keeps
+    an integer prefix count of its positive cells, so that every box mass
+    those scans read gives a box holding none of them mass exactly 0.
+    Every single box (total_mass among them) is summed from its own cells
+    instead (_own_mass).  Tables are built on demand; the object is
+    otherwise immutable.
     """
 
     __slots__ = ("lattice", "density", "_prefix", "_count")
@@ -216,9 +219,7 @@ class Weight:
         self._count: np.ndarray | bool | None = False
 
     def prefix(self, theta: float = 1.0) -> np.ndarray:
-        theta = float(theta)
-        if not 1.0 <= theta < math.inf:
-            raise DomainError(f"theta must be finite and >= 1, got {theta}")
+        theta = _check_theta(theta)
         tab = self._prefix.get(theta)
         if tab is None:
             tab = _accumulate(self.lattice, _powered(self.density, theta))
@@ -226,7 +227,15 @@ class Weight:
         return tab
 
     def total_mass(self) -> float:
-        return float(self.prefix(1.0).flat[-1])
+        return float(_own_mass(self.lattice, self.density, (0,) * self.lattice.dim, self.lattice.shape))
+
+
+def _check_theta(theta) -> float:
+    """theta as a float, DomainError unless it is finite and >= 1."""
+    theta = float(theta)
+    if not 1.0 <= theta < math.inf:
+        raise DomainError(f"theta must be finite and >= 1, got {theta}")
+    return theta
 
 
 class GridFunction:
@@ -280,48 +289,23 @@ _CORNERS = {
 }
 
 
-def _edge(e, n: int):
-    """One edge array clipped to [0, n]: whole cells become an int64 index
-    array, anything else (floor index, 1 - frac, frac) for interpolation."""
-    e = np.asarray(e)
-    if e.dtype.kind in "iu":
-        return np.minimum(np.maximum(e, 0), n)
-    e = np.minimum(np.maximum(e.astype(np.float64, copy=False), 0.0), float(n))
-    floor = np.floor(e)
-    if np.array_equal(floor, e):
-        return floor.astype(np.int64)
-    i = np.minimum(floor.astype(np.int64), n - 1)
-    f = e.astype(_LD) - i
-    return i, 1 - f, f
+def box_masses(tab: np.ndarray, lo, hi) -> np.ndarray:
+    """Masses of every box spanned by per-axis whole-cell edges in [0, n].
 
-
-def _corner_values(tab: np.ndarray, pts: list):
-    """Prefix table at one corner point per box, multilinear over the axes
-    given as (floor index, 1 - frac, frac); exact for the piecewise
-    constant densities the tables store.  The other axes index directly."""
-    frac = [k for k, p in enumerate(pts) if isinstance(p, tuple)]
-    if not frac:
-        return tab[(..., *pts)]
-    idx = list(pts)
-    out = None
-    for corners in _iproduct((0, 1), repeat=len(frac)):
-        wgt = None
-        for k, c in zip(frac, corners):
-            i, lo_w, hi_w = pts[k]
-            idx[k] = i + c
-            wgt = (hi_w if c else lo_w) if wgt is None else wgt * (hi_w if c else lo_w)
-        term = wgt * tab[(..., *idx)]
-        out = term if out is None else out + term
-    return out
-
-
-def _corner_sum(tab: np.ndarray, ends: list) -> np.ndarray:
-    """Mixed corner difference of tab over per-axis (lower, upper) reads,
-    the corners summed in _CORNERS order."""
+    lo[k] and hi[k] hold the integer edges of the k-th of the table's
+    len(lo) trailing axes; leading axes are a batch, which leads the
+    result.  All 2d arrays broadcast together: vectors laid out by np.ix_
+    give the outer-product grid of a level pair, equal-length vectors give
+    a list of boxes.  Every corner of every box is gathered from the table
+    and the corners are summed in one fixed order, so a box's mass depends
+    only on its own edges and table, never on the batch or the layout it
+    was read in.  Returns long doubles, or the table's dtype for an
+    integer table.
+    """
     out = None
     own = False  # whether out is an array of this call's, updated in place
-    for corners, sign in _CORNERS[len(ends)]:
-        term = _corner_values(tab, [end[c] for end, c in zip(ends, corners)])
+    for corners, sign in _CORNERS[len(lo)]:
+        term = tab[(..., *(b if c else a for a, b, c in zip(lo, hi, corners)))]
         if out is None:
             out = term if sign > 0 else -term
         elif own and out.shape == term.shape:
@@ -332,54 +316,22 @@ def _corner_sum(tab: np.ndarray, ends: list) -> np.ndarray:
     return out
 
 
-def box_masses(tab: np.ndarray, lo, hi) -> np.ndarray:
-    """Masses of every box spanned by per-axis edges, in cell units.
-
-    lo[k] and hi[k] hold the edges of the k-th of the table's len(lo)
-    trailing axes; leading axes are a batch, which leads the result.  All
-    2d arrays broadcast together: vectors laid out by np.ix_ give the
-    outer-product grid of a level pair, equal-length vectors give a list
-    of boxes.  Edges are clipped to [0, n].  Every corner of every box is
-    gathered: an edge array of whole cells indexes the table directly, any
-    other is interpolated.  Corners are summed in one fixed order, so a
-    box's mass depends only on its own edges and table, never on the
-    batch or the layout it was read in.  Returns long doubles, or the
-    table's dtype for an integer table on whole cells.
-    """
-    n = tab.shape[-1] - 1
-    return _corner_sum(tab, [(_edge(a, n), _edge(b, n)) for a, b in zip(lo, hi)])
-
-
-def _cover(lo, hi) -> tuple[list, list]:
-    """Edges of the smallest whole-cell box holding each box (empty where
-    the box is): it holds a positive cell exactly when the box has mass."""
-    clo, chi = [], []
-    for a, b in zip(lo, hi):
-        a, b = np.asarray(a), np.asarray(b)
-        if a.dtype.kind == "f" or b.dtype.kind == "f":
-            a, b = np.floor(a), np.where(b > a, np.ceil(b), np.floor(a))
-        clo.append(a)
-        chi.append(b)
-    return clo, chi
-
-
 def _masses(tab: np.ndarray, count: np.ndarray | None, lo, hi) -> np.ndarray:
     """box_masses of tab, exactly 0 on boxes that hold no positive cell by
     their _positive_counts table, where the corner sum of nonzero prefix
-    values need not cancel; the count is read on the whole-cell cover of
-    fractional boxes.  Every other box keeps the engine's bits."""
+    values need not cancel.  Every other box keeps the engine's bits."""
     masses = box_masses(tab, lo, hi)
     if count is not None:
-        masses = np.where(box_masses(count, *_cover(lo, hi)) == 0, _LD(0.0), masses)
+        masses = np.where(box_masses(count, lo, hi) == 0, _LD(0.0), masses)
     return masses
 
 
-def _weight_masses(w: Weight, lo, hi, theta: float = 1.0) -> np.ndarray:
-    """_masses through w's theta table and its positive-cell count, which
-    is built on first use."""
+def _weight_masses(w: Weight, lo, hi) -> np.ndarray:
+    """_masses through w's theta = 1 table and its positive-cell count,
+    which is built on first use."""
     if w._count is False:
         w._count = _positive_counts(w.lattice, w.density)
-    return _masses(w.prefix(theta), w._count, lo, hi)
+    return _masses(w.prefix(1.0), w._count, lo, hi)
 
 
 def _powered(u: np.ndarray, theta: float) -> np.ndarray:
@@ -586,6 +538,34 @@ def _tree_mass(block: np.ndarray, groups, compensated: bool = True) -> np.ndarra
     return a + err if isinstance(err, np.ndarray) else a
 
 
+def _own_mass(lat: Lattice, u: np.ndarray, lo, hi, theta: float = 1.0, groups=None) -> np.ndarray:
+    """The mass of u**theta * cell_volume over one box of u's trailing
+    lat.dim axes, summed from the box's own cells; leading axes are a
+    batch, which leads the result.  lo and hi are the box's edges in cell
+    units, 0 <= lo <= hi <= n.  The box's whole-cell cover is powered
+    (_cellwise); on an axis whose edges are not whole cells each cell is
+    scaled by its overlap min(hi, i + 1) - max(lo, i), 1 inside.  The box
+    is then zero-padded to 2^k cells per axis and summed by _tree_mass,
+    the groups of box axes (all of them by default) one after the other,
+    so a dyadic cube or rectangle gets its pyramid mass bit for bit."""
+    lead = u.ndim - lat.dim
+    cover, overlaps = [], []
+    for k, (a, b) in enumerate(zip(lo, hi)):
+        i, j = math.floor(a), math.ceil(b)
+        cover.append(slice(i, j))
+        if i != a or j != b:
+            at = np.arange(i, j, dtype=np.float64)
+            overlaps.append((k, np.minimum(b, at + 1) - np.maximum(a, at)))
+    block = _cellwise(lat, u[(..., *cover)], theta)
+    for k, frac in overlaps:
+        block *= frac.reshape((-1,) + (1,) * (lat.dim - 1 - k))
+    pad = [(0, (1 << (max(m, 1) - 1).bit_length()) - m) for m in block.shape[lead:]]
+    if any(after for _, after in pad):
+        block = np.pad(block, [(0, 0)] * lead + pad)
+    groups = [range(lat.dim)] if groups is None else groups
+    return _tree_mass(block, [[lead + ax for ax in axes] for axes in groups]).reshape(u.shape[:lead])
+
+
 # ---------------------------------------------------------------------------
 # the refined pyramid of the one-third grids
 #
@@ -776,22 +756,29 @@ def _third_mass(h: np.ndarray, lat: Lattice, starts) -> np.ndarray:
 
 def integrate(w: Weight, rect: Rect) -> float:
     """Mass of the rectangle: sum of density * cell_volume over its cells."""
-    _check_rect(w.lattice, rect)
-    return float(_weight_masses(w, rect.lo, rect.hi))
+    return power_integrate(w, rect, 1.0)
 
 
 def power_integrate(w: Weight, rect: Rect, theta: float) -> float:
     """Integral of density**theta over the rectangle."""
     _check_rect(w.lattice, rect)
-    return float(_weight_masses(w, rect.lo, rect.hi, theta))
+    return float(_own_mass(w.lattice, w.density, rect.lo, rect.hi, _check_theta(theta)))
 
 
 def box_mass(w: Weight, lo, hi, theta: float = 1.0) -> float:
-    """Exact mass of an arbitrary (not necessarily aligned) box in [0,1]^d."""
-    n = w.lattice.cells_per_axis
-    lo = np.clip(np.array([a * n for a in lo], dtype=np.float64), 0.0, float(n))
-    hi = np.maximum(np.clip(np.array([b * n for b in hi], dtype=np.float64), 0.0, float(n)), lo)
-    return float(_weight_masses(w, lo, hi, theta))
+    """Mass of density**theta over an arbitrary (not necessarily aligned)
+    box of [0,1]^d, its edges clipped to the unit box: each cell counted
+    by the share of it the box covers (_own_mass)."""
+    lat = w.lattice
+    if len(lo) != lat.dim or len(hi) != lat.dim:
+        raise ShapeError(f"box has {len(lo)} lower and {len(hi)} upper edges, lattice has {lat.dim} axes")
+    n = lat.cells_per_axis
+    lo, hi = (np.array([a * n for a in e], dtype=np.float64) for e in (lo, hi))
+    if np.isnan(lo).any() or np.isnan(hi).any():
+        raise DomainError(f"box edges must not be NaN, got {lo / n}..{hi / n}")
+    lo = np.clip(lo, 0.0, float(n))
+    hi = np.maximum(np.clip(hi, 0.0, float(n)), lo)
+    return float(_own_mass(lat, w.density, lo.tolist(), hi.tolist(), _check_theta(theta)))
 
 
 def lp_norm(f: GridFunction, w: Weight, p: float) -> float:
@@ -977,19 +964,21 @@ class Witness:
     def reevaluate(self, w: Weight) -> float:
         """mass(other) / mass(rect) by the scan's own engine: a shrink's
         masses are summed from each box's own cells by the product-reverse
-        pyramid's tree, one axis at a time (_tree_mass), every other
-        kind's are read by integrate from the long-double prefix table."""
+        pyramid's tree, one axis at a time (_own_mass), every other kind's
+        are read from the long-double prefix table (_weight_masses)."""
         num, den = (self._mass(w, box) for box in (self.other, self.rect))
         if den == 0.0:
             return INFINITE if num > 0 else 0.0
         return num / den
 
     def _mass(self, w: Weight, box: Rect) -> float:
-        if self.kind != "shrink":
-            return integrate(w, box)
         _check_rect(w.lattice, box)
-        cells = _cellwise(w.lattice, w.density[tuple(map(slice, box.lo, box.hi))])
-        return float(_tree_mass(cells, [(ax,) for ax in range(box.dim)]).flat[0])
+        if self.kind != "shrink":
+            return float(_weight_masses(w, box.lo, box.hi))
+        # the scan's tiles and shrinks are 2^k cells wide on every axis
+        if any(b - a < 1 or (b - a) & (b - a - 1) for a, b in zip(box.lo, box.hi)):
+            raise ShapeError(f"a shrink's boxes are 2^k cells wide per axis, got {box.lo}..{box.hi}")
+        return float(_own_mass(w.lattice, w.density, box.lo, box.hi, groups=[(ax,) for ax in range(box.dim)]))
 
 
 @dataclass
@@ -1151,7 +1140,7 @@ def _engine(w: Weight, picks) -> list[np.ndarray]:
     out = []
     for k in range(len(picks[0][0])):
         ends = [_edges(families[k], flat, n) for families, flat in picks]
-        lo, hi = ([np.concatenate(e) for e in zip(*side)] for side in zip(*ends))
+        lo, hi = ends[0] if len(ends) == 1 else ([np.concatenate(e) for e in zip(*side)] for side in zip(*ends))
         out.append(_weight_masses(w, lo, hi).astype(np.float64))
     return out
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from .bump import (
     Exponents,
-    _bumps,
+    _bump_map,
     bump_cube,
     bump_rect,
     characteristic,
@@ -49,14 +49,14 @@ from .grids import (
 from .lattice import (
     GridFunction,
     Weight,
-    _weight_masses,
+    _cellwise,
+    _level_masses,
     box_masses,
     doubling_report,
     full_rect,
     gen_weight,
     integrate,
     make_lattice,
-    rect_volume,
     refine_function,
     refine_weight,
     strong_rd_doubling_bound,
@@ -154,7 +154,7 @@ def _check_partition_additivity(depth, seed):
     w = _lognormal(lat, seed + 2)
     parts = random_partition(lat, seed + 3)
     total = integrate(w, full_rect(lat))
-    summed = math.fsum(integrate(w, r) for r in parts)
+    summed = math.fsum(_part_bumps(w, parts, 1.0))
     err = abs(summed - total) / total
     return CheckRow(
         "lattice/partition-additivity", f"depth={depth} parts={len(parts)}", err, 1e-12, err <= 1e-12
@@ -278,20 +278,19 @@ def _check_bad_prob(seed, eps, name, need_informative):
 # bump layer
 
 
-def _part_edges(parts):
-    """Per-axis lower and upper edges of a partition's cubes, (d, N) each."""
-    return np.array([r.lo for r in parts]).T, np.array([r.hi for r in parts]).T
-
-
 def _part_bumps(w, parts, theta):
-    """bump_cube of every cube of a partition, in order, through one _bumps
-    call per cube size."""
-    lo, hi = _part_edges(parts)
-    size = hi[0] - lo[0]
+    """bump_cube of every cube of a dyadic partition, in order, read from
+    one pass of the dyadic pyramid of w**theta: the bits bump_cube sums
+    from each cube's own cells.  At theta = 1 they are the masses."""
+    lat = w.lattice
+    lo, hi = np.array([r.lo for r in parts]), np.array([r.hi for r in parts])
+    level = lat.depth - np.log2(hi[:, 0] - lo[:, 0]).astype(int)
     out = np.empty(len(parts))
-    for cells in sorted(set(size.tolist())):
-        at = size == cells
-        out[at] = _bumps(w, theta, lo[:, at], hi[:, at], rect_volume(w.lattice, parts[np.argmax(at)]))
+    for (lv,), masses in _level_masses(_cellwise(lat, w.density, theta), lat):
+        at = level == lv
+        if at.any():
+            idx = lo[at] >> (lat.depth - lv)
+            out[at] = _bump_map(masses[tuple(idx.T)], 2.0 ** (-lv * lat.dim), theta)
     return out
 
 
@@ -317,7 +316,7 @@ def _check_holder_direction(depth, seed):
     for k in range(20):
         w = _lognormal(lat, seed + 100 + k, rough=0.7)
         parts = random_partition(lat, seed + 130 + k)
-        mass = _weight_masses(w, *_part_edges(parts)).astype(np.float64)
+        mass = _part_bumps(w, parts, 1.0)
         bump = _part_bumps(w, parts, 1.5)
         pos = bump > 0
         if pos.any():

@@ -4,6 +4,7 @@ Closed-form oracles (sqrt(2) for the two-step density, exponent arithmetic
 for the Lebesgue characteristics) were fixed before implementation.
 """
 import math
+from fractions import Fraction
 from itertools import product as iproduct
 
 import numpy as np
@@ -33,10 +34,10 @@ from dyadlab import (
     substream,
 )
 from dyadlab import bump, lattice
-from dyadlab.bump import _bump_map, _bumps
+from dyadlab.bump import _bump_map
 from dyadlab.embed import _pyramids, _slice
 from dyadlab.grids import onethird_grids, standard_grid
-from dyadlab.lattice import box_mass, box_masses
+from dyadlab.lattice import box_mass, power_integrate
 
 
 def lebesgue(lat):
@@ -117,8 +118,9 @@ def test_bump_subadditive_over_partitions():
 
 @pytest.mark.parametrize("seed, block", [(38, (20, 21)), (4, (17, 22))])
 def test_zero_block_bumps_and_box_masses_are_exactly_zero(seed, block):
-    # the weights of test_zero_block_has_exactly_zero_mass: box_mass and
-    # bump_cube read a residual of +-5.42e-20 on the zero block
+    # the weights of test_zero_block_has_exactly_zero_mass, on whose zero
+    # block the long-double prefix table read a residual of +-5.42e-20: a
+    # box's own cells sum to exactly 0 there
     rng = np.random.default_rng(seed)
     dens = np.exp(0.6 * rng.standard_normal((32, 32)))
     i, j = (int(v) for v in rng.integers(1, 30, size=2))
@@ -128,18 +130,81 @@ def test_zero_block_bumps_and_box_masses_are_exactly_zero(seed, block):
     assert box_mass(w, (i / 32, j / 32), ((i + 2) / 32, (j + 2) / 32)) == 0.0
     for theta in (1.0, 1.5):
         assert bump_cube(Rect((i, j), (i + 2, j + 2)), w, theta) == 0.0
-    # a box on the one-third grid inside the block, read through the
-    # interpolating path of the one-third scans
+    # a box on the one-third grid inside the block
     lo, hi = (i + 1 / 3, j + 2 / 3), (i + 5 / 3, j + 4 / 3)
     for theta in (1.0, 1.5):
         assert box_mass(w, [a / 32 for a in lo], [b / 32 for b in hi], theta) == 0.0
-        edges = [np.array([a]) for a in lo], [np.array([b]) for b in hi]
-        assert _bumps(w, theta, *edges, 2.0**-10).tolist() == [0.0]
-    # a box reaching a third of a cell into positive cells keeps the engine's value
+    # a box reaching a third of a cell into positive cells reads that
+    # cell's share of its mass, rounded once
     lo, hi = (i - 1 / 3, j), (i + 1, j + 1)
     got = box_mass(w, [a / 32 for a in lo], [b / 32 for b in hi])
-    assert got > 0.0
-    assert got == float(box_masses(w.prefix(1.0), np.array(lo), np.array(hi)))
+    assert got == float(Fraction(dens[i - 1, j]) * (i - Fraction(lo[0])) / 2**10) > 0.0
+
+
+def _fraction_mass(cells, lo, hi) -> float:
+    """The mass of a box of cellwise values, its float edges in cell units
+    taken exactly, each cell counted by the share of it the box covers,
+    correctly rounded."""
+    axes = []
+    for a, b in zip(lo, hi):
+        a, b = Fraction(a), Fraction(b)
+        axes.append([(c, min(b, c + 1) - max(a, c)) for c in range(math.floor(a), math.ceil(b))])
+    total = Fraction(0)
+    for pick in iproduct(*axes):
+        part = Fraction(float(cells[tuple(c for c, _ in pick)]))
+        for _, share in pick:
+            part *= share
+        total += part
+    return float(total)
+
+
+@pytest.mark.parametrize("dim, depth", [(1, 6), (2, 4), (3, 2)])
+def test_single_boxes_read_the_pyramid_bits(dim, depth):
+    # bump_cube and power_integrate on every dyadic cube, and bump_rect on
+    # every dyadic rectangle, sum the box's own cells as the dyadic and
+    # product pyramids sum them: the same masses and bumps, bit for bit
+    lat = make_lattice(dim, depth)
+    n = lat.cells_per_axis
+    dens = rand_w(lat, 3 * dim + depth, rough=0.9).density.copy()
+    dens[(slice(1, 3),) * dim] = 0.0
+    weights = [gen_weight(lat, {"kind": "cascade", "beta": 0.9, "seed": dim}), Weight(lat, dens)]
+    for w, theta in iproduct(weights, (1.0, 1.5)):
+        cells = lattice._cellwise(lat, w.density, theta)
+        for m in [None, *range(1, dim)]:
+            for levels, masses in lattice._level_masses(cells, lat, m):
+                sides = [n >> lv for lv in levels]
+                axis_sides = [sides[0]] * dim if m is None else [sides[0]] * m + [sides[1]] * (dim - m)
+                vol = 2.0 ** -sum(lat.depth - (s.bit_length() - 1) for s in axis_sides)
+                for idx in np.ndindex(masses.shape):
+                    rect = Rect(tuple(i * s for i, s in zip(idx, axis_sides)), tuple((i + 1) * s for i, s in zip(idx, axis_sides)))
+                    bump = _bump_map(masses[idx], vol, theta)
+                    if m is None:
+                        assert power_integrate(w, rect, theta) == masses[idx], (levels, idx)
+                        assert bump_cube(rect, w, theta) == bump, (levels, idx)
+                    else:
+                        i_rect, j_rect = (Rect(rect.lo[a:b], rect.hi[a:b]) for a, b in ((0, m), (m, dim)))
+                        assert bump_rect(i_rect, j_rect, w, theta) == bump, (m, levels, idx)
+
+
+def test_single_box_reads_are_within_two_ulps_of_exact():
+    # integrate, power_integrate and box_mass on whole-cell and third-of-
+    # cell boxes of a beta = 0.9 cascade, whose cells span many binades:
+    # each box's own cells, summed by the compensated tree, give its exact
+    # mass at the float edges to within 2 ulps
+    lat = make_lattice(2, 5)
+    n = lat.cells_per_axis
+    w = gen_weight(lat, {"kind": "cascade", "beta": 0.9, "seed": 4})
+    cells = {t: lattice._cellwise(lat, w.density, t) for t in (1.0, 1.5)}
+    rng = substream(31, 1)
+    for _ in range(60):
+        lo = [int(v) for v in rng.integers(0, n, size=2)]
+        hi = [int(rng.integers(a + 1, n + 1)) for a in lo]
+        assert _ulps(lattice.integrate(w, Rect(tuple(lo), tuple(hi))), _fraction_mass(cells[1.0], lo, hi)) <= 2
+        assert _ulps(power_integrate(w, Rect(tuple(lo), tuple(hi)), 1.5), _fraction_mass(cells[1.5], lo, hi)) <= 2
+        ticks = sorted(int(v) for v in rng.integers(0, 3 * n + 1, size=4))
+        lo, hi = [ticks[0] / 3, ticks[2] / 3], [ticks[1] / 3, ticks[3] / 3]
+        for t, c in cells.items():
+            assert _ulps(box_mass(w, [a / n for a in lo], [b / n for b in hi], t), _fraction_mass(c, lo, hi)) <= 2
 
 
 def test_random_partition_tiles():
@@ -805,13 +870,16 @@ def test_adjacent_onethird_cubes_add_up_to_their_union(dim, depth):
 
 
 @pytest.mark.parametrize("kind", ["no_bump", "product_bump"])
-def test_cubes_off_the_refined_lattice_read_the_prefix_engine(kind):
-    # a shifted grid's cube, or a one-third cube finer than the lattice,
-    # is one scalar read of the prefix engine: the masses box_mass gives
-    # at the cube's edges, clamped at 0, through the scan's evaluator
+def test_cubes_off_the_refined_lattice_read_their_own_cells(kind):
+    # a shifted grid's cube, or a one-third cube finer than the lattice, is
+    # summed from its own cells, clipped to the unit box, each cell counted
+    # by the share of it the cube covers, each factor's axes in turn: the
+    # evaluator gets those masses, and the value is within VALUE_ULPS of
+    # the one from exact masses at the cube's float edges
     from dyadlab.grids import sample_grid
 
     lat = make_lattice(2, 4)
+    n = lat.cells_per_axis
     sigma = gen_weight(lat, {"kind": "cascade", "beta": 0.8, "seed": 2})
     omega = rand_w(lat, 9)
     exps = Exponents(p=2.0, q=4.0, alpha=0.5, beta=0.5, theta=1.5)
@@ -821,12 +889,18 @@ def test_cubes_off_the_refined_lattice_read_the_prefix_engine(kind):
         DyadicRect(Cube(onethird_grids(1, 0, 6)[2], 5, (20,)), Cube(standard_grid(1, 0, 6), 3, (2,))),
         DyadicRect(Cube(onethird_grids(1, 0, 6)[1], 6, (-1,)), Cube(onethird_grids(1, 0, 6)[2], 6, (63,))),
     ]
+    pairs = list(zip((sigma, omega), bump._thetas(kind, exps)))
     for box in boxes:
         cubes = (box.i_cube, box.j_cube)
-        lo, hi = ([float(x) for c in cubes for x in c.bounds()[side]] for side in (0, 1))
-        masses = [np.array([max(box_mass(w, lo, hi, t), 0.0)]) for w, t in zip((sigma, omega), bump._thetas(kind, exps))]
-        want = bump._products(kind, kernel, exps, [(c.level, 1) for c in cubes], masses)[0]
-        assert characteristic_at(kind, None, box, sigma, omega, exps) == want
+        levels = [(c.level, 1) for c in cubes]
+        lo, hi = ([min(max(float(x) * n, 0.0), n) for c in cubes for x in c.bounds()[side]] for side in (0, 1))
+        hi = [max(a, b) for a, b in zip(lo, hi)]
+        masses = [lattice._own_mass(lat, w.density, lo, hi, t, [(0,), (1,)]) for w, t in pairs]
+        got = characteristic_at(kind, None, box, sigma, omega, exps)
+        assert got == bump._products(kind, kernel, exps, levels, masses).flat[0]
+        exact = [np.array(_fraction_mass(lattice._cellwise(lat, w.density, t), lo, hi)) for w, t in pairs]
+        oracle = float(bump._products(kind, kernel, exps, levels, exact).flat[0])
+        assert abs(got - oracle) <= VALUE_ULPS * 2.0**-53 * oracle, (box, got, oracle)
 
 
 def test_onethird_scan_refuses_past_the_array_budget(monkeypatch):

@@ -117,6 +117,29 @@ def test_unknown_flag_is_config_error(capsys):
     capsys.readouterr()
 
 
+def test_grid_sample_past_the_work_budget_exits_2(monkeypatch, capsys):
+    # the work estimate is checked before any grid is sampled: a run one
+    # unit over a small limit exits 2, a run at the limit samples its grids
+    from dyadlab import cli, grids
+
+    argv = ["grid-sample", "--dim", "2", "--lo", "1", "--hi", "7", "--count", "3"]
+    need = grids.verify_work(3, 2, 1, 7)
+    sampled = []
+    monkeypatch.setattr(cli, "sample_grid", lambda *a: sampled.append(a) or grids.sample_grid(*a))
+    monkeypatch.setattr(grids, "VERIFY_BUDGET", need - 1)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and f"limit {need - 1}" in err
+    assert sampled == []
+    monkeypatch.setattr(grids, "VERIFY_BUDGET", need)
+    assert main(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 3 == len(sampled)
+    # the real limit refuses a deep level range at once
+    monkeypatch.undo()
+    assert main(["grid-sample", "--hi", "2000"]) == 2
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -216,11 +216,28 @@ def test_box_mass_fractional():
     assert math.isclose(box_mass(w, (0.125,), (0.625,)), 1.125, rel_tol=1e-14)
     # clipping outside the unit box
     assert math.isclose(box_mass(w, (-1.0,), (0.25,)), 1.0, rel_tol=1e-14)
+    assert box_mass(w, (-math.inf,), (math.inf,)) == 2.5
+
+
+@pytest.mark.parametrize(
+    "lo, hi, error",
+    [
+        ((math.nan, 0.0), (0.5, 0.5), DomainError),
+        ((0.0, 0.25), (0.5, math.nan), DomainError),
+        ((0.0,), (0.5,), ShapeError),
+        ((0.0, 0.0, 0.0), (0.5, 0.5, 0.5), ShapeError),
+    ],
+    ids=["nan-lower", "nan-upper", "one-pair", "three-pairs"],
+)
+def test_box_mass_refuses_nan_edges_and_wrong_edge_counts(lo, hi, error):
+    w = gen_weight(make_lattice(2, 3), {"kind": "random_lognormal", "seed": 1, "roughness": 0.5})
+    with pytest.raises(error):
+        box_mass(w, lo, hi)
 
 
 def test_box_masses_reads_leading_axes_as_a_batch():
-    # a stack of tables gives every table its own masses bit for bit, on
-    # whole-cell and fractional edges, and so does the exact-zero rule
+    # a stack of tables gives every table its own masses bit for bit, and
+    # so does the exact-zero rule
     lat = make_lattice(2, 3)
     dens = np.stack([
         gen_weight(lat, {"kind": "random_lognormal", "seed": s, "roughness": 0.9}).density
@@ -232,15 +249,11 @@ def test_box_masses_reads_leading_axes_as_a_batch():
     counts = _positive_counts(lat, dens)
     whole = (list(np.ix_(np.arange(0, 8, 2), np.arange(0, 8, 4))),
              list(np.ix_(np.arange(2, 10, 2), np.arange(4, 12, 4))))
-    frac = (
-        [np.array([0.0, 1 / 3, 2.5, 2.0]), np.array([1 / 3, 0.0, 1.5, 2.5])],
-        [np.array([2.0, 4 / 3, 5.0, 4.0]), np.array([8.0, 3.5, 3.0, 3.5])],
-    )
-    for lo, hi in (whole, frac, ((2, 1), (5, 4))):
+    for lo, hi in (whole, ((2, 1), (5, 4))):
         got, got_zero = box_masses(tabs, lo, hi), _masses(tabs, counts, lo, hi)
         for k, w in enumerate(weights):
             assert np.all(got[k] == box_masses(w.prefix(1.5), lo, hi))
-            assert np.all(got_zero[k] == _weight_masses(w, lo, hi, 1.5))
+            assert np.all(got_zero[k] == _masses(w.prefix(1.5), _positive_counts(lat, w.density), lo, hi))
     assert got_zero[1] == 0.0 and got_zero[0] > 0.0
 
 
@@ -265,17 +278,19 @@ def _boxes_on_thirds(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(_boxes_on_thirds())
-def test_box_masses_match_exact_fraction_integral(case):
+def test_box_mass_matches_exact_fraction_integral(case):
     dim, depth, seed, axes = case
     lat = make_lattice(dim, depth)
     rng = np.random.default_rng(seed)
     dens = np.where(rng.uniform(size=lat.shape) < 0.1, 0.0, rng.uniform(0.25, 4.0, lat.shape))
     w = Weight(lat, dens)
-    lo = [np.array(a) if unit == 1 else np.array(a) / 3.0 for unit, a, _ in axes]
-    hi = [np.array(b) if unit == 1 else np.array(b) / 3.0 for unit, _, b in axes]
-    got = box_masses(w.prefix(1.0), lo, hi).astype(np.float64)
-
     n = lat.cells_per_axis
+    count = len(axes[0][1])
+    got = [
+        box_mass(w, [a[row] / unit / n for unit, a, _ in axes], [b[row] / unit / n for unit, _, b in axes])
+        for row in range(count)
+    ]
+
     cell_vol = Fraction(1, n**dim)
     total = float(sum(Fraction(float(u)) for u in dens.ravel()) * cell_vol)
     for row in range(len(got)):
@@ -293,9 +308,8 @@ def test_box_masses_match_exact_fraction_integral(case):
                 part *= overlaps[k][c]
             exact += part
         exact = float(exact * cell_vol)
-        # a box of exact mass 0 (clipped empty, or on zero-density cells) can
-        # read a corner-sum residual of a few ulps of the total mass, hence
-        # the floor under the relative scale
+        # the floor under the relative scale is the former prefix engine's,
+        # whose corner sums left a residual of a few ulps of the total mass
         assert abs(got[row] - exact) <= 1e-12 * max(exact, 1e-6 * total), (row, exact)
 
 
@@ -489,9 +503,10 @@ def test_zero_block_has_exactly_zero_mass(seed, block):
     empty = Rect((i, j), (i + 2, j + 2))
     assert integrate(w, empty) == 0.0
     assert power_integrate(w, empty, 1.5) == 0.0
-    # boxes holding a positive cell keep the engine's value bit for bit
+    # a box holding a positive cell reads its cells' mass, within an ulp
     full = Rect((i - 1, j), (i + 2, j + 2))
-    assert integrate(w, full) == float(box_masses(w.prefix(1.0), full.lo, full.hi))
+    want = math.fsum((dens[i - 1 : i + 2, j : j + 2] * 2.0**-10).ravel().tolist())
+    assert 0.0 < want and abs(integrate(w, full) - want) <= np.spacing(want)
     for mode in ("cube", "rectangle"):
         rep = doubling_report(w, mode)
         assert rep.infinite and rep.constant == INFINITE
@@ -631,9 +646,9 @@ def test_wgt1_roundtrip_random_weights(data):
 # ---------------------------------------------------------------------------
 # box reads against the former per-corner gather
 #
-# The former box_masses, kept verbatim as the reference: every corner of
-# every box gathered from the table, fractional edges interpolated per
-# corner.  The engine's reads must give the same long doubles, bit for bit.
+# The former box_masses on whole-cell edges, kept as the reference: every
+# corner of every box gathered from the table, edges clipped to [0, n].
+# The engine's reads must give the same long doubles, bit for bit.
 
 _FORMER_CORNERS = {
     d: [(c, -1.0 if (d - sum(c)) % 2 else 1.0) for c in iproduct((0, 1), repeat=d)]
@@ -641,49 +656,12 @@ _FORMER_CORNERS = {
 }
 
 
-def _former_edge(e, n: int):
-    """One edge array clipped to [0, n]: whole cells become an int64 index
-    array, anything else (floor index, 1 - frac, frac) for interpolation."""
-    e = np.asarray(e)
-    if e.dtype.kind in "iu":
-        return np.minimum(np.maximum(e, 0), n)
-    e = np.minimum(np.maximum(e.astype(np.float64, copy=False), 0.0), float(n))
-    floor = np.floor(e)
-    if np.array_equal(floor, e):
-        return floor.astype(np.int64)
-    i = np.minimum(floor.astype(np.int64), n - 1)
-    f = e.astype(LD) - i
-    return i, 1 - f, f
-
-
-def _former_corner_values(tab: np.ndarray, pts: list):
-    """Prefix table at one corner point per box, multilinear over the axes
-    given as (floor index, 1 - frac, frac); exact for the piecewise
-    constant densities the tables store."""
-    frac = [k for k, p in enumerate(pts) if isinstance(p, tuple)]
-    idx = list(pts)
-    out = None
-    for corners in iproduct((0, 1), repeat=len(frac)):
-        wgt = None
-        for k, c in zip(frac, corners):
-            i, lo_w, hi_w = pts[k]
-            idx[k] = i + c
-            wgt = (hi_w if c else lo_w) if wgt is None else wgt * (hi_w if c else lo_w)
-        term = wgt * tab[(..., *idx)]
-        out = term if out is None else out + term
-    return out
-
-
 def _former_box_masses(tab: np.ndarray, lo, hi) -> np.ndarray:
     n = tab.shape[-1] - 1
-    ends = [(_former_edge(a, n), _former_edge(b, n)) for a, b in zip(lo, hi)]
+    ends = [tuple(np.minimum(np.maximum(np.asarray(e), 0), n) for e in pair) for pair in zip(lo, hi)]
     out = None
     for corners, sign in _FORMER_CORNERS[len(lo)]:
-        pts = [end[c] for end, c in zip(ends, corners)]
-        if any(isinstance(p, tuple) for p in pts):
-            term = _former_corner_values(tab, pts)
-        else:
-            term = tab[(..., *pts)]
+        term = tab[(..., *(end[c] for end, c in zip(ends, corners)))]
         if out is None:
             out = term if sign > 0 else -term
         elif sign > 0:
@@ -694,17 +672,10 @@ def _former_box_masses(tab: np.ndarray, lo, hi) -> np.ndarray:
 
 
 def _former_masses(tab, count, lo, hi):
-    """The former exact-zero rule: the count read on the whole-cell cover."""
+    """The former exact-zero rule: 0 where the box counts no positive cell."""
     masses = _former_box_masses(tab, lo, hi)
     if count is not None:
-        clo, chi = [], []
-        for a, b in zip(lo, hi):
-            a, b = np.asarray(a), np.asarray(b)
-            if a.dtype.kind == "f" or b.dtype.kind == "f":
-                a, b = np.floor(a), np.where(b > a, np.ceil(b), np.floor(a))
-            clo.append(a)
-            chi.append(b)
-        masses = np.where(_former_box_masses(count, clo, chi) == 0, LD(0.0), masses)
+        masses = np.where(_former_box_masses(count, lo, hi) == 0, LD(0.0), masses)
     return masses
 
 
@@ -800,7 +771,7 @@ def test_family_reads_match_references(case):
 @settings(max_examples=150, deadline=None)
 @given(st.data())
 def test_gathered_boxes_match_former_gather(data):
-    # scalar boxes and zipped box lists keep the gather path
+    # scalar boxes and zipped box lists of whole-cell edges keep the gather path
     dim = data.draw(st.integers(1, 4))
     depth = data.draw(st.integers(1, {1: 5, 2: 4, 3: 3, 4: 2}[dim]))
     n = 1 << depth
@@ -809,13 +780,9 @@ def test_gathered_boxes_match_former_gather(data):
     ticks = max(size, 1)
     lo, hi = [], []
     for _ in range(dim):
-        unit = data.draw(st.sampled_from([1, 3]))  # whole cells or thirds of a cell
-        a = np.array(data.draw(st.lists(st.integers(-unit * n, 2 * unit * n), min_size=ticks,
-                                        max_size=ticks)))
-        b = a + np.array(data.draw(st.lists(st.integers(0, 2 * unit * n), min_size=ticks,
-                                            max_size=ticks)))
-        if unit == 3:
-            a, b = a / 3.0, b / 3.0
+        a = np.array(data.draw(st.lists(st.integers(0, n), min_size=ticks, max_size=ticks)))
+        b = a + np.array(data.draw(st.lists(st.integers(0, n), min_size=ticks, max_size=ticks)))
+        b = np.minimum(b, n)
         lo.append(a if size else a[0].item())
         hi.append(b if size else b[0].item())
     want = _former_box_masses(tab, lo, hi)
@@ -1060,8 +1027,8 @@ def test_only_screen_survivors_reach_the_engine(monkeypatch, weight, seed):
     for mode, roles in (("cube", 2), ("strong", 3)):
         calls = []
 
-        def spy(w, lo, hi, theta=1.0):
-            out = engine(w, lo, hi, theta)
+        def spy(w, lo, hi):
+            out = engine(w, lo, hi)
             calls.append((lo, hi, out))
             return out
 

@@ -1,20 +1,22 @@
 """The precision policy against the long-double formulas it replaced.
 
-Prefix tables and corner differences stay in long double; every power
-over an array now runs in float64 on masses rounded once.  The oracles
+Every power over an array runs in float64 on masses rounded once; only
+the doubling scans' prefix tables still sum in long double.  The oracles
 below are the former formulas, with every power in long double.  The
 float64 maps may differ from them by the error of rounding an exponent
 such as 1/theta to float64, which grows with the logarithm of the base,
 so agreement is required within 2^-50 * (1 + |ln mass| + |ln vol|).
 
-bump_cube and lp_norm are checked end to end against the former long
-double table and sum, on boxes anchored at the origin: such a box reads a
-single prefix value, so no cancellation in the table can blur the
-comparison.  The embedding and Carleson sums run over every dyadic
-subcube, whose masses the code reads from the dyadic pyramid; the oracle
-reads them from the same pyramid, since accumulation is not what the
-policy changes, and applies the former long-double maps.  Densities span 1e-75..1e75 and exponents stay at most
-4, which keeps every term in float64's normal range, the policy's domain.
+bump_cube sums a single box from its own cells; its oracle takes the
+box's mass as the math.fsum of the same float64 cells, on boxes anchored
+at the origin, and applies the former long-double bump map.  At theta = 1
+the bump keeps the bits of its mass.  lp_norm is checked end to end
+against the former long double sum.  The embedding and Carleson sums run
+over every dyadic subcube, whose masses the code reads from the dyadic
+pyramid; the oracle reads them from the same pyramid, since accumulation
+is not what the policy changes, and applies the former long-double maps.
+Densities span 1e-75..1e75 and exponents stay at most 4, which keeps
+every term in float64's normal range, the policy's domain.
 """
 import math
 
@@ -22,29 +24,19 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dyadlab import GridFunction, Rect, Weight, bump_cube, make_lattice
+from dyadlab import GridFunction, Rect, Weight, bump_cube, integrate, make_lattice
 from dyadlab.embed import automatic_carleson, embed_check_cubes
 from dyadlab import lattice
-from dyadlab.lattice import box_masses, full_rect, lp_norm
+from dyadlab.lattice import full_rect, lp_norm
 
 _LD = np.longdouble
 
 
-def _ld_table(w: Weight, theta: float) -> np.ndarray:
-    """The former prefix table: density**theta in long double."""
-    lat = w.lattice
-    base = w.density.astype(_LD) ** _LD(theta) * _LD(2.0) ** (-(lat.dim * lat.depth))
-    tab = np.zeros((lat.cells_per_axis + 1,) * lat.dim, dtype=_LD)
-    inner = tab[(slice(1, None),) * lat.dim]
-    inner[...] = base
-    for ax in range(lat.dim):
-        np.cumsum(inner, axis=ax, out=inner)
-    return tab
-
-
-def _ld_bumps(tab, theta, lo, hi, vol) -> np.ndarray:
-    """The former bump map: both powers in long double, rounded once."""
-    return _ld_bump_map(np.maximum(box_masses(tab, lo, hi), _LD(0.0)), theta, vol)
+def _fsum_mass(w: Weight, theta: float, box: Rect) -> float:
+    """The box's mass, the math.fsum of its float64 cells density**theta
+    * cell_volume."""
+    cells = lattice._cellwise(w.lattice, w.density, theta)[tuple(map(slice, box.lo, box.hi))]
+    return math.fsum(cells.ravel().tolist())
 
 
 def _ld_bump_map(masses, theta, vol) -> np.ndarray:
@@ -134,14 +126,13 @@ _TINY_CASE = (_TINY, GridFunction(_TINY.lattice, np.ones(16)), 3.0, 4.0, 1.1)
 
 @settings(max_examples=200, deadline=None)
 @given(_weights(), st.floats(1.0, 3.0), st.data())
-def test_bump_cube_matches_long_double_oracle(w, theta, data):
+def test_bump_cube_matches_fsum_oracle(w, theta, data):
     lat = w.lattice
     hi = tuple(data.draw(st.integers(1, lat.cells_per_axis)) for _ in range(lat.dim))
     box = Rect((0,) * lat.dim, hi)
     vol = box.cells * lat.cell_volume
-    tab = _ld_table(w, theta)
-    want = float(_ld_bumps(tab, theta, box.lo, box.hi, vol))
-    mass = float(box_masses(tab, box.lo, box.hi))
+    mass = _fsum_mass(w, theta, box)
+    want = float(_ld_bump_map(_LD(mass), theta, vol))
     assert _close(bump_cube(box, w, theta), want, abs(math.log(mass)) + abs(math.log(vol)))
 
 
@@ -152,9 +143,12 @@ def test_theta_one_bumps_keep_the_former_bits(w, data):
     cut = st.lists(st.integers(0, lat.cells_per_axis), min_size=2, max_size=2)
     edges = [sorted(data.draw(cut)) for _ in range(lat.dim)]
     box = Rect(tuple(e[0] for e in edges), tuple(e[1] for e in edges))
-    vol = box.cells * lat.cell_volume
-    want = float(_ld_bumps(_ld_table(w, 1.0), 1.0, box.lo, box.hi, vol))
-    assert bump_cube(box, w, 1.0) == want
+    got = bump_cube(box, w, 1.0)
+    # the map keeps the mass's bits, and the mass is its cells' sum to
+    # within an ulp
+    assert got == integrate(w, box)
+    want = _fsum_mass(w, 1.0, box)
+    assert abs(got - want) <= np.spacing(want)
 
 
 @settings(max_examples=200, deadline=None)

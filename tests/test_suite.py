@@ -21,7 +21,6 @@ from dyadlab import (
     surrogate_kernel,
 )
 from dyadlab import suite
-from dyadlab.lattice import _weight_masses
 
 
 def test_sandwich_inputs_and_cubes_match_the_former_loop():
@@ -64,5 +63,5 @@ def test_partition_bumps_match_bump_cube_per_part():
             got = suite._part_bumps(w, parts, theta)
             want = [bump_cube(r, w, theta) for r in parts]
             assert [g.hex() for g in got.tolist()] == [v.hex() for v in want]
-        mass = _weight_masses(w, *suite._part_edges(parts)).astype(np.float64)
+        mass = suite._part_bumps(w, parts, 1.0)
         assert [m.hex() for m in mass.tolist()] == [integrate(w, r).hex() for r in parts]

@@ -20,10 +20,16 @@ placements tie, also at 2D depth 4, and the norm estimates of the first norm2d p
 a level-table kernel and over a family_of family holding a duplicated
 rectangle (per-rectangle coefficient arrays, and a fourth start seeded
 by the family's floor rectangle), with a digest of the bytes of each
-returned pair.  Each characteristic value (the one-third scan's
-included), each product-reverse witness value and per_scale ratio, and
-each embedding's lhs, intermediate and max_slice_ratio also records, as
-NAME/oracle, its recomputation from exact masses: the value at the
+returned pair, and the single-box reads of a seeded 2D depth-5 beta = 0.9
+cascade: integrate, power_integrate, bump_cube, bump_rect and box_mass on
+whole-cell boxes, box_mass on boxes with edges on thirds of a cell (its oracle at the
+edges' float values), and
+characteristic_at on a shifted-grid rectangle and on one finer than the
+lattice.  Each characteristic value (the one-third scan's included, the
+single-box ones too), each single-box read, each product-reverse witness
+value and per_scale ratio, and each embedding's lhs, intermediate and
+max_slice_ratio also records, as NAME/oracle, its recomputation from
+exact masses: the value at the
 reported witness, every cell counted by the share of it the box covers,
 the witness's ratio of math.fsum masses, the greatest such ratio over
 every tile of the scale, the lhs over every box, with f * density summed
@@ -55,6 +61,9 @@ DOUBLING_DEPTH = 4
 # the product-reverse per-scale oracle sums every tile and shrink with
 # math.fsum: about 4e4 box sums per weight at 2D depth 5
 PER_SCALE_DEPTH = 5
+# the single-box reads' lattice (2D) and seeded boxes per read
+SINGLE_DEPTH = 5
+SINGLE_BOXES = 6
 
 
 def _fsum_mass(cells, box) -> float:
@@ -73,21 +82,48 @@ def _ratio_oracle(cells, wit) -> float:
     return num / den
 
 
-def _exact_mass(cells, box) -> float:
-    """The mass of a box given per axis as (lo, hi) in thirds of a cell:
-    each cell's value times the thirds of it the box covers, summed
-    exactly and divided by 3 per axis (math.fsum on whole cells)."""
+def _exact_mass(cells, box, per: int = 3) -> float:
+    """The mass of a box given per axis as (lo, hi) in 1/per of a cell
+    (thirds by default): each cell's value times the parts of it the box
+    covers, summed exactly and divided by per per axis (math.fsum on
+    whole cells)."""
     import numpy as np
 
-    if all(a % 3 == 0 and b % 3 == 0 for a, b in box):
-        return _fsum_mass(cells, tuple(slice(a // 3, b // 3) for a, b in box))
-    counts = np.ones(())
+    if all(a % per == 0 and b % per == 0 for a, b in box):
+        return _fsum_mass(cells, tuple(slice(a // per, b // per) for a, b in box))
+    counts = np.ones((), dtype=object)
     for a, b in box:
-        j = np.arange(a // 3, -(-b // 3))
-        counts = np.multiply.outer(counts, np.minimum(b, 3 * j + 3) - np.maximum(a, 3 * j))
-    sel = cells[tuple(slice(a // 3, -(-b // 3)) for a, b in box)]
+        j = np.arange(a // per, -(-b // per))
+        counts = np.multiply.outer(counts, np.minimum(b, per * j + per) - np.maximum(a, per * j))
+    sel = cells[tuple(slice(a // per, -(-b // per)) for a, b in box)]
     total = sum(Fraction(v) * int(c) for v, c in zip(sel.ravel().tolist(), counts.ravel().tolist()))
-    return float(total / 3 ** len(box))
+    return float(total / per ** len(box))
+
+
+def _share_mass(cells, lo, hi) -> float:
+    """The mass of a box whose float edges, in cell units, are taken
+    exactly: each cell's value times the share of it the box covers,
+    summed exactly."""
+    import itertools
+
+    shares = []
+    for a, b in zip(lo, hi):
+        a, b = Fraction(a), Fraction(b)
+        shares.append([(c, min(b, c + 1) - max(a, c)) for c in range(math.floor(a), math.ceil(b))])
+    total = Fraction(0)
+    for pick in itertools.product(*shares):
+        part = Fraction(float(cells[tuple(c for c, _ in pick)]))
+        for _, share in pick:
+            part *= share
+        total += part
+    return float(total)
+
+
+def _bump_oracle(mass: float, vol: float, theta: float) -> float:
+    """The bump map of an exact mass, as the code applies it."""
+    import numpy as np
+
+    return float(vol ** (1.0 - 1.0 / theta) * np.power(np.array([mass]), 1.0 / theta)[0])
 
 
 def _per_scale_oracle(w) -> dict:
@@ -126,14 +162,16 @@ def _per_scale_oracle(w) -> dict:
 
 
 def _char_oracle(kind: str, witness, sigma, omega, exps) -> float:
-    """The characteristic's value at a std or one-third witness, its
-    masses exact sums of the box's share of each cell of density**theta *
-    cell_volume."""
+    """The characteristic's value at a witness, its masses exact sums of
+    the box's share of each cell of density**theta * cell_volume, the box
+    clipped to the unit box."""
     import numpy as np
 
     cubes = (witness,) if kind == "one_param" else (witness.i_cube, witness.j_cube)
     lat = sigma.lattice
-    top = 3 << lat.depth  # thirds of a cell per axis
+    # a unit that divides every edge: thirds of a cell for std and
+    # one-third cubes at levels 0..depth
+    top = math.lcm(3 << lat.depth, *(x.denominator for c in cubes for side in c.bounds() for x in side))
     box, vol, kval = [], 1.0, 1.0
     for c, k_exp in zip(cubes, (exps.alpha / exps.m - 1.0, exps.beta / exps.n - 1.0)):
         box += [(min(max(int(a * top), 0), top), min(max(int(b * top), 0), top)) for a, b in zip(*c.bounds())]
@@ -143,8 +181,8 @@ def _char_oracle(kind: str, witness, sigma, omega, exps) -> float:
     bumps = []
     for w, b in zip((sigma, omega), bumped):
         t = exps.theta if b else 1.0
-        mass = _exact_mass(np.power(w.density, t) * lat.cell_volume, box)
-        bumps.append(vol ** (1.0 - 1.0 / t) * np.power(np.array([mass]), 1.0 / t))
+        mass = _exact_mass(np.power(w.density, t) * lat.cell_volume, box, top >> lat.depth)
+        bumps.append(np.array([_bump_oracle(mass, vol, t)]))
     out = kval * np.power(bumps[0], 1.0 / exps.p_prime) * np.power(bumps[1], 1.0 / exps.q)
     return float(out[0])
 
@@ -379,6 +417,75 @@ def _ties(out: dict) -> None:
             _doubling_fields(f"ties/{kind}/doubling_{mode}", doubling_report(w, mode), out)
 
 
+def _single_boxes(seed: int, out: dict) -> None:
+    """integrate, power_integrate, bump_cube, bump_rect and box_mass on
+    seeded whole-cell boxes, and box_mass on seeded boxes with edges on
+    thirds of a cell, of a 2D beta = 0.9 cascade, and characteristic_at
+    on a shifted-grid rectangle and on one finer than the lattice, for
+    that cascade and a lognormal weight; each value with its oracle from
+    exact masses."""
+    import numpy as np
+
+    import workloads as wl
+    from dyadlab import (
+        Cube,
+        DyadicRect,
+        Rect,
+        bump_cube,
+        bump_rect,
+        characteristic_at,
+        gen_weight,
+        integrate,
+        make_lattice,
+        onethird_grids,
+        power_integrate,
+        sample_grid,
+        substream,
+    )
+    from dyadlab.lattice import box_mass
+
+    lat = make_lattice(2, SINGLE_DEPTH)
+    n, theta = lat.cells_per_axis, wl.EXPS.theta
+    w = gen_weight(lat, {"kind": "cascade", "beta": 0.9, "seed": seed})
+    cells = {t: np.power(w.density, t) * lat.cell_volume for t in (1.0, theta)}
+    rng = substream(seed, 929)
+    for k in range(SINGLE_BOXES):
+        lo = [int(v) for v in rng.integers(0, n, size=2)]
+        hi = [int(rng.integers(a + 1, n + 1)) for a in lo]
+        rect = Rect(tuple(lo), tuple(hi))
+        mass = {t: _exact_mass(c, [(3 * a, 3 * b) for a, b in zip(lo, hi)]) for t, c in cells.items()}
+        bump = _bump_oracle(mass[theta], rect.cells * lat.cell_volume, theta)
+        rows = {
+            "integrate": (integrate(w, rect), mass[1.0]),
+            "power_integrate": (power_integrate(w, rect, theta), mass[theta]),
+            "bump_cube": (bump_cube(rect, w, theta), bump),
+            "bump_rect": (bump_rect(Rect(rect.lo[:1], rect.hi[:1]), Rect(rect.lo[1:], rect.hi[1:]), w, theta), bump),
+            "box_mass": (box_mass(w, [a / n for a in lo], [b / n for b in hi]), mass[1.0]),
+        }
+        # edges on thirds of a cell, the oracle taken at their float values
+        lo, hi = zip(*([a / 3 for a in sorted(rng.integers(0, 3 * n + 1, size=2).tolist())] for _ in range(2)))
+        for t, c in cells.items():
+            got = box_mass(w, [a / n for a in lo], [b / n for b in hi], t)
+            rows[f"box_mass_thirds_theta{t:g}"] = (got, _share_mass(c, lo, hi))
+        for name, (got, oracle) in rows.items():
+            out[f"single-box/{name}/{k}"] = got
+            out[f"single-box/{name}/{k}/oracle"] = oracle
+    omega = gen_weight(lat, {"kind": "random_lognormal", "seed": seed, "roughness": 0.8})
+    third = onethird_grids(1, 0, SINGLE_DEPTH + 2)
+    rects = {
+        "shifted": DyadicRect(
+            Cube(sample_grid(seed, 1, 0, SINGLE_DEPTH + 2), 2, (1,)),
+            Cube(sample_grid(seed + 1, 1, 0, SINGLE_DEPTH + 2), 3, (2,)),
+        ),
+        "finer": DyadicRect(Cube(third[1], SINGLE_DEPTH + 2, (40,)), Cube(third[2], SINGLE_DEPTH + 1, (33,))),
+    }
+    for name, box in rects.items():
+        for kind in ("product_bump", "no_bump"):
+            key = f"single-box/characteristic_at/{name}/{kind}"
+            out[key] = characteristic_at(kind, None, box, w, omega, wl.EXPS)
+            out[f"{key}/oracle"] = _char_oracle(kind, box, w, omega, wl.EXPS)
+
+
 def _norm2d(seed: int, unit: int, out: dict) -> None:
     import workloads as wl
     from dyadlab import (
@@ -473,6 +580,7 @@ def dump(seed: int, units: int) -> dict:
         _norm2d(seed, unit, out)
     _zero_block(seed, out)
     _ties(out)
+    _single_boxes(seed, out)
     _norm_forms(seed, out)
     return out
 
