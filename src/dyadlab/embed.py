@@ -9,7 +9,7 @@ compensated float64 pairwise sum of the box's own cells; the rectangle
 proof chain's slice profiles and averages from the pyramid of the
 trailing axes, bit for bit the masses slice_profile sums.  The good-cube
 Carleson sum takes cube goodness from the skeleton-goodness kernel in
-`grids`.  One batched evaluator, _embeddings (_pyramids, _term_sums and
+`grids`.  One batched evaluator, _embeddings (_pyramids, _terms and
 _embedding), makes every embedding sum: the cube check and the rectangle
 lhs are its batch of one, and the rectangle proof chain is one call over
 the slices of every level, its points' sums taken from the pyramids that
@@ -36,11 +36,10 @@ from .lattice import (
     _level_masses,
     _lp_norms,
     _refine_array,
+    _total,
     doubling_report,
     make_lattice,
 )
-
-_LD = np.longdouble
 
 __all__ = [
     "CarlesonReport",
@@ -224,14 +223,14 @@ def automatic_carleson(
     level_p = _dyadic_level(lat, P)
     decay = lat.dim * (rho - 1.0) * (1.0 - 1.0 / theta)
     constant = 1.0 / _series_gap(decay, f"rho={rho!r}, theta={theta!r}")
-    total = _LD(0.0)
+    terms = []
     for level, masses in _subtree(lat, P, level_p, _cellwise(lat, w.density, theta)):
         b = _bump_map(masses, 2.0 ** (-level * lat.dim), theta)
-        total += np.power(b, rho).sum(dtype=_LD)
+        terms.append(np.power(b, rho).ravel())
         if level == level_p:
             top = float(b.flat[0])
-    rhs = constant * float(_LD(top) ** _LD(rho))
-    lhs = float(total)
+    rhs = constant * float(np.power(top, rho))
+    lhs = float(_total(np.concatenate(terms)))
     return CarlesonReport(lhs, rhs, constant, _ratio(lhs, rhs), P)
 
 
@@ -284,15 +283,14 @@ def good_carleson(
     gap = _series_gap(decay, f"eta={eta_val!r}, eps={goodness.eps!r}, rho={rho!r}")
     constant = trivial + float(scan.rev_C) / gap
 
-    total = _LD(0.0)
+    terms = []
     for level, masses in _subtree(lat, P, level_p, _cellwise(lat, w.density)):
         if level == level_p:
             top = float(masses.flat[0])
         good = _good_cubes(masses.shape[0], level - level_p, goodness, lat.dim)
-        if good.any():
-            total += np.power(masses[good], rho).sum(dtype=_LD)
-    rhs = constant * float(_LD(top) ** _LD(rho))
-    lhs = float(total)
+        terms.append(np.power(masses[good], rho))
+    rhs = constant * float(np.power(top, rho))
+    lhs = float(_total(np.concatenate(terms)))
     return CarlesonReport(lhs, rhs, constant, _ratio(lhs, rhs), P)
 
 
@@ -322,24 +320,22 @@ def _pyramids(f, u, lat: Lattice, theta: float, m: int | None = None):
         yield lv, _bump_map(mu, 2.0 ** -sum(k * d for k, d in zip(lv, dims)), theta), mf
 
 
-def _term_sums(b: np.ndarray, mf: np.ndarray, r: float, s: float, dim: int) -> np.ndarray:
-    """Long-double sum of one level tuple's embedding terms per batch
-    index, in one run, so a batch index keeps the bits of a batch of one.
-    Each term is one float64 power, (mf * bump^(1/s - 1))^r, as mf^r *
-    bump^(r/s - r) underflows."""
+def _terms(b: np.ndarray, mf: np.ndarray, r: float, s: float, dim: int) -> np.ndarray:
+    """One level tuple's embedding terms, a row per batch index.  Each
+    term is one float64 power, (mf * bump^(1/s - 1))^r, as mf^r * bump^(r/s
+    - r) underflows."""
     pos = b > 0.0
     terms = np.where(pos, np.power(mf * np.power(np.where(pos, b, 1.0), 1 / s - 1), r), 0.0)
-    return terms.reshape(terms.shape[:-dim] + (-1,)).sum(axis=-1, dtype=_LD)
+    return terms.reshape(terms.shape[:-dim] + (-1,))
 
 
-def _embedding(sums: dict, f, u, lat: Lattice, r: float, s: float):
-    """Float64 lhs and L^s norm and long-double lhs^r of an embedding from
-    its term sums per level tuple, added in product order."""
-    total = _LD(0.0)
-    for lv in sorted(sums):
-        total = total + sums[lv]
-    lhs = np.power(total, _LD(1.0) / _LD(r)).astype(np.float64)
-    return lhs, _lp_norms(lat, f, u, s).astype(np.float64), total
+def _embedding(terms: dict, f, u, lat: Lattice, r: float, s: float):
+    """lhs, L^s norm and lhs^r of an embedding from its terms per level
+    tuple: the compensated total (_total) of each batch row's terms, the
+    level tuples in product order, so a row keeps the bits of a batch of
+    one."""
+    total = _total(np.concatenate([terms[lv] for lv in sorted(terms)], axis=-1))
+    return np.power(total, 1.0 / r), _lp_norms(lat, f, u, s), total
 
 
 def _embeddings(f, u, lat: Lattice, theta: float, r: float, s: float, m: int | None = None):
@@ -347,8 +343,8 @@ def _embeddings(f, u, lat: Lattice, theta: float, r: float, s: float, m: int | N
     _pyramids, the batched evaluator of every embedding sum."""
     if f.shape != u.shape:
         raise ShapeError("function and weight live on different lattices")
-    sums = {lv: _term_sums(b, mf, r, s, lat.dim) for lv, b, mf in _pyramids(f, u, lat, theta, m)}
-    return _embedding(sums, f, u, lat, r, s)
+    terms = {lv: _terms(b, mf, r, s, lat.dim) for lv, b, mf in _pyramids(f, u, lat, theta, m)}
+    return _embedding(terms, f, u, lat, r, s)
 
 
 def embed_check_cubes(
@@ -363,8 +359,8 @@ def embed_check_cubes(
 
     Cubes of zero bump carry no f-mass and add nothing.  Each term is one
     float64 power, (mass * bump^(1/s - 1))^r, of the f-mass from the
-    pyramid, and the terms accumulate in long double.  This is the batched
-    evaluator on a batch of one.
+    pyramid, and the terms are one compensated total.  This is the
+    batched evaluator on a batch of one.
 
     grid is only validated: when given it must be a standard grid with
     one axis per lattice axis; the check always runs on the weight's own
@@ -454,56 +450,38 @@ def _proof_chain(f: GridFunction, w: Weight, theta: float, r: float, s: float, m
     lat = w.lattice
     n_ax, depth = lat.dim - m, lat.depth
     m_lat, n_lat = make_lattice(m, depth), make_lattice(n_ax, depth)
-    gs, profiles, sums = [], [], {}
+    gs, profiles, terms = [], [], {}
     for lv, b, mf in _pyramids(f.values, w.density, n_lat, theta):
-        sums[lv] = _term_sums(b, mf, r, s, n_ax)
+        terms[lv] = _terms(b, mf, r, s, n_ax)
         g, dens = _slice(b, mf, n_ax)
         gs.append(g.reshape((-1,) + m_lat.shape))
         profiles.append(dens.reshape((-1,) + m_lat.shape))
     slices = _embeddings(np.concatenate(gs), np.concatenate(profiles), m_lat, theta, r, s)[:2]
-    points = _embedding(sums, f.values, w.density, n_lat, r, s)[:2]
+    points = _embedding(terms, f.values, w.density, n_lat, r, s)[:2]
     return *(v.ravel() for v in slices), *(v.ravel() for v in points)
 
 
-def _chain(total: np.longdouble, rhs: float, parts, r: float, s: float) -> tuple:
+def _chain(total, rhs: float, parts, r: float, s: float) -> tuple:
     """intermediate, minkowski_mid and the largest slice and point ratios
     of the _proof_chain parts, each link (exact mathematics, slack only for
-    rounding) checked.  Sums add one term at a time, whatever the batches."""
-    lhs_r_check, intermediate = (np.cumsum(np.power(v.astype(_LD), _LD(r)))[-1] for v in parts[:2])
-    cellvol_m = _LD(1.0) / parts[2].size
-    minkowski_mid, norm_check = (
-        np.cumsum(np.power(v.astype(_LD), _LD(s)) * cellvol_m)[-1] for v in parts[2:]
-    )
+    rounding) checked.  Each sum is one compensated total, whatever the
+    batches."""
+    lhs_r_check, intermediate = (float(_total(np.power(v, r))) for v in parts[:2])
+    minkowski_mid, norm_check = (float(_total(np.power(v, s) / parts[2].size)) for v in parts[2:])
     max_slice_ratio, max_point_ratio = (
         float(np.max(a[b > 0.0] / b[b > 0.0], initial=0.0)) for a, b in (parts[:2], parts[2:])
     )
-    loose = _LD(1.0 + 1e-6)
-    tight = _LD(1.0 + 1e-9)
-    scale = max(float(total), float(lhs_r_check), 1e-300)
-    if abs(float(total) - float(lhs_r_check)) > 1e-6 * scale:
+    total, rhs_s = float(total), float(np.power(rhs, s))
+    if abs(total - lhs_r_check) > 1e-6 * max(total, lhs_r_check, 1e-300):
+        raise ContractViolationError(f"slicing identity broke: direct lhs^r {total} vs sliced {lhs_r_check}")
+    if lhs_r_check > max_slice_ratio**r * intermediate * (1 + 1e-9):
+        raise ContractViolationError("per-slice bound broke: lhs^r exceeds max slice ratio^r * intermediate")
+    if intermediate ** (s / r) > minkowski_mid * (1 + 1e-6):
         raise ContractViolationError(
-            f"slicing identity broke: direct lhs^r {float(total)} vs "
-            f"sliced {float(lhs_r_check)}"
+            f"Minkowski step broke: intermediate^(s/r) {intermediate ** (s / r)} exceeds {minkowski_mid}"
         )
-    if lhs_r_check > _LD(max_slice_ratio) ** _LD(r) * intermediate * tight:
-        raise ContractViolationError(
-            "per-slice bound broke: lhs^r exceeds max slice ratio^r * intermediate"
-        )
-    if np.power(intermediate, _LD(s) / _LD(r)) > minkowski_mid * loose:
-        raise ContractViolationError(
-            f"Minkowski step broke: intermediate^(s/r) "
-            f"{float(np.power(intermediate, _LD(s) / _LD(r)))} exceeds "
-            f"{float(minkowski_mid)}"
-        )
-    if minkowski_mid > _LD(max_point_ratio) ** _LD(s) * norm_check * tight:
-        raise ContractViolationError(
-            "per-point bound broke: minkowski_mid exceeds max point ratio^s * norm^s"
-        )
-    rhs_s = _LD(rhs) ** _LD(s)
-    scale = max(float(norm_check), float(rhs_s), 1e-300)
-    if abs(float(norm_check) - float(rhs_s)) > 1e-6 * scale:
-        raise ContractViolationError(
-            f"norm bookkeeping broke: sliced norm^s {float(norm_check)} vs "
-            f"direct {float(rhs_s)}"
-        )
-    return float(intermediate), float(minkowski_mid), max_slice_ratio, max_point_ratio
+    if minkowski_mid > max_point_ratio**s * norm_check * (1 + 1e-9):
+        raise ContractViolationError("per-point bound broke: minkowski_mid exceeds max point ratio^s * norm^s")
+    if abs(norm_check - rhs_s) > 1e-6 * max(norm_check, rhs_s, 1e-300):
+        raise ContractViolationError(f"norm bookkeeping broke: sliced norm^s {norm_check} vs direct {rhs_s}")
+    return intermediate, minkowski_mid, max_slice_ratio, max_point_ratio

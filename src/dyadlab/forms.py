@@ -45,7 +45,6 @@ from .grids import (
     DyadicRect,
     GoodnessParams,
     _good_cubes,
-    deepest_common_level,
     deepest_common_levels,
     standard_grid,
 )
@@ -60,11 +59,10 @@ from .lattice import (
     _level_stacks,
     _lp_norms,
     _segments,
+    _total,
     lp_norm,
     substream,
 )
-
-_LD = np.longdouble
 
 __all__ = [
     "FormValue",
@@ -95,40 +93,13 @@ def kernel_eval(kernel: KernelHandle, rect: DyadicRect) -> float:
 # surrogate kernel over shifted grid families
 
 
-def _as_point(p, dims: int, label: str) -> tuple[float, ...]:
-    pt = tuple(float(c) for c in p) if hasattr(p, "__len__") else (float(p),)
-    if len(pt) != dims:
-        raise ShapeError(f"{label} must have {dims} coordinates, got {len(pt)}")
-    for c in pt:
-        if not 0.0 <= c < 1.0:
-            raise DomainError(f"{label} coordinate {c} leaves the unit box")
-    return pt
-
-
-def _check_grid_dims(kernel: KernelHandle, i_grids, j_grids) -> None:
-    for grid in i_grids:
-        if grid.dim != kernel.m:
-            raise ShapeError(f"first-factor grid has dim {grid.dim}, kernel has m={kernel.m}")
-    for grid in j_grids:
-        if grid.dim != kernel.n:
-            raise ShapeError(f"second-factor grid has dim {grid.dim}, kernel has n={kernel.n}")
-
-
-def _fold(terms: np.ndarray) -> np.ndarray:
-    """Per row, the long-double sum of the (N, k) terms from left to right,
-    one term at a time (in place); a masked-off term is 0 and adds nothing."""
-    if terms.shape[1] == 0:
-        return np.zeros(len(terms), _LD)
-    return np.add.accumulate(terms, axis=1, out=terms)[:, -1].copy()
-
-
 @functools.lru_cache(maxsize=64)
 def _series_terms(ranges: tuple[tuple[int, int], ...], exp: float):
     """Every grid's levels lo..hi in grid then level order, the grid each
-    belongs to, and the long-double terms 2^(level * exp)."""
+    belongs to, and the float64 terms 2^(level * exp)."""
     levels = np.concatenate([np.arange(lo, hi + 1) for lo, hi in ranges])
     grid = np.repeat(np.arange(len(ranges)), [hi - lo + 1 for lo, hi in ranges])
-    terms = np.array([_LD(2.0) ** (lv * exp) for lv in levels.tolist()], dtype=_LD)
+    terms = np.array([2.0 ** (lv * exp) for lv in levels.tolist()])
     for a in (levels, grid, terms):
         a.flags.writeable = False
     return levels, grid, terms
@@ -139,19 +110,18 @@ def _surrogate_series(kernel: KernelHandle, i_grids, i_tops, j_grids, j_tops) ->
 
     i_tops (N, len(i_grids)) and j_tops (N, len(j_grids)) hold each pair's
     level per grid, one below the grid's lo where the pair shares no cube.
-    Each grid contributes its levels lo..top, summed in long double in grid
-    then level order; the terms are the kernel's scalar formula, evaluated
+    Each grid contributes its levels lo..top, in grid then level order, a
+    term left out being 0, and each pair's terms are one compensated
+    total (_total); the terms are the kernel's scalar formula, evaluated
     once per level (pair).
     """
     if kernel.kind == "product_frac":
         sums = []
-        for grids, tops, exp in (
-            (i_grids, i_tops, kernel.m - kernel.alpha),
-            (j_grids, j_tops, kernel.n - kernel.beta),
-        ):
+        factors = ((i_grids, i_tops, kernel.m - kernel.alpha), (j_grids, j_tops, kernel.n - kernel.beta))
+        for grids, tops, exp in factors:
             levels, grid, terms = _series_terms(tuple((g.lo, g.hi) for g in grids), exp)
-            sums.append(_fold(np.where(levels <= tops[:, grid], terms, _LD(0.0))))
-        return (sums[0] * sums[1]).astype(np.float64)
+            sums.append(_total(np.where(levels <= tops[:, grid], terms, 0.0)))
+        return sums[0] * sums[1]
     # a table may lack levels no pair reaches, so only those below the
     # deepest top are looked up
     cols = []
@@ -159,12 +129,10 @@ def _surrogate_series(kernel: KernelHandle, i_grids, i_tops, j_grids, j_tops) ->
         for gj, tj in zip(j_grids, j_tops.T):
             li = np.arange(gi.lo, min(gi.hi, int(ti.max(initial=gi.lo - 1))) + 1)
             lj = np.arange(gj.lo, min(gj.hi, int(tj.max(initial=gj.lo - 1))) + 1)
-            terms = np.array(
-                [[_LD(kernel.level_value(a, b)) for b in lj.tolist()] for a in li.tolist()], dtype=_LD
-            )
+            terms = np.array([[kernel.level_value(a, b) for b in lj.tolist()] for a in li.tolist()])
             keep = (li <= ti[:, None])[:, :, None] & (lj <= tj[:, None])[:, None, :]
-            cols.append(np.where(keep, terms.reshape(li.size, lj.size), _LD(0.0)).reshape(len(ti), -1))
-    return _fold(np.concatenate([np.zeros((len(i_tops), 0), _LD), *cols], axis=1)).astype(np.float64)
+            cols.append(np.where(keep, terms.reshape(li.size, lj.size), 0.0).reshape(len(ti), -1))
+    return _total(np.concatenate([np.zeros((len(i_tops), 0)), *cols], axis=1))
 
 
 def surrogate_kernel(
@@ -182,27 +150,12 @@ def surrogate_kernel(
     the levels up to the deepest common one, so the sum telescopes into a
     per-grid geometric series.  Pairs sharing a finest cell are rejected:
     their true sum continues below the truncation and the lattice cannot
-    represent it.
+    represent it.  This is surrogate_kernels on a batch of one.
     """
-    xm = _as_point(x, kernel.m, "x")
-    um = _as_point(u, kernel.m, "u")
-    yn = _as_point(y, kernel.n, "y")
-    vn = _as_point(v, kernel.n, "v")
-    _check_grid_dims(kernel, i_grids, j_grids)
-
-    i_tops = [deepest_common_level(g, xm, um) for g in i_grids]
-    j_tops = [deepest_common_level(g, yn, vn) for g in j_grids]
-    for grid, top in zip(i_grids, i_tops):
-        if top == grid.hi:
-            raise ScopeError("x and u share a finest cell; the truncated sum saturates")
-    for grid, top in zip(j_grids, j_tops):
-        if top == grid.hi:
-            raise ScopeError("y and v share a finest cell; the truncated sum saturates")
-
-    def row(grids, tops):
-        return np.array([[g.lo - 1 if t is None else t for g, t in zip(grids, tops)]], dtype=np.int64)
-
-    return float(_surrogate_series(kernel, i_grids, row(i_grids, i_tops), j_grids, row(j_grids, j_tops))[0])
+    value = float(surrogate_kernels(kernel, *([np.ravel(p)] for p in (x, y, u, v)), i_grids, j_grids)[0])
+    if math.isnan(value):
+        raise ScopeError("the points share a finest cell; the truncated sum saturates")
+    return value
 
 
 def surrogate_kernels(
@@ -232,7 +185,9 @@ def surrogate_kernels(
     xm, yn, um, vn = pts
     if not len(xm) == len(yn) == len(um) == len(vn):
         raise ShapeError("x, y, u and v must hold the same number of points")
-    _check_grid_dims(kernel, i_grids, j_grids)
+    for grid, dims in [(g, kernel.m) for g in i_grids] + [(g, kernel.n) for g in j_grids]:
+        if grid.dim != dims:
+            raise ShapeError(f"a grid has dim {grid.dim} where the kernel's factor has {dims}")
     i_tops = np.stack([deepest_common_levels(g, xm, um) for g in i_grids], axis=1)
     j_tops = np.stack([deepest_common_levels(g, yn, vn) for g in j_grids], axis=1)
     saturated = (i_tops == [g.hi for g in i_grids]).any(axis=1)
@@ -647,7 +602,7 @@ def _half_steps(
     """
     lat = src_w.lattice
     image = _dyadic_image(vals * src_w.density * lat.cell_volume, lat, m, columns)
-    norms = _lp_norms(lat, image, dst_w.density, dual_exp).astype(np.float64)
+    norms = _lp_norms(lat, image, dst_w.density, dual_exp)
     scale = norms.reshape(norms.shape + (1,) * lat.dim)
     live = norms != 0.0
     if live.all():
@@ -705,7 +660,7 @@ def norm_estimate(
         [np.exp(0.5 * substream(seed, 606, t).standard_normal(lat.shape)) for t in range(3)]
         + ([indicator_pair[0]] if indicator_pair is not None else [])
     )
-    norms = _lp_norms(lat, f_vals, sigma.density, p).astype(np.float64)
+    norms = _lp_norms(lat, f_vals, sigma.density, p)
     ids = np.flatnonzero(norms != 0.0)
     f_vals = f_vals[ids] / norms[ids].reshape((-1,) + (1,) * lat.dim)
     rows: list[list[tuple[int, int, float]]] = [[] for _ in norms]

@@ -29,6 +29,7 @@ probability over random shifts.
 """
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass
@@ -454,13 +455,14 @@ _THIRD = _float_at(Fraction(1, 3), up=False)
 _EIGHTEENTH = _float_at(Fraction(1, 18), up=True)
 
 
+@functools.lru_cache(maxsize=256)
 def _unit_offsets(grid: DyadicGrid, levels) -> np.ndarray:
     """(len(levels), dim): each level's left-endpoint offset in units of its
-    side, a value in [0, 1), correctly rounded to float64."""
-    offs = [
-        [float(grid.offset(a, int(lv)) * Fraction(2) ** int(lv)) for a in range(grid.dim)] for lv in levels
-    ]
-    return np.array(offs, dtype=np.float64).reshape(len(offs), grid.dim)
+    side, in [0, 1), correctly rounded; cached by grid and levels, so read-only."""
+    offs = [[float(grid.offset(a, int(lv)) * Fraction(2) ** int(lv)) for a in range(grid.dim)] for lv in levels]
+    offs = np.array(offs, dtype=np.float64).reshape(len(offs), grid.dim)
+    offs.flags.writeable = False
+    return offs
 
 
 def _filter(pos: np.ndarray, off: np.ndarray):
@@ -487,24 +489,26 @@ def deepest_common_levels(grid: DyadicGrid, x, u) -> np.ndarray:
 
     x and u hold (N, dim) float64 coordinates.  Returns an int64 array of
     N levels, with grid.lo - 1 where deepest_common_level returns None, so
-    range(grid.lo, level + 1) is always the shared levels.  Each level's
-    cube indices are decided by the float64 filter (_filter); a row with an
-    undecided index at any level, or a coordinate too large for exact
-    float64 cube indices, goes whole to deepest_common_level.
+    range(grid.lo, level + 1) is always the shared levels.  Every level's
+    cube indices are decided at once, _BLOCK rows at a time, by the float64
+    filter (_filter); a row with an undecided index at any level, or a
+    coordinate too large for exact float64 cube indices, goes whole to
+    deepest_common_level.
     """
     x, u = _coords("x", x, grid.dim), _coords("u", u, grid.dim)
     if len(x) != len(u):
         raise ShapeError(f"x has {len(x)} points, u has {len(u)}")
-    levels = range(grid.lo, grid.hi + 1)
-    top = np.full(len(x), grid.lo - 1, dtype=np.int64)
+    levels = np.arange(grid.lo, grid.hi + 1).reshape(-1, 1, 1)
+    off = _unit_offsets(grid, range(grid.lo, grid.hi + 1))[:, None, :]
     exact = ~(
         (np.ldexp(np.abs(x), grid.hi) < _EXACT) & (np.ldexp(np.abs(u), grid.hi) < _EXACT)
     ).all(axis=1)
-    for level, off in zip(levels, _unit_offsets(grid, levels)):
-        ix, dx, tx = _filter(np.ldexp(x, level), off)
-        iu, du, tu = _filter(np.ldexp(u, level), off)
-        exact |= ((dx <= tx) | (du <= tu)).any(axis=1)
-        top = np.where((ix == iu).all(axis=1), level, top)
+    top = np.empty(len(x), dtype=np.int64)
+    for rows in (slice(a, a + _BLOCK) for a in range(0, len(x), _BLOCK)):
+        (ix, dx, tx), (iu, du, tu) = (_filter(np.ldexp(p[rows], levels), off) for p in (x, u))
+        exact[rows] |= ((dx <= tx) | (du <= tu)).any(axis=(0, 2))
+        same = (ix == iu).all(axis=2)
+        top[rows] = np.where(same.any(axis=0), grid.hi - np.argmax(same[::-1], axis=0), grid.lo - 1)
     for r in np.flatnonzero(exact):
         level = deepest_common_level(grid, x[r].tolist(), u[r].tolist())
         top[r] = grid.lo - 1 if level is None else level
@@ -732,7 +736,7 @@ def sandwiches(lo, side, j: int, grids: list[DyadicGrid]) -> tuple[np.ndarray, n
     # side = m 2^e: the candidate levels are -e-1 .. -e-4, and j levels up
     exps = set(np.frexp(side)[1].tolist())
     known = np.array(sorted({-e - k - up for e in exps for k in range(1, 5) for up in (0, j)}), dtype=np.int64)
-    offs = [_unit_offsets(g, known) for g in grids]
+    offs = [_unit_offsets(g, tuple(known.tolist())) for g in grids]
     out_u = np.zeros(n, dtype=np.int64)
     out_level = np.zeros(n, dtype=np.int64)
     out_index = np.zeros((n, dim), dtype=np.int64)

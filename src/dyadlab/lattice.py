@@ -29,22 +29,21 @@ product-reverse doubling scan reads the dyadic pyramid summed one axis
 at a time, each level also giving the odd-offset pair sums that are the
 concentric shrinks of the coarser edges.  The prefix engine, box_masses,
 feeds only the cube, rectangle and strong doubling scans and their
-witnesses: the mixed corner difference of a long-double prefix table
-over whole-cell edge arrays that broadcast together and gather every
-corner of every box.  Leading table axes are a batch.
-Each prefix mass is rounded to float64 once, and every elementwise power
-(density**theta, f**p, the bump, Carleson and embedding terms) runs in
-float64, so the maps do not depend on the platform's longdouble kind;
-the prefix masses still do.  At theta = 1 and p = 1 the powers keep the
-bits.
+witnesses: the corner differences of a table of (hi, lo) float64 pairs,
+compensated running sums (_running_sum) one axis at a time, gathered at
+whole-cell edge arrays that broadcast together.  Every other total over
+a row is the last entry of the same running sum, so the package has one
+arithmetic, compensated float64, and no number depends on the platform's
+long double.  Every power (density**theta, f**p, the bump, Carleson and
+embedding terms) runs in float64; at theta = 1 and p = 1 it keeps the bits.
 
 Besides the integration core this module owns the weight generators, the
 doubling / reverse-doubling / strong-reverse-doubling scans with their
 witnesses, and the explicit doubling bound implied by a strong
 reverse-doubling constant.  The cube, rectangle and strong scans bound
-every ratio in float64 and read only the boxes that can win in long
-double; the product-reverse scan reads every tile and shrink from its
-pyramid.
+every ratio from the table's hi half and read only the boxes that can
+win through the pair engine; the product-reverse scan reads every tile
+and shrink from its pyramid.
 """
 from __future__ import annotations
 
@@ -71,9 +70,6 @@ SCAN_BUDGET_TUPLES = 1 << 20
 MAX_DIM = 4
 INFINITE = math.inf
 MAX_BOUND_EXPONENT = 1 << 20
-
-_LD = np.longdouble
-
 
 @dataclass(frozen=True)
 class Lattice:
@@ -182,12 +178,12 @@ def _check_rect(lat: Lattice, rect: Rect) -> None:
 class Weight:
     """Nonnegative piecewise-constant density with cached mass prefix tables.
 
-    prefix(theta) holds cumulative sums of density**theta * cell_volume,
-    the power in float64 and the sums in long double, one table per
+    prefix(theta) holds cumulative sums of density**theta * cell_volume
+    as compensated (hi, lo) float64 pairs (_accumulate), one table per
     requested theta; only the cube, rectangle and strong doubling scans
-    read them, at theta = 1.  A weight with a zero-density cell also keeps
-    an integer prefix count of its positive cells, so that every box mass
-    those scans read gives a box holding none of them mass exactly 0.
+    read them, at theta = 1, the screen its hi half.  A weight with a
+    zero-density cell also keeps a prefix count of its positive cells, so
+    that every box those scans read holding none of them has mass 0.
     Every single box (total_mass among them) is summed from its own cells
     instead (_own_mass).  Tables are built on demand; the object is
     otherwise immutable.
@@ -222,7 +218,7 @@ class Weight:
         theta = _check_theta(theta)
         tab = self._prefix.get(theta)
         if tab is None:
-            tab = _accumulate(self.lattice, _powered(self.density, theta))
+            tab = _accumulate(self.lattice, _cellwise(self.lattice, self.density, theta))
             self._prefix[theta] = tab
         return tab
 
@@ -260,26 +256,62 @@ class GridFunction:
         self.values = arr
 
 
-def _accumulate(lat: Lattice, cellwise: np.ndarray, dtype=_LD) -> np.ndarray:
-    """Prefix table of cellwise values over the trailing lat axes, scaled
-    (exactly) by the cell volume unless it counts cells (integer dtype)."""
-    n = lat.cells_per_axis
-    tab = np.zeros(cellwise.shape[: cellwise.ndim - lat.dim] + (n + 1,) * lat.dim, dtype=dtype)
-    inner = tab[(..., *(slice(1, None),) * lat.dim)]
-    if np.dtype(dtype).kind == "f":
-        np.multiply(cellwise, _LD(lat.cell_volume), out=inner)
-    else:
-        inner[...] = cellwise
-    for ax in range(-lat.dim, 0):
-        np.cumsum(inner, axis=ax, out=inner)
+def _running_sum(x: np.ndarray, axis: int, err=None, out=None) -> tuple:
+    """(s, e): s the np.cumsum of x (overwritten) along axis, written to
+    out if given, and e the running sum of err, x's own errors (updated in
+    place; None for none), plus each step's TwoSum error, recovered from s
+    and x (Sum2 of Ogita, Rump and Oishi, SIAM J. Sci. Comput. 2005).  s +
+    e is the running sum of x + err to within about k^2 u^2 times its
+    largest partial sum, k the steps; a row's sums depend on it alone."""
+    s = np.cumsum(x, axis=axis, out=out)
+    lead = (slice(None),) * (axis % x.ndim)
+    now, before = lead + (slice(1, None),), lead + (slice(None, -1),)
+    e = np.zeros(s.shape) if err is None else err
+    # with no errors coming in, e's own entries hold each step's error
+    z = np.subtract(s[now], s[before], out=e[now] if err is None else None)
+    step = x[now]
+    step -= z
+    np.subtract(s[now], z, out=z)
+    np.subtract(s[before], z, out=z)
+    z += step
+    if err is not None:
+        e[now] += z
+    np.cumsum(e, axis=axis, out=e)
+    return s, e
+
+
+def _total(x: np.ndarray) -> np.ndarray:
+    """The compensated sum of x over its last axis, rounded once: the last
+    entry of its _running_sum (its largest sum where that is not finite);
+    an empty row sums to 0.  x is overwritten."""
+    s, e = (a[..., -1:].sum(axis=-1) for a in _running_sum(x, -1))
+    return np.where(np.isfinite(s), s + e, s)
+
+
+def _accumulate(lat: Lattice, h: np.ndarray) -> np.ndarray:
+    """Prefix table of the cellwise values h (overwritten) over the trailing
+    lat axes, one read-only array batch + (2,) + (n + 1,)^d: hi, the table
+    rounded to float64, then lo, its remainder.  The running sums go one
+    axis at a time, each carrying the errors of the one before, and are
+    renormalized once, so hi + lo is the exact prefix sum to within about
+    d^2 n^3 u^2 times the top entry."""
+    lead = h.ndim - lat.dim
+    s, e, spare = h, None, None
+    for ax in range(lead, h.ndim):
+        s, e, spare = *_running_sum(s, ax, e, spare), s
+    tab = np.zeros(h.shape[:lead] + (2,) + (lat.cells_per_axis + 1,) * lat.dim)
+    hi, lo = (tab[(..., k) + (slice(1, None),) * lat.dim] for k in (0, 1))
+    np.add(s, e, out=hi)
+    np.subtract(hi, s, out=lo)
+    np.subtract(e, lo, out=lo)
     tab.flags.writeable = False
     return tab
 
 
 def _positive_counts(lat: Lattice, density: np.ndarray) -> np.ndarray | None:
-    """Prefix count of density's positive cells, None if every cell is."""
+    """Pair prefix table of density's positive cells, exact counts, or None."""
     pos = density > 0.0
-    return None if pos.all() else _accumulate(lat, pos, np.int32)
+    return None if pos.all() else _accumulate(lat, pos.astype(np.float64))
 
 
 # (corner, sign) terms of the mixed difference, per dimension, in one fixed order
@@ -292,28 +324,25 @@ _CORNERS = {
 def box_masses(tab: np.ndarray, lo, hi) -> np.ndarray:
     """Masses of every box spanned by per-axis whole-cell edges in [0, n].
 
-    lo[k] and hi[k] hold the integer edges of the k-th of the table's
-    len(lo) trailing axes; leading axes are a batch, which leads the
-    result.  All 2d arrays broadcast together: vectors laid out by np.ix_
-    give the outer-product grid of a level pair, equal-length vectors give
-    a list of boxes.  Every corner of every box is gathered from the table
-    and the corners are summed in one fixed order, so a box's mass depends
-    only on its own edges and table, never on the batch or the layout it
-    was read in.  Returns long doubles, or the table's dtype for an
-    integer table.
+    tab is a pair prefix table (_accumulate), batch + (2,) + (n + 1,)^d;
+    lo[k] and hi[k] hold the integer edges of its k-th table axis, and the
+    batch leads the result.  All 2d arrays broadcast together: vectors
+    laid out by np.ix_ give the outer-product grid of a level pair,
+    equal-length vectors a list of boxes.  Every corner of every box is
+    gathered, and the corners' (hi, lo) pairs are added in one fixed order
+    by _add, every rounding error carried, and rounded once; a box's mass
+    depends only on its own edges and table, never on the batch or the
+    layout it was read in.
     """
-    out = None
-    own = False  # whether out is an array of this call's, updated in place
+    one = all(np.ndim(e) == 0 for e in (*lo, *hi))  # then read as a list of one
+    lo, hi = ([np.atleast_1d(e) for e in edges] for edges in (lo, hi))
+    out = err = None
     for corners, sign in _CORNERS[len(lo)]:
-        term = tab[(..., *(b if c else a for a, b, c in zip(lo, hi, corners)))]
-        if out is None:
-            out = term if sign > 0 else -term
-        elif own and out.shape == term.shape:
-            (np.add if sign > 0 else np.subtract)(out, term, out=out)
-        else:
-            out = out + term if sign > 0 else out - term
-            own = isinstance(out, np.ndarray)
-    return out
+        at = tuple(b if c else a for a, b, c in zip(lo, hi, corners))
+        x, y = (sign * tab[(..., k, *at)] for k in (0, 1))
+        out, err = (x, y) if out is None else _add(out, x, err, y)
+    out = out + err
+    return out[..., 0] if one else out
 
 
 def _masses(tab: np.ndarray, count: np.ndarray | None, lo, hi) -> np.ndarray:
@@ -322,7 +351,7 @@ def _masses(tab: np.ndarray, count: np.ndarray | None, lo, hi) -> np.ndarray:
     values need not cancel.  Every other box keeps the engine's bits."""
     masses = box_masses(tab, lo, hi)
     if count is not None:
-        masses = np.where(box_masses(count, lo, hi) == 0, _LD(0.0), masses)
+        masses = np.where(box_masses(count, lo, hi) == 0, 0.0, masses)
     return masses
 
 
@@ -521,17 +550,17 @@ def _product_levels(stacks, m: int, lead: int):
                 yield (li, lj), masses
 
 
-def _tree_mass(block: np.ndarray, groups, compensated: bool = True) -> np.ndarray:
-    """The mass of a block of cellwise values summed from its own cells by
+def _tree_mass(a: np.ndarray, groups, err=0.0) -> np.ndarray:
+    """The mass of a block a of cellwise values summed from its own cells by
     _halve, each group of axes halved together, group by group, until it
     is one cell wide: the entry a pyramid summing the groups in that order
-    gives the block, bit for bit.  The other axes are a batch; the summed
-    ones stay, one cell wide.  A summed axis not 2^k cells wide raises
-    ShapeError."""
+    gives the block, bit for bit.  err is the block's own errors (an array
+    or 0.0), or None for plain sums.  The other axes are a batch; the
+    summed ones stay, one cell wide.  A summed axis not 2^k cells wide
+    raises ShapeError."""
     for ax in (ax for axes in groups for ax in axes):
-        if block.shape[ax] < 1 or block.shape[ax] & (block.shape[ax] - 1):
-            raise ShapeError(f"a tree sums 2^k cells per axis, axis {ax} has {block.shape[ax]}")
-    a, err = block, 0.0 if compensated else None
+        if a.shape[ax] < 1 or a.shape[ax] & (a.shape[ax] - 1):
+            raise ShapeError(f"a tree sums 2^k cells per axis, axis {ax} has {a.shape[ax]}")
     for axes in groups:
         while live := [ax for ax in axes if a.shape[ax] > 1]:
             a, err = _halve(a, live, err)
@@ -544,10 +573,11 @@ def _own_mass(lat: Lattice, u: np.ndarray, lo, hi, theta: float = 1.0, groups=No
     batch, which leads the result.  lo and hi are the box's edges in cell
     units, 0 <= lo <= hi <= n.  The box's whole-cell cover is powered
     (_cellwise); on an axis whose edges are not whole cells each cell is
-    scaled by its overlap min(hi, i + 1) - max(lo, i), 1 inside.  The box
-    is then zero-padded to 2^k cells per axis and summed by _tree_mass,
-    the groups of box axes (all of them by default) one after the other,
-    so a dyadic cube or rectangle gets its pyramid mass bit for bit."""
+    scaled by its overlap min(hi, i + 1) - max(lo, i), 1 inside, its exact
+    error (_two_product) starting the tree's.  The box is then zero-padded
+    to 2^k cells per axis and summed by _tree_mass, the groups of box axes
+    (all of them by default) one after the other, so a dyadic cube or
+    rectangle gets its pyramid mass bit for bit."""
     lead = u.ndim - lat.dim
     cover, overlaps = [], []
     for k, (a, b) in enumerate(zip(lo, hi)):
@@ -556,14 +586,32 @@ def _own_mass(lat: Lattice, u: np.ndarray, lo, hi, theta: float = 1.0, groups=No
         if i != a or j != b:
             at = np.arange(i, j, dtype=np.float64)
             overlaps.append((k, np.minimum(b, at + 1) - np.maximum(a, at)))
-    block = _cellwise(lat, u[(..., *cover)], theta)
+    block, err = _cellwise(lat, u[(..., *cover)], theta), 0.0
     for k, frac in overlaps:
-        block *= frac.reshape((-1,) + (1,) * (lat.dim - 1 - k))
-    pad = [(0, (1 << (max(m, 1) - 1).bit_length()) - m) for m in block.shape[lead:]]
+        frac = frac.reshape((-1,) + (1,) * (lat.dim - 1 - k))
+        block, lost = _two_product(block, frac)
+        err = lost + err * frac
+    pad = [(0, 0)] * lead + [(0, (1 << (max(m, 1) - 1).bit_length()) - m) for m in block.shape[lead:]]
     if any(after for _, after in pad):
-        block = np.pad(block, [(0, 0)] * lead + pad)
+        block, err = (np.pad(x, pad) if isinstance(x, np.ndarray) else x for x in (block, err))
     groups = [range(lat.dim)] if groups is None else groups
-    return _tree_mass(block, [[lead + ax for ax in axes] for axes in groups]).reshape(u.shape[:lead])
+    return _tree_mass(block, [[lead + ax for ax in axes] for axes in groups], err).reshape(u.shape[:lead])
+
+
+def _two_product(a: np.ndarray, b: np.ndarray) -> tuple:
+    """a * b and its rounding error, exact by Dekker's TwoProduct unless a
+    product underflows; 0 where Veltkamp's split overflows (past 2^996)."""
+    p = a * b
+
+    def split(x):
+        c = 134217729.0 * x
+        hi = c - (c - x)
+        return hi, x - hi
+
+    with np.errstate(over="ignore", invalid="ignore"):
+        (ah, al), (bh, bl) = split(a), split(b)
+        err = ((ah * bh - p) + ah * bl + al * bh) + al * bl
+    return p, np.where(np.isfinite(err), err, 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -791,10 +839,20 @@ def lp_norm(f: GridFunction, w: Weight, p: float) -> float:
 
 
 def _lp_norms(lat: Lattice, f: np.ndarray, u: np.ndarray, p: float) -> np.ndarray:
-    """Long-double lp_norm over the trailing lat axes of f and u."""
-    acc = np.multiply(np.power(f, float(p)), u, dtype=_LD)
-    total = acc.reshape(acc.shape[: acc.ndim - lat.dim] + (-1,)).sum(axis=-1)
-    return (total * _LD(lat.cell_volume)) ** (_LD(1.0) / _LD(p))
+    """lp_norm over the trailing lat axes, per batch row: the p-th root of
+    the _total of f**p * u * cell_volume.  A row whose largest term leaves
+    [2^-968, max] takes f times 2^-a, a its largest value's exponent, and
+    its root times 2^a, so a finite norm never overflows."""
+    rows = f.shape[: f.ndim - lat.dim] + (-1,)
+    f, cells = f.reshape(rows), (u * lat.cell_volume).reshape(u.shape[: u.ndim - lat.dim] + (-1,))
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        terms = np.power(f, float(p)) * cells
+        top = terms.max(axis=-1, initial=0.0)
+        odd = ~((top >= 2.0**-968) & (top <= np.finfo(np.float64).max))
+        a = np.where(odd, np.frexp(f.max(axis=-1, initial=0.0))[1], 0)
+        if odd.any():  # a is 0 on every other row, which keeps its bits
+            terms = np.power(np.ldexp(f, -a[..., None]), float(p)) * cells
+    return np.ldexp(np.power(_total(terms), 1.0 / p), a)
 
 
 def _refine_array(a: np.ndarray, extra: int) -> np.ndarray:
@@ -965,7 +1023,7 @@ class Witness:
         """mass(other) / mass(rect) by the scan's own engine: a shrink's
         masses are summed from each box's own cells by the product-reverse
         pyramid's tree, one axis at a time (_own_mass), every other kind's
-        are read from the long-double prefix table (_weight_masses)."""
+        are read from the pair prefix table (_weight_masses)."""
         num, den = (self._mass(w, box) for box in (self.other, self.rect))
         if den == 0.0:
             return INFINITE if num > 0 else 0.0
@@ -1039,30 +1097,31 @@ def _rect(family, flat: int, n: int) -> Rect:
 # tuple, then C order), of greatest ratio num / base, where num and base
 # are float64 masses read by _weight_masses (num the larger of one or two
 # boxes tied to the base box).  Nearly every box loses by a wide margin,
-# so each ratio is first bounded from a float64 copy of the prefix table,
-# and only the boxes that may win go to the engine, which decides every
-# box it is given: a filtered exact predicate, as in grids.
+# so each ratio is first bounded from the prefix table's hi half, and
+# only the boxes that may win go to the engine, which decides every box
+# it is given: a filtered exact predicate, as in grids.
 #
 # The bound B on |m - e| for every box, where m is its screen mass (the
-# float64 table differenced one axis at a time, _differences) and e its
-# float64 mass from the engine.  T is the long double table, N = 2^d the
-# corner count, n the cells per axis, u = 2^-53 and v the unit roundoff
-# of np.longdouble (v = u where it is float64); g(k, x) = kx / (1 - kx).
-# T holds cumulative sums of nonnegative cell values, so its entries are
-# nonnegative and at most its last one, Tmax (rounding is monotone), and
-# each is its exact sum P times at most dn factors 1 + delta, |delta| <=
-# v: |T - P| <= g(dn, v) P.  M is the box's exact corner sum of T.
-# - The screen rounds each corner to float64, off by at most u Tmax, and
+# hi table differenced one axis at a time, _differences) and e its
+# float64 mass from the engine.  T is the pair table's value hi + lo, N =
+# 2^d the corner count, n the cells per axis, u = 2^-53 and g(k, x) = kx
+# / (1 - kx).  The cell values are nonnegative, so every exact prefix sum
+# P is at most the top one, and each T is P to within k P, k = 2 d^2 (n +
+# 1)^3 u^2: an axis's running sum takes at most n + 1 TwoSum errors of at
+# most u P each, carries at most d (n + 1) u P of the axes before, and
+# rounds its sum of errors at most n + 1 times (Ogita, Rump and Oishi,
+# 2005).  So every T and hi is at most Tmax = top hi (1 + 2u).  M is the
+# box's exact corner sum of T.
+# - The screen rounds each corner T to hi, off by at most u Tmax, and
 #   sums the N signed corners in float64 in some order, off by at most
 #   g(N - 1, u) N (1 + u) Tmax (Higham, "Accuracy and Stability of
 #   Numerical Algorithms", 2002, section 4.2).
-# - The engine sums the same corners in long double, off by at most
-#   g(N - 1, v) N Tmax, or returns 0 for a box holding no positive cell,
-#   whose P sum is exactly 0, so |M| <= N g(dn, v) Tmax / (1 - g(dn, v)).
-#   As dn >= N - 1 (d <= 4, n >= 4) and g(dn, v) <= 1/2, both are at
-#   most 2 N g(dn, v) Tmax.
-# - e rounds the engine's value to float64 once, off by at most 3u Tmax,
-#   as that value is at most 3 Tmax in magnitude.
+# - The engine adds the corners' (hi, lo) pairs with every TwoSum error
+#   (_add), rounding only errors below N^2 u Tmax, 2N times: M to within
+#   2 N^3 u^2 Tmax <= N k Tmax.  It returns 0 for a box holding no positive
+#   cell, whose P sum is 0, so |M| <= N k Tmax: 2 N k Tmax covers both.
+# - e rounds the engine's sum to float64 once, off by at most 3u Tmax,
+#   as that sum is at most 3 Tmax in magnitude.
 # B is the sum of these times 1 + 2^-20, which covers evaluating it in
 # float64, plus _TINY, which covers every float64 underflow (2^-1075 per
 # rounding).  A Tmax near the float64 overflow makes B infinite, and
@@ -1091,11 +1150,11 @@ _TINY = 2.0**-1060
 
 
 def _screen_bound(tab: np.ndarray) -> float:
-    """B: every box's screen mass over tab.astype(float64) lies within B
-    of its float64 mass from the engine."""
-    d, n = tab.ndim, tab.shape[-1] - 1
-    v, corners = float(np.finfo(tab.dtype).eps) / 2, 1 << d
-    top = float(tab[(-1,) * d]) * (1 + 2 * _U)
+    """B: every box's screen mass over the pair table's hi half, tab[0],
+    lies within B of its float64 mass from the engine."""
+    d, n = tab.ndim - 1, tab.shape[-1] - 1
+    corners = 1 << d
+    top = float(tab[(0,) + (-1,) * d]) * (1 + 2 * _U)
     if not math.isfinite(top * corners * 4):
         return math.inf
 
@@ -1105,7 +1164,7 @@ def _screen_bound(tab: np.ndarray) -> float:
     rel = (
         corners * _U
         + g(corners - 1, _U) * corners * (1 + _U)
-        + 2 * corners * g(d * n, v)
+        + 2 * corners * 2 * d**2 * (n + 1) ** 3 * _U**2
         + 3 * _U
     )
     return top * rel * (1 + 2.0**-20) + _TINY
@@ -1141,7 +1200,7 @@ def _engine(w: Weight, picks) -> list[np.ndarray]:
     for k in range(len(picks[0][0])):
         ends = [_edges(families[k], flat, n) for families, flat in picks]
         lo, hi = ends[0] if len(ends) == 1 else ([np.concatenate(e) for e in zip(*side)] for side in zip(*ends))
-        out.append(_weight_masses(w, lo, hi).astype(np.float64))
+        out.append(_weight_masses(w, lo, hi))
     return out
 
 
@@ -1258,7 +1317,7 @@ def _first_max(w: Weight, scans, infinite: bool):
     the scan and their ratios raise L early.
     """
     tab = w.prefix(1.0)
-    flt, bound = tab.astype(np.float64), _screen_bound(tab)
+    flt, bound = tab[0], _screen_bound(tab)
     cands = _Candidates(w, infinite)
     for order, (tag, families) in enumerate(scans):
         base = _differences(flt, families[0])
@@ -1522,9 +1581,10 @@ def doubling_report(w: Weight, mode: str) -> DoublingReport:
     strong: worst half-to-whole fraction, ABSENT when it reaches 1.
     rectangle and strong loop over their size tuples in Python, so more
     than SCAN_BUDGET_TUPLES of them raise ResourceError before any scan.
-    cube, rectangle and strong keep the bits of a full long-double scan:
-    a float64 screen bounds every ratio, and long double decides every
-    candidate, each box that can win or may be massless.
+    cube, rectangle and strong keep the bits of a full scan through the
+    pair prefix table: its hi half screens every ratio, and the pair
+    engine decides every candidate, each box that can win or may be
+    massless.
     product_reverse reads no prefix table: every tile and shrunk box is a
     compensated pyramid sum of its own cells, within an ulp of its exact
     mass, and its witnesses re-evaluate through the same tree.

@@ -41,9 +41,7 @@ from dyadlab.bump import _bump_map
 from dyadlab import embed
 from dyadlab.embed import _proof_chain
 from dyadlab.grids import Cube, _good_rel_mask
-from dyadlab.lattice import _accumulate, box_masses
-
-LD = np.longdouble
+from dyadlab.lattice import box_masses
 
 
 def _tiles(lo, hi, side):
@@ -121,14 +119,15 @@ def test_stopping_quarter_interval_example():
 
 
 def _averages_of(f, w, theta, rects):
-    num = _accumulate(w.lattice, f.values.astype(LD) * w.density)
+    """Each rect's f-mass, the math.fsum of its cells f * density *
+    cell_volume, over its bump."""
+    from dyadlab import bump_cube
+
+    cells = f.values * w.density * w.lattice.cell_volume
     out = []
     for rect in rects:
-        box = np.array([[[a, b] for a, b in zip(rect.lo, rect.hi)]], dtype=np.int64)
-        from dyadlab import bump_cube
-
         b = bump_cube(rect, w, theta)
-        mass = float(box_masses(num, box[:, :, 0].T, box[:, :, 1].T)[0])
+        mass = math.fsum(cells[tuple(map(slice, rect.lo, rect.hi))].ravel().tolist())
         out.append(mass / b if b > 0 else 0.0)
     return out
 
@@ -559,8 +558,9 @@ def test_non_finite_theta_or_rho_is_refused(entry, bad):
 #
 # The former loops read every mass through a given function: the dyadic
 # pyramid's level tuple, whose bits the batched evaluator must keep, or a
-# math.fsum oracle of the box's cells.  Axes of cells before the lattice's
-# are a batch.
+# math.fsum oracle of the box's cells.  Every sum of terms is a math.fsum,
+# as the evaluator's compensated totals round each sum correctly.  Axes
+# of cells before the lattice's are a batch.
 
 
 def _pyramid_level(cells, lat, levels, m):
@@ -579,11 +579,9 @@ def _fsum_level(cells, lat, levels, m):
 
 
 def _former_terms(b, mf, r, s):
-    """Sum of the embedding terms over the boxes of positive bump only."""
+    """The embedding terms of the boxes of positive bump only."""
     pos = b > 0.0
-    if not pos.any():
-        return LD(0.0)
-    return np.power(mf[pos] * np.power(b[pos], 1.0 / s - 1.0), r).sum(dtype=LD)
+    return np.power(mf[pos] * np.power(b[pos], 1.0 / s - 1.0), r).tolist()
 
 
 def _former_level(f, w, theta, r, s, levels, m, read):
@@ -597,10 +595,10 @@ def _former_level(f, w, theta, r, s, levels, m, read):
 
 def _former_cubes(f, w, theta, r, s, read):
     """(lhs, rhs) of the cube embedding, one level at a time."""
-    total = LD(0.0)
+    terms = []
     for level in range(w.lattice.depth + 1):
-        total += _former_level(f, w, theta, r, s, (level,), None, read)
-    return float(np.power(total, LD(1.0) / LD(r))), lp_norm(f, w, s)
+        terms += _former_level(f, w, theta, r, s, (level,), None, read)
+    return float(np.power(math.fsum(terms), 1.0 / r)), lp_norm(f, w, s)
 
 
 def _former_rects(f, w, theta, r, s, m, read):
@@ -610,14 +608,14 @@ def _former_rects(f, w, theta, r, s, m, read):
     per-slice and per-point (lhs, rhs) and the report."""
     lat = w.lattice
     n_ax, depth, cells = lat.dim - m, lat.depth, lat.cells_per_axis
-    total = LD(0.0)
+    terms = []
     for levels in product(range(depth + 1), repeat=2):
-        total += _former_level(f, w, theta, r, s, levels, m, read)
-    lhs = float(np.power(total, LD(1.0) / LD(r)))
+        terms += _former_level(f, w, theta, r, s, levels, m, read)
+    lhs = float(np.power(math.fsum(terms), 1.0 / r))
     rhs = lp_norm(f, w, s)
 
     m_lat, n_lat = make_lattice(m, depth), make_lattice(n_ax, depth)
-    slices, intermediate, max_slice = [], LD(0.0), 0.0
+    slices, intermediate, max_slice = [], [], 0.0
     for lj in range(depth + 1):
         mu = read(lattice._cellwise(n_lat, w.density, theta), n_lat, (lj,), None)
         mf = read(f.values * w.density * n_lat.cell_volume, n_lat, (lj,), None)
@@ -628,20 +626,20 @@ def _former_rects(f, w, theta, r, s, m, read):
             nu = Weight(m_lat, dens)
             a, b = _former_cubes(GridFunction(m_lat, g), nu, theta, r, s, read)
             slices.append((a, b))
-            intermediate += LD(b) ** LD(r)
+            intermediate.append(float(np.power(b, r)))
             if b > 0.0:
                 max_slice = max(max_slice, a / b)
-    points, minkowski, max_point = [], LD(0.0), 0.0
+    points, minkowski, max_point = [], [], 0.0
     for x_idx in np.ndindex(*((cells,) * m)):
         sel = tuple(x_idx) + (slice(None),) * n_ax
         fx, wx = GridFunction(n_lat, f.values[sel]), Weight(n_lat, w.density[sel])
         a, b = _former_cubes(fx, wx, theta, r, s, read)
         points.append((a, b))
-        minkowski += (LD(a) ** LD(s)) * LD(2.0) ** (-m * depth)
+        minkowski.append(float(np.power(a, s)) * 2.0 ** (-m * depth))
         if b > 0.0:
             max_point = max(max_point, a / b)
     rep = EmbedRectReport(
-        lhs, rhs, lhs / rhs, float(intermediate), float(minkowski), max_slice, max_point
+        lhs, rhs, lhs / rhs, math.fsum(intermediate), math.fsum(minkowski), max_slice, max_point
     )
     return np.array(slices), np.array(points), rep
 
@@ -673,11 +671,10 @@ ORACLE_ULPS = 2
 def test_proof_chain_matches_former_loops(dim, m, depth, theta):
     # Batching every slice of a level, and every point, into one evaluator
     # call keeps every per-slice, per-point and reported bit of loops that
-    # read the same pyramid, on positive weights.  On a weight with a
-    # zero-density block, boxes of zero bump add 0 inside the sum instead
-    # of being left out of it, which may move a long-double sum by its
-    # last bits; the drift is bounded at 4 ulps.  Loops that read a
-    # math.fsum oracle of every box stay within ORACLE_ULPS.
+    # read the same pyramid.  On a weight with a zero-density block, boxes
+    # of zero bump add 0 inside the sum instead of being left out of it,
+    # which a compensated sum takes exactly.  Loops that read a math.fsum
+    # oracle of every box stay within ORACLE_ULPS.
     lat = make_lattice(dim, depth)
     f = rand_f(lat, 90 + depth)
     weights = {
@@ -692,10 +689,7 @@ def test_proof_chain_matches_former_loops(dim, m, depth, theta):
         got = (np.stack(parts[:2], axis=1), np.stack(parts[2:], axis=1), astuple(rep))
         slices, points, former = _former_rects(f, w, theta, r, s, m, _pyramid_level)
         drift = max(_ulps(a, b) for a, b in zip(got, (slices, points, astuple(former))))
-        if name == "zero_block":
-            assert drift <= 4, f"{name}: {drift} ulps"
-        else:
-            assert drift == 0, f"{name}: {drift} ulps"
+        assert drift == 0, f"{name}: {drift} ulps"
         slices, points, oracle = _former_rects(f, w, theta, r, s, m, _fsum_level)
         drift = max(_ulps(a, b) for a, b in zip(got, (slices, points, astuple(oracle))))
         assert drift <= ORACLE_ULPS, f"{name}: {drift} ulps from the oracle"
@@ -740,14 +734,15 @@ def test_batched_proof_chain_matches_per_level_calls(dim, m, depth, theta):
 
 @pytest.mark.parametrize("dim,m,depth", [(2, 1, 5), (2, 1, 6), (3, 1, 3), (3, 2, 3)])
 def test_embedding_total_adds_level_tuples_in_product_order(dim, m, depth):
-    # the pyramids hand out level tuples stack by stack; the long-double
-    # total still adds each tuple's term sum in product order, as a loop
-    # over the level pairs does (a positive weight, so no term is left out)
+    # the pyramids hand out level tuples stack by stack; the total runs
+    # over every tuple's terms in product order, as a loop over the level
+    # pairs does (a positive weight, so no term is left out), and is
+    # their correctly rounded sum
     lat = make_lattice(dim, depth)
     f, w = rand_f(lat, 81 + depth), rand_w(lat, 82 + depth, rough=1.2)
     for theta, r, s in ((1.5, 4.0, 2.0), (2.0, 3.0, 1.5)):
         total = embed._embeddings(f.values, w.density, lat, theta, r, s, m)[2]
-        want = LD(0.0)
+        terms = []
         for levels in product(range(depth + 1), repeat=2):
-            want = want + _former_level(f, w, theta, r, s, levels, m, _pyramid_level)
-        assert total.tobytes() == want.tobytes()
+            terms += _former_level(f, w, theta, r, s, levels, m, _pyramid_level)
+        assert float(total) == math.fsum(terms)

@@ -59,14 +59,32 @@ import dyadlab
 from dyadlab import forms
 from dyadlab.errors import AlignmentError
 from dyadlab.grids import DyadicGrid, ShiftParam, deepest_common_level, random_grid
-from dyadlab.lattice import _accumulate, box_masses
-
-LD = np.longdouble
 
 
-def _mass_table(f, w):
-    """Long-double prefix table of the measure f * density * cell_volume."""
-    return _accumulate(w.lattice, f.values.astype(LD) * w.density)
+def _exact(values) -> tuple:
+    """Finite float64 values as Python ints over one power of two: (ints,
+    shift), values == ints * 2^shift exactly, ints an object array."""
+    vals = np.asarray(values, dtype=np.float64)
+    nonzero = np.abs(vals[vals != 0.0])
+    shift = int(np.frexp(nonzero)[1].min()) - 53 if nonzero.size else 0
+    ints = [int(v) for v in np.ldexp(vals, -shift).ravel().tolist()]
+    return np.array(ints, dtype=object).reshape(vals.shape), shift
+
+
+def _rounded(ints, shift: int) -> np.ndarray:
+    """ints * 2^shift, each correctly rounded to float64."""
+    return np.array([float(Fraction(v) * Fraction(2) ** shift) for v in np.ravel(ints).tolist()]).reshape(np.shape(ints))
+
+
+def _mass_table(f, w) -> tuple:
+    """Exact integer prefix table of the float64 cells f * density *
+    cell_volume, as _exact gives them: (table, shift)."""
+    ints, shift = _exact(f.values * w.density * w.lattice.cell_volume)
+    tab = np.zeros(tuple(n + 1 for n in ints.shape), dtype=object)
+    tab[(slice(1, None),) * ints.ndim] = ints
+    for axis in range(ints.ndim):
+        tab = np.cumsum(tab, axis=axis)
+    return tab, shift
 
 
 def _level_values(kernel, levels):
@@ -308,37 +326,35 @@ def test_surrogate_table_kernel_agrees_with_brute_force():
 
 
 def _former_surrogate(kernel, x, y, u, v, i_grids, j_grids):
-    """surrogate_kernel's former series, one long-double term at a time."""
+    """surrogate_kernel's former series, each sum a math.fsum."""
     i_tops = [deepest_common_level(g, x, u) for g in i_grids]
     j_tops = [deepest_common_level(g, y, v) for g in j_grids]
     for grid, top in (*zip(i_grids, i_tops), *zip(j_grids, j_tops)):
         if top == grid.hi:
             raise ScopeError("share a finest cell")
     if kernel.kind == "product_frac":
-        sx = LD(0.0)
-        for grid, top in zip(i_grids, i_tops):
-            if top is None:
-                continue
-            for li in range(grid.lo, top + 1):
-                sx += LD(2.0) ** (li * (kernel.m - kernel.alpha))
-        sy = LD(0.0)
-        for grid, top in zip(j_grids, j_tops):
-            if top is None:
-                continue
-            for lj in range(grid.lo, top + 1):
-                sy += LD(2.0) ** (lj * (kernel.n - kernel.beta))
-        return float(sx * sy)
-    total = LD(0.0)
-    for gi, ti in zip(i_grids, i_tops):
-        if ti is None:
-            continue
-        for gj, tj in zip(j_grids, j_tops):
-            if tj is None:
-                continue
-            for li in range(gi.lo, ti + 1):
-                for lj in range(gj.lo, tj + 1):
-                    total += LD(kernel.level_value(li, lj))
-    return float(total)
+        sx, sy = (
+            math.fsum(
+                2.0 ** (lv * exp)
+                for grid, top in zip(grids, tops)
+                if top is not None
+                for lv in range(grid.lo, top + 1)
+            )
+            for grids, tops, exp in (
+                (i_grids, i_tops, kernel.m - kernel.alpha),
+                (j_grids, j_tops, kernel.n - kernel.beta),
+            )
+        )
+        return sx * sy
+    return math.fsum(
+        kernel.level_value(li, lj)
+        for gi, ti in zip(i_grids, i_tops)
+        if ti is not None
+        for gj, tj in zip(j_grids, j_tops)
+        if tj is not None
+        for li in range(gi.lo, ti + 1)
+        for lj in range(gj.lo, tj + 1)
+    )
 
 
 def _surrogate_families(draw, dim):
@@ -792,41 +808,44 @@ def test_batched_starts_match_former_loop_on_a_zero_block():
 # the pyramid operator against the former box-list formulas
 #
 # The former half-step gathered every family box's f-sigma mass through the
-# four (2^d) corners of a long-double prefix table, scattered K * mass back
-# by corner differences and cumulated; the former bilinear form summed
-# K * f-mass * g-mass over the gathered boxes in long double.  Both are kept
-# here as the reference.  Their corner differences cancel: on a cell whose
-# exact image is 0 (it lies only in rectangles of zero mass) they leave a
-# residual of the size of the long-double rounding of the table, which the
-# pyramid, a sum of nonnegative terms, does not have.
+# 2^d corners of a prefix table, scattered K * mass back by corner
+# differences and cumulated; the former bilinear form summed K * f-mass *
+# g-mass over the gathered boxes.  Both are kept here as the reference, in
+# exact integer arithmetic: each mass and each cell of the image is the
+# correctly rounded exact sum, and the bilinear form a math.fsum, so a cell
+# whose exact image is 0 (it lies only in rectangles of zero mass) reads 0.
 
 
 def _former_scatter(shape, boxes, coef):
+    ints, shift = _exact(coef)
     d = len(shape)
-    diff = np.zeros(tuple(s + 1 for s in shape), dtype=LD)
+    diff = np.zeros(tuple(s + 1 for s in shape), dtype=object)
     for corner in iproduct((0, 1), repeat=d):
-        sign = -1.0 if sum(corner) % 2 else 1.0
         idx = tuple(boxes[:, k, corner[k]] for k in range(d))
-        np.add.at(diff, idx, sign * coef)
+        np.add.at(diff, idx, -ints if sum(corner) % 2 else ints)
     for axis in range(d):
         diff = np.cumsum(diff, axis=axis)
-    return diff[tuple(slice(0, s) for s in shape)]
+    return _rounded(diff[tuple(slice(0, s) for s in shape)], shift)
 
 
 def _former_masses(family, f, w):
-    tab = _mass_table(f, w)
-    return box_masses(tab, family.boxes[:, :, 0].T, family.boxes[:, :, 1].T)
+    (tab, shift), d = _mass_table(f, w), family.boxes.shape[1]
+    out = 0
+    for corner in iproduct((0, 1), repeat=d):
+        term = tab[tuple(family.boxes[:, k, corner[k]] for k in range(d))]
+        out = out + (-term if (d - sum(corner)) % 2 else term)
+    return _rounded(out, shift)
 
 
 def _former_image(kernel, family, f, w):
     coef = _level_values(kernel, family.levels) * _former_masses(family, f, w)
-    return np.asarray(_former_scatter(w.lattice.shape, family.boxes, coef), dtype=np.float64)
+    return _former_scatter(w.lattice.shape, family.boxes, coef)
 
 
 def _former_bilinear(kernel, sigma, omega, f, g, family):
     kv = _level_values(kernel, family.levels)
     terms = kv * _former_masses(family, f, sigma) * _former_masses(family, g, omega)
-    return float(terms.sum(dtype=LD))
+    return math.fsum(terms.tolist())
 
 
 def _ulps(a, b):
@@ -904,26 +923,20 @@ def test_pyramid_image_and_bilinear_match_former_formulas(case):
     family = _case_family(lat, m, rng, count) if count else None
     full = dyadic_family(lat, m) if family is None else family
     tol = 8 * (depth + 1)
-    # the reference's cancellation residual: 2^d corners of a table of
-    # total mass M, in long-double rounding, times the largest K
-    kmax = float(_level_values(kernel, full.levels).max())
-    noise = 4 * 2**dim * np.finfo(LD).eps * kmax
 
     coef = forms._coef_columns(forms._level_coefs(kernel, lat, family), lat, m)
     got = forms._dyadic_image(f.values * sigma.density * lat.cell_volume, lat, m, coef)
     want = _former_image(kernel, full, f, sigma)
     pos = got > 0.0
     assert _ulps(got[pos], want[pos]) <= tol
-    mass_f = float(_mass_table(f, sigma)[(-1,) * dim])
-    assert np.all(np.abs(want[~pos]) <= noise * mass_f)
+    assert np.all(want[~pos] == 0.0)
 
     total = bilinear_form(kernel, sigma, omega, f, g, family).total
     want_total = _former_bilinear(kernel, sigma, omega, f, g, full)
     if total > 0.0:
         assert _ulps(total, want_total) <= tol
     else:
-        mass_g = float(_mass_table(g, omega)[(-1,) * dim])
-        assert abs(want_total) <= 2 * noise * full.size * mass_f * mass_g
+        assert want_total == 0.0
 
 
 def test_default_paths_never_materialize_the_family(monkeypatch):

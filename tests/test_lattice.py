@@ -48,8 +48,6 @@ from dyadlab.lattice import (
 )
 from dyadlab.weightio import read_weight, write_weight
 
-LD = np.longdouble
-
 
 def lebesgue(lat):
     return gen_weight(lat, {"kind": "constant", "value": 1.0})
@@ -513,6 +511,30 @@ def test_zero_block_has_exactly_zero_mass(seed, block):
         assert rep.witnesses["doubling"].reevaluate(w) == math.inf
 
 
+@pytest.mark.parametrize("dim, depth", [(1, 6), (2, 4), (3, 2)])
+def test_every_even_placement_reads_its_fsum_mass(dim, depth):
+    # the pair table's corner sums are correctly rounded: every placement
+    # of every even-sided box reads the math.fsum of its cells, on a
+    # high-contrast weight with a zero block, whose boxes read exactly 0
+    lat = make_lattice(dim, depth)
+    n = lat.cells_per_axis
+    dens = np.exp(1.5 * substream(dim, 9700).standard_normal(lat.shape))
+    q = n // 4
+    dens[(slice(q, q + max(q, 2)),) * dim] = 0.0
+    w = Weight(lat, dens)
+    cells = lattice._cellwise(lat, w.density)
+    zeros = 0
+    for sizes in iproduct(range(2, n + 1, 2), repeat=dim):
+        lo = list(np.ix_(*(np.arange(n - m + 1) for m in sizes)))
+        got = _weight_masses(w, lo, [a + m for a, m in zip(lo, sizes)])
+        for idx in np.ndindex(*got.shape):
+            box = cells[tuple(slice(i, i + m) for i, m in zip(idx, sizes))]
+            want = math.fsum(box.ravel().tolist())
+            assert got[idx] == want, (sizes, idx)
+            zeros += want == 0.0
+    assert zeros > 0
+
+
 def test_strong_rd_doubling_bound_frozen_table():
     # exact values, big-integer oracle
     assert strong_rd_doubling_bound(0.5).as_tuple() == (3, 4 / 3, 3, 8)
@@ -647,8 +669,9 @@ def test_wgt1_roundtrip_random_weights(data):
 # box reads against the former per-corner gather
 #
 # The former box_masses on whole-cell edges, kept as the reference: every
-# corner of every box gathered from the table, edges clipped to [0, n].
-# The engine's reads must give the same long doubles, bit for bit.
+# corner of every box gathered from the pair table, edges clipped to [0,
+# n], the corners added one at a time by TwoSum, their errors carried,
+# and rounded once.  The engine's reads must give the same bits.
 
 _FORMER_CORNERS = {
     d: [(c, -1.0 if (d - sum(c)) % 2 else 1.0) for c in iproduct((0, 1), repeat=d)]
@@ -659,23 +682,25 @@ _FORMER_CORNERS = {
 def _former_box_masses(tab: np.ndarray, lo, hi) -> np.ndarray:
     n = tab.shape[-1] - 1
     ends = [tuple(np.minimum(np.maximum(np.asarray(e), 0), n) for e in pair) for pair in zip(lo, hi)]
-    out = None
+    out = err = None
     for corners, sign in _FORMER_CORNERS[len(lo)]:
-        term = tab[(..., *(end[c] for end, c in zip(ends, corners)))]
+        at = tuple(end[c] for end, c in zip(ends, corners))
+        x, y = sign * tab[(..., 0, *at)], sign * tab[(..., 1, *at)]
         if out is None:
-            out = term if sign > 0 else -term
-        elif sign > 0:
-            out = out + term
-        else:
-            out = out - term
-    return out
+            out, err = x, y
+            continue
+        total = out + x
+        z = total - out
+        err = ((out - (total - z)) + (x - z)) + (err + y)
+        out = total
+    return out + err
 
 
 def _former_masses(tab, count, lo, hi):
     """The former exact-zero rule: 0 where the box counts no positive cell."""
     masses = _former_box_masses(tab, lo, hi)
     if count is not None:
-        masses = np.where(_former_box_masses(count, lo, hi) == 0, LD(0.0), masses)
+        masses = np.where(_former_box_masses(count, lo, hi) == 0, 0.0, masses)
     return masses
 
 
@@ -714,10 +739,7 @@ def _tables(dim, depth, batch, seed):
     dens[rng.uniform(size=dens.shape) < 0.3] = 0.0
     if batch == 0:
         dens = dens[0]
-    return (
-        lattice._accumulate(lat, dens ** 1.5),
-        lattice._accumulate(lat, dens > 0.0, np.int32),
-    )
+    return lattice._accumulate(lat, lattice._cellwise(lat, dens, 1.5)), lattice._positive_counts(lat, dens)
 
 
 @settings(max_examples=300, deadline=None)
@@ -736,11 +758,11 @@ def test_family_reads_match_references(case):
     dens[(slice(None), *(slice(a, a + side) for a in rng.integers(0, n - side + 1, dim)))] = 0.0
     if batch == 0:
         dens = dens[0]
-    tab, count = lattice._accumulate(lat, dens), lattice._accumulate(lat, dens > 0.0, np.int32)
+    tab, count = lattice._accumulate(lat, lattice._cellwise(lat, dens)), lattice._positive_counts(lat, dens)
     family = tuple(fam for fam, _, _ in axes)
     lo, hi = ([e[k] for e in axes] for k in (1, 2))
 
-    flt = tab.astype(np.float64)
+    flt = tab[(..., 0) + (slice(None),) * dim]
     want = flt
     for k in range(dim):
         at = want.ndim - dim + k
@@ -761,7 +783,7 @@ def test_family_reads_match_references(case):
         for k, d in enumerate(dens.reshape((-1,) + lat.shape)):
             read = lattice._engine(Weight(lat, d), [((family,), flat)])[0]
             row = want if batch == 0 else want[k]
-            assert read.tobytes() == row.astype(np.float64).tobytes()
+            assert read.tobytes() == row.tobytes()
     # in C order: the whole family is the outer product of its axes
     want = _former_masses(tab, count, *(list(np.ix_(*e)) for e in (lo, hi)))
     full = _masses(tab, count, *lattice._edges(family, every, n))
@@ -1091,8 +1113,8 @@ def test_screen_masses_lie_within_the_bound(shape, weight, seed):
     bound = lattice._screen_bound(tab)
     # B is about 2^d (2^d + 1) units of roundoff of the total mass
     corners = 2**lat.dim
-    assert bound <= corners * (corners + 2) * 2.0**-53 * float(tab[(-1,) * lat.dim]) * 1.01
-    flt = tab.astype(np.float64)
+    assert bound <= corners * (corners + 2) * 2.0**-53 * float(tab[(0,) + (-1,) * lat.dim]) * 1.01
+    flt = tab[0]
     n = lat.cells_per_axis
     for _ in range(8):
         sizes = tuple(int(v) for v in rng.choice(np.arange(2, n + 1, 2), lat.dim))
@@ -1195,7 +1217,7 @@ def test_stacked_pyramid_matches_tree_mass_bit_for_bit(m, compensated):
             lo = tuple(i * a for i, a in zip(idx, sides))
             rect = Rect(lo, tuple(a + b for a, b in zip(lo, sides)))
             block = h[(slice(None),) + tuple(map(slice, rect.lo, rect.hi))]
-            want = lattice._tree_mass(block, lattice._factor_axes(h, lat, m), compensated)
+            want = lattice._tree_mass(block, lattice._factor_axes(h, lat, m), 0.0 if compensated else None)
             assert masses[(slice(None),) + idx].tobytes() == want.tobytes(), (levels, idx)
 
 

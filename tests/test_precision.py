@@ -1,26 +1,31 @@
-"""The precision policy against the long-double formulas it replaced.
+"""The precision policy against exact formulas.
 
-Every power over an array runs in float64 on masses rounded once; only
-the doubling scans' prefix tables still sum in long double.  The oracles
-below are the former formulas, with every power in long double.  The
-float64 maps may differ from them by the error of rounding an exponent
-such as 1/theta to float64, which grows with the logarithm of the base,
-so agreement is required within 2^-50 * (1 + |ln mass| + |ln vol|).
+The package has one arithmetic: every power over an array runs in
+float64 on masses rounded once, and every sum is a compensated float64
+sum, so no number depends on the platform's long double.  The oracles
+below take every power in decimal at 34 digits and every sum exactly
+(math.fsum, or decimal at that precision).  The float64 maps may differ
+from them by the error of rounding an exponent such as 1/theta to
+float64, which grows with the logarithm of the base, so agreement is
+required within 2^-50 * (1 + |ln mass| + |ln vol|).
 
 bump_cube sums a single box from its own cells; its oracle takes the
 box's mass as the math.fsum of the same float64 cells, on boxes anchored
-at the origin, and applies the former long-double bump map.  At theta = 1
-the bump keeps the bits of its mass.  lp_norm is checked end to end
-against the former long double sum.  The embedding and Carleson sums run
-over every dyadic subcube, whose masses the code reads from the dyadic
+at the origin, and applies the decimal bump map.  At theta = 1 the bump
+keeps the bits of its mass.  lp_norm is checked end to end against the
+decimal sum; its terms leave float64's range there (1e75^4 * 1e75), and
+the norm must stay finite.  The embedding and Carleson sums run over
+every dyadic subcube, whose masses the code reads from the dyadic
 pyramid; the oracle reads them from the same pyramid, since accumulation
-is not what the policy changes, and applies the former long-double maps.
-Densities span 1e-75..1e75 and exponents stay at most 4, which keeps
-every term in float64's normal range, the policy's domain.
+of masses is not what the policy changes, and applies the decimal maps.
+Densities span 1e-75..1e75 and exponents stay at most 4.
 """
 import math
+from decimal import Decimal, localcontext
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -29,9 +34,6 @@ from dyadlab.embed import automatic_carleson, embed_check_cubes
 from dyadlab import lattice
 from dyadlab.lattice import full_rect, lp_norm
 
-_LD = np.longdouble
-
-
 def _fsum_mass(w: Weight, theta: float, box: Rect) -> float:
     """The box's mass, the math.fsum of its float64 cells density**theta
     * cell_volume."""
@@ -39,16 +41,31 @@ def _fsum_mass(w: Weight, theta: float, box: Rect) -> float:
     return math.fsum(cells.ravel().tolist())
 
 
-def _ld_bump_map(masses, theta, vol) -> np.ndarray:
-    inv_tp = _LD(1.0) - _LD(1.0) / _LD(theta)
-    vals = np.power(_LD(vol), inv_tp) * np.power(masses, _LD(1.0) / _LD(theta))
-    return np.asarray(vals, dtype=np.float64)
+def _decimal(fn):
+    """fn run in a decimal context of 34 digits."""
+
+    def run(*args):
+        with localcontext() as ctx:
+            ctx.prec = 34
+            return fn(*args)
+
+    return run
 
 
-def _ld_lp_norm(f: GridFunction, w: Weight, p: float) -> float:
-    acc = (f.values.astype(_LD) ** _LD(p)) * w.density.astype(_LD)
-    total = acc.sum(dtype=_LD) * _LD(2.0) ** (-(w.lattice.dim * w.lattice.depth))
-    return float(total ** (_LD(1.0) / _LD(p)))
+@_decimal
+def _bump(mass: float, theta: float, vol: float) -> Decimal:
+    """vol^(1 - 1/theta) * mass^(1/theta), theta as given."""
+    inv = 1 / Decimal(theta)
+    return Decimal(vol) ** (1 - inv) * Decimal(mass) ** inv
+
+
+@_decimal
+def _exact_lp_norm(f: GridFunction, w: Weight, p: float) -> float:
+    """(sum f^p * density * cell_volume)^(1/p), f^p in decimal."""
+    pw = Decimal(p)
+    terms = (Decimal(a) ** pw * Decimal(b) for a, b in zip(f.values.ravel().tolist(), w.density.ravel().tolist()))
+    total = sum(terms, Decimal(0)) * Decimal(w.lattice.cell_volume)
+    return float(total ** (1 / pw))
 
 
 def _pyramid(lat, cells):
@@ -65,31 +82,35 @@ def _log_span(masses, vol) -> float:
     return float(np.abs(np.log(pos)).max()) + abs(math.log(vol)) if pos.size else 0.0
 
 
-def _ld_embed_lhs(f, w, theta, r, s) -> tuple[float, float]:
-    """The former embed_check_cubes lhs, mf^r * b^(r/s - r) in long double,
-    and the log span of the masses it read."""
+@_decimal
+def _exact_embed_lhs(f, w, theta, r, s) -> tuple[float, float]:
+    """embed_check_cubes' lhs, the sum of mf^r * b^(r/s - r) over the
+    cubes of positive bump, in decimal, and the log span of the masses it
+    read."""
     lat = w.lattice
     levels = zip(
         _pyramid(lat, lattice._cellwise(lat, w.density, theta)),
         _pyramid(lat, f.values * w.density * lat.cell_volume),
     )
-    total, span = _LD(0.0), 0.0
+    total, span = Decimal(0), 0.0
+    rd, sd = Decimal(r), Decimal(s)
     for (vol, masses), (_, mf) in levels:
-        b = _ld_bump_map(masses.astype(_LD), theta, vol).astype(_LD)
-        pos = b > 0.0
-        mf = mf.astype(_LD)
-        total += (np.power(mf[pos], _LD(r)) * np.power(b[pos], _LD(r / s - r))).sum(dtype=_LD)
+        pos = masses > 0.0
+        for mass, fm in zip(masses[pos].tolist(), mf[pos].tolist()):
+            total += Decimal(fm) ** rd * _bump(mass, theta, vol) ** (rd / sd - rd)
         span = max(span, _log_span(masses, vol), _log_span(mf[pos], vol))
-    return float(np.power(total, _LD(1.0) / _LD(r))), span
+    return float(total ** (1 / rd)), span
 
 
-def _ld_carleson_lhs(w, theta, rho) -> tuple[float, float]:
-    """The former automatic_carleson lhs over the whole box, b^rho in long double."""
+@_decimal
+def _exact_carleson_lhs(w, theta, rho) -> tuple[float, float]:
+    """automatic_carleson's lhs over the whole box, the sum of b^rho in
+    decimal."""
     lat = w.lattice
-    total, span = _LD(0.0), 0.0
+    total, span = Decimal(0), 0.0
     for vol, masses in _pyramid(lat, lattice._cellwise(lat, w.density, theta)):
-        b = _ld_bump_map(masses.astype(_LD), theta, vol).astype(_LD).ravel()
-        total += np.power(b, _LD(rho)).sum(dtype=_LD)
+        for mass in masses.ravel().tolist():
+            total += _bump(mass, theta, vol) ** Decimal(rho)
         span = max(span, _log_span(masses, vol))
     return float(total), span
 
@@ -132,7 +153,7 @@ def test_bump_cube_matches_fsum_oracle(w, theta, data):
     box = Rect((0,) * lat.dim, hi)
     vol = box.cells * lat.cell_volume
     mass = _fsum_mass(w, theta, box)
-    want = float(_ld_bump_map(_LD(mass), theta, vol))
+    want = float(_bump(mass, theta, vol))
     assert _close(bump_cube(box, w, theta), want, abs(math.log(mass)) + abs(math.log(vol)))
 
 
@@ -153,26 +174,44 @@ def test_theta_one_bumps_keep_the_former_bits(w, data):
 
 @settings(max_examples=200, deadline=None)
 @given(_weights(), st.floats(1.0, 4.0), st.data())
-def test_lp_norm_matches_long_double_oracle(w, p, data):
+def test_lp_norm_matches_decimal_oracle(w, p, data):
     f = GridFunction(w.lattice, _lattice_logs(data.draw, w.lattice, -75.0, 75.0))
-    want = _ld_lp_norm(f, w, p)
-    assert _close(lp_norm(f, w, p), want, abs(math.log(want)) * p)
+    want = _exact_lp_norm(f, w, p)
+    got = lp_norm(f, w, p)
+    assert math.isfinite(got)
+    assert _close(got, want, abs(math.log(want)) * p)
+
+
+@pytest.mark.parametrize("p", [1.0, 2.5, 4.0])
+@pytest.mark.parametrize("f_exp, w_exp", [(75, 75), (-75, -75), (75, -75), (-75, 75)])
+def test_lp_norms_stay_finite_at_the_extreme_densities(f_exp, w_exp, p):
+    # f^p * density leaves float64's range at 1e75^4 * 1e75 and 1e-75^4 *
+    # 1e-75; the norm is rescaled by exact powers of two and stays finite
+    lat = make_lattice(2, 2)
+    f = GridFunction(lat, np.full(lat.shape, 10.0**f_exp))
+    w = Weight(lat, np.full(lat.shape, 10.0**w_exp))
+    want = _exact_lp_norm(f, w, p)
+    got = lp_norm(f, w, p)
+    assert 0.0 < got < math.inf
+    assert _close(got, want, abs(math.log(want)) * p)
+    batch = lattice._lp_norms(lat, np.stack([f.values, np.ones(lat.shape)]), w.density, p)
+    assert batch[0] == got and batch[1] == lp_norm(GridFunction(lat, np.ones(lat.shape)), w, p)
 
 
 @settings(max_examples=200, deadline=None)
 @given(_embed_cases())
 @example(_TINY_CASE)
-def test_embed_cubes_lhs_matches_long_double_oracle(case):
+def test_embed_cubes_lhs_matches_decimal_oracle(case):
     w, f, theta, r, s = case
-    want, span = _ld_embed_lhs(f, w, theta, r, s)
+    want, span = _exact_embed_lhs(f, w, theta, r, s)
     assert _close(embed_check_cubes(f, w, theta, r, s).lhs, want, span)
 
 
 # theta or rho within ~1e-16 of 1 makes the explicit constant divide by zero
 @settings(max_examples=200, deadline=None)
 @given(_weights(), st.floats(1.01, 3.0), st.floats(1.01, 4.0))
-def test_automatic_carleson_lhs_matches_long_double_oracle(w, theta, rho):
-    want, span = _ld_carleson_lhs(w, theta, rho)
+def test_automatic_carleson_lhs_matches_decimal_oracle(w, theta, rho):
+    want, span = _exact_carleson_lhs(w, theta, rho)
     got = automatic_carleson(full_rect(w.lattice), w, theta, rho).lhs_sum
     assert _close(got, want, span)
 
@@ -202,3 +241,10 @@ def test_drift_dump_compare_exit_status(tmp_path):
         new = tmp_path / f"{name}.json"
         new.write_text(json.dumps({"values": {**base, **change}}))
         assert tool.main(["--compare", str(old), str(new)]) == code, name
+
+
+def test_src_uses_no_long_double():
+    # one arithmetic: no module of the package names np.longdouble
+    src = Path(__file__).resolve().parent.parent / "src"
+    for path in sorted(src.rglob("*.py")):
+        assert "longdouble" not in path.read_text(), path.name

@@ -26,8 +26,9 @@ whole-cell boxes, box_mass on boxes with edges on thirds of a cell (its oracle a
 edges' float values), and
 characteristic_at on a shifted-grid rectangle and on one finer than the
 lattice.  Each characteristic value (the one-third scan's included, the
-single-box ones too), each single-box read, each product-reverse witness
-value and per_scale ratio, and each embedding's lhs, intermediate and
+single-box ones too), each single-box read, each cube, rectangle and
+strong doubling value and each product-reverse witness value and
+per_scale ratio, and each embedding's lhs, intermediate and
 max_slice_ratio also records, as NAME/oracle, its recomputation from
 exact masses: the value at the
 reported witness, every cell counted by the share of it the box covers,
@@ -351,13 +352,14 @@ def _scan2d(seed: int, unit: int, out: dict) -> None:
     out[f"{key}/no_bump_onethird/value"] = res.value
     out[f"{key}/no_bump_onethird/value/oracle"] = _char_oracle("no_bump", res.witness, *pair6, wl.EXPS)
     out[f"{key}/no_bump_onethird/witness"] = wl.describe(res.witness)
+    cells = omega.density * lat.cell_volume
     rep = doubling_report(omega, "cube")
     out[f"{key}/doubling_cube/value"] = rep.constant
+    out[f"{key}/doubling_cube/value/oracle"] = _ratio_oracle(cells, rep.witnesses["doubling"])
     out[f"{key}/doubling_cube/witness"] = wl.describe(rep.witnesses["doubling"])
     rep = doubling_report(omega, "product_reverse")
     out[f"{key}/doubling_product_reverse/rev_eps"] = list(rep.rev_eps)
     out[f"{key}/doubling_product_reverse/rev_eps_cube"] = rep.rev_eps_cube
-    cells = omega.density * lat.cell_volume
     for name, wit in sorted(rep.witnesses.items()):
         out[f"{key}/doubling_product_reverse/{name}/witness"] = wl.describe(wit)
         out[f"{key}/doubling_product_reverse/{name}/value"] = wit.value
@@ -372,16 +374,20 @@ def _scan2d(seed: int, unit: int, out: dict) -> None:
     for which, spec in (("sigma", spec_s), ("omega", spec_o)):
         w = gen_weight(lat4, spec)
         for mode in ("rectangle", "strong"):
-            _doubling_fields(f"{key}/doubling_{mode}_{which}", doubling_report(w, mode), out)
+            _doubling_fields(f"{key}/doubling_{mode}_{which}", w, doubling_report(w, mode), out)
 
 
-def _doubling_fields(name: str, rep, out: dict) -> None:
+def _doubling_fields(name: str, w, rep, out: dict) -> None:
+    """A cube, rectangle or strong report of w; its constant or strong
+    beta, where there is one, with the witness's ratio of math.fsum masses
+    as its oracle."""
     import workloads as wl
 
-    out[f"{name}/constant"] = repr(rep.constant) if rep.constant is None else rep.constant
-    out[f"{name}/strong_beta"] = (
-        repr(rep.strong_beta) if rep.strong_beta is None else rep.strong_beta
-    )
+    for field, value in (("constant", rep.constant), ("strong_beta", rep.strong_beta)):
+        out[f"{name}/{field}"] = repr(value) if value is None else value
+        if value is not None and rep.witnesses:
+            (wit,) = rep.witnesses.values()
+            out[f"{name}/{field}/oracle"] = _ratio_oracle(w.density * w.lattice.cell_volume, wit)
     out[f"{name}/flags"] = f"infinite={rep.infinite} absent={rep.strong_absent}"
     for wname, wit in sorted(rep.witnesses.items()):
         out[f"{name}/{wname}/witness"] = wl.describe(wit)
@@ -390,7 +396,7 @@ def _doubling_fields(name: str, rep, out: dict) -> None:
 def _zero_block(seed: int, out: dict) -> None:
     """Cube, rectangle and strong reports on a lognormal weight with a
     square block of zero cells, whose massless placements the scans
-    decide in long double, not by their float64 screen."""
+    decide through the pair prefix engine, not by their float64 screen."""
     from dyadlab import Weight, doubling_report, make_lattice, substream
 
     lat = make_lattice(2, DOUBLING_DEPTH)
@@ -401,7 +407,7 @@ def _zero_block(seed: int, out: dict) -> None:
     dens[a : a + side, b : b + side] = 0.0
     w = Weight(lat, dens)
     for mode in ("cube", "rectangle", "strong"):
-        _doubling_fields(f"zero-block/doubling_{mode}", doubling_report(w, mode), out)
+        _doubling_fields(f"zero-block/doubling_{mode}", w, doubling_report(w, mode), out)
 
 
 def _ties(out: dict) -> None:
@@ -414,7 +420,7 @@ def _ties(out: dict) -> None:
     for kind in ("constant", "halfspace_cutoff", "checkerboard"):
         w = gen_weight(lat, {"kind": kind})
         for mode in ("cube", "rectangle", "strong"):
-            _doubling_fields(f"ties/{kind}/doubling_{mode}", doubling_report(w, mode), out)
+            _doubling_fields(f"ties/{kind}/doubling_{mode}", w, doubling_report(w, mode), out)
 
 
 def _single_boxes(seed: int, out: dict) -> None:
