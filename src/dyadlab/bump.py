@@ -7,7 +7,9 @@ The theta-bump of a box Q under a weight with density u is
 with theta = 1 reducing to the plain mass.  Every bump here is one map,
 _bump_map, of float64 masses, and every characteristic value comes from
 one batch evaluator, _products: kernel factor times the two bump powers
-for the outer product of a batch of factor cubes.  On the standard
+for the outer product of a batch of factor cubes, the kernel factor
+always KernelHandle.level_value, so a level table serves wherever the
+product kernel does but in one_param.  On the standard
 dyadic grid (a one-third family's offset-0 grid tuple included) the
 masses come from lattice's dyadic pyramid: the scan feeds _products one
 level tuple at a time.  A single box is summed from its own cells by the
@@ -106,7 +108,9 @@ class KernelHandle:
     """Nonnegative kernel on dyadic rectangles, a function of levels only.
 
     product_frac carries K(I x J) = |I|^(alpha/m - 1) * |J|^(beta/n - 1);
-    a custom handle carries an explicit level-pair table.
+    a custom handle carries an explicit level-pair table.  level_value is
+    the one formula for K that the characteristics, the forms and the
+    norm estimate read.
     """
 
     kind: str
@@ -302,16 +306,16 @@ def _products(kind, kernel, exps, levels, masses) -> np.ndarray:
     """Kernel x bump products for a batch of factor-cube products, from
     the float64 sigma and omega masses of its boxes.
 
-    levels holds each factor's (level, dim).  Volumes are the full cube
-    volumes even where a cube pokes out of the unit box, where the density
-    is zero.
+    levels holds each factor's (level, dim).  K is the kernel's
+    level_value, one_param's one factor at second level 0, where the
+    product kernel's second term is exactly 1.0.  Volumes are the full
+    cube volumes even where a cube pokes out of the unit box, where the
+    density is zero.
     """
     vol = 1.0
-    kval = 1.0
-    for (level, dim), k_exp in zip(levels, (kernel.i_exp, kernel.j_exp)):
-        side_vol = 2.0 ** (-level * dim)
-        vol *= side_vol
-        kval *= side_vol**k_exp
+    for level, dim in levels:
+        vol *= 2.0 ** (-level * dim)
+    kval = kernel.level_value(levels[0][0], levels[1][0] if len(levels) > 1 else 0)
     bs, bw = (_bump_map(ms, vol, theta) for ms, theta in zip(masses, _thetas(kind, exps)))
     return kval * np.power(bs, 1.0 / exps.p_prime) * np.power(bw, 1.0 / exps.q)
 
@@ -322,8 +326,10 @@ def _check_scan(kind, kernel, sigma, omega, exps) -> tuple[KernelHandle, tuple[i
         raise DomainError(f"unknown characteristic kind {kind!r}")
     if kernel is None:
         kernel = KernelHandle.from_exponents(exps)
-    if kernel.kind != "product_frac":
-        raise DomainError(f"characteristics need a product_frac kernel, got {kernel.kind!r}")
+    if (kernel.m, kernel.n) != (exps.m, exps.n):
+        raise ShapeError(f"kernel spans {kernel.m}+{kernel.n} axes, exponents {exps.m}+{exps.n}")
+    if kind == "one_param" and kernel.kind != "product_frac":
+        raise DomainError(f"one_param needs a product_frac kernel, got {kernel.kind!r}")
     if sigma.lattice != omega.lattice:
         raise ShapeError("sigma and omega must share a lattice")
     dim = sigma.lattice.dim
@@ -347,6 +353,11 @@ def characteristic(
     family: str | None = None,
 ) -> CharacteristicResult:
     """Supremum of the kernel-bump product over a finite rectangle family.
+
+    kernel None is the product kernel of exps.  The rectangle kinds take
+    any level kernel whose (m, n) are the exponents' (ShapeError
+    otherwise), a table raising DomainError at a level pair it lacks;
+    one_param takes only the product kernel.
 
     family "dyadic" scans the standard grid pair; "onethird" scans all
     3^m * 3^n shifted pairs (the no-bump default, standing in for the

@@ -14,7 +14,6 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 from .bump import Exponents, bump_cube, characteristic
@@ -46,25 +45,16 @@ class _Exit(Exception):
         self.code = code
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated parameters shared by every subcommand."""
-
-    command: str
-    depth: int | None
-    seed: int
-    out: str | None
-    fmt: str
-
-    @classmethod
-    def from_ns(cls, ns) -> "RunConfig":
-        if ns.depth is not None and not 1 <= ns.depth <= 24:
-            raise _Exit(_EXIT_CONFIG, f"depth must be in 1..24, got {ns.depth}")
-        return cls(ns.command, ns.depth, ns.seed, ns.out, ns.fmt)
+def _depth(text: str) -> int:
+    """A --depth value: an integer in 1..24."""
+    depth = int(text)
+    if not 1 <= depth <= 24:
+        raise argparse.ArgumentTypeError(f"depth must be in 1..24, got {depth}")
+    return depth
 
 
 def _common_flags(sub):
-    sub.add_argument("--depth", type=int, default=None, help="lattice depth L")
+    sub.add_argument("--depth", type=_depth, default=None, help="lattice depth L, 1..24")
     sub.add_argument("--seed", type=int, default=0)
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
     sub.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
@@ -182,17 +172,16 @@ def _parse_params(pairs, kind: str, default_seed: int) -> dict:
 
 
 def cmd_gen_weight(ns) -> int:
-    cfg = RunConfig.from_ns(ns)
-    if cfg.depth is None:
+    if ns.depth is None:
         raise _Exit(_EXIT_CONFIG, "gen-weight needs --depth")
-    if cfg.out is None:
+    if ns.out is None:
         raise _Exit(_EXIT_CONFIG, "gen-weight needs --out")
-    lat = make_lattice(ns.dim, cfg.depth)
-    w = gen_weight(lat, _parse_params(ns.param, ns.kind, cfg.seed))
+    lat = make_lattice(ns.dim, ns.depth)
+    w = gen_weight(lat, _parse_params(ns.param, ns.kind, ns.seed))
     try:
-        write_weight(cfg.out, w)
+        write_weight(ns.out, w)
     except OSError as e:
-        raise _Exit(_EXIT_IO, f"cannot write {cfg.out}: {e}") from e
+        raise _Exit(_EXIT_IO, f"cannot write {ns.out}: {e}") from e
     return _EXIT_OK
 
 
@@ -217,7 +206,6 @@ def _witness_fields(wit) -> dict:
 
 
 def cmd_compute(ns) -> int:
-    cfg = RunConfig.from_ns(ns)
     if ns.quantity == "characteristic":
         sigma = _load_weight(ns.sigma, "--sigma")
         omega = _load_weight(ns.omega, "--omega")
@@ -261,21 +249,20 @@ def cmd_compute(ns) -> int:
                 for key, val in fields.items()
             )
             text = buf.getvalue()
-    _write_out(text, cfg.out)
+    _write_out(text, ns.out)
     return _EXIT_OK
 
 
 def cmd_norm_estimate(ns) -> int:
-    cfg = RunConfig.from_ns(ns)
     sigma = _load_weight(ns.sigma, "--sigma")
     omega = _load_weight(ns.omega, "--omega")
     exps = _exps_from(ns)
     kernel = KernelHandle.from_exponents(exps)
-    est = norm_estimate(kernel, sigma, omega, exps, iterations=ns.iterations, seed=cfg.seed)
-    if cfg.fmt == "json":
+    est = norm_estimate(kernel, sigma, omega, exps, iterations=ns.iterations, seed=ns.seed)
+    if ns.fmt == "json":
         payload = {
             "quantity": "norm_estimate",
-            "seed": cfg.seed,
+            "seed": ns.seed,
             "trace": [
                 {"start": t, "halfstep": h, "objective": obj} for t, h, obj in est.trace
             ],
@@ -286,27 +273,26 @@ def cmd_norm_estimate(ns) -> int:
     else:
         lines = ["iteration,objective,seed"]
         for i, (_, _, obj) in enumerate(est.trace):
-            lines.append(f"{i},{obj:.17g},{cfg.seed}")
+            lines.append(f"{i},{obj:.17g},{ns.seed}")
         lines.append(f"lower_bound,{est.lower_bound:.17g}")
         text = "\n".join(lines) + "\n"
-    _write_out(text, cfg.out)
-    if cfg.out is not None:
+    _write_out(text, ns.out)
+    if ns.out is not None:
         print(f"certified lower bound {est.lower_bound:.17g}")
     return _EXIT_OK
 
 
 def cmd_verify(ns) -> int:
-    cfg = RunConfig.from_ns(ns)
     extra = []
     for path in ns.weight:
         # weight files named in the verify config are configuration: a bad
         # file is a config error, unlike compute where it is an I/O error
         w = _load_weight(path, "--weight", bad_file_code=_EXIT_CONFIG)
         extra.append((Path(path).stem, w))
-    depth = 8 if cfg.depth is None else cfg.depth
-    rows = run_suite(depth=depth, depth_2d=ns.depth2d, seed=cfg.seed, extra_weights=extra)
-    text = rows_to_json(rows) if cfg.fmt == "json" else rows_to_csv(rows)
-    _write_out(text, cfg.out)
+    depth = 8 if ns.depth is None else ns.depth
+    rows = run_suite(depth=depth, depth_2d=ns.depth2d, seed=ns.seed, extra_weights=extra)
+    text = rows_to_json(rows) if ns.fmt == "json" else rows_to_csv(rows)
+    _write_out(text, ns.out)
     failures = [r for r in rows if not r.passed]
     for r in failures:
         print(f"FAIL {r.name} lhs={r.lhs:.6g} bound={r.bound:.6g}", file=sys.stderr)
@@ -314,14 +300,13 @@ def cmd_verify(ns) -> int:
 
 
 def cmd_grid_sample(ns) -> int:
-    cfg = RunConfig.from_ns(ns)
     verify_work(ns.count, ns.dim, ns.lo, ns.hi)
     lines = []
     for k in range(ns.count):
-        grid = sample_grid(cfg.seed + k, ns.dim, ns.lo, ns.hi)
+        grid = sample_grid(ns.seed + k, ns.dim, ns.lo, ns.hi)
         verify_grid(grid)
         lines.append(grid.descriptor())
-    _write_out("\n".join(lines) + "\n", cfg.out)
+    _write_out("\n".join(lines) + "\n", ns.out)
     return _EXIT_OK
 
 

@@ -16,7 +16,9 @@ K(R) * mass(R) * 1_R, prolongs those masses back from coarse to fine by
 repetition.  The kernel enters as one coefficient per level pair, or as
 an array of them over the pair's rectangles for an explicit family, so
 no rectangle list is built on the default paths.  Every pyramid sum adds
-nonnegative terms, so it runs in float64.
+nonnegative terms, so it runs in float64.  The norm estimate's indicator
+floor is the kernel's no-bump characteristic, read through bump's one
+evaluator, and every K comes from KernelHandle.level_value.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .bump import KernelHandle, characteristic
+from .bump import KernelHandle, _products, characteristic
 from .errors import (
     AlignmentError,
     ContractViolationError,
@@ -40,13 +42,11 @@ from .errors import (
     ShapeError,
 )
 from .grids import (
-    Cube,
     DyadicGrid,
     DyadicRect,
     GoodnessParams,
     _good_cubes,
     deepest_common_levels,
-    standard_grid,
 )
 from .lattice import (
     ARRAY_BUDGET_BYTES,
@@ -289,14 +289,10 @@ def family_of(lat: Lattice, rects: Sequence[DyadicRect]) -> RectFamily:
 # level-pair pyramids
 
 
-def _level_coefs(kernel: KernelHandle, lat: Lattice, family: RectFamily | None) -> list:
-    """coef[li][lj] per level pair: the scalar K of the pair for the full
-    dyadic family (family None), else K times the count of each of the
-    pair's rectangles in the family, as an array over the pair's grid of
-    rectangles, so duplicates add; 0.0 for a pair the family lacks."""
-    levels = range(lat.depth + 1)
-    if family is None:
-        return [[kernel.level_value(li, lj) for lj in levels] for li in levels]
+def _family_cells(kernel: KernelHandle, lat: Lattice, family: RectFamily):
+    """The level-pair key li * (depth + 1) + lj and the cube index per
+    lattice axis of each family rectangle, once the family is checked to
+    span the kernel's axes with the dyadic cubes of its stated levels."""
     m, n = family.m, family.n
     if (m, n) != (kernel.m, kernel.n) or family.boxes.shape[1:] != (lat.dim, 2):
         raise ShapeError(f"family spans {m}+{n} axes, kernel {kernel.m}+{kernel.n}")
@@ -308,13 +304,23 @@ def _level_coefs(kernel: KernelHandle, lat: Lattice, family: RectFamily | None) 
     sides = cells >> lv[:, [0] * m + [1] * n]
     if np.any((lo % sides != 0) | (hi - lo != sides) | (lo < 0) | (hi > cells)):
         raise AlignmentError("family boxes must be the dyadic cubes of their stated levels")
+    return lv[:, 0] * (lat.depth + 1) + lv[:, 1], lo // sides
+
+
+def _level_coefs(kernel: KernelHandle, lat: Lattice, family: RectFamily | None) -> list:
+    """coef[li][lj] per level pair: the scalar K of the pair for the full
+    dyadic family (family None), else K times the count of each of the
+    pair's rectangles in the family, as an array over the pair's grid of
+    rectangles, so duplicates add; 0.0 for a pair the family lacks."""
+    levels = range(lat.depth + 1)
+    if family is None:
+        return [[kernel.level_value(li, lj) for lj in levels] for li in levels]
+    pair, index = _family_cells(kernel, lat, family)
     coef: list = [[0.0 for _ in levels] for _ in levels]
-    pair = lv[:, 0] * (lat.depth + 1) + lv[:, 1]
     for key in np.flatnonzero(np.bincount(pair)):
         li, lj = divmod(int(key), lat.depth + 1)
-        sel = pair == key
-        counts = np.zeros((1 << li,) * m + (1 << lj,) * n)
-        np.add.at(counts, tuple((lo[sel] // sides[sel]).T), 1.0)
+        counts = np.zeros((1 << li,) * family.m + (1 << lj,) * family.n)
+        np.add.at(counts, tuple(index[pair == key].T), 1.0)
         kv = kernel.level_value(li, lj)
         coef[li][lj] = kv if np.all(counts == 1.0) else kv * counts
     return coef
@@ -573,8 +579,8 @@ class NormEstimate:
 
     trace rows are (start, halfstep, objective); the bound is the larger
     of the best feasible-pair objective and the indicator floor, which is
-    the no-bump characteristic of the family and is achieved by a
-    normalized indicator pair.
+    the kernel's no-bump characteristic over the family and is achieved
+    by a normalized indicator pair.
     """
 
     lower_bound: float
@@ -626,10 +632,12 @@ def norm_estimate(
     For fixed f the optimal g is the q-power normalization of the image
     of f, and symmetrically, so each half-step is exact and the objective
     never decreases.  Three random starts run for `iterations` rounds;
-    the indicator floor's rectangle, where it has mass, seeds a fourth.  The floor
-    guarantees the bound dominates the family's no-bump characteristic;
-    when it wins, the returned pair is the normalized indicator pair of
-    its rectangle, which attains it.
+    the indicator floor's rectangle, where it has mass, seeds a fourth.
+    The floor is the kernel's no-bump characteristic over the family
+    (bump.characteristic on the full dyadic family, the same evaluator on
+    an explicit one), so the bound dominates it; when it wins, the
+    returned pair is the normalized indicator pair of its rectangle,
+    which attains it.
 
     The starts run as one batch: each half-step is one pyramid pass over
     every start still running.  A start with zero L^p(sigma) norm never
@@ -643,11 +651,8 @@ def norm_estimate(
         raise DomainError(f"iterations must be an integer >= 0, got {iterations!r}")
     _check_form(kernel, sigma, omega)
     lat = sigma.lattice
-    if kernel.kind == "product_frac" and (
-        kernel.alpha != exps.alpha
-        or kernel.beta != exps.beta
-        or kernel.m != exps.m
-        or kernel.n != exps.n
+    if (kernel.m, kernel.n) != (exps.m, exps.n) or kernel.kind == "product_frac" and (
+        kernel.alpha != exps.alpha or kernel.beta != exps.beta
     ):
         raise DomainError("kernel and exponent pack disagree on (alpha, beta, m, n)")
     columns = _coef_columns(_level_coefs(kernel, lat, family), lat, kernel.m)
@@ -708,71 +713,39 @@ def norm_estimate(
 
 def _indicator_floor(kernel, sigma, omega, exps, family: RectFamily | None):
     """Max over the family of K(R)|R|_sigma^(1/p')|R|_omega^(1/q) and its
-    first maximizing rectangle (None for the full family when every value
-    is 0, or for an explicit family that is neither dyadic nor given as
-    rectangles).
+    first maximizing rectangle.
 
-    For the full dyadic family and the product kernel this is exactly the
-    no-bump characteristic, computed through the same code path so
-    comparisons are reproducible.  Any other kernel or family reads the
-    level-pair masses of the two dyadic pyramids: the full family takes
-    each level pair's first max and the first of those in product order,
-    an explicit one box by box, so the first maximizer is in the family's
-    order.  On the dyadic family, default or explicit, the rectangle is a
-    DyadicRect of standard cubes.
+    On the full dyadic family, given as None or as a dyadic family, this
+    is the kernel's no-bump characteristic over the standard grid pair,
+    witness included.  An explicit family reads the same pyramid masses
+    in the family's order and evaluates them by the characteristic's
+    batch evaluator (bump._products) on the level pairs it holds, so the
+    first maximizer is in the family's order and a kernel table needs
+    only those pairs; the rectangle is the family's, None for a family
+    not given as rectangles.
     """
-    if kernel.kind == "product_frac" and (family is None or family.tag == "dyadic"):
-        res = characteristic("no_bump", None, sigma, omega, exps, family="dyadic")
+    if family is None or family.tag == "dyadic":
+        res = characteristic("no_bump", kernel, sigma, omega, exps, family="dyadic")
         return res.value, res.witness
-    lat, m, width = sigma.lattice, kernel.m, sigma.lattice.depth + 1
-    if family is not None:
-        pair, vals = family.levels[:, 0] * width + family.levels[:, 1], np.zeros(family.size)
-        lo = family.boxes[:, :, 0]
-        index = lo // (family.boxes[:, :, 1] - lo)
-    found = {}  # (li, lj) -> (max, argmax) of the pair's rectangles
-    pyramids = [_level_masses(_cellwise(lat, w.density), lat, m) for w in (sigma, omega)]
+    lat = sigma.lattice
+    pair, index = _family_cells(kernel, lat, family)
+    vals = np.zeros(family.size)
+    pyramids = [_level_masses(_cellwise(lat, w.density), lat, kernel.m) for w in (sigma, omega)]
     for ((li, lj), ms), (_, mw) in zip(*pyramids):
-        if family is not None:
-            rows = np.flatnonzero(pair == li * width + lj)
-            if not rows.size:
-                continue
-            ms, mw = ms[tuple(index[rows].T)], mw[tuple(index[rows].T)]
-        level = kernel.level_value(li, lj) * np.power(ms, 1.0 / exps.p_prime) * np.power(mw, 1.0 / exps.q)
-        if family is not None:
-            vals[rows] = level
-        else:
-            i = int(np.argmax(level))
-            found[li, lj] = float(level.flat[i]), np.unravel_index(i, level.shape)
-    if family is None:
-        best, best_at = 0.0, None
-        for (li, lj), (value, at) in sorted(found.items()):
-            if value > best:
-                best, best_at = value, (li, lj, at)
-        return best, None if best_at is None else _dyadic_rect(lat, m, *best_at)
+        rows = np.flatnonzero(pair == li * (lat.depth + 1) + lj)
+        if rows.size:
+            at = tuple(index[rows].T)
+            levels = [(li, kernel.m), (lj, kernel.n)]
+            vals[rows] = _products("no_bump", kernel, exps, levels, (ms[at], mw[at]))
     i = int(np.argmax(vals))
-    if family.rects is not None:
-        return float(vals[i]), family.rects[i]
-    witness = _dyadic_rect(lat, m, *family.levels[i], index[i]) if family.tag == "dyadic" else None
-    return float(vals[i]), witness
-
-
-def _dyadic_rect(lat: Lattice, m: int, li: int, lj: int, index) -> DyadicRect:
-    """The product of the standard level-li cube at index[:m] and the
-    level-lj cube at index[m:]."""
-    return DyadicRect(*(
-        Cube(standard_grid(len(at), 0, lat.depth), int(level), tuple(int(a) for a in at))
-        for level, at in ((li, index[:m]), (lj, index[m:]))
-    ))
+    return float(vals[i]), None if family.rects is None else family.rects[i]
 
 
 def _indicator_pair(lat, sigma, omega, witness, p, q_prime):
     """Normalized indicator pair of the floor witness, if it has mass."""
     if witness is None:
         return None
-    try:
-        box = family_of(lat, [witness]).boxes[0]
-    except (DomainError, AlignmentError, ShapeError, AttributeError):
-        return None
+    box = family_of(lat, [witness]).boxes[0]
     sel = tuple(slice(int(a), int(b)) for a, b in box)
     ind = np.zeros(lat.shape)
     ind[sel] = 1.0

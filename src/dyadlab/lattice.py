@@ -179,9 +179,10 @@ class Weight:
     """Nonnegative piecewise-constant density with cached mass prefix tables.
 
     prefix(theta) holds cumulative sums of density**theta * cell_volume
-    as compensated (hi, lo) float64 pairs (_accumulate), one table per
-    requested theta; only the cube, rectangle and strong doubling scans
-    read them, at theta = 1, the screen its hi half.  A weight with a
+    as compensated (hi, lo) float64 pairs (_accumulate); only the cube,
+    rectangle and strong doubling scans read them, at theta = 1, the
+    screen its hi half, so the theta = 1 table is kept and any other is
+    built on each call.  A weight with a
     zero-density cell also keeps a prefix count of its positive cells, so
     that every box those scans read holding none of them has mass 0.
     Every single box (total_mass among them) is summed from its own cells
@@ -211,16 +212,16 @@ class Weight:
         arr.flags.writeable = False
         self.lattice = lattice
         self.density = arr
-        self._prefix: dict[float, np.ndarray] = {}
+        self._prefix: np.ndarray | None = None
         self._count: np.ndarray | bool | None = False
 
     def prefix(self, theta: float = 1.0) -> np.ndarray:
         theta = _check_theta(theta)
-        tab = self._prefix.get(theta)
-        if tab is None:
-            tab = _accumulate(self.lattice, _cellwise(self.lattice, self.density, theta))
-            self._prefix[theta] = tab
-        return tab
+        if theta != 1.0:
+            return _accumulate(self.lattice, _cellwise(self.lattice, self.density, theta))
+        if self._prefix is None:
+            self._prefix = _accumulate(self.lattice, _cellwise(self.lattice, self.density))
+        return self._prefix
 
     def total_mass(self) -> float:
         return float(_own_mass(self.lattice, self.density, (0,) * self.lattice.dim, self.lattice.shape))

@@ -30,6 +30,7 @@ from .bump import (
     slice_profile,
 )
 from .embed import automatic_carleson, embed_check_cubes, embed_check_rects, good_carleson
+from .errors import DomainError
 from .forms import (
     KernelHandle,
     apply_frac_integral,
@@ -607,6 +608,11 @@ def _user_weight_rows(label, w, seed):
 
 
 def run_suite(depth: int = 8, depth_2d: int = 5, seed: int = 0, extra_weights=None) -> list[CheckRow]:
+    """Every check's row, sorted by name.  The far-field check puts a
+    point mass on cell (1, 2) of the 2D lattice, so depth_2d < 2 raises
+    DomainError before any check runs."""
+    if depth_2d < 2:
+        raise DomainError(f"the 2D checks need depth_2d >= 2, got {depth_2d}")
     rows = [
         _check_prefix_agreement(depth, seed),
         _check_partition_additivity(depth, seed),

@@ -503,12 +503,21 @@ def test_characteristic_validation():
     w1 = lebesgue(make_lattice(1, 3))
     with pytest.raises(ShapeError):
         characteristic("product_bump", None, w1, w1, _exps(0.5, 0.5))
+    # a table kernel serves the rectangle kinds on the level pairs it holds
     table = KernelHandle.from_table({(0, 0): 1.0}, 1, 1)
     with pytest.raises(DomainError):
         characteristic("product_bump", table, w, w, _exps(0.5, 0.5))
-    wit = characteristic("product_bump", None, w, w, _exps(0.5, 0.5)).witness
+    grid = standard_grid(1, 0, 3)
+    wit = DyadicRect(Cube(grid, 1, (0,)), Cube(grid, 2, (3,)))
     with pytest.raises(DomainError):
         characteristic_at("product_bump", table, wit, w, w, _exps(0.5, 0.5))
+    one = Exponents(p=2.0, q=4.0, alpha=0.5, beta=0.5)
+    with pytest.raises(DomainError):
+        characteristic("one_param", KernelHandle.from_table({(0, 0): 1.0}, 1, 1), w1, w1, one)
+    with pytest.raises(ShapeError):
+        characteristic("no_bump", KernelHandle.product_frac(0.5, 0.5, 2, 1), w, w, _exps(0.5, 0.5))
+    with pytest.raises(ShapeError):
+        characteristic_at("no_bump", KernelHandle.product_frac(0.5, 0.5, 1, 2), wit, w, w, _exps(0.5, 0.5))
 
 
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])

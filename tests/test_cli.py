@@ -140,6 +140,47 @@ def test_grid_sample_past_the_work_budget_exits_2(monkeypatch, capsys):
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_grid_sample_negative_count_exits_2(capsys):
+    # a negative count is refused as --iterations -1 is, not read as 0
+    assert main(["grid-sample", "--count", "-5"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("configuration error:") and "-5" in captured.err
+
+
+@pytest.mark.parametrize("depth2d", [-1, 0, 1])
+def test_verify_refuses_a_2d_depth_below_2(depth2d, capsys, monkeypatch):
+    # the far-field check puts a point mass on cell (1, 2), so the suite
+    # refuses such a lattice before any check runs
+    from dyadlab import suite
+
+    monkeypatch.setattr(suite, "_check_prefix_agreement", lambda *a: pytest.fail("a check ran"))
+    assert main(["verify", "--depth2d", str(depth2d)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize("depth", ["0", "25"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen-weight", "--kind", "constant", "--out", "{tmp}/w.wgt"],
+        ["compute", "bump", "--weight", "{tmp}/sig.wgt"],
+        ["norm-estimate", "--sigma", "{tmp}/sig.wgt", "--omega", "{tmp}/om.wgt"],
+        ["verify"],
+        ["grid-sample"],
+    ],
+    ids=["gen-weight", "compute", "norm-estimate", "verify", "grid-sample"],
+)
+def test_depth_out_of_range_exits_2(argv, depth, tmp_path, capsys):
+    _gen(tmp_path, "sig.wgt", depth=3, seed=6)
+    _gen(tmp_path, "om.wgt", depth=3, seed=7)
+    assert main([a.format(tmp=tmp_path) for a in argv] + ["--depth", depth]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"depth must be in 1..24, got {depth}" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

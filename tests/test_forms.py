@@ -39,6 +39,7 @@ from dyadlab import (
     apply_frac_integral,
     bilinear_form,
     characteristic,
+    characteristic_at,
     dyadic_family,
     embed_check_rects,
     family_of,
@@ -629,6 +630,14 @@ def test_norm_estimate_kernel_exponent_mismatch():
     bad = KernelHandle.product_frac(0.25, 0.5, 1, 1)
     with pytest.raises(DomainError):
         norm_estimate(bad, w, w, _exps(), iterations=1)
+    # a table kernel's (m, n) must be the exponents' on every family
+    lat3 = make_lattice(3, 2)
+    w3 = rand_w(lat3, 9)
+    table = KernelHandle.from_table({(a, b): 1.0 for a in range(3) for b in range(3)}, 2, 1)
+    exps = Exponents(p=2.0, q=4.0, alpha=0.5, beta=0.5, m=1, n=2)
+    for family in (None, dyadic_family(lat3, 2)):
+        with pytest.raises(DomainError):
+            norm_estimate(table, w3, w3, exps, family=family, iterations=1)
 
 
 def test_norm_estimate_below_bump_characteristic_times_embed_ratios():
@@ -993,9 +1002,38 @@ def test_norm_estimate_table_kernel_on_default_family():
         assert rect == forms._indicator_floor(HALF, sig, om, _exps(), None)[1]
         assert got.trace == want.trace
         assert got.indicator_floor == explicit.indicator_floor
-        assert got.indicator_floor == pytest.approx(want.indicator_floor, rel=1e-12)
+        assert got.indicator_floor == want.indicator_floor
         best = max(obj for _, _, obj in got.trace)
         assert got.lower_bound == max(best, got.indicator_floor)
+
+
+@pytest.mark.parametrize("alpha, beta", [(0.5, 0.5), (0.3, 0.7), (0.1, 0.3)])
+def test_table_of_the_product_kernel_agrees_bit_for_bit(alpha, beta):
+    # K comes only from level_value, so a table holding the product
+    # kernel's level values gives the same floor, norm estimate and
+    # characteristics, witnesses included, at any alpha and beta
+    lat = make_lattice(2, 4)
+    kernel = KernelHandle.product_frac(alpha, beta, 1, 1)
+    table = KernelHandle.from_table(
+        {(li, lj): kernel.level_value(li, lj) for li in range(5) for lj in range(5)}, 1, 1
+    )
+    exps = Exponents(p=2.0, q=4.0, alpha=alpha, beta=beta, m=1, n=1, theta=1.5)
+    for seed in range(3):
+        sig, om = rand_w(lat, 901 + seed), rand_w(lat, 911 + seed)
+        for family in (None, dyadic_family(lat, 1)):
+            want, got = (forms._indicator_floor(k, sig, om, exps, family) for k in (kernel, table))
+            assert got == want
+            want, got = (
+                norm_estimate(k, sig, om, exps, family=family, iterations=2, seed=seed)
+                for k in (kernel, table)
+            )
+            assert (got.indicator_floor, got.trace) == (want.indicator_floor, want.trace)
+        for kind in ("no_bump", "product_bump", "half_bump_omega"):
+            for fam in ("dyadic", "onethird"):
+                want, got = (characteristic(kind, k, sig, om, exps, family=fam) for k in (kernel, table))
+                assert (got.value, got.witness) == (want.value, want.witness)
+                for k in (kernel, table):
+                    assert characteristic_at(kind, k, want.witness, sig, om, exps) == want.value
 
 
 @pytest.mark.parametrize("explicit", [False, True])

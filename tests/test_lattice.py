@@ -255,6 +255,20 @@ def test_box_masses_reads_leading_axes_as_a_batch():
     assert got_zero[1] == 0.0 and got_zero[0] > 0.0
 
 
+def test_prefix_keeps_only_the_theta_one_table():
+    # the doubling scans read only the theta = 1 table; any other theta is
+    # built on each call, with the same bits, and not kept by the weight
+    w = gen_weight(make_lattice(2, 3), {"kind": "random_lognormal", "seed": 4, "roughness": 0.9})
+    first = w.prefix(1.5)
+    assert w._prefix is None
+    again = w.prefix(1.5)
+    assert again is not first and np.array_equal(again, first)
+    assert w._prefix is None
+    one = w.prefix()
+    assert w.prefix(1.0) is one is w._prefix
+    assert not np.array_equal(one, first)
+
+
 @st.composite
 def _boxes_on_thirds(draw):
     """A lattice, a density seed and a list of boxes whose edges sit on
@@ -479,7 +493,7 @@ def test_product_reverse_reads_no_prefix_table(monkeypatch):
         assert rep.witnesses
         for wit in rep.witnesses.values():
             assert wit.reevaluate(w) == wit.value
-        assert w._prefix == {}
+        assert w._prefix is None
     # a shrink witness's boxes are 2^k cells wide on every axis
     w = _reverse_weight(make_lattice(2, 4), "lognormal")
     bad = [(Rect((0, 0), (3, 4)), ShapeError), (Rect((0, 4), (4, 4)), ShapeError), (Rect((0, 0), (4, 32)), DomainError)]

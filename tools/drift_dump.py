@@ -17,10 +17,11 @@ scans of each scan2d weight at 2D depth 4 and the cube, rectangle and
 strong scans of a seeded lognormal weight with a block of zero cells
 and of the constant, halfspace_cutoff and checkerboard weights, whose
 placements tie, also at 2D depth 4, and the norm estimates of the first norm2d pair under
-a level-table kernel and over a family_of family holding a duplicated
+a level-table kernel, over a family_of family holding a duplicated
 rectangle (per-rectangle coefficient arrays, and a fourth start seeded
-by the family's floor rectangle), with a digest of the bytes of each
-returned pair, and the single-box reads of a seeded 2D depth-5 beta = 0.9
+by the family's floor rectangle), over that family under a table holding
+only its level pairs, and over dyadic_family under the level table, with
+a digest of the bytes of each returned pair, and the single-box reads of a seeded 2D depth-5 beta = 0.9
 cascade: integrate, power_integrate, bump_cube, bump_rect and box_mass on
 whole-cell boxes, box_mass on boxes with edges on thirds of a cell (its oracle at the
 edges' float values), and
@@ -532,8 +533,10 @@ def _norm2d(seed: int, unit: int, out: dict) -> None:
 
 
 def _norm_forms(seed: int, out: dict) -> None:
-    """norm_estimate on the first norm2d pair with a level-table kernel and
-    with an explicit family that holds a duplicated rectangle."""
+    """norm_estimate on the first norm2d pair with a level-table kernel,
+    with an explicit family that holds a duplicated rectangle, with a
+    table holding only that family's level pairs over it, and with the
+    level table over the explicit dyadic family."""
     import hashlib
 
     import workloads as wl
@@ -541,6 +544,7 @@ def _norm_forms(seed: int, out: dict) -> None:
         Cube,
         DyadicRect,
         KernelHandle,
+        dyadic_family,
         family_of,
         gen_weight,
         make_lattice,
@@ -566,7 +570,15 @@ def _norm_forms(seed: int, out: dict) -> None:
         i, j = int(rng.integers(0, 1 << li)), int(rng.integers(0, 1 << lj))
         rects.append(DyadicRect(Cube(grid, li, (i,)), Cube(grid, lj, (j,))))
     family = family_of(lat, rects + rects[:1])
-    for name, kern, fam in (("table-kernel", table, None), ("family", kernel, family)):
+    held = {(r.i_cube.level, r.j_cube.level) for r in rects}
+    held_table = KernelHandle.from_table({lv: table.level_value(*lv) for lv in held}, 1, 1)
+    cases = (
+        ("table-kernel", table, None),
+        ("family", kernel, family),
+        ("held-table-family", held_table, family),
+        ("table-dyadic-family", table, dyadic_family(lat, 1)),
+    )
+    for name, kern, fam in cases:
         est = norm_estimate(kern, sigma, omega, wl.EXPS, family=fam, seed=seed)
         key = f"norm-forms/{name}"
         out[f"{key}/lower_bound"] = est.lower_bound
