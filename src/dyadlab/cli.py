@@ -20,7 +20,7 @@ from .bump import Exponents, bump_cube, characteristic
 from .errors import ContractViolationError, DyadlabError, FormatError
 from .forms import KernelHandle, norm_estimate
 from .grids import sample_grid, verify_grid, verify_work
-from .lattice import doubling_report, full_rect, gen_weight, make_lattice
+from .lattice import WEIGHT_FIELDS, doubling_report, full_rect, gen_weight, make_lattice
 from .suite import rows_to_csv, rows_to_json, run_suite
 from .weightio import read_weight, write_weight
 
@@ -28,16 +28,6 @@ _EXIT_OK = 0
 _EXIT_FAIL = 1
 _EXIT_CONFIG = 2
 _EXIT_IO = 3
-
-_GEN_KEYS = {
-    "constant": {"value"},
-    "power": {"exponent", "center"},
-    "halfspace_cutoff": set(),
-    "checkerboard": {"levels"},
-    "random_lognormal": {"seed", "roughness"},
-    "cascade": {"beta", "seed"},
-}
-
 
 class _Exit(Exception):
     def __init__(self, code: int, message: str):
@@ -80,7 +70,7 @@ def _build_parser() -> argparse.ArgumentParser:
     gw = sub.add_parser("gen-weight", help="generate a weight and write it as WGT1")
     _common_flags(gw)
     gw.add_argument("--dim", type=int, default=1)
-    gw.add_argument("--kind", required=True, choices=sorted(_GEN_KEYS))
+    gw.add_argument("--kind", required=True, choices=sorted(WEIGHT_FIELDS))
     gw.add_argument(
         "--param",
         action="append",
@@ -154,19 +144,21 @@ def _load_weight(path: str | None, flag: str, bad_file_code: int = _EXIT_IO):
 
 
 def _parse_params(pairs, kind: str, default_seed: int) -> dict:
+    """The descriptor of --kind and its --param fields, which gen_weight
+    checks against the kind; a kind that takes a seed gets --seed unless a
+    field sets it."""
     spec = {"kind": kind}
-    allowed = _GEN_KEYS[kind]
     for pair in pairs:
         key, eq, raw = pair.partition("=")
         if not eq:
             raise _Exit(_EXIT_CONFIG, f"--param needs KEY=VALUE, got {pair!r}")
-        if key not in allowed:
-            raise _Exit(_EXIT_CONFIG, f"kind {kind!r} does not take key {key!r}")
+        if key == "kind":
+            raise _Exit(_EXIT_CONFIG, "the kind is set by --kind, not by --param")
         try:
             spec[key] = json.loads(raw)
         except json.JSONDecodeError:
             spec[key] = raw
-    if "seed" in allowed and "seed" not in spec:
+    if "seed" in WEIGHT_FIELDS[kind] and "seed" not in spec:
         spec["seed"] = default_seed
     return spec
 

@@ -3,7 +3,7 @@
 Everything in the package lives on the half-open unit box [0,1)^d sliced
 into 2^(d*L) congruent cells.  Weights and grid functions are piecewise
 constant on cells, so every integral downstream is a finite sum of cell
-values, read by one of three engines.  The dyadic pyramid,
+values, read by one of five engines.  The dyadic pyramid,
 _level_masses, reads every box of the standard dyadic grid (the
 characteristic scans, the indicator floor, embeddings, the rectangle
 proof chain's slice profiles and slice averages, stopping cubes and
@@ -42,8 +42,9 @@ doubling / reverse-doubling / strong-reverse-doubling scans with their
 witnesses, and the explicit doubling bound implied by a strong
 reverse-doubling constant.  The cube, rectangle and strong scans bound
 every ratio from the table's hi half and read only the boxes that can
-win through the pair engine; the product-reverse scan reads every tile
-and shrink from its pyramid.
+win through the pair engine, a batch of whole scans at a time as one
+array in scan order, whose first greatest ratio is the winner; the
+product-reverse scan reads every tile and shrink from its pyramid.
 """
 from __future__ import annotations
 
@@ -926,28 +927,48 @@ def _axis_cascade(depth: int, beta: float, rng: np.random.Generator) -> np.ndarr
     return masses
 
 
+# every weight kind and the descriptor fields gen_weight reads for it
+WEIGHT_FIELDS = {
+    "constant": ("value",),
+    "power": ("exponent", "center"),
+    "halfspace_cutoff": ("base",),
+    "checkerboard": ("levels",),
+    "random_lognormal": ("seed", "roughness"),
+    "cascade": ("beta", "seed"),
+}
+
+
 def _field(spec: dict, key: str, cast, default=None):
-    """A descriptor field cast to a number, DomainError when it is missing
-    or the cast fails."""
+    """A descriptor field cast to a number, DomainError when it is missing,
+    the cast fails or an int cast would drop a fraction (substream's rule)."""
     raw = spec.get(key, default)
     if raw is None:
         raise DomainError(f"weight kind {spec['kind']!r} needs field {key!r}")
     try:
-        return cast(raw)
-    except (TypeError, ValueError):
-        raise DomainError(f"weight field {key!r} has an unusable value {raw!r}") from None
+        value = cast(raw)
+    except (TypeError, ValueError, OverflowError):
+        value = None
+    if value is None or (cast is int and value != raw):
+        raise DomainError(f"weight field {key!r} has an unusable value {raw!r}")
+    return value
 
 
 def gen_weight(lat: Lattice, spec: dict) -> Weight:
     """Deterministic weight from a descriptor dict (same spec -> same array).
 
-    Kinds: constant(value), power(exponent, center), halfspace_cutoff(base),
-    checkerboard(levels), random_lognormal(seed, roughness),
-    cascade(beta, seed).
+    Kinds and their fields are WEIGHT_FIELDS: constant(value),
+    power(exponent, center), halfspace_cutoff(base), checkerboard(levels),
+    random_lognormal(seed, roughness), cascade(beta, seed).  Any other
+    kind or field raises DomainError.
     """
     if not isinstance(spec, dict) or "kind" not in spec:
         raise DomainError("weight spec must be a dict with a 'kind' key")
     kind = spec["kind"]
+    if not isinstance(kind, str) or kind not in WEIGHT_FIELDS:
+        raise DomainError(f"unknown weight kind {kind!r}")
+    extra = [key for key in spec if key != "kind" and key not in WEIGHT_FIELDS[kind]]
+    if extra:
+        raise DomainError(f"weight kind {kind!r} does not take field {extra[0]!r}")
     if kind == "constant":
         c = _field(spec, "value", float, 1.0)
         if c < 0 or not math.isfinite(c):
@@ -1002,7 +1023,6 @@ def gen_weight(lat: Lattice, spec: dict) -> Weight:
             axis = axis * lat.cells_per_axis  # axis masses -> axis density factor
             dens = np.multiply.outer(dens, axis)
         return Weight(lat, dens.reshape(lat.shape))
-    raise DomainError(f"unknown weight kind {kind!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -1057,9 +1077,7 @@ class DoublingReport:
 
     @property
     def passes_reverse(self) -> bool:
-        if self.rev_eps is None:
-            return False
-        return all(e > 0 for e in self.rev_eps)
+        return self.rev_eps is not None and all(e > 0 for e in self.rev_eps)
 
 
 # The cube, rectangle and strong scans read families of cell boxes: the
@@ -1205,29 +1223,6 @@ def _engine(w: Weight, picks) -> list[np.ndarray]:
     return out
 
 
-def _per_pick(arrays: list, picks) -> list:
-    """Split arrays laid out pick by pick into their per-pick parts:
-    per pick, one part of each array."""
-    if len(picks) == 1:
-        return [arrays]
-    cuts = np.cumsum([flat.size for _, flat in picks])[:-1]
-    return list(zip(*(np.split(a, cuts) for a in arrays)))
-
-
-def _read(w: Weight, picks, infinite: bool) -> list[np.ndarray]:
-    """_engine of the boxes picked, reading a numerator only where the
-    ratio or the INFINITE test looks at it (0 elsewhere), as the former
-    scans skipped the numerators of a size whose bases all had no mass."""
-    base = _engine(w, [(families[:1], flat) for families, flat in picks])[0]
-    nums = [np.zeros(base.size) for _ in picks[0][0][1:]]
-    need = np.ones(base.size, dtype=bool) if infinite else base > 0.0
-    if need.any():
-        sub = [(g[1:], f[k]) for (g, f), (k,) in zip(picks, _per_pick([need], picks)) if k.any()]
-        for out, got in zip(nums, _engine(w, sub)):
-            out[need] = got
-    return [base, *nums]
-
-
 def _numerator(masses: list) -> np.ndarray:
     return masses[1] if len(masses) == 2 else np.maximum(masses[1], masses[2])
 
@@ -1261,43 +1256,33 @@ class _Candidates:
         self.best = None
         self.batch, self.size = [], 0
 
-    def add(self, order: int, tag, families, flat: np.ndarray, hi: np.ndarray) -> None:
+    def add(self, tag, families, flat: np.ndarray, hi: np.ndarray) -> None:
         """Boxes of one scan at flat positions, increasing, with the upper
         bounds on their ratios (inf for the undecided)."""
-        self.batch.append((order, tag, families, flat, hi))
+        self.batch.append((tag, families, flat, hi))
         self.size += flat.size
 
     def settle(self):
-        """Read the boxes whose bound still reaches L; returns the first
-        INFINITE result in scan order if they hold one, else None."""
+        """Read the boxes whose bound still reaches L as one array in scan
+        order, the scans in turn, each in C order; returns the first
+        INFINITE result if they hold one, else None."""
         batch, self.batch, self.size = self.batch, [], 0
-        rows = [(*row[:3], row[3][row[4] >= self.floor]) for row in batch]
-        rows = [row for row in rows if row[3].size]
+        rows = [(tag, families, f) for tag, families, flat, hi in batch if (f := flat[hi >= self.floor]).size]
         if not rows:
             return None
-        picks = [(families, flat) for _, _, families, flat in rows]
-        read = _per_pick(_read(self.w, picks, self.infinite), picks)
-        # per row (one scan's boxes, in C order) its first INFINITE and its
-        # first maximizer; across rows the first in scan order
-        infs, tops = [], []
-        for k, ((order, _, _, flat), masses) in enumerate(zip(rows, read)):
-            ratio, inf = _ratios(masses, self.infinite)
-            if self.infinite and inf.any():
-                i = int(np.argmax(inf))
-                infs.append((order, flat[i], k, i))
-            i = int(np.argmax(ratio))
-            tops.append((-ratio[i], order, flat[i], k, i))
-        if infs:
-            *_, k, i = min(infs)
-            value = INFINITE
-        else:
-            top, *_, k, i = min(tops)
-            value = -float(top)
-            self.floor = max(self.floor, value)
-        _, tag, families, flat = rows[k]
-        won = value, bool(infs), tag, families, int(flat[i]), [m[i] for m in read[k]]
-        if infs:
+        starts = np.cumsum([0] + [flat.size for *_, flat in rows])
+        masses = _engine(self.w, [(families, flat) for _, families, flat in rows])
+        ratio, inf = _ratios(masses, self.infinite)
+        found = self.infinite and bool(inf.any())
+        # the first INFINITE, else the first maximum, in scan order
+        i = int(np.argmax(inf if found else ratio))
+        k = int(np.searchsorted(starts, i, side="right")) - 1
+        tag, families, flat = rows[k]
+        value = INFINITE if found else float(ratio[i])
+        won = value, found, tag, families, int(flat[i - starts[k]]), [m[i] for m in masses]
+        if found:
             return won
+        self.floor = max(self.floor, value)
         if value > (-1.0 if self.best is None else self.best[0]):
             self.best = won
         return None
@@ -1320,7 +1305,7 @@ def _first_max(w: Weight, scans, infinite: bool):
     tab = w.prefix(1.0)
     flt, bound = tab[0], _screen_bound(tab)
     cands = _Candidates(w, infinite)
-    for order, (tag, families) in enumerate(scans):
+    for tag, families in scans:
         base = _differences(flt, families[0])
         und = np.empty(0, np.intp)
         if not base.min() > bound:  # or NaN, from a table past the float64 range
@@ -1347,14 +1332,12 @@ def _first_max(w: Weight, scans, infinite: bool):
             bounds = np.maximum(num[dec] + bound, 0.0) / (base[dec] - bound)
             bounds = bounds * (1 + 2.0**-48) + _TINY
             dec, bounds = dec[bounds >= floor], bounds[bounds >= floor]
+            keep, hi = np.concatenate([und, dec]), np.concatenate([hi, bounds])
             if und.size and dec.size:
-                keep = np.concatenate([und, dec])
                 at = np.argsort(keep)
-                keep, hi = keep[at], np.concatenate([hi, bounds])[at]
-            elif dec.size:
-                keep, hi = dec, bounds
+                keep, hi = keep[at], hi[at]
         if keep.size:
-            cands.add(order, tag, families, keep, hi)
+            cands.add(tag, families, keep, hi)
         if und.size or cands.size >= _BATCH:
             won = cands.settle()
             if won is not None:
@@ -1362,39 +1345,23 @@ def _first_max(w: Weight, scans, infinite: bool):
     return cands.settle() or cands.best
 
 
-def _scan_doubling(w: Weight, per_axis_sizes: bool) -> tuple[float, bool, Witness | None]:
-    """Max ratio mass(2R clipped to box)/mass(R) over even-sided cell boxes."""
+def _scan_doubling(w: Weight, mode: str) -> DoublingReport:
+    """Max ratio mass(2R clipped to box)/mass(R) over even-sided cell
+    cubes, or with mode "rectangle" boxes."""
     lat = w.lattice
     n = lat.cells_per_axis
     even = range(2, n + 1, 2)
-    size_tuples = (
-        _iproduct(even, repeat=lat.dim) if per_axis_sizes else ((m,) * lat.dim for m in even)
-    )
+    size_tuples = _iproduct(even, repeat=lat.dim) if mode == "rectangle" else ((m,) * lat.dim for m in even)
+    rep = DoublingReport(mode=mode, constant=0.0)
     # masses are rounded once to float64, so the ratios match
     # Witness.reevaluate bit for bit
     won = _first_max(w, ((s, (_placements(n, s), _doubles(n, s))) for s in size_tuples), True)
     if won is None:
-        return 0.0, False, None
-    value, infinite, _, (boxes, doubles), i, _ = won
-    wit = Witness("double", _rect(boxes, i, n), _rect(doubles, i, n), None, None, value)
-    return (value if value >= 0 else 0.0), infinite, wit
-
-
-def _eps_from_per_scale(per_s: dict[int, tuple]) -> tuple[float | None, Witness | None]:
-    """per_s: s -> (max ratio, base rect, inner rect).  The exponent is the
-    worst decay rate over tested scales; the witness attains it."""
-    best_eps = INFINITE
-    wit = None
-    for s, (ratio, base, inner) in sorted(per_s.items()):
-        if ratio <= 0.0:
-            continue
-        e = -math.log2(ratio) / s
-        if e < best_eps:
-            best_eps = e
-            wit = Witness("shrink", base, inner, None, s, ratio)
-    if wit is None:
-        return None, None
-    return max(best_eps, 0.0), wit
+        return rep
+    value, rep.infinite, _, (boxes, doubles), i, _ = won
+    rep.constant = value if value >= 0 else 0.0
+    rep.witnesses["doubling"] = Witness("double", _rect(boxes, i, n), _rect(doubles, i, n), None, None, value)
+    return rep
 
 
 # The product-reverse scan reads every mass from one compensated pyramid,
@@ -1424,8 +1391,8 @@ def _scan_product_reverse(w: Weight) -> DoublingReport:
     shrinks give the product exponents, shrinking all axes of a dyadic cube
     at once gives the cube exponent.  A level tuple with no tested scale is
     not read.  Each scale keeps its first maximizer in level-tuple product
-    order, then C order, as (ratio, levels, flat index); the witness boxes
-    are built once, at the end.
+    order, then C order, as (ratio, levels, flat index); the report is
+    built from those in one loop per axis and one for the cube.
     """
     lat = w.lattice
     depth, dim, n = lat.depth, lat.dim, lat.cells_per_axis
@@ -1446,11 +1413,6 @@ def _scan_product_reverse(w: Weight) -> DoublingReport:
         def shrunk(entry: int, level: int, s: int) -> tuple:
             at = (slice(entry, entry + 1),) + rest + (slice((1 << (s - 1)) - 1, None, 1 << s),)
             return tuple(x[at] for x in pairs[level + s + 1])
-
-        def odd(x, k: int):
-            if not isinstance(x, np.ndarray):
-                return x
-            return x[(slice(0, 1 + cubes),) + rest + (slice(1 + k, x.shape[ax] - 1 + k, 2),)]
 
         for level in range(depth, -1, -1):
             if level < depth:
@@ -1474,7 +1436,8 @@ def _scan_product_reverse(w: Weight) -> DoublingReport:
                 read(part + perr, here, levels + (level,))
             del part, perr  # the stack goes before the pairs are built
             if level >= 2:
-                pairs[level] = _add(*(odd(x, k) for x in (a, err) for k in (0, 1)))
+                inner = (slice(0, 1 + cubes),) + rest + (slice(1, -1),)
+                pairs[level] = _halve(a[inner], (ax,), err[inner] if isinstance(err, np.ndarray) else err)
 
     def read(masses, labels, levels):
         base = masses[0]
@@ -1493,49 +1456,32 @@ def _scan_product_reverse(w: Weight) -> DoublingReport:
 
     walk(_cellwise(lat, w.density)[None], 0.0, [("base",)], ())
 
-    def boxes(key) -> dict[int, tuple]:
-        """s -> (ratio, tile, shrunk box) of the best of key + (s,)."""
-        out = {}
+    rep = DoublingReport(mode="product_reverse", rev_C=1.0, per_scale={})
+    eps = []
+    for key in [("axis", k) for k in range(dim)] + [("cube",)]:
+        # the exponent is the worst decay -log2(ratio) / s over the tested
+        # scales, and the witness the first scale's box that attains it
+        worst, wit = INFINITE, None
         for s in range(1, depth):
             if key + (s,) not in best:
                 continue
             r, levels, i = best[key + (s,)]
+            rep.per_scale[key + (s,)] = r
+            e = -math.log2(r) / s if r > 0.0 else INFINITE
+            if e >= worst:
+                continue
+            worst = e
             sides = [n >> lv for lv in levels]
-            pos = np.unravel_index(i, [1 << lv for lv in levels])
-            lo = [int(p) * side for p, side in zip(pos, sides)]
-            hi = [a + side for a, side in zip(lo, sides)]
-            ilo, ihi = list(lo), list(hi)
-            for k in range(dim) if key == ("cube",) else key[1:]:
-                ilo[k] += (sides[k] - (sides[k] >> s)) // 2
-                ihi[k] = ilo[k] + (sides[k] >> s)
-            out[s] = (r, Rect(tuple(lo), tuple(hi)), Rect(tuple(ilo), tuple(ihi)))
-        return out
-
-    rep = DoublingReport(mode="product_reverse", rev_C=1.0)
-    per_scale: dict = {}
-    eps_list = []
-    for axis in range(dim):
-        found = boxes(("axis", axis))
-        for s, (r, *_) in found.items():
-            per_scale[("axis", axis, s)] = r
-        eps, wit = _eps_from_per_scale(found)
-        if eps is None:
-            eps = 0.0
-        else:
-            rep.witnesses[f"reverse_axis_{axis}"] = wit
-        eps_list.append(eps)
-    rep.rev_eps = tuple(eps_list)
-
-    found = boxes(("cube",))
-    for s, (r, *_) in found.items():
-        per_scale[("cube", s)] = r
-    eps_cube, wit_cube = _eps_from_per_scale(found)
-    if eps_cube is None:
-        rep.rev_eps_cube = 0.0
-    else:
-        rep.rev_eps_cube = eps_cube
-        rep.witnesses["reverse_cube"] = wit_cube
-    rep.per_scale = per_scale
+            lo = [int(p) * m for p, m in zip(np.unravel_index(i, [1 << lv for lv in levels]), sides)]
+            hi = [a + m for a, m in zip(lo, sides)]
+            # the shrink keeps the middle 2^-s of the tile's side on each axis it shrinks
+            cut = [(m - (m >> s)) // 2 if key == ("cube",) or k == key[1] else 0 for k, m in enumerate(sides)]
+            inner = Rect(tuple(a + c for a, c in zip(lo, cut)), tuple(b - c for b, c in zip(hi, cut)))
+            wit = Witness("shrink", Rect(tuple(lo), tuple(hi)), inner, None, s, r)
+        eps.append(0.0 if wit is None else max(worst, 0.0))
+        if wit is not None:
+            rep.witnesses["reverse_cube" if key == ("cube",) else f"reverse_axis_{key[1]}"] = wit
+    rep.rev_eps, rep.rev_eps_cube = tuple(eps[:-1]), eps[-1]
     return rep
 
 
@@ -1564,10 +1510,8 @@ def _scan_strong(w: Weight) -> DoublingReport:
     best, _, axis, (boxes, left, right), i, (_, lm, rm) = won
     side = _rect(left if lm >= rm else right, i, n)
     rep.witnesses["strong"] = Witness("half", _rect(boxes, i, n), side, axis, None, best)
-    if best >= 1.0:
-        rep.strong_absent = True
-    else:
-        rep.strong_beta = best
+    rep.strong_absent = best >= 1.0
+    rep.strong_beta = None if rep.strong_absent else best
     return rep
 
 
@@ -1598,20 +1542,13 @@ def doubling_report(w: Weight, mode: str) -> DoublingReport:
         raise ResourceError(
             f"the {mode} scan visits {tuples} size tuples, limit {SCAN_BUDGET_TUPLES}"
         )
-    if mode == "cube":
-        constant, infinite, wit = _scan_doubling(w, per_axis_sizes=False)
-    elif mode == "rectangle":
-        constant, infinite, wit = _scan_doubling(w, per_axis_sizes=True)
-    elif mode == "product_reverse":
+    if mode in ("cube", "rectangle"):
+        return _scan_doubling(w, mode)
+    if mode == "product_reverse":
         return _scan_product_reverse(w)
-    elif mode == "strong":
+    if mode == "strong":
         return _scan_strong(w)
-    else:
-        raise DomainError(f"unknown doubling mode {mode!r}")
-    rep = DoublingReport(mode=mode, constant=constant, infinite=infinite)
-    if wit is not None:
-        rep.witnesses["doubling"] = wit
-    return rep
+    raise DomainError(f"unknown doubling mode {mode!r}")
 
 
 @dataclass(frozen=True)

@@ -37,7 +37,7 @@ def _gen(tmp_path, name, dim=2, depth=4, seed=3, rough=0.5):
 
 
 def test_run_suite_all_pass_and_sorted():
-    rows = run_suite(depth=6, depth_2d=4, seed=1)
+    rows = run_suite(depth=8, depth_2d=4, seed=1)
     assert all(r.passed for r in rows)
     names = [r.name for r in rows]
     assert names == sorted(names)
@@ -47,7 +47,7 @@ def test_run_suite_all_pass_and_sorted():
 def test_suite_reports_extra_weight_rows():
     lat = make_lattice(1, 5)
     w = gen_weight(lat, {"kind": "random_lognormal", "seed": 2, "roughness": 0.4})
-    rows = run_suite(depth=5, depth_2d=3, seed=0, extra_weights=[("mine", w)])
+    rows = run_suite(depth=8, depth_2d=3, seed=0, extra_weights=[("mine", w)])
     mine = [r for r in rows if r.name.startswith("user/mine/")]
     assert len(mine) == 2
     assert all(r.passed for r in mine)
@@ -160,6 +160,19 @@ def test_verify_refuses_a_2d_depth_below_2(depth2d, capsys, monkeypatch):
     assert "Traceback" not in err and err.startswith("configuration error:")
 
 
+@pytest.mark.parametrize("depth", range(1, 8))
+def test_verify_refuses_a_depth_below_8(depth, capsys, monkeypatch):
+    # embed/cube-ratio-stability compares depth - 2 with depth against a
+    # fixed bound that shallower lattices pass only on some seeds
+    from dyadlab import suite
+
+    monkeypatch.setattr(suite, "_check_prefix_agreement", lambda *a: pytest.fail("a check ran"))
+    assert main(["verify", "--depth", str(depth)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("configuration error:")
+
+
 @pytest.mark.parametrize("depth", ["0", "25"])
 @pytest.mark.parametrize(
     "argv",
@@ -196,6 +209,27 @@ def test_package_errors_exit_2_without_traceback(argv, tmp_path, capsys):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert err.startswith("configuration error:")
+
+
+@pytest.mark.parametrize(
+    "kind, params",
+    [
+        ("cascade", ["beta=0.7", "seed=1.5"]),
+        ("checkerboard", ["levels=1.5"]),
+        ("random_lognormal", ["seed=Infinity"]),
+        ("constant", ["valu=2"]),
+        ("constant", ["kind=cascade"]),
+    ],
+    ids=["fractional-seed", "fractional-levels", "infinite-seed", "unknown-field", "kind-field"],
+)
+def test_gen_weight_bad_field_exits_2(kind, params, tmp_path, capsys):
+    # gen_weight reads each kind's fields from one table and refuses an
+    # unknown field or an integer field with a fraction, writing nothing
+    out = tmp_path / "w.wgt"
+    argv = ["gen-weight", "--depth", "3", "--kind", kind, "--out", str(out)]
+    assert main(argv + [f for p in params for f in ("--param", p)]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and not out.exists()
 
 
 @pytest.mark.parametrize(
@@ -464,7 +498,7 @@ def test_norm_estimate_rejects_negative_iterations(tmp_path, capsys):
 
 def test_verify_passes_and_is_deterministic(tmp_path):
     out1, out2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
-    args = ["verify", "--depth", "6", "--depth2d", "4", "--seed", "7"]
+    args = ["verify", "--depth", "8", "--depth2d", "4", "--seed", "7"]
     assert main(args + ["--out", str(out1)]) == 0
     assert main(args + ["--out", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
@@ -479,7 +513,7 @@ def test_verify_rejects_corrupt_weight_at_load(tmp_path, capsys):
 
 def test_verify_json_format(tmp_path):
     out = tmp_path / "r.json"
-    assert main(["verify", "--depth", "5", "--depth2d", "3", "--out", str(out), "--format", "json"]) == 0
+    assert main(["verify", "--depth", "8", "--depth2d", "3", "--out", str(out), "--format", "json"]) == 0
     import json
 
     rows = json.loads(out.read_text())
@@ -528,7 +562,7 @@ def test_module_entry_point_runs_the_cli(tmp_path):
     path = [src] + [p for p in os.environ.get("PYTHONPATH", "").split(os.pathsep) if p]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     out = tmp_path / "r.json"
-    args = ["verify", "--depth", "5", "--depth2d", "3", "--format", "json", "--out", str(out)]
+    args = ["verify", "--depth", "8", "--depth2d", "3", "--format", "json", "--out", str(out)]
     proc = subprocess.run(
         [sys.executable, "-m", "dyadlab", *args], env=env, capture_output=True, text=True
     )

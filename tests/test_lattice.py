@@ -173,6 +173,37 @@ def test_gen_weight_errors():
         gen_weight(lat, {"kind": "constant", "value": -2.0})
 
 
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"kind": "cascade", "beta": 0.7}, "seed"),
+        ({"kind": "random_lognormal"}, "seed"),
+        ({"kind": "checkerboard"}, "levels"),
+    ],
+)
+def test_gen_weight_refuses_a_fractional_integer_field(spec, field):
+    # an integer field is read by substream's rule, not truncated
+    lat = make_lattice(1, 3)
+    with pytest.raises(DomainError, match="unusable value 1.5"):
+        gen_weight(lat, {**spec, field: 1.5})
+    np.testing.assert_array_equal(
+        gen_weight(lat, {**spec, field: 1.0}).density, gen_weight(lat, {**spec, field: 1}).density
+    )
+
+
+@pytest.mark.parametrize(
+    "spec, field",
+    [
+        ({"kind": "constant", "valu": 2.0}, "valu"),
+        ({"kind": "cascade", "beta": 0.7, "roughness": 0.5}, "roughness"),
+        ({"kind": "halfspace_cutoff", "base": {"kind": "constant", "levels": 1}}, "levels"),
+    ],
+)
+def test_gen_weight_refuses_an_unknown_field(spec, field):
+    with pytest.raises(DomainError, match=repr(field)):
+        gen_weight(make_lattice(1, 3), spec)
+
+
 def test_cascade_unit_mass():
     lat = make_lattice(2, 5)
     w = gen_weight(lat, {"kind": "cascade", "beta": 0.8, "seed": 3})
@@ -480,6 +511,21 @@ def test_product_reverse_matches_brute_force(dim, depth, kind):
         r, tile, inner = oracle[key + (s,)]
         assert (wit.kind, wit.shrink, wit.value, wit.rect, wit.other) == ("shrink", s, r, tile, inner)
         assert wit.reevaluate(w) == wit.value
+
+
+@pytest.mark.parametrize("dim, depth", [(1, 6), (2, 4), (3, 2)])
+def test_massless_weight_through_every_mode(dim, depth):
+    # no box has mass, so no ratio counts and no scan names a witness
+    w = Weight(make_lattice(dim, depth), np.zeros((1 << depth,) * dim))
+    for mode in ("cube", "rectangle"):
+        rep = doubling_report(w, mode)
+        assert rep.constant == 0.0 and not rep.infinite and rep.witnesses == {}
+    rep = doubling_report(w, "strong")
+    assert rep.strong_absent and rep.strong_beta is None and rep.witnesses == {}
+    rep = doubling_report(w, "product_reverse")
+    assert rep.rev_eps == (0.0,) * dim and rep.rev_eps_cube == 0.0
+    assert rep.per_scale == {} and rep.witnesses == {}
+    assert not rep.passes_reverse
 
 
 def test_product_reverse_reads_no_prefix_table(monkeypatch):

@@ -11,12 +11,13 @@ kernel values behind the forms/surrogate-window row (so a changed cube or
 value shows even where the row's worst ratio does not move), and the values
 and witnesses of the benchmark's
 scan2d and norm2d task calls on the first --units weight pairs of that seed
-(inputs from bench/workloads.py), plus the product-reverse per_scale
-ratios of each scan2d omega at 2D depth 5, the rectangle and strong doubling
-scans of each scan2d weight at 2D depth 4 and the cube, rectangle and
-strong scans of a seeded lognormal weight with a block of zero cells
-and of the constant, halfspace_cutoff and checkerboard weights, whose
-placements tie, also at 2D depth 4, and the norm estimates of the first norm2d pair under
+(inputs from bench/workloads.py), plus the product-reverse report
+(exponents, per_scale ratios and witnesses) of each scan2d omega at 2D
+depth 5, the rectangle and strong doubling scans of each scan2d weight at
+2D depth 4 and the cube, rectangle, strong and product-reverse scans of a
+seeded lognormal weight with a block of zero cells and of the constant,
+halfspace_cutoff and checkerboard weights, whose placements tie, also at
+2D depth 4, and the norm estimates of the first norm2d pair under
 a level-table kernel, over a family_of family holding a duplicated
 rectangle (per-rectangle coefficient arrays, and a fourth start seeded
 by the family's floor rectangle), over that family under a table holding
@@ -366,11 +367,7 @@ def _scan2d(seed: int, unit: int, out: dict) -> None:
         out[f"{key}/doubling_product_reverse/{name}/value"] = wit.value
         out[f"{key}/doubling_product_reverse/{name}/value/oracle"] = _ratio_oracle(cells, wit)
     w5 = gen_weight(make_lattice(2, PER_SCALE_DEPTH), spec_o)
-    oracle = _per_scale_oracle(w5)
-    for scale, ratio in sorted(doubling_report(w5, "product_reverse").per_scale.items()):
-        name = f"{key}/doubling_product_reverse_depth{PER_SCALE_DEPTH}/per_scale/{'_'.join(map(str, scale))}"
-        out[name] = ratio
-        out[f"{name}/oracle"] = oracle.get(scale, 0.0)
+    _reverse_fields(f"{key}/doubling_product_reverse_depth{PER_SCALE_DEPTH}", w5, out)
     lat4 = make_lattice(2, DOUBLING_DEPTH)
     for which, spec in (("sigma", spec_s), ("omega", spec_o)):
         w = gen_weight(lat4, spec)
@@ -394,10 +391,35 @@ def _doubling_fields(name: str, w, rep, out: dict) -> None:
         out[f"{name}/{wname}/witness"] = wl.describe(wit)
 
 
+def _reverse_fields(name: str, w, out: dict) -> None:
+    """The product-reverse report of w: its exponents and pass flag, each
+    per_scale ratio with the brute-force greatest ratio of its scale as its
+    oracle, and each witness with its ratio of math.fsum masses as the
+    oracle of its value."""
+    import workloads as wl
+    from dyadlab import doubling_report
+
+    rep = doubling_report(w, "product_reverse")
+    out[f"{name}/rev_eps"] = list(rep.rev_eps)
+    out[f"{name}/rev_eps_cube"] = rep.rev_eps_cube
+    out[f"{name}/flags"] = f"passes_reverse={rep.passes_reverse}"
+    oracle = _per_scale_oracle(w)
+    for scale, ratio in sorted(rep.per_scale.items()):
+        key = f"{name}/per_scale/{'_'.join(map(str, scale))}"
+        out[key] = ratio
+        out[f"{key}/oracle"] = oracle.get(scale, 0.0)
+    for wname, wit in sorted(rep.witnesses.items()):
+        out[f"{name}/{wname}/witness"] = wl.describe(wit)
+        out[f"{name}/{wname}/value"] = wit.value
+        out[f"{name}/{wname}/value/oracle"] = _ratio_oracle(w.density * w.lattice.cell_volume, wit)
+
+
 def _zero_block(seed: int, out: dict) -> None:
-    """Cube, rectangle and strong reports on a lognormal weight with a
-    square block of zero cells, whose massless placements the scans
-    decide through the pair prefix engine, not by their float64 screen."""
+    """Cube, rectangle, strong and product-reverse reports on a lognormal
+    weight with a square block of zero cells, whose massless placements
+    the cube, rectangle and strong scans decide through the pair prefix
+    engine, not by their float64 screen, and whose zero tiles the
+    product-reverse scan skips."""
     from dyadlab import Weight, doubling_report, make_lattice, substream
 
     lat = make_lattice(2, DOUBLING_DEPTH)
@@ -409,12 +431,14 @@ def _zero_block(seed: int, out: dict) -> None:
     w = Weight(lat, dens)
     for mode in ("cube", "rectangle", "strong"):
         _doubling_fields(f"zero-block/doubling_{mode}", w, doubling_report(w, mode), out)
+    _reverse_fields("zero-block/doubling_product_reverse", w, out)
 
 
 def _ties(out: dict) -> None:
-    """Cube, rectangle and strong reports of three weights on which many
-    placements tie the best ratio exactly, so that the scans read many
-    boxes of a size past their float64 screen."""
+    """Cube, rectangle, strong and product-reverse reports of three weights
+    on which many placements tie the best ratio exactly, so that the scans
+    read many boxes of a size past their float64 screen and the
+    product-reverse scan keeps the first of many tied tiles and scales."""
     from dyadlab import doubling_report, gen_weight, make_lattice
 
     lat = make_lattice(2, DOUBLING_DEPTH)
@@ -422,6 +446,7 @@ def _ties(out: dict) -> None:
         w = gen_weight(lat, {"kind": kind})
         for mode in ("cube", "rectangle", "strong"):
             _doubling_fields(f"ties/{kind}/doubling_{mode}", w, doubling_report(w, mode), out)
+        _reverse_fields(f"ties/{kind}/doubling_product_reverse", w, out)
 
 
 def _single_boxes(seed: int, out: dict) -> None:
