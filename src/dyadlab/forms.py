@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from itertools import product as _iproduct
 from numbers import Integral
 from typing import Sequence
 
@@ -344,17 +343,15 @@ def _coef_columns(coef: list, lat: Lattice, m: int) -> list:
 def _add_refined(out: np.ndarray, part: np.ndarray, axes: range) -> None:
     """out += part repeated twice along each of the axes, in place, without
     building the repeat: each of the axes of out is split into its pairs
-    (a view, as splitting an axis always is), and part is added to the
-    first and the second of each pair in turn."""
-    split = []
+    (a view, as splitting an axis always is), and part, given a unit axis
+    at each pair axis, is broadcast over both of each pair, one add per
+    cell."""
+    split, spread = [], []
     for ax, size in enumerate(out.shape):
         split += [size // 2, 2] if ax in axes else [size]
+        spread += [size // 2, 1] if ax in axes else [size]
     pairs = out.reshape(split)
-    for pick in _iproduct((0, 1), repeat=len(axes)):
-        at, index = iter(pick), []
-        for ax in range(out.ndim):
-            index += [slice(None), next(at)] if ax in axes else [slice(None)]
-        pairs[tuple(index)] += part
+    pairs += part.reshape(spread)
 
 
 def _dyadic_image(h: np.ndarray, lat: Lattice, m: int, columns: list) -> np.ndarray:

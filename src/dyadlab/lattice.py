@@ -1145,6 +1145,10 @@ def _rect(family, flat: int, n: int) -> Rect:
 # float64, plus _TINY, which covers every float64 underflow (2^-1075 per
 # rounding).  A Tmax near the float64 overflow makes B infinite, and
 # every box undecided (so is a NaN from a table entry past the range).
+# B also bounds each mass's distance to the box's exact mass X, the
+# corner sum of P, apart: as |M - X| <= N k Tmax,
+#   |m - X| <= (N u + g(N - 1, u) N (1 + u) + N k) Tmax <= B,
+#   |e - X| <= (2 N k + 3u) Tmax <= B (e = X = 0 on a massless box).
 #
 # A box whose m is at most B is undecided: its engine base may be 0 or
 # negative (massless, or a massless base under a massive double).  Every
@@ -1163,6 +1167,25 @@ def _rect(family, flat: int, n: int) -> Rect:
 # has hi < L (the slack 2^-44 covers the factors above and the rounding
 # of t, which errs by a few u of its larger term).  Only boxes with
 # r >= t have their hi computed, and every box where t <= 0.
+#
+# Once L > 0, the cube and rectangle scans first bound whole blocks of
+# placements (_block_bounds): per axis, runs of g = max(1, m // _BLOCK)
+# consecutive placements, m the base side.  The cells are nonnegative,
+# so exact masses grow with inclusion: each base of a block holds I, the
+# intersection of the block's bases, and each numerator box lies in U,
+# the union of its family's boxes over the block, clipped.  With the
+# screen masses m_I and m_U, each within B of X, and each engine mass
+# within B of its own X, a placement's engine base is at least m_I - 2B
+# and its engine numerator at most m_U + 2B.  So where m_I > 2B its ratio
+# is at most hi = max(m_U + 2B, 0) / (m_I - 2B) (1 + 2^-48) + _TINY, the
+# factor covering the roundings of hi and of the ratio itself; a block
+# with m_I <= 2B may hold a massless base, which may be an INFINITE, and
+# gets hi = inf.  A scan whose every block has hi < L holds no first
+# maximizer and no INFINITE, and is skipped whole, without a per-box
+# screen; any other scan is screened box by box as above.  Where every g
+# is 1 a block is one placement, and the per-box screen is the tighter
+# read of the same boxes, so no block pass runs.  The strong scan runs
+# none: its L sits near 1, where blocks rarely rule anything out.
 
 _U = 2.0**-53
 _TINY = 2.0**-1060
@@ -1191,20 +1214,28 @@ def _screen_bound(tab: np.ndarray) -> float:
 
 def _differences(tab: np.ndarray, family) -> np.ndarray:
     """Box sums of a family over a float table, differenced one axis at a
-    time: other roundings than box_masses', for the screen only.  An axis
-    is read in at most three runs of boxes, cut where the lower edges stop
-    being clipped to 0 and where the upper ones start being clipped to n,
-    so each edge is a slice of the table or one entry.  Leading table axes
-    are a batch; the family's are flattened."""
+    time: other roundings than box_masses', for the screen only.  A family
+    axis may carry a step, (count, lo, hi, step), and then its box a spans
+    [a step + lo, a step + hi), clipped.  An axis is read in at most three
+    runs of boxes, cut where the lower edges stop being clipped to 0 and
+    where the upper ones start being clipped to n, so each edge is a
+    strided slice of the table or one entry; an axis with no clipped edge
+    is one run, differenced into a fresh array.  Leading table axes are a
+    batch; the family's are flattened."""
     n, d = tab.shape[-1] - 1, len(family)
     out = tab
-    for k, (count, lo, hi) in enumerate(family):
+    for k, (count, lo, hi, *step) in enumerate(family):
+        s = step[0] if step else 1
         pre = (slice(None),) * (tab.ndim - d + k)
+        end = (count - 1) * s + 1
+        if lo >= 0 and end + hi <= n + 1:
+            out = out[pre + (slice(hi, end + hi, s),)] - out[pre + (slice(lo, end + lo, s),)]
+            continue
         nxt = np.empty(out.shape[: len(pre)] + (count,) + out.shape[len(pre) + 1 :])
-        cuts = sorted({0, min(max(-lo, 0), count), min(max(n + 1 - hi, 0), count), count})
+        cuts = sorted({0, min(max(-(lo // s), 0), count), min(max((n - hi) // s + 1, 0), count), count})
         for a, b in zip(cuts, cuts[1:]):
-            lower = slice(0, 1) if a + lo < 0 else slice(a + lo, b + lo)
-            upper = slice(n, n + 1) if a + hi > n else slice(a + hi, b + hi)
+            lower = slice(0, 1) if a * s + lo < 0 else slice(a * s + lo, b * s + lo, s)
+            upper = slice(n, n + 1) if a * s + hi > n else slice(a * s + hi, b * s + hi, s)
             np.subtract(out[pre + (upper,)], out[pre + (lower,)], out=nxt[pre + (slice(a, b),)])
         out = nxt
     return out.reshape(out.shape[: tab.ndim - d] + (-1,))
@@ -1239,6 +1270,25 @@ def _ratios(masses: list, infinite: bool) -> tuple[np.ndarray, np.ndarray | None
 
 # boxes the engine is given per batch, which bounds its temporaries
 _BATCH = 1 << 16
+# a block pass bounds runs of max(1, m // _BLOCK) placements per axis
+_BLOCK = 8
+
+
+def _block_bounds(flt: np.ndarray, bound: float, families, steps) -> np.ndarray:
+    """hi for every block of a scan, in C order, steps the placements per
+    block on each axis: the first family's boxes are the bases, and the
+    block reads the intersection of its bases and the clipped union of
+    each numerator family's boxes; inf where the intersection's screen
+    mass is at most 2B."""
+    base, *nums = families
+    blocks = [-(-count // g) for (count, _, _), g in zip(base, steps)]
+    inner = _differences(flt, [(c, lo + g - 1, hi, g) for c, (_, lo, hi), g in zip(blocks, base, steps)])
+    outer = _numerator([inner] + [
+        _differences(flt, [(c, lo, hi + g - 1, g) for c, (_, lo, hi), g in zip(blocks, fam, steps)]) for fam in nums
+    ])
+    ok = inner > 2 * bound
+    hi = np.maximum(outer + 2 * bound, 0.0) / np.where(ok, inner - 2 * bound, 1.0)
+    return np.where(ok, hi * (1 + 2.0**-48) + _TINY, np.inf)
 
 
 class _Candidates:
@@ -1288,10 +1338,12 @@ class _Candidates:
         return None
 
 
-def _first_max(w: Weight, scans, infinite: bool):
+def _first_max(w: Weight, scans, infinite: bool, blocks: bool = False):
     """The first box of greatest ratio over every box of scans, an
     iterable of (tag, families) in scan order, families the base family
     and one or two numerator families of its shape, each read in C order.
+    With blocks set, a scan whose blocks all lie below L is skipped
+    before its per-box screen.
 
     Returns None when no ratio exceeds -1, else (value, infinite, tag,
     families, flat, masses) for the winning box, masses its engine masses
@@ -1306,6 +1358,10 @@ def _first_max(w: Weight, scans, infinite: bool):
     flt, bound = tab[0], _screen_bound(tab)
     cands = _Candidates(w, infinite)
     for tag, families in scans:
+        if blocks and cands.floor > 0:
+            steps = [max(1, (hi - lo) // _BLOCK) for _, lo, hi in families[0]]
+            if max(steps) > 1 and (_block_bounds(flt, bound, families, steps) < cands.floor).all():
+                continue
         base = _differences(flt, families[0])
         und = np.empty(0, np.intp)
         if not base.min() > bound:  # or NaN, from a table past the float64 range
@@ -1355,7 +1411,7 @@ def _scan_doubling(w: Weight, mode: str) -> DoublingReport:
     rep = DoublingReport(mode=mode, constant=0.0)
     # masses are rounded once to float64, so the ratios match
     # Witness.reevaluate bit for bit
-    won = _first_max(w, ((s, (_placements(n, s), _doubles(n, s))) for s in size_tuples), True)
+    won = _first_max(w, ((s, (_placements(n, s), _doubles(n, s))) for s in size_tuples), True, blocks=True)
     if won is None:
         return rep
     value, rep.infinite, _, (boxes, doubles), i, _ = won
@@ -1529,11 +1585,16 @@ def doubling_report(w: Weight, mode: str) -> DoublingReport:
     cube, rectangle and strong keep the bits of a full scan through the
     pair prefix table: its hi half screens every ratio, and the pair
     engine decides every candidate, each box that can win or may be
-    massless.
+    massless.  Once a ratio is known, cube and rectangle first bound
+    whole blocks of placements of each size tuple, from the intersection
+    of their boxes and the union of their doubles, and skip a size tuple
+    whose blocks all lie below it.
     product_reverse reads no prefix table: every tile and shrunk box is a
     compensated pyramid sum of its own cells, within an ulp of its exact
     mass, and its witnesses re-evaluate through the same tree.
     """
+    if mode not in ("cube", "rectangle", "product_reverse", "strong"):
+        raise DomainError(f"unknown doubling mode {mode!r}")
     if w.lattice.depth < 2:
         raise DomainError("doubling scans need depth >= 2")
     n, d = w.lattice.cells_per_axis, w.lattice.dim
@@ -1542,13 +1603,11 @@ def doubling_report(w: Weight, mode: str) -> DoublingReport:
         raise ResourceError(
             f"the {mode} scan visits {tuples} size tuples, limit {SCAN_BUDGET_TUPLES}"
         )
-    if mode in ("cube", "rectangle"):
-        return _scan_doubling(w, mode)
     if mode == "product_reverse":
         return _scan_product_reverse(w)
     if mode == "strong":
         return _scan_strong(w)
-    raise DomainError(f"unknown doubling mode {mode!r}")
+    return _scan_doubling(w, mode)
 
 
 @dataclass(frozen=True)

@@ -649,6 +649,9 @@ def test_doubling_report_validation():
         doubling_report(lebesgue(lat), "cube")
     with pytest.raises(DomainError):
         doubling_report(lebesgue(make_lattice(1, 3)), "sideways")
+    for mode in (["cube"], {"cube": 1}):
+        with pytest.raises(DomainError, match="unknown doubling mode"):
+            doubling_report(lebesgue(make_lattice(1, 3)), mode)
 
 
 def test_weight_validation():
@@ -1079,22 +1082,72 @@ def test_zero_block_scans_match_former_scan(shape, side, at):
     _assert_strong_matches_former(w)
 
 
-@pytest.mark.parametrize("shape", [(1, 5), (2, 4)])
-def test_small_engine_batches_keep_the_first_maximizer(monkeypatch, shape):
-    # with a few boxes per batch the candidates of tied, massless and
-    # near-tied placements are read over many batches, in scan order
-    monkeypatch.setattr(lattice, "_BATCH", 3)
-    lat = make_lattice(*shape)
-    weights = [
+def _batch_weights(lat) -> list[Weight]:
+    """Tied, massless and near-tied placements."""
+    return [
         gen_weight(lat, {"kind": "checkerboard", "levels": 2}),
         _oracle_weight(lat, "constant", 0),
         _oracle_weight(lat, "zero_block", 8),
         _oracle_weight(lat, "cascade", 9),
         _zero_block(lat, 3, 2, (3,) * lat.dim),
     ]
-    for w in weights:
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (2, 4)])
+def test_small_engine_batches_keep_the_first_maximizer(monkeypatch, shape):
+    # with a few boxes per batch the candidates of tied, massless and
+    # near-tied placements are read over many batches, in scan order
+    monkeypatch.setattr(lattice, "_BATCH", 3)
+    for w in _batch_weights(make_lattice(*shape)):
         _assert_doubling_matches_former(w)
         _assert_strong_matches_former(w)
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (2, 4)])
+def test_wide_blocks_keep_the_first_maximizer(monkeypatch, shape):
+    # blocks of m // 2 placements engage from size 4 on, so the block pass
+    # meets tied, massless and near-tied placements on most sizes
+    monkeypatch.setattr(lattice, "_BLOCK", 2)
+    for w in _batch_weights(make_lattice(*shape)):
+        _assert_doubling_matches_former(w)
+
+
+def test_block_pass_skips_whole_sizes(monkeypatch):
+    # on a positive weight the cube scan screens box by box only the sizes
+    # of one placement per block (m < 2 _BLOCK) and those with a block
+    # whose bound reaches L, every placement of a skipped size lies below
+    # the constant, and the engine still reads one batch per role
+    w = _oracle_weight(make_lattice(2, 6), "lognormal", 5)
+    n = w.lattice.cells_per_axis
+    differences, engine = lattice._differences, lattice._weight_masses
+    screened, blocked, reads = set(), set(), []
+
+    def spy_differences(tab, family):
+        _, lo, hi, *step = family[0]
+        if lo >= 0:  # a base family, by size: a block's intersection starts g - 1 in
+            (blocked if step else screened).add(hi - lo + (step[0] - 1 if step else 0))
+        return differences(tab, family)
+
+    def spy_engine(w, lo, hi):
+        reads.append(lo)
+        return engine(w, lo, hi)
+
+    monkeypatch.setattr(lattice, "_differences", spy_differences)
+    monkeypatch.setattr(lattice, "_weight_masses", spy_engine)
+    rep = doubling_report(w, "cube")
+    monkeypatch.undo()
+    _assert_doubling_matches_former(w, ("cube",))
+    assert len(reads) == 2
+    sizes = range(2, n + 1, 2)
+    assert blocked == {m for m in sizes if m >= 2 * lattice._BLOCK}
+    assert {m for m in sizes if m < 2 * lattice._BLOCK} <= screened
+    skipped = blocked - screened
+    assert skipped
+    for m in skipped:
+        families = (lattice._placements(n, (m,) * 2), lattice._doubles(n, (m,) * 2))
+        every = np.arange((n - m + 1) ** 2)
+        base, num = lattice._engine(w, [(families, every)])
+        assert (num / base).max() < rep.constant
 
 
 @pytest.mark.parametrize("weight, seed", [("lognormal", 5), ("cascade", 3)])
@@ -1149,6 +1202,18 @@ def test_weight_near_float64_overflow_takes_the_exact_path(shape):
     _assert_strong_matches_former(w)
 
 
+def _screen_weight(lat, weight: str, seed: int, rng) -> Weight:
+    """High-contrast weights, with massless cells or cells near underflow."""
+    if weight == "cascade":
+        return gen_weight(lat, {"kind": "cascade", "beta": 0.95, "seed": seed})
+    dens = np.exp(3.0 * rng.standard_normal(lat.shape))
+    if weight == "zero_block":
+        dens[rng.uniform(size=lat.shape) < 0.3] = 0.0
+    elif weight == "tiny":
+        dens[rng.uniform(size=lat.shape) < 0.5] *= 1e-280
+    return Weight(lat, dens)
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.sampled_from([(1, 6), (2, 4), (3, 2)]),
@@ -1160,15 +1225,7 @@ def test_screen_masses_lie_within_the_bound(shape, weight, seed):
     # of the engine's float64 mass, on high-contrast and massless boxes too
     lat = make_lattice(*shape)
     rng = np.random.default_rng(seed)
-    if weight == "cascade":
-        w = gen_weight(lat, {"kind": "cascade", "beta": 0.95, "seed": seed})
-    else:
-        dens = np.exp(3.0 * rng.standard_normal(lat.shape))
-        if weight == "zero_block":
-            dens[rng.uniform(size=lat.shape) < 0.3] = 0.0
-        elif weight == "tiny":
-            dens[rng.uniform(size=lat.shape) < 0.5] *= 1e-280
-        w = Weight(lat, dens)
+    w = _screen_weight(lat, weight, seed, rng)
     tab = w.prefix(1.0)
     bound = lattice._screen_bound(tab)
     # B is about 2^d (2^d + 1) units of roundoff of the total mass
@@ -1187,6 +1244,56 @@ def test_screen_masses_lie_within_the_bound(shape, weight, seed):
             every = np.arange(math.prod(c for c, _, _ in family))
             engine = lattice._engine(w, [((family,), every)])[0]
             assert np.all(np.abs(lattice._differences(flt, family) - engine) <= bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(1, 6), (2, 4), (3, 2)]),
+    st.sampled_from(["rough", "cascade", "zero_block", "tiny"]),
+    st.integers(0, 2**20),
+)
+def test_block_bounds_dominate_their_placements(shape, weight, seed):
+    # a block's hi is at least the engine ratio of each of its placements,
+    # and inf where one of them has a massless base; its boxes are read as
+    # a clipped np.take differences them
+    lat = make_lattice(*shape)
+    rng = np.random.default_rng(seed)
+    w = _screen_weight(lat, weight, seed, rng)
+    tab = w.prefix(1.0)
+    flt, bound = tab[0], lattice._screen_bound(tab)
+    n = lat.cells_per_axis
+    for _ in range(8):
+        sizes = tuple(int(v) for v in rng.choice(np.arange(2, n + 1, 2), lat.dim))
+        steps = [int(rng.integers(1, m + 1)) for m in sizes]
+        families = (lattice._placements(n, sizes), lattice._doubles(n, sizes))
+        bounds = lattice._block_bounds(flt, bound, families, steps)
+        counts = [c for c, _, _ in families[0]]
+        blocks = [-(-c // g) for c, g in zip(counts, steps)]
+        assert bounds.shape == (math.prod(blocks),)
+
+        # the intersection of a block's bases and the union of its doubles
+        inner = [(k, g - 1, m, g) for k, g, (_, _, m) in zip(blocks, steps, families[0])]
+        union = [(k, lo, hi + g - 1, g) for k, g, (_, lo, hi) in zip(blocks, steps, families[1])]
+        for family in (inner, union):
+            want = flt
+            for ax, (k, lo, hi, g) in enumerate(family):
+                a = g * np.arange(k)
+                at = want.ndim - lat.dim + ax
+                want = np.take(want, np.minimum(a + hi, n), axis=at) - np.take(want, np.maximum(a + lo, 0), axis=at)
+            assert np.array_equal(lattice._differences(flt, family), want.ravel())
+
+        every = np.arange(math.prod(counts))
+        base, num = lattice._engine(w, [(families, every)])
+        pos = np.unravel_index(every, counts)
+        block = np.ravel_multi_index([p // g for p, g in zip(pos, steps)], blocks)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            ratio = np.where(base > 0.0, num / base, np.where(num > 0.0, np.inf, -1.0))
+        worst = np.full(bounds.size, -np.inf)
+        np.maximum.at(worst, block, ratio)
+        assert np.all(worst <= bounds)
+        massless = np.zeros(bounds.size, bool)
+        np.logical_or.at(massless, block, base == 0.0)
+        assert np.all(bounds[massless] == np.inf)
 
 
 # ---------------------------------------------------------------------------

@@ -13,8 +13,10 @@ and witnesses of the benchmark's
 scan2d and norm2d task calls on the first --units weight pairs of that seed
 (inputs from bench/workloads.py), plus the product-reverse report
 (exponents, per_scale ratios and witnesses) of each scan2d omega at 2D
-depth 5, the rectangle and strong doubling scans of each scan2d weight at
-2D depth 4 and the cube, rectangle, strong and product-reverse scans of a
+depth 5, the cube doubling scan of each scan2d sigma, the rectangle and
+strong doubling scans of each scan2d weight at 2D depth 4, the cube and
+rectangle scans of a seeded lognormal weight at 1D depth 12 and 3D depth
+4, and the cube, rectangle, strong and product-reverse scans of a
 seeded lognormal weight with a block of zero cells and of the constant,
 halfspace_cutoff and checkerboard weights, whose placements tie, also at
 2D depth 4, and the norm estimates of the first norm2d pair under
@@ -64,6 +66,9 @@ DOUBLING_DEPTH = 4
 # the product-reverse per-scale oracle sums every tile and shrink with
 # math.fsum: about 4e4 box sums per weight at 2D depth 5
 PER_SCALE_DEPTH = 5
+# (dim, depth) of the lattices whose cube and rectangle scans run the
+# block pass on most sizes
+BLOCK_SHAPES = ((1, 12), (3, 4))
 # the single-box reads' lattice (2D) and seeded boxes per read
 SINGLE_DEPTH = 5
 SINGLE_BOXES = 6
@@ -368,6 +373,7 @@ def _scan2d(seed: int, unit: int, out: dict) -> None:
         out[f"{key}/doubling_product_reverse/{name}/value/oracle"] = _ratio_oracle(cells, wit)
     w5 = gen_weight(make_lattice(2, PER_SCALE_DEPTH), spec_o)
     _reverse_fields(f"{key}/doubling_product_reverse_depth{PER_SCALE_DEPTH}", w5, out)
+    _doubling_fields(f"{key}/doubling_cube_sigma", sigma, doubling_report(sigma, "cube"), out)
     lat4 = make_lattice(2, DOUBLING_DEPTH)
     for which, spec in (("sigma", spec_s), ("omega", spec_o)):
         w = gen_weight(lat4, spec)
@@ -447,6 +453,18 @@ def _ties(out: dict) -> None:
         for mode in ("cube", "rectangle", "strong"):
             _doubling_fields(f"ties/{kind}/doubling_{mode}", w, doubling_report(w, mode), out)
         _reverse_fields(f"ties/{kind}/doubling_product_reverse", w, out)
+
+
+def _blocks(seed: int, out: dict) -> None:
+    """Cube and rectangle reports of seeded lognormal weights on a long 1D
+    lattice and a 3D one, where most sizes span several placements per
+    block, so the block pass skips them before their per-box screen."""
+    from dyadlab import doubling_report, gen_weight, make_lattice
+
+    for dim, depth in BLOCK_SHAPES:
+        w = gen_weight(make_lattice(dim, depth), {"kind": "random_lognormal", "seed": seed, "roughness": 1.0})
+        for mode in ("cube", "rectangle"):
+            _doubling_fields(f"blocks/{dim}d_depth{depth}/doubling_{mode}", w, doubling_report(w, mode), out)
 
 
 def _single_boxes(seed: int, out: dict) -> None:
@@ -623,6 +641,7 @@ def dump(seed: int, units: int) -> dict:
         _norm2d(seed, unit, out)
     _zero_block(seed, out)
     _ties(out)
+    _blocks(seed, out)
     _single_boxes(seed, out)
     _norm_forms(seed, out)
     return out
