@@ -58,11 +58,9 @@ from .lattice import (
 
 @dataclass(frozen=True)
 class Exponents:
-    """Integrability and smoothing exponents shared by the characteristics.
-
-    r and s are only needed by the embedding machinery; leave them None
-    elsewhere.
-    """
+    """Integrability and smoothing exponents shared by the characteristics
+    and the norm estimate; the embedding checks take their r and s as
+    arguments."""
 
     p: float
     q: float
@@ -71,8 +69,6 @@ class Exponents:
     m: int = 1
     n: int = 1
     theta: float = 1.0
-    r: float | None = None
-    s: float | None = None
 
     def __post_init__(self):
         if not 1.0 < self.p < self.q < math.inf:
@@ -84,10 +80,6 @@ class Exponents:
             raise DomainError(f"need 0 < alpha < m, got alpha={self.alpha}, m={self.m}")
         if not 0.0 < self.beta < self.n:
             raise DomainError(f"need 0 < beta < n, got beta={self.beta}, n={self.n}")
-        if (self.r is None) != (self.s is None):
-            raise DomainError("r and s come as a pair")
-        if self.r is not None and not 1.0 < self.s < self.r < math.inf:
-            raise DomainError(f"need 1 < s < r < inf, got s={self.s}, r={self.r}")
 
     @property
     def p_prime(self) -> float:
@@ -432,7 +424,7 @@ def _third_levels(kind, kernel, sigma, omega, exps, dims):
     tuple's cubes, from the sigma and omega refined pyramids, whose blocks
     stay below twice the largest single-grid block."""
     lat = sigma.lattice
-    pyramid = _ThirdPyramid(lat, _factor_m(dims), 2 * ((1 << lat.depth) + 1) ** lat.dim)
+    pyramid = _ThirdPyramid(lat, _factor_m(dims))
     # per level and grid, the residue mod 3 of its cubes' positions
     at = [[(_thirds(g, 0, level) + 2) % 3 for g in onethird_grids(1, 0, lat.depth)] for level in range(lat.depth + 1)]
     weights = [_cellwise(lat, w.density, t) for w, t in zip((sigma, omega), _thetas(kind, exps))]

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -43,9 +44,7 @@ def _depth(text: str) -> int:
     return depth
 
 
-def _common_flags(sub):
-    sub.add_argument("--depth", type=_depth, default=None, help="lattice depth L, 1..24")
-    sub.add_argument("--seed", type=int, default=0)
+def _report_flags(sub):
     sub.add_argument("--out", default=None, help="output path (default: stdout)")
     sub.add_argument("--format", dest="fmt", choices=["csv", "json"], default="csv")
 
@@ -55,20 +54,28 @@ def _exponent_flags(sub):
     sub.add_argument("--q", type=float, default=4.0)
     sub.add_argument("--alpha", type=float, default=0.5)
     sub.add_argument("--beta", type=float, default=0.5)
-    sub.add_argument("--theta", type=float, default=1.0)
     sub.add_argument("--m", type=int, default=1)
     sub.add_argument("--n", type=int, default=1)
 
 
+# no flag abbreviations, so a flag a command does not take can never be
+# read as the prefix of one it does (--m as --mode)
+_Parser = functools.partial(argparse.ArgumentParser, allow_abbrev=False)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    """Each subcommand, and each compute quantity, takes exactly the flags
+    it reads; any other flag is refused as unrecognized (exit 2)."""
+    parser = _Parser(
         prog="dyadlab",
         description="Desk-scale verification of two-weight inequalities on dyadic lattices.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_Parser)
 
     gw = sub.add_parser("gen-weight", help="generate a weight and write it as WGT1")
-    _common_flags(gw)
+    gw.add_argument("--depth", type=_depth, default=None, help="lattice depth L, 1..24")
+    gw.add_argument("--seed", type=int, default=None, help="the seed field, for kinds that have one")
+    gw.add_argument("--out", default=None, help="output path")
     gw.add_argument("--dim", type=int, default=1)
     gw.add_argument("--kind", required=True, choices=sorted(WEIGHT_FIELDS))
     gw.add_argument(
@@ -80,44 +87,56 @@ def _build_parser() -> argparse.ArgumentParser:
     )
 
     cp = sub.add_parser("compute", help="compute one quantity from weight files")
-    _common_flags(cp)
-    _exponent_flags(cp)
-    cp.add_argument("quantity", choices=["characteristic", "bump", "doubling"])
-    cp.add_argument("--kind", default="product_bump", help="characteristic kind")
-    cp.add_argument("--family", choices=["dyadic", "onethird"], default=None)
-    cp.add_argument("--sigma", default=None, help="weight file (first measure)")
-    cp.add_argument("--omega", default=None, help="weight file (second measure)")
-    cp.add_argument("--weight", default=None, help="weight file (single-measure quantities)")
-    cp.add_argument(
+    quantity = cp.add_subparsers(dest="quantity", required=True, parser_class=_Parser)
+    ch = quantity.add_parser("characteristic", help="a characteristic supremum and its witness")
+    ch.add_argument("--sigma", required=True, help="weight file (first measure)")
+    ch.add_argument("--omega", required=True, help="weight file (second measure)")
+    ch.add_argument("--kind", default="product_bump", help="characteristic kind")
+    ch.add_argument("--family", choices=["dyadic", "onethird"], default=None)
+    _exponent_flags(ch)
+    ch.add_argument("--theta", type=float, default=1.0)
+    _report_flags(ch)
+    bp = quantity.add_parser("bump", help="the theta-bump of the whole box")
+    bp.add_argument("--weight", required=True, help="weight file")
+    bp.add_argument("--theta", type=float, default=1.0)
+    _report_flags(bp)
+    db = quantity.add_parser("doubling", help="a doubling scan with its witnesses")
+    db.add_argument("--weight", required=True, help="weight file")
+    db.add_argument(
         "--mode",
         choices=["cube", "rectangle", "product_reverse", "strong"],
         default="cube",
         help="doubling scan mode",
     )
+    _report_flags(db)
 
     ne = sub.add_parser("norm-estimate", help="lower-bound the bilinear form norm")
-    _common_flags(ne)
-    _exponent_flags(ne)
     ne.add_argument("--sigma", required=True)
     ne.add_argument("--omega", required=True)
+    _exponent_flags(ne)
     ne.add_argument("--iterations", type=int, default=8)
+    ne.add_argument("--seed", type=int, default=0)
+    _report_flags(ne)
 
     vf = sub.add_parser("verify", help="run the built-in verification suite")
-    _common_flags(vf)
+    vf.add_argument("--depth", type=_depth, default=8, help="1D lattice depth L, 1..24")
     vf.add_argument("--depth2d", type=int, default=5, help="2D lattice depth")
+    vf.add_argument("--seed", type=int, default=0)
     vf.add_argument(
         "--weight",
         action="append",
         default=[],
         help="extra weight file to run weight-level checks on (repeatable)",
     )
+    _report_flags(vf)
 
-    gs = sub.add_parser("grid-sample", help="sample random shifted grids as GRID1 lines")
-    _common_flags(gs)
+    gs = sub.add_parser("grid-sample", help="sample random shifted grids as GRID1 descriptors")
     gs.add_argument("--dim", type=int, default=1)
     gs.add_argument("--lo", type=int, default=0)
     gs.add_argument("--hi", type=int, default=8)
     gs.add_argument("--count", type=int, default=1)
+    gs.add_argument("--seed", type=int, default=0)
+    _report_flags(gs)
 
     return parser
 
@@ -132,9 +151,7 @@ def _write_out(text: str, out: str | None) -> None:
         raise _Exit(_EXIT_IO, f"cannot write {out}: {e}") from e
 
 
-def _load_weight(path: str | None, flag: str, bad_file_code: int = _EXIT_IO):
-    if path is None:
-        raise _Exit(_EXIT_CONFIG, f"this quantity needs {flag}")
+def _load_weight(path: str, bad_file_code: int = _EXIT_IO):
     try:
         return read_weight(path)
     except FormatError as e:
@@ -143,10 +160,10 @@ def _load_weight(path: str | None, flag: str, bad_file_code: int = _EXIT_IO):
         raise _Exit(_EXIT_IO, f"cannot read {path}: {e}") from e
 
 
-def _parse_params(pairs, kind: str, default_seed: int) -> dict:
+def _parse_params(pairs, kind: str, seed: int | None) -> dict:
     """The descriptor of --kind and its --param fields, which gen_weight
-    checks against the kind; a kind that takes a seed gets --seed unless a
-    field sets it."""
+    checks against the kind; --seed, when given, is the seed field unless
+    a --param sets it, so a kind without one refuses it."""
     spec = {"kind": kind}
     for pair in pairs:
         key, eq, raw = pair.partition("=")
@@ -158,8 +175,8 @@ def _parse_params(pairs, kind: str, default_seed: int) -> dict:
             spec[key] = json.loads(raw)
         except json.JSONDecodeError:
             spec[key] = raw
-    if "seed" in WEIGHT_FIELDS[kind] and "seed" not in spec:
-        spec["seed"] = default_seed
+    if seed is not None:
+        spec.setdefault("seed", seed)
     return spec
 
 
@@ -177,10 +194,8 @@ def cmd_gen_weight(ns) -> int:
     return _EXIT_OK
 
 
-def _exps_from(ns) -> Exponents:
-    return Exponents(
-        p=ns.p, q=ns.q, alpha=ns.alpha, beta=ns.beta, m=ns.m, n=ns.n, theta=ns.theta
-    )
+def _exps_from(ns, theta: float = 1.0) -> Exponents:
+    return Exponents(p=ns.p, q=ns.q, alpha=ns.alpha, beta=ns.beta, m=ns.m, n=ns.n, theta=theta)
 
 
 def _witness_fields(wit) -> dict:
@@ -199,22 +214,21 @@ def _witness_fields(wit) -> dict:
 
 def cmd_compute(ns) -> int:
     if ns.quantity == "characteristic":
-        sigma = _load_weight(ns.sigma, "--sigma")
-        omega = _load_weight(ns.omega, "--omega")
-        res = characteristic(ns.kind, None, sigma, omega, _exps_from(ns), family=ns.family)
+        sigma, omega = _load_weight(ns.sigma), _load_weight(ns.omega)
+        res = characteristic(ns.kind, None, sigma, omega, _exps_from(ns, ns.theta), family=ns.family)
         if ns.fmt == "json":
             text = json.dumps({"quantity": "characteristic", "row": res.csv_row()}, indent=2) + "\n"
         else:
             text = "kind,p,q,theta,alpha,beta,value,levels,indices\n" + res.csv_row() + "\n"
     elif ns.quantity == "bump":
-        w = _load_weight(ns.weight, "--weight")
+        w = _load_weight(ns.weight)
         value = bump_cube(full_rect(w.lattice), w, ns.theta)
         if ns.fmt == "json":
             text = json.dumps({"quantity": "bump", "theta": ns.theta, "value": value}, indent=2) + "\n"
         else:
             text = f"quantity,theta,value\nbump,{ns.theta:.17g},{value:.17g}\n"
     else:
-        w = _load_weight(ns.weight, "--weight")
+        w = _load_weight(ns.weight)
         rep = doubling_report(w, ns.mode)
         payload = {
             "quantity": "doubling",
@@ -246,8 +260,7 @@ def cmd_compute(ns) -> int:
 
 
 def cmd_norm_estimate(ns) -> int:
-    sigma = _load_weight(ns.sigma, "--sigma")
-    omega = _load_weight(ns.omega, "--omega")
+    sigma, omega = _load_weight(ns.sigma), _load_weight(ns.omega)
     exps = _exps_from(ns)
     kernel = KernelHandle.from_exponents(exps)
     est = norm_estimate(kernel, sigma, omega, exps, iterations=ns.iterations, seed=ns.seed)
@@ -279,10 +292,9 @@ def cmd_verify(ns) -> int:
     for path in ns.weight:
         # weight files named in the verify config are configuration: a bad
         # file is a config error, unlike compute where it is an I/O error
-        w = _load_weight(path, "--weight", bad_file_code=_EXIT_CONFIG)
+        w = _load_weight(path, bad_file_code=_EXIT_CONFIG)
         extra.append((Path(path).stem, w))
-    depth = 8 if ns.depth is None else ns.depth
-    rows = run_suite(depth=depth, depth_2d=ns.depth2d, seed=ns.seed, extra_weights=extra)
+    rows = run_suite(depth=ns.depth, depth_2d=ns.depth2d, seed=ns.seed, extra_weights=extra)
     text = rows_to_json(rows) if ns.fmt == "json" else rows_to_csv(rows)
     _write_out(text, ns.out)
     failures = [r for r in rows if not r.passed]
@@ -298,7 +310,8 @@ def cmd_grid_sample(ns) -> int:
         grid = sample_grid(ns.seed + k, ns.dim, ns.lo, ns.hi)
         verify_grid(grid)
         lines.append(grid.descriptor())
-    _write_out("\n".join(lines) + "\n", ns.out)
+    text = json.dumps(lines, indent=2) if ns.fmt == "json" else "\n".join(lines)
+    _write_out(text + "\n", ns.out)
     return _EXIT_OK
 
 

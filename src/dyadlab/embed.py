@@ -1,13 +1,11 @@
 """Stopping cubes, Carleson sums, and the two embedding verifiers.
 
 Everything here runs on the standard dyadic tree of the weight's own
-lattice, truncated at its depth.  The checks below are statements about
-one fixed grid, so the optional grid argument exists for call-site
-symmetry and must be a standard grid when present.  Every mass here, of
-a weight or of f against it, is read from lattice's dyadic pyramid: a
-compensated float64 pairwise sum of the box's own cells; the rectangle
-proof chain's slice profiles and averages from the pyramid of the
-trailing axes, bit for bit the masses slice_profile sums.  The good-cube
+lattice, truncated at its depth, so no check takes a grid.  Every mass
+here, of a weight or of f against it, is read from lattice's dyadic
+pyramid: a compensated float64 pairwise sum of the box's own cells; the
+rectangle proof chain's slice profiles and averages from the pyramid of
+the trailing axes, bit for bit the masses slice_profile sums.  The good-cube
 Carleson sum takes cube goodness from the skeleton-goodness kernel in
 `grids`.  One batched evaluator, _embeddings (_pyramids, _terms and
 _embedding), makes every embedding sum: the cube check and the rectangle
@@ -25,7 +23,7 @@ import numpy as np
 
 from .bump import _bump_map
 from .errors import ContractViolationError, DomainError, ShapeError
-from .grids import DyadicGrid, GoodnessParams, _good_cubes
+from .grids import GoodnessParams, _good_cubes
 from .lattice import (
     GridFunction,
     Lattice,
@@ -52,18 +50,6 @@ __all__ = [
     "good_carleson",
     "stopping_cubes",
 ]
-
-
-def _require_standard(grid: DyadicGrid | None, dim: int) -> None:
-    if grid is None:
-        return
-    if grid.kind != "std":
-        raise DomainError(
-            "stopping and embedding checks run on the standard grid; "
-            f"got kind {grid.kind!r}"
-        )
-    if grid.dim != dim:
-        raise ShapeError(f"grid has {grid.dim} axes, lattice has {dim}")
 
 
 def _dyadic_level(lat: Lattice, P: Rect) -> int:
@@ -131,7 +117,6 @@ def stopping_cubes(
     w: Weight,
     theta: float,
     k: int,
-    grid: DyadicGrid | None = None,
 ) -> StoppingFamily:
     """Top-down maximal selection: average > 2^k, no selected ancestor.
 
@@ -139,14 +124,9 @@ def stopping_cubes(
     so cubes of zero bump never qualify.  Selection walks levels from the
     root; a selected cube blocks its entire subtree, which is exactly the
     maximality in the family's contract and makes the cubes disjoint.
-
-    grid is only validated: when given it must be a standard grid with
-    one axis per lattice axis; the check always runs on the weight's own
-    dyadic tree, so the argument changes nothing else.
     """
     _check_theta(theta)
     lat = w.lattice
-    _require_standard(grid, lat.dim)
     if f.lattice != lat:
         raise ShapeError("function and weight live on different lattices")
     threshold = 2.0 ** k
@@ -200,7 +180,6 @@ def automatic_carleson(
     w: Weight,
     theta: float,
     rho: float,
-    grid: DyadicGrid | None = None,
 ) -> CarlesonReport:
     """Sum of bump^rho over all dyadic subcubes of P, against the bound
     that holds for every weight once theta > 1 and rho > 1.
@@ -209,17 +188,12 @@ def automatic_carleson(
     of the top term because the bump is superadditive in the volume
     factor; summing the geometric series gives the explicit constant
     1 / (1 - 2^(-d(rho-1)/theta')).  The top cube P itself is included.
-
-    grid is only validated: when given it must be a standard grid with
-    one axis per lattice axis; the check always runs on the weight's own
-    dyadic tree, so the argument changes nothing else.
     """
     if not 1.0 < rho < math.inf:
         raise DomainError(f"rho must be finite and exceed 1, got {rho}")
     if not 1.0 < theta < math.inf:
         raise DomainError(f"the automatic bound needs a finite theta > 1, got {theta}")
     lat = w.lattice
-    _require_standard(grid, lat.dim)
     level_p = _dyadic_level(lat, P)
     decay = lat.dim * (rho - 1.0) * (1.0 - 1.0 / theta)
     constant = 1.0 / _series_gap(decay, f"rho={rho!r}, theta={theta!r}")
@@ -240,7 +214,6 @@ def good_carleson(
     rho: float,
     goodness: GoodnessParams,
     eta: float | None = None,
-    grid: DyadicGrid | None = None,
 ) -> CarlesonReport:
     """Plain-mass Carleson sum over the good subcubes of P.
 
@@ -249,15 +222,10 @@ def good_carleson(
     trivial term (r+1) * 2^(d*r) covering the shallow gaps and a geometric
     series driven by the measured reverse-doubling exponent of the weight;
     eta defaults to the cube exponent of the product_reverse scan.
-
-    grid is only validated: when given it must be a standard grid with
-    one axis per lattice axis; the check always runs on the weight's own
-    dyadic tree, so the argument changes nothing else.
     """
     if not 1.0 < rho < math.inf:
         raise DomainError(f"rho must be finite and exceed 1, got {rho}")
     lat = w.lattice
-    _require_standard(grid, lat.dim)
     level_p = _dyadic_level(lat, P)
 
     scan = doubling_report(w, "product_reverse")
@@ -353,7 +321,6 @@ def embed_check_cubes(
     theta: float,
     r: float,
     s: float,
-    grid: DyadicGrid | None = None,
 ) -> EmbedReport:
     """lhs = {sum over cubes of bump^(r/s) * average^r}^(1/r) vs the L^s norm.
 
@@ -361,16 +328,11 @@ def embed_check_cubes(
     float64 power, (mass * bump^(1/s - 1))^r, of the f-mass from the
     pyramid, and the terms are one compensated total.  This is the
     batched evaluator on a batch of one.
-
-    grid is only validated: when given it must be a standard grid with
-    one axis per lattice axis; the check always runs on the weight's own
-    dyadic tree, so the argument changes nothing else.
     """
     if not 1.0 < theta < math.inf:
         raise DomainError(f"the cube embedding needs a finite theta > 1, got {theta}")
     if not 1.0 < s < r < math.inf:
         raise DomainError(f"exponents must satisfy 1 < s < r < inf, got s={s}, r={r}")
-    _require_standard(grid, w.lattice.dim)
     lhs, rhs = (float(v) for v in _embeddings(f.values, w.density, w.lattice, theta, r, s)[:2])
     return EmbedReport(lhs, rhs, _ratio(lhs, rhs))
 
@@ -393,7 +355,6 @@ def embed_check_rects(
     r: float,
     s: float,
     m: int = 1,
-    grids: tuple[DyadicGrid, DyadicGrid] | None = None,
 ) -> EmbedRectReport:
     """Rectangle version of the embedding check, with its proof chain.
 
@@ -411,10 +372,6 @@ def embed_check_rects(
     is verified numerically and a violation raises, since each link is an
     identity or a theorem once the per-slice ratios are measured.  The
     per-slice and per-point embeddings are batched level reductions.
-
-    grids is only validated: when given it must be a pair of standard
-    grids with m and dim - m axes; the check always runs on the weight's
-    own dyadic tree, so the argument changes nothing else.
     """
     if not 1.0 < theta < math.inf:
         raise DomainError(f"the rectangle embedding needs a finite theta > 1, got {theta}")
@@ -423,10 +380,6 @@ def embed_check_rects(
     lat = w.lattice
     if not 1 <= m < lat.dim:
         raise ShapeError(f"first factor must span 1..{lat.dim - 1} axes, got {m}")
-    if grids is not None:
-        gi, gj = grids
-        _require_standard(gi, m)
-        _require_standard(gj, lat.dim - m)
     lhs, rhs, total = _embeddings(f.values, w.density, lat, theta, r, s, m)
     lhs, rhs = float(lhs), float(rhs)
     chain = _chain(total, rhs, _proof_chain(f, w, theta, r, s, m), r, s)

@@ -49,6 +49,7 @@ from .grids import (
 )
 from .lattice import (
     ARRAY_BUDGET_BYTES,
+    NORM_BUDGET_ITERATIONS,
     GridFunction,
     Lattice,
     Weight,
@@ -454,7 +455,6 @@ def goodbad_split(
     f: GridFunction,
     g: GridFunction,
     goodness: GoodnessParams,
-    grids: tuple[DyadicGrid, DyadicGrid] | None = None,
 ) -> FormValue:
     """Bilinear form split into good x good, anything x bad, bad x anything.
 
@@ -465,10 +465,6 @@ def goodbad_split(
     """
     _check_form(kernel, sigma, omega, f, g)
     lat = sigma.lattice
-    if grids is not None:
-        for grid, dims in zip(grids, (kernel.m, kernel.n)):
-            if grid.kind != "std" or grid.dim != dims:
-                raise DomainError("the split runs on the standard grid pair")
     m, n = kernel.m, kernel.n
     levels = range(lat.depth + 1)
     i_good = [_good_cubes(1 << li, li, goodness, m).reshape(-1, 1) for li in levels]
@@ -642,10 +638,16 @@ def norm_estimate(
     trace stays start-major, (start, halfstep, objective) rows ordered by
     start and then half-step, and the returned pair is the first strict
     maximum in that order, so every number is the one a start-by-start
-    loop gives.
+    loop gives.  More than NORM_BUDGET_ITERATIONS iterations raise
+    ResourceError before any half-step.
     """
     if isinstance(iterations, bool) or not isinstance(iterations, Integral) or iterations < 0:
         raise DomainError(f"iterations must be an integer >= 0, got {iterations!r}")
+    if iterations > NORM_BUDGET_ITERATIONS:
+        raise ResourceError(
+            f"the norm estimate's {iterations} iterations pass the limit of "
+            f"{NORM_BUDGET_ITERATIONS} iterations"
+        )
     _check_form(kernel, sigma, omega)
     lat = sigma.lattice
     if (kernel.m, kernel.n) != (exps.m, exps.n) or kernel.kind == "product_frac" and (

@@ -337,13 +337,15 @@ VERIFY_BUDGET = 1 << 16
 
 def verify_work(count: int, dim: int, lo: int, hi: int) -> int:
     """The work of verifying count grids of dim axes over levels lo..hi,
-    levels * (levels + 32) * dim per grid, as each level's probes are
-    located with integers that grow with the level range; DomainError
-    for a negative count, ResourceError past VERIFY_BUDGET."""
+    levels * (span + 32) * dim per grid, as each level's probes are
+    located with integers that grow with span, the number of levels in
+    lo..hi widened to take in level 0; DomainError for a negative count,
+    ResourceError past VERIFY_BUDGET."""
     if count < 0:
         raise DomainError(f"grid count must be >= 0, got {count}")
     levels = max(hi - lo + 1, 0)
-    work = count * dim * levels * (levels + 32)
+    span = max(hi, 0) - min(lo, 0) + 1
+    work = count * dim * levels * (span + 32)
     if work > VERIFY_BUDGET:
         raise ResourceError(f"verifying {count} grid(s) of dim {dim} over levels {lo}..{hi} takes {work} work units, limit {VERIFY_BUDGET}")
     return work

@@ -613,11 +613,14 @@ def run_suite(depth: int = 8, depth_2d: int = 5, seed: int = 0, extra_weights=No
     embedding ratio of depth - 2 and depth (embed/cube-ratio-stability)
     passes its fixed 1.1 bound only on some seeds, and depth_2d < 2, as
     the far-field check puts a point mass on cell (1, 2) of the 2D
-    lattice."""
+    lattice.  A 1D or 2D lattice that make_lattice refuses is refused
+    before any check runs too."""
     if depth < 8:
         raise DomainError(f"the embedding stability check needs depth >= 8, got {depth}")
     if depth_2d < 2:
         raise DomainError(f"the 2D checks need depth_2d >= 2, got {depth_2d}")
+    make_lattice(1, depth)
+    make_lattice(2, depth_2d)
     rows = [
         _check_prefix_agreement(depth, seed),
         _check_partition_additivity(depth, seed),

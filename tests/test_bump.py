@@ -552,10 +552,6 @@ def test_exponents_validation():
         Exponents(p=2.0, q=4.0, alpha=1.5, beta=0.5)
     with pytest.raises(DomainError):
         Exponents(p=2.0, q=4.0, alpha=0.5, beta=0.5, theta=0.8)
-    with pytest.raises(DomainError):
-        Exponents(p=2.0, q=4.0, alpha=0.5, beta=0.5, r=3.0)
-    with pytest.raises(DomainError):
-        Exponents(p=2.0, q=4.0, alpha=0.5, beta=0.5, r=2.0, s=3.0)
     e = Exponents(p=2.0, q=4.0, alpha=0.5, beta=0.5, theta=1.0)
     assert e.inv_theta_prime == 0.0
     assert e.p_prime == 2.0 and e.q_prime == pytest.approx(4.0 / 3.0)
@@ -918,7 +914,7 @@ def test_onethird_scan_refuses_past_the_array_budget(monkeypatch):
     lat = make_lattice(2, 5)
     w = rand_w(lat, 4)
     exps = _exps(0.5, 0.5)
-    need = 8 * lattice._ThirdPyramid(lat, 1, 2 * 33**2).peak()
+    need = 8 * lattice._ThirdPyramid(lat, 1).peak()
     monkeypatch.setattr(lattice, "ARRAY_BUDGET_BYTES", need - 1)
     refine = lattice._refine
 
@@ -967,7 +963,7 @@ def test_onethird_masses_match_exact_oracle(dim, m, depth, weight):
     theta = 1.0 if weight == "huge" else 1.5
     h = lattice._cellwise(lat, w.density, theta)
     owner = [0] * dim if m is None else [0] * m + [1] * (dim - m)
-    pyramid = lattice._ThirdPyramid(lat, m, 2 * ((1 << depth) + 1) ** dim)
+    pyramid = lattice._ThirdPyramid(lat, m)
     blocks = 0
     for levels, groups, masses in pyramid.masses(h):
         lo, hi = [], []

@@ -117,6 +117,68 @@ def test_unknown_flag_is_config_error(capsys):
     capsys.readouterr()
 
 
+_COMMANDS = {
+    "gen-weight": ["gen-weight", "--kind", "constant", "--depth", "3", "--out", "{tmp}/w.wgt"],
+    "characteristic": ["compute", "characteristic", "--sigma", "{tmp}/sig.wgt", "--omega", "{tmp}/om.wgt"],
+    "bump": ["compute", "bump", "--weight", "{tmp}/sig.wgt"],
+    "doubling": ["compute", "doubling", "--weight", "{tmp}/sig.wgt"],
+    "norm-estimate": ["norm-estimate", "--sigma", "{tmp}/sig.wgt", "--omega", "{tmp}/om.wgt"],
+    "grid-sample": ["grid-sample"],
+}
+# a valid value for each flag, so that only the flag itself is refused
+_VALUES = {
+    "--format": "json", "--depth": "3", "--seed": "1", "--weight": "{tmp}/sig.wgt",
+    "--sigma": "{tmp}/sig.wgt", "--omega": "{tmp}/om.wgt", "--mode": "cube", "--p": "2",
+    "--q": "4", "--alpha": "0.5", "--beta": "0.5", "--theta": "1.5", "--m": "1", "--n": "1",
+    "--kind": "product_bump", "--family": "dyadic",
+}
+_EXPONENTS = ["--p", "--q", "--alpha", "--beta", "--m", "--n"]
+_NOT_READ = (
+    [("gen-weight", "--format")]
+    + [("characteristic", f) for f in ["--depth", "--seed", "--weight", "--mode"]]
+    + [("bump", f) for f in ["--depth", "--seed", "--sigma", "--omega", *_EXPONENTS,
+                             "--kind", "--family", "--mode"]]
+    + [("doubling", f) for f in ["--depth", "--seed", "--sigma", "--omega", *_EXPONENTS,
+                                 "--theta", "--kind", "--family"]]
+    + [("norm-estimate", f) for f in ["--depth", "--theta"]]
+    + [("grid-sample", "--depth")]
+)
+
+
+@pytest.mark.parametrize("command, flag", _NOT_READ, ids=[f"{c}{f}" for c, f in _NOT_READ])
+def test_a_flag_the_command_does_not_read_exits_2(command, flag, tmp_path, capsys):
+    # each command declares exactly the flags it reads: any other is
+    # refused as unrecognized rather than validated and dropped
+    _gen(tmp_path, "sig.wgt", depth=3, seed=6)
+    _gen(tmp_path, "om.wgt", depth=3, seed=7)
+    argv = [a.format(tmp=tmp_path) for a in _COMMANDS[command] + [flag, _VALUES[flag]]]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"unrecognized arguments: {flag} " in captured.err
+    assert not (tmp_path / "w.wgt").exists()
+    # the command line without that flag runs
+    assert main(argv[:-2]) == 0
+
+
+def test_not_read_pairs_are_every_pair_the_commands_dropped():
+    assert len(_NOT_READ) == len(set(_NOT_READ)) == 34
+
+
+@pytest.mark.parametrize("kind", ["constant", "power", "halfspace_cutoff", "checkerboard"])
+def test_gen_weight_refuses_seed_for_a_kind_without_one(kind, tmp_path, capsys):
+    # --seed is the seed field, so a kind without one refuses it as it
+    # refuses --param seed=
+    out = tmp_path / "w.wgt"
+    argv = ["gen-weight", "--depth", "3", "--kind", kind, "--param", "exponent=1", "--out", str(out)]
+    argv = argv if kind == "power" else argv[:5] + argv[7:]
+    for extra in (["--seed", "3"], ["--param", "seed=3"]):
+        assert main(argv + extra) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err and "'seed'" in err and not out.exists()
+    assert main(argv) == 0
+
+
 def test_grid_sample_past_the_work_budget_exits_2(monkeypatch, capsys):
     # the work estimate is checked before any grid is sampled: a run one
     # unit over a small limit exits 2, a run at the limit samples its grids
@@ -134,10 +196,13 @@ def test_grid_sample_past_the_work_budget_exits_2(monkeypatch, capsys):
     monkeypatch.setattr(grids, "VERIFY_BUDGET", need)
     assert main(argv) == 0
     assert len(capsys.readouterr().out.splitlines()) == 3 == len(sampled)
-    # the real limit refuses a deep level range at once
+    # the real limit refuses a deep level range at once, and a single level
+    # far from level 0, whose probes take integers of about as many bits
     monkeypatch.undo()
-    assert main(["grid-sample", "--hi", "2000"]) == 2
-    assert "Traceback" not in capsys.readouterr().err
+    for levels in (["--hi", "2000"], ["--lo", str(2**64), "--hi", str(2**64)],
+                   ["--lo", str(-(2**64)), "--hi", str(-(2**64))]):
+        assert main(["grid-sample", *levels]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
 
 def test_grid_sample_negative_count_exits_2(capsys):
@@ -160,6 +225,21 @@ def test_verify_refuses_a_2d_depth_below_2(depth2d, capsys, monkeypatch):
     assert "Traceback" not in err and err.startswith("configuration error:")
 
 
+@pytest.mark.parametrize(
+    "argv", [["--depth", "24", "--depth2d", "13"], ["--depth2d", "100"]], ids=["2d-13", "2d-100"]
+)
+def test_verify_refuses_an_over_budget_lattice_before_any_check(argv, capsys, monkeypatch):
+    # both lattices are checked against the cell budget up front, so no
+    # 1D check runs before the 2D lattice is refused
+    from dyadlab import suite
+
+    monkeypatch.setattr(suite, "_check_prefix_agreement", lambda *a: pytest.fail("a check ran"))
+    assert main(["verify", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert captured.err.startswith("configuration error: cell budget exceeded")
+
+
 @pytest.mark.parametrize("depth", range(1, 8))
 def test_verify_refuses_a_depth_below_8(depth, capsys, monkeypatch):
     # embed/cube-ratio-stability compares depth - 2 with depth against a
@@ -173,25 +253,31 @@ def test_verify_refuses_a_depth_below_8(depth, capsys, monkeypatch):
     assert captured.err.startswith("configuration error:")
 
 
+_OUT_OF_RANGE = "depth must be in 1..24, got {depth}"
+_UNRECOGNIZED = "unrecognized arguments: --depth {depth}"
+
+
 @pytest.mark.parametrize("depth", ["0", "25"])
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["gen-weight", "--kind", "constant", "--out", "{tmp}/w.wgt"],
-        ["compute", "bump", "--weight", "{tmp}/sig.wgt"],
-        ["norm-estimate", "--sigma", "{tmp}/sig.wgt", "--omega", "{tmp}/om.wgt"],
-        ["verify"],
-        ["grid-sample"],
+        (["gen-weight", "--kind", "constant", "--out", "{tmp}/w.wgt"], _OUT_OF_RANGE),
+        (["compute", "bump", "--weight", "{tmp}/sig.wgt"], _UNRECOGNIZED),
+        (["norm-estimate", "--sigma", "{tmp}/sig.wgt", "--omega", "{tmp}/om.wgt"], _UNRECOGNIZED),
+        (["verify"], _OUT_OF_RANGE),
+        (["grid-sample"], _UNRECOGNIZED),
     ],
     ids=["gen-weight", "compute", "norm-estimate", "verify", "grid-sample"],
 )
-def test_depth_out_of_range_exits_2(argv, depth, tmp_path, capsys):
+def test_depth_out_of_range_exits_2(argv, message, depth, tmp_path, capsys):
+    # gen-weight and verify read --depth and check its range; the other
+    # commands take no --depth and refuse it as unrecognized
     _gen(tmp_path, "sig.wgt", depth=3, seed=6)
     _gen(tmp_path, "om.wgt", depth=3, seed=7)
     assert main([a.format(tmp=tmp_path) for a in argv] + ["--depth", depth]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "Traceback" not in captured.err
-    assert f"depth must be in 1..24, got {depth}" in captured.err
+    assert message.format(depth=depth) in captured.err
 
 
 @pytest.mark.parametrize(
@@ -317,10 +403,9 @@ def test_compute_rejects_bad_exponents(tmp_path):
         ["compute", "characteristic", "--sigma", "{tmp}/sig.wgt", "--omega", "{tmp}/sig.wgt", "--theta", "1e308"],
         ["compute", "bump", "--weight", "{tmp}/sig.wgt", "--theta", "nan"],
         ["compute", "bump", "--weight", "{tmp}/sig.wgt", "--theta", "1e308"],
-        ["norm-estimate", "--sigma", "{tmp}/sig.wgt", "--omega", "{tmp}/om.wgt", "--theta", "nan"],
     ],
     ids=["characteristic-nan", "characteristic-inf", "characteristic-overflow",
-         "characteristic-overflow-same-weight", "bump-nan", "bump-overflow", "norm-estimate-nan"],
+         "characteristic-overflow-same-weight", "bump-nan", "bump-overflow"],
 )
 def test_non_finite_or_overflowing_theta_exits_2(argv, tmp_path, capsys):
     # a density**theta that overflows float64 is refused where it is
@@ -482,6 +567,25 @@ def test_norm_estimate_json(tmp_path, capsys):
     ]
 
 
+def test_norm_estimate_past_the_iteration_limit_exits_2(tmp_path, capsys, monkeypatch):
+    from dyadlab import cli, forms, lattice
+
+    sig_path, _ = _gen(tmp_path, "sig.wgt", depth=3, seed=6)
+    om_path, _ = _gen(tmp_path, "om.wgt", depth=3, seed=7)
+    args = ["norm-estimate", "--sigma", str(sig_path), "--omega", str(om_path)]
+    # the default runs on every lattice: the limit does not depend on it
+    assert cli._build_parser().parse_args(args).iterations <= lattice.NORM_BUDGET_ITERATIONS
+    limit = lattice.NORM_BUDGET_ITERATIONS
+    assert main(args + ["--iterations", str(limit + 1)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"{limit + 1} iterations pass the limit of {limit}" in captured.err
+    monkeypatch.setattr(forms, "NORM_BUDGET_ITERATIONS", 2)
+    assert main(args + ["--iterations", "3"]) == 2
+    assert main(args + ["--iterations", "2"]) == 0
+    capsys.readouterr()
+
+
 def test_norm_estimate_rejects_negative_iterations(tmp_path, capsys):
     sig_path, _ = _gen(tmp_path, "sig.wgt", depth=3, seed=6)
     om_path, _ = _gen(tmp_path, "om.wgt", depth=3, seed=7)
@@ -533,6 +637,17 @@ def test_grid_sample_roundtrip(capsys):
     for line in lines:
         grid = parse_grid(line)
         assert grid.descriptor() == line
+
+
+def test_grid_sample_json_lists_the_csv_descriptors(tmp_path, capsys):
+    args = ["grid-sample", "--dim", "2", "--hi", "6", "--count", "4", "--seed", "3"]
+    assert main(args) == 0
+    lines = capsys.readouterr().out.splitlines()
+    out = tmp_path / "grids.json"
+    assert main(args + ["--format", "json", "--out", str(out)]) == 0
+    descriptors = json.loads(out.read_text())
+    assert descriptors == lines and len(lines) == 4
+    assert all(parse_grid(d).descriptor() == d for d in descriptors)
 
 
 @pytest.mark.parametrize(

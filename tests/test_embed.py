@@ -29,7 +29,6 @@ from dyadlab import (
     integrate,
     is_good,
     make_lattice,
-    onethird_grids,
     refine_function,
     refine_weight,
     standard_grid,
@@ -182,8 +181,6 @@ def test_stopping_rejects_bad_inputs():
         stopping_cubes(f, lebesgue(lat), 0.5, k=0)
     with pytest.raises(ShapeError):
         stopping_cubes(f, lebesgue(make_lattice(1, 4)), 1.0, k=0)
-    with pytest.raises(DomainError):
-        stopping_cubes(f, lebesgue(lat), 1.0, k=0, grid=onethird_grids(1, 0, 3)[1])
 
 
 # ---------------------------------------------------------------------------
@@ -481,10 +478,6 @@ def test_embed_rects_validation():
         embed_check_rects(f, w, theta=1.0, r=4.0, s=2.0)
     with pytest.raises(ShapeError):
         embed_check_rects(f, w, theta=2.0, r=4.0, s=2.0, m=2)
-    with pytest.raises(DomainError):
-        embed_check_rects(
-            f, w, 2.0, 4.0, 2.0, grids=(onethird_grids(1, 0, 3)[1], standard_grid(1, 0, 3))
-        )
 
 
 def test_embed_rects_truncation_monotone():

@@ -673,6 +673,25 @@ def test_norm_estimate_iterations_must_be_a_nonnegative_int():
     assert est.lower_bound == est.indicator_floor
 
 
+def test_norm_estimate_refuses_iterations_past_the_limit(monkeypatch):
+    # the count is checked before the first half-step; the default passes
+    # on every lattice, as the limit does not depend on it
+    import inspect
+
+    default = inspect.signature(norm_estimate).parameters["iterations"].default
+    assert default <= dyadlab.lattice.NORM_BUDGET_ITERATIONS == forms.NORM_BUDGET_ITERATIONS
+    lat = make_lattice(2, 3)
+    w = rand_w(lat, 9)
+    steps = []
+    half_steps = forms._half_steps
+    monkeypatch.setattr(forms, "_half_steps", lambda *a: steps.append(1) or half_steps(*a))
+    monkeypatch.setattr(forms, "NORM_BUDGET_ITERATIONS", 3)
+    with pytest.raises(ResourceError, match="norm estimate's 4 iterations pass the limit of 3"):
+        norm_estimate(HALF, w, w, _exps(), iterations=4)
+    assert steps == []
+    assert len(norm_estimate(HALF, w, w, _exps(), iterations=3).trace) == len(steps) * 4 == 24
+
+
 # ---------------------------------------------------------------------------
 # the batched starts against the former start-by-start loop
 #
