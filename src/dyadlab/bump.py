@@ -360,13 +360,15 @@ def characteristic(
     grid tuple picks one of the family's offsets on every lattice axis.
     The tuple of offset 0 on every axis is the standard grid pair, read
     one level tuple of the two dyadic pyramids at a time.  The other
-    one-third tuples read the refined pyramid (lattice._ThirdPyramid), one
-    level tuple holding the cubes of all three offsets of each axis at
-    once, split by offset, leading axes first, where that block could pass
-    twice the largest single-grid block.  Each grid tuple's cubes are
+    one-third tuples read the refined pyramid (lattice._ThirdPyramid),
+    walked once for sigma and omega stacked on a batch axis, one level
+    tuple holding the cubes of all three offsets of each axis at once,
+    split by offset, leading axes first, where one weight's block could
+    pass twice the largest single-grid block.  Each grid tuple's cubes are
     searched on their own, so the grouping moves no value and no witness.
-    Before the first block the scan estimates its largest array and raises
-    ResourceError past lattice.ARRAY_BUDGET_BYTES.
+    Before the first block the scan estimates its largest array, both
+    weights' rows counted, and raises ResourceError past
+    lattice.ARRAY_BUDGET_BYTES.
     """
     if family is None:
         family = "onethird" if kind == "no_bump" else "dyadic"
@@ -421,15 +423,16 @@ def _dyadic_levels(kind, kernel, sigma, omega, exps, dims):
 def _third_levels(kind, kernel, sigma, omega, exps, dims):
     """(grid tuple, level tuple, products) per one-third grid tuple but
     the standard pair's and level tuple, the products shaped as the grid
-    tuple's cubes, from the sigma and omega refined pyramids, whose blocks
-    stay below twice the largest single-grid block."""
+    tuple's cubes, from one refined pyramid of sigma and omega stacked on
+    a batch axis, whose blocks stay below twice the largest single-grid
+    block per weight."""
     lat = sigma.lattice
-    pyramid = _ThirdPyramid(lat, _factor_m(dims))
+    pyramid = _ThirdPyramid(lat, _factor_m(dims), 2)
+    weights = np.stack([_cellwise(lat, w.density, t) for w, t in zip((sigma, omega), _thetas(kind, exps))])
     # per level and grid, the residue mod 3 of its cubes' positions
     at = [[(_thirds(g, 0, level) + 2) % 3 for g in onethird_grids(1, 0, lat.depth)] for level in range(lat.depth + 1)]
-    weights = [_cellwise(lat, w.density, t) for w, t in zip((sigma, omega), _thetas(kind, exps))]
-    for (lv, groups, ms), (_, _, mw) in zip(*map(pyramid.masses, weights)):
-        vals = _products(kind, kernel, exps, list(zip(lv, dims)), (ms, mw))
+    for lv, groups, masses in pyramid.masses(weights):
+        vals = _products(kind, kernel, exps, list(zip(lv, dims)), masses)
         axis_levels = [level for level, dim in zip(lv, dims) for _ in range(dim)]
         # per axis, each grid the block holds and its positions there
         reads = [

@@ -162,8 +162,9 @@ def _load_weight(path: str, bad_file_code: int = _EXIT_IO):
 
 def _parse_params(pairs, kind: str, seed: int | None) -> dict:
     """The descriptor of --kind and its --param fields, which gen_weight
-    checks against the kind; --seed, when given, is the seed field unless
-    a --param sets it, so a kind without one refuses it."""
+    checks against the kind; --seed, when given, is the seed field, so a
+    kind without one refuses it, and --seed with --param seed= is refused
+    rather than one of them dropped."""
     spec = {"kind": kind}
     for pair in pairs:
         key, eq, raw = pair.partition("=")
@@ -176,7 +177,9 @@ def _parse_params(pairs, kind: str, seed: int | None) -> dict:
         except json.JSONDecodeError:
             spec[key] = raw
     if seed is not None:
-        spec.setdefault("seed", seed)
+        if "seed" in spec:
+            raise _Exit(_EXIT_CONFIG, "--seed and --param seed= both set the seed field; give one of them")
+        spec["seed"] = seed
     return spec
 
 

@@ -21,10 +21,11 @@ shrink witness one axis at a time): the box's whole-cell cover, each
 cell of an axis with fractional edges scaled by its overlap, zero-padded
 to 2^k cells per axis and summed by _tree_mass; a box holding no
 positive cell is exactly 0.  The refined pyramid, _ThirdPyramid,
-reads every other cube product of the one-third grids (their scans and
-witnesses, _third_mass) the same way over a lattice whose axes are cut,
-one at a time, into thirds of a cell, on which every one-third cube is
-whole; each mass is within about half an ulp of its exact sum.  The
+reads every other cube product of the one-third grids (their scans, for
+sigma and omega stacked on a batch axis in one walk, and witnesses,
+_third_mass) the same way over a lattice whose axes are cut, one at a
+time, into thirds of a cell, on which every one-third cube is whole; each
+mass is within about half an ulp of its exact sum.  The
 product-reverse doubling scan reads the dyadic pyramid summed one axis
 at a time, each level also giving the odd-offset pair sums that are the
 concentric shrinks of the coarser edges.  The prefix engine, box_masses,
@@ -633,12 +634,18 @@ def _two_product(a: np.ndarray, b: np.ndarray) -> tuple:
 # starting at block t, for all three offsets at once, clipped cubes
 # included.  Then the next axis.  Every sum carries its TwoSum error, and
 # every term is nonnegative, so a box holding no positive cell is 0.  The
-# axis being summed leads, so a block is whole rows.
+# axis being summed is swapped with axis 0, so a block is whole rows.
+# Weights stacked on leading batch axes walk the pyramid once, together:
+# every step is elementwise across the batch, so each row keeps the bits
+# of a walk of its own, and a row whose sums could pass the float64 range
+# is summed at 2^-7 of its size and divided back at the end, row by row
+# (_third_scaled, _third_div), beside rows summed at scale 1.
 
 
-def _move(x, src: int, dst: int):
-    """np.moveaxis of an array; an error of 0.0 passes as it is."""
-    return np.moveaxis(x, src, dst) if isinstance(x, np.ndarray) else x
+def _move(x, ax: int):
+    """x with axes 0 and ax swapped, a view that is its own inverse; an
+    error of 0.0 passes as it is."""
+    return np.swapaxes(x, 0, ax) if isinstance(x, np.ndarray) else x
 
 
 def _pad(x: np.ndarray, before: int = 2, after: int = 2, repeat: int = 1) -> np.ndarray:
@@ -679,18 +686,19 @@ def _triple(a: np.ndarray, err, g: int | None = None) -> tuple:
 
 
 def _third_scaled(h: np.ndarray, lat: Lattice) -> tuple:
-    """h and the scale it is summed at: 2^-7 (exact, down to 2^-1015)
-    where a box's sum, 3^d < 2^7 times its mass, could pass the float64
-    range, a mass being at most the largest h / cell_volume; else 1."""
-    if h.max() >= 2.0 ** (1016 - lat.dim * lat.depth):
-        return h * 2.0**-7, 2.0**-7
-    return h, 1.0
+    """h and the scale each batch row of it is summed at, shaped batch +
+    (1,) * dim: 2^-7 (exact, down to 2^-1015) where a box's sum, 3^d < 2^7
+    times its mass, could pass the float64 range, a mass being at most the
+    row's largest h / cell_volume; else 1."""
+    top = h.max(axis=tuple(range(h.ndim - lat.dim, h.ndim)), keepdims=True)
+    scale = np.where(top >= 2.0 ** (1016 - lat.dim * lat.depth), 2.0**-7, 1.0)
+    return (h * scale if (scale != 1.0).any() else h), scale
 
 
-def _third_div(s: np.ndarray, e: np.ndarray, c: float, scale: float) -> np.ndarray:
-    """(s + e) / c / scale, rounded to nearest up to near-ties, for c =
-    3^k < 2^7: q = s / c corrected by the remainder s - cq, exact with q's
-    low 7 bits split off."""
+def _third_div(s: np.ndarray, e: np.ndarray, c: float, scale: np.ndarray) -> np.ndarray:
+    """(s + e) / c / scale, scale per batch row (_third_scaled), rounded to
+    nearest up to near-ties, for c = 3^k < 2^7: q = s / c corrected by the
+    remainder s - cq, exact with q's low 7 bits split off."""
     q = s / c
     hi = (q.view(np.int64) & -128).view(np.float64)
     lo = q - hi
@@ -701,7 +709,7 @@ def _third_div(s: np.ndarray, e: np.ndarray, c: float, scale: float) -> np.ndarr
     hi += e
     hi /= c
     hi += q
-    if scale != 1.0:
+    if (scale != 1.0).any():
         hi /= scale
     return hi
 
@@ -709,20 +717,24 @@ def _third_div(s: np.ndarray, e: np.ndarray, c: float, scale: float) -> np.ndarr
 class _ThirdPyramid:
     """The masses of every cube product of the one-third grids, one level
     tuple at a time, over a lattice whose axes form one factor (m None)
-    or two (the first m and the rest), as _level_masses'.
+    or two (the first m and the rest), as _level_masses', for a batch of
+    rows weights at once.
 
-    masses(h) yields (levels, groups, masses) for cellwise nonnegative h.
-    Axis k of masses holds, at position 3i + (o + 2) mod 3, the level cube
-    of index i and offset o, or with groups[k] = g (not None) only the
-    positions g, g + 3, ...: an axis is split by offset, leading axes
-    first, where the block could pass limit = 2 (n + 1)^dim elements
-    otherwise, n the cells per axis.  Each level is dropped once read.  A
-    largest array past ARRAY_BUDGET_BYTES raises ResourceError here,
-    before any is built.
+    masses(h) yields (levels, groups, masses) for cellwise nonnegative h,
+    its trailing lat.dim axes the lattice and its leading axes a batch of
+    rows rows, each summed at its own scale (_third_scaled); masses leads
+    with the batch.  Lattice axis k of masses holds, at position 3i + (o +
+    2) mod 3, the level cube of index i and offset o, or with groups[k] =
+    g (not None) only the positions g, g + 3, ...: an axis is split by
+    offset, leading axes first, where a row's block could pass limit = 2
+    (n + 1)^dim elements otherwise, n the cells per axis, so the grouping
+    does not depend on the batch.  Each level is dropped once read.  A
+    largest array past ARRAY_BUDGET_BYTES, the batch counted, raises
+    ResourceError here, before any is built.
     """
 
-    def __init__(self, lat: Lattice, m: int | None):
-        self.lat, self.dim, self.depth = lat, lat.dim, lat.depth
+    def __init__(self, lat: Lattice, m: int | None, rows: int):
+        self.lat, self.dim, self.depth, self.rows = lat, lat.dim, lat.depth, rows
         self.n = lat.cells_per_axis
         self.limit = 2 * (self.n + 1) ** self.dim
         self.owner = [0] * lat.dim if m is None else [0] * m + [1] * (lat.dim - m)
@@ -742,18 +754,19 @@ class _ThirdPyramid:
 
     def _groups(self, lead: int, k: int, lv: tuple) -> tuple:
         """(None,) or the residues (0, 1, 2) axis k is read in, lead its
-        positions times those of axes 0..k-1, the later axes taken at
-        their factor's level or, unread, the finest."""
+        positions times those of axes 0..k-1 in one batch row, the later
+        axes taken at their factor's level or, unread, the finest."""
         for j in range(k + 1, self.dim):
             f = self.owner[j]
             lead *= (3 << (lv[f] if f < len(lv) else self.depth)) + 2
         return (None,) if lead <= self.limit else (0, 1, 2)
 
     def peak(self, k: int = 0, lead: int = 1, lv: tuple = ()) -> int:
-        """The elements of the largest array masses() builds."""
+        """The elements of the largest array masses() builds, every batch
+        row counted."""
         if k == self.dim:
-            return lead
-        rest = lead * self.n ** (self.dim - k - 1)
+            return self.rows * lead
+        rest = self.rows * lead * self.n ** (self.dim - k - 1)
         out = (3 * self.n + 4) * rest
         for level, here in self._levels(k, lv).items():
             ext = (3 << level) + 2
@@ -765,10 +778,13 @@ class _ThirdPyramid:
     def masses(self, h: np.ndarray):
         h, scale = _third_scaled(h, self.lat)
         c = 3.0**self.dim
+        lead = h.ndim - self.dim
 
         def walk(a, err, k, lv, groups):
-            # axis k leads while it is summed
-            a, err = _refine(_move(a, k, 0), _move(err, k, 0))
+            # lattice axis k leads while it is summed, swapped with axis 0
+            ax = lead + k
+            done = math.prod(a.shape[lead:ax])
+            a, err = _refine(_move(a, ax), _move(err, ax))
             wanted = self._levels(k, lv)
             for level in range(self.depth, min(wanted) - 1, -1):
                 if level < self.depth:
@@ -776,8 +792,8 @@ class _ThirdPyramid:
                 if level not in wanted:
                     continue
                 here = wanted[level]
-                for g in self._groups((a.shape[0] - 2) * math.prod(a.shape[1 : k + 1]), k, here):
-                    sums = (_move(x, 0, k) for x in _triple(a, err, g))
+                for g in self._groups((a.shape[0] - 2) * done, k, here):
+                    sums = (_move(x, ax) for x in _triple(a, err, g))
                     if k + 1 == self.dim:
                         yield here, groups + (g,), _third_div(*sums, c, scale)
                     else:
@@ -801,12 +817,12 @@ def _third_mass(h: np.ndarray, lat: Lattice, starts) -> np.ndarray:
         # the box's thirds on axis k, leading, then its level blocks
         a, err = (
             np.repeat(x, 3, axis=0)[lo % 3 : lo % 3 + hi - lo] if isinstance(x, np.ndarray) else x
-            for x in (_move(a, k, 0), _move(err, k, 0))
+            for x in (_move(a, k), _move(err, k))
         )
         for _ in range(lat.depth - level):
             a, err = _halve(a, (0,), err)
         blocks = (_pad(x, *pads) if isinstance(x, np.ndarray) else x for x in (a, err))
-        a, err = (_move(x, 0, k) for x in _triple(*blocks))
+        a, err = (_move(x, k) for x in _triple(*blocks))
     return _third_div(a, err, 3.0**lat.dim, scale)
 
 

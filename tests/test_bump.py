@@ -909,12 +909,14 @@ def test_cubes_off_the_refined_lattice_read_their_own_cells(kind):
 
 
 def test_onethird_scan_refuses_past_the_array_budget(monkeypatch):
-    # the scan sizes its largest array before building any: one byte over
-    # the budget raises, and at the budget no array is larger
+    # the scan sizes its largest array, sigma's and omega's rows both
+    # counted, before building any: one byte over the budget raises, and
+    # at the budget the largest array built is exactly that size
     lat = make_lattice(2, 5)
     w = rand_w(lat, 4)
     exps = _exps(0.5, 0.5)
-    need = 8 * lattice._ThirdPyramid(lat, 1).peak()
+    need = 8 * lattice._ThirdPyramid(lat, 1, 2).peak()
+    assert need == 2 * 8 * lattice._ThirdPyramid(lat, 1, 1).peak()
     monkeypatch.setattr(lattice, "ARRAY_BUDGET_BYTES", need - 1)
     refine = lattice._refine
 
@@ -963,7 +965,7 @@ def test_onethird_masses_match_exact_oracle(dim, m, depth, weight):
     theta = 1.0 if weight == "huge" else 1.5
     h = lattice._cellwise(lat, w.density, theta)
     owner = [0] * dim if m is None else [0] * m + [1] * (dim - m)
-    pyramid = lattice._ThirdPyramid(lat, m)
+    pyramid = lattice._ThirdPyramid(lat, m, 1)
     blocks = 0
     for levels, groups, masses in pyramid.masses(h):
         lo, hi = [], []
@@ -976,6 +978,31 @@ def test_onethird_masses_match_exact_oracle(dim, m, depth, weight):
         assert np.array_equal(masses, exact), (levels, groups)
         blocks += 1
     assert blocks >= (depth + 1) ** (1 if m is None else 2)
+
+
+@pytest.mark.parametrize("dim, m, depth", [(1, None, 7), (2, None, 4), (2, 1, 5), (3, None, 2), (3, 1, 3), (3, 2, 2)])
+def test_batched_onethird_walk_matches_single_walks(dim, m, depth):
+    # one walk of a stack of weights gives each batch row the levels,
+    # groups and bits of a walk of that row alone: a row near the float64
+    # maximum, summed at 2^-7 of its size, beside a row summed at scale 1
+    # and a row with a block of zero cells
+    lat = make_lattice(dim, depth)
+    dens = rand_w(lat, depth, rough=1.0).density
+    zero = dens.copy()
+    zero[(slice(1, 3),) * dim] = 0.0
+    cascade = gen_weight(lat, {"kind": "cascade", "beta": 0.9, "seed": dim}).density
+    h = np.stack([
+        lattice._cellwise(lat, dens / dens.max() * 1.7e308),
+        lattice._cellwise(lat, cascade, 1.5),
+        lattice._cellwise(lat, zero, 1.5),
+    ])
+    assert lattice._third_scaled(h, lat)[1].ravel().tolist() == [2.0**-7, 1.0, 1.0]
+    batched = list(lattice._ThirdPyramid(lat, m, 3).masses(h))
+    for row in range(3):
+        single = list(lattice._ThirdPyramid(lat, m, 1).masses(h[row]))
+        assert [(lv, g) for lv, g, _ in batched] == [(lv, g) for lv, g, _ in single]
+        for (levels, groups, got), (_, _, want) in zip(batched, single):
+            assert got[row].shape == want.shape and got[row].tobytes() == want.tobytes(), (row, levels, groups)
 
 
 # the traced peak of one dyadic scan at 2D depth 8, in lattice-size

@@ -179,6 +179,20 @@ def test_gen_weight_refuses_seed_for_a_kind_without_one(kind, tmp_path, capsys):
     assert main(argv) == 0
 
 
+def test_gen_weight_refuses_seed_with_param_seed(tmp_path, capsys):
+    # both flags set the seed field: the pair is refused, naming both,
+    # rather than one of them dropped
+    out = tmp_path / "w.wgt"
+    argv = ["gen-weight", "--kind", "random_lognormal", "--depth", "3", "--out", str(out)]
+    assert main(argv + ["--seed", "5", "--param", "seed=3"]) == 2
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and "--seed" in err and "--param seed=" in err and not out.exists()
+    for extra in (["--seed", "5"], ["--param", "seed=5"]):
+        assert main(argv + extra) == 0
+        assert read_weight(out).density.tobytes() == gen_weight(
+            make_lattice(1, 3), {"kind": "random_lognormal", "seed": 5}).density.tobytes()
+
+
 def test_grid_sample_past_the_work_budget_exits_2(monkeypatch, capsys):
     # the work estimate is checked before any grid is sampled: a run one
     # unit over a small limit exits 2, a run at the limit samples its grids

@@ -29,8 +29,11 @@ cascade: integrate, power_integrate, bump_cube, bump_rect and box_mass on
 whole-cell boxes, box_mass on boxes with edges on thirds of a cell (its oracle at the
 edges' float values), and
 characteristic_at on a shifted-grid rectangle and on one finer than the
-lattice.  Each characteristic value (the one-third scan's included, the
-single-box ones too), each single-box read, each cube, rectangle and
+lattice, and the one-third no_bump scan at 2D depth 4 of a pair whose
+sigma lies near the float64 maximum and is summed at 2^-7 of its size,
+beside an omega summed at scale 1.  Each characteristic value (the
+one-third scan's included, the single-box ones too), each single-box
+read, each cube, rectangle and
 strong doubling value and each product-reverse witness value and
 per_scale ratio, and each embedding's lhs, intermediate and
 max_slice_ratio also records, as NAME/oracle, its recomputation from
@@ -72,6 +75,9 @@ BLOCK_SHAPES = ((1, 12), (3, 4))
 # the single-box reads' lattice (2D) and seeded boxes per read
 SINGLE_DEPTH = 5
 SINGLE_BOXES = 6
+# the 2D depth of the one-third scan whose sigma lies near the float64
+# maximum
+SCALED_DEPTH = 4
 
 
 def _fsum_mass(cells, box) -> float:
@@ -536,6 +542,32 @@ def _single_boxes(seed: int, out: dict) -> None:
             out[f"{key}/oracle"] = _char_oracle(kind, box, w, omega, wl.EXPS)
 
 
+def _scaled_rows(seed: int, out: dict) -> None:
+    """The one-third no_bump scan, with its oracle, of a pair whose sigma,
+    a seeded lognormal weight scaled to near the float64 maximum, the
+    refined pyramid sums at 2^-7 of its size, beside an omega it sums at
+    scale 1.  Both weights are 50 times heavier on the middle half of each
+    axis, across the standard grids' level-1 edge, so that the witness
+    lies off the standard grid pair at most seeds (0 and 2 of 0..2)."""
+    import workloads as wl
+    from dyadlab import Weight, characteristic, gen_weight, make_lattice
+
+    lat = make_lattice(2, SCALED_DEPTH)
+    middle = (slice(lat.cells_per_axis // 4, 3 * lat.cells_per_axis // 4),) * 2
+    sigma, omega = (
+        gen_weight(lat, {"kind": "random_lognormal", "seed": seed + k, "roughness": 1.0}).density.copy()
+        for k in (0, 1)
+    )
+    for dens in (sigma, omega):
+        dens[middle] *= 50.0
+    sigma, omega = Weight(lat, sigma / sigma.max() * 1.7e308), Weight(lat, omega)
+    res = characteristic("no_bump", None, sigma, omega, wl.EXPS, family="onethird")
+    key = f"scaled-rows/depth{SCALED_DEPTH}/no_bump_onethird"
+    out[f"{key}/value"] = res.value
+    out[f"{key}/value/oracle"] = _char_oracle("no_bump", res.witness, sigma, omega, wl.EXPS)
+    out[f"{key}/witness"] = wl.describe(res.witness)
+
+
 def _norm2d(seed: int, unit: int, out: dict) -> None:
     import workloads as wl
     from dyadlab import (
@@ -643,6 +675,7 @@ def dump(seed: int, units: int) -> dict:
     _ties(out)
     _blocks(seed, out)
     _single_boxes(seed, out)
+    _scaled_rows(seed, out)
     _norm_forms(seed, out)
     return out
 
