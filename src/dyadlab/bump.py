@@ -427,7 +427,7 @@ def _third_levels(kind, kernel, sigma, omega, exps, dims):
     a batch axis, whose blocks stay below twice the largest single-grid
     block per weight."""
     lat = sigma.lattice
-    pyramid = _ThirdPyramid(lat, _factor_m(dims), 2)
+    pyramid = _ThirdPyramid(lat, _factor_m(dims))
     weights = np.stack([_cellwise(lat, w.density, t) for w, t in zip((sigma, omega), _thetas(kind, exps))])
     # per level and grid, the residue mod 3 of its cubes' positions
     at = [[(_thirds(g, 0, level) + 2) % 3 for g in onethird_grids(1, 0, lat.depth)] for level in range(lat.depth + 1)]

@@ -639,7 +639,9 @@ def _two_product(a: np.ndarray, b: np.ndarray) -> tuple:
 # every step is elementwise across the batch, so each row keeps the bits
 # of a walk of its own, and a row whose sums could pass the float64 range
 # is summed at 2^-7 of its size and divided back at the end, row by row
-# (_third_scaled, _third_div), beside rows summed at scale 1.
+# (_third_scale, _third_div), beside rows summed at scale 1; the scale is
+# applied in place to the first refined array, which the walk owns, so no
+# copy of the input is made.
 
 
 def _move(x, ax: int):
@@ -685,18 +687,17 @@ def _triple(a: np.ndarray, err, g: int | None = None) -> tuple:
     return _add(s, at(a, 2), e, at(err, 2))
 
 
-def _third_scaled(h: np.ndarray, lat: Lattice) -> tuple:
-    """h and the scale each batch row of it is summed at, shaped batch +
-    (1,) * dim: 2^-7 (exact, down to 2^-1015) where a box's sum, 3^d < 2^7
-    times its mass, could pass the float64 range, a mass being at most the
-    row's largest h / cell_volume; else 1."""
+def _third_scale(h: np.ndarray, lat: Lattice) -> np.ndarray:
+    """The scale each batch row of h is summed at, shaped batch + (1,) *
+    dim: 2^-7 (exact, down to 2^-1015) where a box's sum, 3^d < 2^7 times
+    its mass, could pass the float64 range, a mass being at most the row's
+    largest h / cell_volume; else 1."""
     top = h.max(axis=tuple(range(h.ndim - lat.dim, h.ndim)), keepdims=True)
-    scale = np.where(top >= 2.0 ** (1016 - lat.dim * lat.depth), 2.0**-7, 1.0)
-    return (h * scale if (scale != 1.0).any() else h), scale
+    return np.where(top >= 2.0 ** (1016 - lat.dim * lat.depth), 2.0**-7, 1.0)
 
 
 def _third_div(s: np.ndarray, e: np.ndarray, c: float, scale: np.ndarray) -> np.ndarray:
-    """(s + e) / c / scale, scale per batch row (_third_scaled), rounded to
+    """(s + e) / c / scale, scale per batch row (_third_scale), rounded to
     nearest up to near-ties, for c = 3^k < 2^7: q = s / c corrected by the
     remainder s - cq, exact with q's low 7 bits split off."""
     q = s / c
@@ -717,33 +718,26 @@ def _third_div(s: np.ndarray, e: np.ndarray, c: float, scale: np.ndarray) -> np.
 class _ThirdPyramid:
     """The masses of every cube product of the one-third grids, one level
     tuple at a time, over a lattice whose axes form one factor (m None)
-    or two (the first m and the rest), as _level_masses', for a batch of
-    rows weights at once.
+    or two (the first m and the rest), as _level_masses'.
 
     masses(h) yields (levels, groups, masses) for cellwise nonnegative h,
     its trailing lat.dim axes the lattice and its leading axes a batch of
-    rows rows, each summed at its own scale (_third_scaled); masses leads
-    with the batch.  Lattice axis k of masses holds, at position 3i + (o +
-    2) mod 3, the level cube of index i and offset o, or with groups[k] =
-    g (not None) only the positions g, g + 3, ...: an axis is split by
-    offset, leading axes first, where a row's block could pass limit = 2
-    (n + 1)^dim elements otherwise, n the cells per axis, so the grouping
-    does not depend on the batch.  Each level is dropped once read.  A
-    largest array past ARRAY_BUDGET_BYTES, the batch counted, raises
-    ResourceError here, before any is built.
+    weights, each row summed at its own scale (_third_scale); masses
+    leads with the batch.  Lattice axis k of masses holds, at position 3i
+    + (o + 2) mod 3, the level cube of index i and offset o, or with
+    groups[k] = g (not None) only the positions g, g + 3, ...: an axis is
+    split by offset, leading axes first, where a row's block could pass
+    limit = 2 (n + 1)^dim elements otherwise, n the cells per axis, so the
+    grouping does not depend on the batch.  Each level is dropped once
+    read.  A largest array past ARRAY_BUDGET_BYTES, every batch row
+    counted, raises ResourceError in masses, before any is built.
     """
 
-    def __init__(self, lat: Lattice, m: int | None, rows: int):
-        self.lat, self.dim, self.depth, self.rows = lat, lat.dim, lat.depth, rows
+    def __init__(self, lat: Lattice, m: int | None):
+        self.lat, self.dim, self.depth = lat, lat.dim, lat.depth
         self.n = lat.cells_per_axis
         self.limit = 2 * (self.n + 1) ** self.dim
         self.owner = [0] * lat.dim if m is None else [0] * m + [1] * (lat.dim - m)
-        need = 8 * self.peak()
-        if need > ARRAY_BUDGET_BYTES:
-            raise ResourceError(
-                f"the one-third scan's largest array takes {need} bytes, "
-                f"limit {ARRAY_BUDGET_BYTES} bytes"
-            )
 
     def _levels(self, k: int, lv: tuple) -> dict:
         """level -> level tuple, for each level axis k is read at."""
@@ -762,11 +756,11 @@ class _ThirdPyramid:
         return (None,) if lead <= self.limit else (0, 1, 2)
 
     def peak(self, k: int = 0, lead: int = 1, lv: tuple = ()) -> int:
-        """The elements of the largest array masses() builds, every batch
-        row counted."""
+        """The elements of the largest array masses() builds, per batch
+        row."""
         if k == self.dim:
-            return self.rows * lead
-        rest = self.rows * lead * self.n ** (self.dim - k - 1)
+            return lead
+        rest = lead * self.n ** (self.dim - k - 1)
         out = (3 * self.n + 4) * rest
         for level, here in self._levels(k, lv).items():
             ext = (3 << level) + 2
@@ -776,15 +770,23 @@ class _ThirdPyramid:
         return out
 
     def masses(self, h: np.ndarray):
-        h, scale = _third_scaled(h, self.lat)
-        c = 3.0**self.dim
         lead = h.ndim - self.dim
+        need = 8 * math.prod(h.shape[:lead]) * self.peak()
+        if need > ARRAY_BUDGET_BYTES:
+            raise ResourceError(
+                f"the one-third scan's largest array takes {need} bytes, "
+                f"limit {ARRAY_BUDGET_BYTES} bytes"
+            )
+        scale = _third_scale(h, self.lat)
+        c = 3.0**self.dim
 
         def walk(a, err, k, lv, groups):
             # lattice axis k leads while it is summed, swapped with axis 0
             ax = lead + k
             done = math.prod(a.shape[lead:ax])
             a, err = _refine(_move(a, ax), _move(err, ax))
+            if k == 0 and (scale != 1.0).any():
+                a *= _move(scale, ax)
             wanted = self._levels(k, lv)
             for level in range(self.depth, min(wanted) - 1, -1):
                 if level < self.depth:
@@ -806,13 +808,15 @@ def _third_mass(h: np.ndarray, lat: Lattice, starts) -> np.ndarray:
     """The mass _ThirdPyramid gives one cube product, summed from its own
     cells by the same steps; starts holds per lattice axis (level, t), the
     box's blocks t, t + 1, t + 2 of that level, -2 <= t < 3 * 2^level."""
-    h, scale = _third_scaled(h, lat)
+    scale = _third_scale(h, lat)
     wins = []
     for level, t in starts:
         s, top = 1 << (lat.depth - level), 3 << level
         lo, hi = max(t, 0), min(t + 3, top)
         wins.append((level, lo * s, hi * s, (lo - t, t + 3 - hi)))
     a, err = h[tuple(slice(lo // 3, -(-hi // 3)) for _, lo, hi, _ in wins)], 0.0
+    if (scale != 1.0).any():
+        a = a * scale
     for k, (level, lo, hi, pads) in enumerate(wins):
         # the box's thirds on axis k, leading, then its level blocks
         a, err = (

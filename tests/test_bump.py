@@ -616,7 +616,9 @@ def _refined_masses(w, theta, factors):
     sums divided by 3 per axis at the end (cells scaled by 2^-7 first
     where the sums could pass the float64 range)."""
     lat = w.lattice
-    a, scale = lattice._third_scaled(lattice._cellwise(lat, w.density, theta), lat)
+    a = lattice._cellwise(lat, w.density, theta)
+    scale = lattice._third_scale(a, lat)
+    a = a * scale
     err, picks = 0.0, []
     axes = [(grid, level, axis, idx) for grid, level, index in factors for axis, idx in enumerate(index)]
     for k, (grid, level, axis, idx) in enumerate(axes):
@@ -915,8 +917,7 @@ def test_onethird_scan_refuses_past_the_array_budget(monkeypatch):
     lat = make_lattice(2, 5)
     w = rand_w(lat, 4)
     exps = _exps(0.5, 0.5)
-    need = 8 * lattice._ThirdPyramid(lat, 1, 2).peak()
-    assert need == 2 * 8 * lattice._ThirdPyramid(lat, 1, 1).peak()
+    need = 2 * 8 * lattice._ThirdPyramid(lat, 1).peak()
     monkeypatch.setattr(lattice, "ARRAY_BUDGET_BYTES", need - 1)
     refine = lattice._refine
 
@@ -965,7 +966,7 @@ def test_onethird_masses_match_exact_oracle(dim, m, depth, weight):
     theta = 1.0 if weight == "huge" else 1.5
     h = lattice._cellwise(lat, w.density, theta)
     owner = [0] * dim if m is None else [0] * m + [1] * (dim - m)
-    pyramid = lattice._ThirdPyramid(lat, m, 1)
+    pyramid = lattice._ThirdPyramid(lat, m)
     blocks = 0
     for levels, groups, masses in pyramid.masses(h):
         lo, hi = [], []
@@ -996,10 +997,10 @@ def test_batched_onethird_walk_matches_single_walks(dim, m, depth):
         lattice._cellwise(lat, cascade, 1.5),
         lattice._cellwise(lat, zero, 1.5),
     ])
-    assert lattice._third_scaled(h, lat)[1].ravel().tolist() == [2.0**-7, 1.0, 1.0]
-    batched = list(lattice._ThirdPyramid(lat, m, 3).masses(h))
+    assert lattice._third_scale(h, lat).ravel().tolist() == [2.0**-7, 1.0, 1.0]
+    batched = list(lattice._ThirdPyramid(lat, m).masses(h))
     for row in range(3):
-        single = list(lattice._ThirdPyramid(lat, m, 1).masses(h[row]))
+        single = list(lattice._ThirdPyramid(lat, m).masses(h[row]))
         assert [(lv, g) for lv, g, _ in batched] == [(lv, g) for lv, g, _ in single]
         for (levels, groups, got), (_, _, want) in zip(batched, single):
             assert got[row].shape == want.shape and got[row].tobytes() == want.tobytes(), (row, levels, groups)
