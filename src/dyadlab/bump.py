@@ -9,24 +9,24 @@ _bump_map, of float64 masses, and every characteristic value comes from
 one batch evaluator, _products: kernel factor times the two bump powers
 for the outer product of a batch of factor cubes, the kernel factor
 always KernelHandle.level_value, so a level table serves wherever the
-product kernel does but in one_param.  On the standard
-dyadic grid (a one-third family's offset-0 grid tuple included) the
-masses come from lattice's dyadic pyramid: the scan feeds _products one
-level tuple at a time.  A single box is summed from its own cells by the
-same tree, lattice's _own_mass: bump_cube's box, bump_rect's and
-characteristic_at's factor cubes (shifted ones and ones finer than the
-lattice included, clipped to the unit box, each cell counted by the share
-of it the box covers), and slice_profile's J under every slice; on a
-dyadic cube or rectangle these are the pyramid's bits.  The other
-one-third grid tuples come from lattice's refined pyramid, which holds
-the cubes of all three offsets of an axis side by side: the scan feeds
-_products one level tuple at a time, split by offset where the block
-would be large, and keeps the first maximizer of each grid tuple's cubes;
-characteristic_at rebuilds a one-third witness from its own cells by the
-same steps.  No bump reads a prefix table.  The bump and kernel powers
-run in float64 (the package's precision policy, see lattice).  A box's
-mass does not depend on the batch it is read in, so a reported witness
-re-evaluates to the reported value bit for bit.
+product kernel does but in one_param.  Each grid kind has one engine.
+The dyadic family's masses come from lattice's dyadic pyramid: its scan
+feeds _products one level tuple at a time.  A single box is summed from
+its own cells by the same tree, lattice's _own_mass: bump_cube's box,
+bump_rect's, characteristic_at's factor cubes of std and shifted grids
+(ones finer than the lattice included, clipped to the unit box, each cell
+counted by the share of it the box covers), and slice_profile's J under
+every slice; on a dyadic cube or rectangle these are the pyramid's bits.
+Every one-third grid tuple, the standard one (offset 0 on every axis)
+included, comes from lattice's refined pyramid, which holds the cubes of
+all three offsets of an axis side by side: the scan feeds _products one
+level tuple at a time, split by offset where the block would be large,
+and keeps the first maximizer of each grid tuple's cubes;
+characteristic_at rebuilds a third grid's box, the u = 0 grid's included,
+from its own cells by the same steps.  No bump reads a prefix table.  The
+bump and kernel powers run in float64 (the package's precision policy,
+see lattice).  A box's mass does not depend on the batch it is read in,
+so a reported witness re-evaluates to the reported value bit for bit.
 """
 from __future__ import annotations
 
@@ -358,17 +358,17 @@ def characteristic(
     The result is the first maximum in scan order: grid tuples outermost,
     then level tuples, each in product order, then cubes in C order.  A
     grid tuple picks one of the family's offsets on every lattice axis.
-    The tuple of offset 0 on every axis is the standard grid pair, read
-    one level tuple of the two dyadic pyramids at a time.  The other
-    one-third tuples read the refined pyramid (lattice._ThirdPyramid),
-    walked once for sigma and omega stacked on a batch axis, one level
-    tuple holding the cubes of all three offsets of each axis at once,
-    split by offset, leading axes first, where one weight's block could
-    pass twice the largest single-grid block.  Each grid tuple's cubes are
-    searched on their own, so the grouping moves no value and no witness.
-    Before the first block the scan estimates its largest array, both
-    weights' rows counted, and raises ResourceError past
-    lattice.ARRAY_BUDGET_BYTES.
+    The dyadic family's one tuple, the standard grid pair, is read one
+    level tuple of the two dyadic pyramids at a time.  Every one-third
+    tuple, the standard pair's (offset 0 on every axis) included, reads
+    the refined pyramid (lattice._ThirdPyramid), walked once for sigma and
+    omega stacked on a batch axis, one level tuple holding the cubes of
+    all three offsets of each axis at once, split by offset, leading axes
+    first, where one weight's block could pass twice the largest
+    single-grid block.  Each grid tuple's cubes are searched on their own,
+    so the grouping moves no value and no witness.  Before the first block
+    the one-third scan estimates its largest array, both weights' rows
+    counted, and raises ResourceError past lattice.ARRAY_BUDGET_BYTES.
     """
     if family is None:
         family = "onethird" if kind == "no_bump" else "dyadic"
@@ -378,15 +378,14 @@ def characteristic(
     lat = sigma.lattice
     levels = range(lat.depth + 1)
     grids = _grids_for(family, 1, lat.depth)
-    found = {}  # (offset per axis, level tuple) -> (max, flat index) of that grid tuple
     if family == "onethird":
-        for offsets, lv, vals in _third_levels(kind, kernel, sigma, omega, exps, dims):
-            k = int(np.argmax(vals))
-            found[offsets, lv] = (vals.flat[k], k)
-    # the grid tuple of offset 0 on every axis is the standard grid pair
-    for lv, vals in _dyadic_levels(kind, kernel, sigma, omega, exps, dims):
+        blocks = _third_levels(kind, kernel, sigma, omega, exps, dims)
+    else:
+        blocks = (((0,) * lat.dim, lv, vals) for lv, vals in _dyadic_levels(kind, kernel, sigma, omega, exps, dims))
+    found = {}  # (offset per axis, level tuple) -> (max, flat index) of that grid tuple
+    for offsets, lv, vals in blocks:
         k = int(np.argmax(vals))
-        found[(0,) * lat.dim, lv] = (vals.flat[k], k)
+        found[offsets, lv] = (vals.flat[k], k)
     best = -1.0
     best_at = None
     for offsets in _iproduct(range(len(grids)), repeat=lat.dim):
@@ -421,11 +420,11 @@ def _dyadic_levels(kind, kernel, sigma, omega, exps, dims):
 
 
 def _third_levels(kind, kernel, sigma, omega, exps, dims):
-    """(grid tuple, level tuple, products) per one-third grid tuple but
-    the standard pair's and level tuple, the products shaped as the grid
-    tuple's cubes, from one refined pyramid of sigma and omega stacked on
-    a batch axis, whose blocks stay below twice the largest single-grid
-    block per weight."""
+    """(grid tuple, level tuple, products) per one-third grid tuple, the
+    standard pair's included, and level tuple, the products shaped as the
+    grid tuple's cubes, from one refined pyramid of sigma and omega
+    stacked on a batch axis, whose blocks stay below twice the largest
+    single-grid block per weight."""
     lat = sigma.lattice
     pyramid = _ThirdPyramid(lat, _factor_m(dims))
     weights = np.stack([_cellwise(lat, w.density, t) for w, t in zip((sigma, omega), _thetas(kind, exps))])
@@ -440,9 +439,7 @@ def _third_levels(kind, kernel, sigma, omega, exps, dims):
             for level, g in zip(axis_levels, groups)
         ]
         for pick in _iproduct(*reads):
-            offsets = tuple(u for u, _ in pick)
-            if any(offsets):
-                yield offsets, lv, vals[tuple(view for _, view in pick)]
+            yield tuple(u for u, _ in pick), lv, vals[tuple(view for _, view in pick)]
 
 
 def _witness(family, dims, depth, offsets, lv, k) -> DyadicRect | Cube:
@@ -459,21 +456,21 @@ def _witness(family, dims, depth, offsets, lv, k) -> DyadicRect | Cube:
     return out[0] if len(out) == 1 else DyadicRect(*out)
 
 
-def _third_starts(cubes, dims, depth: int) -> list | None:
+def _third_starts(cubes, depth: int) -> list | None:
     """Per lattice axis (level, first block) of the cubes in the refined
-    pyramid, or None unless each is a cube of a std or third grid of its
-    factor's dim, at a level 0..depth, meeting the unit box, and one of
-    them is off the standard grid pair (a first block not 3i)."""
+    pyramid, or None unless each is a cube of a std or third grid at a
+    level 0..depth meeting the unit box, and one of them is a third
+    grid's: the boxes of std grids alone are the dyadic pyramid's."""
     out = []
-    for c, dim in zip(cubes, dims):
-        if c.grid.dim != dim or c.grid.kind == "shift" or not 0 <= c.level <= depth:
+    for c in cubes:
+        if c.grid.kind == "shift" or not 0 <= c.level <= depth:
             return None
         for k, i in enumerate(c.index):
             t = 3 * i + _thirds(c.grid, k, c.level)
             if not -2 <= t < 3 << c.level:
                 return None
             out.append((c.level, t))
-    return None if all(t % 3 == 0 for _, t in out) else out
+    return None if all(c.grid.kind == "std" for c in cubes) else out
 
 
 def characteristic_at(
@@ -487,22 +484,31 @@ def characteristic_at(
     """Re-evaluate one witness: the scan's batch evaluator on a batch of
     one, its masses read as the scan reads them.
 
-    Masses are read in one of two ways.  A box of std and third grids at
-    levels 0..depth off the standard grid pair is summed from its own
-    cells by the refined pyramid's steps.  Every other box, a standard
-    pair's, a shifted grid's or one finer than the lattice, is summed from
-    its own cells by the dyadic pyramid's tree (lattice._own_mass, each
-    factor's axes in turn), clipped to the unit box, each cell counted by
-    the share of it the box covers.  So a scan's witness re-evaluates to
-    its value bit for bit, and a box no scan reads is within about an ulp
-    of its exact mass per factor.
+    The witness is a Cube for one_param and a DyadicRect otherwise, each
+    cube's grid spanning its factor's axes (ShapeError otherwise).  Masses
+    are read in one of two ways.  A box of std and third grids at levels
+    0..depth with a third grid among them, the u = 0 grid's included, is
+    summed from its own cells by the refined pyramid's steps, as the
+    one-third scan reads it.  Every other box, one of std grids alone (a
+    dyadic-family witness), a shifted grid's or one finer than the
+    lattice, is summed from its own cells by the dyadic pyramid's tree
+    (lattice._own_mass, each factor's axes in turn), clipped to the unit
+    box, each cell counted by the share of it the box covers.  So a
+    scan's witness re-evaluates to its value bit for bit, and a box no
+    scan reads is within about an ulp of its exact mass per factor.
     """
     kernel, dims = _check_scan(kind, kernel, sigma, omega, exps)
+    shape = Cube if kind == "one_param" else DyadicRect
+    if not isinstance(witness, shape):
+        raise ShapeError(f"a {kind} witness is a {shape.__name__}, got {type(witness).__name__}")
     cubes = (witness,) if kind == "one_param" else (witness.i_cube, witness.j_cube)
+    spans = tuple(c.grid.dim if isinstance(c, Cube) and len(c.index) == c.grid.dim else None for c in cubes)
+    if spans != dims:
+        raise ShapeError(f"a {kind} witness's cubes span {spans} axes, the lattice's factors {dims}")
     lat = sigma.lattice
-    levels = [(c.level, c.grid.dim) for c in cubes]
+    levels = list(zip((c.level for c in cubes), dims))
     pairs = list(zip((sigma, omega), _thetas(kind, exps)))
-    if (starts := _third_starts(cubes, dims, lat.depth)) is not None:
+    if (starts := _third_starts(cubes, lat.depth)) is not None:
         masses = [_third_mass(_cellwise(lat, w.density, t), lat, starts) for w, t in pairs]
     else:
         n = lat.cells_per_axis

@@ -30,6 +30,7 @@ from .lattice import (
     Rect,
     Weight,
     _cellwise,
+    _check_int,
     _check_theta,
     _level_masses,
     _lp_norms,
@@ -126,6 +127,9 @@ def stopping_cubes(
     maximality in the family's contract and makes the cubes disjoint.
     """
     _check_theta(theta)
+    # 2^k and 2^(k-1) stay finite, nonzero float64
+    if _check_int("k", k, -1073) > 1023:
+        raise DomainError(f"k must be at most 1023, got {k!r}")
     lat = w.lattice
     if f.lattice != lat:
         raise ShapeError("function and weight live on different lattices")
@@ -225,6 +229,8 @@ def good_carleson(
     """
     if not 1.0 < rho < math.inf:
         raise DomainError(f"rho must be finite and exceed 1, got {rho}")
+    if eta is not None and not math.isfinite(eta):
+        raise DomainError(f"eta must be finite, got {eta}")
     lat = w.lattice
     level_p = _dyadic_level(lat, P)
 

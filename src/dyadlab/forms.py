@@ -26,7 +26,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from numbers import Integral
 from typing import Sequence
 
 import numpy as np
@@ -54,6 +53,7 @@ from .lattice import (
     Lattice,
     Weight,
     _cellwise,
+    _check_int,
     _chunks,
     _level_masses,
     _level_stacks,
@@ -641,8 +641,7 @@ def norm_estimate(
     loop gives.  More than NORM_BUDGET_ITERATIONS iterations raise
     ResourceError before any half-step.
     """
-    if isinstance(iterations, bool) or not isinstance(iterations, Integral) or iterations < 0:
-        raise DomainError(f"iterations must be an integer >= 0, got {iterations!r}")
+    _check_int("iterations", iterations, 0)
     if iterations > NORM_BUDGET_ITERATIONS:
         raise ResourceError(
             f"the norm estimate's {iterations} iterations pass the limit of "

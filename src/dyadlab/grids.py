@@ -46,7 +46,7 @@ from .errors import (
     ScopeError,
     ShapeError,
 )
-from .lattice import MAX_DIM, substream
+from .lattice import MAX_DIM, _check_int, substream
 
 GRID_MAGIC = "GRID1"
 
@@ -531,8 +531,7 @@ class GoodnessParams:
     def __post_init__(self):
         if not 0.0 < self.eps < 1.0:
             raise DomainError(f"eps must be in (0,1), got {self.eps}")
-        if self.r < 1:
-            raise DomainError(f"r must be >= 1, got {self.r}")
+        _check_int("r", self.r, 1)
 
 
 def _good_rel_mask(rel: np.ndarray, gap_to_p: int, goodness: GoodnessParams) -> np.ndarray:
@@ -788,12 +787,13 @@ def bad_probability_mc(
     goodness kernel decides from the cube's position inside its level-0
     ancestor.  The 95% half-width is the normal approximation.
     """
-    if samples < 100:
-        raise DomainError(f"need at least 100 samples, got {samples}")
+    _check_int("samples", samples, 100)
     if not 0.0 < eps < 1.0:
         raise DomainError(f"eps must be in (0,1), got {eps}")
-    if level_gap_r < 1:
-        raise DomainError(f"level gap must be >= 1, got {level_gap_r}")
+    _check_int("level gap", level_gap_r, 1)
+    # the reference cube's offsets are int64 sums of 2^(depth - 1) down
+    if _check_int("depth", depth, 0) > 62:
+        raise DomainError(f"depth must be at most 62, got {depth!r}")
     if level_gap_r > depth:
         raise ScopeError(f"level gap {level_gap_r} exceeds grid depth {depth}")
     rng = substream(seed, 7001)

@@ -4,16 +4,18 @@ Everything in the package lives on the half-open unit box [0,1)^d sliced
 into 2^(d*L) congruent cells.  Weights and grid functions are piecewise
 constant on cells, so every integral downstream is a finite sum of cell
 values, read by one of five engines.  The dyadic pyramid,
-_level_masses, reads every box of the standard dyadic grid (the
-characteristic scans, the indicator floor, embeddings, the rectangle
-proof chain's slice profiles and slice averages, stopping cubes and
-Carleson sums): compensated float64 pairwise sums of density**theta *
-cell_volume, fine to coarse, the first factor's axes before the rest's,
-each mass within an ulp of its exact sum.  A product pyramid lays the
-first factor's levels side by side on one row axis, in three stacks (the
-finest level, the next, every coarser one), and halves the second factor
-once per stack, finest level first, each level dropped once read; every
-sum is the one a level alone would take.  A box's mass is the tree sum
+_level_masses, reads every box of the standard dyadic grid (the dyadic
+family's characteristic scans, the indicator floor, embeddings, the
+rectangle proof chain's slice profiles and slice averages, stopping
+cubes and Carleson sums): compensated float64 pairwise sums of
+density**theta * cell_volume, fine to coarse, the first factor's axes
+before the rest's, each mass within an ulp of its exact sum.  One walker,
+_stream, halves every level from the one below: a one-factor pyramid is
+one stream over all the axes; a product pyramid lays the first factor's
+levels side by side on one row axis, in three stacks (the finest level,
+the next, every coarser one), and streams the second factor once per
+stack, finest level first, each level dropped once read; every sum is
+the one a level alone would take.  A box's mass is the tree sum
 of its own cells, which one own-cells reader, _own_mass, repeats for any
 single box (integrate, power_integrate, box_mass, total_mass, bump_cube
 and bump_rect, characteristic_at's factor cubes, slice_profile's J, a
@@ -21,14 +23,17 @@ shrink witness one axis at a time): the box's whole-cell cover, each
 cell of an axis with fractional edges scaled by its overlap, zero-padded
 to 2^k cells per axis and summed by _tree_mass; a box holding no
 positive cell is exactly 0.  The refined pyramid, _ThirdPyramid,
-reads every other cube product of the one-third grids (their scans, for
-sigma and omega stacked on a batch axis in one walk, and witnesses,
-_third_mass) the same way over a lattice whose axes are cut, one at a
-time, into thirds of a cell, on which every one-third cube is whole; each
-mass is within about half an ulp of its exact sum.  The
-product-reverse doubling scan reads the dyadic pyramid summed one axis
-at a time, each level also giving the odd-offset pair sums that are the
-concentric shrinks of the coarser edges.  The prefix engine, box_masses,
+reads every cube product of the one-third grids, the standard pair's
+included (their scans, for sigma and omega stacked on a batch axis in one
+walk, and witnesses, _third_mass) the same way over a lattice whose axes
+are cut, one at a time, into thirds of a cell, on which every one-third
+cube is whole; each mass is its exact sum correctly rounded but within
+about 2^-90 of a rounding boundary, and on every standard box tested it
+has the dyadic pyramid's bits.  Every engine but the prefix one halves
+through one step, _halve.  The product-reverse doubling scan reads the
+dyadic pyramid summed one axis at a time, each level also giving the
+odd-offset pair sums that are the concentric shrinks of the coarser
+edges.  The prefix engine, box_masses,
 feeds only the cube, rectangle and strong doubling scans and their
 witnesses: the corner differences of a table of (hi, lo) float64 pairs,
 compensated running sums (_running_sum) one axis at a time, gathered at
@@ -53,6 +58,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as _iproduct
+from numbers import Integral
 
 import numpy as np
 
@@ -233,6 +239,13 @@ class Weight:
         return float(_own_mass(self.lattice, self.density, (0,) * self.lattice.dim, self.lattice.shape))
 
 
+def _check_int(name: str, value, least: int) -> int:
+    """value, DomainError unless it is an integer (not a bool) >= least."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
+
+
 def _check_theta(theta) -> float:
     """theta as a float, DomainError unless it is finite and >= 1."""
     theta = float(theta)
@@ -411,28 +424,17 @@ def _halve(a: np.ndarray, axes, err=None, out=(None, None)) -> tuple:
     if given."""
     last = axes[-1] if len(axes) else None
     for ax in axes:
-        shape = a.shape[:ax] + (-1, 2) + a.shape[ax + 1 :]
-        first, second = (slice(None),) * (ax + 1) + (0,), (slice(None),) * (ax + 1) + (1,)
-        pairs = a.reshape(shape)
+        lead = (slice(None),) * ax
+        first, second = lead + (slice(0, None, 2),), lead + (slice(1, None, 2),)
         dst = out if ax == last else (None, None)
         if err is None:
-            a = np.add(pairs[first], pairs[second], out=dst[0])
+            a = np.add(a[first], a[second], out=dst[0])
             continue
         ex = ey = err
         if isinstance(err, np.ndarray):
-            err = err.reshape(shape)
             ex, ey = err[first], err[second]
-        a, err = _add(pairs[first], pairs[second], ex, ey, dst)
+        a, err = _add(a[first], a[second], ex, ey, dst)
     return a, err
-
-
-def _pyramid(a: np.ndarray, axes: range, depth: int, err=None) -> list[tuple]:
-    """(sums, errors) of a over the axes at levels 0..depth, a being level
-    depth; errors None throughout when err is None (plain pairwise sums)."""
-    out = [(a, err)]
-    for _ in range(depth):
-        out.append(_halve(out[-1][0], axes, out[-1][1]))
-    return out[::-1]
 
 
 def _factor_axes(h: np.ndarray, lat: Lattice, m: int | None) -> list[range]:
@@ -473,8 +475,10 @@ def _segments(stack: np.ndarray, levels: range, m: int, lead: int) -> list[np.nd
 
 def _stream(a: np.ndarray, err, axes: range, depth: int):
     """(level, masses) of a stack over the axes, level depth (a itself)
-    down to 0: each level's sums take its errors in place once the next
-    level is summed from them."""
+    down to 0, fine to coarse: each level is _halve of the one below, and
+    its sums take its errors in place once the next level is summed from
+    them, so a itself is never written.  It walks the second factor of a
+    product pyramid's stacks and every axis of a one-factor pyramid."""
     for level in range(depth, -1, -1):
         nxt = _halve(a, axes, err) if level else None
         if isinstance(err, np.ndarray):
@@ -530,23 +534,17 @@ def _level_masses(h: np.ndarray, lat: Lattice, m: int | None = None, compensated
     """(levels, masses) per level tuple: the masses of the cellwise
     nonnegative h over the dyadic cubes of one level (m None), or over the
     products of a level-li cube of the first m lattice axes and a level-lj
-    cube of the rest, shaped batch + the cubes per axis.  One factor runs
-    level 0 to depth; two run stack by stack (_level_stacks), so a reader
-    that needs product order keys on the level tuple.  Compensated, each
+    cube of the rest, shaped batch + the cubes per axis.  One factor is
+    one _stream, summed when called and handed out level 0 to depth; two
+    run stack by stack (_level_stacks), so a reader that needs product
+    order keys on the level tuple.  Compensated, each
     mass is within an ulp of its exact sum; plain sums (compensated
     False), rounded at every level, are the bilinear forms' and the norm
     operator's, whose bits the norm estimates keep."""
     if m is None:
-        return _cube_levels(_pyramid(h, _factor_axes(h, lat, m)[0], lat.depth, 0.0 if compensated else None))
+        pyramid = list(_stream(h, 0.0 if compensated else None, _factor_axes(h, lat, m)[0], lat.depth))
+        return (((level,), masses) for level, masses in reversed(pyramid))
     return _product_levels(_level_stacks(h, lat, m, compensated), m, h.ndim - lat.dim)
-
-
-def _cube_levels(pyramid: list):
-    """((level,), masses) of a one-factor pyramid, coarse to fine."""
-    for level in range(len(pyramid)):
-        # each level is read once, so it is dropped as soon as it is
-        (part, perr), pyramid[level] = pyramid[level], None
-        yield (level,), part + perr if isinstance(perr, np.ndarray) else part
 
 
 def _product_levels(stacks, m: int, lead: int):
@@ -664,11 +662,10 @@ def _refine(a: np.ndarray, err) -> tuple:
 
 
 def _coarser(a: np.ndarray, err) -> tuple:
-    """The next coarser padded level: _halve of the rows between the pads."""
-    rows = a.shape[0] - 4
-    ex, ey = (err[2 + k : rows + 2 : 2] for k in (0, 1)) if isinstance(err, np.ndarray) else (err, err)
-    out = [np.zeros((rows // 2 + 4,) + a.shape[1:]) for _ in (a, err)]
-    _add(a[2 : rows + 2 : 2], a[3 : rows + 2 : 2], ex, ey, (out[0][2:-2], out[1][2:-2]))
+    """The next coarser padded level: _halve of the rows between the pads,
+    written between the new level's."""
+    out = [np.zeros(((a.shape[0] - 4) // 2 + 4,) + a.shape[1:]) for _ in (a, err)]
+    _halve(a[2:-2], (0,), err[2:-2] if isinstance(err, np.ndarray) else err, (out[0][2:-2], out[1][2:-2]))
     return tuple(out)
 
 
@@ -859,8 +856,8 @@ def box_mass(w: Weight, lo, hi, theta: float = 1.0) -> float:
 
 def lp_norm(f: GridFunction, w: Weight, p: float) -> float:
     """(sum f^p * density * cell_volume)^(1/p)."""
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
+    if not 1 <= p < math.inf:
+        raise DomainError(f"p must be finite and >= 1, got {p}")
     if f.lattice != w.lattice:
         raise ShapeError("function and weight live on different lattices")
     return float(_lp_norms(w.lattice, f.values, w.density, p))

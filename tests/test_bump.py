@@ -520,6 +520,34 @@ def test_characteristic_validation():
         characteristic_at("no_bump", KernelHandle.product_frac(0.5, 0.5, 1, 2), wit, w, w, _exps(0.5, 0.5))
 
 
+_G1, _G2 = standard_grid(1, 0, 3), standard_grid(2, 0, 3)
+
+
+@pytest.mark.parametrize(
+    "kind, mn, witness",
+    [
+        # a box over two of three axes read 0.629
+        pytest.param("no_bump", (1, 2), DyadicRect(Cube(_G1, 1, (0,)), Cube(_G1, 1, (1,))), id="1+1-on-1+2"),
+        # a 1-dim cube on an m = 2 lattice read 0.939
+        pytest.param("one_param", (2, 1), Cube(_G1, 1, (0,)), id="1-on-2"),
+        # a 2-dim I cube on a 1+1 lattice raised IndexError
+        pytest.param("no_bump", (1, 1), DyadicRect(Cube(_G2, 1, (0, 0)), Cube(_G1, 1, (1,))), id="2+1-on-1+1"),
+        # a cube with more indices than its grid has axes
+        pytest.param("product_bump", (1, 1), DyadicRect(Cube(_G1, 1, (0, 1)), Cube(_G1, 1, (1,))), id="index"),
+        # the wrong class raised AttributeError
+        pytest.param("no_bump", (1, 1), Cube(_G2, 1, (0, 0)), id="cube-for-rect"),
+        pytest.param("one_param", (1, 1), DyadicRect(Cube(_G1, 1, (0,)), Cube(_G1, 1, (1,))), id="rect-for-cube"),
+    ],
+)
+def test_characteristic_at_refuses_a_witness_of_the_wrong_shape(kind, mn, witness):
+    m, n = mn
+    lat = make_lattice(m if kind == "one_param" else m + n, 3)
+    w = rand_w(lat, 1)
+    exps = Exponents(p=2.0, q=4.0, alpha=0.5 * m, beta=0.5 * n, m=m, n=n)
+    with pytest.raises(ShapeError):
+        characteristic_at(kind, None, witness, w, w, exps)
+
+
 @pytest.mark.parametrize("theta", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("entry", ["exponents", "prefix", "bump_cube", "slice_profile"])
 def test_non_finite_theta_is_refused(entry, theta):
@@ -819,8 +847,9 @@ def test_dyadic_witnesses_reevaluate_bit_for_bit(m, n):
 def test_onethird_boxes_reevaluate_bit_for_bit(m, n):
     # characteristic_at rebuilds a one-third box's masses from its own
     # cells by the refined pyramid's steps, so a random box of every grid
-    # tuple and level tuple re-evaluates to the scan's bits, blocks split
-    # by offset included (every case splits its finest levels)
+    # tuple, the standard one included, and every level tuple re-evaluates
+    # to the scan's bits, blocks split by offset included (every case
+    # splits its finest levels)
     depth = {1: 7, 2: 4, 3: 2}[m + n]
     lat = make_lattice(m + n, depth)
     sigma = gen_weight(lat, {"kind": "cascade", "beta": 0.9, "seed": m + 3 * n})
@@ -847,7 +876,7 @@ def test_onethird_boxes_reevaluate_bit_for_bit(m, n):
             box = cubes[0] if n == 0 else DyadicRect(*cubes)
             assert characteristic_at(kind, None, box, sigma, omega, exps) == vals[tuple(pos)], (offsets, levels)
             seen.add((offsets, levels))
-        assert len(seen) == (3 ** (m + n) - 1) * (depth + 1) ** len(dims)
+        assert len(seen) == 3 ** (m + n) * (depth + 1) ** len(dims)
 
 
 @pytest.mark.parametrize("dim, depth", [(1, 7), (2, 4), (3, 2)])
@@ -979,6 +1008,92 @@ def test_onethird_masses_match_exact_oracle(dim, m, depth, weight):
         assert np.array_equal(masses, exact), (levels, groups)
         blocks += 1
     assert blocks >= (depth + 1) ** (1 if m is None else 2)
+
+
+@pytest.mark.parametrize(
+    "dim, m, depth",
+    [(1, None, 10), (2, None, 6), (2, 1, 6), (3, None, 4), (3, 1, 4), (3, 2, 4),
+     (4, None, 3), (4, 1, 3), (4, 2, 3), (4, 3, 3)],
+)
+def test_onethird_offset_zero_masses_are_the_dyadic_pyramids(dim, m, depth):
+    # the refined walk's standard grid tuple is the one the scan reads,
+    # and its masses, correctly rounded, have the bits of the dyadic
+    # pyramid's compensated sums: rough, zero-celled, near the float64
+    # maximum (summed at 2^-7) and tiny weights on one batch axis
+    lat = make_lattice(dim, depth)
+    rough = rand_w(lat, depth, rough=3.0).density
+    zeros = gen_weight(lat, {"kind": "cascade", "beta": 0.95, "seed": dim}).density.copy()
+    zeros[substream(dim, 9700).uniform(size=lat.shape) < 0.3] = 0.0
+    h = np.stack([lattice._cellwise(lat, u) for u in (rough, zeros, rough / rough.max() * 1.7e308, zeros * 1e-300)])
+    assert lattice._third_scale(h, lat).ravel().tolist() == [1.0, 1.0, 2.0**-7, 1.0]
+    pyramid = dict(lattice._level_masses(h, lat, m))
+    owner = [0] * dim if m is None else [0] * m + [1] * (dim - m)
+    seen = set()
+    for levels, groups, masses in lattice._ThirdPyramid(lat, m).masses(h):
+        # offset 0 sits at positions 3i + 2 of an axis, or all of group 2
+        if all(g in (None, 2) for g in groups):
+            offset0 = masses[(slice(None),) + tuple(slice(2, None, 3) if g is None else slice(None) for g in groups)]
+            assert offset0.tobytes() == pyramid[levels].tobytes(), (levels, groups)
+            seen.add(levels)
+    assert seen == set(pyramid) and all(len(lv) == len(set(owner)) for lv in seen)
+
+
+def test_onethird_scan_reads_no_dyadic_pyramid(monkeypatch):
+    # every grid tuple of the one-third family, the standard one
+    # included, comes from the refined walk
+    lat = make_lattice(2, 4)
+    sigma = gen_weight(lat, {"kind": "cascade", "beta": 0.85, "seed": 3})
+    omega = rand_w(lat, 4)
+    exps = _exps(0.5, 0.5, theta=1.5)
+    one = Exponents(p=2.0, q=4.0, alpha=1.0, beta=0.5, m=2, n=1, theta=1.5)
+    kinds = {"no_bump": exps, "product_bump": exps, "half_bump_omega": exps, "one_param": one}
+    want = {kind: characteristic(kind, None, sigma, omega, e, family="onethird") for kind, e in kinds.items()}
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the one-third scan read a dyadic pyramid")
+
+    monkeypatch.setattr(bump, "_dyadic_levels", refuse)
+    monkeypatch.setattr(bump, "_level_masses", refuse)
+    for kind, e in kinds.items():
+        got = characteristic(kind, None, sigma, omega, e, family="onethird")
+        assert (got.value, got.witness) == (want[kind].value, want[kind].witness)
+    with pytest.raises(AssertionError):
+        characteristic("no_bump", None, sigma, omega, exps, family="dyadic")
+
+
+@pytest.mark.parametrize("m, n", [(1, 0), (2, 0), (1, 1), (1, 2), (2, 1)])
+def test_standard_tuple_onethird_witness_reads_the_refined_walk(m, n, monkeypatch):
+    # a cube of the u = 0 one-third grid re-evaluates through the refined
+    # pyramid's steps, as the scan reads it, not the own-cells tree; the
+    # same box on the standard grid, a dyadic-family witness, still reads
+    # the own-cells tree
+    depth = {1: 6, 2: 4, 3: 2}[m + n]
+    lat = make_lattice(m + n, depth)
+    sigma = gen_weight(lat, {"kind": "cascade", "beta": 0.9, "seed": m + n})
+    omega = rand_w(lat, 3 * m + n, rough=0.9)
+    exps = Exponents(p=2.0, q=4.0, alpha=0.5 * m, beta=0.5 * max(n, 1), m=m, n=max(n, 1), theta=1.5)
+    dims = (m,) if n == 0 else (m, n)
+    kind = "one_param" if n == 0 else "half_bump_omega"
+    kernel = KernelHandle.from_exponents(exps)
+    boxes = []  # (value, u = 0 box, standard box) of each level tuple's first maximum
+    for offsets, levels, vals in bump._third_levels(kind, kernel, sigma, omega, exps, dims):
+        if not any(offsets):
+            k = int(np.argmax(vals))
+            boxes.append((vals.flat[k], *(bump._witness(f, dims, depth, offsets, levels, k) for f in ("onethird", "dyadic"))))
+    assert len(boxes) == (depth + 1) ** len(dims)
+    own = bump._own_mass
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the box read the own-cells tree")
+
+    monkeypatch.setattr(bump, "_own_mass", refuse)
+    for value, third, std in boxes:
+        assert characteristic_at(kind, None, third, sigma, omega, exps) == value, third
+        with pytest.raises(AssertionError):
+            characteristic_at(kind, None, std, sigma, omega, exps)
+    monkeypatch.setattr(bump, "_own_mass", own)
+    for value, _, std in boxes:
+        assert characteristic_at(kind, None, std, sigma, omega, exps) == value, std
 
 
 @pytest.mark.parametrize("dim, m, depth", [(1, None, 7), (2, None, 4), (2, 1, 5), (3, None, 2), (3, 1, 3), (3, 2, 2)])

@@ -350,6 +350,29 @@ def test_good_carleson_validation():
         good_carleson(full_rect(lat), lebesgue(lat), 2.0, GoodnessParams(eps=0.25, r=2), eta=1e-300)
 
 
+@pytest.mark.parametrize("eta", [math.nan, math.inf, -math.inf])
+def test_good_carleson_refuses_a_non_finite_eta(eta):
+    # eta = nan gave ratio nan
+    lat = make_lattice(1, 4)
+    with pytest.raises(DomainError, match="eta must be finite"):
+        good_carleson(full_rect(lat), lebesgue(lat), 2.0, GoodnessParams(eps=0.25, r=2), eta=eta)
+
+
+@pytest.mark.parametrize("k, match", [(0.5, "integer"), (1.0, "integer"), (True, "integer"),
+                                      (-1074, "integer >= -1073"), (1024, "at most 1023")])
+def test_stopping_cubes_refuse_a_non_integer_or_out_of_range_k(k, match):
+    # k = 0.5 reported k = 0 with no cubes where k = 0 selects 4, and
+    # k = 1100 raised OverflowError at 2^k
+    lat = make_lattice(2, 4)
+    f = GridFunction(lat, np.full(lat.shape, 1.3))
+    w = gen_weight(lat, {"kind": "cascade", "beta": 0.9, "seed": 1})
+    with pytest.raises(DomainError, match=match):
+        stopping_cubes(f, w, 1.5, k)
+    assert stopping_cubes(f, w, 1.5, np.int64(0)) == stopping_cubes(f, w, 1.5, 0)
+    for edge in (-1073, 1023):
+        assert stopping_cubes(f, w, 1.5, edge).k == edge
+
+
 # ---------------------------------------------------------------------------
 # cube embedding
 

@@ -372,6 +372,30 @@ def test_bad_probability_validation():
         bad_probability_mc(20, 0.25, 500, seed=1, depth=16)
 
 
+@pytest.mark.parametrize(
+    "args, depth, match",
+    [((2.5, 0.25, 500), 16, "must be an integer"), ((8, 0.25, 1000.0), 16, "must be an integer"),
+     ((True, 0.25, 500), 16, "must be an integer"), ((8, 0.25, np.float64(500.0)), 16, "must be an integer"),
+     ((8, 0.25, 500), 16.5, "must be an integer"), ((8, 0.25, 500), 63, "at most 62")],
+    ids=["gap", "samples", "bool-gap", "numpy-float-samples", "depth", "int64-depth"],
+)
+def test_bad_probability_refuses_a_non_integer_gap_sample_count_or_depth(args, depth, match):
+    # a float gap, sample count or depth raised TypeError inside the
+    # kernel, and depth 70 OverflowError in its int64 offsets
+    with pytest.raises(DomainError, match=match):
+        bad_probability_mc(*args, seed=1, depth=depth)
+    want = bad_probability_mc(8, 0.25, 500, seed=1)
+    assert bad_probability_mc(np.int64(8), 0.25, np.int64(500), seed=1, depth=np.int64(16)) == want
+
+
+@pytest.mark.parametrize("r", [2.5, 2.0, True, "2"])
+def test_goodness_params_refuse_a_non_integer_r(r):
+    # GoodnessParams(0.25, 2.5) was accepted, and is_good then raised
+    # TypeError
+    with pytest.raises(DomainError, match="r must be an integer >= 1"):
+        GoodnessParams(0.25, r)
+
+
 def test_bad_probability_quarter_eps_saturates():
     # With eps=1/4 the threshold 2^(1+3g/4) exceeds the largest possible
     # skeleton distance (about 2^(g-2)) for every gap g <= 12, so any gap

@@ -109,6 +109,16 @@ def test_power_integrate():
     assert power_integrate(zero, full_rect(lat), 2.0) == 0.0
 
 
+@pytest.mark.parametrize("p", [math.inf, math.nan, -math.inf, 0.5])
+def test_lp_norm_refuses_p_outside_one_to_inf(p):
+    # p = inf summed f^inf, 4.0 for f = 2 where the L^inf norm is 2, and
+    # p = nan returned nan
+    lat = make_lattice(2, 4)
+    w = gen_weight(lat, {"kind": "cascade", "beta": 0.9, "seed": 1})
+    with pytest.raises(DomainError, match="p must be finite and >= 1"):
+        lp_norm(GridFunction(lat, np.full(lat.shape, 2.0)), w, p)
+
+
 def test_lp_norm():
     lat2 = make_lattice(2, 3)
     one = GridFunction(lat2, np.ones(lat2.shape))
@@ -1365,18 +1375,19 @@ def test_stacked_pyramid_yields_every_level_tuple_once(dim, m, depth):
 
 
 @pytest.mark.parametrize("compensated", [True, False])
-@pytest.mark.parametrize("m", [1, 2])
+@pytest.mark.parametrize("m", [None, 1, 2])
 def test_stacked_pyramid_matches_tree_mass_bit_for_bit(m, compensated):
     # halving the second factor once for a stack of first-factor levels
-    # is the same elementwise arithmetic as halving each level alone, so
-    # every mass of every batch row has the bits of its own tree sum,
-    # with TwoSum errors or plain
+    # is the same elementwise arithmetic as halving each level alone, and
+    # one factor (m None) is one such stream over every axis, so every
+    # mass of every batch row has the bits of its own tree sum, with
+    # TwoSum errors or plain
     lat = make_lattice(3, 3)
-    rng = substream(m, 9600)
+    rng = substream(m or 0, 9600)
     dens = np.exp(2.5 * rng.standard_normal((2,) + lat.shape))
     dens[rng.uniform(size=dens.shape) < 0.2] = 0.0
     h = lattice._cellwise(lat, dens, 1.5)
-    dims = (m, lat.dim - m)
+    dims = (lat.dim,) if m is None else (m, lat.dim - m)
     n = lat.cells_per_axis
     for levels, masses in lattice._level_masses(h, lat, m, compensated):
         sides = [n >> lv for lv, d in zip(levels, dims) for _ in range(d)]
