@@ -38,11 +38,12 @@ from typing import Mapping
 import numpy as np
 
 from .errors import DomainError, ShapeError
-from .grids import Cube, DyadicGrid, DyadicRect, onethird_grids, standard_grid
+from .grids import Cube, DyadicGrid, DyadicRect, _check_cube, onethird_grids, standard_grid
 from .lattice import (
     Rect,
     Weight,
     _cellwise,
+    _check_dim,
     _check_rect,
     _check_theta,
     _factor_axes,
@@ -74,12 +75,8 @@ class Exponents:
         if not 1.0 < self.p < self.q < math.inf:
             raise DomainError(f"need 1 < p < q < inf, got p={self.p}, q={self.q}")
         _check_theta(self.theta)
-        if self.m < 1 or self.n < 1:
-            raise DomainError("dimensions must be positive integers")
-        if not 0.0 < self.alpha < self.m:
-            raise DomainError(f"need 0 < alpha < m, got alpha={self.alpha}, m={self.m}")
-        if not 0.0 < self.beta < self.n:
-            raise DomainError(f"need 0 < beta < n, got beta={self.beta}, n={self.n}")
+        kernel = KernelHandle.product_frac(self.alpha, self.beta, self.m, self.n)
+        self.__dict__.update(m=kernel.m, n=kernel.n)
 
     @property
     def p_prime(self) -> float:
@@ -114,11 +111,12 @@ class KernelHandle:
 
     @classmethod
     def product_frac(cls, alpha: float, beta: float, m: int, n: int) -> "KernelHandle":
+        m, n = _check_dim("m", m), _check_dim("n", n)
         if not 0.0 < alpha < m:
             raise DomainError(f"alpha must lie in (0, m)=(0, {m}), got {alpha}")
         if not 0.0 < beta < n:
             raise DomainError(f"beta must lie in (0, n)=(0, {n}), got {beta}")
-        return cls("product_frac", float(alpha), float(beta), int(m), int(n))
+        return cls("product_frac", float(alpha), float(beta), m, n)
 
     @classmethod
     def from_exponents(cls, exps: Exponents) -> "KernelHandle":
@@ -126,10 +124,11 @@ class KernelHandle:
 
     @classmethod
     def from_table(cls, table: Mapping[tuple[int, int], float], m: int, n: int) -> "KernelHandle":
+        m, n = _check_dim("m", m), _check_dim("n", n)
         for key, val in table.items():
             if not (math.isfinite(val) and val >= 0.0):
                 raise DomainError(f"kernel table value at {key} must be finite and >= 0")
-        return cls("table", math.nan, math.nan, int(m), int(n), dict(table))
+        return cls("table", math.nan, math.nan, m, n, dict(table))
 
     @property
     def i_exp(self) -> float:
@@ -224,8 +223,10 @@ def random_partition(lattice, seed: int, split_prob: float = 0.7) -> list[Rect]:
     """Random dyadic partition of the unit box into cell-aligned cubes.
 
     Walks the dyadic tree from the root; each cube splits into its 2^dim
-    children with the given probability until the finest level.
+    children with probability split_prob in [0, 1] until the finest level.
     """
+    if not 0.0 <= split_prob <= 1.0:
+        raise DomainError(f"split_prob must lie in [0, 1], got {split_prob!r}")
     draws = _uniforms(substream(seed, 404))
     out: list[Rect] = []
     stack = [(0, (0,) * lattice.dim)]
@@ -505,6 +506,7 @@ def characteristic_at(
     spans = tuple(c.grid.dim if isinstance(c, Cube) and len(c.index) == c.grid.dim else None for c in cubes)
     if spans != dims:
         raise ShapeError(f"a {kind} witness's cubes span {spans} axes, the lattice's factors {dims}")
+    cubes = tuple(map(_check_cube, cubes))
     lat = sigma.lattice
     levels = list(zip((c.level for c in cubes), dims))
     pairs = list(zip((sigma, omega), _thetas(kind, exps)))

@@ -32,6 +32,7 @@ from .lattice import (
     _cellwise,
     _check_int,
     _check_theta,
+    _first_factor,
     _level_masses,
     _lp_norms,
     _refine_array,
@@ -384,8 +385,7 @@ def embed_check_rects(
     if not 1.0 < s < r < math.inf:
         raise DomainError(f"exponents must satisfy 1 < s < r < inf, got s={s}, r={r}")
     lat = w.lattice
-    if not 1 <= m < lat.dim:
-        raise ShapeError(f"first factor must span 1..{lat.dim - 1} axes, got {m}")
+    m = _first_factor(lat, m)
     lhs, rhs, total = _embeddings(f.values, w.density, lat, theta, r, s, m)
     lhs, rhs = float(lhs), float(rhs)
     chain = _chain(total, rhs, _proof_chain(f, w, theta, r, s, m), r, s)

@@ -11,8 +11,10 @@ class DyadlabError(Exception):
 
 
 class ResourceError(DyadlabError):
-    """A hard resource budget (the cell count, or the bytes of one
-    temporary array) would be exceeded; raised before allocating."""
+    """A hard resource budget (the cell count, the bytes of one temporary
+    array, a scan's size tuples, a norm estimate's iterations, grid
+    verification work or a doubling bound's exponent) would be exceeded;
+    raised before allocating or looping."""
 
 
 class AlignmentError(DyadlabError):

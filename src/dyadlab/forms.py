@@ -43,6 +43,7 @@ from .grids import (
     DyadicGrid,
     DyadicRect,
     GoodnessParams,
+    _coords,
     _good_cubes,
     deepest_common_levels,
 )
@@ -55,6 +56,7 @@ from .lattice import (
     _cellwise,
     _check_int,
     _chunks,
+    _first_factor,
     _level_masses,
     _level_stacks,
     _lp_norms,
@@ -176,9 +178,7 @@ def surrogate_kernels(
     """
     pts = []
     for label, p, dims in (("x", x, kernel.m), ("y", y, kernel.n), ("u", u, kernel.m), ("v", v, kernel.n)):
-        arr = np.asarray(p, dtype=np.float64)
-        if arr.ndim != 2 or arr.shape[1] != dims:
-            raise ShapeError(f"{label} must have shape (N, {dims}), got {arr.shape}")
+        arr = _coords(label, p, dims)
         if not ((arr >= 0.0) & (arr < 1.0)).all():
             raise DomainError(f"{label} has a coordinate outside the unit box")
         pts.append(arr)
@@ -230,14 +230,11 @@ def dyadic_family(lat: Lattice, m: int) -> RectFamily:
 
     A box array past ARRAY_BUDGET_BYTES raises ResourceError before any
     box is built."""
-    if not 1 <= m < lat.dim:
-        raise ShapeError(f"first factor must span 1..{lat.dim - 1} axes, got {m}")
+    m = _first_factor(lat, m)
     n = lat.dim - m
     need = _family_size(lat, m, n) * lat.dim * 2 * 8
     if need > ARRAY_BUDGET_BYTES:
-        raise ResourceError(
-            f"the dyadic family's box array takes {need} bytes, limit {ARRAY_BUDGET_BYTES} bytes"
-        )
+        raise ResourceError(f"the dyadic family's box array takes {need} bytes, limit {ARRAY_BUDGET_BYTES} bytes")
     cells = lat.cells_per_axis
     chunks = []
     lvls = []
@@ -541,19 +538,15 @@ def apply_frac_integral(
     larger factor's would pass ARRAY_BUDGET_BYTES, ResourceError is raised
     before anything is allocated.
     """
-    lat = f.lattice
+    lat, kernel = f.lattice, KernelHandle.product_frac(alpha, beta, m, n)
+    m, n = kernel.m, kernel.n
     if m + n != lat.dim:
         raise ShapeError(f"factors span {m}+{n} axes, lattice has {lat.dim}")
-    if not 0.0 < alpha < m:
-        raise DomainError(f"alpha must lie in (0, {m}), got {alpha}")
-    if not 0.0 < beta < n:
-        raise DomainError(f"beta must lie in (0, {n}), got {beta}")
     cells = lat.cells_per_axis
     largest = max(cells ** (2 * k) * k for k in (m, n)) * 8
     if largest > ARRAY_BUDGET_BYTES:
         raise ResourceError(
-            f"apply_frac_integral needs a {largest}-byte array of center differences, "
-            f"limit {ARRAY_BUDGET_BYTES} bytes"
+            f"apply_frac_integral needs a {largest}-byte array of center differences, limit {ARRAY_BUDGET_BYTES} bytes"
         )
     a_mat = _group_matrix(cells, lat.depth, m, alpha)
     b_mat = _group_matrix(cells, lat.depth, n, beta)

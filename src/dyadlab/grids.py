@@ -12,7 +12,9 @@ every coordinate enters as its exact integer ratio, so cube location,
 ancestors, containment and the deepest common level are floor divisions
 and cross-multiplied comparisons of Python ints.  Fractions appear only
 in what offset() and Cube.bounds() return.  A NaN or infinite coordinate
-or side is a DomainError.
+or side is a DomainError, as is a grid's dim outside 1..MAX_DIM, a level
+range that is not lo <= hi integers (_check_levels), or a query cube's
+level or index that is not an integer (_check_cube).
 
 The batches `sandwiches` and `deepest_common_levels` run the same searches
 over float64 arrays as a filtered exact predicate: each cube index and
@@ -46,7 +48,7 @@ from .errors import (
     ScopeError,
     ShapeError,
 )
-from .lattice import MAX_DIM, _check_int, substream
+from .lattice import _check_dim, _check_int, substream
 
 GRID_MAGIC = "GRID1"
 
@@ -60,6 +62,14 @@ def _common(coords) -> tuple[list[int], int]:
         raise DomainError("coordinates must be finite") from None
     den = math.lcm(*(d for _, d in pairs))
     return [n * (den // d) for n, d in pairs], den
+
+
+def _check_levels(lo, hi) -> tuple[int, int]:
+    """A level range: integer levels, negative ones included, lo <= hi."""
+    lo, hi = _check_int("lo", lo), _check_int("hi", hi)
+    if hi < lo:
+        raise DomainError(f"level range {lo}..{hi} is inverted")
+    return lo, hi
 
 
 def _scale(grid: "DyadicGrid", level: int) -> int:
@@ -77,12 +87,9 @@ class ShiftParam:
     bits: tuple[int, ...]
 
     def __post_init__(self):
-        if self.hi < self.lo:
-            raise DomainError(f"level range {self.lo}..{self.hi} is inverted")
+        self.__dict__.update(zip(("lo", "hi"), _check_levels(self.lo, self.hi)))
         if len(self.bits) != self.hi - self.lo:
-            raise DomainError(
-                f"need {self.hi - self.lo} bits for levels {self.lo}..{self.hi}, got {len(self.bits)}"
-            )
+            raise DomainError(f"need {self.hi - self.lo} bits for levels {self.lo}..{self.hi}, got {len(self.bits)}")
         if any(b not in (0, 1) for b in self.bits):
             raise DomainError("shift bits must be 0 or 1")
 
@@ -106,8 +113,9 @@ class ShiftParam:
 class DyadicGrid:
     """Nested dyadic grid on R^dim, truncated to levels lo..hi for queries.
 
-    kind "std": no offsets.  kind "shift": per-axis ShiftParam.  kind
-    "third": per-axis u in {0,1,2} with offset ((-1)^l u/3 mod 1) * side.
+    dim in 1..MAX_DIM and levels lo <= hi, stored as ints.  kind "std": no
+    offsets.  kind "shift": per-axis ShiftParam.  kind "third": per-axis u
+    in {0,1,2} with offset ((-1)^l u/3 mod 1) * side.
     """
 
     dim: int
@@ -118,16 +126,12 @@ class DyadicGrid:
     third: tuple[int, ...] | None = None
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise DomainError(f"dim must be positive, got {self.dim}")
-        if self.hi < self.lo:
-            raise DomainError(f"level range {self.lo}..{self.hi} is inverted")
+        self.__dict__.update(zip(("dim", "lo", "hi"), (_check_dim("dim", self.dim), *_check_levels(self.lo, self.hi))))
         if self.kind == "shift":
             if self.shifts is None or len(self.shifts) != self.dim:
                 raise DomainError("shift grid needs one ShiftParam per axis")
-            for sp in self.shifts:
-                if (sp.lo, sp.hi) != (self.lo, self.hi):
-                    raise DomainError("ShiftParam level range must match the grid")
+            if any((sp.lo, sp.hi) != (self.lo, self.hi) for sp in self.shifts):
+                raise DomainError("ShiftParam level range must match the grid")
         elif self.kind == "third":
             if self.third is None or len(self.third) != self.dim:
                 raise DomainError("third grid needs one u per axis")
@@ -261,8 +265,7 @@ def standard_grid(dim: int, lo: int, hi: int) -> DyadicGrid:
 
 def sample_shift(seed: int, lo: int, hi: int, axis: int = 0) -> ShiftParam:
     """Uniform shift bits, one stream per (seed, axis)."""
-    if lo > hi:
-        raise DomainError(f"level range {lo}..{hi} is inverted")
+    lo, hi = _check_levels(lo, hi)
     rng = substream(seed, 303, axis)
     bits = tuple(int(b) for b in rng.integers(0, 2, size=hi - lo))
     return ShiftParam(lo, hi, bits)
@@ -276,16 +279,12 @@ def random_grid(shifts) -> DyadicGrid:
 
 
 def sample_grid(seed: int, dim: int, lo: int, hi: int) -> DyadicGrid:
-    if not 1 <= dim <= MAX_DIM:
-        raise DomainError(f"dim must be in 1..{MAX_DIM}, got {dim}")
-    return random_grid(sample_shift(seed, lo, hi, axis=k) for k in range(dim))
+    return random_grid(sample_shift(seed, lo, hi, axis=k) for k in range(_check_dim("dim", dim)))
 
 
 def onethird_grids(dim: int, lo: int, hi: int) -> list[DyadicGrid]:
     """The fixed 3^dim family; index u runs lexicographically per axis."""
-    if not 1 <= dim <= 4:
-        raise DomainError(f"dim must be in 1..4, got {dim}")
-    return [DyadicGrid(dim, lo, hi, "third", third=combo) for combo in _iproduct((0, 1, 2), repeat=dim)]
+    return [DyadicGrid(dim, lo, hi, "third", third=u) for u in _iproduct((0, 1, 2), repeat=_check_dim("dim", dim))]
 
 
 def parse_grid(line: str) -> DyadicGrid:
@@ -299,17 +298,15 @@ def parse_grid(line: str) -> DyadicGrid:
             raise FormatError(f"malformed token {tok!r}")
         fields[key] = val
     try:
-        dim = int(fields["dim"])
+        dim = _check_dim("dim", int(fields["dim"]))
         lo_s, _, hi_s = fields["levels"].partition("..")
-        lo, hi = int(lo_s), int(hi_s)
+        lo, hi = _check_levels(int(lo_s), int(hi_s))
         kind = fields["kind"]
         beta = fields.get("beta", "")
     except (KeyError, ValueError):
         raise FormatError(f"grid descriptor missing fields: {line!r}") from None
-    if not 1 <= dim <= MAX_DIM:
-        raise FormatError(f"dim must be in 1..{MAX_DIM}, got {dim}")
-    if hi < lo:
-        raise FormatError(f"level range {lo}..{hi} is inverted")
+    except DomainError as err:
+        raise FormatError(str(err)) from None
     if kind == "std":
         return standard_grid(dim, lo, hi)
     if kind.startswith("third:"):
@@ -339,11 +336,10 @@ def verify_work(count: int, dim: int, lo: int, hi: int) -> int:
     """The work of verifying count grids of dim axes over levels lo..hi,
     levels * (span + 32) * dim per grid, as each level's probes are
     located with integers that grow with span, the number of levels in
-    lo..hi widened to take in level 0; DomainError for a negative count,
-    ResourceError past VERIFY_BUDGET."""
-    if count < 0:
-        raise DomainError(f"grid count must be >= 0, got {count}")
-    levels = max(hi - lo + 1, 0)
+    lo..hi widened to take in level 0; DomainError for a bad count, dim or
+    level range, ResourceError past VERIFY_BUDGET."""
+    count, dim, (lo, hi) = _check_int("grid count", count, 0), _check_dim("dim", dim), _check_levels(lo, hi)
+    levels = hi - lo + 1
     span = max(hi, 0) - min(lo, 0) + 1
     work = count * dim * levels * (span + 32)
     if work > VERIFY_BUDGET:
@@ -362,6 +358,7 @@ def verify_grid(grid: DyadicGrid, probes: int = 64) -> None:
     (verify_work) raises ResourceError before any probe.
     """
     verify_work(1, grid.dim, grid.lo, grid.hi)
+    probes = _check_int("probes", probes, 1)
     den = 14 * probes
     for level in range(grid.lo, grid.hi + 1):
         k = _scale(grid, level)
@@ -572,6 +569,12 @@ def _good_cubes(count: int, gap_to_p: int, goodness: GoodnessParams, dims: int) 
     return out
 
 
+def _check_cube(cube: Cube) -> Cube:
+    """The cube, its level and index integers, as ints.  Cube itself checks
+    nothing, as verify_grid builds thousands of cubes."""
+    return Cube(cube.grid, _check_int("cube level", cube.level), tuple(_check_int("cube index", i) for i in cube.index))
+
+
 def _position(cube: Cube, anc: Cube) -> np.ndarray:
     """Per-axis index of cube inside its ancestor anc, as a (1, dim) row."""
     k = _scale(cube.grid, cube.level)
@@ -582,6 +585,7 @@ def _position(cube: Cube, anc: Cube) -> np.ndarray:
 
 def good_in(cube: Cube, anc: Cube, eps: float) -> bool:
     """Per-axis skeleton separation of cube inside its strict ancestor anc."""
+    cube, anc = _check_cube(cube), _check_cube(anc)
     gap = cube.level - anc.level
     if anc.grid != cube.grid or gap < 1 or cube.ancestor(gap) != anc:
         raise DomainError(
@@ -596,11 +600,10 @@ def is_good(cube: Cube, params: GoodnessParams) -> bool:
 
     All those ancestors must exist inside the grid's level range.
     """
+    cube = _check_cube(cube)
     grid = cube.grid
     if cube.level - params.r < grid.lo:
-        raise ScopeError(
-            f"cube at level {cube.level} lacks ancestors {params.r} levels up (range starts at {grid.lo})"
-        )
+        raise ScopeError(f"cube at level {cube.level} lacks ancestors {params.r} levels up (range starts at {grid.lo})")
     top = cube.level - grid.lo
     return bool(_good_rel_mask(_position(cube, cube.ancestor(top)), top, params)[0])
 
@@ -628,6 +631,17 @@ class BoxCube:
         return len(self.lo)
 
 
+def _sandwich_args(j, grids) -> tuple[int, int]:
+    """j as an int and the grid family's one dim; j >= 0, family non-empty."""
+    j = _check_int("j", j, 0)
+    if not grids:
+        raise DomainError("need a non-empty grid family")
+    dims = sorted({g.dim for g in grids})
+    if len(dims) > 1:
+        raise ShapeError(f"the grids have {dims} axes")
+    return j, dims[0]
+
+
 def sandwich(p: BoxCube, j: int, grids: list[DyadicGrid]) -> tuple[int, Cube]:
     """Find a grid index u and cube I with side(I) <= 18 side(P), 3P inside
     I, and 2^j P inside the j-th ancestor of I.
@@ -638,18 +652,12 @@ def sandwich(p: BoxCube, j: int, grids: list[DyadicGrid]) -> tuple[int, Cube]:
     succeed by the spacing of the union of the three offset families, so a
     full-search miss is a genuine contract violation.
     """
-    if j < 0:
-        raise DomainError("j must be nonnegative")
-    if not grids:
-        raise DomainError("need a non-empty grid family")
-    dim = p.dim
-    if any(g.dim != dim for g in grids):
-        raise ShapeError(f"cube has {dim} axes, the grids have {sorted({g.dim for g in grids})}")
+    j, dim = _sandwich_args(j, grids)
+    if p.dim != dim:
+        raise ShapeError(f"cube has {p.dim} axes, the grids have {dim}")
     s = p.side
     if 2.0 ** -grids[0].lo < 18 * s:
-        raise ScopeError(
-            f"coarsest grid side {2.0 ** -grids[0].lo} is below 18 side(P) = {18 * s}"
-        )
+        raise ScopeError(f"coarsest grid side {2.0 ** -grids[0].lo} is below 18 side(P) = {18 * s}")
     nums, den = _common([*p.lo, s])
     s_num = nums[-1]
     # over the denominator 2 den the center and both dilations are integers
@@ -670,9 +678,7 @@ def sandwich(p: BoxCube, j: int, grids: list[DyadicGrid]) -> tuple[int, Cube]:
                 e_lo, e_hi, 2 * den, open_hi=False
             ):
                 return u, cand
-    raise ContractViolationError(
-        f"sandwich search failed for cube at {p.lo} side {p.side}, j={j}"
-    )
+    raise ContractViolationError(f"sandwich search failed for cube at {p.lo} side {p.side}, j={j}")
 
 
 def _sandwich_block(lo, side, j, known, offs, exact, out_u, out_level, out_index) -> None:
@@ -717,13 +723,7 @@ def sandwiches(lo, side, j: int, grids: list[DyadicGrid]) -> tuple[np.ndarray, n
     candidate ahead of its first hit, or no hit at all, goes whole to
     sandwich, as does a corner of magnitude 2^50 sides or more.
     """
-    if j < 0:
-        raise DomainError("j must be nonnegative")
-    if not grids:
-        raise DomainError("need a non-empty grid family")
-    dim = grids[0].dim
-    if any(g.dim != dim for g in grids):
-        raise ShapeError(f"the grids have {sorted({g.dim for g in grids})} axes")
+    j, dim = _sandwich_args(j, grids)
     lo = _coords("lo", lo, dim)
     side = np.asarray(side, dtype=np.float64)
     if side.shape != (len(lo),):
@@ -788,9 +788,7 @@ def bad_probability_mc(
     ancestor.  The 95% half-width is the normal approximation.
     """
     _check_int("samples", samples, 100)
-    if not 0.0 < eps < 1.0:
-        raise DomainError(f"eps must be in (0,1), got {eps}")
-    _check_int("level gap", level_gap_r, 1)
+    goodness = GoodnessParams(eps, level_gap_r)
     # the reference cube's offsets are int64 sums of 2^(depth - 1) down
     if _check_int("depth", depth, 0) > 62:
         raise DomainError(f"depth must be at most 62, got {depth!r}")
@@ -801,7 +799,7 @@ def bad_probability_mc(
     weights = 1 << (depth - 1 - np.arange(depth, dtype=np.int64))  # bit i+1 -> 2^(depth-i-1)
     # level-0 offset in finest cells is the full tail sum of the bits
     rel = (1 << depth) // 3 - bits @ weights
-    bad = ~_good_rel_mask(rel[:, None], depth, GoodnessParams(eps, level_gap_r))
+    bad = ~_good_rel_mask(rel[:, None], depth, goodness)
     p_hat = float(bad.mean())
     half_width = 1.96 * math.sqrt(p_hat * (1.0 - p_hat) / samples)
     return BadProbEstimate(p_hat, half_width, samples)

@@ -50,7 +50,10 @@ reverse-doubling constant.  The cube, rectangle and strong scans bound
 every ratio from the table's hi half and read only the boxes that can
 win through the pair engine, a batch of whole scans at a time as one
 array in scan order, whose first greatest ratio is the winner; the
-product-reverse scan reads every tile and shrink from its pyramid.
+product-reverse scan reads every tile and shrink from its pyramid.  It
+also holds the input rules, each written once: _check_int for every
+integer (an Integral, numpy's included, not a bool), _check_dim for a
+dimension (1..MAX_DIM) and _cells for a cell array.
 """
 from __future__ import annotations
 
@@ -117,14 +120,9 @@ class Lattice:
 
 
 def make_lattice(dim: int, depth: int) -> Lattice:
-    if not isinstance(dim, int) or not 1 <= dim <= MAX_DIM:
-        raise DomainError(f"dim must be an integer in [1, {MAX_DIM}], got {dim!r}")
-    if not isinstance(depth, int) or depth < 0:
-        raise DomainError(f"depth must be a nonnegative integer, got {depth!r}")
+    dim, depth = _check_dim("dim", dim), _check_int("depth", depth, 0)
     if dim * depth > CELL_BUDGET_LOG2:
-        raise ResourceError(
-            f"cell budget exceeded: 2^{dim * depth} cells, limit 2^{CELL_BUDGET_LOG2}"
-        )
+        raise ResourceError(f"cell budget exceeded: 2^{dim * depth} cells, limit 2^{CELL_BUDGET_LOG2}")
     return Lattice(dim, depth)
 
 
@@ -205,25 +203,8 @@ class Weight:
     __slots__ = ("lattice", "density", "_prefix", "_count")
 
     def __init__(self, lattice: Lattice, density) -> None:
-        arr = np.asarray(density, dtype=np.float64)
-        if arr.shape != lattice.shape:
-            if arr.size == lattice.cell_count:
-                arr = arr.reshape(lattice.shape)
-            else:
-                raise ShapeError(
-                    f"density shape {arr.shape} incompatible with lattice shape {lattice.shape}"
-                )
-        if not np.all(np.isfinite(arr)):
-            raise DomainError("density must be finite")
-        if np.any(arr < 0):
-            bad = np.argwhere(arr < 0)[0]
-            raise DomainError(
-                f"density must be nonnegative, cell {tuple(int(i) for i in bad)} is not"
-            )
-        arr = arr.copy()
-        arr.flags.writeable = False
         self.lattice = lattice
-        self.density = arr
+        self.density = _cells(lattice, density, "density")
         self._prefix: np.ndarray | None = None
         self._count: np.ndarray | bool | None = False
 
@@ -239,11 +220,51 @@ class Weight:
         return float(_own_mass(self.lattice, self.density, (0,) * self.lattice.dim, self.lattice.shape))
 
 
-def _check_int(name: str, value, least: int) -> int:
-    """value, DomainError unless it is an integer (not a bool) >= least."""
-    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
-        raise DomainError(f"{name} must be an integer >= {least}, got {value!r}")
+def _check_int(name: str, value, least: int | None = None, most: int | None = None) -> int:
+    """value as an int, DomainError unless it is an integer (numpy's
+    included, a bool not) in least..most, either end open when None: the
+    package's one integer rule."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or (
+        least is not None and value < least or most is not None and value > most
+    ):
+        span = "" if least is None else f" >= {least}" if most is None else f" in [{least}, {most}]"
+        raise DomainError(f"{name} must be an integer{span}, got {value!r}")
     return int(value)
+
+
+def _check_dim(name: str, value) -> int:
+    """A dimension: an integer in 1..MAX_DIM."""
+    return _check_int(name, value, 1, MAX_DIM)
+
+
+def _first_factor(lat: Lattice, m) -> int:
+    """The first factor's dim m, ShapeError unless it leaves a second."""
+    m = _check_dim("m", m)
+    if m >= lat.dim:
+        raise ShapeError(f"first factor must span 1..{lat.dim - 1} axes, got {m}")
+    return m
+
+
+def _cells(lattice: Lattice, values, name: str) -> np.ndarray:
+    """values as a read-only C-order float64 copy of the lattice's shape
+    (one of cell_count values is reshaped, any other size a ShapeError),
+    DomainError unless each is a finite nonnegative real number."""
+    try:
+        arr = np.asarray(values)
+        if arr.dtype.kind == "c":
+            raise TypeError
+        arr = arr.astype(np.float64, order="C")
+    except (TypeError, ValueError):
+        raise DomainError(f"{name} must be real numbers") from None
+    if arr.shape != lattice.shape:
+        if arr.size != lattice.cell_count:
+            raise ShapeError(f"{name} shape {arr.shape} incompatible with lattice shape {lattice.shape}")
+        arr = arr.reshape(lattice.shape)
+    ok = np.isfinite(arr) & (arr >= 0)
+    if not ok.all():
+        raise DomainError(f"{name} must be finite and nonnegative, cell {tuple(np.argwhere(~ok)[0].tolist())} is not")
+    arr.flags.writeable = False
+    return arr
 
 
 def _check_theta(theta) -> float:
@@ -260,20 +281,8 @@ class GridFunction:
     __slots__ = ("lattice", "values")
 
     def __init__(self, lattice: Lattice, values) -> None:
-        arr = np.asarray(values, dtype=np.float64)
-        if arr.shape != lattice.shape:
-            if arr.size == lattice.cell_count:
-                arr = arr.reshape(lattice.shape)
-            else:
-                raise ShapeError(
-                    f"values shape {arr.shape} incompatible with lattice shape {lattice.shape}"
-                )
-        if not np.all(np.isfinite(arr)) or np.any(arr < 0):
-            raise DomainError("grid function values must be finite and nonnegative")
-        arr = arr.copy()
-        arr.flags.writeable = False
         self.lattice = lattice
-        self.values = arr
+        self.values = _cells(lattice, values, "values")
 
 
 def _running_sum(x: np.ndarray, axis: int, err=None, out=None) -> tuple:
@@ -887,27 +896,25 @@ def _refine_array(a: np.ndarray, extra: int) -> np.ndarray:
     return out
 
 
+def _refined(x, values: np.ndarray, extra):
+    """x, a Weight or GridFunction of these cell values, on a lattice
+    extra levels deeper."""
+    if (extra := _check_int("extra levels", extra, 0)) == 0:
+        return x
+    return type(x)(make_lattice(x.lattice.dim, x.lattice.depth + extra), _refine_array(values, extra))
+
+
 def refine_weight(w: Weight, extra: int) -> Weight:
     """Same measure on a lattice `extra` levels deeper.
 
     Densities are piecewise constant, so every box mass is preserved exactly.
     """
-    if extra < 0:
-        raise DomainError(f"extra levels must be >= 0, got {extra}")
-    if extra == 0:
-        return w
-    lat = make_lattice(w.lattice.dim, w.lattice.depth + extra)
-    return Weight(lat, _refine_array(w.density, extra))
+    return _refined(w, w.density, extra)
 
 
 def refine_function(f: GridFunction, extra: int) -> GridFunction:
     """Same piecewise-constant function viewed on a deeper lattice."""
-    if extra < 0:
-        raise DomainError(f"extra levels must be >= 0, got {extra}")
-    if extra == 0:
-        return f
-    lat = make_lattice(f.lattice.dim, f.lattice.depth + extra)
-    return GridFunction(lat, _refine_array(f.values, extra))
+    return _refined(f, f.values, extra)
 
 
 # ---------------------------------------------------------------------------
@@ -919,7 +926,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
 
     Philox keys do not depend on draw order, so shard scheduling can never
     change results.  A seed that is not a nonnegative integer raises
-    DomainError.
+    DomainError, as does a path element that is not one (_check_int).
     """
     try:
         key = int(seed)
@@ -927,7 +934,7 @@ def substream(seed: int, *path: int) -> np.random.Generator:
         key = -1
     if key < 0 or key != seed:
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
-    ss = np.random.SeedSequence([key, *[int(p) for p in path]])
+    ss = np.random.SeedSequence([key, *(_check_int("stream path", p, 0) for p in path)])
     return np.random.Generator(np.random.Philox(ss))
 
 

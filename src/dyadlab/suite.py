@@ -30,7 +30,6 @@ from .bump import (
     slice_profile,
 )
 from .embed import automatic_carleson, embed_check_cubes, embed_check_rects, good_carleson
-from .errors import DomainError
 from .forms import (
     KernelHandle,
     apply_frac_integral,
@@ -51,6 +50,7 @@ from .lattice import (
     GridFunction,
     Weight,
     _cellwise,
+    _check_int,
     _level_masses,
     box_masses,
     doubling_report,
@@ -615,10 +615,7 @@ def run_suite(depth: int = 8, depth_2d: int = 5, seed: int = 0, extra_weights=No
     the far-field check puts a point mass on cell (1, 2) of the 2D
     lattice.  A 1D or 2D lattice that make_lattice refuses is refused
     before any check runs too."""
-    if depth < 8:
-        raise DomainError(f"the embedding stability check needs depth >= 8, got {depth}")
-    if depth_2d < 2:
-        raise DomainError(f"the 2D checks need depth_2d >= 2, got {depth_2d}")
+    depth, depth_2d = _check_int("depth", depth, 8), _check_int("depth_2d", depth_2d, 2)
     make_lattice(1, depth)
     make_lattice(2, depth_2d)
     rows = [

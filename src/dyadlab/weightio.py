@@ -75,4 +75,4 @@ def read_weight(path) -> Weight:
             raise FormatError(
                 f"end of file: expected {lat.cell_count} values, found {count}"
             )
-    return Weight(lat, values.reshape(lat.shape))
+    return Weight(lat, values)

@@ -20,7 +20,9 @@ pyramid; the oracle reads them from the same pyramid, since accumulation
 of masses is not what the policy changes, and applies the decimal maps.
 Densities span 1e-75..1e75 and exponents stay at most 4.
 """
+import inspect
 import math
+import re
 from decimal import Decimal, localcontext
 from pathlib import Path
 
@@ -29,7 +31,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from dyadlab import GridFunction, Rect, Weight, bump_cube, integrate, make_lattice
+from dyadlab import GridFunction, KernelHandle, Rect, Weight, bump_cube, integrate, make_lattice
 from dyadlab.embed import automatic_carleson, embed_check_cubes
 from dyadlab import lattice
 from dyadlab.lattice import full_rect, lp_norm
@@ -248,3 +250,13 @@ def test_src_uses_no_long_double():
     src = Path(__file__).resolve().parent.parent / "src"
     for path in sorted(src.rglob("*.py")):
         assert "longdouble" not in path.read_text(), path.name
+
+
+def test_src_checks_integers_by_one_rule():
+    # one integer rule, lattice._check_int: no module tests integer-ness
+    # with isinstance(..., int), and KernelHandle casts no dimension
+    src = Path(__file__).resolve().parent.parent / "src"
+    for path in sorted(src.rglob("*.py")):
+        assert not re.search(r"isinstance\([^()]*\bint\b", path.read_text()), path.name
+    kernel = inspect.getsource(KernelHandle)
+    assert not re.search(r"\bint\(\s*[mn]\s*\)", kernel)
