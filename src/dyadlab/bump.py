@@ -157,6 +157,8 @@ def _bump_map(masses: np.ndarray, vol: float, theta: float) -> np.ndarray:
     """vol^(1 - 1/theta) * mass^(1/theta) of float64 masses, every bump in
     the package; the volume factor is one float64 power per call, so
     theta = 1 returns the masses themselves."""
+    if theta == 1.0:
+        return masses
     inv_theta = 1.0 / theta
     return float(vol) ** (1.0 - inv_theta) * np.power(masses, inv_theta)
 

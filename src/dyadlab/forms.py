@@ -43,6 +43,7 @@ from .grids import (
     DyadicGrid,
     DyadicRect,
     GoodnessParams,
+    _check_cube,
     _coords,
     _good_cubes,
     deepest_common_levels,
@@ -252,7 +253,7 @@ def _cube_box(lat: Lattice, cube) -> tuple[tuple[int, ...], tuple[int, ...], int
     if cube.level < 0 or cube.level > lat.depth:
         raise AlignmentError(f"cube level {cube.level} leaves the lattice depth {lat.depth}")
     side = lat.cells_per_axis >> cube.level
-    lo = tuple(int(i) * side for i in cube.index)
+    lo = tuple(i * side for i in cube.index)
     hi = tuple(a + side for a in lo)
     for a, b in zip(lo, hi):
         if a < 0 or b > lat.cells_per_axis:
@@ -261,8 +262,9 @@ def _cube_box(lat: Lattice, cube) -> tuple[tuple[int, ...], tuple[int, ...], int
 
 
 def family_of(lat: Lattice, rects: Sequence[DyadicRect]) -> RectFamily:
-    """Family from explicit rectangles (standard-grid cubes only)."""
-    rects = tuple(rects)
+    """Family from explicit rectangles (standard-grid cubes only), their
+    cubes' levels and indices checked as ints (grids._check_cube)."""
+    rects = tuple(DyadicRect(_check_cube(r.i_cube), _check_cube(r.j_cube)) for r in rects)
     if not rects:
         raise DomainError("family needs at least one rectangle")
     m = rects[0].i_cube.grid.dim

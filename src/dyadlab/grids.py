@@ -13,8 +13,9 @@ ancestors, containment and the deepest common level are floor divisions
 and cross-multiplied comparisons of Python ints.  Fractions appear only
 in what offset() and Cube.bounds() return.  A NaN or infinite coordinate
 or side is a DomainError, as is a grid's dim outside 1..MAX_DIM, a level
-range that is not lo <= hi integers (_check_levels), or a query cube's
-level or index that is not an integer (_check_cube).
+range that is not lo <= hi integers (_check_levels), a third offset or a
+shift bit that is not an integer in 0..2 or 0..1, or a query cube's level
+or index that is not an integer (_check_cube).
 
 The batches `sandwiches` and `deepest_common_levels` run the same searches
 over float64 arrays as a filtered exact predicate: each cube index and
@@ -90,8 +91,7 @@ class ShiftParam:
         self.__dict__.update(zip(("lo", "hi"), _check_levels(self.lo, self.hi)))
         if len(self.bits) != self.hi - self.lo:
             raise DomainError(f"need {self.hi - self.lo} bits for levels {self.lo}..{self.hi}, got {len(self.bits)}")
-        if any(b not in (0, 1) for b in self.bits):
-            raise DomainError("shift bits must be 0 or 1")
+        self.__dict__["bits"] = tuple(_check_int("shift bit", b, 0, 1) for b in self.bits)
 
     def offset_cells(self, level: int) -> int:
         """Offset of the level's left endpoints, in units of 2^-hi.
@@ -135,8 +135,7 @@ class DyadicGrid:
         elif self.kind == "third":
             if self.third is None or len(self.third) != self.dim:
                 raise DomainError("third grid needs one u per axis")
-            if any(u not in (0, 1, 2) for u in self.third):
-                raise DomainError("third offsets must be in {0, 1, 2}")
+            self.__dict__["third"] = tuple(_check_int("third offset", u, 0, 2) for u in self.third)
         elif self.kind != "std":
             raise DomainError(f"unknown grid kind {self.kind!r}")
 

@@ -1216,6 +1216,20 @@ def _rect(family, flat: int, n: int) -> Rect:
 # is 1 a block is one placement, and the per-box screen is the tighter
 # read of the same boxes, so no block pass runs.  The strong scan runs
 # none: its L sits near 1, where blocks rarely rule anything out.
+#
+# After a skipped scan, the next band of scans is bounded by one pass
+# (_unskipped): a run of consecutive scans whose sides never shrink and
+# stay within _BAND of the first's.  The pass reads the first scan's
+# placements as its bases (the most placements and the smallest boxes,
+# with the steps from its sides) and the last scan's doubles as its
+# numerators (the lowest lo and highest hi offsets).  A placement a of any
+# scan of the band lies in the first's block a // g, as a <= n - m for
+# its side m >= the first's; its box holds that block's I, and its double,
+# whose offsets spread as m grows, lies in the block's U.  So each block's
+# hi bounds every placement it holds of every scan of the band, and a
+# band whose every block lies below L is skipped whole; otherwise each
+# of its scans is bounded alone.  Where no scan is skipped, as on most
+# sizes of a weight whose placements tie, no band pass runs.
 
 _U = 2.0**-53
 _TINY = 2.0**-1060
@@ -1302,6 +1316,8 @@ def _ratios(masses: list, infinite: bool) -> tuple[np.ndarray, np.ndarray | None
 _BATCH = 1 << 16
 # a block pass bounds runs of max(1, m // _BLOCK) placements per axis
 _BLOCK = 8
+# a band's sides are at most _BAND times its first scan's
+_BAND = 1.125
 
 
 def _block_bounds(flt: np.ndarray, bound: float, families, steps) -> np.ndarray:
@@ -1368,12 +1384,49 @@ class _Candidates:
         return None
 
 
+def _sides(families) -> list[int]:
+    return [hi - lo for _, lo, hi in families[0]]
+
+
+def _unskipped(scans, below):
+    """The scans, in order, that no block pass rules out; below(families,
+    sides) tells whether every block of a family pair, its steps taken
+    from sides, lies below L.  A scan with a step above 1 is bounded
+    alone, and after a skipped scan the next band is bounded at once (see
+    the comment above _screen_bound).  At most one band and one more scan
+    are drawn from scans ahead of the scan being read."""
+    scans = iter(scans)
+    held, skipped = next(scans, None), False
+    while held is not None:
+        band, held = [held], None
+        if skipped:
+            first = last = _sides(band[0][1])
+            for held in scans:
+                sides = _sides(held[1])
+                if not all(a <= b <= f * _BAND for a, b, f in zip(last, sides, first)):
+                    break
+                band.append(held)
+                last = sides
+            else:
+                held = None
+            if len(band) > 1 and below(band[0][1][:1] + band[-1][1][1:], first):
+                continue
+        for scan in band:
+            sides = _sides(scan[1])
+            skipped = max(sides) >= 2 * _BLOCK and below(scan[1], sides)
+            if not skipped:
+                yield scan
+        if held is None:
+            held = next(scans, None)
+
+
 def _first_max(w: Weight, scans, infinite: bool, blocks: bool = False):
     """The first box of greatest ratio over every box of scans, an
     iterable of (tag, families) in scan order, families the base family
     and one or two numerator families of its shape, each read in C order.
-    With blocks set, a scan whose blocks all lie below L is skipped
-    before its per-box screen.
+    With blocks set, the families are _placements and _doubles of each
+    scan's sides, and the scans that block passes rule out (_unskipped)
+    are skipped before their per-box screen.
 
     Returns None when no ratio exceeds -1, else (value, infinite, tag,
     families, flat, masses) for the winning box, masses its engine masses
@@ -1387,11 +1440,12 @@ def _first_max(w: Weight, scans, infinite: bool, blocks: bool = False):
     tab = w.prefix(1.0)
     flt, bound = tab[0], _screen_bound(tab)
     cands = _Candidates(w, infinite)
-    for tag, families in scans:
-        if blocks and cands.floor > 0:
-            steps = [max(1, (hi - lo) // _BLOCK) for _, lo, hi in families[0]]
-            if max(steps) > 1 and (_block_bounds(flt, bound, families, steps) < cands.floor).all():
-                continue
+
+    def below(families, sides) -> bool:
+        steps = [max(1, m // _BLOCK) for m in sides]
+        return cands.floor > 0 and bool((_block_bounds(flt, bound, families, steps) < cands.floor).all())
+
+    for tag, families in _unskipped(scans, below) if blocks else scans:
         base = _differences(flt, families[0])
         und = np.empty(0, np.intp)
         if not base.min() > bound:  # or NaN, from a table past the float64 range
@@ -1618,7 +1672,9 @@ def doubling_report(w: Weight, mode: str) -> DoublingReport:
     massless.  Once a ratio is known, cube and rectangle first bound
     whole blocks of placements of each size tuple, from the intersection
     of their boxes and the union of their doubles, and skip a size tuple
-    whose blocks all lie below it.
+    whose blocks all lie below it; after a skip, one such pass bounds the
+    next band of size tuples that grow by at most 1/8 on each axis, and
+    skips the band whole where every block lies below.
     product_reverse reads no prefix table: every tile and shrunk box is a
     compensated pyramid sum of its own cells, within an ulp of its exact
     mass, and its witnesses re-evaluate through the same tree.

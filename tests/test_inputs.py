@@ -2,7 +2,7 @@
 
 Every integer parameter (a dimension, a level, a refinement depth, a
 stream path, a sandwich's j, a cube's level and index, a probe or grid
-count) passes lattice._check_int: an Integral that is not a bool, numpy
+count, a third offset, a shift bit) passes lattice._check_int: an Integral that is not a bool, numpy
 integers included.  Each row below names one such parameter of one entry
 with a valid value; the entry must refuse that value as a bool, as a
 fractional float and as an integral float with DomainError (never a
@@ -34,6 +34,7 @@ from dyadlab import (
     characteristic_at,
     dyadic_family,
     embed_check_rects,
+    family_of,
     gen_weight,
     good_in,
     is_good,
@@ -68,6 +69,10 @@ def _witness(level=1, index=1):
     return DyadicRect(Cube(THIRDS[1], level, (index,)), Cube(standard_grid(1, 0, 2), 1, (0,)))
 
 
+def _std_rect(level=1, index=1):
+    return DyadicRect(Cube(standard_grid(1, 0, 2), level, (index,)), Cube(standard_grid(1, 0, 2), 1, (0,)))
+
+
 # (entry.parameter, a valid integer value, the call with that parameter set)
 INTEGER_ROWS = [
     ("make_lattice.dim", 2, lambda v: make_lattice(v, 3)),
@@ -89,6 +94,8 @@ INTEGER_ROWS = [
     ("standard_grid.hi", 3, lambda v: standard_grid(1, 0, v)),
     ("ShiftParam.lo", 0, lambda v: ShiftParam(v, 2, (0, 1))),
     ("ShiftParam.hi", 2, lambda v: ShiftParam(0, v, (0, 1))),
+    ("ShiftParam.bits", 1, lambda v: ShiftParam(0, 2, (v, 0))),
+    ("DyadicGrid.third", 1, lambda v: DyadicGrid(1, 0, 3, "third", third=(v,))),
     ("Exponents.m", 1, lambda v: Exponents(p=2.0, q=4.0, alpha=0.5, beta=0.5, m=v, n=1)),
     ("Exponents.n", 1, lambda v: Exponents(p=2.0, q=4.0, alpha=0.5, beta=0.5, m=1, n=v)),
     ("refine_weight.extra", 1, lambda v: refine_weight(W1, v)),
@@ -97,6 +104,8 @@ INTEGER_ROWS = [
     ("apply_frac_integral.n", 1, lambda v: apply_frac_integral(F2, 0.5, 0.5, 1, v)),
     ("embed_check_rects.m", 1, lambda v: embed_check_rects(F2, W2, theta=2.0, r=4.0, s=2.0, m=v)),
     ("dyadic_family.m", 1, lambda v: dyadic_family(LAT2, v)),
+    ("family_of.level", 1, lambda v: family_of(LAT2, [_std_rect(level=v)])),
+    ("family_of.index", 1, lambda v: family_of(LAT2, [_std_rect(index=v)])),
     ("sandwich.j", 1, lambda v: sandwich(BoxCube((0.3,), 0.01), v, THIRDS)),
     ("sandwiches.j", 1, lambda v: sandwiches([[0.3], [0.71]], [0.01, 0.002], v, THIRDS)),
     ("characteristic_at.level", 1, lambda v: characteristic_at("no_bump", None, _witness(level=v), W2, W2, EXPS)),

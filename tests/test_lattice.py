@@ -1122,42 +1122,149 @@ def test_wide_blocks_keep_the_first_maximizer(monkeypatch, shape):
         _assert_doubling_matches_former(w)
 
 
+def _pass_sizes(families) -> tuple[tuple, tuple]:
+    """The first and last size tuples of a block pass: its bases are the
+    first's placements and its numerators the last's doubles."""
+    return tuple(m for _, _, m in families[0]), tuple(-2 * lo for _, lo, _ in families[1])
+
+
 def test_block_pass_skips_whole_sizes(monkeypatch):
     # on a positive weight the cube scan screens box by box only the sizes
     # of one placement per block (m < 2 _BLOCK) and those with a block
-    # whose bound reaches L, every placement of a skipped size lies below
-    # the constant, and the engine still reads one batch per role
+    # whose bound reaches L, every size from 2 _BLOCK on is covered by a
+    # band pass or its own pass, every placement of a skipped size lies
+    # below the constant, and the engine still reads one batch per role
     w = _oracle_weight(make_lattice(2, 6), "lognormal", 5)
     n = w.lattice.cells_per_axis
-    differences, engine = lattice._differences, lattice._weight_masses
-    screened, blocked, reads = set(), set(), []
+    differences, blocks, engine = lattice._differences, lattice._block_bounds, lattice._weight_masses
+    screened, covered, bands, reads = set(), set(), [], []
 
     def spy_differences(tab, family):
         _, lo, hi, *step = family[0]
-        if lo >= 0:  # a base family, by size: a block's intersection starts g - 1 in
-            (blocked if step else screened).add(hi - lo + (step[0] - 1 if step else 0))
+        if lo >= 0 and not step:  # the base family of a per-box screen
+            screened.add(hi - lo)
         return differences(tab, family)
+
+    def spy_blocks(flt, bound, families, steps):
+        (first, _), (last, _) = _pass_sizes(families)
+        covered.update(range(first, last + 1, 2))
+        if last > first:
+            bands.append((first, last))
+        return blocks(flt, bound, families, steps)
 
     def spy_engine(w, lo, hi):
         reads.append(lo)
         return engine(w, lo, hi)
 
     monkeypatch.setattr(lattice, "_differences", spy_differences)
+    monkeypatch.setattr(lattice, "_block_bounds", spy_blocks)
     monkeypatch.setattr(lattice, "_weight_masses", spy_engine)
     rep = doubling_report(w, "cube")
     monkeypatch.undo()
     _assert_doubling_matches_former(w, ("cube",))
     assert len(reads) == 2
     sizes = range(2, n + 1, 2)
-    assert blocked == {m for m in sizes if m >= 2 * lattice._BLOCK}
+    assert covered == {m for m in sizes if m >= 2 * lattice._BLOCK}
+    assert bands
     assert {m for m in sizes if m < 2 * lattice._BLOCK} <= screened
-    skipped = blocked - screened
+    skipped = covered - screened
     assert skipped
     for m in skipped:
         families = (lattice._placements(n, (m,) * 2), lattice._doubles(n, (m,) * 2))
         every = np.arange((n - m + 1) ** 2)
         base, num = lattice._engine(w, [(families, every)])
         assert (num / base).max() < rep.constant
+
+
+def test_bands_are_maximal_runs_of_growing_sides():
+    # with every pass below L, each scan of the rectangle scan's order is
+    # yielded, bounded alone or in one band; a band follows a skipped
+    # scan, its sides never shrink and stay within _BAND of its first's,
+    # and the scan after it breaks one of these
+    n = 64
+    order = list(iproduct(range(2, n + 1, 2), repeat=2))
+    at = {s: k for k, s in enumerate(order)}
+    passes = []
+
+    def below(families, sides):
+        first, last = _pass_sizes(families)
+        assert list(sides) == list(first)
+        passes.append((at[first], at[last]))
+        return True
+
+    scans = ((s, (lattice._placements(n, s), lattice._doubles(n, s))) for s in order)
+    kept = [at[s] for s, _ in lattice._unskipped(scans, below)]
+    seen = sorted(kept + [k for i, j in passes for k in range(i, j + 1)])
+    assert seen == list(range(len(order)))
+    assert all(max(order[k]) < 2 * lattice._BLOCK for k in kept)
+
+    def joins(i, k):
+        return all(a <= b <= f * lattice._BAND for a, b, f in zip(order[k - 1], order[k], order[i]))
+
+    bands = [(i, j) for i, j in passes if j > i]
+    assert len(bands) > 100
+    for i, j in bands:
+        assert i - 1 in {end for _, end in passes}
+        assert all(joins(i, k) for k in range(i + 1, j + 1))
+        assert j + 1 == len(order) or not joins(i, j + 1)
+
+
+@pytest.mark.parametrize("block", [2, 8])
+@pytest.mark.parametrize("shape", [(1, 5), (2, 4)])
+def test_wide_bands_keep_the_first_maximizer(monkeypatch, shape, block):
+    # with no bound on its sides a band runs from the scan after a skipped
+    # one to the next that shrinks on an axis, so band passes meet tied,
+    # massless and near-tied placements over many sizes at once
+    monkeypatch.setattr(lattice, "_BAND", math.inf)
+    monkeypatch.setattr(lattice, "_BLOCK", block)
+    blocks, bands = lattice._block_bounds, []
+
+    def spy(flt, bound, families, steps):
+        first, last = _pass_sizes(families)
+        bands.append(first != last)
+        return blocks(flt, bound, families, steps)
+
+    monkeypatch.setattr(lattice, "_block_bounds", spy)
+    for w in _batch_weights(make_lattice(*shape)):
+        _assert_doubling_matches_former(w)
+    assert any(bands)
+
+
+@pytest.mark.parametrize("weight", ["lognormal", "zero_block"])
+def test_first_max_draws_at_most_one_band_ahead(monkeypatch, weight):
+    # scans come from a generator, read lazily: while a scan of side m is
+    # bounded or screened, no scan is drawn past the band that may start
+    # at m (sides up to m _BAND) and one more; a first INFINITE, at the
+    # zero block's size-2 placements, ends the scan before a second draw
+    w = _oracle_weight(make_lattice(2, 6), weight, 8)
+    n = w.lattice.cells_per_axis
+    drawn, reads = [0], []
+
+    def scans():
+        for m in range(2, n + 1, 2):
+            drawn[0] += 1
+            yield (m, m), (lattice._placements(n, (m, m)), lattice._doubles(n, (m, m)))
+
+    differences = lattice._differences
+
+    def spy(tab, family):
+        _, lo, hi, *step = family[0]
+        if lo >= 0:  # a base family, by size: a block's intersection starts g - 1 in
+            reads.append((hi - lo + (step[0] - 1 if step else 0), drawn[0]))
+        return differences(tab, family)
+
+    monkeypatch.setattr(lattice, "_differences", spy)
+    value, infinite, _, (boxes, _), flat, _ = lattice._first_max(w, scans(), True, blocks=True)
+    monkeypatch.undo()
+    rep = doubling_report(w, "cube")
+    assert (value, infinite) == (rep.constant, rep.infinite)
+    assert lattice._rect(boxes, flat, n) == rep.witnesses["doubling"].rect
+    if infinite:
+        assert drawn[0] == 1
+        return
+    assert drawn[0] == n // 2
+    assert all(k <= int(m * lattice._BAND) // 2 + 1 for m, k in reads)
+    assert any(k > m // 2 + 1 for m, k in reads)
 
 
 @pytest.mark.parametrize("weight, seed", [("lognormal", 5), ("cascade", 3)])
@@ -1303,6 +1410,48 @@ def test_block_bounds_dominate_their_placements(shape, weight, seed):
         assert np.all(worst <= bounds)
         massless = np.zeros(bounds.size, bool)
         np.logical_or.at(massless, block, base == 0.0)
+        assert np.all(bounds[massless] == np.inf)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.sampled_from([(1, 6), (2, 4), (3, 2)]),
+    st.sampled_from(["rough", "cascade", "zero_block", "tiny"]),
+    st.integers(0, 2**20),
+)
+def test_band_bounds_dominate_every_size_of_the_band(shape, weight, seed):
+    # a band pass reads its first sizes' placements as the bases, steps
+    # and blocks, and its last sizes' doubles as the numerators; each
+    # block's hi is at least the engine ratio of every placement it holds
+    # of every size tuple between the two, and inf where one of them has a
+    # massless base
+    lat = make_lattice(*shape)
+    rng = np.random.default_rng(seed)
+    w = _screen_weight(lat, weight, seed, rng)
+    tab = w.prefix(1.0)
+    flt, bound = tab[0], lattice._screen_bound(tab)
+    n = lat.cells_per_axis
+    for _ in range(4):
+        first = tuple(int(v) for v in rng.choice(np.arange(2, n + 1, 2), lat.dim))
+        last = tuple(int(rng.choice(np.arange(m, n + 1, 2))) for m in first)
+        steps = [int(rng.integers(1, m + 1)) for m in first]
+        band = (lattice._placements(n, first), lattice._doubles(n, last))
+        bounds = lattice._block_bounds(flt, bound, band, steps)
+        blocks = [-(-c // g) for (c, _, _), g in zip(band[0], steps)]
+        worst = np.full(bounds.size, -np.inf)
+        massless = np.zeros(bounds.size, bool)
+        for sizes in iproduct(*(range(a, b + 1, 2) for a, b in zip(first, last))):
+            families = (lattice._placements(n, sizes), lattice._doubles(n, sizes))
+            counts = [c for c, _, _ in families[0]]
+            every = np.arange(math.prod(counts))
+            base, num = lattice._engine(w, [(families, every)])
+            pos = np.unravel_index(every, counts)
+            block = np.ravel_multi_index([p // g for p, g in zip(pos, steps)], blocks)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratio = np.where(base > 0.0, num / base, np.where(num > 0.0, np.inf, -1.0))
+            np.maximum.at(worst, block, ratio)
+            np.logical_or.at(massless, block, base == 0.0)
+        assert np.all(worst <= bounds)
         assert np.all(bounds[massless] == np.inf)
 
 

@@ -16,8 +16,9 @@ scan2d and norm2d task calls on the first --units weight pairs of that seed
 depth 5, the cube doubling scan of each scan2d sigma, the rectangle and
 strong doubling scans of each scan2d weight at 2D depth 4, the cube and
 rectangle scans of a seeded lognormal weight at 1D depth 12 and 3D depth
-4, and the cube, rectangle, strong and product-reverse scans of a
-seeded lognormal weight with a block of zero cells and of the constant,
+4, the rectangle scan of the first scan2d omega at 2D depth 6, where
+block passes bound bands of sizes, and the cube, rectangle, strong and
+product-reverse scans of a seeded lognormal weight with a block of zero cells and of the constant,
 halfspace_cutoff and checkerboard weights, whose placements tie, also at
 2D depth 4, and the norm estimates of the first norm2d pair under
 a level-table kernel, over a family_of family holding a duplicated
@@ -72,6 +73,9 @@ PER_SCALE_DEPTH = 5
 # (dim, depth) of the lattices whose cube and rectangle scans run the
 # block pass on most sizes
 BLOCK_SHAPES = ((1, 12), (3, 4))
+# the 2D depth of the rectangle scan whose sizes reach the block and band
+# passes
+BAND_DEPTH = 6
 # the single-box reads' lattice (2D) and seeded boxes per read
 SINGLE_DEPTH = 5
 SINGLE_BOXES = 6
@@ -464,13 +468,18 @@ def _ties(out: dict) -> None:
 def _blocks(seed: int, out: dict) -> None:
     """Cube and rectangle reports of seeded lognormal weights on a long 1D
     lattice and a 3D one, where most sizes span several placements per
-    block, so the block pass skips them before their per-box screen."""
+    block, so the block pass skips them before their per-box screen, and
+    the rectangle report of the first scan2d omega at 2D depth BAND_DEPTH,
+    whose size tuples also form bands along the last axis."""
+    import workloads as wl
     from dyadlab import doubling_report, gen_weight, make_lattice
 
     for dim, depth in BLOCK_SHAPES:
         w = gen_weight(make_lattice(dim, depth), {"kind": "random_lognormal", "seed": seed, "roughness": 1.0})
         for mode in ("cube", "rectangle"):
             _doubling_fields(f"blocks/{dim}d_depth{depth}/doubling_{mode}", w, doubling_report(w, mode), out)
+    w = gen_weight(make_lattice(2, BAND_DEPTH), wl.pair_specs("scan2d", seed, 0)[1])
+    _doubling_fields(f"blocks/2d_depth{BAND_DEPTH}/doubling_rectangle_scan2d_omega", w, doubling_report(w, "rectangle"), out)
 
 
 def _single_boxes(seed: int, out: dict) -> None:
