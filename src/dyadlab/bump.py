@@ -31,6 +31,7 @@ so a reported witness re-evaluates to the reported value bit for bit.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from itertools import product as _iproduct
 from typing import Mapping
@@ -153,14 +154,22 @@ class KernelHandle:
 PowerKernel = KernelHandle
 
 
-def _bump_map(masses: np.ndarray, vol: float, theta: float) -> np.ndarray:
+def _vol_factor(vol: float, theta: float) -> float:
+    """vol^(1 - 1/theta), a bump's volume factor: one power of Python
+    floats, which numpy's vectorized power may round differently."""
+    return float(vol) ** (1.0 - 1.0 / theta)
+
+
+def _bump_map(masses: np.ndarray, vol, theta: float) -> np.ndarray:
     """vol^(1 - 1/theta) * mass^(1/theta) of float64 masses, every bump in
-    the package; the volume factor is one float64 power per call, so
-    theta = 1 returns the masses themselves."""
+    the package.  vol is the boxes' float volume, or an array of volume
+    factors (_vol_factor) that broadcasts against masses: a column with
+    one per row of a stack of levels, which gives each row the bits of
+    its level alone.  theta = 1 returns the masses themselves."""
     if theta == 1.0:
         return masses
-    inv_theta = 1.0 / theta
-    return float(vol) ** (1.0 - inv_theta) * np.power(masses, inv_theta)
+    factor = vol if isinstance(vol, np.ndarray) else _vol_factor(vol, theta)
+    return factor * np.power(masses, 1.0 / theta)
 
 
 def _box_bump(rect: Rect, w: Weight, theta: float, groups=None) -> float:
@@ -230,16 +239,21 @@ def random_partition(lattice, seed: int, split_prob: float = 0.7) -> list[Rect]:
     if not 0.0 <= split_prob <= 1.0:
         raise DomainError(f"split_prob must lie in [0, 1], got {split_prob!r}")
     draws = _uniforms(substream(seed, 404))
+    depth, cells = lattice.depth, lattice.cells_per_axis
+    # per level, each child's lo corner offset from its parent's, in cells
+    offsets = [
+        [tuple(c * (cells >> (level + 1)) for c in corner) for corner in _iproduct((0, 1), repeat=lattice.dim)]
+        for level in range(depth)
+    ]
     out: list[Rect] = []
-    stack = [(0, (0,) * lattice.dim)]
+    stack = [(0, (0,) * lattice.dim)]  # (level, lo corner in cells)
     while stack:
-        level, idx = stack.pop()
-        if level < lattice.depth and next(draws) < split_prob:
-            for corner in _iproduct((0, 1), repeat=lattice.dim):
-                stack.append((level + 1, tuple(2 * idx[k] + corner[k] for k in range(lattice.dim))))
+        level, lo = stack.pop()
+        if level < depth and next(draws) < split_prob:
+            stack += [(level + 1, tuple(map(operator.add, lo, off))) for off in offsets[level]]
         else:
-            scale = lattice.cells_per_axis >> level
-            out.append(Rect(tuple(i * scale for i in idx), tuple((i + 1) * scale for i in idx)))
+            side = cells >> level
+            out.append(Rect(lo, tuple([a + side for a in lo])))
     return out
 
 
@@ -427,10 +441,13 @@ def _third_levels(kind, kernel, sigma, omega, exps, dims):
     standard pair's included, and level tuple, the products shaped as the
     grid tuple's cubes, from one refined pyramid of sigma and omega
     stacked on a batch axis, whose blocks stay below twice the largest
-    single-grid block per weight."""
+    single-grid block per weight.  Each weight's cellwise values are
+    written straight into the batch array."""
     lat = sigma.lattice
     pyramid = _ThirdPyramid(lat, _factor_m(dims))
-    weights = np.stack([_cellwise(lat, w.density, t) for w, t in zip((sigma, omega), _thetas(kind, exps))])
+    weights = np.empty((2,) + lat.shape)
+    for out, w, t in zip(weights, (sigma, omega), _thetas(kind, exps)):
+        _cellwise(lat, w.density, t, out)
     # per level and grid, the residue mod 3 of its cubes' positions
     at = [[(_thirds(g, 0, level) + 2) % 3 for g in onethird_grids(1, 0, lat.depth)] for level in range(lat.depth + 1)]
     for lv, groups, masses in pyramid.masses(weights):

@@ -7,21 +7,24 @@ pyramid: a compensated float64 pairwise sum of the box's own cells; the
 rectangle proof chain's slice profiles and averages from the pyramid of
 the trailing axes, bit for bit the masses slice_profile sums.  The good-cube
 Carleson sum takes cube goodness from the skeleton-goodness kernel in
-`grids`.  One batched evaluator, _embeddings (_pyramids, _terms and
-_embedding), makes every embedding sum: the cube check and the rectangle
-lhs are its batch of one, and the rectangle proof chain is one call over
-the slices of every level, its points' sums taken from the pyramids that
-give the slices.
+`grids`.  One batched evaluator, _embeddings (_pyramids or _stack_terms,
+_terms and _embedding), makes every embedding sum: the cube check and the
+rectangle lhs are its batch of one, and the rectangle proof chain is one
+call over the slices of every level, its points' sums taken from the
+pyramid that gives the slices.  The weight's and f's masses are one
+pyramid of the two on a batch axis (_paired_cells), and the rectangle
+lhs reads the product pyramid a whole stack level at a time.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .bump import _bump_map
+from .bump import _bump_map, _vol_factor
 from .errors import ContractViolationError, DomainError, ShapeError
 from .grids import GoodnessParams, _good_cubes
 from .lattice import (
@@ -34,6 +37,7 @@ from .lattice import (
     _check_theta,
     _first_factor,
     _level_masses,
+    _level_stacks,
     _lp_norms,
     _refine_array,
     _total,
@@ -280,19 +284,24 @@ class EmbedReport:
     ratio: float
 
 
-def _pyramids(f, u, lat: Lattice, theta: float, m: int | None = None):
-    """(levels, bump, f-mass) per level tuple of cellwise f under density
-    u (trailing axes the lattice lat, leading ones a batch): the theta
-    bump and the f-mass of every dyadic cube (m None), or of every product
-    of a dyadic cube of the first m axes with one of the rest, from the
-    two dyadic pyramids."""
-    dims = (lat.dim,) if m is None else (m, lat.dim - m)
-    pyramids = zip(
-        _level_masses(_cellwise(lat, u, theta), lat, m),
-        _level_masses(f * u * lat.cell_volume, lat, m),
-    )
-    for (lv, mu), (_, mf) in pyramids:
-        yield lv, _bump_map(mu, 2.0 ** -sum(k * d for k, d in zip(lv, dims)), theta), mf
+def _paired_cells(f, u, lat: Lattice, theta: float) -> np.ndarray:
+    """The cellwise u**theta * cell_volume and f * u * cell_volume of an
+    embedding, written into one array on a new leading axis, so that one
+    pyramid sums both; its batch rows are summed each on its own."""
+    both = np.empty((2,) + f.shape)
+    _cellwise(lat, u, theta, both[0])
+    np.multiply(f, u, out=both[1])
+    both[1] *= lat.cell_volume
+    return both
+
+
+def _pyramids(f, u, lat: Lattice, theta: float):
+    """(levels, bump, f-mass) per level of cellwise f under density u
+    (trailing axes the lattice lat, leading ones a batch): the theta bump
+    and the f-mass of every dyadic cube, from one dyadic pyramid of the
+    _paired_cells."""
+    for lv, (mu, mf) in _level_masses(_paired_cells(f, u, lat, theta), lat):
+        yield lv, _bump_map(mu, 2.0 ** -(lv[0] * lat.dim), theta), mf
 
 
 def _terms(b: np.ndarray, mf: np.ndarray, r: float, s: float, dim: int) -> np.ndarray:
@@ -313,12 +322,48 @@ def _embedding(terms: dict, f, u, lat: Lattice, r: float, s: float):
     return np.power(total, 1.0 / r), _lp_norms(lat, f, u, s), total
 
 
+@functools.lru_cache(maxsize=256)
+def _stack_factors(levels: range, lj: int, m: int, n: int, theta: float) -> np.ndarray:
+    """The bump's volume factors of a stack's level lj (_level_stacks):
+    per li, the _vol_factor of a level-(li, lj) rectangle over li's rows,
+    a read-only column (rows,) + (1,)^n, or one 0-d factor for a stack of
+    one level."""
+    factors = [_vol_factor(2.0 ** -(li * m + lj * n), theta) for li in levels]
+    col = np.array(factors[0]) if len(levels) == 1 else np.repeat(factors, [1 << (li * m) for li in levels])
+    col = col.reshape(col.shape + (1,) * n)
+    col.flags.writeable = False
+    return col
+
+
+def _stack_terms(f, u, lat: Lattice, theta: float, r: float, s: float, m: int) -> dict:
+    """The _terms of every level tuple of the product pyramid of the
+    _paired_cells, read a stack level at a time: each (stack, lj) is one bump
+    map, its factors a column over the rows, and one _terms call, whose
+    row segments are its level tuples' terms."""
+    n = lat.dim - m
+    terms = {}
+    for levels, stream in _level_stacks(_paired_cells(f, u, lat, theta), lat, m):
+        for lj, (mu, mf) in stream:
+            row = _terms(_bump_map(mu, _stack_factors(levels, lj, m, n, theta), theta), mf, r, s, n + 1)
+            at = 0
+            for li in levels:
+                size = 1 << (li * m + lj * n)
+                terms[li, lj] = row[..., at : at + size]
+                at += size
+    return terms
+
+
 def _embeddings(f, u, lat: Lattice, theta: float, r: float, s: float, m: int | None = None):
     """_embedding of cellwise f under density u over the level tuples of
-    _pyramids, the batched evaluator of every embedding sum."""
+    _pyramids (m None) or of the product pyramid's stacks (_stack_terms),
+    the batched evaluator of every embedding sum.  Every step is
+    elementwise, so a level tuple's terms have the same bits either way."""
     if f.shape != u.shape:
         raise ShapeError("function and weight live on different lattices")
-    terms = {lv: _terms(b, mf, r, s, lat.dim) for lv, b, mf in _pyramids(f, u, lat, theta, m)}
+    if m is None:
+        terms = {lv: _terms(b, mf, r, s, lat.dim) for lv, b, mf in _pyramids(f, u, lat, theta)}
+    else:
+        terms = _stack_terms(f, u, lat, theta, r, s, m)
     return _embedding(terms, f, u, lat, r, s)
 
 
@@ -424,9 +469,10 @@ def _chain(total, rhs: float, parts, r: float, s: float) -> tuple:
     """intermediate, minkowski_mid and the largest slice and point ratios
     of the _proof_chain parts, each link (exact mathematics, slack only for
     rounding) checked.  Each sum is one compensated total, whatever the
-    batches."""
-    lhs_r_check, intermediate = (float(_total(np.power(v, r))) for v in parts[:2])
-    minkowski_mid, norm_check = (float(_total(np.power(v, s) / parts[2].size)) for v in parts[2:])
+    batches: the slices' two are the rows of one _total call, and so are
+    the points' two."""
+    lhs_r_check, intermediate = _total(np.power(np.stack(parts[:2]), r)).tolist()
+    minkowski_mid, norm_check = _total(np.power(np.stack(parts[2:]), s) / parts[2].size).tolist()
     max_slice_ratio, max_point_ratio = (
         float(np.max(a[b > 0.0] / b[b > 0.0], initial=0.0)) for a, b in (parts[:2], parts[2:])
     )

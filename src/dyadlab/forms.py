@@ -327,31 +327,65 @@ def _level_coefs(kernel: KernelHandle, lat: Lattice, family: RectFamily | None) 
 
 def _coef_columns(coef: list, lat: Lattice, m: int) -> list:
     """Per stack of _level_stacks and per lj, the coefficient of every
-    mass of the stack's level lj, coef[li][lj] on li's rows, shaped
-    (rows,) + (2^lj,)^(d-m)."""
+    mass of the stack's level lj, shaped for the multiply to broadcast:
+    coef[li][lj] itself, a float, for a stack of one level; for a stack
+    of more, a column (rows,) + (1,)^(d-m) holding each li's float on
+    li's rows; and where some li's coefficient is an array over its
+    rectangles (an explicit family), the array (rows,) + (2^lj,)^(d-m)."""
+    n = lat.dim - m
     out = []
     for levels in _chunks(lat.depth):
+        rows = [1 << (li * m) for li in levels]
         cols = []
         for lj in range(lat.depth + 1):
-            tail = (1 << lj,) * (lat.dim - m)
-            blocks = [np.broadcast_to(coef[li][lj], (1 << li,) * m + tail) for li in levels]
-            cols.append(np.concatenate([b.reshape((-1,) + tail) for b in blocks]))
+            vals = [coef[li][lj] for li in levels]
+            if any(isinstance(v, np.ndarray) for v in vals):
+                tail = (1 << lj,) * n
+                blocks = [np.broadcast_to(v, (1 << li,) * m + tail) for li, v in zip(levels, vals)]
+                cols.append(np.concatenate([b.reshape((-1,) + tail) for b in blocks]))
+            elif len(vals) == 1:
+                cols.append(vals[0])
+            else:
+                cols.append(np.array(vals).repeat(rows).reshape((-1,) + (1,) * n))
         out.append(cols)
     return out
 
 
-def _add_refined(out: np.ndarray, part: np.ndarray, axes: range) -> None:
-    """out += part repeated twice along each of the axes, in place, without
-    building the repeat: each of the axes of out is split into its pairs
-    (a view, as splitting an axis always is), and part, given a unit axis
-    at each pair axis, is broadcast over both of each pair, one add per
-    cell."""
-    split, spread = [], []
-    for ax, size in enumerate(out.shape):
-        split += [size // 2, 2] if ax in axes else [size]
-        spread += [size // 2, 1] if ax in axes else [size]
-    pairs = out.reshape(split)
-    pairs += part.reshape(spread)
+def _pair_shapes(shape: tuple, axes: range) -> tuple:
+    """(split, spread) of an array's shape: each of the axes split into
+    its pairs, (size / 2, 2), and the same with a unit axis for the pair,
+    (size / 2, 1), the shape a coarser level's part takes to broadcast
+    over both of each pair."""
+    split, spread = (), ()
+    for ax, size in enumerate(shape):
+        split += (size // 2, 2) if ax in axes else (size,)
+        spread += (size // 2, 1) if ax in axes else (size,)
+    return split, spread
+
+
+@functools.lru_cache(maxsize=32)
+def _telescopes(depth: int, dim: int, m: int) -> tuple:
+    """The _pair_shapes of _dyadic_image's telescopes on a lattice of the
+    depth and dim, the first factor m axes, batch axes left out: per
+    stack (_chunks), those of each level lj >= 1 over the J axes (None at
+    lj = 0), and per li >= 1 those of level li's image over the I axes."""
+    n = dim - m
+    j_pairs = [
+        [None] + [_pair_shapes((rows,) + (1 << lj,) * n, range(1, n + 1)) for lj in range(1, depth + 1)]
+        for rows in (sum(1 << (li * m) for li in levels) for levels in _chunks(depth))
+    ]
+    i_pairs = [None] + [_pair_shapes((1 << li,) * m + (1 << depth,) * n, range(m)) for li in range(1, depth + 1)]
+    return j_pairs, i_pairs
+
+
+def _add_refined(out: np.ndarray, part: np.ndarray, batch: tuple, pairs: tuple) -> None:
+    """out += part repeated twice along each paired axis, in place,
+    without building the repeat: out, viewed as batch + split (a view, as
+    splitting an axis always is), takes part viewed as batch + spread,
+    broadcast over both of each pair, one add per cell; pairs is their
+    _pair_shapes."""
+    view = out.reshape(batch + pairs[0])
+    view += part.reshape(batch + pairs[1])
 
 
 def _dyadic_image(h: np.ndarray, lat: Lattice, m: int, columns: list) -> np.ndarray:
@@ -361,11 +395,13 @@ def _dyadic_image(h: np.ndarray, lat: Lattice, m: int, columns: list) -> np.ndar
     R restricts the cellwise h to its level-pair rectangle masses and P
     prolongs them back over each rectangle's cells, so the image at x is
     the sum of coef * mass over the rectangles holding x.  Prolongation
-    telescopes from coarse to fine, one level at a time: on the J axes
-    over each stack of _level_stacks, all its li at once, and then on the
-    I axes, one li's rows after the other, so the whole image costs
-    O(cells) for any level kernel.  Every term is a nonnegative sum, so it
-    runs in float64.
+    telescopes from coarse to fine, one level at a time: on the J axes a
+    whole stack level of _level_stacks at a time, every li of the stack
+    in one multiply and one add, and then on the I axes, one li after the
+    other, as each level's sums take the coarser one's; the whole image
+    costs O(cells) for any level kernel.  Every term is a nonnegative
+    sum, so it runs in float64; the pair shapes of both telescopes are
+    worked out once per lattice (_telescopes).
 
     The trailing lat.dim axes of h are the lattice; leading axes are a
     batch, so norm_estimate runs all its starts through one call.  Every
@@ -374,19 +410,20 @@ def _dyadic_image(h: np.ndarray, lat: Lattice, m: int, columns: list) -> np.ndar
     has the bits of its own unbatched image, level pair by level pair.
     """
     lead = h.ndim - lat.dim
-    i_axes, j_axes = range(lead, lead + m), range(lead + 1, h.ndim - m + 1)
+    batch = h.shape[:lead]
+    stack_pairs, i_pairs = _telescopes(lat.depth, lat.dim, m)
     parts = {}
-    for (levels, stream), cols in zip(_level_stacks(h, lat, m, compensated=False), columns):
+    for (levels, stream), cols, j_pairs in zip(_level_stacks(h, lat, m, compensated=False), columns, stack_pairs):
         part = None
         for lj, masses in reversed(list(stream)):
             term = cols[lj] * masses
             if part is not None:
-                _add_refined(term, part, j_axes)
+                _add_refined(term, part, batch, j_pairs[lj])
             part = term
         parts.update(zip(levels, _segments(part, levels, m, lead)))
     image = parts.pop(0)
     for li in range(1, lat.depth + 1):
-        _add_refined(parts[li], image, i_axes)
+        _add_refined(parts[li], image, batch, i_pairs[li])
         image = parts.pop(li)
     return image
 

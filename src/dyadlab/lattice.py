@@ -392,19 +392,20 @@ def _weight_masses(w: Weight, lo, hi) -> np.ndarray:
     return _masses(w.prefix(1.0), w._count, lo, hi)
 
 
-def _powered(u: np.ndarray, theta: float) -> np.ndarray:
-    """u**theta in float64; a cell that overflows raises DomainError."""
+def _cellwise(lat: Lattice, u: np.ndarray, theta: float = 1.0, out=None) -> np.ndarray:
+    """u**theta * cell_volume, a pyramid's finest level, written to out if
+    given; a cell that overflows raises DomainError.  Every reader powers
+    the whole density, so a cell has the same bits in every box.  theta =
+    1 skips the power and its overflow pass: pow(x, 1) = x, and the cells
+    are finite (_cells)."""
+    if theta == 1.0:
+        return np.multiply(u, lat.cell_volume, out=out)
     with np.errstate(over="ignore"):
-        out = np.power(u, float(theta))
+        out = np.power(u, float(theta), out=out)
     if not np.isfinite(out).all():
         raise DomainError(f"density**theta overflows float64 at theta={theta!r}")
+    out *= lat.cell_volume
     return out
-
-
-def _cellwise(lat: Lattice, u: np.ndarray, theta: float = 1.0) -> np.ndarray:
-    """u**theta * cell_volume, a pyramid's finest level; every reader powers
-    the whole density, so a cell has the same bits in every box."""
-    return _powered(u, theta) * lat.cell_volume
 
 
 def _add(x, y, ex, ey, out=(None, None)) -> tuple:
@@ -883,10 +884,12 @@ def _lp_norms(lat: Lattice, f: np.ndarray, u: np.ndarray, p: float) -> np.ndarra
         terms = np.power(f, float(p)) * cells
         top = terms.max(axis=-1, initial=0.0)
         odd = ~((top >= 2.0**-968) & (top <= np.finfo(np.float64).max))
-        a = np.where(odd, np.frexp(f.max(axis=-1, initial=0.0))[1], 0)
+        a = None
         if odd.any():  # a is 0 on every other row, which keeps its bits
+            a = np.where(odd, np.frexp(f.max(axis=-1, initial=0.0))[1], 0)
             terms = np.power(np.ldexp(f, -a[..., None]), float(p)) * cells
-    return np.ldexp(np.power(_total(terms), 1.0 / p), a)
+    norms = np.power(_total(terms), 1.0 / p)
+    return norms if a is None else np.ldexp(norms, a)
 
 
 def _refine_array(a: np.ndarray, extra: int) -> np.ndarray:

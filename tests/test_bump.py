@@ -1146,3 +1146,39 @@ def test_dyadic_scan_streams_its_pyramids():
         tracemalloc.stop()
     assert (got.value, got.witness) == (want.value, want.witness)
     assert peak <= SCAN_PEAK_ARRAYS * 8 * lat.cell_count, peak / (8 * lat.cell_count)
+
+
+def test_onethird_batch_is_written_in_place(monkeypatch):
+    # sigma's and omega's cellwise values go straight into one batch
+    # array: 2 lattice arrays before the walk starts, where a list of the
+    # two and its np.stack held 4 at once (the powered case adds the
+    # isfinite pass's bool array, an eighth of one)
+    import tracemalloc
+
+    lat = make_lattice(2, 7)
+    sigma = gen_weight(lat, {"kind": "cascade", "beta": 0.7, "seed": 5})
+    omega = gen_weight(lat, {"kind": "random_lognormal", "seed": 6, "roughness": 0.5})
+    exps = Exponents(p=2.0, q=4.0, alpha=0.5, beta=0.5, theta=1.5)
+    seen = {}
+
+    class Probe:
+        def __init__(self, lat, m):
+            pass
+
+        def masses(self, weights):
+            seen["peak"] = tracemalloc.get_traced_memory()[1]
+            seen["weights"] = weights.copy()
+            return iter(())
+
+    monkeypatch.setattr(bump, "_ThirdPyramid", Probe)
+    array = 8 * lat.cell_count
+    for kind in ("no_bump", "product_bump"):
+        tracemalloc.start()
+        try:
+            assert list(bump._third_levels(kind, None, sigma, omega, exps, (1, 1))) == []
+        finally:
+            tracemalloc.stop()
+        assert 2.0 <= seen["peak"] / array <= 2.25, seen["peak"] / array
+        thetas = bump._thetas(kind, exps)
+        for got, w, t in zip(seen["weights"], (sigma, omega), thetas):
+            assert got.tobytes() == (np.power(w.density, t) * lat.cell_volume).tobytes()

@@ -762,3 +762,49 @@ def test_embedding_total_adds_level_tuples_in_product_order(dim, m, depth):
         for levels in product(range(depth + 1), repeat=2):
             terms += _former_level(f, w, theta, r, s, levels, m, _pyramid_level)
         assert float(total) == math.fsum(terms)
+
+
+def _per_level_terms(f, u, lat, theta, r, s, m):
+    """The evaluator's terms as it ran before stacks were read whole: per
+    level tuple of the product pyramid, its own bump map, the volume
+    factor one float, and its own _terms call."""
+    mus = lattice._level_masses(lattice._cellwise(lat, u, theta), lat, m)
+    mfs = dict(lattice._level_masses(f * u * lat.cell_volume, lat, m))
+    terms = {}
+    for levels, mu in mus:
+        b = _bump_map(mu, 2.0 ** -(levels[0] * m + levels[1] * (lat.dim - m)), theta)
+        terms[levels] = embed._terms(b, mfs[levels], r, s, lat.dim)
+    return terms
+
+
+@pytest.mark.parametrize("dim,m,depth", [(2, 1, 0), (2, 1, 5), (3, 1, 3), (3, 2, 3)])
+def test_stacked_embedding_matches_the_per_level_evaluator(dim, m, depth):
+    # each (stack, lj) is one bump map, its volume factors a column over
+    # the stack's rows, and one _terms call: every level tuple's terms,
+    # and so every total, keep the bits of the per-level-tuple evaluator,
+    # on a batch axis and on weights with a block of zero density, where
+    # the terms of zero bump are 0.  At theta = 1.1 and 2.2 numpy's
+    # vectorized power rounds some volume factors (2^-k)^(1 - 1/theta)
+    # differently from a power of Python floats on some hosts, which the
+    # factor column must not do.
+    lat = make_lattice(dim, depth)
+    f = np.stack([rand_f(lat, 31 + k).values for k in range(3)])
+    u = np.stack([rand_w(lat, 41).density] + [_zero_block(lat, 42 + k).density for k in range(2)])
+    for theta, r, s in ((1.5, 4.0, 2.0), (1.1, 2.5, 1.25), (2.2, 3.0, 1.5)):
+        got = embed._stack_terms(f, u, lat, theta, r, s, m)
+        want = _per_level_terms(f, u, lat, theta, r, s, m)
+        assert sorted(got) == sorted(want)
+        for levels, terms in want.items():
+            assert got[levels].shape == terms.shape
+            assert got[levels].tobytes() == terms.tobytes(), levels
+        stacked = embed._embeddings(f, u, lat, theta, r, s, m)
+        former = embed._embedding(want, f, u, lat, r, s)
+        for a, b in zip(stacked, former):
+            assert a.tobytes() == b.tobytes()
+        # a batch row's positive terms are the former loop's, level tuple
+        # by level tuple
+        for k in range(len(f)):
+            fk, wk = GridFunction(lat, f[k]), Weight(lat, u[k])
+            for levels, terms in got.items():
+                mine = terms[k][terms[k] > 0.0].tolist()
+                assert mine == _former_level(fk, wk, theta, r, s, levels, m, _pyramid_level)

@@ -1143,3 +1143,61 @@ def test_indicator_floor_takes_the_first_tie_in_product_order():
         value, rect = forms._indicator_floor(table, w, w, _exps(), family)
         assert value == 1.0
         assert rect == want
+
+
+# ---------------------------------------------------------------------------
+# the stack-level image against the image one level pair at a time
+
+
+def _per_level_image(h, lat, m, coef):
+    """The half-step's image one level pair at a time: per li, coef times
+    each level lj's masses, prolonged coarse to fine over the J axes by
+    np.repeat, then the li sums prolonged over the I axes; the adds are
+    the stack-level image's, in its order."""
+    lead = h.ndim - lat.dim
+    masses = dict(dyadlab.lattice._level_masses(h, lat, m, compensated=False))
+    image = None
+    for li in range(lat.depth + 1):
+        part = None
+        for lj in range(lat.depth + 1):
+            term = coef[li][lj] * masses[li, lj]
+            if part is not None:
+                for ax in range(lead + m, h.ndim):
+                    part = np.repeat(part, 2, axis=ax)
+                term = term + part
+            part = term
+        if image is not None:
+            for ax in range(lead, lead + m):
+                image = np.repeat(image, 2, axis=ax)
+            part = part + image
+        image = part
+    return image
+
+
+@pytest.mark.parametrize("dim,m,depth", [(2, 1, 0), (2, 1, 1), (2, 1, 5), (3, 1, 3), (3, 2, 3)])
+def test_stack_image_matches_the_per_level_image(dim, m, depth):
+    # each (stack, lj) is one multiply, by a float for a stack of one
+    # level of the full family and by a column of per-level floats for a
+    # stack of more, and one add; an explicit family holding a duplicated
+    # rectangle passes arrays of counted coefficients.  Every cell of
+    # every batch row keeps the bits of the image summed level pair by
+    # level pair.
+    lat = make_lattice(dim, depth)
+    n = dim - m
+    kernel = KernelHandle.product_frac(0.4 * m, 0.6 * n, m, n)
+    family = _case_family(lat, m, substream(depth, 9500), 12)
+    assert len(set(family.rects)) < family.size
+    rng = substream(depth, 9501)
+    h = np.exp(rng.standard_normal((3,) + lat.shape)) * _case_weight(lat, "zero_block", 19).density
+    h[1] = 0.0
+    for fam in (None, family):
+        coef = forms._level_coefs(kernel, lat, fam)
+        columns = forms._coef_columns(coef, lat, m)
+        for levels, cols in zip(dyadlab.lattice._chunks(depth), columns):
+            if fam is None:
+                assert all(np.ndim(c) == (0 if len(levels) == 1 else n + 1) for c in cols)
+        for batch in (h, h[2]):
+            got = forms._dyadic_image(batch, lat, m, columns)
+            want = _per_level_image(batch, lat, m, coef)
+            assert got.shape == want.shape == batch.shape
+            assert got.tobytes() == want.tobytes()

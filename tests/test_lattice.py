@@ -1568,3 +1568,24 @@ def test_size_tuple_budget_refuses_before_scanning(monkeypatch, mode, dim, depth
     monkeypatch.setattr(lattice, "SCAN_BUDGET_TUPLES", tuples)
     monkeypatch.setattr(lattice, "_first_max", first_max)
     assert doubling_report(w, mode).mode == mode
+
+
+def test_cellwise_at_theta_one_keeps_the_powered_bits():
+    # theta = 1 skips np.power(u, 1.0) and its overflow pass: pow(x, 1)
+    # is x for every finite float, subnormals, zeros and the largest
+    # float included, so every cell keeps its bits, with or without out=
+    lat = make_lattice(2, 6)
+    rng = np.random.default_rng(11)
+    u = np.exp(rng.standard_normal(lat.shape) * 30.0)
+    u.flat[:6] = [0.0, 5e-324, 2.2e-308, 1.7976931348623157e308, 1.0, 3.0]
+    want = np.power(u, 1.0) * lat.cell_volume
+    assert lattice._cellwise(lat, u).tobytes() == want.tobytes()
+    out = np.empty((2,) + lat.shape)
+    assert lattice._cellwise(lat, u, 1.0, out[1]) is not None
+    assert out[1].tobytes() == want.tobytes()
+    # any other theta still powers into out and refuses an overflow
+    v = np.minimum(u, 1e200)
+    lattice._cellwise(lat, v, 1.5, out[0])
+    assert out[0].tobytes() == (np.power(v, 1.5) * lat.cell_volume).tobytes()
+    with pytest.raises(DomainError, match="overflows"):
+        lattice._cellwise(lat, u, 1.5)

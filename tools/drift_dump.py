@@ -25,7 +25,9 @@ a level-table kernel, over a family_of family holding a duplicated
 rectangle (per-rectangle coefficient arrays, and a fourth start seeded
 by the family's floor rectangle), over that family under a table holding
 only its level pairs, and over dyadic_family under the level table, with
-a digest of the bytes of each returned pair, and the single-box reads of a seeded 2D depth-5 beta = 0.9
+a digest of the bytes of each returned pair, the norm estimate and both
+embedding checks of the norm2d task at 3D depth 3 with a first factor of
+one axis and of two, and the single-box reads of a seeded 2D depth-5 beta = 0.9
 cascade: integrate, power_integrate, bump_cube, bump_rect and box_mass on
 whole-cell boxes, box_mass on boxes with edges on thirds of a cell (its oracle at the
 edges' float values), and
@@ -82,6 +84,9 @@ SINGLE_BOXES = 6
 # the 2D depth of the one-third scan whose sigma lies near the float64
 # maximum
 SCALED_DEPTH = 4
+# the depth of the 3D lattice whose norm estimates and rectangle
+# embeddings run with a first factor of 1 and of 2 axes
+THREE_D_DEPTH = 3
 
 
 def _fsum_mass(cells, box) -> float:
@@ -673,6 +678,40 @@ def _norm_forms(seed: int, out: dict) -> None:
             out[f"{key}/{side}"] = hashlib.sha256(gf.values.tobytes()).hexdigest()
 
 
+def _three_d(seed: int, out: dict) -> None:
+    """norm_estimate and both embed_check_rects of the norm2d task on the
+    first norm2d pair's specs at 3D depth THREE_D_DEPTH, with a first
+    factor of m = 1 and m = 2 axes, each embedding's lhs, intermediate
+    and max_slice_ratio with their oracles."""
+    import workloads as wl
+    from dyadlab import Exponents, KernelHandle, embed_check_rects, gen_weight, make_lattice, norm_estimate
+
+    spec_s, spec_o = wl.pair_specs("norm2d", seed, 0)
+    lat = make_lattice(3, THREE_D_DEPTH)
+    sigma, omega = gen_weight(lat, spec_s), gen_weight(lat, spec_o)
+    for m in (1, 2):
+        exps = Exponents(p=2.0, q=4.0, alpha=0.5 * m, beta=0.5 * (3 - m), m=m, n=3 - m, theta=1.5)
+        est = norm_estimate(KernelHandle.from_exponents(exps), sigma, omega, exps, seed=seed)
+        key = f"3d/m{m}"
+        out[f"{key}/norm_estimate/lower_bound"] = est.lower_bound
+        out[f"{key}/norm_estimate/indicator_floor"] = est.indicator_floor
+        out[f"{key}/norm_estimate/trace"] = [obj for _, _, obj in est.trace]
+        r_mid = math.sqrt(exps.p * exps.q)
+        runs = {
+            "embed_sigma": (est.best_f, sigma, r_mid, exps.p),
+            "embed_omega": (est.best_g, omega, r_mid / (r_mid - 1.0), exps.q_prime),
+        }
+        for name, (f, w, r, s) in runs.items():
+            rep = embed_check_rects(f, w, exps.theta, r, s, m=m)
+            for field in ("lhs", "rhs_norm", "ratio", "intermediate", "minkowski_mid",
+                          "max_slice_ratio", "max_point_ratio"):
+                out[f"{key}/{name}/{field}"] = getattr(rep, field)
+            out[f"{key}/{name}/lhs/oracle"] = _embed_oracle(f, w, exps.theta, r, s, m)
+            intermediate, max_slice = _slice_oracle(f, w, exps.theta, r, s, m)
+            out[f"{key}/{name}/intermediate/oracle"] = intermediate
+            out[f"{key}/{name}/max_slice_ratio/oracle"] = max_slice
+
+
 def dump(seed: int, units: int) -> dict:
     out: dict = {}
     _verify_rows(seed, out)
@@ -686,6 +725,7 @@ def dump(seed: int, units: int) -> dict:
     _single_boxes(seed, out)
     _scaled_rows(seed, out)
     _norm_forms(seed, out)
+    _three_d(seed, out)
     return out
 
 
