@@ -22,8 +22,9 @@ included, comes from lattice's refined pyramid, which holds the cubes of
 all three offsets of an axis side by side: the scan feeds _products one
 level tuple at a time, split by offset where the block would be large,
 and keeps the first maximizer of each grid tuple's cubes;
-characteristic_at rebuilds a third grid's box, the u = 0 grid's included,
-from its own cells by the same steps.  No bump reads a prefix table.  The
+characteristic_at reads a third grid's box, the u = 0 grid's included,
+by the same walk over the level cubes that hold it.  No bump reads a
+prefix table.  The
 bump and kernel powers run in float64 (the package's precision policy,
 see lattice).  A box's mass does not depend on the batch it is read in,
 so a reported witness re-evaluates to the reported value bit for bit.
@@ -45,8 +46,8 @@ from .lattice import (
     Weight,
     _cellwise,
     _check_dim,
+    _check_real,
     _check_rect,
-    _check_theta,
     _factor_axes,
     _level_masses,
     _own_mass,
@@ -75,7 +76,7 @@ class Exponents:
     def __post_init__(self):
         if not 1.0 < self.p < self.q < math.inf:
             raise DomainError(f"need 1 < p < q < inf, got p={self.p}, q={self.q}")
-        _check_theta(self.theta)
+        self.__dict__["theta"] = _check_real("theta", self.theta, 1.0)
         kernel = KernelHandle.product_frac(self.alpha, self.beta, self.m, self.n)
         self.__dict__.update(m=kernel.m, n=kernel.n)
 
@@ -176,7 +177,7 @@ def _box_bump(rect: Rect, w: Weight, theta: float, groups=None) -> float:
     """Theta-bump of a cell-aligned box, its mass summed from its own
     cells, the groups of axes one after the other (all together by
     default)."""
-    theta = _check_theta(theta)
+    theta = _check_real("theta", theta, 1.0)
     _check_rect(w.lattice, rect)
     mass = _own_mass(w.lattice, w.density, rect.lo, rect.hi, theta, groups)
     return float(_bump_map(mass, rect_volume(w.lattice, rect), theta))
@@ -207,7 +208,7 @@ def slice_profile(j_rect: Rect, w: Weight, theta: float) -> Weight:
     summed by the own-cells tree (lattice._own_mass, the slices a batch),
     so it is within an ulp of its exact sum and a massless slice is 0.
     """
-    theta = _check_theta(theta)
+    theta = _check_real("theta", theta, 1.0)
     d = w.lattice.dim
     n = j_rect.dim
     if not 1 <= n < d:
@@ -269,17 +270,10 @@ class CharacteristicResult:
     exps: Exponents
 
     def csv_row(self) -> str:
-        e = self.exps
-        if isinstance(self.witness, Cube):
-            levels = str(self.witness.level)
-            indices = " ".join(str(i) for i in self.witness.index)
-        else:
-            levels = f"{self.witness.i_cube.level}|{self.witness.j_cube.level}"
-            indices = (
-                " ".join(str(i) for i in self.witness.i_cube.index)
-                + "|"
-                + " ".join(str(i) for i in self.witness.j_cube.index)
-            )
+        e, w = self.exps, self.witness
+        cubes = (w,) if isinstance(w, Cube) else (w.i_cube, w.j_cube)
+        levels = "|".join(str(c.level) for c in cubes)
+        indices = "|".join(" ".join(str(i) for i in c.index) for c in cubes)
         return (
             f"{self.kind},{e.p:.17g},{e.q:.17g},{e.theta:.17g},"
             f"{e.alpha:.17g},{e.beta:.17g},{self.value:.17g},{levels},{indices}"
@@ -436,18 +430,25 @@ def _dyadic_levels(kind, kernel, sigma, omega, exps, dims):
         yield lv, _products(kind, kernel, exps, list(zip(lv, dims)), (ms, mw))
 
 
+def _cellwise_pair(kind, exps, sigma, omega) -> np.ndarray:
+    """sigma's and omega's cellwise values under the kind's thetas, written
+    straight into one (2,) + lattice shape batch array."""
+    lat = sigma.lattice
+    out = np.empty((2,) + lat.shape)
+    for row, w, t in zip(out, (sigma, omega), _thetas(kind, exps)):
+        _cellwise(lat, w.density, t, row)
+    return out
+
+
 def _third_levels(kind, kernel, sigma, omega, exps, dims):
     """(grid tuple, level tuple, products) per one-third grid tuple, the
     standard pair's included, and level tuple, the products shaped as the
     grid tuple's cubes, from one refined pyramid of sigma and omega
     stacked on a batch axis, whose blocks stay below twice the largest
-    single-grid block per weight.  Each weight's cellwise values are
-    written straight into the batch array."""
+    single-grid block per weight (_cellwise_pair)."""
     lat = sigma.lattice
     pyramid = _ThirdPyramid(lat, _factor_m(dims))
-    weights = np.empty((2,) + lat.shape)
-    for out, w, t in zip(weights, (sigma, omega), _thetas(kind, exps)):
-        _cellwise(lat, w.density, t, out)
+    weights = _cellwise_pair(kind, exps, sigma, omega)
     # per level and grid, the residue mod 3 of its cubes' positions
     at = [[(_thirds(g, 0, level) + 2) % 3 for g in onethird_grids(1, 0, lat.depth)] for level in range(lat.depth + 1)]
     for lv, groups, masses in pyramid.masses(weights):
@@ -508,10 +509,10 @@ def characteristic_at(
     cube's grid spanning its factor's axes (ShapeError otherwise).  Masses
     are read in one of two ways.  A box of std and third grids at levels
     0..depth with a third grid among them, the u = 0 grid's included, is
-    summed from its own cells by the refined pyramid's steps, as the
-    one-third scan reads it.  Every other box, one of std grids alone (a
-    dyadic-family witness), a shifted grid's or one finer than the
-    lattice, is summed from its own cells by the dyadic pyramid's tree
+    read by the scan's walk over the level cubes holding it, sigma and
+    omega stacked.  Every other box, one of std grids alone (a dyadic-
+    family witness), a shifted grid's or one finer than the lattice, is
+    summed from its own cells by the dyadic pyramid's tree
     (lattice._own_mass, each factor's axes in turn), clipped to the unit
     box, each cell counted by the share of it the box covers.  So a
     scan's witness re-evaluates to its value bit for bit, and a box no
@@ -528,12 +529,12 @@ def characteristic_at(
     cubes = tuple(map(_check_cube, cubes))
     lat = sigma.lattice
     levels = list(zip((c.level for c in cubes), dims))
-    pairs = list(zip((sigma, omega), _thetas(kind, exps)))
     if (starts := _third_starts(cubes, lat.depth)) is not None:
-        masses = [_third_mass(_cellwise(lat, w.density, t), lat, starts) for w, t in pairs]
+        masses = _third_mass(_cellwise_pair(kind, exps, sigma, omega), lat, starts)
     else:
         n = lat.cells_per_axis
         lo, hi = ([min(max(float(x * n), 0.0), n) for c in cubes for x in c.bounds()[side]] for side in (0, 1))
         groups = _factor_axes(sigma.density, lat, _factor_m(dims))
+        pairs = zip((sigma, omega), _thetas(kind, exps))
         masses = [_own_mass(lat, w.density, lo, list(map(max, lo, hi)), t, groups) for w, t in pairs]
     return float(_products(kind, kernel, exps, levels, masses).flat[0])

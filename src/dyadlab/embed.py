@@ -34,7 +34,7 @@ from .lattice import (
     Weight,
     _cellwise,
     _check_int,
-    _check_theta,
+    _check_real,
     _first_factor,
     _level_masses,
     _level_stacks,
@@ -131,7 +131,7 @@ def stopping_cubes(
     root; a selected cube blocks its entire subtree, which is exactly the
     maximality in the family's contract and makes the cubes disjoint.
     """
-    _check_theta(theta)
+    theta = _check_real("theta", theta, 1.0)
     # 2^k and 2^(k-1) stay finite, nonzero float64
     if _check_int("k", k, -1073) > 1023:
         raise DomainError(f"k must be at most 1023, got {k!r}")
@@ -140,17 +140,12 @@ def stopping_cubes(
         raise ShapeError("function and weight live on different lattices")
     threshold = 2.0 ** k
     cut = 2.0 ** (k - 1)
-    restricted = np.where(f.values > cut, f.values, 0.0)
-    pyramids = zip(
-        _level_masses(_cellwise(lat, w.density, theta), lat),
-        _level_masses(f.values * w.density * lat.cell_volume, lat),
-        _level_masses(restricted * w.density * lat.cell_volume, lat),
-    )
+    cells = _paired_cells(w.density, lat, theta, f.values, np.where(f.values > cut, f.values, 0.0))
     blocked = np.zeros((1,) * lat.dim, dtype=bool)
     cubes: list[Rect] = []
     averages: list[float] = []
     refined: list[bool] = []
-    for ((level,), mw), (_, mf), (_, mass_cut) in pyramids:
+    for (level,), (mw, mf, mass_cut) in _level_masses(cells, lat):
         b = _bump_map(mw, 2.0 ** (-level * lat.dim), theta)
         avg = np.where(b > 0.0, mf / np.where(b > 0.0, b, 1.0), 0.0)
         chosen = (avg > threshold) & ~blocked
@@ -200,6 +195,7 @@ def automatic_carleson(
     """
     if not 1.0 < rho < math.inf:
         raise DomainError(f"rho must be finite and exceed 1, got {rho}")
+    theta = _check_real("theta", theta)
     if not 1.0 < theta < math.inf:
         raise DomainError(f"the automatic bound needs a finite theta > 1, got {theta}")
     lat = w.lattice
@@ -284,15 +280,17 @@ class EmbedReport:
     ratio: float
 
 
-def _paired_cells(f, u, lat: Lattice, theta: float) -> np.ndarray:
-    """The cellwise u**theta * cell_volume and f * u * cell_volume of an
-    embedding, written into one array on a new leading axis, so that one
-    pyramid sums both; its batch rows are summed each on its own."""
-    both = np.empty((2,) + f.shape)
-    _cellwise(lat, u, theta, both[0])
-    np.multiply(f, u, out=both[1])
-    both[1] *= lat.cell_volume
-    return both
+def _paired_cells(u, lat: Lattice, theta: float, *fs) -> np.ndarray:
+    """The cellwise u**theta * cell_volume and each f * u * cell_volume,
+    written into one array on a new leading axis, so that one pyramid sums
+    them all (an embedding's weight and f, or stopping_cubes' weight, f
+    and f above the cut); batch rows of an f are summed each on its own."""
+    out = np.empty((1 + len(fs),) + fs[0].shape)
+    _cellwise(lat, u, theta, out[0])
+    for row, f in zip(out[1:], fs):
+        np.multiply(f, u, out=row)
+    out[1:] *= lat.cell_volume
+    return out
 
 
 def _pyramids(f, u, lat: Lattice, theta: float):
@@ -300,7 +298,7 @@ def _pyramids(f, u, lat: Lattice, theta: float):
     (trailing axes the lattice lat, leading ones a batch): the theta bump
     and the f-mass of every dyadic cube, from one dyadic pyramid of the
     _paired_cells."""
-    for lv, (mu, mf) in _level_masses(_paired_cells(f, u, lat, theta), lat):
+    for lv, (mu, mf) in _level_masses(_paired_cells(u, lat, theta, f), lat):
         yield lv, _bump_map(mu, 2.0 ** -(lv[0] * lat.dim), theta), mf
 
 
@@ -342,7 +340,7 @@ def _stack_terms(f, u, lat: Lattice, theta: float, r: float, s: float, m: int) -
     row segments are its level tuples' terms."""
     n = lat.dim - m
     terms = {}
-    for levels, stream in _level_stacks(_paired_cells(f, u, lat, theta), lat, m):
+    for levels, stream in _level_stacks(_paired_cells(u, lat, theta, f), lat, m):
         for lj, (mu, mf) in stream:
             row = _terms(_bump_map(mu, _stack_factors(levels, lj, m, n, theta), theta), mf, r, s, n + 1)
             at = 0
@@ -381,6 +379,7 @@ def embed_check_cubes(
     pyramid, and the terms are one compensated total.  This is the
     batched evaluator on a batch of one.
     """
+    theta = _check_real("theta", theta)
     if not 1.0 < theta < math.inf:
         raise DomainError(f"the cube embedding needs a finite theta > 1, got {theta}")
     if not 1.0 < s < r < math.inf:
@@ -425,6 +424,7 @@ def embed_check_rects(
     identity or a theorem once the per-slice ratios are measured.  The
     per-slice and per-point embeddings are batched level reductions.
     """
+    theta = _check_real("theta", theta)
     if not 1.0 < theta < math.inf:
         raise DomainError(f"the rectangle embedding needs a finite theta > 1, got {theta}")
     if not 1.0 < s < r < math.inf:

@@ -22,12 +22,12 @@ and bump_rect, characteristic_at's factor cubes, slice_profile's J, a
 shrink witness one axis at a time): the box's whole-cell cover, each
 cell of an axis with fractional edges scaled by its overlap, zero-padded
 to 2^k cells per axis and summed by _tree_mass; a box holding no
-positive cell is exactly 0.  The refined pyramid, _ThirdPyramid,
-reads every cube product of the one-third grids, the standard pair's
-included (their scans, for sigma and omega stacked on a batch axis in one
-walk, and witnesses, _third_mass) the same way over a lattice whose axes
+positive cell is exactly 0.  One walk, _third_walk, reads every cube
+product of the one-third grids the same way over a lattice whose axes
 are cut, one at a time, into thirds of a cell, on which every one-third
-cube is whole; each mass is its exact sum correctly rounded but within
+cube is whole, under a scan's plan (_ThirdPyramid, sigma and omega on a
+batch axis) or a witness's (_third_mass, over the level cubes that hold
+it); each mass is its exact sum correctly rounded but within
 about 2^-90 of a rounding boundary, and on every standard box tested it
 has the dyadic pyramid's bits.  Every engine but the prefix one halves
 through one step, _halve.  The product-reverse doubling scan reads the
@@ -61,7 +61,7 @@ import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from itertools import product as _iproduct
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -209,7 +209,7 @@ class Weight:
         self._count: np.ndarray | bool | None = False
 
     def prefix(self, theta: float = 1.0) -> np.ndarray:
-        theta = _check_theta(theta)
+        theta = _check_real("theta", theta, 1.0)
         if theta != 1.0:
             return _accumulate(self.lattice, _cellwise(self.lattice, self.density, theta))
         if self._prefix is None:
@@ -267,12 +267,15 @@ def _cells(lattice: Lattice, values, name: str) -> np.ndarray:
     return arr
 
 
-def _check_theta(theta) -> float:
-    """theta as a float, DomainError unless it is finite and >= 1."""
-    theta = float(theta)
-    if not 1.0 <= theta < math.inf:
-        raise DomainError(f"theta must be finite and >= 1, got {theta}")
-    return theta
+def _check_real(name: str, value, least: float | None = None) -> float:
+    """value as a float, DomainError unless it is one Real (numpy's
+    included, not a bool) and, with least given, finite and >= least:
+    text, None, a list or a complex is refused, never cast."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise DomainError(f"{name} must be a real number, got {value!r}")
+    if least is not None and not least <= float(value) < math.inf:
+        raise DomainError(f"{name} must be finite and >= {least:g}, got {float(value)}")
+    return float(value)
 
 
 class GridFunction:
@@ -679,19 +682,17 @@ def _coarser(a: np.ndarray, err) -> tuple:
     return tuple(out)
 
 
-def _triple(a: np.ndarray, err, g: int | None = None) -> tuple:
-    """(a[p] + a[p+1]) + a[p+2] at every position p of a padded level (or
-    at p = g, g + 3, ...), with errors as _halve's; adding a pad's 0 is
-    exact, its error 0."""
-    n = a.shape[0] - 2
+def _triple(a: np.ndarray, err, at: slice = slice(None)) -> tuple:
+    """(a[p] + a[p+1]) + a[p+2] at the positions p of a padded level that
+    at picks, with errors as _halve's; adding a pad's 0 is exact, its
+    error 0."""
+    p = range(a.shape[0] - 2)[at]
 
-    def at(x, j):
-        if not isinstance(x, np.ndarray):
-            return x
-        return x[j : n + j] if g is None else x[g + j : n + j : 3]
+    def part(x, j):
+        return x[p.start + j : p.stop + j : p.step] if isinstance(x, np.ndarray) else x
 
-    s, e = _add(at(a, 0), at(a, 1), at(err, 0), at(err, 1))
-    return _add(s, at(a, 2), e, at(err, 2))
+    s, e = _add(part(a, 0), part(a, 1), part(err, 0), part(err, 1))
+    return _add(s, part(a, 2), e, part(err, 2))
 
 
 def _third_scale(h: np.ndarray, lat: Lattice) -> np.ndarray:
@@ -753,14 +754,16 @@ class _ThirdPyramid:
             return {lv[f]: lv}
         return {level: lv + (level,) for level in range(self.depth, -1, -1)}
 
-    def _groups(self, lead: int, k: int, lv: tuple) -> tuple:
-        """(None,) or the residues (0, 1, 2) axis k is read in, lead its
-        positions times those of axes 0..k-1 in one batch row, the later
-        axes taken at their factor's level or, unread, the finest."""
+    def _reads(self, lead: int, k: int, lv: tuple) -> tuple:
+        """The (group, positions) axis k is read at: every position (group
+        None), or by offset, positions g, g + 3, ... of each group g = 0, 1,
+        2, where lead, its positions times those of axes 0..k-1 in one
+        batch row, the later axes taken at their factor's level or, unread,
+        the finest, passes the limit."""
         for j in range(k + 1, self.dim):
             f = self.owner[j]
             lead *= (3 << (lv[f] if f < len(lv) else self.depth)) + 2
-        return (None,) if lead <= self.limit else (0, 1, 2)
+        return ((None, slice(None)),) if lead <= self.limit else tuple((g, slice(g, None, 3)) for g in range(3))
 
     def peak(self, k: int = 0, lead: int = 1, lv: tuple = ()) -> int:
         """The elements of the largest array masses() builds, per batch
@@ -771,7 +774,7 @@ class _ThirdPyramid:
         out = (3 * self.n + 4) * rest
         for level, here in self._levels(k, lv).items():
             ext = (3 << level) + 2
-            if self._groups(lead * ext, k, here) != (None,):
+            if len(self._reads(lead * ext, k, here)) > 1:
                 ext = (1 << level) + 1
             out = max(out, self.peak(k + 1, lead * ext, here))
         return out
@@ -784,57 +787,54 @@ class _ThirdPyramid:
                 f"the one-third scan's largest array takes {need} bytes, "
                 f"limit {ARRAY_BUDGET_BYTES} bytes"
             )
-        scale = _third_scale(h, self.lat)
-        c = 3.0**self.dim
+        return _third_walk(h, self.lat, _third_scale(h, self.lat), self._levels, self._reads)
 
-        def walk(a, err, k, lv, groups):
-            # lattice axis k leads while it is summed, swapped with axis 0
-            ax = lead + k
-            done = math.prod(a.shape[lead:ax])
-            a, err = _refine(_move(a, ax), _move(err, ax))
-            if k == 0 and (scale != 1.0).any():
-                a *= _move(scale, ax)
-            wanted = self._levels(k, lv)
-            for level in range(self.depth, min(wanted) - 1, -1):
-                if level < self.depth:
-                    a, err = _coarser(a, err)
-                if level not in wanted:
-                    continue
-                here = wanted[level]
-                for g in self._groups((a.shape[0] - 2) * done, k, here):
-                    sums = (_move(x, ax) for x in _triple(a, err, g))
-                    if k + 1 == self.dim:
-                        yield here, groups + (g,), _third_div(*sums, c, scale)
-                    else:
-                        yield from walk(*sums, k + 1, here, groups + (g,))
 
-        return walk(h, 0.0, 0, (), ())
+def _third_walk(h: np.ndarray, lat: Lattice, scale: np.ndarray, levels, reads):
+    """(level tuple, labels, masses) per block a plan reads from h's
+    trailing lat.dim axes (the lattice, or a crop of whole level cubes),
+    its leading axes a batch summed at scale.  levels(k, lv) maps each
+    level axis k is read at to its level tuple, lv the axes' before;
+    reads(size, k, lv) gives its (label, positions), size the positions
+    of axes 0..k per batch row."""
+    lead, c = h.ndim - lat.dim, 3.0**lat.dim
+
+    def walk(a, err, k, lv, labels):
+        # lattice axis k leads while it is summed, swapped with axis 0
+        ax = lead + k
+        done = math.prod(a.shape[lead:ax])
+        a, err = _refine(_move(a, ax), _move(err, ax))
+        if k == 0 and (scale != 1.0).any():
+            a *= _move(scale, ax)
+        wanted = levels(k, lv)
+        for level in range(lat.depth, min(wanted) - 1, -1):
+            if level < lat.depth:
+                a, err = _coarser(a, err)
+            if level not in wanted:
+                continue
+            here = wanted[level]
+            for label, at in reads((a.shape[0] - 2) * done, k, here):
+                sums = (_move(x, ax) for x in _triple(a, err, at))
+                if k + 1 == lat.dim:
+                    yield here, labels + (label,), _third_div(*sums, c, scale)
+                else:
+                    yield from walk(*sums, k + 1, here, labels + (label,))
+
+    return walk(h, 0.0, 0, (), ())
 
 
 def _third_mass(h: np.ndarray, lat: Lattice, starts) -> np.ndarray:
-    """The mass _ThirdPyramid gives one cube product, summed from its own
-    cells by the same steps; starts holds per lattice axis (level, t), the
-    box's blocks t, t + 1, t + 2 of that level, -2 <= t < 3 * 2^level."""
-    scale = _third_scale(h, lat)
-    wins = []
+    """The mass _ThirdPyramid gives one cube product, per batch row of h,
+    by its walk over the level cubes holding the box, at most two per axis,
+    so every halving pair and zero pad is the lattice's; starts holds per
+    axis (level, t), the box's level blocks t..t+2, -2 <= t < 3 * 2^level."""
+    crop, at = [], []
     for level, t in starts:
-        s, top = 1 << (lat.depth - level), 3 << level
-        lo, hi = max(t, 0), min(t + 3, top)
-        wins.append((level, lo * s, hi * s, (lo - t, t + 3 - hi)))
-    a, err = h[tuple(slice(lo // 3, -(-hi // 3)) for _, lo, hi, _ in wins)], 0.0
-    if (scale != 1.0).any():
-        a = a * scale
-    for k, (level, lo, hi, pads) in enumerate(wins):
-        # the box's thirds on axis k, leading, then its level blocks
-        a, err = (
-            np.repeat(x, 3, axis=0)[lo % 3 : lo % 3 + hi - lo] if isinstance(x, np.ndarray) else x
-            for x in (_move(a, k), _move(err, k))
-        )
-        for _ in range(lat.depth - level):
-            a, err = _halve(a, (0,), err)
-        blocks = (_pad(x, *pads) if isinstance(x, np.ndarray) else x for x in (a, err))
-        a, err = (_move(x, k) for x in _triple(*blocks))
-    return _third_div(a, err, 3.0**lat.dim, scale)
+        side, first = 1 << (lat.depth - level), max(t // 3, 0)
+        crop.append(slice(first * side, min((t + 2) // 3 + 1, 1 << level) * side))
+        at.append(t - 3 * first + 2)
+    plan = (lambda k, lv: {starts[k][0]: lv + (starts[k][0],)}, lambda _, k, lv: ((at[k], slice(at[k], at[k] + 1)),))
+    return next(_third_walk(h[(Ellipsis,) + tuple(crop)], lat, _third_scale(h, lat), *plan))[2]
 
 
 def integrate(w: Weight, rect: Rect) -> float:
@@ -845,7 +845,7 @@ def integrate(w: Weight, rect: Rect) -> float:
 def power_integrate(w: Weight, rect: Rect, theta: float) -> float:
     """Integral of density**theta over the rectangle."""
     _check_rect(w.lattice, rect)
-    return float(_own_mass(w.lattice, w.density, rect.lo, rect.hi, _check_theta(theta)))
+    return float(_own_mass(w.lattice, w.density, rect.lo, rect.hi, _check_real("theta", theta, 1.0)))
 
 
 def box_mass(w: Weight, lo, hi, theta: float = 1.0) -> float:
@@ -861,13 +861,12 @@ def box_mass(w: Weight, lo, hi, theta: float = 1.0) -> float:
         raise DomainError(f"box edges must not be NaN, got {lo / n}..{hi / n}")
     lo = np.clip(lo, 0.0, float(n))
     hi = np.maximum(np.clip(hi, 0.0, float(n)), lo)
-    return float(_own_mass(lat, w.density, lo.tolist(), hi.tolist(), _check_theta(theta)))
+    return float(_own_mass(lat, w.density, lo.tolist(), hi.tolist(), _check_real("theta", theta, 1.0)))
 
 
 def lp_norm(f: GridFunction, w: Weight, p: float) -> float:
     """(sum f^p * density * cell_volume)^(1/p)."""
-    if not 1 <= p < math.inf:
-        raise DomainError(f"p must be finite and >= 1, got {p}")
+    p = _check_real("p", p, 1.0)
     if f.lattice != w.lattice:
         raise ShapeError("function and weight live on different lattices")
     return float(_lp_norms(w.lattice, f.values, w.density, p))

@@ -975,6 +975,52 @@ def test_onethird_scan_refuses_past_the_array_budget(monkeypatch):
     assert characteristic_at("no_bump", None, res.witness, w, w, exps) == res.value
 
 
+def test_onethird_witness_walks_a_crop_of_its_level_cubes(monkeypatch):
+    # a one-third witness is read by the scan's walk, sigma and omega on
+    # one batch axis, refined once per lattice axis, over the level cubes
+    # that hold the box: at most two per axis, so no refined array spans
+    # more than 2 * 2^(L - l) cells on an axis read at level l.  The value
+    # has the bits of the whole lattice's refined steps
+    lat = make_lattice(2, 8)
+    sigma = gen_weight(lat, {"kind": "cascade", "beta": 0.8, "seed": 4})
+    omega = rand_w(lat, 8)
+    exps = _exps(0.5, 0.5, theta=1.5)
+    kernel = KernelHandle.from_exponents(exps)
+    third = onethird_grids(1, 0, lat.depth)
+    boxes = [
+        DyadicRect(Cube(third[1], 0, (0,)), Cube(third[2], 0, (-1,))),
+        DyadicRect(Cube(third[1], 3, (-1,)), Cube(third[0], 3, (5,))),
+        DyadicRect(Cube(third[2], 3, (7,)), Cube(third[1], 8, (128,))),
+        DyadicRect(Cube(third[1], 8, (255,)), Cube(third[2], 5, (0,))),
+        DyadicRect(Cube(third[0], 8, (0,)), Cube(third[1], 6, (40,))),
+    ]
+    refine = lattice._refine
+    shapes = []
+
+    def spy(a, err):
+        shapes.append(a.shape)
+        return refine(a, err)
+
+    monkeypatch.setattr(lattice, "_refine", spy)
+    for box in boxes:
+        cubes = (box.i_cube, box.j_cube)
+        spans = [2 << (lat.depth - c.level) for c in cubes]
+        for kind in ("no_bump", "product_bump"):
+            shapes.clear()
+            got = characteristic_at(kind, kernel, box, sigma, omega, exps)
+            assert len(shapes) == lat.dim, (box, shapes)
+            for k, shape in enumerate(shapes):
+                # the refined axis leads; the rest are the batch and the
+                # other axes, walked (one position) or still cropped
+                assert shape[0] <= spans[k], (box, k, shape)
+                assert math.prod(shape) <= 2 * math.prod(spans), (box, k, shape)
+            factors = [(c.grid, c.level, [[i] for i in c.index]) for c in cubes]
+            pairs = zip((sigma, omega), bump._thetas(kind, exps))
+            masses = [_refined_masses(w, t, factors) for w, t in pairs]
+            levels = [(c.level, 1) for c in cubes]
+            assert got == bump._products(kind, kernel, exps, levels, masses).flat[0], (box, kind)
+
+
 @pytest.mark.parametrize("dim, m, depth", [(1, None, 7), (2, None, 4), (2, 1, 5), (3, None, 2), (3, 1, 3), (3, 2, 2)])
 @pytest.mark.parametrize("weight", ["cascade", "zero_block", "huge"])
 def test_onethird_masses_match_exact_oracle(dim, m, depth, weight):

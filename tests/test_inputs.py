@@ -9,6 +9,9 @@ fractional float and as an integral float with DomainError (never a
 TypeError, a ValueError or a silent truncation), and take it as a numpy
 integer with a result identical, types included, to the Python int's.
 A refusal names the value it refuses, not one derived from it.
+Every theta, and lp_norm's p, passes lattice._check_real: one Real that
+is not a bool; text, None, a list and a complex, numpy's included, are
+refused with DomainError, never cast.
 The other tables hold the non-integer rules: cell arrays, level ranges,
 split probabilities and the shape errors that stay shape errors.
 """
@@ -28,18 +31,25 @@ from dyadlab import (
     GoodnessParams,
     GridFunction,
     KernelHandle,
+    Rect,
     ShiftParam,
     Weight,
     apply_frac_integral,
+    automatic_carleson,
+    bump_cube,
+    bump_rect,
     characteristic_at,
     dyadic_family,
+    embed_check_cubes,
     embed_check_rects,
     family_of,
     gen_weight,
     good_in,
     is_good,
+    lp_norm,
     make_lattice,
     onethird_grids,
+    power_integrate,
     random_partition,
     refine_function,
     refine_weight,
@@ -47,12 +57,15 @@ from dyadlab import (
     sample_shift,
     sandwich,
     sandwiches,
+    slice_profile,
     standard_grid,
+    stopping_cubes,
     substream,
     verify_grid,
 )
 from dyadlab.errors import DomainError, ShapeError
 from dyadlab.grids import verify_work
+from dyadlab.lattice import box_mass
 
 LAT1 = make_lattice(1, 3)
 LAT2 = make_lattice(2, 2)
@@ -161,6 +174,48 @@ def test_integer_parameter_refuses_a_non_integer(name, good, call, kind):
 def test_integer_parameter_takes_a_numpy_integer_as_the_int(name, good, call):
     assert _same(call(np.int64(good)), call(good))
     assert _same(call(np.int32(good)), call(good))
+
+
+# (entry.parameter, the call with that exponent set): theta of every
+# entry that takes one, and lp_norm's p
+EXPONENT_ROWS = [
+    ("Weight.prefix.theta", lambda v: W2.prefix(v)),
+    ("power_integrate.theta", lambda v: power_integrate(W2, Rect((0, 0), (2, 3)), v)),
+    ("box_mass.theta", lambda v: box_mass(W2, [0.1, 0.2], [0.7, 0.9], v)),
+    ("bump_cube.theta", lambda v: bump_cube(Rect((0, 0), (2, 2)), W2, v)),
+    ("bump_rect.theta", lambda v: bump_rect(Rect((0,), (2,)), Rect((1,), (3,)), W2, v)),
+    ("slice_profile.theta", lambda v: slice_profile(Rect((1,), (3,)), W2, v)),
+    ("Exponents.theta", lambda v: Exponents(p=2.0, q=4.0, alpha=0.5, beta=0.5, theta=v)),
+    ("stopping_cubes.theta", lambda v: stopping_cubes(F2, W2, v, 0)),
+    ("automatic_carleson.theta", lambda v: automatic_carleson(Rect((0, 0), (4, 4)), W2, v, 2.0)),
+    ("embed_check_cubes.theta", lambda v: embed_check_cubes(F2, W2, v, 4.0, 2.0)),
+    ("embed_check_rects.theta", lambda v: embed_check_rects(F2, W2, theta=v, r=4.0, s=2.0, m=1)),
+    ("lp_norm.p", lambda v: lp_norm(F2, W2, v)),
+]
+
+BAD_REALS = {
+    "text": "2",
+    "none": None,
+    "list": [2.0],
+    "complex": 2 + 0j,
+    "numpy_complex": np.complex128(2.0),
+    "bool": True,
+}
+
+
+@pytest.mark.parametrize("kind", sorted(BAD_REALS))
+@pytest.mark.parametrize("name, call", EXPONENT_ROWS, ids=[r[0] for r in EXPONENT_ROWS])
+def test_exponent_refuses_a_non_real(name, call, kind):
+    call(2.0)
+    bad = BAD_REALS[kind]
+    with pytest.raises(DomainError, match=re.escape(f"got {bad!r}")):
+        call(bad)
+
+
+@pytest.mark.parametrize("name, call", EXPONENT_ROWS, ids=[r[0] for r in EXPONENT_ROWS])
+def test_exponent_takes_a_numpy_float_as_the_float(name, call):
+    assert _same(call(np.float64(2.0)), call(2.0))
+    assert _same(call(np.int64(2)), call(2.0))
 
 
 # (case, the call) that must raise DomainError

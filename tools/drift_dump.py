@@ -32,7 +32,9 @@ cascade: integrate, power_integrate, bump_cube, bump_rect and box_mass on
 whole-cell boxes, box_mass on boxes with edges on thirds of a cell (its oracle at the
 edges' float values), and
 characteristic_at on a shifted-grid rectangle and on one finer than the
-lattice, and the one-third no_bump scan at 2D depth 4 of a pair whose
+lattice, characteristic_at on one-third rectangles no scan needs to pick
+(a level-0 box, boxes clipped at either edge, an interior and a
+finest-level box, and a 3D box with m = 2), and the one-third no_bump scan at 2D depth 4 of a pair whose
 sigma lies near the float64 maximum and is summed at 2^-7 of its size,
 beside an omega summed at scale 1.  Each characteristic value (the
 one-third scan's included, the single-box ones too), each single-box
@@ -556,6 +558,43 @@ def _single_boxes(seed: int, out: dict) -> None:
             out[f"{key}/oracle"] = _char_oracle(kind, box, w, omega, wl.EXPS)
 
 
+def _third_boxes(seed: int, out: dict) -> None:
+    """characteristic_at on fixed one-third rectangles that no scan needs
+    to pick, read through the refined walk, each with its oracle from
+    exact thirds: at 2D depth SINGLE_DEPTH a level-0 box, boxes clipped
+    at the left and at the right edge, an interior box and a finest-level
+    box, of the single-box reads' weights, and at 3D depth THREE_D_DEPTH
+    a box with a first factor of m = 2 axes, of the first norm2d pair."""
+    import workloads as wl
+    from dyadlab import Cube, DyadicRect, Exponents, characteristic_at, gen_weight, make_lattice, onethird_grids
+
+    lat = make_lattice(2, SINGLE_DEPTH)
+    w = gen_weight(lat, {"kind": "cascade", "beta": 0.9, "seed": seed})
+    omega = gen_weight(lat, {"kind": "random_lognormal", "seed": seed, "roughness": 0.8})
+    third = onethird_grids(1, 0, SINGLE_DEPTH)
+    top = (1 << SINGLE_DEPTH) - 1
+    rects = {
+        "level0": DyadicRect(Cube(third[1], 0, (0,)), Cube(third[2], 0, (-1,))),
+        "left": DyadicRect(Cube(third[1], 2, (-1,)), Cube(third[0], 3, (2,))),
+        "right": DyadicRect(Cube(third[2], 3, (7,)), Cube(third[1], 1, (1,))),
+        "interior": DyadicRect(Cube(third[1], 3, (3,)), Cube(third[2], 2, (1,))),
+        "finest": DyadicRect(Cube(third[1], SINGLE_DEPTH, (17,)), Cube(third[2], SINGLE_DEPTH, (top,))),
+    }
+    runs = [(name, box, w, omega, wl.EXPS) for name, box in rects.items()]
+    lat = make_lattice(3, THREE_D_DEPTH)
+    sigma, omega = (gen_weight(lat, spec) for spec in wl.pair_specs("norm2d", seed, 0))
+    exps = Exponents(p=2.0, q=4.0, alpha=1.0, beta=0.5, m=2, n=1, theta=1.5)
+    box = DyadicRect(
+        Cube(onethird_grids(2, 0, THREE_D_DEPTH)[5], 1, (-1, 1)), Cube(onethird_grids(1, 0, THREE_D_DEPTH)[2], 2, (3,))
+    )
+    runs.append(("3d_m2", box, sigma, omega, exps))
+    for name, box, s, o, e in runs:
+        for kind in ("product_bump", "no_bump"):
+            key = f"third-box/characteristic_at/{name}/{kind}"
+            out[key] = characteristic_at(kind, None, box, s, o, e)
+            out[f"{key}/oracle"] = _char_oracle(kind, box, s, o, e)
+
+
 def _scaled_rows(seed: int, out: dict) -> None:
     """The one-third no_bump scan, with its oracle, of a pair whose sigma,
     a seeded lognormal weight scaled to near the float64 maximum, the
@@ -723,6 +762,7 @@ def dump(seed: int, units: int) -> dict:
     _ties(out)
     _blocks(seed, out)
     _single_boxes(seed, out)
+    _third_boxes(seed, out)
     _scaled_rows(seed, out)
     _norm_forms(seed, out)
     _three_d(seed, out)
